@@ -664,27 +664,25 @@ def opf_loss(alpha: float, beta: float, w) -> float:
 def opf_arbitrage(alpha: float, beta: float, capacity: float, prices) -> tuple[float, float]:
     """Closed-form scalar arbitrage for a transmission line.
 
-    The slope condition ``p_out * h'(w) = p_in`` solves to
+    Delegates to :meth:`PowerLossGain.closed_form_arbitrage`: the slope
+    condition ``p_out * h'(w) = p_in`` solves to
     ``w = log((3*p_out - p_in) / (p_out + p_in)) / beta`` projected onto
     ``[0, capacity]``; a nonpositive log argument and all-zero prices
     both give zero input.
 
     Returns:
         ``(w, value)`` with ``value`` the optimal objective.
+
+    Raises:
+        InvalidEdgeError: ``alpha * beta != 4`` or a nonpositive capacity.
+        ValueError: A negative price.
     """
-    if abs(alpha * beta - 4.0) > 1e-9:
-        raise InvalidEdgeError("loss family requires alpha * beta = 4")
+    gain = PowerLossGain(alpha, beta, capacity)
     p_in, p_out = float(prices[0]), float(prices[1])
     if p_in < 0 or p_out < 0:
         raise ValueError("prices must be nonnegative")
-    num = 3.0 * p_out - p_in
-    den = p_out + p_in
-    if num <= 0.0 or den <= 0.0:
-        w = 0.0
-    else:
-        w = min(max(math.log(num / den) / beta, 0.0), capacity)
-    h = 3.0 * w - alpha * (np.logaddexp(0.0, beta * w) - math.log(2.0))
-    return w, -p_in * w + p_out * float(h)
+    w, h, _ = gain.closed_form_arbitrage(p_in, p_out)
+    return w, -p_in * w + p_out * h
 
 
 def lossless_edge(capacity: float) -> TwoNodeEdge:

@@ -493,20 +493,27 @@ def _read_instance(path: str) -> ProblemInstance:
 
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
-    config = SolverConfig(grad_tol=args.tol, max_iter=args.max_iter, workers=args.threads)
+    config = SolverConfig(grad_tol=args.tol, max_iter=args.max_iter)
     result = solve(instance, config=config)
     if args.trace:
         result.trace.to_csv(args.trace)
     if args.out:
+        # JSON has no infinities: a non-finite value (say, the -inf primal
+        # value of an infeasible recovered point) is written as null.
+        doc = {
+            key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in result_to_dict(result).items()
+        }
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(result_to_dict(result), handle, indent=2)
+            json.dump(doc, handle, indent=2, allow_nan=False)
             handle.write("\n")
     print(
         f"status={result.status} iterations={result.iterations} "
         f"dual={result.dual_value:.10g} primal={result.primal_value:.10g} "
         f"rel_gap={result.relative_gap:.3e}"
     )
-    return 0 if result.converged or result.relative_gap <= args.tol else 2
+    certified = result.converged or result.relative_gap <= args.tol
+    return 0 if certified and math.isfinite(result.primal_value) else 2
 
 
 def _cmd_generate(args) -> int:
@@ -561,7 +568,7 @@ def _cmd_bench(args) -> int:
             doc = gen_opf(size, seed) if args.family == "opf" else gen_cfmm(size, seed)
             instance = instance_from_dict(doc)
             start = time.perf_counter()
-            result = solve(instance, config=SolverConfig(workers=args.threads))
+            result = solve(instance)
             elapsed = time.perf_counter() - start
             rows.append(
                 f"{args.family},{size},{trial},{seed},{elapsed!r},"
@@ -587,7 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", help="write per-iteration CSV trace")
     p_solve.add_argument("--tol", type=float, default=1e-7)
     p_solve.add_argument("--max-iter", type=int, default=1000)
-    p_solve.add_argument("--threads", type=int, default=None)
     p_solve.add_argument("--out", help="write the result JSON")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -612,7 +618,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", required=True, help="comma-separated sizes")
     p_bench.add_argument("--trials", type=int, default=3)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("-o", "--output", default="-")
     p_bench.set_defaults(func=_cmd_bench)
     return parser

@@ -9,8 +9,13 @@ The lower-triangular change of variables ``eta_i -> eta_i - A_i^T nu``
 maps the feasible set onto the nonnegative orthant, where a
 limited-memory quasi-Newton driver with bound projection runs.  Edges
 without a utility term force ``eta_i = A_i^T nu`` (their transformed
-block is pinned at zero), so zero-utility instances reduce to a problem
-in ``nu`` alone, which :func:`solve_zero_edge` exploits directly.
+block is pinned at zero and never becomes a variable), so zero-utility
+instances are a problem in ``nu`` alone.
+
+One evaluator, :class:`DualProgram`, computes the dual for every
+instance and every entry point (:func:`eval_dual`, :func:`solve_dual`,
+:func:`solve_zero_edge`, :func:`solve`), serially and in a fixed edge
+order.
 
 Gradients assemble from the subproblem maximizers: the transformed
 node-price gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``,
@@ -21,15 +26,15 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Hyperedge, PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
-from .edges.base import ArbitrageResult, UnattainedSupremumError, UnboundedEdgeError
+from .core import PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
+from .edges.base import UnattainedSupremumError, UnboundedEdgeError
+from .objectives import ConjugateValue
 from .qn import InfeasibleStartError, QNConfig, minimize_bound_lbfgs
 
 __all__ = [
@@ -70,7 +75,8 @@ class DualPoint:
 class SolverConfig:
     """Driver parameters; every field must be positive.
 
-    ``workers`` of None reads CONVEXFLOWS_THREADS (default 1).  The
+    Every solve runs the one serial dual evaluator (see
+    :class:`DualProgram`), so results are deterministic.  The
     ``snap_polish`` flag lets the driver evaluate rounded copies of the
     final iterate (integers and threshold cuts) and keep any that are at
     least as good, which lands exactly on the vertex solutions of
@@ -81,14 +87,8 @@ class SolverConfig:
     max_iter: int = 1000
     memory: int = 10
     shrink: float = 0.5
-    workers: int | None = None
     snap_polish: bool = True
     feas_tol: float = 1e-6
-
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, int(self.workers))
-        return max(1, int(os.environ.get("CONVEXFLOWS_THREADS", "1")))
 
 
 @dataclass
@@ -105,7 +105,7 @@ class TraceRow:
 class ConvergenceTrace:
     """Per-iteration solve record; exportable as CSV."""
 
-    columns = ("iter", "g", "pg_norm", "primal_residual", "gap", "time_s")
+    columns = ("iter", "g", "pg_norm", "primal_residual", "gap", "time_s", "nonsmooth")
 
     def __init__(self) -> None:
         self.rows: list[TraceRow] = []
@@ -123,7 +123,7 @@ class ConvergenceTrace:
             writer.writerow(self.columns)
             for r in self.rows:
                 writer.writerow(
-                    [r.iteration, repr(r.value), repr(r.pg_norm), repr(r.primal_residual), repr(r.gap), repr(r.time_s)]
+                    [r.iteration, *map(repr, (r.value, r.pg_norm, r.primal_residual, r.gap, r.time_s)), int(r.nonsmooth)]
                 )
 
 
@@ -201,363 +201,57 @@ def untransform(instance: ProblemInstance, stacked: np.ndarray) -> DualPoint:
     return DualPoint(node_prices=nu, edge_prices=etas)
 
 
-def _evaluate_edges(
-    edges: list[Hyperedge],
-    etas: list[np.ndarray],
-    executor: ThreadPoolExecutor | None,
-) -> list[ArbitrageResult] | None:
-    """Evaluate all edges; None signals degenerate boundary prices."""
-    try:
-        if executor is None:
-            return [edge.oracle.evaluate(eta) for edge, eta in zip(edges, etas)]
-        return list(executor.map(lambda pair: pair[0].oracle.evaluate(pair[1]), zip(edges, etas)))
-    except UnattainedSupremumError:
-        return None
-    except UnboundedEdgeError as exc:
-        raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
-
-
-def eval_dual(
-    instance: ProblemInstance,
-    point: DualPoint,
-    *,
-    executor: ThreadPoolExecutor | None = None,
-) -> DualEval:
+def eval_dual(instance: ProblemInstance, point: DualPoint) -> DualEval:
     """Evaluate the dual function, its gradient, and all maximizers.
 
-    Infinite conjugate values yield an infinite dual value with no
-    gradient.  Edges without a utility term require ``eta_i = A_i^T nu``;
-    any violation is likewise an infinite value.
+    Infinite conjugate values (such as negative prices) yield an infinite
+    dual value with no gradient.  Edges without a utility term require
+    ``eta_i = A_i^T nu``; any violation is likewise an infinite value.
 
     Raises:
         UnboundedDualError: An edge's price subproblem is unbounded.
     """
-    nu = np.asarray(point.node_prices, dtype=float)
-    conj_u = instance.net_objective.conj(nu)
-    if not conj_u.finite:
-        return _infinite_eval()
-
-    etas = [np.asarray(eta, dtype=float) for eta in point.edge_prices]
-    utility_flows: list[np.ndarray] = []
-    value = conj_u.value
-    nonsmooth = conj_u.non_unique
-    for edge, eta in zip(instance.edges, etas):
-        xi = eta - edge.incidence.gather(nu)
-        if edge.utility is None:
-            if np.max(np.abs(xi), initial=0.0) > _ZERO_UTILITY_PRICE_TOL * (
-                1.0 + float(np.max(np.abs(eta)))
-            ):
-                return _infinite_eval()
-            utility_flows.append(None)
-        else:
-            conj_v = edge.utility.conj(xi)
-            if not conj_v.finite:
-                return _infinite_eval()
-            value += conj_v.value
-            nonsmooth = nonsmooth or conj_v.non_unique
-            utility_flows.append(conj_v.maximizer)
-
-    arb = _evaluate_edges(instance.edges, etas, executor)
-    if arb is None:
-        return _infinite_eval()
-
-    solutions: list[EdgeSolution] = []
-    grad_edges: list[np.ndarray] = []
-    y_arb = np.zeros(instance.n)
-    grad_nodes = np.zeros(instance.n)
-    for edge, eta, res, x_util in zip(instance.edges, etas, arb, utility_flows):
-        value += res.value
-        nonsmooth = nonsmooth or res.non_unique
-        x_util = res.flow if x_util is None else x_util
-        solutions.append(
-            EdgeSolution(
-                support_value=res.value,
-                flow_arbitrage=res.flow,
-                flow_utility=x_util,
-                non_unique=res.non_unique,
-            )
-        )
-        grad_edges.append(res.flow - x_util)
-        edge.incidence.scatter_add(res.flow, y_arb)
-        edge.incidence.scatter_add(x_util, grad_nodes)
-
-    y_star = conj_u.maximizer
-    grad_nodes -= y_star
-    grad_orthant = y_arb - y_star
-    if conj_u.non_unique:
-        residual = float(instance.net_objective.domain_violation(y_arb))
-    else:
-        residual = float(np.max(np.abs(y_star - y_arb)))
-    return DualEval(
-        value=float(value),
-        grad_nodes=grad_nodes,
-        grad_edges=grad_edges,
-        grad_nodes_orthant=grad_orthant,
-        y_star=y_star,
-        y_non_unique=conj_u.non_unique,
-        edges=solutions,
-        net_flow_arbitrage=y_arb,
-        primal_residual=residual,
-        nonsmooth=nonsmooth,
-    )
+    return DualProgram(instance).evaluate_point(point)
 
 
-class _ZeroEdgeEval:
-    """Specialized dual evaluation for instances with no edge utilities.
+class _Pass(NamedTuple):
+    """Raw outcome of one evaluation pass; assembles into a :class:`DualEval`.
 
-    Only node prices are variables; local prices are the gathered node
-    prices and the gradient is the net arbitrage flow minus the objective
-    maximizer.  The light path skips the per-edge solution objects, which
-    the driver's line search never looks at.
+    ``utility``, ``pair`` and ``array`` hold the per-edge outputs of the
+    three plans in plan order: ``(ArbitrageResult, utility maximizer)``
+    pairs, ``(value, flow_in, flow_out, non_unique)`` tuples and
+    ``ArbitrageResult`` objects.  ``grad`` is the gradient in the reduced
+    vector.
     """
 
-    def __init__(self, instance: ProblemInstance, executor: ThreadPoolExecutor | None = None):
-        self.instance = instance
-        self.executor = executor
-        # Scalar fast path for two-node oracles; array path for the rest.
-        self._pair_edges = []
-        self._array_edges = []
-        for pos, e in enumerate(instance.edges):
-            idx = e.incidence._index
-            if executor is None and e.incidence.dim == 2 and hasattr(e.oracle, "evaluate_pair"):
-                self._pair_edges.append((pos, int(idx[0]), int(idx[1]), e.oracle.evaluate_pair))
-            else:
-                self._array_edges.append((pos, idx, e.oracle))
-
-    def light(self, nu: np.ndarray):
-        """Returns ``(value, results, conj_u, grad, y_arb, nonsmooth)``.
-
-        ``results`` holds per-edge ``(value, flow_in, flow_out, flag)``
-        tuples for scalar edges and ArbitrageResults otherwise, in edge
-        order.
-        """
-        instance = self.instance
-        conj_u = instance.net_objective.conj(nu)
-        if not conj_u.finite:
-            return math.inf, None, conj_u, None, None, False
-        value = conj_u.value
-        nonsmooth = conj_u.non_unique
-        y_arb = np.zeros(instance.n)
-        results = [None] * instance.m
-        try:
-            for pos, i0, i1, evaluate_pair in self._pair_edges:
-                out = evaluate_pair(nu[i0], nu[i1])
-                value += out[0]
-                y_arb[i0] += out[1]
-                y_arb[i1] += out[2]
-                nonsmooth = nonsmooth or out[3]
-                results[pos] = out
-            if self._array_edges:
-                if self.executor is None:
-                    evaluated = [
-                        (pos, oracle.evaluate(nu[idx])) for pos, idx, oracle in self._array_edges
-                    ]
-                else:
-                    evaluated = list(
-                        self.executor.map(
-                            lambda item: (item[0], item[2].evaluate(nu[item[1]])),
-                            self._array_edges,
-                        )
-                    )
-                for (_, idx, _), (pos, res) in zip(self._array_edges, evaluated):
-                    value += res.value
-                    y_arb[idx] += res.flow
-                    nonsmooth = nonsmooth or res.non_unique
-                    results[pos] = res
-        except UnattainedSupremumError:
-            # Degenerate boundary prices: treat the point as infinitely
-            # bad so the line search backs into the interior.
-            return math.inf, None, conj_u, None, None, False
-        except UnboundedEdgeError as exc:
-            raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
-        grad = y_arb - conj_u.maximizer
-        return float(value), results, conj_u, grad, y_arb, nonsmooth
-
-    def __call__(self, nu: np.ndarray) -> DualEval:
-        return self.assemble(self.light(nu))
-
-    def residual(self, conj_u, y_arb) -> float:
-        if conj_u.non_unique:
-            return float(self.instance.net_objective.domain_violation(y_arb))
-        return float(np.max(np.abs(conj_u.maximizer - y_arb)))
-
-    def assemble(self, raw) -> DualEval:
-        value, results, conj_u, grad, y_arb, nonsmooth = raw
-        if not math.isfinite(value):
-            return _infinite_eval()
-        instance = self.instance
-        solutions = []
-        for res in results:
-            if isinstance(res, tuple):
-                flow = np.array([res[1], res[2]])
-                solutions.append(
-                    EdgeSolution(
-                        support_value=res[0],
-                        flow_arbitrage=flow,
-                        flow_utility=flow,
-                        non_unique=res[3],
-                    )
-                )
-            else:
-                solutions.append(
-                    EdgeSolution(
-                        support_value=res.value,
-                        flow_arbitrage=res.flow,
-                        flow_utility=res.flow,
-                        non_unique=res.non_unique,
-                    )
-                )
-        return DualEval(
-            value=value,
-            grad_nodes=grad,
-            grad_edges=[np.zeros(e.incidence.dim) for e in instance.edges],
-            grad_nodes_orthant=grad,
-            y_star=conj_u.maximizer,
-            y_non_unique=conj_u.non_unique,
-            edges=solutions,
-            net_flow_arbitrage=y_arb,
-            primal_residual=self.residual(conj_u, y_arb),
-            nonsmooth=nonsmooth,
-        )
-
-
-class _FullDualEval:
-    """Light/full dual evaluation with edge-utility terms.
-
-    Mirrors :class:`_ZeroEdgeEval` for the general problem: the light
-    path returns value and gradient pieces with minimal allocation, the
-    cached raw results assemble into a :class:`DualEval` on demand.
-    """
-
-    def __init__(self, program: "DualProgram"):
-        self.program = program
-        self.instance = program.instance
-
-    def light(self, x: np.ndarray):
-        """Returns ``(value, results, conj_u, grad_vec, y_arb, nonsmooth)``.
-
-        ``results`` holds ``(support_value, flow, flow_utility,
-        non_unique)`` per edge in order; ``grad_vec`` is the reduced
-        gradient (transformed node block plus utility-edge blocks).
-        """
-        program = self.program
-        instance = self.instance
-        nu = program.node_prices(x)
-        conj_u = instance.net_objective.conj(nu)
-        if not conj_u.finite:
-            return math.inf, None, conj_u, None, None, False
-        value = conj_u.value
-        nonsmooth = conj_u.non_unique
-        y_arb = np.zeros(instance.n)
-        results = [None] * instance.m
-        grad_blocks = [None] * len(program.utility_edges)
-        offsets = program.utility_offsets
-        try:
-            for slot, i in enumerate(program.utility_edges):
-                edge = instance.edges[i]
-                idx = edge.incidence._index
-                xi = x[offsets[slot] : offsets[slot] + edge.incidence.dim]
-                conj_v = edge.utility.conj(xi)
-                if not conj_v.finite:
-                    return math.inf, None, conj_u, None, None, False
-                value += conj_v.value
-                nonsmooth = nonsmooth or conj_v.non_unique
-                eta = nu[idx] + xi
-                res = edge.oracle.evaluate(eta)
-                value += res.value
-                nonsmooth = nonsmooth or res.non_unique
-                y_arb[idx] += res.flow
-                results[i] = (res.value, res.flow, conj_v.maximizer, res.non_unique)
-                grad_blocks[slot] = res.flow - conj_v.maximizer
-            plain = set(program.utility_edges)
-            for i, edge in enumerate(instance.edges):
-                if i in plain:
-                    continue
-                idx = edge.incidence._index
-                if edge.incidence.dim == 2 and hasattr(edge.oracle, "evaluate_pair"):
-                    out = edge.oracle.evaluate_pair(nu[idx[0]], nu[idx[1]])
-                    value += out[0]
-                    y_arb[idx[0]] += out[1]
-                    y_arb[idx[1]] += out[2]
-                    nonsmooth = nonsmooth or out[3]
-                    results[i] = out
-                else:
-                    res = edge.oracle.evaluate(nu[idx])
-                    value += res.value
-                    y_arb[idx] += res.flow
-                    nonsmooth = nonsmooth or res.non_unique
-                    results[i] = res
-        except UnattainedSupremumError:
-            return math.inf, None, conj_u, None, None, False
-        except UnboundedEdgeError as exc:
-            raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
-        grad_nodes = (y_arb - conj_u.maximizer)[program.free_nodes]
-        grad_vec = np.concatenate([grad_nodes] + grad_blocks) if grad_blocks else grad_nodes
-        return float(value), results, conj_u, grad_vec, y_arb, nonsmooth
-
-    def residual(self, conj_u, y_arb) -> float:
-        if conj_u.non_unique:
-            return float(self.instance.net_objective.domain_violation(y_arb))
-        return float(np.max(np.abs(conj_u.maximizer - y_arb)))
-
-    def assemble(self, raw) -> DualEval:
-        value, results, conj_u, grad_vec, y_arb, nonsmooth = raw
-        if not math.isfinite(value):
-            return _infinite_eval()
-        instance = self.instance
-        solutions = []
-        grad_edges = []
-        for res in results:
-            if isinstance(res, tuple) and len(res) == 4 and isinstance(res[1], np.ndarray):
-                support, flow, x_util, flag = res
-            elif isinstance(res, tuple):
-                support = res[0]
-                flow = np.array([res[1], res[2]])
-                x_util = flow
-                flag = res[3]
-            else:
-                support, flow, x_util, flag = res.value, res.flow, res.flow, res.non_unique
-            solutions.append(
-                EdgeSolution(
-                    support_value=support,
-                    flow_arbitrage=flow,
-                    flow_utility=x_util,
-                    non_unique=flag,
-                )
-            )
-            grad_edges.append(flow - x_util)
-        grad_nodes = np.zeros(instance.n)
-        for edge, sol in zip(instance.edges, solutions):
-            edge.incidence.scatter_add(sol.flow_utility, grad_nodes)
-        grad_nodes -= conj_u.maximizer
-        return DualEval(
-            value=value,
-            grad_nodes=grad_nodes,
-            grad_edges=grad_edges,
-            grad_nodes_orthant=y_arb - conj_u.maximizer,
-            y_star=conj_u.maximizer,
-            y_non_unique=conj_u.non_unique,
-            edges=solutions,
-            net_flow_arbitrage=y_arb,
-            primal_residual=self.residual(conj_u, y_arb),
-            nonsmooth=nonsmooth,
-        )
+    value: float
+    conj_u: ConjugateValue
+    y_arb: np.ndarray
+    grad: np.ndarray
+    nonsmooth: bool
+    utility: list
+    pair: list
+    array: list
 
 
 class DualProgram:
-    """Reduced optimization vector for the dual problem.
+    """The dual evaluator over the reduced optimization vector.
 
     Node-price coordinates pinned by the objective are substituted out;
     transformed price blocks of utility-free edges are identically zero
     and never enter the vector.  What remains is exactly the variable
     set the bound-constrained driver sees.
+
+    The edges are split once, at build time, into three plans that every
+    evaluation visits in this order (which fixes the floating-point
+    summation order): edges with a utility, each owning a block of the
+    vector; utility-free two-node edges, answered by the allocation-free
+    ``evaluate_pair``; and the remaining utility-free edges.  The oracle
+    and conjugate bound methods are captured here.
     """
 
-    def __init__(self, instance: ProblemInstance, *, zero_edge: bool = False, executor=None):
-        if zero_edge and instance.has_edge_utilities():
-            raise ValueError("zero-edge path requires an instance without edge utilities")
+    def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        self.zero_edge = zero_edge
         objective = instance.net_objective
         fixed = dict(objective.fixed_coordinates())
         for j, val in fixed.items():
@@ -567,30 +261,29 @@ class DualProgram:
                 raise ValueError("fixed prices must be nonnegative")
         self.fixed = fixed
         self.free_nodes = np.array([j for j in range(instance.n) if j not in fixed], dtype=int)
-        self.utility_edges = (
-            []
-            if zero_edge
-            else [i for i, e in enumerate(instance.edges) if e.utility is not None]
-        )
-        self._zero_eval = _ZeroEdgeEval(instance, executor) if zero_edge else None
-        self.executor = executor
+        self._conj_u = objective.conj
+        self._utility_plan = []
+        self._pair_plan = []
+        self._array_plan = []
         offset = len(self.free_nodes)
-        self.utility_offsets = []
-        for i in self.utility_edges:
-            self.utility_offsets.append(offset)
-            offset += instance.edges[i].incidence.dim
-        self._full_eval = None if zero_edge else _FullDualEval(self)
-        self.n_vars = len(self.free_nodes) + sum(
-            instance.edges[i].incidence.dim for i in self.utility_edges
-        )
+        for pos, edge in enumerate(instance.edges):
+            idx = edge.incidence._index
+            dim = edge.incidence.dim
+            if edge.utility is not None:
+                block = slice(offset, offset + dim)
+                self._utility_plan.append((pos, idx, block, edge.utility.conj, edge.oracle.evaluate))
+                offset += dim
+            elif dim == 2 and hasattr(edge.oracle, "evaluate_pair"):
+                self._pair_plan.append((pos, int(idx[0]), int(idx[1]), edge.oracle.evaluate_pair))
+            else:
+                self._array_plan.append((pos, idx, edge.oracle.evaluate))
+        self.utility_edges = [plan[0] for plan in self._utility_plan]
+        self.n_vars = offset
         bounds = np.maximum(np.asarray(objective.lower_bounds(), dtype=float), 0.0)
-        self.lower = np.concatenate(
-            [bounds[self.free_nodes]]
-            + [np.zeros(instance.edges[i].incidence.dim) for i in self.utility_edges]
-        )
+        self.lower = np.concatenate([bounds[self.free_nodes], np.zeros(offset - len(self.free_nodes))])
         self._last_x: np.ndarray | None = None
+        self._last_pass: _Pass | None = None
         self._last_eval: DualEval | None = None
-        self._last_raw = None
 
     # -- vector packing -------------------------------------------------
 
@@ -604,67 +297,169 @@ class DualProgram:
     def to_point(self, x: np.ndarray) -> DualPoint:
         nu = self.node_prices(x)
         etas = [edge.incidence.gather(nu).astype(float) for edge in self.instance.edges]
-        offset = len(self.free_nodes)
-        for i in self.utility_edges:
-            d = self.instance.edges[i].incidence.dim
-            etas[i] = etas[i] + x[offset : offset + d]
-            offset += d
+        for pos, _, block, _, _ in self._utility_plan:
+            etas[pos] = etas[pos] + x[block]
         return DualPoint(node_prices=nu, edge_prices=etas)
 
     def initial_vector(self, start: DualPoint | None) -> np.ndarray:
         if start is None:
             nu = np.asarray(self.instance.net_objective.initial_prices(), dtype=float)
-            tilde = {i: np.zeros(self.instance.edges[i].incidence.dim) for i in self.utility_edges}
+            x = np.zeros(self.n_vars)
         else:
             nu = np.asarray(start.node_prices, dtype=float)
-            tilde = {
-                i: np.asarray(start.edge_prices[i], dtype=float)
-                - self.instance.edges[i].incidence.gather(nu)
-                for i in self.utility_edges
-            }
-        parts = [nu[self.free_nodes]] + [tilde[i] for i in self.utility_edges]
-        x = np.concatenate(parts) if parts else np.zeros(0)
+            x = self._edge_blocks(nu, start.edge_prices)
+        x[: len(self.free_nodes)] = nu[self.free_nodes]
         return np.maximum(x, self.lower)
+
+    def _edge_blocks(self, nu: np.ndarray, edge_prices) -> np.ndarray:
+        """Vector whose utility blocks hold ``eta_i - A_i^T nu`` (node block zero)."""
+        x = np.zeros(self.n_vars)
+        for pos, idx, block, _, _ in self._utility_plan:
+            x[block] = np.asarray(edge_prices[pos], dtype=float) - nu[idx]
+        return x
 
     # -- evaluation ------------------------------------------------------
 
-    def _light_engine(self):
-        return self._zero_eval if self.zero_edge else self._full_eval
+    def _evaluate_pass(self, nu: np.ndarray, x: np.ndarray) -> _Pass | None:
+        """Visit the three plans at node prices ``nu`` and utility blocks of ``x``.
+
+        None means an infinite dual value: a conjugate outside its domain
+        or degenerate boundary prices, which the line search treats as
+        infinitely bad so that it backs into the interior.
+        """
+        conj_u = self._conj_u(nu)
+        if not conj_u.finite:
+            return None
+        value = conj_u.value
+        nonsmooth = conj_u.non_unique
+        y_arb = np.zeros(self.instance.n)
+        utility_out = []
+        pair_out = []
+        array_out = []
+        grad_blocks = []
+        try:
+            for _, idx, block, conj_v_of, evaluate in self._utility_plan:
+                xi = x[block]
+                conj_v = conj_v_of(xi)
+                if not conj_v.finite:
+                    return None
+                value += conj_v.value
+                nonsmooth = nonsmooth or conj_v.non_unique
+                res = evaluate(nu[idx] + xi)
+                value += res.value
+                nonsmooth = nonsmooth or res.non_unique
+                y_arb[idx] += res.flow
+                utility_out.append((res, conj_v.maximizer))
+                grad_blocks.append(res.flow - conj_v.maximizer)
+            for _, i0, i1, evaluate_pair in self._pair_plan:
+                out = evaluate_pair(nu[i0], nu[i1])
+                value += out[0]
+                y_arb[i0] += out[1]
+                y_arb[i1] += out[2]
+                nonsmooth = nonsmooth or out[3]
+                pair_out.append(out)
+            for _, idx, evaluate in self._array_plan:
+                res = evaluate(nu[idx])
+                value += res.value
+                y_arb[idx] += res.flow
+                nonsmooth = nonsmooth or res.non_unique
+                array_out.append(res)
+        except UnattainedSupremumError:
+            return None
+        except UnboundedEdgeError as exc:
+            raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
+        grad = (y_arb - conj_u.maximizer)[self.free_nodes]
+        if grad_blocks:
+            grad = np.concatenate([grad] + grad_blocks)
+        return _Pass(float(value), conj_u, y_arb, grad, nonsmooth, utility_out, pair_out, array_out)
+
+    def _residual(self, raw: _Pass) -> float:
+        if raw.conj_u.non_unique:
+            return float(self.instance.net_objective.domain_violation(raw.y_arb))
+        return float(np.max(np.abs(raw.conj_u.maximizer - raw.y_arb)))
+
+    def _assemble(self, raw: _Pass | None) -> DualEval:
+        if raw is None:
+            return _infinite_eval()
+        edges = self.instance.edges
+        solutions: list[EdgeSolution | None] = [None] * len(edges)
+        grad_edges = [np.zeros(edge.incidence.dim) for edge in edges]
+        y_star = raw.conj_u.maximizer
+        grad_orthant = raw.y_arb - y_star
+        grad_nodes = grad_orthant.copy()
+        for (pos, idx, _, _, _), (res, x_util) in zip(self._utility_plan, raw.utility):
+            solutions[pos] = EdgeSolution(res.value, res.flow, x_util, res.non_unique)
+            grad_edges[pos] = res.flow - x_util
+            grad_nodes[idx] -= grad_edges[pos]
+        for (pos, _, _, _), (support, flow_in, flow_out, flag) in zip(self._pair_plan, raw.pair):
+            flow = np.array([flow_in, flow_out])
+            solutions[pos] = EdgeSolution(support, flow, flow, flag)
+        for (pos, _, _), res in zip(self._array_plan, raw.array):
+            solutions[pos] = EdgeSolution(res.value, res.flow, res.flow, res.non_unique)
+        return DualEval(
+            value=raw.value,
+            grad_nodes=grad_nodes,
+            grad_edges=grad_edges,
+            grad_nodes_orthant=grad_orthant,
+            y_star=y_star,
+            y_non_unique=raw.conj_u.non_unique,
+            edges=solutions,
+            net_flow_arbitrage=raw.y_arb,
+            primal_residual=self._residual(raw),
+            nonsmooth=raw.nonsmooth,
+        )
+
+    def _fresh_pass(self, x: np.ndarray) -> _Pass | None:
+        self._last_pass = self._evaluate_pass(self.node_prices(x), x)
+        self._last_x = np.array(x, copy=True)
+        self._last_eval = None
+        return self._last_pass
+
+    def _cached_pass(self, x: np.ndarray) -> _Pass | None:
+        if self._last_x is not None and np.array_equal(self._last_x, x):
+            return self._last_pass
+        return self._fresh_pass(x)
+
+    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        # The driver's line search never looks at the per-edge solutions;
+        # the cached pass assembles them on demand.
+        raw = self._fresh_pass(x)
+        if raw is None:
+            return math.inf, None
+        return raw.value, raw.grad
 
     def evaluate(self, x: np.ndarray) -> DualEval:
-        if self.executor is not None and not self.zero_edge:
-            ev = eval_dual(self.instance, self.to_point(x), executor=self.executor)
-        else:
-            engine = self._light_engine()
-            arg = self.node_prices(x) if self.zero_edge else x
-            ev = engine.assemble(engine.light(arg))
-        self._last_x = np.array(x, copy=True)
-        self._last_eval = ev
-        return ev
+        self._fresh_pass(x)
+        return self.cached_eval(x)
 
     def cached_eval(self, x: np.ndarray) -> DualEval:
-        if self._last_x is not None and np.array_equal(self._last_x, x):
-            if self._last_eval is None:
-                self._last_eval = self._light_engine().assemble(self._last_raw)
-            return self._last_eval
-        return self.evaluate(x)
+        raw = self._cached_pass(x)
+        if self._last_eval is None:
+            self._last_eval = self._assemble(raw)
+        return self._last_eval
 
     def trace_info(self, x: np.ndarray):
-        """(primal_residual, net_flow, nonsmooth) at a cached point, cheaply."""
-        if (
-            self._last_x is not None
-            and np.array_equal(self._last_x, x)
-            and self._last_eval is None
-            and self._last_raw is not None
-        ):
-            value, _, conj_u, _, y_arb, nonsmooth = self._last_raw
-            if not math.isfinite(value):
-                return math.nan, None, False
-            return self._light_engine().residual(conj_u, y_arb), y_arb, nonsmooth
-        ev = self.cached_eval(x)
-        if not ev.finite:
+        """(primal_residual, net_flow, nonsmooth) at ``x`` without assembling."""
+        raw = self._cached_pass(x)
+        if raw is None:
             return math.nan, None, False
-        return ev.primal_residual, ev.net_flow_arbitrage, ev.nonsmooth
+        return self._residual(raw), raw.y_arb, raw.nonsmooth
+
+    def evaluate_point(self, point: DualPoint) -> DualEval:
+        """Evaluate at explicit dual prices, bypassing the reduced vector.
+
+        Node prices are taken as given (no fixed-coordinate substitution),
+        and utility-free edges must have ``eta_i = A_i^T nu``; anything
+        else is an infinite value.
+        """
+        nu = np.asarray(point.node_prices, dtype=float)
+        for edge, eta in zip(self.instance.edges, point.edge_prices):
+            if edge.utility is None:
+                eta = np.asarray(eta, dtype=float)
+                off = np.max(np.abs(eta - edge.incidence.gather(nu)), initial=0.0)
+                if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
+                    return _infinite_eval()
+        return self._assemble(self._evaluate_pass(nu, self._edge_blocks(nu, point.edge_prices)))
 
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
@@ -723,24 +518,6 @@ class DualProgram:
                     directions.append(d)
                     directions.append(-d)
         return directions
-
-    def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        if self.executor is not None and not self.zero_edge:
-            ev = self.evaluate(x)
-            if not ev.finite:
-                return math.inf, None
-            return ev.value, self.gradient_vector(ev)
-        # Light path: skip building the per-edge solution objects; the
-        # cache keeps the raw pieces so they can be assembled on demand.
-        engine = self._light_engine()
-        raw = engine.light(self.node_prices(x) if self.zero_edge else x)
-        self._last_x = np.array(x, copy=True)
-        self._last_eval = None
-        self._last_raw = raw
-        value, grad = raw[0], raw[3]
-        if not math.isfinite(value):
-            return math.inf, None
-        return value, grad[self.free_nodes] if self.zero_edge else grad
 
     def gradient_vector(self, ev: DualEval) -> np.ndarray:
         parts = [ev.grad_nodes_orthant[self.free_nodes]]
@@ -886,33 +663,22 @@ def _dual_only_result(program: DualProgram, driver, final: DualEval, trace) -> S
     )
 
 
-def _with_executor(config: SolverConfig, body):
-    workers = config.resolved_workers()
-    if workers <= 1:
-        return body(None)
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        return body(executor)
-
-
 def solve_dual(
     instance: ProblemInstance,
     start: DualPoint | None = None,
     config: SolverConfig | None = None,
 ) -> SolveResult:
-    """Minimize the full dual over the transformed orthant.
+    """Minimize the dual over the transformed orthant.
 
-    Works for any instance; utility-free edges contribute no variables.
-    Returns a dual-focused result whose flows are the raw arbitrage
-    maximizers (no recovery pass; see :func:`solve`).
+    Works for any instance; utility-free edges contribute no variables,
+    so an instance without edge utilities is a problem in the free node
+    prices alone.  Returns a dual-focused result whose flows are the raw
+    arbitrage maximizers (no recovery pass; see :func:`solve`).
     """
     config = config or SolverConfig()
-
-    def body(executor):
-        program = DualProgram(instance, zero_edge=False, executor=executor)
-        driver, final, trace = _run_driver(program, start, config)
-        return _dual_only_result(program, driver, final, trace)
-
-    return _with_executor(config, body)
+    program = DualProgram(instance)
+    driver, final, trace = _run_driver(program, start, config)
+    return _dual_only_result(program, driver, final, trace)
 
 
 def solve_zero_edge(
@@ -920,19 +686,17 @@ def solve_zero_edge(
     start: DualPoint | None = None,
     config: SolverConfig | None = None,
 ) -> SolveResult:
-    """Minimize the reduced dual in node prices only.
+    """:func:`solve_dual` for an instance without edge utilities.
 
-    Requires every edge utility to be absent; the variable count drops
-    from ``n + sum(n_i)`` to ``n``, which is the common fast path.
+    The variables are the ``n`` node prices only (less any the objective
+    pins).
+
+    Raises:
+        ValueError: The instance has an edge utility.
     """
-    config = config or SolverConfig()
-
-    def body(executor):
-        program = DualProgram(instance, zero_edge=True, executor=executor)
-        driver, final, trace = _run_driver(program, start, config)
-        return _dual_only_result(program, driver, final, trace)
-
-    return _with_executor(config, body)
+    if instance.has_edge_utilities():
+        raise ValueError("zero-edge path requires an instance without edge utilities")
+    return solve_dual(instance, start, config)
 
 
 def duality_gap(
@@ -968,18 +732,14 @@ def solve(
 ) -> SolveResult:
     """Solve the instance end to end: dual minimization plus recovery.
 
-    Zero-utility instances take the reduced path automatically.  After
-    the dual solve, flows on edges whose maximizer is a supported segment
-    are re-fit so their net flow matches the objective's target (see
-    :mod:`convexflows.recovery`); strictly convex edges pass through.
+    After the dual solve, flows on edges whose maximizer is a supported
+    segment are re-fit so their net flow matches the objective's target
+    (see :mod:`convexflows.recovery`); strictly convex edges pass through.
     """
     from .recovery import recover_flows
 
     config = config or SolverConfig()
-    if instance.has_edge_utilities():
-        result = solve_dual(instance, start, config)
-    else:
-        result = solve_zero_edge(instance, start, config)
+    result = solve_dual(instance, start, config)
 
     flows, residual = recover_flows(
         instance, result.dual_point, result.evaluation, tol=recovery_tol

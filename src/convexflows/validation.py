@@ -61,7 +61,7 @@ def fd_gradient_check(
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    program = DualProgram(instance, zero_edge=not instance.has_edge_utilities())
+    program = DualProgram(instance)
     x = program.initial_vector(point)
     base = program.evaluate(x)
     if not base.finite:

@@ -68,11 +68,11 @@ def maxflow_arcs(instance):
     return arcs
 
 
-def quadratic_penalty_on(instance):
-    """Copy of the instance with a quadratic penalty on every edge."""
+def quadratic_penalty_on(instance, every=1):
+    """Copy of the instance with a quadratic penalty on every ``every``-th edge."""
     edges = [
-        Hyperedge(e.incidence, e.oracle, QuadraticPenalty(e.incidence.dim))
-        for e in instance.edges
+        Hyperedge(e.incidence, e.oracle, QuadraticPenalty(e.incidence.dim) if k % every == 0 else None)
+        for k, e in enumerate(instance.edges)
     ]
     return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
 

@@ -160,6 +160,24 @@ def test_cli_generate_solve_check_cycle(tmp_path, capsys):
     assert main(["check", str(instance_path), str(result_path)]) == 1
 
 
+def test_cli_solve_result_is_strict_json_and_exit_needs_finite_primal(tmp_path, capsys):
+    # On this instance the recovered net flow is infeasible, so the primal
+    # value is -inf even though the dual driver reports convergence.
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    assert main(["generate", "cfmm", "--size", "1600", "--seed", "0", "-o", str(instance_path)]) == 0
+    code = main(["solve", str(instance_path), "--out", str(result_path)])
+    capsys.readouterr()
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    doc = json.loads(result_path.read_text(), parse_constant=reject)
+    assert code == 2 or doc["primal_value"] is not None
+    if doc["primal_value"] is None:
+        assert doc["duality_gap"] is None and doc["relative_gap"] is None
+
+
 def test_cli_generate_to_stdout(capsys):
     assert main(["generate", "cfmm", "--size", "3", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -182,10 +200,3 @@ def test_cli_bench_rows(tmp_path):
     assert lines[0].startswith("family,size,trial,seed,time_s")
     assert len(lines) == 1 + 2 * 2
 
-
-def test_workers_env_default(monkeypatch):
-    monkeypatch.setenv("CONVEXFLOWS_THREADS", "3")
-    assert SolverConfig().resolved_workers() == 3
-    assert SolverConfig(workers=2).resolved_workers() == 2
-    monkeypatch.delenv("CONVEXFLOWS_THREADS")
-    assert SolverConfig().resolved_workers() == 1
