@@ -9,10 +9,10 @@ float noise floor, steps are accepted on the curvature condition alone,
 letting the gradients keep converging after objective differences stop
 being measurable.  Nonsmooth objectives can jam the iteration at points
 where no single coordinate descends; a stall then triggers exact line
-searches along coordinated group directions (equal-value groups,
-superlevel sets, or caller-supplied structure), and a final polish
-evaluates rounded candidate points, keeping any that are at least as
-good.
+searches along directions the caller derives from the objective's
+structure (the solver supplies tie-graph moves), and an optional final
+polish evaluates caller-proposed points, keeping any that are at least
+as good.
 
 The objective callable returns ``(value, gradient)``; the gradient is
 ignored (and may be None) when the value is infinite.
@@ -33,30 +33,30 @@ class InfeasibleStartError(RuntimeError):
     """The starting point has an infinite objective value."""
 
 
+# Fixed driver constants.  History pairs kept, backtracking shrink factor,
+# weak-Wolfe constants and the line-search trial budget:
+_MEMORY = 10
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+_CURVATURE = 0.9
+_MAX_BACKTRACKS = 70
+# A stall is a full window whose value improves by less than _STALL_TOL
+# (relative) while the projected gradient stays flat; it catches nonsmooth
+# plateaus the gradient test misses.
+_STALL_WINDOW = 40
+_STALL_TOL = 1e-14
+# Escapes allowed per run; keeps pathological nonsmooth cases from
+# consuming the whole iteration budget.
+_MAX_ESCAPES = 12
+
+
 @dataclass
 class QNConfig:
     grad_tol: float = 1e-7
     max_iter: int = 1000
-    memory: int = 10
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    curvature: float = 0.9
-    max_backtracks: int = 70
-    # Stop when the value improves by less than stall_tol (relative) over
-    # a full window; catches nonsmooth plateaus the gradient test misses.
-    stall_window: int = 40
-    stall_tol: float = 1e-14
-    # Coordinated group-move escapes allowed per run; keeps pathological
-    # nonsmooth cases from consuming the whole iteration budget.
-    max_escapes: int = 12
 
     def __post_init__(self) -> None:
-        if (
-            min(self.grad_tol, self.max_iter, self.memory, self.shrink, self.armijo) <= 0
-            or not (0 < self.armijo < self.curvature < 1)
-            or self.stall_window <= 0
-            or self.stall_tol <= 0
-        ):
+        if self.grad_tol <= 0 or self.max_iter <= 0:
             raise ValueError("driver parameters out of range")
 
 
@@ -79,58 +79,18 @@ def _projected_gradient(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> np.n
     return pg
 
 
-def _equal_value_directions(x: np.ndarray) -> list[np.ndarray]:
-    """Signed indicator directions of coordinate groups sharing a value.
-
-    Polyhedral objectives (network duals in particular) jam quasi-Newton
-    iterates at points where tied coordinates must move together; these
-    group moves span the escape directions that elementwise steps miss.
-    """
-    order = np.argsort(x)
-    xs = x[order]
-    directions: list[np.ndarray] = []
-    start = 0
-    groups: list[np.ndarray] = []
-    for k in range(1, len(xs) + 1):
-        if k == len(xs) or xs[k] - xs[start] > 1e-8 * (1.0 + abs(xs[start])):
-            groups.append(order[start:k])
-            start = k
-    for group in groups:
-        # Singletons are ordinary coordinate moves the main iteration
-        # already explores; only joint moves add anything.
-        if len(group) >= 2:
-            d = np.zeros_like(x)
-            d[group] = 1.0
-            directions.append(d)
-            directions.append(-d)
-    # Superlevel sets: polyhedral network objectives often descend only
-    # when every coordinate above a threshold moves together (the cut
-    # moves of flow duals).
-    tail = np.zeros_like(x)
-    for group in reversed(groups):
-        tail = tail.copy()
-        tail[group] = 1.0
-        count = int(np.sum(tail))
-        if 2 <= count < len(x):
-            directions.append(tail)
-            directions.append(-tail)
-    return directions
-
-
-def _escape_move(fun, x, f, lower, extra_directions=None, probe=1e-7):
-    """Try coordinated group moves; return (x, f, g, evals) or None.
+def _escape_move(fun, x, f, lower, directions, probe=1e-7):
+    """Line-search the given directions in order; return (x, f, g, evals) or None.
 
     Each promising direction (detected by a cheap probe) is minimized
     exactly in 1-D: the restriction of a convex function is unimodal, so
-    a doubling bracket plus golden-section search suffices.  Callers with
-    structural knowledge may supply extra directions; those are tried
-    before the generic equal-value group moves.
+    a doubling bracket plus golden-section search suffices.  The first
+    direction that lowers the value wins.  Only the supplied directions
+    are tried, so an empty list costs no evaluation.
     """
     scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
     evals = 0
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    directions = list(extra_directions) if extra_directions is not None else []
-    directions += _equal_value_directions(x)
     for d in directions:
 
         def phi(t):
@@ -211,8 +171,9 @@ def minimize_bound_lbfgs(
             per iteration before the step.
         polish_candidates: Point generators tried after termination; a
             candidate is adopted when it does not worsen the value.
-        escape_directions: Optional structural direction generator used
-            when progress stalls, tried before the generic group moves.
+        escape_directions: Direction generator called when progress
+            stalls; its directions are line-searched exactly, in order.
+            Without it a stall ends the run.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -237,15 +198,14 @@ def minimize_bound_lbfgs(
     recent: list[float] = []
     recent_pg: list[float] = []
 
-    escapes_left = config.max_escapes
+    escapes_left = _MAX_ESCAPES
 
     def try_escape():
         nonlocal x, f, g, n_evals, escapes_left
-        if escapes_left <= 0:
+        if escape_directions is None or escapes_left <= 0:
             return False
         escapes_left -= 1
-        extra = escape_directions(x) if escape_directions is not None else None
-        moved = _escape_move(fun, x, f, lower, extra_directions=extra)
+        moved = _escape_move(fun, x, f, lower, escape_directions(x))
         if moved is None:
             return False
         x, f, g, extra = moved[0], moved[1], moved[2], moved[3]
@@ -266,11 +226,11 @@ def minimize_bound_lbfgs(
             break
         recent.append(f)
         recent_pg.append(pg_norm)
-        if len(recent) > config.stall_window:
+        if len(recent) > _STALL_WINDOW:
             recent.pop(0)
             recent_pg.pop(0)
-            half = config.stall_window // 2
-            f_flat = recent[0] - f <= config.stall_tol * max(1.0, abs(f))
+            half = _STALL_WINDOW // 2
+            f_flat = recent[0] - f <= _STALL_TOL * max(1.0, abs(f))
             pg_flat = min(recent_pg[half:]) >= 0.7 * min(recent_pg[:half])
             if f_flat and pg_flat:
                 if try_escape():
@@ -307,7 +267,7 @@ def minimize_bound_lbfgs(
         # whose decrease drowns in noise is still accepted when the
         # curvature condition holds.
         noise = 32.0 * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             x_try = np.maximum(x + alpha * d, lower)
             step = x_try - x
             if not np.any(step):
@@ -315,21 +275,21 @@ def minimize_bound_lbfgs(
             f_try, g_try = fun(x_try)
             n_evals += 1
             slope = float(g @ step)
-            threshold = config.armijo * slope
+            threshold = _ARMIJO * slope
             if -threshold <= noise:
                 threshold = noise
             if not math.isfinite(f_try) or f_try > f + threshold:
                 hi_a = alpha
             else:
-                if f_try <= f + config.armijo * slope:
+                if f_try <= f + _ARMIJO * slope:
                     fallback = (x_try, f_try, g_try)
-                if float(np.asarray(g_try) @ step) < config.curvature * slope:
+                if float(np.asarray(g_try) @ step) < _CURVATURE * slope:
                     lo_a = alpha
                 else:
                     x_new, f_new, g_new = x_try, f_try, g_try
                     accepted = True
                     break
-            alpha = 2.0 * lo_a if math.isinf(hi_a) else lo_a + config.shrink * (hi_a - lo_a)
+            alpha = 2.0 * lo_a if math.isinf(hi_a) else lo_a + _SHRINK * (hi_a - lo_a)
             if alpha > 1e12:
                 break
         if not accepted and fallback is not None:
@@ -358,7 +318,7 @@ def minimize_bound_lbfgs(
         sy = float(s @ yv)
         if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(yv)):
             pairs.append((s, yv, 1.0 / sy))
-            if len(pairs) > config.memory:
+            if len(pairs) > _MEMORY:
                 pairs.pop(0)
         x, f, g = x_new, f_new, np.asarray(g_new, dtype=float)
         iteration += 1

@@ -21,6 +21,9 @@ from .objectives import ConjugateValue
 
 __all__ = ["FaceSegment", "RecoveryError", "detect_ambiguous", "restore_primal", "recover_flows"]
 
+# Active-set rounds of the box least-squares fit.
+_MAX_ROUNDS = 1000
+
 
 class RecoveryError(RuntimeError):
     """Recovery could not reach the target; carries the final residual."""
@@ -40,20 +43,21 @@ class FaceSegment:
 
 
 def detect_ambiguous(edge_oracle, prices, tol: float = 1e-6, edge_index: int = -1):
-    """Classify the maximizer set of one edge at the given prices.
+    """Return the supported segment of one edge at the given prices, or None.
 
-    Returns the unique maximizing flow, or a :class:`FaceSegment` when
-    the prices support a whole segment (price ratio matching a linear
-    piece's slope within ``tol`` relative).  Strictly convex edges and
-    hyperedges always report a unique flow.
+    A :class:`FaceSegment` is returned when the prices support a whole
+    segment of maximizers (price ratio matching a linear piece's slope
+    within ``tol`` relative).  Strictly convex edges and hyperedges have
+    a unique maximizer and always give None.  No oracle evaluation runs;
+    the unique flow is the one the dual evaluation already returned.
     """
-    prices = np.asarray(prices, dtype=float)
-    if not edge_oracle.is_strictly_convex:
-        face = edge_oracle.supported_face(prices, tol)
-        if face is not None:
-            p, q = face
-            return FaceSegment(edge_index=edge_index, p=np.asarray(p), q=np.asarray(q))
-    return edge_oracle.evaluate(prices).flow
+    if edge_oracle.is_strictly_convex:
+        return None
+    face = edge_oracle.supported_face(np.asarray(prices, dtype=float), tol)
+    if face is None:
+        return None
+    p, q = face
+    return FaceSegment(edge_index=edge_index, p=np.asarray(p), q=np.asarray(q))
 
 
 def restore_primal(
@@ -64,7 +68,6 @@ def restore_primal(
     n: int,
     mask: np.ndarray | None = None,
     tol: float = 1e-6,
-    max_iter: int = 20000,
 ) -> tuple[list[np.ndarray], float]:
     """Fit segment parameters so the assembled net flow matches the target.
 
@@ -112,7 +115,7 @@ def restore_primal(
         incidences[seg.edge_index].scatter_add(seg.q - seg.p, directions[:, col])
     d_m = directions[mask]
     r0 = (base - y_target)[mask]
-    t = _box_least_squares(d_m, r0, max_iter)
+    t = _box_least_squares(d_m, r0)
     residual = float(np.linalg.norm(r0 + d_m @ t))
 
     flows = [None] * len(incidences)
@@ -124,14 +127,17 @@ def restore_primal(
     return flows, residual
 
 
-def _box_least_squares(d_m: np.ndarray, r0: np.ndarray, max_iter: int) -> np.ndarray:
+def _box_least_squares(d_m: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Minimize ``|r0 + d_m t|`` over the unit box.
 
     Active-set rounds: solve the free coordinates exactly by least
     squares, step toward that face solution as far as the box allows,
     and re-derive the active set from the projected-gradient signs.
     Plain projected-gradient steps (with the exact quadratic step length)
-    safeguard rounds whose face step cannot make progress.
+    safeguard rounds whose face step cannot make progress.  The rounds
+    end at a stationary point, or once a full round no longer lowers the
+    squared residual (float noise can hold the projected gradient just
+    above any absolute bound).
     """
     k = d_m.shape[1]
     t, *_ = np.linalg.lstsq(d_m, -r0, rcond=None)
@@ -140,7 +146,8 @@ def _box_least_squares(d_m: np.ndarray, r0: np.ndarray, max_iter: int) -> np.nda
     step = 1.0 / lipschitz if lipschitz > 0 else 1.0
     eps = 1e-12
     r = r0 + d_m @ t
-    for _ in range(max(2, max_iter // 20)):
+    for _ in range(_MAX_ROUNDS):
+        rr_start = float(r @ r)
         # Projected-gradient sweep (globally convergent, settles the
         # active set).
         for _ in range(20):
@@ -186,6 +193,8 @@ def _box_least_squares(d_m: np.ndarray, r0: np.ndarray, max_iter: int) -> np.nda
             t, r = cand, r_cand
             if theta >= 1.0:
                 break
+        if float(r @ r) >= rr_start:
+            break
     return t
 
 
@@ -226,11 +235,11 @@ def recover_flows(instance: ProblemInstance, dual_point, evaluation, tol: float 
     unique_flows: dict[int, np.ndarray] = {}
     segments: list[FaceSegment] = []
     for i, edge in enumerate(instance.edges):
-        outcome = detect_ambiguous(edge.oracle, dual_point.edge_prices[i], edge_index=i)
-        if isinstance(outcome, FaceSegment):
-            segments.append(outcome)
-        else:
+        segment = detect_ambiguous(edge.oracle, dual_point.edge_prices[i], edge_index=i)
+        if segment is None:
             unique_flows[i] = flows[i]
+        else:
+            segments.append(segment)
 
     y_target, mask = target_spec
     try:

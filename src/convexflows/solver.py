@@ -73,21 +73,22 @@ class DualPoint:
 
 @dataclass
 class SolverConfig:
-    """Driver parameters; every field must be positive.
+    """Solve parameters; every field must be positive.
 
-    Every solve runs the one serial dual evaluator (see
-    :class:`DualProgram`), so results are deterministic.  The
-    ``snap_polish`` flag lets the driver evaluate rounded copies of the
-    final iterate (integers and threshold cuts) and keep any that are at
-    least as good, which lands exactly on the vertex solutions of
-    combinatorial instances.
+    ``grad_tol`` and ``max_iter`` go to the quasi-Newton driver;
+    ``feas_tol`` is the scaled margin at which recovered primal points
+    are judged feasible and scored.  Every solve runs the one serial
+    dual evaluator (see :class:`DualProgram`), so results are
+    deterministic.  When some edge has a flat face (an oracle that is
+    not strictly convex), the driver finishes by evaluating rounded
+    copies of the final iterate (integers and threshold cuts) and keeps
+    any that are at least as good, which lands exactly on the vertex
+    solutions of combinatorial instances; strictly convex instances
+    skip that polish.
     """
 
     grad_tol: float = 1e-7
     max_iter: int = 1000
-    memory: int = 10
-    shrink: float = 0.5
-    snap_polish: bool = True
     feas_tol: float = 1e-6
 
 
@@ -278,6 +279,9 @@ class DualProgram:
             else:
                 self._array_plan.append((pos, idx, edge.oracle.evaluate))
         self.utility_edges = [plan[0] for plan in self._utility_plan]
+        # Rounding can land on a vertex optimum only when some edge's flow
+        # set has a flat face; strictly convex instances skip the polish.
+        self.has_flat_faces = any(not edge.oracle.is_strictly_convex for edge in instance.edges)
         self.n_vars = offset
         bounds = np.maximum(np.asarray(objective.lower_bounds(), dtype=float), 0.0)
         self.lower = np.concatenate([bounds[self.free_nodes], np.zeros(offset - len(self.free_nodes))])
@@ -445,6 +449,18 @@ class DualProgram:
             return math.nan, None, False
         return self._residual(raw), raw.y_arb, raw.nonsmooth
 
+    def utility_flows(self, x: np.ndarray) -> list:
+        """Edge flows at ``x`` for :func:`primal_objective`, without assembling.
+
+        Only edges with a utility are scored, so only their arbitrage flows
+        are filled in; the utility-free entries are None.  Call after
+        :meth:`trace_info` has confirmed a finite value at ``x``.
+        """
+        flows = [None] * len(self.instance.edges)
+        for (pos, _, _, _, _), (res, _) in zip(self._utility_plan, self._cached_pass(x).utility):
+            flows[pos] = res.flow
+        return flows
+
     def evaluate_point(self, point: DualPoint) -> DualEval:
         """Evaluate at explicit dual prices, bypassing the reduced vector.
 
@@ -587,28 +603,14 @@ def _run_driver(
     def fun(x: np.ndarray):
         return program.value_and_grad(x)
 
-    has_utilities = instance.has_edge_utilities()
-
     def record(iteration, x, f, grad, pg_norm):
         gap = math.nan
-        if has_utilities:
-            ev = program.cached_eval(x)
-            residual, net, nonsmooth = ev.primal_residual, ev.net_flow_arbitrage, ev.nonsmooth
-            if ev.finite:
-                flows = [sol.flow_arbitrage for sol in ev.edges]
-                p = primal_objective(
-                    instance,
-                    PrimalPoint(edge_flows=flows, net_flow=net),
-                    tol=config.feas_tol,
-                )
-                if math.isfinite(p):
-                    gap = f - p
-        else:
-            residual, net, nonsmooth = program.trace_info(x)
-            if net is not None:
-                p = instance.net_objective.evaluate_primal(net, tol=config.feas_tol)
-                if math.isfinite(p):
-                    gap = f - p
+        residual, net, nonsmooth = program.trace_info(x)
+        if net is not None:
+            point = PrimalPoint(edge_flows=program.utility_flows(x), net_flow=net)
+            p = primal_objective(instance, point, tol=config.feas_tol)
+            if math.isfinite(p):
+                gap = f - p
         trace.append(
             TraceRow(
                 iteration=iteration,
@@ -622,18 +624,12 @@ def _run_driver(
         )
 
     x0 = program.initial_vector(start)
-    qn_config = QNConfig(
-        grad_tol=config.grad_tol,
-        max_iter=config.max_iter,
-        memory=config.memory,
-        shrink=config.shrink,
-    )
-    candidates = [np.round, _threshold_candidates] if config.snap_polish else None
+    candidates = [np.round, _threshold_candidates] if program.has_flat_faces else None
     result = minimize_bound_lbfgs(
         fun,
         x0,
         program.lower,
-        qn_config,
+        QNConfig(grad_tol=config.grad_tol, max_iter=config.max_iter),
         callback=record,
         polish_candidates=candidates,
         escape_directions=program.escape_directions,

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize as scipy_minimize
 
-from convexflows.qn import InfeasibleStartError, QNConfig, minimize_bound_lbfgs
+from convexflows.qn import InfeasibleStartError, QNConfig, _escape_move, minimize_bound_lbfgs
 
 
 def quad(center, scale=None):
@@ -123,3 +123,22 @@ def test_callback_sees_every_iteration():
     assert len(seen) == res.iterations + 1  # initial point plus each step
     values = [f for _, f in seen]
     assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+def test_escape_move_tries_only_supplied_directions():
+    # Tied coordinates add no generic group moves: with no directions
+    # supplied the escape gives up without evaluating anything.
+    calls = []
+    base = quad(np.array([2.0, 2.0, 2.0]))
+
+    def fun(x):
+        calls.append(x.copy())
+        return base(x)
+
+    x = np.array([0.5, 0.5, 0.5])
+    f, _ = base(x)
+    assert _escape_move(fun, x, f, np.zeros(3), []) is None
+    assert calls == []
+    moved = _escape_move(fun, x, f, np.zeros(3), [np.ones(3)])
+    assert moved is not None and moved[1] < f
+    assert len(calls) == moved[3]

@@ -24,6 +24,7 @@ from convexflows import (
     fisher_instance,
     lossless_edge,
 )
+from convexflows import solver
 from convexflows.solver import (
     DualPoint,
     SolverConfig,
@@ -275,3 +276,22 @@ def test_trace_csv_export(tmp_path):
     assert len(lines) == len(result.trace.rows) + 1
     first = lines[1].split(",")
     assert int(first[0]) == 0 and len(first) == 7
+
+
+@pytest.mark.parametrize(
+    "instance, polished",
+    [(opf_instance(12, 0), False), (maxflow_instance(8, 0.35, 0), True)],
+    ids=["strictly_convex_opf", "maxflow"],
+)
+def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
+    calls = []
+    original = solver._threshold_candidates
+
+    def counting(x):
+        calls.append(1)
+        return original(x)
+
+    monkeypatch.setattr(solver, "_threshold_candidates", counting)
+    result = solve(instance)
+    assert bool(calls) == polished
+    assert result.converged or result.status == "polished"
