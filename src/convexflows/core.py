@@ -106,11 +106,14 @@ class ProblemInstance:
         n: Number of nodes.
         edges: Hyperedges with their oracles.
         net_objective: Conjugate oracle of the net flow utility.
+        utility_edges: Positions of the edges with a utility term, in
+            increasing order, recorded at construction.
     """
 
     n: int
     edges: list[Hyperedge]
     net_objective: "object"
+    utility_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -130,6 +133,9 @@ class ProblemInstance:
                 edge.incidence.dim,
             ):
                 raise DimensionError(f"edge {k}: utility dimension mismatch")
+        self.utility_edges = tuple(
+            k for k, edge in enumerate(self.edges) if edge.utility is not None
+        )
 
     @property
     def m(self) -> int:
@@ -140,7 +146,7 @@ class ProblemInstance:
         return [e.incidence for e in self.edges]
 
     def has_edge_utilities(self) -> bool:
-        return any(e.utility is not None for e in self.edges)
+        return bool(self.utility_edges)
 
 
 @dataclass
@@ -208,10 +214,9 @@ def primal_objective(instance: ProblemInstance, point: PrimalPoint, tol: float =
     total = instance.net_objective.evaluate_primal(np.asarray(point.net_flow, float), tol=tol)
     if total == -np.inf:
         return -np.inf
-    for edge, x in zip(instance.edges, point.edge_flows):
-        if edge.utility is None:
-            continue
-        v = edge.utility.evaluate_primal(np.asarray(x, float), tol=tol)
+    for k in instance.utility_edges:
+        x = np.asarray(point.edge_flows[k], float)
+        v = instance.edges[k].utility.evaluate_primal(x, tol=tol)
         if v == -np.inf:
             return -np.inf
         total += v

@@ -15,20 +15,16 @@ from .cfmm import (
 )
 from .market import FisherBasketEdge, fisher_linear_arbitrage
 from .two_node import (
-    BoundedEdgeData,
     CallableGain,
     GainFunction,
-    IntervalDecision,
     LinearGain,
     PiecewiseLinearGain,
     PowerLossGain,
     ScalarArbitrage,
     TwoNodeEdge,
-    active_interval_check,
     concave_gain_edge,
     linear_gain_edge,
     lossless_edge,
-    no_flow_check,
     opf_arbitrage,
     opf_line_edge,
     opf_loss,
@@ -42,20 +38,16 @@ __all__ = [
     "EdgeOracle",
     "InvalidEdgeError",
     "UnboundedEdgeError",
-    "BoundedEdgeData",
     "CallableGain",
     "GainFunction",
-    "IntervalDecision",
     "LinearGain",
     "PiecewiseLinearGain",
     "PowerLossGain",
     "ScalarArbitrage",
     "TwoNodeEdge",
-    "active_interval_check",
     "concave_gain_edge",
     "linear_gain_edge",
     "lossless_edge",
-    "no_flow_check",
     "opf_arbitrage",
     "opf_line_edge",
     "opf_loss",

@@ -8,8 +8,9 @@ price subproblem collapses to a scalar concave maximization
     maximize  -p_in * w + p_out * h(w)
 
 whose optimality condition brackets the price ratio between the one-sided
-slopes of ``h``.  Cheap checks (the no-flow interval and, for bounded
-edges, the active price interval) answer most queries without solving.
+slopes of ``h``.  Every bundled gain answers it in closed form
+(:meth:`GainFunction.closed_form_arbitrage`); other gains fall back to
+the reference solve :func:`solve_scalar_arbitrage`.
 """
 
 from __future__ import annotations
@@ -35,13 +36,9 @@ __all__ = [
     "PiecewiseLinearGain",
     "PowerLossGain",
     "CallableGain",
-    "BoundedEdgeData",
     "TwoNodeEdge",
     "ScalarArbitrage",
-    "IntervalDecision",
     "solve_scalar_arbitrage",
-    "no_flow_check",
-    "active_interval_check",
     "opf_arbitrage",
     "opf_loss",
     "lossless_edge",
@@ -71,8 +68,9 @@ class GainFunction(ABC):
     input_lo: float
     input_hi: float
 
-    #: Whether left_slope/right_slope are exact.  When False the scalar
-    #: solver uses value-only golden-section search and skips shortcuts.
+    #: Whether left_slope/right_slope are exact.  When False the reference
+    #: solve uses value-only golden-section search instead of bisecting
+    #: the slope condition.
     has_exact_slopes: bool = True
 
     #: True when the curve is strictly concave on its domain.
@@ -89,28 +87,6 @@ class GainFunction(ABC):
     @abstractmethod
     def left_slope(self, w: float) -> float:
         """Left derivative at ``w`` (``+inf`` at the left boundary)."""
-
-    def peak_input(self) -> float:
-        """Smallest input maximizing the output, if the domain is bounded above.
-
-        Default: bisection for the sign change of the right slope.
-        """
-        if not math.isfinite(self.input_hi):
-            raise UnboundedEdgeError("gain has no finite peak input")
-        if self.left_slope(self.input_hi) >= 0.0:
-            return self.input_hi
-        lo, hi = self.input_lo, self.input_hi
-        if self.right_slope(lo) <= 0.0:
-            return lo
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.right_slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(hi)):
-                break
-        return hi
 
     def linear_segments(self) -> list[tuple[float, float, float]] | None:
         """Maximal linear pieces ``(w_a, w_b, slope)``, or None if none exist."""
@@ -157,9 +133,6 @@ class LinearGain(GainFunction):
 
     def left_slope(self, w: float) -> float:
         return self.slope if w > self.input_lo else math.inf
-
-    def peak_input(self) -> float:
-        return self.capacity if self.slope > 0 else self.input_lo
 
     def linear_segments(self) -> list[tuple[float, float, float]]:
         return self._segments
@@ -212,10 +185,6 @@ class PiecewiseLinearGain(GainFunction):
         k = int(np.searchsorted(self._ws, w, side="left")) - 1
         k = min(max(k, 0), len(self._slopes) - 1)
         return float(self._slopes[k])
-
-    def peak_input(self) -> float:
-        pos = np.nonzero(self._slopes <= 0)[0]
-        return float(self._ws[pos[0]]) if len(pos) else self.input_hi
 
     def linear_segments(self) -> list[tuple[float, float, float]]:
         return [
@@ -296,10 +265,6 @@ class PowerLossGain(GainFunction):
     def left_slope(self, w: float) -> float:
         return self._slope(w) if w > 0.0 else math.inf
 
-    def peak_input(self) -> float:
-        # h'(w) = 0 at w = log(3) / beta
-        return min(self.capacity, math.log(3.0) / self.beta)
-
     def closed_form_arbitrage(self, p_in: float, p_out: float):
         num = 3.0 * p_out - p_in
         den = p_out + p_in
@@ -313,8 +278,9 @@ class PowerLossGain(GainFunction):
 class CallableGain(GainFunction):
     """Gain defined by a plain callable on ``[input_lo, input_hi]``.
 
-    Slopes are one-sided difference quotients, so the scalar solver falls
-    back to value-only search and skips the interval shortcuts.
+    Slopes are one-sided difference quotients and there is no closed
+    form, so every query goes to the reference solve, which uses
+    value-only golden-section search for it.
     """
 
     has_exact_slopes = False
@@ -348,59 +314,6 @@ class CallableGain(GainFunction):
         d = min(self._step(w), w - self.input_lo)
         return (self.value(w) - self.value(w - d)) / d
 
-    def peak_input(self) -> float:
-        if self.left_slope(self.input_hi) >= 0.0:
-            return self.input_hi
-        w, _ = _golden_section(self.value, self.input_lo, self.input_hi)
-        return w
-
-
-@dataclass(frozen=True)
-class BoundedEdgeData:
-    """Saturation data for a bounded edge.
-
-    ``peak_input`` is the smallest input maximizing the output and
-    ``min_input`` the smallest allowed input.  Outside the open price
-    interval ``(price_floor, price_ceiling)`` the scalar arbitrage is an
-    endpoint: prices at or below the floor saturate the edge, prices at
-    or above the ceiling leave it at its minimum input.
-    """
-
-    peak_input: float
-    min_input: float
-    price_floor: float
-    price_ceiling: float
-
-    @classmethod
-    def from_gain(cls, gain: GainFunction) -> "BoundedEdgeData | None":
-        if not math.isfinite(gain.input_hi) or not math.isfinite(gain.input_lo):
-            return None
-        peak = gain.peak_input()
-        floor = gain.left_slope(peak)
-        if not math.isfinite(floor):
-            # Single-point domain degeneracy; treat as unusable.
-            floor = 0.0
-        floor = max(floor, 0.0)
-        ceiling = gain.right_slope(gain.input_lo)
-        return cls(
-            peak_input=peak,
-            min_input=gain.input_lo,
-            price_floor=floor,
-            price_ceiling=ceiling,
-        )
-
-
-@dataclass(frozen=True)
-class IntervalDecision:
-    """Verdict of the active-interval check: an endpoint or a real solve."""
-
-    action: str  # "saturate", "idle", or "solve"
-    input_value: float | None = None
-
-    @property
-    def must_solve(self) -> bool:
-        return self.action == "solve"
-
 
 @dataclass
 class ScalarArbitrage:
@@ -417,7 +330,6 @@ class TwoNodeEdge(EdgeOracle):
 
     def __init__(self, gain: GainFunction):
         self.gain = gain
-        self.bounded = BoundedEdgeData.from_gain(gain)
         self.is_strictly_convex = gain.is_strictly_concave
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
@@ -491,52 +403,21 @@ class TwoNodeEdge(EdgeOracle):
         return None
 
 
-def no_flow_check(edge: TwoNodeEdge, prices) -> bool:
-    """True when zero flow is optimal: the price ratio sits inside the
-    slope interval of the gain at zero input."""
-    p_in, p_out = float(prices[0]), float(prices[1])
-    gain = edge.gain
-    if gain.input_lo > 0.0 or gain.input_hi < 0.0:
-        return False
-    if p_out == 0.0:
-        return math.isinf(gain.left_slope(0.0))
-    ratio = p_in / p_out
-    return gain.right_slope(0.0) <= ratio <= gain.left_slope(0.0)
+def solve_scalar_arbitrage(edge: TwoNodeEdge, prices) -> ScalarArbitrage:
+    """Reference solve of the scalar price subproblem of a two-node edge.
 
-
-def active_interval_check(edge: TwoNodeEdge, prices) -> IntervalDecision:
-    """Endpoint shortcut for bounded edges.
-
-    A ratio at or below the price floor saturates the edge (peak input);
-    at or above the price ceiling the minimum input is optimal; strictly
-    inside the interval a real solve is required.
-    """
-    if edge.bounded is None:
-        raise ValueError("edge has no bounded-edge data")
-    data = edge.bounded
-    p_in, p_out = float(prices[0]), float(prices[1])
-    ratio = math.inf if p_out == 0.0 else p_in / p_out
-    if ratio <= data.price_floor:
-        return IntervalDecision("saturate", data.peak_input)
-    if ratio >= data.price_ceiling:
-        return IntervalDecision("idle", data.min_input)
-    return IntervalDecision("solve")
-
-
-def solve_scalar_arbitrage(
-    edge: TwoNodeEdge, prices, *, shortcuts: bool = True
-) -> ScalarArbitrage:
-    """Solve the scalar price subproblem of a two-node edge.
-
-    Uses the no-flow and active-interval shortcuts when the gain has
-    exact slopes, then bisects the monotone slope condition
-    ``p_out * h'(w) = p_in``; gains without exact slopes are handled by
-    golden-section search on the objective values.
+    It never consults :meth:`GainFunction.closed_form_arbitrage`: the
+    tests check the closed forms against it, and
+    :meth:`TwoNodeEdge.evaluate_pair` falls back to it for gains that
+    have no closed form.  With exact slopes it
+    bisects the monotone slope condition ``p_out * h'(w) = p_in`` inside
+    a bracket and snaps to a kink of a piecewise-linear gain; without
+    them it runs golden-section search on the objective values.  A zero
+    output price follows the conventions of ``evaluate_pair``.
 
     Args:
         edge: The two-node edge.
         prices: Nonnegative ``(input price, output price)`` pair.
-        shortcuts: Disable to force the full solve (testing hook).
 
     Raises:
         UnboundedEdgeError: The objective grows without bound or its
@@ -563,14 +444,6 @@ def solve_scalar_arbitrage(
             value=value,
             non_unique=non_unique,
         )
-
-    use_shortcuts = shortcuts and gain.has_exact_slopes
-    if use_shortcuts and no_flow_check(edge, prices):
-        return finish(0.0)
-    if use_shortcuts and edge.bounded is not None:
-        decision = active_interval_check(edge, prices)
-        if not decision.must_solve:
-            return finish(decision.input_value)
 
     if not gain.has_exact_slopes:
         w, non_unique = _golden_section(

@@ -278,7 +278,6 @@ class DualProgram:
                 self._pair_plan.append((pos, int(idx[0]), int(idx[1]), edge.oracle.evaluate_pair))
             else:
                 self._array_plan.append((pos, idx, edge.oracle.evaluate))
-        self.utility_edges = [plan[0] for plan in self._utility_plan]
         # Rounding can land on a vertex optimum only when some edge's flow
         # set has a flat face; strictly convex instances skip the polish.
         self.has_flat_faces = any(not edge.oracle.is_strictly_convex for edge in instance.edges)
@@ -534,12 +533,6 @@ class DualProgram:
                     directions.append(d)
                     directions.append(-d)
         return directions
-
-    def gradient_vector(self, ev: DualEval) -> np.ndarray:
-        parts = [ev.grad_nodes_orthant[self.free_nodes]]
-        for i in self.utility_edges:
-            parts.append(ev.grad_edges[i])
-        return np.concatenate(parts)
 
 
 @dataclass

@@ -45,12 +45,14 @@ def fd_gradient_check(
     step: float = 1e-6,
     tol: float = 1e-5,
 ) -> GradientCheckReport:
-    """Compare the analytic dual gradient against central differences.
+    """Compare the driver's dual gradient against central differences.
 
-    Runs in the reduced variable space (node prices only for instances
-    without edge utilities).  Coordinates where any of the three
-    evaluations reports a non-unique maximizer are skipped rather than
-    failed: the dual is nonsmooth there and no gradient exists.
+    Differentiates :meth:`DualProgram.value_and_grad`, the function the
+    quasi-Newton driver steps on, in the reduced variable space (node
+    prices only for instances without edge utilities).  Coordinates
+    where any of the three evaluations reports a non-unique maximizer
+    are skipped rather than failed: the dual is nonsmooth there and no
+    gradient exists.
 
     Args:
         instance: Problem to check.
@@ -63,26 +65,26 @@ def fd_gradient_check(
         raise ValueError("step must be positive")
     program = DualProgram(instance)
     x = program.initial_vector(point)
-    base = program.evaluate(x)
-    if not base.finite:
+    _, analytic = program.value_and_grad(x)
+    if analytic is None:
         raise ValueError("point is outside the dual domain")
-    analytic = program.gradient_vector(base)
+    base_nonsmooth = program.trace_info(x)[2]
 
     worst = 0.0
     skipped: list[int] = []
     checked = 0
     for j in range(len(x)):
-        nonsmooth = base.nonsmooth
+        nonsmooth = base_nonsmooth
         values = []
         for sign in (+1.0, -1.0):
             shifted = x.copy()
             shifted[j] += sign * step
-            ev = program.evaluate(shifted)
-            if not ev.finite:
+            value, grad = program.value_and_grad(shifted)
+            if grad is None:
                 values = None
                 break
-            nonsmooth = nonsmooth or ev.nonsmooth
-            values.append(ev.value)
+            nonsmooth = nonsmooth or program.trace_info(shifted)[2]
+            values.append(value)
         if values is None or nonsmooth:
             skipped.append(j)
             continue

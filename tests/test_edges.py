@@ -11,11 +11,9 @@ from convexflows.edges import (
     PiecewiseLinearGain,
     PowerLossGain,
     TwoNodeEdge,
-    active_interval_check,
     concave_gain_edge,
     linear_gain_edge,
     lossless_edge,
-    no_flow_check,
     opf_arbitrage,
     opf_line_edge,
     piecewise_linear_edge,
@@ -114,16 +112,6 @@ def test_scalar_arbitrage_matches_golden_oracle():
             assert res.value >= ref_val - 1e-8 * (1.0 + abs(ref_val))
 
 
-def test_shortcut_soundness():
-    rng = np.random.default_rng(9)
-    for edge in sample_edges():
-        for _ in range(40):
-            p = rng.uniform(0.0, 3.0, size=2)
-            fast = solve_scalar_arbitrage(edge, p, shortcuts=True)
-            full = solve_scalar_arbitrage(edge, p, shortcuts=False)
-            assert fast.value == pytest.approx(full.value, abs=1e-12 + 1e-9 * abs(full.value))
-
-
 def test_zero_output_price_conventions():
     for edge in [lossless_edge(2.0), opf_line_edge(16.0, 0.25, 2.0)]:
         res = solve_scalar_arbitrage(edge, (1.0, 0.0))
@@ -138,13 +126,32 @@ def test_zero_output_price_conventions():
     assert res.value == pytest.approx(2.0)
 
 
-# -- shortcut checks -------------------------------------------------------
+# -- no-flow and active-interval conditions --------------------------------
+#
+# These are properties of the answers, checked on both the closed forms
+# (``evaluate_pair``) and the reference solve (``solve_scalar_arbitrage``).
+
+
+def both_inputs(edge, p):
+    """Optimal input from the closed form and from the reference solve."""
+    _, flow_in, _, _ = edge.evaluate_pair(float(p[0]), float(p[1]))
+    return -flow_in, solve_scalar_arbitrage(edge, p).input_amount
+
+
+def random_price_pairs(rng, count):
+    """Price pairs in [0, 3]^2, one in ten with a zero entry."""
+    for _ in range(count):
+        p = rng.uniform(0.0, 3.0, size=2)
+        if rng.random() < 0.1:
+            p[rng.integers(2)] = 0.0
+        yield p
 
 
 def test_no_flow_lossless():
     edge = lossless_edge(1.0)
-    assert no_flow_check(edge, (2.0, 1.0))
-    assert not no_flow_check(edge, (1.0, 2.0))
+    assert both_inputs(edge, (2.0, 1.0)) == (0.0, 0.0)
+    assert both_inputs(edge, (1.0, 1.0)) == (0.0, 0.0)
+    assert both_inputs(edge, (1.0, 2.0)) == (1.0, 1.0)
 
 
 def test_no_flow_kink_spanning_ratio():
@@ -152,50 +159,71 @@ def test_no_flow_kink_spanning_ratio():
     edge = piecewise_linear_edge([(-1.0, -1.1), (0.0, 0.0), (1.0, 0.9)])
     assert edge.gain.right_slope(0.0) == pytest.approx(0.9)
     assert edge.gain.left_slope(0.0) == pytest.approx(1.1)
-    assert no_flow_check(edge, (1.0, 1.0))
-    assert not no_flow_check(edge, (1.2, 1.0))
-    assert solve_scalar_arbitrage(edge, (1.0, 1.0)).input_amount == pytest.approx(0.0)
+    assert both_inputs(edge, (1.0, 1.0)) == (0.0, 0.0)
+    # Past the left slope the edge pays out down to its domain floor.
+    assert both_inputs(edge, (1.2, 1.0)) == (-1.0, -1.0)
 
 
 def test_no_flow_implies_zero_solution():
+    # A price ratio inside [right_slope(0), left_slope(0)] gives zero input.
     rng = np.random.default_rng(17)
+    hits = 0
     for edge in sample_edges():
-        for _ in range(40):
-            p = rng.uniform(0.0, 3.0, size=2)
-            if no_flow_check(edge, p):
-                res = solve_scalar_arbitrage(edge, p, shortcuts=False)
-                assert abs(res.input_amount) <= 1e-8
+        gain = edge.gain
+        for p in random_price_pairs(rng, 60):
+            ratio = math.inf if p[1] == 0.0 else p[0] / p[1]
+            if not gain.right_slope(0.0) <= ratio <= gain.left_slope(0.0):
+                continue
+            closed, reference = both_inputs(edge, p)
+            assert abs(closed) <= 1e-12 and abs(reference) <= 1e-8
+            hits += 1
+    assert hits >= 50
 
 
 def test_active_interval_endpoints():
     edge = lossless_edge(1.0)
-    low = active_interval_check(edge, (0.5, 1.0))
-    assert low.action == "saturate" and low.input_value == pytest.approx(1.0)
-    high = active_interval_check(edge, (2.0, 1.0))
-    assert high.action == "idle" and high.input_value == pytest.approx(0.0)
+    assert both_inputs(edge, (0.5, 1.0)) == (1.0, 1.0)
+    assert both_inputs(edge, (2.0, 1.0)) == (0.0, 0.0)
+    # Off the active interval (right_slope(lo), left_slope(hi)) the answer
+    # is the idle or the saturating endpoint.
+    rng = np.random.default_rng(23)
+    idle = saturate = 0
+    for edge in sample_edges():
+        gain = edge.gain
+        for p in random_price_pairs(rng, 60):
+            if p[1] == 0.0:
+                continue
+            ratio = p[0] / p[1]
+            if ratio > gain.right_slope(gain.input_lo):
+                endpoint = gain.input_lo
+                idle += 1
+            elif ratio < gain.left_slope(gain.input_hi):
+                endpoint = gain.input_hi
+                saturate += 1
+            else:
+                continue
+            for w in both_inputs(edge, p):
+                assert w == pytest.approx(endpoint, abs=1e-12)
+    assert idle >= 20 and saturate >= 20
 
 
 def test_active_interval_opf_interior_peak():
-    # Capacity above the gain's peak: the peak caps the active interval.
+    # Capacity above the gain's peak input 4 log 3: a ratio just under the
+    # marginal gain at zero input leaves the optimum strictly inside.
     edge = opf_line_edge(16.0, 0.25, 10.0)
-    assert edge.bounded.peak_input == pytest.approx(4.0 * math.log(3.0))
-    decision = active_interval_check(edge, (0.9, 1.0))
-    assert decision.must_solve
+    for w in both_inputs(edge, (0.9, 1.0)):
+        assert 0.0 < w < 4.0 * math.log(3.0)
+        assert w == pytest.approx(4.0 * math.log(2.1 / 1.9), abs=1e-8)
 
 
 def test_active_interval_matches_full_solve():
+    # The closed form's value equals the reference solve's value.
     rng = np.random.default_rng(23)
     for edge in sample_edges():
-        for _ in range(60):
-            p = rng.uniform(0.0, 3.0, size=2)
-            if p[1] == 0.0:
-                continue
-            decision = active_interval_check(edge, p)
-            if decision.must_solve:
-                continue
-            full = solve_scalar_arbitrage(edge, p, shortcuts=False)
-            value_at = -p[0] * decision.input_value + p[1] * edge.gain.value(decision.input_value)
-            assert value_at == pytest.approx(full.value, abs=1e-9 * (1.0 + abs(full.value)))
+        for p in random_price_pairs(rng, 60):
+            closed = edge.evaluate_pair(float(p[0]), float(p[1]))[0]
+            reference = solve_scalar_arbitrage(edge, p).value
+            assert closed == pytest.approx(reference, abs=1e-9 * (1.0 + abs(reference)))
 
 
 # -- transmission line closed form ----------------------------------------

@@ -5,10 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    cfmm_instance,
     interior_dual_point,
     maxflow_arcs,
     opf_instance,
     path_maxflow_instance,
+    quadratic_penalty_on,
     three_asset_pool_instance,
     two_pool_arbitrage_instance,
 )
@@ -23,7 +25,7 @@ from convexflows import (
     lossless_edge,
     solve,
 )
-from convexflows.solver import SolverConfig
+from convexflows.solver import DualProgram, SolverConfig
 from convexflows.validation import (
     brute_force_primal,
     fd_gradient_check,
@@ -70,6 +72,24 @@ def test_fd_check_skips_kinks():
     report = fd_gradient_check(instance, point)
     assert report.skipped
     assert report.passed
+
+
+def test_fd_check_differentiates_the_driver_gradient(monkeypatch):
+    # The check must see the gradient the driver steps on: a 1% error in
+    # value_and_grad's gradient (nodes and edge blocks) has to fail it.
+    instance = quadratic_penalty_on(cfmm_instance(m=8, seed=4))
+    point = interior_dual_point(instance, np.random.default_rng(8))
+    report = fd_gradient_check(instance, point)
+    assert report.passed and report.checked > 0
+
+    exact = DualProgram.value_and_grad
+
+    def scaled(self, x):
+        value, grad = exact(self, x)
+        return value, None if grad is None else 1.01 * grad
+
+    monkeypatch.setattr(DualProgram, "value_and_grad", scaled)
+    assert not fd_gradient_check(instance, point).passed
 
 
 def test_fd_check_rejects_bad_step():
