@@ -34,7 +34,7 @@ from .objectives import (
     OpfQuadraticObjective,
     QuadraticPenalty,
 )
-from .solver import SolveResult, SolverConfig, solve
+from .solver import InfeasibleStartError, SolveResult, SolverConfig, UnboundedDualError, solve
 
 __all__ = [
     "ParseError",
@@ -494,7 +494,16 @@ def _read_instance(path: str) -> ProblemInstance:
 def _cmd_solve(args) -> int:
     instance = _read_instance(args.instance)
     config = SolverConfig(grad_tol=args.tol, max_iter=args.max_iter)
-    result = solve(instance, config=config)
+    # A start outside the dual's domain or an unbounded edge subproblem
+    # ends the solve with no result; report it as a status, not a crash.
+    try:
+        result = solve(instance, config=config)
+    except InfeasibleStartError as exc:
+        print(f"status=infeasible_start {exc}")
+        return 2
+    except UnboundedDualError as exc:
+        print(f"status=unbounded {exc}")
+        return 2
     if args.trace:
         result.trace.to_csv(args.trace)
     if args.out:

@@ -195,6 +195,15 @@ class OpfQuadraticObjective(ObjectiveOracle):
         return -0.5 * float(shortfall @ shortfall)
 
 
+def _interior_mask(n: int, conservation: FlowConservationSet) -> np.ndarray:
+    """Read-only mask of the nodes other than the source and the sink."""
+    mask = np.ones(n, dtype=bool)
+    mask[conservation.source] = False
+    mask[conservation.sink] = False
+    mask.flags.writeable = False
+    return mask
+
+
 class MaxFlowObjective(ObjectiveOracle):
     """Throughput into the sink subject to flow conservation.
 
@@ -210,12 +219,7 @@ class MaxFlowObjective(ObjectiveOracle):
         self.conservation = FlowConservationSet(source=source, sink=n - 1 if sink is None else sink)
         if self.conservation.source == self.conservation.sink:
             raise ValueError("source and sink must differ")
-
-    def _interior(self) -> np.ndarray:
-        mask = np.ones(self.dim, dtype=bool)
-        mask[self.conservation.source] = False
-        mask[self.conservation.sink] = False
-        return mask
+        self._interior = _interior_mask(n, self.conservation)
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
         prices = np.asarray(prices, dtype=float)
@@ -223,7 +227,7 @@ class MaxFlowObjective(ObjectiveOracle):
         ok = (
             abs(prices[t] - prices[s] - 1.0) <= 1e-12 * (1.0 + abs(prices[t]))
             and prices[t] >= 1.0 - 1e-12
-            and not np.any(prices[self._interior()] < 0.0)
+            and not np.any(prices[self._interior] < 0.0)
         )
         if not ok:
             return _infinite()
@@ -251,14 +255,14 @@ class MaxFlowObjective(ObjectiveOracle):
         y = np.asarray(y, dtype=float)
         s, t = self.conservation.source, self.conservation.sink
         worst = max(0.0, -(float(y[s]) + float(y[t])))
-        interior = y[self._interior()]
+        interior = y[self._interior]
         if len(interior):
             worst = max(worst, -float(np.min(interior)))
         return worst
 
     def recovery_target(self, prices, conj_result):
         # Feasible flows conserve at every interior node exactly.
-        return np.zeros(self.dim), self._interior()
+        return np.zeros(self.dim), self._interior
 
 
 class MinCostObjective(ObjectiveOracle):
@@ -279,12 +283,7 @@ class MinCostObjective(ObjectiveOracle):
         self.conservation = FlowConservationSet(
             source=source, sink=n - 1 if sink is None else sink, target=float(target)
         )
-
-    def _interior(self) -> np.ndarray:
-        mask = np.ones(self.dim, dtype=bool)
-        mask[self.conservation.source] = False
-        mask[self.conservation.sink] = False
-        return mask
+        self._interior = _interior_mask(n, self.conservation)
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
         prices = np.asarray(prices, dtype=float)
@@ -298,7 +297,7 @@ class MinCostObjective(ObjectiveOracle):
         unique = (
             prices[s] > 0.0
             and prices[s] < prices[t]
-            and not np.any(prices[self._interior()] == 0.0)
+            and not np.any(prices[self._interior] == 0.0)
         )
         return ConjugateValue(
             value=v * (float(prices[s]) - float(prices[t])),
@@ -322,7 +321,7 @@ class MinCostObjective(ObjectiveOracle):
         s, t = self.conservation.source, self.conservation.sink
         worst = max(0.0, self.conservation.target - float(y[t]))
         worst = max(worst, -(float(y[s]) + float(y[t])))
-        interior = y[self._interior()]
+        interior = y[self._interior]
         if len(interior):
             worst = max(worst, -float(np.min(interior)))
         return max(worst, 0.0)
@@ -333,7 +332,7 @@ class MinCostObjective(ObjectiveOracle):
         target = np.zeros(self.dim)
         target[s] = -self.conservation.target
         target[t] = self.conservation.target
-        mask = self._interior()
+        mask = self._interior
         if prices[t] - prices[s] > 1e-9 * (1.0 + abs(prices[t])):
             mask = mask.copy()
             mask[s] = True

@@ -10,9 +10,10 @@ letting the gradients keep converging after objective differences stop
 being measurable.  Nonsmooth objectives can jam the iteration at points
 where no single coordinate descends; a stall then triggers exact line
 searches along directions the caller derives from the objective's
-structure (the solver supplies tie-graph moves), and an optional final
-polish evaluates caller-proposed points, keeping any that are at least
-as good.
+structure (the solver supplies the tie-graph moves that its first-order
+screen cannot rule out at their probe points, see :func:`escape_probes`),
+and an optional final polish evaluates caller-proposed points, keeping
+any that are at least as good.
 
 The objective callable returns ``(value, gradient)``; the gradient is
 ignored (and may be None) when the value is infinite.
@@ -48,6 +49,10 @@ _STALL_TOL = 1e-14
 # Escapes allowed per run; keeps pathological nonsmooth cases from
 # consuming the whole iteration budget.
 _MAX_ESCAPES = 12
+# Escape probe step (relative to 1 + |x|_inf) and the relative decrease a
+# probe must show.
+_PROBE = 1e-7
+_DECREASE = 1e-14
 
 
 @dataclass
@@ -79,27 +84,45 @@ def _projected_gradient(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> np.n
     return pg
 
 
-def _escape_move(fun, x, f, lower, directions, probe=1e-7):
-    """Line-search the given directions in order; return (x, f, g, evals) or None.
+def escape_probes(x: np.ndarray, directions, lower: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Probe points of the escape directions, the probe step and the margin.
 
-    Each promising direction (detected by a cheap probe) is minimized
-    exactly in 1-D: the restriction of a convex function is unimodal, so
-    a doubling bracket plus golden-section search suffices.  The first
-    direction that lowers the value wins.  Only the supplied directions
-    are tried, so an empty list costs no evaluation.
+    Row ``i`` of the points is ``max(x + step·d_i, lower)`` with
+    ``step = 1e-7·scale`` and ``scale = 1 + |x|_inf``.  A probe counts as
+    a descent when its value falls below ``f(x)`` by more than the
+    margin, ``1e-14·scale``.  :func:`_escape_move` probes these points,
+    and the solver's direction screen bounds the change at them.
     """
     scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+    step = _PROBE * scale
+    points = np.array(directions, dtype=float).reshape(len(directions), len(x))
+    points *= step
+    points += x
+    return np.maximum(points, lower, out=points), step, _DECREASE * scale
+
+
+def _escape_move(fun, x, f, lower, directions):
+    """Line-search the given directions in order; return (x, f, g, evals) or None.
+
+    Each direction is first probed at the point :func:`escape_probes`
+    gives; one whose probe descends is minimized exactly in 1-D: the
+    restriction of a convex function is unimodal, so a doubling bracket
+    plus golden-section search suffices.  The first direction that
+    lowers the value wins.  Only the supplied directions are tried, so an
+    empty list costs no evaluation; the solver supplies tie-graph moves
+    that survived its first-order screen.
+    """
+    probes, step, margin = escape_probes(x, directions, lower)
     evals = 0
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for d in directions:
+    for d, x_probe in zip(directions, probes):
 
         def phi(t):
             return fun(np.maximum(x + t * d, lower))
 
-        step = probe * scale
-        f_probe, _ = phi(step)
+        f_probe, _ = fun(x_probe)
         evals += 1
-        if not (f_probe < f - 1e-14 * scale):
+        if not (f_probe < f - margin):
             continue
         hi = step
         f_prev = f_probe
@@ -130,7 +153,7 @@ def _escape_move(fun, x, f, lower, directions, probe=1e-7):
         x_new = np.maximum(x + t_best * d, lower)
         f_new, g_new = fun(x_new)
         evals += 1
-        if math.isfinite(f_new) and f_new < f - 1e-14 * scale:
+        if math.isfinite(f_new) and f_new < f - margin:
             return x_new, f_new, np.asarray(g_new, dtype=float), evals
     return None
 

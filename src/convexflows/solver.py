@@ -35,7 +35,7 @@ import numpy as np
 from .core import PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
 from .objectives import ConjugateValue
-from .qn import InfeasibleStartError, QNConfig, minimize_bound_lbfgs
+from .qn import InfeasibleStartError, QNConfig, escape_probes, minimize_bound_lbfgs
 
 __all__ = [
     "DualPoint",
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _ZERO_UTILITY_PRICE_TOL = 1e-9
+# Directions per block when the escape screen works out its face terms.
+_BOUND_ROWS = 128
 
 
 class UnboundedDualError(RuntimeError):
@@ -262,6 +264,7 @@ class DualProgram:
                 raise ValueError("fixed prices must be nonnegative")
         self.fixed = fixed
         self.free_nodes = np.array([j for j in range(instance.n) if j not in fixed], dtype=int)
+        self._free_pos = {int(j): k for k, j in enumerate(self.free_nodes)}
         self._conj_u = objective.conj
         self._utility_plan = []
         self._pair_plan = []
@@ -287,6 +290,10 @@ class DualProgram:
         self._last_x: np.ndarray | None = None
         self._last_pass: _Pass | None = None
         self._last_eval: DualEval | None = None
+        # The pass at the driver's current iterate, kept apart from the
+        # line search's trial points (see trace_info).
+        self._iterate_x: np.ndarray | None = None
+        self._iterate_pass: _Pass | None = None
 
     # -- vector packing -------------------------------------------------
 
@@ -421,6 +428,9 @@ class DualProgram:
     def _cached_pass(self, x: np.ndarray) -> _Pass | None:
         if self._last_x is not None and np.array_equal(self._last_x, x):
             return self._last_pass
+        if self._iterate_x is not None and np.array_equal(self._iterate_x, x):
+            self._last_x, self._last_pass, self._last_eval = self._iterate_x, self._iterate_pass, None
+            return self._last_pass
         return self._fresh_pass(x)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -442,8 +452,14 @@ class DualProgram:
         return self._last_eval
 
     def trace_info(self, x: np.ndarray):
-        """(primal_residual, net_flow, nonsmooth) at ``x`` without assembling."""
+        """(primal_residual, net_flow, nonsmooth) at ``x`` without assembling.
+
+        The driver's callback calls this at every iterate, so the pass at
+        ``x`` is kept until the next call: line-search trials do not
+        evict it, and a stall escape at ``x`` reads it without evaluating.
+        """
         raw = self._cached_pass(x)
+        self._iterate_x, self._iterate_pass = self._last_x, raw
         if raw is None:
             return math.nan, None, False
         return self._residual(raw), raw.y_arb, raw.nonsmooth
@@ -476,6 +492,17 @@ class DualProgram:
                     return _infinite_eval()
         return self._assemble(self._evaluate_pass(nu, self._edge_blocks(nu, point.edge_prices)))
 
+    def _faces(self, nu: np.ndarray) -> list:
+        """``(position, prices, (p, q))`` of every edge whose node prices
+        ``nu`` support a flat face with endpoints ``p`` and ``q``."""
+        faces = []
+        for pos, edge in enumerate(self.instance.edges):
+            prices = edge.incidence.gather(nu)
+            face = edge.oracle.supported_face(prices, 1e-7)
+            if face is not None:
+                faces.append((pos, prices, face))
+        return faces
+
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
 
@@ -483,9 +510,26 @@ class DualProgram:
         move together to preserve the tie; scaling such a component by a
         common factor preserves every price-ratio tie inside it, and a
         uniform shift covers the zero-price components.  Both signed
-        variants are returned per component, in reduced coordinates.
+        variants are built per component, in reduced coordinates.
+
+        Only directions that can descend are returned, in the order they
+        were built: a direction whose first-order lower bound
+        (:meth:`escape_bounds`) on the change at its escape probe is not
+        below the probe's decrease margin is dropped without evaluating
+        anything.  The bound reads the pass the driver's callback made
+        at ``x``.
         """
+        directions, faces = self._tie_graph(x)
+        if not directions:
+            return directions
+        bounds, margin = self._descent_bounds(x, directions, faces)
+        # A NaN bound certifies nothing, so its direction stays.
+        return [d for d, b in zip(directions, bounds) if not b >= -margin]
+
+    def _tie_graph(self, x: np.ndarray) -> tuple[list[np.ndarray], list]:
+        """The unscreened tie-graph moves at ``x`` and the faces they come from."""
         nu = self.node_prices(x)
+        faces = self._faces(nu)
         parent = list(range(self.instance.n))
 
         def find(a):
@@ -494,14 +538,10 @@ class DualProgram:
                 a = parent[a]
             return a
 
-        free_pos = {int(j): k for k, j in enumerate(self.free_nodes)}
+        free_pos = self._free_pos
         directions: list[np.ndarray] = []
-        for edge in self.instance.edges:
-            prices = edge.incidence.gather(nu)
-            face = edge.oracle.supported_face(prices, 1e-7)
-            if face is None:
-                continue
-            nodes = edge.incidence.nodes
+        for pos, prices, _ in faces:
+            nodes = self.instance.edges[pos].incidence.nodes
             root = find(nodes[0])
             for j in nodes[1:]:
                 parent[find(j)] = root
@@ -532,7 +572,89 @@ class DualProgram:
                 if np.any(d):
                     directions.append(d)
                     directions.append(-d)
-        return directions
+        return directions, faces
+
+    def escape_bounds(self, x: np.ndarray, directions) -> np.ndarray:
+        """First-order lower bounds on ``f(x + s) - f(x)``, one per direction.
+
+        ``s`` is the escape probe step of each direction
+        (:func:`convexflows.qn.escape_probes`).  With ``g`` the gradient
+        and ``z_i``, ``v_i`` the flow and value of edge ``i`` at ``x``,
+        the bound is
+
+            g·s + sum_i [ max_{w in {z_i, P_i, Q_i}} w·(p_i + d_i) - v_i - z_i·d_i ]
+
+        over the edges whose node prices support a face with endpoints
+        ``P_i``, ``Q_i``; ``p_i`` are the edge's prices (node prices plus
+        the transformed block of a utility edge) and ``d_i`` their share
+        of ``s``.  Each edge's support function at shifted prices is at
+        least the value of any allowable flow there, and every other
+        term of the dual is at least its value plus its subgradient
+        step, so the bound holds up to rounding.
+        """
+        return self._descent_bounds(x, directions, self._faces(self.node_prices(x)))[0]
+
+    def _descent_bounds(self, x: np.ndarray, directions, faces) -> tuple[np.ndarray, float]:
+        """:meth:`escape_bounds` for precomputed faces, plus the probe margin.
+
+        The probe steps form one ``k x n_vars`` array.  Edge ``i``'s term
+        is computed as ``max_w c_w + (w - z_i)·d_i`` with
+        ``c_w = w·p_i - v_i``.  It is the constant ``max_w c_w`` wherever
+        the step leaves the edge's prices alone, so only the (direction,
+        edge) pairs that move some price are worked out, from the nonzero
+        steps; a block of rows at a time keeps the pair arrays small.
+        """
+        steps, _, margin = escape_probes(x, directions, self.lower)
+        steps -= x  # probe points to probe steps, in place
+        raw = self._cached_pass(x)
+        if raw is None:
+            return np.full(len(steps), -math.inf), margin
+        bounds = steps @ raw.grad
+        if not faces:
+            return bounds, margin
+        # Edge values, flows and prices at x, assembled from the cached pass.
+        solutions = self.cached_eval(x).edges
+        edge_prices = self.to_point(x).edge_prices
+        blocks = {pos: block for pos, _, block, _, _ in self._utility_plan}
+        # One entry per (vector coordinate, face edge): the coordinate's
+        # column and the edge's slopes toward its face endpoints P and Q.
+        cols, owners, slopes = [], [], []
+        offsets = np.empty((len(faces), 3))
+        for e, (pos, _, ends) in enumerate(faces):
+            flow = solutions[pos].flow_arbitrage
+            offsets[e] = [w @ edge_prices[pos] - solutions[pos].support_value for w in (flow, *ends)]
+            block = blocks.get(pos)
+            for t, j in enumerate(self.instance.edges[pos].incidence.nodes):
+                coords = [self._free_pos[j]] if j in self._free_pos else []
+                if block is not None:
+                    coords.append(block.start + t)
+                for c in coords:
+                    cols.append(c)
+                    owners.append(e)
+                    slopes.append((ends[0][t] - flow[t], ends[1][t] - flow[t]))
+        unmoved = offsets.max(axis=1)
+        bounds += unmoved.sum()
+        order = np.argsort(cols, kind="stable")
+        cols = np.asarray(cols, dtype=int)[order]
+        owners = np.asarray(owners, dtype=int)[order]
+        slopes = np.asarray(slopes).reshape(-1, 2)[order]
+        m = len(faces)
+        for lo in range(0, len(steps), _BOUND_ROWS):
+            part = steps[lo : lo + _BOUND_ROWS]
+            rows, moved = np.nonzero(part)
+            # Expand each nonzero step into the entries of its column.
+            first = np.searchsorted(cols, moved, "left")
+            count = np.searchsorted(cols, moved, "right") - first
+            step_of = np.repeat(np.arange(len(moved)), count)
+            entry = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(step_of))
+            pairs, pair_of = np.unique(rows[step_of] * m + owners[entry], return_inverse=True)
+            moves = part[rows, moved][step_of, None] * slopes[entry]
+            to_p = np.bincount(pair_of, moves[:, 0], len(pairs))
+            to_q = np.bincount(pair_of, moves[:, 1], len(pairs))
+            edge = pairs % m
+            terms = np.maximum(np.maximum(offsets[edge, 1] + to_p, offsets[edge, 2] + to_q), offsets[edge, 0])
+            bounds[lo : lo + len(part)] += np.bincount(pairs // m, terms - unmoved[edge], len(part))
+        return bounds, margin
 
 
 @dataclass

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from convexflows import io_cli
 from convexflows.io_cli import (
     InstanceValidationError,
     ParseError,
@@ -18,7 +19,7 @@ from convexflows.io_cli import (
     parse_instance,
     serialize_instance,
 )
-from convexflows.solver import SolverConfig, solve
+from convexflows.solver import SolverConfig, UnboundedDualError, solve
 from convexflows.validation import maxflow_oracle
 
 MINIMAL = {
@@ -189,6 +190,41 @@ def test_cli_reports_errors(tmp_path, capsys):
     bad.write_text("{}")
     assert main(["solve", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_solve_reports_infeasible_start(tmp_path, capsys):
+    # The source price is pinned at 0, where the pool's price subproblem
+    # has no attained maximizer, so the dual is infinite at the start.
+    doc = {
+        "version": 1,
+        "n": 3,
+        "objective": {"kind": "maxflow", "params": {}},
+        "edges": [
+            {"kind": "uniswap", "params": {"reserves": [10.0, 10.0]}, "nodes": [0, 1]},
+            {"kind": "lossless", "params": {"capacity": 1.0}, "nodes": [1, 2]},
+        ],
+    }
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    instance_path.write_text(json.dumps(doc))
+    assert main(["solve", str(instance_path), "--out", str(result_path)]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 1 and out[0].startswith("status=infeasible_start ")
+    assert not result_path.exists()
+
+
+def test_cli_solve_reports_unbounded(tmp_path, capsys, monkeypatch):
+    def unbounded(instance, config=None):
+        raise UnboundedDualError("unbounded edge subproblem: test")
+
+    monkeypatch.setattr(io_cli, "solve", unbounded)
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    instance_path.write_text(json.dumps(MINIMAL))
+    assert main(["solve", str(instance_path), "--out", str(result_path)]) == 2
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == ["status=unbounded unbounded edge subproblem: test"]
+    assert not result_path.exists()
 
 
 def test_cli_bench_rows(tmp_path):

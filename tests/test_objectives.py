@@ -72,6 +72,26 @@ def test_mincost_values():
     assert mincost_conj(n, 1.0, [1.0, 0.0, 0.0, 0.5]).value == math.inf
 
 
+def test_recovery_masks_are_not_shared_writable():
+    # The interior mask is built once; a caller that writes into the mask it
+    # was handed must either fail or leave later calls unchanged.
+    cases = [
+        (MaxFlowObjective(4), np.array([0.0, 0.5, 0.5, 1.0]), [False, True, True, False]),
+        (MinCostObjective(4, 1.0), np.array([0.5, 0.5, 0.5, 0.5]), [False, True, True, False]),
+        (MinCostObjective(4, 1.0), np.array([0.25, 0.5, 0.5, 1.0]), [True, True, True, True]),
+    ]
+    for objective, prices, expected in cases:
+        _, mask = objective.recovery_target(prices, objective.conj(prices))
+        assert mask.tolist() == expected
+        if mask.flags.writeable:
+            mask[:] = False
+        else:
+            with pytest.raises(ValueError):
+                mask[1] = False
+        _, again = objective.recovery_target(prices, objective.conj(prices))
+        assert again.tolist() == expected
+
+
 def test_mincost_closed_form_against_lp_oracle():
     # sup_{y in S} -nu @ y via linprog on  min nu @ y.
     n, v = 5, 1.5
