@@ -13,7 +13,15 @@ searches along directions the caller derives from the objective's
 structure (the solver supplies the tie-graph moves that its first-order
 screen cannot rule out at their probe points, see :func:`escape_probes`),
 and an optional final polish evaluates caller-proposed points, keeping
-any that are at least as good.
+any that are at least as good (:func:`polish_keeps`).
+
+At such kinks the quasi-Newton direction itself often cannot descend,
+and backtracking would halve its step some fifty times down to float
+noise.  An optional line-search screen, asked once after the first
+trial step fails, can end the search at once: it answers whether the
+direction provably rises at its escape probe point, and a search it
+ends takes the same failed-search path (a steepest-descent retry, then
+an escape) as one that ran out of steps.
 
 The objective callable returns ``(value, gradient)``; the gradient is
 ignored (and may be None) when the value is infinite.
@@ -27,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["QNConfig", "QNResult", "InfeasibleStartError", "minimize_bound_lbfgs"]
+__all__ = ["QNConfig", "QNResult", "InfeasibleStartError", "minimize_bound_lbfgs", "polish_keeps"]
 
 
 class InfeasibleStartError(RuntimeError):
@@ -53,6 +61,9 @@ _MAX_ESCAPES = 12
 # probe must show.
 _PROBE = 1e-7
 _DECREASE = 1e-14
+# Polish keeps a candidate whose value is within this relative slack of
+# the current best.
+_TIE_SLACK = 8.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -99,6 +110,17 @@ def escape_probes(x: np.ndarray, directions, lower: np.ndarray) -> tuple[np.ndar
     points *= step
     points += x
     return np.maximum(points, lower, out=points), step, _DECREASE * scale
+
+
+def polish_keeps(f_candidate: float, f: float) -> bool:
+    """Whether polish adopts a candidate of value ``f_candidate`` over a
+    current best of value ``f``.
+
+    Every candidate is admissible, and an exact vertex at equal value
+    recovers better than one plus float dust, so a finite candidate
+    within ``8 eps (1 + |f|)`` above ``f`` is kept.
+    """
+    return math.isfinite(f_candidate) and f_candidate <= f + _TIE_SLACK * (1.0 + abs(f))
 
 
 def _escape_move(fun, x, f, lower, directions):
@@ -182,6 +204,7 @@ def minimize_bound_lbfgs(
     callback: Callable | None = None,
     polish_candidates: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     escape_directions: Callable[[np.ndarray], list] | None = None,
+    line_search_screen: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> QNResult:
     """Minimize ``fun`` subject to ``x >= lower``.
 
@@ -192,11 +215,18 @@ def minimize_bound_lbfgs(
         config: Driver parameters.
         callback: Called as ``callback(k, x, value, grad, pg_norm)`` once
             per iteration before the step.
-        polish_candidates: Point generators tried after termination; a
-            candidate is adopted when it does not worsen the value.
+        polish_candidates: Point generators tried after termination, each
+            called with the best point so far; a candidate is adopted
+            when :func:`polish_keeps` accepts its value.
         escape_directions: Direction generator called when progress
             stalls; its directions are line-searched exactly, in order.
             Without it a stall ends the run.
+        line_search_screen: Called as ``line_search_screen(x, d)`` when the
+            first trial of a line search (the full step along ``d``)
+            fails sufficient decrease.  True means ``f`` provably rises
+            by more than the probe margin at the escape probe of ``d``
+            (:func:`escape_probes`), and the search ends without further
+            evaluations, as a failed one.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -290,7 +320,7 @@ def minimize_bound_lbfgs(
         # whose decrease drowns in noise is still accepted when the
         # curvature condition holds.
         noise = 32.0 * np.finfo(float).eps * (1.0 + abs(f))
-        for _ in range(_MAX_BACKTRACKS):
+        for trial in range(_MAX_BACKTRACKS):
             x_try = np.maximum(x + alpha * d, lower)
             step = x_try - x
             if not np.any(step):
@@ -303,6 +333,8 @@ def minimize_bound_lbfgs(
                 threshold = noise
             if not math.isfinite(f_try) or f_try > f + threshold:
                 hi_a = alpha
+                if trial == 0 and line_search_screen is not None and line_search_screen(x, d):
+                    break
             else:
                 if f_try <= f + _ARMIJO * slope:
                     fallback = (x_try, f_try, g_try)
@@ -347,11 +379,9 @@ def minimize_bound_lbfgs(
         iteration += 1
 
     # Optional final polish: evaluate externally proposed points and keep
-    # anything at least as good (every point is admissible, and an exact
-    # vertex at equal value recovers better than one plus float dust).
-    # Each generator may propose several points for the current best.
+    # anything at least as good.  Each generator may propose several
+    # points for the current best.
     if polish_candidates:
-        tie_slack = 8.0 * np.finfo(float).eps
         for generator in polish_candidates:
             proposals = generator(x)
             if isinstance(proposals, np.ndarray):
@@ -362,7 +392,7 @@ def minimize_bound_lbfgs(
                     continue
                 f_c, g_c = fun(x_c)
                 n_evals += 1
-                if math.isfinite(f_c) and f_c <= f + tie_slack * (1.0 + abs(f)):
+                if polish_keeps(f_c, f):
                     x, f, g = x_c, f_c, np.asarray(g_c, dtype=float)
                     status = "polished"
 

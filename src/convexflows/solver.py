@@ -28,14 +28,16 @@ import csv
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
+from .edges.two_node import TwoNodeEdge
 from .objectives import ConjugateValue
-from .qn import InfeasibleStartError, QNConfig, escape_probes, minimize_bound_lbfgs
+from .qn import InfeasibleStartError, QNConfig, escape_probes, minimize_bound_lbfgs, polish_keeps
 
 __all__ = [
     "DualPoint",
@@ -57,8 +59,11 @@ __all__ = [
 ]
 
 _ZERO_UTILITY_PRICE_TOL = 1e-9
-# Directions per block when the escape screen works out its face terms.
-_BOUND_ROWS = 128
+# Relative price tolerance at which a face counts as supported, as in
+# ``supported_face(prices, 1e-7)``.
+_FACE_TOL = 1e-7
+# Directions per block when the descent bounds work out their face terms.
+_BOUND_ROWS = 32
 
 
 class UnboundedDualError(RuntimeError):
@@ -224,7 +229,8 @@ class _Pass(NamedTuple):
     three plans in plan order: ``(ArbitrageResult, utility maximizer)``
     pairs, ``(value, flow_in, flow_out, non_unique)`` tuples and
     ``ArbitrageResult`` objects.  ``grad`` is the gradient in the reduced
-    vector.
+    vector.  ``edge_ties`` says whether some edge answered with a
+    non-unique maximizer; ``nonsmooth`` also counts the conjugates.
     """
 
     value: float
@@ -232,9 +238,23 @@ class _Pass(NamedTuple):
     y_arb: np.ndarray
     grad: np.ndarray
     nonsmooth: bool
+    edge_ties: bool
     utility: list
     pair: list
     array: list
+
+
+class _Faces(NamedTuple):
+    """The flat faces supported at one point, in edge order.
+
+    ``rows`` index the face table of :class:`DualProgram`; ``prices`` are
+    those edges' own prices and ``ends`` the face endpoints ``P``, ``Q``
+    (``k x 2`` and ``k x 2 x 2``).
+    """
+
+    rows: np.ndarray
+    prices: np.ndarray
+    ends: np.ndarray
 
 
 class DualProgram:
@@ -251,6 +271,11 @@ class DualProgram:
     vector; utility-free two-node edges, answered by the allocation-free
     ``evaluate_pair``; and the remaining utility-free edges.  The oracle
     and conjugate bound methods are captured here.
+
+    The piecewise-linear two-node edges, the only ones with flat faces
+    to report, also go into a face table of arrays (their nodes, vector
+    columns and linear segments), so the faces at a point come from one
+    vectorized comparison instead of a ``supported_face`` call per edge.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -294,6 +319,52 @@ class DualProgram:
         # line search's trial points (see trace_info).
         self._iterate_x: np.ndarray | None = None
         self._iterate_pass: _Pass | None = None
+        # The pass at the point polish currently keeps (see keeping_polish).
+        self._kept_x: np.ndarray | None = None
+        self._kept_pass: _Pass | None = None
+        self._build_face_table()
+        self._faces_x: np.ndarray | None = None
+        self._faces_at: _Faces | None = None
+
+    def _build_face_table(self) -> None:
+        """Arrays of the piecewise-linear two-node edges, in edge order.
+
+        Per edge: its position, its plan and index there, its two nodes,
+        and the vector columns that move each of its two prices (node
+        price, utility block), with ``n_vars`` (a zero appended to the
+        vector) standing in for a pinned node price or a missing block.
+        Per linear segment: its edge, slope and endpoints
+        ``P = (-w_a, h(w_a))``, ``Q = (-w_b, h(w_b))``, and whether it
+        is its edge's only segment.
+        """
+        where = {pos: (True, k, block.start) for k, (pos, _, block, _, _) in enumerate(self._utility_plan)}
+        where.update({pos: (False, k, None) for k, (pos, _, _, _) in enumerate(self._pair_plan)})
+        edges, segments = [], []
+        # An instance without flat faces has no table edge to look for.
+        for pos, edge in enumerate(self.instance.edges if self.has_flat_faces else ()):
+            oracle = edge.oracle
+            pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
+            if not pieces:
+                continue
+            utility, plan, start = where[pos]
+            nodes = edge.incidence.nodes
+            node_cols = [self._free_pos.get(j, self.n_vars) for j in nodes]
+            block_cols = [start, start + 1] if utility else [self.n_vars] * 2
+            edges.append((pos, utility, plan, *nodes, *node_cols, *block_cols))
+            for w_a, w_b, slope in pieces:
+                ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
+                segments.append((len(edges) - 1, slope, *ends, len(pieces) == 1))
+        table = np.array(edges, dtype=int).reshape(-1, 9)
+        self._face_pos = table[:, 0]
+        self._face_utility = table[:, 1].astype(bool)
+        self._face_plan = table[:, 2]
+        self._face_nodes = table[:, 3:5]
+        self._face_cols = table[:, 5:9].reshape(-1, 2, 2)  # (node, block) x slot
+        seg = np.array(segments, dtype=float).reshape(-1, 7)
+        self._seg_edge = seg[:, 0].astype(int)
+        self._seg_slope = seg[:, 1]
+        self._seg_ends = seg[:, 2:6].reshape(-1, 2, 2)  # (P, Q) x slot
+        self._seg_single = seg[:, 6].astype(bool)
 
     # -- vector packing -------------------------------------------------
 
@@ -342,6 +413,7 @@ class DualProgram:
             return None
         value = conj_u.value
         nonsmooth = conj_u.non_unique
+        ties = False
         y_arb = np.zeros(self.instance.n)
         utility_out = []
         pair_out = []
@@ -357,22 +429,25 @@ class DualProgram:
                 nonsmooth = nonsmooth or conj_v.non_unique
                 res = evaluate(nu[idx] + xi)
                 value += res.value
-                nonsmooth = nonsmooth or res.non_unique
+                ties = ties or res.non_unique
                 y_arb[idx] += res.flow
                 utility_out.append((res, conj_v.maximizer))
                 grad_blocks.append(res.flow - conj_v.maximizer)
+            # Python floats: scalar arithmetic on them is exact IEEE as on
+            # numpy scalars, only faster, and the outputs stay plain floats.
+            prices = nu.tolist()
             for _, i0, i1, evaluate_pair in self._pair_plan:
-                out = evaluate_pair(nu[i0], nu[i1])
+                out = evaluate_pair(prices[i0], prices[i1])
                 value += out[0]
                 y_arb[i0] += out[1]
                 y_arb[i1] += out[2]
-                nonsmooth = nonsmooth or out[3]
+                ties = ties or out[3]
                 pair_out.append(out)
             for _, idx, evaluate in self._array_plan:
                 res = evaluate(nu[idx])
                 value += res.value
                 y_arb[idx] += res.flow
-                nonsmooth = nonsmooth or res.non_unique
+                ties = ties or res.non_unique
                 array_out.append(res)
         except UnattainedSupremumError:
             return None
@@ -381,7 +456,7 @@ class DualProgram:
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
         if grad_blocks:
             grad = np.concatenate([grad] + grad_blocks)
-        return _Pass(float(value), conj_u, y_arb, grad, nonsmooth, utility_out, pair_out, array_out)
+        return _Pass(float(value), conj_u, y_arb, grad, nonsmooth or ties, ties, utility_out, pair_out, array_out)
 
     def _residual(self, raw: _Pass) -> float:
         if raw.conj_u.non_unique:
@@ -428,9 +503,10 @@ class DualProgram:
     def _cached_pass(self, x: np.ndarray) -> _Pass | None:
         if self._last_x is not None and np.array_equal(self._last_x, x):
             return self._last_pass
-        if self._iterate_x is not None and np.array_equal(self._iterate_x, x):
-            self._last_x, self._last_pass, self._last_eval = self._iterate_x, self._iterate_pass, None
-            return self._last_pass
+        for kept_x, kept_pass in ((self._iterate_x, self._iterate_pass), (self._kept_x, self._kept_pass)):
+            if kept_x is not None and np.array_equal(kept_x, x):
+                self._last_x, self._last_pass, self._last_eval = kept_x, kept_pass, None
+                return kept_pass
         return self._fresh_pass(x)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -439,7 +515,27 @@ class DualProgram:
         raw = self._fresh_pass(x)
         if raw is None:
             return math.inf, None
+        if self._kept_pass is not None and polish_keeps(raw.value, self._kept_pass.value):
+            self._kept_x, self._kept_pass = self._last_x, raw
         return raw.value, raw.grad
+
+    def keeping_polish(self, generator):
+        """Wrap a polish generator so the pass at the point polish keeps
+        stays cached.
+
+        The driver calls each generator with its best point so far; from
+        then on every evaluation that :func:`convexflows.qn.polish_keeps`
+        accepts against the kept value replaces the kept pass, as the
+        driver replaces its point.  The final assembly at the polished
+        point then reads that pass instead of evaluating it again.
+        """
+
+        def propose(x):
+            raw = self._cached_pass(x)
+            self._kept_x, self._kept_pass = self._last_x, raw
+            return generator(x)
+
+        return propose
 
     def evaluate(self, x: np.ndarray) -> DualEval:
         self._fresh_pass(x)
@@ -492,16 +588,54 @@ class DualProgram:
                     return _infinite_eval()
         return self._assemble(self._evaluate_pass(nu, self._edge_blocks(nu, point.edge_prices)))
 
-    def _faces(self, nu: np.ndarray) -> list:
-        """``(position, prices, (p, q))`` of every edge whose node prices
-        ``nu`` support a flat face with endpoints ``p`` and ``q``."""
-        faces = []
-        for pos, edge in enumerate(self.instance.edges):
-            prices = edge.incidence.gather(nu)
-            face = edge.oracle.supported_face(prices, 1e-7)
-            if face is not None:
-                faces.append((pos, prices, face))
-        return faces
+    def _faces(self, x: np.ndarray) -> _Faces:
+        """The flat faces supported at ``x``, cached for the last ``x`` asked.
+
+        An edge's face is its first linear segment whose slope matches
+        the edge's own price ratio to a relative ``1e-7`` (a utility
+        edge's prices include its block of ``x``), or, at zero prices,
+        its only segment: the rule of ``TwoNodeEdge.supported_face``,
+        applied to every table edge in one comparison.  The line-search
+        screen, a steepest-descent retry and an escape at the same
+        iterate all read one computation.
+        """
+        if self._faces_x is not None and np.array_equal(self._faces_x, x):
+            return self._faces_at
+        nu = self.node_prices(x)
+        prices = nu[self._face_nodes] + np.append(x, 0.0)[self._face_cols[:, 1]]
+        seg_prices = prices[self._seg_edge]
+        p_in, p_out = seg_prices[:, 0], seg_prices[:, 1]
+        hit = (p_out > 0.0) & (np.abs(p_in - self._seg_slope * p_out) <= _FACE_TOL * (p_in + p_out))
+        hit |= (p_in == 0.0) & (p_out == 0.0) & self._seg_single
+        segs = np.flatnonzero(hit)
+        segs = segs[np.diff(self._seg_edge[segs], prepend=-1) != 0]  # first match per edge
+        rows = self._seg_edge[segs]
+        prices = prices[rows]
+        self._faces_x, self._faces_at = np.array(x, copy=True), _Faces(rows, prices, self._seg_ends[segs])
+        return self._faces_at
+
+    def _face_state(self, raw: _Pass, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flows and tie flags of the given face-table edges in the pass ``raw``.
+
+        A tie flag says that the edge's oracle reported a non-unique
+        maximizer: its prices lie exactly on a face, not just within the
+        face tolerance of one.
+        """
+        plan = self._face_plan[rows]
+        utility = self._face_utility[rows]
+        flow = np.empty((len(rows), 2))
+        tie = np.empty(len(rows), dtype=bool)
+        if not utility.all():
+            picked = plan[~utility].tolist()
+            picked = itemgetter(*picked)(raw.pair) if len(picked) > 1 else [raw.pair[picked[0]]]
+            _, flow_in, flow_out, flags = zip(*picked)
+            flow[~utility] = np.array((flow_in, flow_out)).T
+            tie[~utility] = flags
+        if utility.any():
+            picked = [raw.utility[j][0] for j in plan[utility].tolist()]
+            flow[utility] = [res.flow for res in picked]
+            tie[utility] = [res.non_unique for res in picked]
+        return flow, tie
 
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
@@ -519,17 +653,34 @@ class DualProgram:
         anything.  The bound reads the pass the driver's callback made
         at ``x``.
         """
-        directions, faces = self._tie_graph(x)
+        directions = self._tie_graph(x)
         if not directions:
             return directions
-        bounds, margin = self._descent_bounds(x, directions, faces)
+        bounds, margin = self._descent_bounds(x, directions)
         # A NaN bound certifies nothing, so its direction stays.
         return [d for d, b in zip(directions, bounds) if not b >= -margin]
 
-    def _tie_graph(self, x: np.ndarray) -> tuple[list[np.ndarray], list]:
-        """The unscreened tie-graph moves at ``x`` and the faces they come from."""
+    def rises_at_probe(self, x: np.ndarray, d: np.ndarray) -> bool:
+        """Whether ``f`` provably rises along ``d`` at its escape probe.
+
+        The driver's line-search screen.  It takes the lower bound of
+        :meth:`escape_bounds` on ``f(x + s) - f(x)`` over the faces whose
+        edge the pass at ``x`` reports tied (a non-unique maximizer), and
+        answers True when the bound exceeds the probe margin.  At an exact
+        tie an edge's term grows linearly from zero with the step, so the
+        bound does too: no step along ``d`` descends, and backtracking
+        would only halve down to float noise.  A face merely within the
+        face tolerance of the prices can leave descent short of its kink,
+        so it does not count.  Without any tie the bound is ``g·s`` and
+        no face is looked up.  A NaN bound proves nothing.
+        """
+        bounds, margin = self._descent_bounds(x, np.asarray(d)[None, :], ties_only=True)
+        return bool(bounds[0] > margin)
+
+    def _tie_graph(self, x: np.ndarray) -> list[np.ndarray]:
+        """The unscreened tie-graph moves at ``x``."""
         nu = self.node_prices(x)
-        faces = self._faces(nu)
+        faces = self._faces(x)
         parent = list(range(self.instance.n))
 
         def find(a):
@@ -540,20 +691,17 @@ class DualProgram:
 
         free_pos = self._free_pos
         directions: list[np.ndarray] = []
-        for pos, prices, _ in faces:
-            nodes = self.instance.edges[pos].incidence.nodes
-            root = find(nodes[0])
-            for j in nodes[1:]:
-                parent[find(j)] = root
+        for (a, b), (p_in, p_out) in zip(self._face_nodes[faces.rows].tolist(), faces.prices.tolist()):
+            parent[find(b)] = find(a)
             # Single-tie moves: vary the output price and scale the input
             # price along with it, preserving this tie while letting the
             # neighbours' ties break.
-            if len(nodes) == 2 and prices[1] > 0.0:
+            if p_out > 0.0:
                 d = np.zeros(len(x))
-                if nodes[1] in free_pos:
-                    d[free_pos[nodes[1]]] = 1.0
-                if nodes[0] in free_pos:
-                    d[free_pos[nodes[0]]] = prices[0] / prices[1]
+                if b in free_pos:
+                    d[free_pos[b]] = 1.0
+                if a in free_pos:
+                    d[free_pos[a]] = p_in / p_out
                 if np.any(d):
                     directions.append(d)
                     directions.append(-d)
@@ -572,37 +720,36 @@ class DualProgram:
                 if np.any(d):
                     directions.append(d)
                     directions.append(-d)
-        return directions, faces
+        return directions
 
     def escape_bounds(self, x: np.ndarray, directions) -> np.ndarray:
         """First-order lower bounds on ``f(x + s) - f(x)``, one per direction.
 
         ``s`` is the escape probe step of each direction
         (:func:`convexflows.qn.escape_probes`).  With ``g`` the gradient
-        and ``z_i``, ``v_i`` the flow and value of edge ``i`` at ``x``,
-        the bound is
+        and ``z_i`` the flow of edge ``i`` at ``x``, the bound is
 
-            g·s + sum_i [ max_{w in {z_i, P_i, Q_i}} w·(p_i + d_i) - v_i - z_i·d_i ]
+            g·s + sum_i max_{w in {z_i, P_i, Q_i}} (w - z_i)·(p_i + d_i)
 
-        over the edges whose node prices support a face with endpoints
-        ``P_i``, ``Q_i``; ``p_i`` are the edge's prices (node prices plus
-        the transformed block of a utility edge) and ``d_i`` their share
-        of ``s``.  Each edge's support function at shifted prices is at
-        least the value of any allowable flow there, and every other
-        term of the dual is at least its value plus its subgradient
-        step, so the bound holds up to rounding.
+        over the edges whose prices ``p_i`` (node prices plus the
+        transformed block of a utility edge) support a face with
+        endpoints ``P_i``, ``Q_i``; ``d_i`` is their share of ``s``.
+        Each edge's support function at shifted prices is at least the
+        value of any allowable flow there, its value at ``x`` is
+        ``z_i·p_i``, and every other term of the dual is at least its
+        value plus its subgradient step, so the bound holds up to
+        rounding.
         """
-        return self._descent_bounds(x, directions, self._faces(self.node_prices(x)))[0]
+        return self._descent_bounds(x, directions)[0]
 
-    def _descent_bounds(self, x: np.ndarray, directions, faces) -> tuple[np.ndarray, float]:
-        """:meth:`escape_bounds` for precomputed faces, plus the probe margin.
+    def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:
+        """:meth:`escape_bounds` plus the probe margin; with ``ties_only``,
+        over the tied faces alone (see :meth:`rises_at_probe`).
 
-        The probe steps form one ``k x n_vars`` array.  Edge ``i``'s term
-        is computed as ``max_w c_w + (w - z_i)·d_i`` with
-        ``c_w = w·p_i - v_i``.  It is the constant ``max_w c_w`` wherever
-        the step leaves the edge's prices alone, so only the (direction,
-        edge) pairs that move some price are worked out, from the nonzero
-        steps; a block of rows at a time keeps the pair arrays small.
+        Edge ``i``'s term is ``max_w (w - z_i)·(p_i + d_i)``, worked out
+        as ``max(0, offsets + toward·d_i)`` (``w = z_i`` gives the zero)
+        with ``d_i`` gathered from each probe step's columns, a block of
+        rows at a time.
         """
         steps, _, margin = escape_probes(x, directions, self.lower)
         steps -= x  # probe points to probe steps, in place
@@ -610,50 +757,23 @@ class DualProgram:
         if raw is None:
             return np.full(len(steps), -math.inf), margin
         bounds = steps @ raw.grad
-        if not faces:
+        if ties_only and not raw.edge_ties:
             return bounds, margin
-        # Edge values, flows and prices at x, assembled from the cached pass.
-        solutions = self.cached_eval(x).edges
-        edge_prices = self.to_point(x).edge_prices
-        blocks = {pos: block for pos, _, block, _, _ in self._utility_plan}
-        # One entry per (vector coordinate, face edge): the coordinate's
-        # column and the edge's slopes toward its face endpoints P and Q.
-        cols, owners, slopes = [], [], []
-        offsets = np.empty((len(faces), 3))
-        for e, (pos, _, ends) in enumerate(faces):
-            flow = solutions[pos].flow_arbitrage
-            offsets[e] = [w @ edge_prices[pos] - solutions[pos].support_value for w in (flow, *ends)]
-            block = blocks.get(pos)
-            for t, j in enumerate(self.instance.edges[pos].incidence.nodes):
-                coords = [self._free_pos[j]] if j in self._free_pos else []
-                if block is not None:
-                    coords.append(block.start + t)
-                for c in coords:
-                    cols.append(c)
-                    owners.append(e)
-                    slopes.append((ends[0][t] - flow[t], ends[1][t] - flow[t]))
-        unmoved = offsets.max(axis=1)
-        bounds += unmoved.sum()
-        order = np.argsort(cols, kind="stable")
-        cols = np.asarray(cols, dtype=int)[order]
-        owners = np.asarray(owners, dtype=int)[order]
-        slopes = np.asarray(slopes).reshape(-1, 2)[order]
-        m = len(faces)
+        rows, prices, ends = self._faces(x)
+        if not len(rows):
+            return bounds, margin
+        flow, tie = self._face_state(raw, rows)
+        if ties_only:
+            rows, prices, ends, flow = rows[tie], prices[tie], ends[tie], flow[tie]
+        toward = ends - flow[:, None, :]
+        offsets = np.einsum("kes,ks->ke", toward, prices)
+        cols = self._face_cols[rows]
+        steps = np.concatenate([steps, np.zeros((len(steps), 1))], axis=1)
         for lo in range(0, len(steps), _BOUND_ROWS):
             part = steps[lo : lo + _BOUND_ROWS]
-            rows, moved = np.nonzero(part)
-            # Expand each nonzero step into the entries of its column.
-            first = np.searchsorted(cols, moved, "left")
-            count = np.searchsorted(cols, moved, "right") - first
-            step_of = np.repeat(np.arange(len(moved)), count)
-            entry = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(step_of))
-            pairs, pair_of = np.unique(rows[step_of] * m + owners[entry], return_inverse=True)
-            moves = part[rows, moved][step_of, None] * slopes[entry]
-            to_p = np.bincount(pair_of, moves[:, 0], len(pairs))
-            to_q = np.bincount(pair_of, moves[:, 1], len(pairs))
-            edge = pairs % m
-            terms = np.maximum(np.maximum(offsets[edge, 1] + to_p, offsets[edge, 2] + to_q), offsets[edge, 0])
-            bounds[lo : lo + len(part)] += np.bincount(pairs // m, terms - unmoved[edge], len(part))
+            moves = part[:, cols[:, 0]] + part[:, cols[:, 1]]  # rows x faces x slot
+            terms = np.einsum("rks,kes->rke", moves, toward) + offsets
+            bounds[lo : lo + len(part)] += np.maximum(terms.max(axis=2), 0.0).sum(axis=1)
         return bounds, margin
 
 
@@ -739,7 +859,10 @@ def _run_driver(
         )
 
     x0 = program.initial_vector(start)
-    candidates = [np.round, _threshold_candidates] if program.has_flat_faces else None
+    # Only an instance with a flat face polishes and screens its line
+    # searches: elsewhere the face bound is the gradient term alone.
+    flat = program.has_flat_faces
+    candidates = [program.keeping_polish(g) for g in (np.round, _threshold_candidates)] if flat else None
     result = minimize_bound_lbfgs(
         fun,
         x0,
@@ -748,6 +871,7 @@ def _run_driver(
         callback=record,
         polish_candidates=candidates,
         escape_directions=program.escape_directions,
+        line_search_screen=program.rises_at_probe if flat else None,
     )
     final = program.cached_eval(result.x)
     return result, final, trace

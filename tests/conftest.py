@@ -13,6 +13,7 @@ from convexflows import (
     TwoAssetGeometricPool,
     GeometricMeanPool,
     lossless_edge,
+    piecewise_linear_edge,
 )
 from convexflows.io_cli import gen_cfmm, gen_maxflow, gen_opf, instance_from_dict
 
@@ -57,6 +58,25 @@ def cfmm_instance(m=10, seed=0, edge_penalties=False):
 
 def maxflow_instance(n=8, density=0.35, seed=0):
     return instance_from_dict(gen_maxflow(n, density, seed))
+
+
+# Gains above one on the first piece: at zero or near-tied prices the
+# maximizer can jump past the face endpoints, so the bound is not exact.
+_PIECES = [(0.0, 0.0), (1.0, 1.2), (2.0, 2.2), (3.0, 2.7)]
+
+
+def piecewise_dag_instance(seed, n=8, density=0.7):
+    """Max-flow over an acyclic graph of four-point piecewise-linear gains."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                c = float(rng.integers(1, 4))
+                edges.append(
+                    Hyperedge(EdgeIncidence((u, v)), piecewise_linear_edge([(w * c, h * c) for w, h in _PIECES]))
+                )
+    return ProblemInstance(n=n, edges=edges, net_objective=MaxFlowObjective(n))
 
 
 def maxflow_arcs(instance):

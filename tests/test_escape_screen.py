@@ -10,31 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import maxflow_arcs, maxflow_instance, quadratic_penalty_on
-from convexflows import EdgeIncidence, Hyperedge, MaxFlowObjective, ProblemInstance, piecewise_linear_edge
+from conftest import maxflow_arcs, maxflow_instance, piecewise_dag_instance, quadratic_penalty_on
 from convexflows import qn
 from convexflows.qn import escape_probes
 from convexflows.solver import DualProgram, solve, solve_dual
 from convexflows.validation import maxflow_oracle
-
-# Gains above one on the first piece: at zero or near-tied prices the
-# maximizer can jump past the face endpoints, so the bound is not exact.
-_PIECES = [(0.0, 0.0), (1.0, 1.2), (2.0, 2.2), (3.0, 2.7)]
-
-
-def piecewise_dag_instance(seed, n=8, density=0.7):
-    """Max-flow over an acyclic graph of four-point piecewise-linear gains."""
-    rng = np.random.default_rng(seed)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                c = float(rng.integers(1, 4))
-                edges.append(
-                    Hyperedge(EdgeIncidence((u, v)), piecewise_linear_edge([(w * c, h * c) for w, h in _PIECES]))
-                )
-    return ProblemInstance(n=n, edges=edges, net_objective=MaxFlowObjective(n))
-
 
 def stall_points(instance, monkeypatch):
     """Iterates at which the driver attempts an escape while solving."""
@@ -59,7 +39,7 @@ def bound_gaps(instance, points, rng=None):
     for x in points:
         f, _ = program.value_and_grad(x)
         assert math.isfinite(f)
-        candidates = program._tie_graph(x)[0]
+        candidates = program._tie_graph(x)
         if rng is not None:
             candidates += list(rng.normal(size=(4, program.n_vars)))
         if not candidates:
@@ -121,7 +101,8 @@ def test_bound_is_sound_with_faces_on_utility_edges(monkeypatch):
         # Some faces must lie on utility edges at these points.
         utility_faces = 0
         for x in points:
-            for pos, _, _ in program._faces(program.node_prices(x)):
+            program.value_and_grad(x)
+            for pos in program._face_pos[program._faces(x).rows]:
                 utility_faces += instance.edges[pos].utility is not None
         assert utility_faces > 0
         # Random directions also move the utility blocks.
@@ -138,7 +119,7 @@ def test_screen_keeps_descending_candidates_in_order():
     dropped = 0
     for x in unit_vertices(instance, rng, 10):
         program.value_and_grad(x)
-        candidates = program._tie_graph(x)[0]
+        candidates = program._tie_graph(x)
         bounds = program.escape_bounds(x, candidates)
         _, _, margin = escape_probes(x, candidates, program.lower)
         expected = [d for d, b in zip(candidates, bounds) if b < -margin]
@@ -166,7 +147,7 @@ def test_screen_reads_the_iterate_pass(monkeypatch):
         return original(self, nu, vec)
 
     monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
-    assert program._tie_graph(x)[0]
+    assert program._tie_graph(x)
     program.escape_directions(x)
     assert passes == []
 
