@@ -145,9 +145,6 @@ class ProblemInstance:
     def incidences(self) -> list[EdgeIncidence]:
         return [e.incidence for e in self.edges]
 
-    def has_edge_utilities(self) -> bool:
-        return bool(self.utility_edges)
-
 
 @dataclass
 class PrimalPoint:

@@ -2,7 +2,7 @@
 
 Instances travel as self-describing JSON documents with a closed set of
 ``kind`` tags; no executable content.  Generators are pure functions of
-``(size, seed)``.  The CLI wraps solve / generate / check / bench.
+``(size, seed)``.  The CLI wraps solve / generate / check.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -568,30 +567,6 @@ def _cmd_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    rows = ["family,size,trial,seed,time_s,iterations,dual_value,converged"]
-    for size in sizes:
-        for trial in range(args.trials):
-            seed = args.seed + trial
-            doc = gen_opf(size, seed) if args.family == "opf" else gen_cfmm(size, seed)
-            instance = instance_from_dict(doc)
-            start = time.perf_counter()
-            result = solve(instance)
-            elapsed = time.perf_counter() - start
-            rows.append(
-                f"{args.family},{size},{trial},{seed},{elapsed!r},"
-                f"{result.iterations},{result.dual_value!r},{result.converged}"
-            )
-    text = "\n".join(rows) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="convexflows", description="Convex network flow solver over hypergraphs"
@@ -622,13 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--gap-tol", type=float, default=1e-4)
     p_check.set_defaults(func=_cmd_check)
 
-    p_bench = sub.add_parser("bench", help="time generated instances")
-    p_bench.add_argument("family", choices=["opf", "cfmm"])
-    p_bench.add_argument("--sizes", required=True, help="comma-separated sizes")
-    p_bench.add_argument("--trials", type=int, default=3)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("-o", "--output", default="-")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

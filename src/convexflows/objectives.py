@@ -327,17 +327,15 @@ class MinCostObjective(ObjectiveOracle):
         return max(worst, 0.0)
 
     def recovery_target(self, prices, conj_result):
-        prices = np.asarray(prices, dtype=float)
+        # Route exactly the target, with interior nodes conserving, at
+        # every price.  At uniform source and sink prices the conjugate's
+        # maximizer is not unique, and leaving the two ends free there
+        # would let the fit route nothing.
         s, t = self.conservation.source, self.conservation.sink
         target = np.zeros(self.dim)
         target[s] = -self.conservation.target
         target[t] = self.conservation.target
-        mask = self._interior
-        if prices[t] - prices[s] > 1e-9 * (1.0 + abs(prices[t])):
-            mask = mask.copy()
-            mask[s] = True
-            mask[t] = True
-        return target, mask
+        return target, np.ones(self.dim, dtype=bool)
 
 
 class FisherObjective(ObjectiveOracle):

@@ -208,27 +208,22 @@ def _check_residual(residual: float, y_target: np.ndarray, tol: float) -> None:
         )
 
 
-def recover_flows(instance: ProblemInstance, dual_point, evaluation, tol: float = 1e-6):
+def recover_flows(instance: ProblemInstance, dual_point, flows, conj_u: ConjugateValue, tol: float = 1e-6):
     """Recovery pass used by the end-to-end solve.
 
-    Detects supported segments at the solved prices and re-fits them
-    against the objective's recovery target.  When the objective pins
-    nothing, or no edge is ambiguous and the target is already met, the
-    arbitrage maximizers pass through unchanged.  A failed fit degrades
-    gracefully: the raw flows are returned with the residual attached.
+    ``flows`` are the edge maximizers at ``dual_point`` in edge order and
+    ``conj_u`` is the net-objective conjugate there, both from the same
+    dual pass.  Detects supported segments at the solved prices and
+    re-fits them against the objective's recovery target.  When the
+    objective pins nothing, or no edge is ambiguous and the target is
+    already met, the arbitrage maximizers pass through unchanged.  A
+    failed fit degrades gracefully: the raw flows are returned with the
+    residual attached.
 
     Returns:
         ``(flows, residual)``; the residual is NaN when no fit ran.
     """
-    flows = [sol.flow_arbitrage for sol in evaluation.edges]
-    target_spec = instance.net_objective.recovery_target(
-        np.asarray(dual_point.node_prices, dtype=float),
-        ConjugateValue(
-            value=evaluation.value,
-            maximizer=evaluation.y_star,
-            non_unique=evaluation.y_non_unique,
-        ),
-    )
+    target_spec = instance.net_objective.recovery_target(np.asarray(dual_point.node_prices, dtype=float), conj_u)
     if target_spec is None:
         return flows, math.nan
 

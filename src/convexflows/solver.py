@@ -1,4 +1,4 @@
-"""Dual assembly, orthant transformation, and the solve drivers.
+"""The dual program and the solve entry points.
 
 The dual of the flow problem minimizes
 
@@ -14,8 +14,10 @@ instances are a problem in ``nu`` alone.
 
 One evaluator, :class:`DualProgram`, computes the dual for every
 instance and every entry point (:func:`eval_dual`, :func:`solve_dual`,
-:func:`solve_zero_edge`, :func:`solve`), serially and in a fixed edge
-order.
+:func:`solve`), serially and in a fixed edge order.  One pass of it
+gives the dual value, the gradient and every edge's maximizer; the
+driver, its screens, the trace callback and the final result all read
+that pass.
 
 Gradients assemble from the subproblem maximizers: the transformed
 node-price gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``,
@@ -27,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -44,16 +46,11 @@ __all__ = [
     "SolverConfig",
     "TraceRow",
     "ConvergenceTrace",
-    "EdgeSolution",
-    "DualEval",
     "SolveResult",
     "UnboundedDualError",
     "InfeasibleStartError",
-    "transform",
-    "untransform",
     "eval_dual",
     "solve_dual",
-    "solve_zero_edge",
     "solve",
     "duality_gap",
 ]
@@ -80,7 +77,7 @@ class DualPoint:
 
 @dataclass
 class SolverConfig:
-    """Solve parameters; every field must be positive.
+    """Solve parameters; every field must be positive (else ``ValueError``).
 
     ``grad_tol`` and ``max_iter`` go to the quasi-Newton driver;
     ``feas_tol`` is the scaled margin at which recovered primal points
@@ -97,6 +94,12 @@ class SolverConfig:
     grad_tol: float = 1e-7
     max_iter: int = 1000
     feas_tol: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for name in ("grad_tol", "max_iter", "feas_tol"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"SolverConfig.{name} must be positive, got {value!r}")
 
 
 @dataclass
@@ -135,100 +138,17 @@ class ConvergenceTrace:
                 )
 
 
-@dataclass
-class EdgeSolution:
-    """Per-edge subproblem outcome at one dual point."""
-
-    support_value: float
-    flow_arbitrage: np.ndarray
-    flow_utility: np.ndarray
-    non_unique: bool
-
-
-@dataclass
-class DualEval:
-    """Dual value, gradients, and all subproblem maximizers at a point."""
-
-    value: float
-    grad_nodes: np.ndarray | None
-    grad_edges: list[np.ndarray] | None
-    grad_nodes_orthant: np.ndarray | None
-    y_star: np.ndarray | None
-    y_non_unique: bool
-    edges: list[EdgeSolution] | None
-    net_flow_arbitrage: np.ndarray | None
-    primal_residual: float
-    nonsmooth: bool
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-def _infinite_eval() -> DualEval:
-    return DualEval(
-        value=math.inf,
-        grad_nodes=None,
-        grad_edges=None,
-        grad_nodes_orthant=None,
-        y_star=None,
-        y_non_unique=False,
-        edges=None,
-        net_flow_arbitrage=None,
-        primal_residual=math.nan,
-        nonsmooth=False,
-    )
-
-
-def transform(instance: ProblemInstance, point: DualPoint) -> np.ndarray:
-    """Stack ``(nu, eta_i - A_i^T nu, ...)``, mapping duals onto the orthant.
-
-    The change of variables is lower triangular with unit diagonal, so it
-    is its own cheap inverse (see :func:`untransform`); no matrix is ever
-    materialized.
-    """
-    nu = np.asarray(point.node_prices, dtype=float)
-    parts = [nu]
-    for edge, eta in zip(instance.edges, point.edge_prices):
-        parts.append(np.asarray(eta, dtype=float) - edge.incidence.gather(nu))
-    return np.concatenate(parts)
-
-
-def untransform(instance: ProblemInstance, stacked: np.ndarray) -> DualPoint:
-    """Inverse of :func:`transform`."""
-    stacked = np.asarray(stacked, dtype=float)
-    nu = stacked[: instance.n]
-    etas = []
-    offset = instance.n
-    for edge in instance.edges:
-        d = edge.incidence.dim
-        etas.append(stacked[offset : offset + d] + edge.incidence.gather(nu))
-        offset += d
-    if offset != len(stacked):
-        raise ValueError(f"stacked vector of length {len(stacked)}, expected {offset}")
-    return DualPoint(node_prices=nu, edge_prices=etas)
-
-
-def eval_dual(instance: ProblemInstance, point: DualPoint) -> DualEval:
-    """Evaluate the dual function, its gradient, and all maximizers.
-
-    Infinite conjugate values (such as negative prices) yield an infinite
-    dual value with no gradient.  Edges without a utility term require
-    ``eta_i = A_i^T nu``; any violation is likewise an infinite value.
-
-    Raises:
-        UnboundedDualError: An edge's price subproblem is unbounded.
-    """
-    return DualProgram(instance).evaluate_point(point)
-
-
 class _Pass(NamedTuple):
-    """Raw outcome of one evaluation pass; assembles into a :class:`DualEval`.
+    """Outcome of one evaluation pass: the only form a dual evaluation takes.
 
-    ``utility``, ``pair`` and ``array`` hold the per-edge outputs of the
-    three plans in plan order: ``(ArbitrageResult, utility maximizer)``
-    pairs, ``(value, flow_in, flow_out, non_unique)`` tuples and
-    ``ArbitrageResult`` objects.  ``grad`` is the gradient in the reduced
+    ``value`` is the dual value, ``conj_u`` the net-objective conjugate
+    (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
+    of the edge maximizers.  ``utility``, ``pair`` and ``array`` hold the
+    per-edge outputs of the three plans in plan order:
+    ``(ArbitrageResult, utility maximizer)`` pairs,
+    ``(value, flow_in, flow_out, non_unique)`` tuples and
+    ``ArbitrageResult`` objects (:meth:`DualProgram.edge_flows` reads the
+    flows back in edge order).  ``grad`` is the gradient in the reduced
     vector.  ``edge_ties`` says whether some edge answered with a
     non-unique maximizer; ``nonsmooth`` also counts the conjugates.
     """
@@ -314,7 +234,6 @@ class DualProgram:
         self.lower = np.concatenate([bounds[self.free_nodes], np.zeros(offset - len(self.free_nodes))])
         self._last_x: np.ndarray | None = None
         self._last_pass: _Pass | None = None
-        self._last_eval: DualEval | None = None
         # The pass at the driver's current iterate, kept apart from the
         # line search's trial points (see trace_info).
         self._iterate_x: np.ndarray | None = None
@@ -463,41 +382,9 @@ class DualProgram:
             return float(self.instance.net_objective.domain_violation(raw.y_arb))
         return float(np.max(np.abs(raw.conj_u.maximizer - raw.y_arb)))
 
-    def _assemble(self, raw: _Pass | None) -> DualEval:
-        if raw is None:
-            return _infinite_eval()
-        edges = self.instance.edges
-        solutions: list[EdgeSolution | None] = [None] * len(edges)
-        grad_edges = [np.zeros(edge.incidence.dim) for edge in edges]
-        y_star = raw.conj_u.maximizer
-        grad_orthant = raw.y_arb - y_star
-        grad_nodes = grad_orthant.copy()
-        for (pos, idx, _, _, _), (res, x_util) in zip(self._utility_plan, raw.utility):
-            solutions[pos] = EdgeSolution(res.value, res.flow, x_util, res.non_unique)
-            grad_edges[pos] = res.flow - x_util
-            grad_nodes[idx] -= grad_edges[pos]
-        for (pos, _, _, _), (support, flow_in, flow_out, flag) in zip(self._pair_plan, raw.pair):
-            flow = np.array([flow_in, flow_out])
-            solutions[pos] = EdgeSolution(support, flow, flow, flag)
-        for (pos, _, _), res in zip(self._array_plan, raw.array):
-            solutions[pos] = EdgeSolution(res.value, res.flow, res.flow, res.non_unique)
-        return DualEval(
-            value=raw.value,
-            grad_nodes=grad_nodes,
-            grad_edges=grad_edges,
-            grad_nodes_orthant=grad_orthant,
-            y_star=y_star,
-            y_non_unique=raw.conj_u.non_unique,
-            edges=solutions,
-            net_flow_arbitrage=raw.y_arb,
-            primal_residual=self._residual(raw),
-            nonsmooth=raw.nonsmooth,
-        )
-
     def _fresh_pass(self, x: np.ndarray) -> _Pass | None:
         self._last_pass = self._evaluate_pass(self.node_prices(x), x)
         self._last_x = np.array(x, copy=True)
-        self._last_eval = None
         return self._last_pass
 
     def _cached_pass(self, x: np.ndarray) -> _Pass | None:
@@ -505,13 +392,11 @@ class DualProgram:
             return self._last_pass
         for kept_x, kept_pass in ((self._iterate_x, self._iterate_pass), (self._kept_x, self._kept_pass)):
             if kept_x is not None and np.array_equal(kept_x, x):
-                self._last_x, self._last_pass, self._last_eval = kept_x, kept_pass, None
+                self._last_x, self._last_pass = kept_x, kept_pass
                 return kept_pass
         return self._fresh_pass(x)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        # The driver's line search never looks at the per-edge solutions;
-        # the cached pass assembles them on demand.
         raw = self._fresh_pass(x)
         if raw is None:
             return math.inf, None
@@ -526,8 +411,8 @@ class DualProgram:
         The driver calls each generator with its best point so far; from
         then on every evaluation that :func:`convexflows.qn.polish_keeps`
         accepts against the kept value replaces the kept pass, as the
-        driver replaces its point.  The final assembly at the polished
-        point then reads that pass instead of evaluating it again.
+        driver replaces its point.  The result at the polished point then
+        reads that pass instead of evaluating it again.
         """
 
         def propose(x):
@@ -537,18 +422,8 @@ class DualProgram:
 
         return propose
 
-    def evaluate(self, x: np.ndarray) -> DualEval:
-        self._fresh_pass(x)
-        return self.cached_eval(x)
-
-    def cached_eval(self, x: np.ndarray) -> DualEval:
-        raw = self._cached_pass(x)
-        if self._last_eval is None:
-            self._last_eval = self._assemble(raw)
-        return self._last_eval
-
     def trace_info(self, x: np.ndarray):
-        """(primal_residual, net_flow, nonsmooth) at ``x`` without assembling.
+        """(primal_residual, net_flow, nonsmooth) at ``x``, from its pass.
 
         The driver's callback calls this at every iterate, so the pass at
         ``x`` is kept until the next call: line-search trials do not
@@ -561,7 +436,7 @@ class DualProgram:
         return self._residual(raw), raw.y_arb, raw.nonsmooth
 
     def utility_flows(self, x: np.ndarray) -> list:
-        """Edge flows at ``x`` for :func:`primal_objective`, without assembling.
+        """Edge flows at ``x`` for :func:`primal_objective`, from its pass.
 
         Only edges with a utility are scored, so only their arbitrage flows
         are filled in; the utility-free entries are None.  Call after
@@ -572,21 +447,16 @@ class DualProgram:
             flows[pos] = res.flow
         return flows
 
-    def evaluate_point(self, point: DualPoint) -> DualEval:
-        """Evaluate at explicit dual prices, bypassing the reduced vector.
-
-        Node prices are taken as given (no fixed-coordinate substitution),
-        and utility-free edges must have ``eta_i = A_i^T nu``; anything
-        else is an infinite value.
-        """
-        nu = np.asarray(point.node_prices, dtype=float)
-        for edge, eta in zip(self.instance.edges, point.edge_prices):
-            if edge.utility is None:
-                eta = np.asarray(eta, dtype=float)
-                off = np.max(np.abs(eta - edge.incidence.gather(nu)), initial=0.0)
-                if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
-                    return _infinite_eval()
-        return self._assemble(self._evaluate_pass(nu, self._edge_blocks(nu, point.edge_prices)))
+    def edge_flows(self, raw: _Pass) -> list[np.ndarray]:
+        """The arbitrage flow of every edge in the pass ``raw``, in edge order."""
+        flows: list = [None] * len(self.instance.edges)
+        for (pos, _, _, _, _), (res, _) in zip(self._utility_plan, raw.utility):
+            flows[pos] = res.flow
+        for (pos, _, _, _), out in zip(self._pair_plan, raw.pair):
+            flows[pos] = np.array(out[1:3])
+        for (pos, _, _), res in zip(self._array_plan, raw.array):
+            flows[pos] = res.flow
+        return flows
 
     def _faces(self, x: np.ndarray) -> _Faces:
         """The flat faces supported at ``x``, cached for the last ``x`` asked.
@@ -781,9 +651,11 @@ class DualProgram:
 class SolveResult:
     """Everything a solve produces.
 
-    ``flows`` and the derived primal quantities are filled by
-    :func:`solve`; the dual-only drivers leave them at the arbitrage
-    maximizers without a recovery pass.
+    The dual quantities come from the pass at the final iterate:
+    ``flows`` are the edge maximizers there and ``net_flow`` is their
+    incidence sum.  :func:`solve` then replaces both with the recovered
+    flows and fills in the primal quantities; :func:`solve_dual` leaves
+    those at NaN.
     """
 
     dual_point: DualPoint
@@ -800,7 +672,6 @@ class SolveResult:
     status: str
     nonsmooth: bool
     recovery_residual: float = math.nan
-    evaluation: DualEval | None = field(default=None, repr=False)
 
 
 def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
@@ -828,15 +699,11 @@ def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
     return candidates
 
 
-def _run_driver(
-    program: DualProgram, start: DualPoint | None, config: SolverConfig
-) -> tuple:
-    instance = program.instance
+def _solve_dual(instance: ProblemInstance, start: DualPoint | None, config: SolverConfig) -> tuple[SolveResult, _Pass]:
+    """Run the driver; the result plus the pass at its final iterate."""
+    program = DualProgram(instance)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
-
-    def fun(x: np.ndarray):
-        return program.value_and_grad(x)
 
     def record(iteration, x, f, grad, pg_norm):
         gap = math.nan
@@ -858,14 +725,13 @@ def _run_driver(
             )
         )
 
-    x0 = program.initial_vector(start)
     # Only an instance with a flat face polishes and screens its line
     # searches: elsewhere the face bound is the gradient term alone.
     flat = program.has_flat_faces
     candidates = [program.keeping_polish(g) for g in (np.round, _threshold_candidates)] if flat else None
-    result = minimize_bound_lbfgs(
-        fun,
-        x0,
+    driver = minimize_bound_lbfgs(
+        program.value_and_grad,
+        program.initial_vector(start),
         program.lower,
         QNConfig(grad_tol=config.grad_tol, max_iter=config.max_iter),
         callback=record,
@@ -873,18 +739,12 @@ def _run_driver(
         escape_directions=program.escape_directions,
         line_search_screen=program.rises_at_probe if flat else None,
     )
-    final = program.cached_eval(result.x)
-    return result, final, trace
-
-
-def _dual_only_result(program: DualProgram, driver, final: DualEval, trace) -> SolveResult:
-    point = program.to_point(driver.x)
-    flows = [sol.flow_arbitrage for sol in final.edges]
-    return SolveResult(
-        dual_point=point,
-        dual_value=final.value,
-        flows=flows,
-        net_flow=final.net_flow_arbitrage,
+    raw = program._cached_pass(driver.x)
+    result = SolveResult(
+        dual_point=program.to_point(driver.x),
+        dual_value=raw.value,
+        flows=program.edge_flows(raw),
+        net_flow=raw.y_arb,
         primal_value=math.nan,
         duality_gap=math.nan,
         relative_gap=math.nan,
@@ -893,9 +753,9 @@ def _dual_only_result(program: DualProgram, driver, final: DualEval, trace) -> S
         n_evals=driver.n_evals,
         converged=driver.converged,
         status=driver.status,
-        nonsmooth=final.nonsmooth,
-        evaluation=final,
+        nonsmooth=raw.nonsmooth,
     )
+    return result, raw
 
 
 def solve_dual(
@@ -910,28 +770,30 @@ def solve_dual(
     prices alone.  Returns a dual-focused result whose flows are the raw
     arbitrage maximizers (no recovery pass; see :func:`solve`).
     """
-    config = config or SolverConfig()
-    program = DualProgram(instance)
-    driver, final, trace = _run_driver(program, start, config)
-    return _dual_only_result(program, driver, final, trace)
+    return _solve_dual(instance, start, config or SolverConfig())[0]
 
 
-def solve_zero_edge(
-    instance: ProblemInstance,
-    start: DualPoint | None = None,
-    config: SolverConfig | None = None,
-) -> SolveResult:
-    """:func:`solve_dual` for an instance without edge utilities.
+def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
+    """The dual value at explicit prices; ``+inf`` outside the dual domain.
 
-    The variables are the ``n`` node prices only (less any the objective
-    pins).
+    Node prices are taken as given (no fixed-coordinate substitution).
+    Infinite conjugate values (such as negative prices) give ``+inf``,
+    and so does an edge without a utility term whose prices differ from
+    ``eta_i = A_i^T nu``.
 
     Raises:
-        ValueError: The instance has an edge utility.
+        UnboundedDualError: An edge's price subproblem is unbounded.
     """
-    if instance.has_edge_utilities():
-        raise ValueError("zero-edge path requires an instance without edge utilities")
-    return solve_dual(instance, start, config)
+    nu = np.asarray(point.node_prices, dtype=float)
+    for edge, eta in zip(instance.edges, point.edge_prices):
+        if edge.utility is None:
+            eta = np.asarray(eta, dtype=float)
+            off = np.max(np.abs(eta - edge.incidence.gather(nu)), initial=0.0)
+            if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
+                return math.inf
+    program = DualProgram(instance)
+    raw = program._evaluate_pass(nu, program._edge_blocks(nu, point.edge_prices))
+    return math.inf if raw is None else raw.value
 
 
 def duality_gap(
@@ -946,7 +808,7 @@ def duality_gap(
     evaluate.  Feasibility is judged at ``feas_tol`` (scaled residuals).
     """
     if isinstance(dual, DualPoint):
-        dual_value = eval_dual(instance, dual).value
+        dual_value = eval_dual(instance, dual)
     else:
         dual_value = float(dual)
     report = check_feasibility(instance, primal, feas_tol)
@@ -974,11 +836,8 @@ def solve(
     from .recovery import recover_flows
 
     config = config or SolverConfig()
-    result = solve_dual(instance, start, config)
-
-    flows, residual = recover_flows(
-        instance, result.dual_point, result.evaluation, tol=recovery_tol
-    )
+    result, raw = _solve_dual(instance, start, config)
+    flows, residual = recover_flows(instance, result.dual_point, result.flows, raw.conj_u, tol=recovery_tol)
     net = assemble_net_flow(flows, instance.incidences, instance.n)
     primal = PrimalPoint(edge_flows=flows, net_flow=net)
     p = primal_objective(instance, primal, tol=config.feas_tol)

@@ -7,6 +7,7 @@ from convexflows import (
     Hyperedge,
     LinearNonnegObjective,
     MaxFlowObjective,
+    MinCostObjective,
     OpfQuadraticObjective,
     ProblemInstance,
     QuadraticPenalty,
@@ -14,6 +15,7 @@ from convexflows import (
     GeometricMeanPool,
     lossless_edge,
     piecewise_linear_edge,
+    solve,
 )
 from convexflows.io_cli import gen_cfmm, gen_maxflow, gen_opf, instance_from_dict
 
@@ -117,3 +119,52 @@ def interior_dual_point(instance, rng):
         else:
             etas.append(base + rng.uniform(0.05, 0.9, size=edge.incidence.dim))
     return DualPoint(node_prices=nu, edge_prices=etas)
+
+
+def lp_optimum(instance):
+    """Optimal value of the instance's flow problem, by HiGHS.
+
+    The variables are each edge's input ``w`` and output ``t``; the net
+    flow ``y`` is their incidence sum.  Supports max-flow and min-cost
+    objectives over two-node edges with linear-segment gains.
+    """
+    from scipy.optimize import linprog
+
+    n, m = instance.n, len(instance.edges)
+    objective = instance.net_objective
+    source, sink = objective.conservation.source, objective.conservation.sink
+    # y = Y @ (w_0, t_0, w_1, t_1, ...)
+    net = np.zeros((n, 2 * m))
+    rows, rhs, bounds = [], [], []
+    for e, edge in enumerate(instance.edges):
+        u, v = edge.incidence.nodes
+        net[u, 2 * e] -= 1.0
+        net[v, 2 * e + 1] += 1.0
+        gain = edge.oracle.gain
+        bounds += [(gain.input_lo, gain.input_hi), (None, None)]
+        for w_a, _, slope in gain.linear_segments():
+            row = np.zeros(2 * m)
+            row[2 * e], row[2 * e + 1] = -slope, 1.0  # t - slope * w <= h(w_a) - slope * w_a
+            rows.append(row)
+            rhs.append(gain.value(w_a) - slope * w_a)
+    interior = [j for j in range(n) if j not in (source, sink)]
+    rows += list(-net[interior])  # y_j >= 0 inside
+    rhs += [0.0] * len(interior)
+    rows.append(-(net[source] + net[sink]))  # y_source + y_sink >= 0
+    rhs.append(0.0)
+    if isinstance(objective, MaxFlowObjective):
+        cost = -net[sink]
+    else:
+        rows.append(-net[sink])  # y_sink >= target
+        rhs.append(-objective.conservation.target)
+        cost = np.zeros(2 * m)
+    lp = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
+    assert lp.status == 0, lp.message
+    return -lp.fun
+
+
+def mincost_instance(seed):
+    """Route half the max flow of a random lossless graph."""
+    graph = maxflow_instance(12, 0.35, seed)
+    flow = solve(graph).primal_value
+    return ProblemInstance(n=graph.n, edges=graph.edges, net_objective=MinCostObjective(graph.n, 0.5 * flow))

@@ -225,14 +225,3 @@ def test_cli_solve_reports_unbounded(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["status=unbounded unbounded edge subproblem: test"]
     assert not result_path.exists()
-
-
-def test_cli_bench_rows(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main([
-        "bench", "cfmm", "--sizes", "4,9", "--trials", "2", "-o", str(out)
-    ]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("family,size,trial,seed,time_s")
-    assert len(lines) == 1 + 2 * 2
-

@@ -77,7 +77,7 @@ def test_recovery_masks_are_not_shared_writable():
     # was handed must either fail or leave later calls unchanged.
     cases = [
         (MaxFlowObjective(4), np.array([0.0, 0.5, 0.5, 1.0]), [False, True, True, False]),
-        (MinCostObjective(4, 1.0), np.array([0.5, 0.5, 0.5, 0.5]), [False, True, True, False]),
+        (MinCostObjective(4, 1.0), np.array([0.5, 0.5, 0.5, 0.5]), [True, True, True, True]),
         (MinCostObjective(4, 1.0), np.array([0.25, 0.5, 0.5, 1.0]), [True, True, True, True]),
     ]
     for objective, prices, expected in cases:

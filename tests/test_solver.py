@@ -20,6 +20,7 @@ from convexflows import (
     OpfQuadraticObjective,
     PrimalPoint,
     ProblemInstance,
+    QuadraticPenalty,
     TwoAssetGeometricPool,
     fisher_instance,
     lossless_edge,
@@ -27,70 +28,79 @@ from convexflows import (
 from convexflows import solver
 from convexflows.solver import (
     DualPoint,
+    DualProgram,
     SolverConfig,
     duality_gap,
     eval_dual,
     solve,
     solve_dual,
-    solve_zero_edge,
-    transform,
-    untransform,
 )
 from convexflows.validation import fd_gradient_check, maxflow_oracle
 
 
-def random_dual_point(instance, rng, lo=0.1, hi=2.0):
-    nu = rng.uniform(lo, hi, size=instance.n)
-    etas = []
-    for edge in instance.edges:
-        base = edge.incidence.gather(nu)
-        if edge.utility is None:
-            etas.append(base)
-        else:
-            etas.append(base + rng.uniform(0.0, 1.0, size=edge.incidence.dim))
-    return DualPoint(node_prices=nu, edge_prices=etas)
-
-
 # -- transformation ----------------------------------------------------------
+#
+# The reduced vector of DualProgram holds the free node prices, then one
+# block eta_i - A_i^T nu per edge with a utility.
 
 
 def test_transform_round_trip():
     rng = np.random.default_rng(1)
-    instance = quadratic_penalty_on(cfmm_instance(m=6, seed=3))
-    point = random_dual_point(instance, rng)
-    stacked = transform(instance, point)
-    back = untransform(instance, stacked)
-    assert_allclose(back.node_prices, point.node_prices, atol=1e-14)
-    for a, b in zip(back.edge_prices, point.edge_prices):
-        assert_allclose(a, b, atol=1e-12)
-    assert_allclose(transform(instance, back), stacked, atol=1e-12)
+    for instance in (
+        quadratic_penalty_on(cfmm_instance(m=6, seed=3)),
+        quadratic_penalty_on(maxflow_instance(8, 0.4, 0), every=2),
+    ):
+        program = DualProgram(instance)
+        point = interior_dual_point(instance, rng)
+        x = program.initial_vector(point)
+        back = program.to_point(x)
+        assert_allclose(back.node_prices, point.node_prices, atol=1e-14)
+        for a, b in zip(back.edge_prices, point.edge_prices):
+            assert_allclose(a, b, atol=1e-12)
+        assert_allclose(program.initial_vector(back), x, atol=1e-12)
 
 
 def test_transform_zero_prices_identity():
-    instance = path_maxflow_instance()
-    etas = [np.array([0.3, 0.7]), np.array([0.1, 0.4])]
-    point = DualPoint(np.zeros(3), etas)
-    stacked = transform(instance, point)
-    assert_allclose(stacked[3:5], etas[0])
-    assert_allclose(stacked[5:7], etas[1])
+    # Path 0 -> 1 -> 2 -> 3 with a penalty on the middle edge only: at
+    # zero node prices its block is its edge prices, and the utility-free
+    # edges own no block.
+    edges = [
+        Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0)),
+        Hyperedge(EdgeIncidence((1, 2)), lossless_edge(2.0), QuadraticPenalty(2)),
+        Hyperedge(EdgeIncidence((2, 3)), lossless_edge(3.0)),
+    ]
+    instance = ProblemInstance(n=4, edges=edges, net_objective=LinearNonnegObjective(np.zeros(4)))
+    program = DualProgram(instance)
+    etas = [np.zeros(2), np.array([0.3, 0.7]), np.zeros(2)]
+    x = program.initial_vector(DualPoint(np.zeros(4), etas))
+    assert_allclose(x, [0.0, 0.0, 0.0, 0.0, 0.3, 0.7])
+    back = program.to_point(x)
+    for a, b in zip(back.edge_prices, etas):
+        assert_allclose(a, b)
 
 
 def test_transform_maps_feasible_set_to_orthant():
+    # A start outside the domain eta_i >= A_i^T nu has a negative block
+    # and is clipped onto the orthant, so the round trip is exact exactly
+    # when the start was feasible.
     rng = np.random.default_rng(5)
     instance = quadratic_penalty_on(cfmm_instance(m=5, seed=9))
-    for _ in range(20):
-        nu = rng.uniform(0.0, 2.0, instance.n)
-        etas = [
-            e.incidence.gather(nu) + rng.uniform(-0.5, 1.0, e.incidence.dim)
-            for e in instance.edges
-        ]
-        point = DualPoint(nu, etas)
-        stacked = transform(instance, point)
-        feasible = all(
-            np.all(eta >= e.incidence.gather(nu) - 1e-12)
-            for e, eta in zip(instance.edges, etas)
-        )
-        assert feasible == bool(np.all(stacked[instance.n :] >= -1e-12))
+    program = DualProgram(instance)
+    lower = np.maximum(np.asarray(instance.net_objective.lower_bounds(), float), 0.0)
+    seen = set()
+    for k in range(20):
+        nu = lower + rng.uniform(0.0, 2.0, instance.n)
+        low = -0.5 if k % 2 else 0.0
+        etas = [e.incidence.gather(nu) + rng.uniform(low, 1.0, e.incidence.dim) for e in instance.edges]
+        x = program.initial_vector(DualPoint(nu, etas))
+        blocks = np.concatenate([eta - e.incidence.gather(nu) for e, eta in zip(instance.edges, etas)])
+        assert_allclose(x[instance.n :], np.maximum(blocks, 0.0), atol=1e-15)
+        feasible = bool(np.all(blocks >= 0.0))
+        back = program.to_point(x)
+        kept = all(np.allclose(a, b, rtol=0.0, atol=1e-12) for a, b in zip(back.edge_prices, etas))
+        assert kept == feasible
+        seen.add(feasible)
+    assert seen == {True, False}
 
 
 # -- dual evaluation ---------------------------------------------------------
@@ -100,18 +110,23 @@ def test_eval_dual_hand_composed():
     edges = [Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0))]
     instance = ProblemInstance(n=2, edges=edges, net_objective=LinearNonnegObjective([1.0, 2.0]))
     nu = np.array([1.0, 2.0])
-    ev = eval_dual(instance, DualPoint(nu, [nu.copy()]))
-    assert ev.value == pytest.approx(1.0)  # capacity * positive price spread
+    value = eval_dual(instance, DualPoint(nu, [nu.copy()]))
+    assert isinstance(value, float)
+    assert value == pytest.approx(1.0)  # capacity * positive price spread
 
 
 def test_eval_dual_infinite_cases():
     edges = [Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0))]
     instance = ProblemInstance(n=2, edges=edges, net_objective=LinearNonnegObjective([1.0, 2.0]))
-    ev = eval_dual(instance, DualPoint(np.array([-0.5, 2.0]), [np.array([-0.5, 2.0])]))
-    assert ev.value == math.inf and ev.grad_nodes is None
+    assert eval_dual(instance, DualPoint(np.array([-0.5, 2.0]), [np.array([-0.5, 2.0])])) == math.inf
     # A zero-utility edge pins its local prices to the gathered node prices.
-    ev = eval_dual(instance, DualPoint(np.array([1.0, 2.0]), [np.array([1.5, 2.0])]))
-    assert ev.value == math.inf
+    assert eval_dual(instance, DualPoint(np.array([1.0, 2.0]), [np.array([1.5, 2.0])])) == math.inf
+
+
+def test_eval_dual_matches_solve_dual_at_its_point():
+    instance = quadratic_penalty_on(cfmm_instance(m=8, seed=4), every=2)
+    result = solve_dual(instance)
+    assert eval_dual(instance, result.dual_point) == pytest.approx(result.dual_value, rel=1e-12)
 
 
 def test_eval_dual_gradient_matches_finite_differences():
@@ -205,18 +220,6 @@ def test_cfmm_instance_solves_with_nonnegative_net_flow():
     assert result.duality_gap >= -1e-7 * (1.0 + abs(result.dual_value))
 
 
-def test_zero_edge_and_full_dual_agree():
-    for build in (
-        lambda: path_maxflow_instance((2.0, 3.0, 1.0)),
-        lambda: opf_instance(n=8, seed=5),
-        lambda: cfmm_instance(m=10, seed=11),
-    ):
-        fast = solve_zero_edge(build())
-        full = solve_dual(build())
-        denom = 1.0 + abs(full.dual_value)
-        assert abs(fast.dual_value - full.dual_value) <= 1e-7 * denom
-
-
 def test_weak_duality_along_trace():
     instance = cfmm_instance(m=8, seed=2)
     result = solve(instance, config=SolverConfig(grad_tol=1e-11))
@@ -242,7 +245,7 @@ def test_duality_gap_markers():
 
 
 def test_mincost_routes_target_at_least_cost():
-    from convexflows import MinCostObjective, QuadraticPenalty
+    from convexflows import MinCostObjective
 
     edges = [
         Hyperedge(EdgeIncidence((0, 1)), lossless_edge(2.0), QuadraticPenalty(2)),
@@ -254,6 +257,15 @@ def test_mincost_routes_target_at_least_cost():
     assert result.net_flow[2] == pytest.approx(1.5, abs=1e-6)
     assert result.primal_value == pytest.approx(-2.25, abs=1e-6)
     assert abs(result.duality_gap) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "max_iter", "feas_tol"])
+@pytest.mark.parametrize("value", [0, -1.0, math.nan])
+def test_solver_config_rejects_nonpositive_fields(name, value):
+    # Unchecked, a negative feas_tol would score every primal point -inf,
+    # and a bad grad_tol would surface only after the dual is built.
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: value})
 
 
 def test_solver_determinism():
