@@ -9,7 +9,11 @@ flow into an edge.
 
 Incidences are stored as index lists, never as dense matrices: typical
 instances have far more edges than nodes, and every incidence operation
-is a gather or scatter loop.
+is a gather or scatter loop.  An incidence keeps only its node tuple, in
+a slotted record like the edge that holds it: ``gather`` and
+``scatter_add`` index with the tuple on demand, and the solver builds
+the index arrays it keeps from ``nodes``, so a parsed instance stays
+small before and after a solve.
 """
 
 from __future__ import annotations
@@ -37,26 +41,26 @@ class DimensionError(ValueError):
     """Raised when a vector does not match the dimension it is used at."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeIncidence:
     """Mapping from an edge's local coordinates to global node indices.
 
     Local coordinate ``k`` of the edge flow lives at global node
     ``nodes[k]``.  Indices must be distinct and an edge must touch at
-    least two nodes.
+    least two nodes.  Equality and hashing look at ``nodes`` only.
     """
 
     nodes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(int(j) for j in self.nodes))
-        if len(self.nodes) < 2:
-            raise ValueError(f"edge must touch at least 2 nodes, got {len(self.nodes)}")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ValueError(f"duplicate node in incidence {self.nodes}")
-        if min(self.nodes) < 0:
-            raise ValueError(f"negative node index in incidence {self.nodes}")
-        object.__setattr__(self, "_index", np.array(self.nodes, dtype=np.intp))
+        nodes = tuple(map(int, self.nodes))
+        object.__setattr__(self, "nodes", nodes)
+        if len(nodes) < 2:
+            raise ValueError(f"edge must touch at least 2 nodes, got {len(nodes)}")
+        if len(set(nodes)) != len(nodes):
+            raise ValueError(f"duplicate node in incidence {nodes}")
+        if min(nodes) < 0:
+            raise ValueError(f"negative node index in incidence {nodes}")
 
     @property
     def dim(self) -> int:
@@ -69,7 +73,7 @@ class EdgeIncidence:
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Select the local entries of a global vector (applies the transpose map)."""
-        return values[self._index]
+        return values[list(self.nodes)]
 
     def scatter_add(self, local: np.ndarray, out: np.ndarray) -> None:
         """Accumulate a local vector into a global one in place.
@@ -81,10 +85,10 @@ class EdgeIncidence:
             raise DimensionError(
                 f"local vector of length {len(local)} does not match edge of size {self.dim}"
             )
-        out[self._index] += local
+        out[list(self.nodes)] += local
 
 
-@dataclass
+@dataclass(slots=True)
 class Hyperedge:
     """One edge of the instance: incidence, flow-set oracle, optional utility.
 
@@ -121,17 +125,16 @@ class ProblemInstance:
         if not self.edges:
             raise ValueError("instance needs at least one edge")
         for k, edge in enumerate(self.edges):
-            edge.incidence.validate(self.n)
-            oracle_dim = getattr(edge.oracle, "dim", edge.incidence.dim)
-            if oracle_dim != edge.incidence.dim:
+            incidence = edge.incidence
+            incidence.validate(self.n)
+            dim = len(incidence.nodes)
+            oracle_dim = getattr(edge.oracle, "dim", dim)
+            if oracle_dim != dim:
                 raise DimensionError(
                     f"edge {k}: oracle dimension {oracle_dim} does not match "
-                    f"incidence of size {edge.incidence.dim}"
+                    f"incidence of size {dim}"
                 )
-            if edge.utility is not None and getattr(edge.utility, "dim", None) not in (
-                None,
-                edge.incidence.dim,
-            ):
+            if edge.utility is not None and getattr(edge.utility, "dim", None) not in (None, dim):
                 raise DimensionError(f"edge {k}: utility dimension mismatch")
         self.utility_edges = tuple(
             k for k, edge in enumerate(self.edges) if edge.utility is not None
@@ -182,15 +185,26 @@ def assemble_net_flow(
 
     Returns:
         The net flow vector of length ``n``.
+
+    One unbuffered ``np.add.at`` over the flows in edge order adds into
+    each node in the same order as a per-edge scatter would, so the sums
+    match that loop bit for bit.
     """
     if len(edge_flows) != len(incidences):
         raise DimensionError(
             f"{len(edge_flows)} flow vectors for {len(incidences)} incidences"
         )
-    y = np.zeros(n)
-    for flow, inc in zip(edge_flows, incidences):
+    flows = [np.asarray(flow, dtype=float) for flow in edge_flows]
+    for flow, inc in zip(flows, incidences):
         inc.validate(n)
-        inc.scatter_add(np.asarray(flow, dtype=float), y)
+        if len(flow) != inc.dim:
+            raise DimensionError(
+                f"local vector of length {len(flow)} does not match edge of size {inc.dim}"
+            )
+    y = np.zeros(n)
+    if flows:
+        nodes = [j for inc in incidences for j in inc.nodes]
+        np.add.at(y, nodes, np.concatenate(flows))
     return y
 
 

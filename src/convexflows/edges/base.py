@@ -63,8 +63,13 @@ class EdgeOracle(ABC):
     """Allowable-flow set exposed through price queries.
 
     Implementations are immutable after construction and evaluations are
-    pure, so a solver may query many edges concurrently.
+    pure, so a solver may query many edges concurrently.  The base class
+    has no instance dictionary of its own; a subclass that lists its
+    fields in ``__slots__`` should also list ``__dict__``, so that a
+    profiler can still shadow its methods per instance.
     """
+
+    __slots__ = ()
 
     #: Number of local coordinates (nodes incident to the edge).
     dim: int
@@ -99,6 +104,6 @@ class EdgeOracle(ABC):
 
 def require_nonnegative_prices(prices: np.ndarray) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
-    if np.any(prices < 0):
+    if (prices < 0).any():
         raise ValueError(f"prices must be nonnegative, got {prices}")
     return prices

@@ -35,7 +35,8 @@ _DUAL_BISECT_ITERS = 200
 
 def _validate_pool(reserves: np.ndarray, fee: float) -> np.ndarray:
     reserves = np.asarray(reserves, dtype=float)
-    if np.any(reserves <= 0.0):
+    # Written as "not in range" so that a NaN fails the checks too.
+    if not (reserves > 0.0).all():
         raise InvalidEdgeError(f"reserves must be positive, got {reserves}")
     if not (0.0 < fee <= 1.0):
         raise InvalidEdgeError(f"fee must lie in (0, 1], got {fee}")
@@ -149,7 +150,7 @@ class GeometricMeanPool(EdgeOracle):
         weights = np.asarray(weights, dtype=float)
         if len(weights) != len(self.reserves) or len(weights) < 2:
             raise InvalidEdgeError("need one positive weight per asset")
-        if np.any(weights <= 0) or abs(float(np.sum(weights)) - 1.0) > 1e-9:
+        if not (weights > 0).all() or not abs(float(weights.sum()) - 1.0) <= 1e-9:
             raise InvalidEdgeError("weights must be positive and sum to one")
         self.weights = weights
         self.fee = float(fee)
@@ -172,9 +173,9 @@ class GeometricMeanPool(EdgeOracle):
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         prices = require_nonnegative_prices(prices)
-        if np.all(prices == 0.0):
+        if (prices == 0.0).all():
             return ArbitrageResult(value=0.0, flow=np.zeros(self.dim))
-        if np.any(prices == 0.0):
+        if (prices == 0.0).any():
             raise UnattainedSupremumError(
                 "supremum not attained: an asset with zero price can be tendered without limit"
             )

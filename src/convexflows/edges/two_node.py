@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,8 +62,11 @@ class GainFunction(ABC):
     (either end may be infinite); ``value`` returns ``-inf`` outside it.
     One-sided slopes follow the concave conventions at the boundary: the
     left slope at ``input_lo`` is ``+inf`` and the right slope at
-    ``input_hi`` is ``-inf``.
+    ``input_hi`` is ``-inf``.  The bundled gains keep their fields in
+    slots.
     """
+
+    __slots__ = ()
 
     input_lo: float
     input_hi: float
@@ -102,7 +105,7 @@ class GainFunction(ABC):
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearGain(GainFunction):
     """Linear gain ``h(w) = slope * w`` on ``[input_lo, capacity]``.
 
@@ -112,11 +115,14 @@ class LinearGain(GainFunction):
     slope: float
     capacity: float
     input_lo: float = 0.0
+    input_hi: float = field(init=False, repr=False, compare=False)
+    _segments: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.capacity <= self.input_lo:
+        # Written as "not in range" so that a NaN fails the checks too.
+        if not self.capacity > self.input_lo:
             raise InvalidEdgeError("capacity must exceed the lower input bound")
-        if self.slope < 0:
+        if not self.slope >= 0:
             raise InvalidEdgeError("gain slope must be nonnegative")
         object.__setattr__(self, "input_hi", float(self.capacity))
         object.__setattr__(
@@ -147,6 +153,8 @@ class LinearGain(GainFunction):
 
 class PiecewiseLinearGain(GainFunction):
     """Concave piecewise-linear gain through the given ``(input, output)`` points."""
+
+    __slots__ = ("_ws", "_hs", "_slopes", "input_lo", "input_hi")
 
     def __init__(self, points: Sequence[tuple[float, float]]):
         pts = [(float(w), float(h)) for w, h in points]
@@ -228,13 +236,16 @@ class PowerLossGain(GainFunction):
     ``alpha * beta = 4``, which pins the marginal gain at zero input to 1.
     """
 
+    __slots__ = ("alpha", "beta", "capacity", "input_lo", "input_hi")
+
     has_exact_slopes = True
     is_strictly_concave = True
 
     def __init__(self, alpha: float, beta: float, capacity: float):
-        if capacity <= 0:
+        # Written as "not in range" so that a NaN fails the checks too.
+        if not capacity > 0:
             raise InvalidEdgeError("capacity must be positive")
-        if abs(alpha * beta - 4.0) > 1e-9:
+        if not abs(alpha * beta - 4.0) <= 1e-9:
             raise InvalidEdgeError("loss family requires alpha * beta = 4")
         self.alpha = float(alpha)
         self.beta = float(beta)
@@ -283,6 +294,8 @@ class CallableGain(GainFunction):
     value-only golden-section search for it.
     """
 
+    __slots__ = ("_fn", "input_lo", "input_hi")
+
     has_exact_slopes = False
 
     def __init__(self, fn: Callable[[float], float], input_lo: float, input_hi: float):
@@ -325,6 +338,8 @@ class ScalarArbitrage:
 
 class TwoNodeEdge(EdgeOracle):
     """Edge between two nodes, local order ``(input node, output node)``."""
+
+    __slots__ = ("gain", "is_strictly_convex", "__dict__")
 
     dim = 2
 

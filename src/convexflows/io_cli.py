@@ -8,6 +8,7 @@ Instances travel as self-describing JSON documents with a closed set of
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ from .core import EdgeIncidence, Hyperedge, PrimalPoint, ProblemInstance, check_
 from .edges import (
     FisherBasketEdge,
     GeometricMeanPool,
+    InvalidEdgeError,
     LinearGain,
     PiecewiseLinearGain,
     PowerLossGain,
@@ -150,6 +152,18 @@ def _build_edge_oracle(kind: str, params: dict, path: str):
     raise ParseError(f"{path}.kind: unknown edge kind '{kind}'")
 
 
+def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
+    """Kind, params and nodes of an edge document, with path-annotated errors."""
+    kind = _get(edge_doc, "kind", path, str)
+    params = edge_doc.get("params", {})
+    nodes = _get(edge_doc, "nodes", path, list)
+    if any(not isinstance(j, int) for j in nodes):
+        raise ParseError(f"{path}.nodes: node indices must be integers")
+    if any(j < 0 or j >= n for j in nodes):
+        raise InstanceValidationError(f"{path}.nodes: index out of range for n={n}")
+    return kind, params, nodes
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -162,21 +176,28 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     edges = []
     for k, edge_doc in enumerate(edges_doc):
         path = f"$.edges[{k}]"
-        kind = _get(edge_doc, "kind", path, str)
-        params = edge_doc.get("params", {})
-        nodes = _get(edge_doc, "nodes", path, list)
-        if any(not isinstance(j, int) for j in nodes):
-            raise ParseError(f"{path}.nodes: node indices must be integers")
-        if any(j < 0 or j >= n for j in nodes):
-            raise InstanceValidationError(f"{path}.nodes: index out of range for n={n}")
-        oracle = _build_edge_oracle(kind, params, path)
+        # One test passes a well-formed edge; an edge that fails it takes
+        # the path-annotated checks, which name its first fault.
+        if (
+            type(edge_doc) is dict
+            and type(kind := edge_doc.get("kind")) is str
+            and type(nodes := edge_doc.get("nodes")) is list
+            and all(type(j) is int and 0 <= j < n for j in nodes)
+        ):
+            params = edge_doc.get("params", {})
+        else:
+            kind, params, nodes = _checked_edge(edge_doc, n, path)
+        try:
+            oracle = _build_edge_oracle(kind, params, path)
+        except InvalidEdgeError as exc:
+            raise InstanceValidationError(f"{path}: {exc}") from exc
         try:
             incidence = EdgeIncidence(tuple(nodes))
         except ValueError as exc:
             raise InstanceValidationError(f"{path}.nodes: {exc}") from exc
         utility = None
-        if "edge_utility" in edge_doc and edge_doc["edge_utility"] is not None:
-            u_doc = edge_doc["edge_utility"]
+        u_doc = edge_doc.get("edge_utility")
+        if u_doc is not None:
             u_kind = _get(u_doc, "kind", f"{path}.edge_utility", str)
             if u_kind != "quadratic_penalty":
                 raise ParseError(f"{path}.edge_utility.kind: unknown kind '{u_kind}'")
@@ -188,15 +209,31 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raise InstanceValidationError(f"$: {exc}") from exc
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"$: non-finite number {name} is not valid in an instance")
+
+
 def parse_instance(text: str) -> ProblemInstance:
-    """Parse an instance document; errors carry the offending JSON path."""
+    """Parse an instance document; errors carry the offending JSON path.
+
+    The ``NaN`` and ``Infinity`` literals that Python's JSON reader
+    accepts are rejected.  Parsing builds trees of new objects, not
+    reference cycles, so the cyclic garbage collector is paused while it
+    runs and left as the caller had it.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"$: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: expected a JSON object")
-    return instance_from_dict(doc)
+        try:
+            doc = json.loads(text, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"$: invalid JSON ({exc})") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("$: expected a JSON object")
+        return instance_from_dict(doc)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _objective_to_dict(objective) -> dict:

@@ -142,12 +142,12 @@ class LinearNonnegObjective(ObjectiveOracle):
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
         prices = np.asarray(prices, dtype=float)
-        if np.any(prices < self.c):
+        if (prices < self.c).any():
             return _infinite()
         return ConjugateValue(
             value=0.0,
             maximizer=np.zeros(self.dim),
-            non_unique=bool(np.any(prices == self.c)),
+            non_unique=bool((prices == self.c).any()),
         )
 
     def evaluate_primal(self, y: np.ndarray, tol: float = 0.0) -> float:
@@ -227,7 +227,7 @@ class MaxFlowObjective(ObjectiveOracle):
         ok = (
             abs(prices[t] - prices[s] - 1.0) <= 1e-12 * (1.0 + abs(prices[t]))
             and prices[t] >= 1.0 - 1e-12
-            and not np.any(prices[self._interior] < 0.0)
+            and not (prices[self._interior] < 0.0).any()
         )
         if not ok:
             return _infinite()
@@ -289,7 +289,7 @@ class MinCostObjective(ObjectiveOracle):
         prices = np.asarray(prices, dtype=float)
         s, t = self.conservation.source, self.conservation.sink
         v = self.conservation.target
-        if np.any(prices < 0.0) or prices[s] > prices[t]:
+        if (prices < 0.0).any() or prices[s] > prices[t]:
             return _infinite()
         maximizer = np.zeros(self.dim)
         maximizer[s] = -v
@@ -297,7 +297,7 @@ class MinCostObjective(ObjectiveOracle):
         unique = (
             prices[s] > 0.0
             and prices[s] < prices[t]
-            and not np.any(prices[self._interior] == 0.0)
+            and not (prices[self._interior] == 0.0).any()
         )
         return ConjugateValue(
             value=v * (float(prices[s]) - float(prices[t])),
@@ -411,7 +411,7 @@ class QuadraticPenalty(ConjugateOracle):
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
         xi = np.asarray(prices, dtype=float)
-        if np.any(xi < 0.0):
+        if (xi < 0.0).any():
             return _infinite()
         return ConjugateValue(value=0.5 * float(xi @ xi), maximizer=-xi)
 

@@ -72,7 +72,8 @@ class QNConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if self.grad_tol <= 0 or self.max_iter <= 0:
+        # Written as "not positive" so that a NaN fails the check too.
+        if not self.grad_tol > 0 or not self.max_iter > 0:
             raise ValueError("driver parameters out of range")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EdgeIncidence, ProblemInstance
+from .core import EdgeIncidence, ProblemInstance, assemble_net_flow
 from .objectives import ConjugateValue
 
 __all__ = ["FaceSegment", "RecoveryError", "detect_ambiguous", "restore_primal", "recover_flows"]
@@ -97,11 +97,10 @@ def restore_primal(
     if mask is None:
         mask = np.ones(n, dtype=bool)
 
-    base = np.zeros(n)
-    for idx, flow in unique_flows.items():
-        incidences[idx].scatter_add(flow, base)
-    for seg in segments:
-        incidences[seg.edge_index].scatter_add(seg.p, base)
+    # The fixed flows in edge order, then each segment's start point.
+    at = [*unique_flows, *(seg.edge_index for seg in segments)]
+    local = [*unique_flows.values(), *(seg.p for seg in segments)]
+    base = assemble_net_flow(local, [incidences[i] for i in at], n)
 
     k = len(segments)
     if k == 0:

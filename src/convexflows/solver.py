@@ -216,16 +216,17 @@ class DualProgram:
         self._array_plan = []
         offset = len(self.free_nodes)
         for pos, edge in enumerate(instance.edges):
-            idx = edge.incidence._index
-            dim = edge.incidence.dim
+            nodes = edge.incidence.nodes
+            dim = len(nodes)
             if edge.utility is not None:
                 block = slice(offset, offset + dim)
+                idx = np.array(nodes, dtype=np.intp)
                 self._utility_plan.append((pos, idx, block, edge.utility.conj, edge.oracle.evaluate))
                 offset += dim
             elif dim == 2 and hasattr(edge.oracle, "evaluate_pair"):
-                self._pair_plan.append((pos, int(idx[0]), int(idx[1]), edge.oracle.evaluate_pair))
+                self._pair_plan.append((pos, nodes[0], nodes[1], edge.oracle.evaluate_pair))
             else:
-                self._array_plan.append((pos, idx, edge.oracle.evaluate))
+                self._array_plan.append((pos, np.array(nodes, dtype=np.intp), edge.oracle.evaluate))
         # Rounding can land on a vertex optimum only when some edge's flow
         # set has a flat face; strictly convex instances skip the polish.
         self.has_flat_faces = any(not edge.oracle.is_strictly_convex for edge in instance.edges)

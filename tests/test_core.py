@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -56,6 +58,38 @@ def test_scatter_linearity():
 def test_assemble_dimension_mismatch():
     with pytest.raises(DimensionError):
         assemble_net_flow([np.array([1.0, -1.0, 0.0])], [EdgeIncidence((0, 1))], 2)
+
+
+def test_assemble_matches_per_edge_scatter_bit_for_bit():
+    # Many edges over few nodes, so every node sums many terms of mixed
+    # magnitude: the order of the additions shows in the last bits.
+    rng = np.random.default_rng(11)
+    n = 7
+    incs = [
+        EdgeIncidence(tuple(rng.choice(n, size=int(rng.integers(2, 5)), replace=False)))
+        for _ in range(300)
+    ]
+    flows = [rng.normal(size=inc.dim) * 10.0 ** rng.integers(-8, 8) for inc in incs]
+    expected = np.zeros(n)
+    for flow, inc in zip(flows, incs):
+        expected[list(inc.nodes)] += flow
+    assert assemble_net_flow(flows, incs, n).tobytes() == expected.tobytes()
+    assert assemble_net_flow([], [], 3).tobytes() == np.zeros(3).tobytes()
+    with pytest.raises(DimensionError, match="out of range"):
+        assemble_net_flow(flows, incs, n - 1)
+
+
+def test_incidence_equality_hash_and_immutability():
+    a = EdgeIncidence((3, 1))
+    assert a == EdgeIncidence([3, 1]) and a != EdgeIncidence((1, 3))
+    assert hash(a) == hash(EdgeIncidence((3, 1))) == hash(((3, 1),))
+    assert len({a, EdgeIncidence((3, 1)), EdgeIncidence((1, 3))}) == 2
+    assert a.gather(np.arange(5.0)).tolist() == [3.0, 1.0]
+    assert a == EdgeIncidence((3, 1)) and hash(a) == hash(((3, 1),))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.nodes = (0, 1)
+    # A slotted record: no per-instance dictionary.
+    assert not hasattr(a, "__dict__")
 
 
 def test_incidence_rejects_duplicates_and_small():

@@ -142,3 +142,11 @@ def test_escape_move_tries_only_supplied_directions():
     moved = _escape_move(fun, x, f, np.zeros(3), [np.ones(3)])
     assert moved is not None and moved[1] < f
     assert len(calls) == moved[3]
+
+
+@pytest.mark.parametrize("name", ["grad_tol", "max_iter"])
+@pytest.mark.parametrize("value", [0, -1.0, math.nan])
+def test_config_rejects_nonpositive_and_nan_fields(name, value):
+    # A NaN max_iter would end the run at once with status max_iter.
+    with pytest.raises(ValueError):
+        QNConfig(**{name: value})

@@ -26,6 +26,7 @@ from convexflows import (
     lossless_edge,
 )
 from convexflows import solver
+from convexflows.edges import TwoNodeEdge
 from convexflows.solver import (
     DualPoint,
     DualProgram,
@@ -266,6 +267,40 @@ def test_solver_config_rejects_nonpositive_fields(name, value):
     # and a bad grad_tol would surface only after the dual is built.
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: opf_instance(n=10, seed=0), TwoNodeEdge),
+        (lambda: cfmm_instance(m=10, seed=3), TwoAssetGeometricPool),
+    ],
+)
+def test_solve_calls_per_instance_evaluate_pair_wrappers(build, kind):
+    # A profiler may shadow an oracle's bound method with an instance
+    # attribute (the benchmark's tracer does); slotted oracles keep a
+    # __dict__ for it, and the solver must call the wrapper.
+    plain = solve(build())
+    instance = build()
+    calls = {}
+    for k, edge in enumerate(instance.edges):
+        if type(edge.oracle) is kind:
+
+            def counted(p_in, p_out, k=k, inner=edge.oracle.evaluate_pair):
+                calls[k] = calls.get(k, 0) + 1
+                return inner(p_in, p_out)
+
+            edge.oracle.evaluate_pair = counted
+            calls[k] = 0
+    assert calls
+    result = solve(instance)
+    assert min(calls.values()) > 0
+    assert (result.status, result.dual_value, result.iterations, result.n_evals) == (
+        plain.status,
+        plain.dual_value,
+        plain.iterations,
+        plain.n_evals,
+    )
 
 
 def test_solver_determinism():
