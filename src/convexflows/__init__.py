@@ -55,7 +55,7 @@ from .objectives import (
     OpfQuadraticObjective,
     QuadraticPenalty,
 )
-from .recovery import FaceSegment, detect_ambiguous, restore_primal
+from .recovery import restore_primal
 from .solver import (
     ConvergenceTrace,
     DualPoint,
@@ -111,8 +111,6 @@ __all__ = [
     "ObjectiveOracle",
     "OpfQuadraticObjective",
     "QuadraticPenalty",
-    "FaceSegment",
-    "detect_ambiguous",
     "restore_primal",
     "ConvergenceTrace",
     "DualPoint",

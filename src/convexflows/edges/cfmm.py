@@ -43,6 +43,15 @@ def _validate_pool(reserves: np.ndarray, fee: float) -> np.ndarray:
     return reserves
 
 
+def _log_invariant(weights: np.ndarray, reserves: np.ndarray) -> float:
+    """Log of the trading function at positive reserves; an infinite
+    reserve makes it infinite and is rejected."""
+    log_inv = float(np.dot(weights, np.log(reserves)))
+    if not math.isfinite(log_inv):
+        raise InvalidEdgeError(f"reserves must be finite, got {reserves}")
+    return log_inv
+
+
 def _membership(reserves, weights, fee, flow, tol) -> bool:
     """Scaled residual test for the invariant and the reserve signs."""
     flow = np.asarray(flow, dtype=float)
@@ -81,7 +90,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         self.weight = float(weight)
         self.fee = float(fee)
         self.weights = np.array([self.weight, 1.0 - self.weight])
-        self._log_inv = float(np.dot(self.weights, np.log(self.reserves)))
+        self._log_inv = _log_invariant(self.weights, self.reserves)
         self._price = (self.weight / self.reserves[0]) / (
             (1.0 - self.weight) / self.reserves[1]
         )
@@ -155,13 +164,9 @@ class GeometricMeanPool(EdgeOracle):
         self.weights = weights
         self.fee = float(fee)
         self.dim = len(self.reserves)
-        self._log_inv = float(np.dot(self.weights, np.log(self.reserves)))
+        self._log_inv = _log_invariant(self.weights, self.reserves)
         self._r = [float(v) for v in self.reserves]
         self._w = [float(v) for v in self.weights]
-
-    def marginal_prices(self) -> np.ndarray:
-        """Unnormalized marginal price vector of the pool at its reserves."""
-        return self.weights / self.reserves
 
     def _post_reserve(self, lam: float, price: float, j: int) -> float:
         base = lam * self._w[j] / price

@@ -120,10 +120,10 @@ class LinearGain(GainFunction):
 
     def __post_init__(self) -> None:
         # Written as "not in range" so that a NaN fails the checks too.
-        if not self.capacity > self.input_lo:
-            raise InvalidEdgeError("capacity must exceed the lower input bound")
-        if not self.slope >= 0:
-            raise InvalidEdgeError("gain slope must be nonnegative")
+        if not self.input_lo < self.capacity < math.inf:
+            raise InvalidEdgeError("capacity must be finite and exceed the lower input bound")
+        if not 0 <= self.slope < math.inf:
+            raise InvalidEdgeError("gain slope must be nonnegative and finite")
         object.__setattr__(self, "input_hi", float(self.capacity))
         object.__setattr__(
             self, "_segments", [(self.input_lo, float(self.capacity), float(self.slope))]
@@ -162,6 +162,8 @@ class PiecewiseLinearGain(GainFunction):
             raise InvalidEdgeError("need at least two points")
         ws = np.array([p[0] for p in pts])
         hs = np.array([p[1] for p in pts])
+        if not (np.isfinite(ws).all() and np.isfinite(hs).all()):
+            raise InvalidEdgeError("points must be finite")
         if np.any(np.diff(ws) <= 0):
             raise InvalidEdgeError("inputs must be strictly increasing")
         slopes = np.diff(hs) / np.diff(ws)
@@ -243,8 +245,8 @@ class PowerLossGain(GainFunction):
 
     def __init__(self, alpha: float, beta: float, capacity: float):
         # Written as "not in range" so that a NaN fails the checks too.
-        if not capacity > 0:
-            raise InvalidEdgeError("capacity must be positive")
+        if not 0 < capacity < math.inf:
+            raise InvalidEdgeError("capacity must be positive and finite")
         if not abs(alpha * beta - 4.0) <= 1e-9:
             raise InvalidEdgeError("loss family requires alpha * beta = 4")
         self.alpha = float(alpha)

@@ -70,7 +70,8 @@ def _get(obj: dict, key: str, path: str, kind=None):
     if key not in obj:
         raise ParseError(f"{path}: missing required field '{key}'")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    # An exact type test: JSON's true and false are not integers here.
+    if kind is not None and type(value) is not kind:
         raise ParseError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -97,12 +98,12 @@ def _build_objective(doc: dict, n: int, path: str):
             raise InstanceValidationError(f"{path}: demands length {len(demands)} != n={n}")
         return OpfQuadraticObjective(demands)
     if kind == "maxflow":
-        return MaxFlowObjective(n, source=int(params.get("source", 0)), sink=params.get("sink"))
+        return MaxFlowObjective(n, source=params.get("source", 0), sink=params.get("sink"))
     if kind == "mincost":
         return MinCostObjective(
             n,
             float(_get(params, "target", f"{path}.params")),
-            source=int(params.get("source", 0)),
+            source=params.get("source", 0),
             sink=params.get("sink"),
         )
     if kind == "fisher":
@@ -157,7 +158,7 @@ def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     kind = _get(edge_doc, "kind", path, str)
     params = edge_doc.get("params", {})
     nodes = _get(edge_doc, "nodes", path, list)
-    if any(not isinstance(j, int) for j in nodes):
+    if any(type(j) is not int for j in nodes):
         raise ParseError(f"{path}.nodes: node indices must be integers")
     if any(j < 0 or j >= n for j in nodes):
         raise InstanceValidationError(f"{path}.nodes: index out of range for n={n}")
@@ -171,7 +172,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     n = _get(doc, "n", "$", int)
     if n < 1:
         raise InstanceValidationError("$.n: need at least one node")
-    objective = _build_objective(_get(doc, "objective", "$", dict), n, "$.objective")
+    try:
+        objective = _build_objective(_get(doc, "objective", "$", dict), n, "$.objective")
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
     edges = []
     for k, edge_doc in enumerate(edges_doc):

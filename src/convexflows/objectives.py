@@ -135,7 +135,7 @@ class LinearNonnegObjective(ObjectiveOracle):
     """
 
     def __init__(self, prices):
-        self.c = np.asarray(prices, dtype=float)
+        self.c = _finite_array(prices, "reference prices")
         if np.any(self.c < 0):
             raise ValueError("reference prices must be nonnegative")
         self.dim = len(self.c)
@@ -180,7 +180,7 @@ class OpfQuadraticObjective(ObjectiveOracle):
     """Quadratic generation cost against demands: ``U(y) = -1/2 sum (d - y)_+^2``."""
 
     def __init__(self, demands):
-        self.demands = np.asarray(demands, dtype=float)
+        self.demands = _finite_array(demands, "demands")
         self.dim = len(self.demands)
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
@@ -193,6 +193,24 @@ class OpfQuadraticObjective(ObjectiveOracle):
     def evaluate_primal(self, y: np.ndarray, tol: float = 0.0) -> float:
         shortfall = np.maximum(self.demands - np.asarray(y, dtype=float), 0.0)
         return -0.5 * float(shortfall @ shortfall)
+
+
+def _finite_array(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _endpoints(n: int, source, sink) -> tuple[int, int]:
+    """Checked source and sink node indices; the sink defaults to ``n - 1``."""
+    sink = n - 1 if sink is None else sink
+    for name, node in (("source", source), ("sink", sink)):
+        if not isinstance(node, (int, np.integer)) or isinstance(node, bool) or not 0 <= node < n:
+            raise ValueError(f"{name} must be a node index in [0, {n}), got {node!r}")
+    if source == sink:
+        raise ValueError("source and sink must differ")
+    return int(source), int(sink)
 
 
 def _interior_mask(n: int, conservation: FlowConservationSet) -> np.ndarray:
@@ -216,9 +234,8 @@ class MaxFlowObjective(ObjectiveOracle):
         if n < 2:
             raise ValueError("need at least two nodes")
         self.dim = n
-        self.conservation = FlowConservationSet(source=source, sink=n - 1 if sink is None else sink)
-        if self.conservation.source == self.conservation.sink:
-            raise ValueError("source and sink must differ")
+        source, sink = _endpoints(n, source, sink)
+        self.conservation = FlowConservationSet(source=source, sink=sink)
         self._interior = _interior_mask(n, self.conservation)
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
@@ -277,12 +294,12 @@ class MinCostObjective(ObjectiveOracle):
     def __init__(self, n: int, target: float, source: int = 0, sink: int | None = None):
         if n < 2:
             raise ValueError("need at least two nodes")
-        if target < 0:
-            raise ValueError("flow target must be nonnegative")
+        # Written as "not in range" so that a NaN fails the check too.
+        if not 0 <= target < math.inf:
+            raise ValueError("flow target must be nonnegative and finite")
         self.dim = n
-        self.conservation = FlowConservationSet(
-            source=source, sink=n - 1 if sink is None else sink, target=float(target)
-        )
+        source, sink = _endpoints(n, source, sink)
+        self.conservation = FlowConservationSet(source=source, sink=sink, target=float(target))
         self._interior = _interior_mask(n, self.conservation)
 
     def conj(self, prices: np.ndarray) -> ConjugateValue:
@@ -347,7 +364,7 @@ class FisherObjective(ObjectiveOracle):
     """
 
     def __init__(self, budgets, n_goods: int):
-        self.budgets = np.asarray(budgets, dtype=float)
+        self.budgets = _finite_array(budgets, "budgets")
         if np.any(self.budgets < 0):
             raise ValueError("budgets must be nonnegative")
         if n_goods < 1:

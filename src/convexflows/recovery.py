@@ -3,23 +3,25 @@
 At an optimal dual point, an edge whose allowable-flow set has a flat
 face supported by the optimal prices admits a segment of maximizers, and
 the particular maximizer the oracle returned need not assemble into a
-feasible net flow.  This pass detects supported segments (two-node
-piecewise-linear edges only), then fits the segment parameters by
-box-constrained least squares so the assembled net flow matches the
-objective's target on the coordinates it pins.
+feasible net flow.  This pass takes the supported faces from the dual
+program's face table (:meth:`convexflows.solver.DualProgram.supported_faces`,
+two-node piecewise-linear edges only) together with the flows and the
+net-objective conjugate of its final pass, then fits the segment
+parameters by box-constrained least squares so the assembled net flow
+matches the objective's target on the coordinates it pins.  No oracle
+runs here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EdgeIncidence, ProblemInstance, assemble_net_flow
 from .objectives import ConjugateValue
 
-__all__ = ["FaceSegment", "RecoveryError", "detect_ambiguous", "restore_primal", "recover_flows"]
+__all__ = ["RecoveryError", "restore_primal", "recover_flows"]
 
 # Active-set rounds of the box least-squares fit.
 _MAX_ROUNDS = 1000
@@ -33,37 +35,10 @@ class RecoveryError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class FaceSegment:
-    """A supported segment of maximizers: ``x(t) = p + t (q - p)``, t in [0, 1]."""
-
-    edge_index: int
-    p: np.ndarray
-    q: np.ndarray
-
-
-def detect_ambiguous(edge_oracle, prices, tol: float = 1e-6, edge_index: int = -1):
-    """Return the supported segment of one edge at the given prices, or None.
-
-    A :class:`FaceSegment` is returned when the prices support a whole
-    segment of maximizers (price ratio matching a linear piece's slope
-    within ``tol`` relative).  Strictly convex edges and hyperedges have
-    a unique maximizer and always give None.  No oracle evaluation runs;
-    the unique flow is the one the dual evaluation already returned.
-    """
-    if edge_oracle.is_strictly_convex:
-        return None
-    face = edge_oracle.supported_face(np.asarray(prices, dtype=float), tol)
-    if face is None:
-        return None
-    p, q = face
-    return FaceSegment(edge_index=edge_index, p=np.asarray(p), q=np.asarray(q))
-
-
 def restore_primal(
     y_target: np.ndarray,
     unique_flows: dict[int, np.ndarray],
-    segments: list[FaceSegment],
+    segments: dict[int, tuple[np.ndarray, np.ndarray]],
     incidences: list[EdgeIncidence],
     n: int,
     mask: np.ndarray | None = None,
@@ -79,7 +54,8 @@ def restore_primal(
     Args:
         y_target: Net flow target (full length ``n``).
         unique_flows: Fixed flow per edge index.
-        segments: Ambiguous edges with their supported segments.
+        segments: Endpoints ``(P, Q)`` of the supported segment
+            ``P + t (Q - P)``, t in [0, 1], per ambiguous edge index.
         incidences: Incidence list of the full instance.
         n: Node count.
         mask: Coordinates of the target that must be matched (all by
@@ -98,8 +74,8 @@ def restore_primal(
         mask = np.ones(n, dtype=bool)
 
     # The fixed flows in edge order, then each segment's start point.
-    at = [*unique_flows, *(seg.edge_index for seg in segments)]
-    local = [*unique_flows.values(), *(seg.p for seg in segments)]
+    at = [*unique_flows, *segments]
+    local = [*unique_flows.values(), *(p for p, _ in segments.values())]
     base = assemble_net_flow(local, [incidences[i] for i in at], n)
 
     k = len(segments)
@@ -110,8 +86,8 @@ def restore_primal(
         return flows, residual
 
     directions = np.zeros((n, k))
-    for col, seg in enumerate(segments):
-        incidences[seg.edge_index].scatter_add(seg.q - seg.p, directions[:, col])
+    for col, (i, (p, q)) in enumerate(segments.items()):
+        incidences[i].scatter_add(q - p, directions[:, col])
     d_m = directions[mask]
     r0 = (base - y_target)[mask]
     t = _box_least_squares(d_m, r0)
@@ -120,8 +96,8 @@ def restore_primal(
     flows = [None] * len(incidences)
     for idx, flow in unique_flows.items():
         flows[idx] = flow
-    for col, seg in enumerate(segments):
-        flows[seg.edge_index] = seg.p + t[col] * (seg.q - seg.p)
+    for col, (i, (p, q)) in enumerate(segments.items()):
+        flows[i] = p + t[col] * (q - p)
     _check_residual(residual, y_target, tol)
     return flows, residual
 
@@ -207,38 +183,35 @@ def _check_residual(residual: float, y_target: np.ndarray, tol: float) -> None:
         )
 
 
-def recover_flows(instance: ProblemInstance, dual_point, flows, conj_u: ConjugateValue, tol: float = 1e-6):
+def recover_flows(
+    instance: ProblemInstance,
+    node_prices: np.ndarray,
+    flows: list[np.ndarray],
+    conj_u: ConjugateValue,
+    faces: dict[int, tuple[np.ndarray, np.ndarray]],
+    tol: float = 1e-6,
+):
     """Recovery pass used by the end-to-end solve.
 
-    ``flows`` are the edge maximizers at ``dual_point`` in edge order and
-    ``conj_u`` is the net-objective conjugate there, both from the same
-    dual pass.  Detects supported segments at the solved prices and
-    re-fits them against the objective's recovery target.  When the
-    objective pins nothing, or no edge is ambiguous and the target is
-    already met, the arbitrage maximizers pass through unchanged.  A
-    failed fit degrades gracefully: the raw flows are returned with the
-    residual attached.
+    ``flows`` are the edge maximizers at a dual point in edge order,
+    ``conj_u`` is the net-objective conjugate at its ``node_prices`` and
+    ``faces`` maps each edge whose prices support a flat face there to
+    the face's endpoints, all at the same dual point.  The edges on a
+    face are re-fit along it against the objective's recovery target;
+    the others keep their flows.  When the objective pins nothing, or no
+    edge is on a face and the target is already met, the arbitrage
+    maximizers pass through unchanged.  A failed fit degrades gracefully:
+    the raw flows are returned with the residual attached.
 
     Returns:
         ``(flows, residual)``; the residual is NaN when no fit ran.
     """
-    target_spec = instance.net_objective.recovery_target(np.asarray(dual_point.node_prices, dtype=float), conj_u)
+    target_spec = instance.net_objective.recovery_target(np.asarray(node_prices, dtype=float), conj_u)
     if target_spec is None:
         return flows, math.nan
-
-    unique_flows: dict[int, np.ndarray] = {}
-    segments: list[FaceSegment] = []
-    for i, edge in enumerate(instance.edges):
-        segment = detect_ambiguous(edge.oracle, dual_point.edge_prices[i], edge_index=i)
-        if segment is None:
-            unique_flows[i] = flows[i]
-        else:
-            segments.append(segment)
-
+    unique_flows = {i: flow for i, flow in enumerate(flows) if i not in faces}
     y_target, mask = target_spec
     try:
-        return restore_primal(
-            y_target, unique_flows, segments, instance.incidences, instance.n, mask=mask, tol=tol
-        )
+        return restore_primal(y_target, unique_flows, faces, instance.incidences, instance.n, mask=mask, tol=tol)
     except RecoveryError as exc:
         return flows, exc.residual

@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import recovery
 from .core import PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
 from .edges.two_node import TwoNodeEdge
@@ -466,9 +467,11 @@ class DualProgram:
         the edge's own price ratio to a relative ``1e-7`` (a utility
         edge's prices include its block of ``x``), or, at zero prices,
         its only segment: the rule of ``TwoNodeEdge.supported_face``,
-        applied to every table edge in one comparison.  The line-search
-        screen, a steepest-descent retry and an escape at the same
-        iterate all read one computation.
+        applied to every table edge in one comparison.  It is the only
+        face rule of the solve: the line-search screen, a
+        steepest-descent retry and an escape at the same iterate all read
+        one computation, and recovery reads the faces at the final
+        iterate (:meth:`supported_faces`).
         """
         if self._faces_x is not None and np.array_equal(self._faces_x, x):
             return self._faces_at
@@ -484,6 +487,16 @@ class DualProgram:
         prices = prices[rows]
         self._faces_x, self._faces_at = np.array(x, copy=True), _Faces(rows, prices, self._seg_ends[segs])
         return self._faces_at
+
+    def supported_faces(self, x: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``{edge position: (P, Q)}`` of the flat faces supported at ``x``.
+
+        The faces of :meth:`_faces`, keyed by the edge's position in the
+        instance and in edge order; primal recovery fits its segments on
+        them.
+        """
+        faces = self._faces(x)
+        return {pos: (ends[0], ends[1]) for pos, ends in zip(self._face_pos[faces.rows].tolist(), faces.ends)}
 
     def _face_state(self, raw: _Pass, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flows and tie flags of the given face-table edges in the pass ``raw``.
@@ -519,7 +532,7 @@ class DualProgram:
 
         Only directions that can descend are returned, in the order they
         were built: a direction whose first-order lower bound
-        (:meth:`escape_bounds`) on the change at its escape probe is not
+        (:meth:`_descent_bounds`) on the change at its escape probe is not
         below the probe's decrease margin is dropped without evaluating
         anything.  The bound reads the pass the driver's callback made
         at ``x``.
@@ -535,7 +548,7 @@ class DualProgram:
         """Whether ``f`` provably rises along ``d`` at its escape probe.
 
         The driver's line-search screen.  It takes the lower bound of
-        :meth:`escape_bounds` on ``f(x + s) - f(x)`` over the faces whose
+        :meth:`_descent_bounds` on ``f(x + s) - f(x)`` over the faces whose
         edge the pass at ``x`` reports tied (a non-unique maximizer), and
         answers True when the bound exceeds the probe margin.  At an exact
         tie an edge's term grows linearly from zero with the step, so the
@@ -593,8 +606,9 @@ class DualProgram:
                     directions.append(-d)
         return directions
 
-    def escape_bounds(self, x: np.ndarray, directions) -> np.ndarray:
-        """First-order lower bounds on ``f(x + s) - f(x)``, one per direction.
+    def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:
+        """First-order lower bounds on ``f(x + s) - f(x)``, one per
+        direction, and the probe margin.
 
         ``s`` is the escape probe step of each direction
         (:func:`convexflows.qn.escape_probes`).  With ``g`` the gradient
@@ -609,13 +623,8 @@ class DualProgram:
         value of any allowable flow there, its value at ``x`` is
         ``z_i·p_i``, and every other term of the dual is at least its
         value plus its subgradient step, so the bound holds up to
-        rounding.
-        """
-        return self._descent_bounds(x, directions)[0]
-
-    def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:
-        """:meth:`escape_bounds` plus the probe margin; with ``ties_only``,
-        over the tied faces alone (see :meth:`rises_at_probe`).
+        rounding.  With ``ties_only`` the sum runs over the tied faces
+        alone (see :meth:`rises_at_probe`).
 
         Edge ``i``'s term is ``max_w (w - z_i)·(p_i + d_i)``, worked out
         as ``max(0, offsets + toward·d_i)`` (``w = z_i`` gives the zero)
@@ -700,8 +709,10 @@ def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
     return candidates
 
 
-def _solve_dual(instance: ProblemInstance, start: DualPoint | None, config: SolverConfig) -> tuple[SolveResult, _Pass]:
-    """Run the driver; the result plus the pass at its final iterate."""
+def _solve_dual(
+    instance: ProblemInstance, start: DualPoint | None, config: SolverConfig
+) -> tuple[SolveResult, DualProgram, np.ndarray]:
+    """Run the driver; the result, the program and its final iterate."""
     program = DualProgram(instance)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
@@ -756,7 +767,7 @@ def _solve_dual(instance: ProblemInstance, start: DualPoint | None, config: Solv
         status=driver.status,
         nonsmooth=raw.nonsmooth,
     )
-    return result, raw
+    return result, program, driver.x
 
 
 def solve_dual(
@@ -826,19 +837,24 @@ def solve(
     instance: ProblemInstance,
     start: DualPoint | None = None,
     config: SolverConfig | None = None,
-    recovery_tol: float = 1e-6,
 ) -> SolveResult:
     """Solve the instance end to end: dual minimization plus recovery.
 
-    After the dual solve, flows on edges whose maximizer is a supported
-    segment are re-fit so their net flow matches the objective's target
-    (see :mod:`convexflows.recovery`); strictly convex edges pass through.
+    After the dual solve, flows on the edges whose prices support a flat
+    face at the final iterate are re-fit along that face so their net
+    flow matches the objective's target, to ``config.feas_tol`` (see
+    :mod:`convexflows.recovery`); every other edge passes through.
     """
-    from .recovery import recover_flows
-
     config = config or SolverConfig()
-    result, raw = _solve_dual(instance, start, config)
-    flows, residual = recover_flows(instance, result.dual_point, result.flows, raw.conj_u, tol=recovery_tol)
+    result, program, x = _solve_dual(instance, start, config)
+    flows, residual = recovery.recover_flows(
+        instance,
+        result.dual_point.node_prices,
+        result.flows,
+        program._cached_pass(x).conj_u,
+        program.supported_faces(x),
+        tol=config.feas_tol,
+    )
     net = assemble_net_flow(flows, instance.incidences, instance.n)
     primal = PrimalPoint(edge_flows=flows, net_flow=net)
     p = primal_objective(instance, primal, tol=config.feas_tol)

@@ -333,6 +333,11 @@ def test_supported_face_detection():
     assert_allclose(q, [-1.0, 1.0])
     assert edge.supported_face(np.array([2.0, 1.0])) is None
     assert opf_line_edge(16.0, 0.25, 1.0).supported_face(np.array([1.0, 1.0])) is None
+    # Both endpoints of a supported face attain the edge's value there.
+    edge, prices = lossless_edge(2.0), np.array([1.5, 1.5])
+    value = edge.evaluate(prices).value
+    for end in edge.supported_face(prices):
+        assert float(prices @ end) == pytest.approx(value, abs=1e-9)
 
 
 def test_membership_checks():

@@ -1,6 +1,6 @@
 """The first-order screen on tie-graph escape directions.
 
-``DualProgram.escape_bounds`` bounds ``f(x + s) - f(x)`` from below at
+``DualProgram._descent_bounds`` bounds ``f(x + s) - f(x)`` from below at
 each direction's escape probe ``s`` from the pass at ``x`` alone, and
 ``escape_directions`` drops the directions whose bound shows no descent.
 """
@@ -44,7 +44,7 @@ def bound_gaps(instance, points, rng=None):
             candidates += list(rng.normal(size=(4, program.n_vars)))
         if not candidates:
             continue
-        bounds = program.escape_bounds(x, candidates)
+        bounds = program._descent_bounds(x, candidates)[0]
         probes, _, _ = escape_probes(x, candidates, program.lower)
         for bound, probe in zip(bounds, probes):
             f_probe, _ = program.value_and_grad(probe)
@@ -120,7 +120,7 @@ def test_screen_keeps_descending_candidates_in_order():
     for x in unit_vertices(instance, rng, 10):
         program.value_and_grad(x)
         candidates = program._tie_graph(x)
-        bounds = program.escape_bounds(x, candidates)
+        bounds = program._descent_bounds(x, candidates)[0]
         _, _, margin = escape_probes(x, candidates, program.lower)
         expected = [d for d, b in zip(candidates, bounds) if b < -margin]
         kept = program.escape_directions(x)

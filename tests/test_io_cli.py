@@ -1,6 +1,9 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -137,6 +140,24 @@ def test_cli_edge_range_errors_carry_the_edge_path(tmp_path, capsys):
 def test_nan_edge_parameters_are_validation_errors(edge):
     bad = dict(MINIMAL, edges=[MINIMAL["edges"][0], dict(edge, nodes=[1, 0])])
     with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[1\]: "):
+        instance_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"kind": "opf_line", "params": {"alpha": 16.0, "beta": 0.25, "capacity": math.inf}},
+        {"kind": "lossless", "params": {"capacity": math.inf}},
+        {"kind": "linear_gain", "params": {"gain": math.inf, "capacity": 1.0}},
+        {"kind": "piecewise_linear", "params": {"points": [[0.0, 0.0], [math.inf, math.inf]]}},
+        {"kind": "piecewise_linear", "params": {"points": [[0.0, 0.0], [1.0, math.nan]]}},
+        {"kind": "uniswap", "params": {"reserves": [math.inf, 1.0]}},
+        {"kind": "geometric_mean", "params": {"reserves": [1.0, math.inf], "weights": [0.5, 0.5]}},
+    ],
+)
+def test_infinite_edge_parameters_are_validation_errors(edge):
+    bad = dict(MINIMAL, edges=[MINIMAL["edges"][0], dict(edge, nodes=[1, 0])])
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[1\]: .*finite"):
         instance_from_dict(bad)
 
 
@@ -304,3 +325,89 @@ def test_cli_solve_reports_unbounded(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out.strip().splitlines()
     assert out == ["status=unbounded unbounded edge subproblem: test"]
     assert not result_path.exists()
+
+
+@pytest.mark.parametrize(
+    "doc, keys, where",
+    [
+        (gen_cfmm(9, 5), ("edges", 0, "params", "reserves", 0), "$.edges[0]"),
+        (MINIMAL, ("edges", 0, "params", "capacity"), "$.edges[0]"),
+        (gen_opf(12, 0), ("edges", 2, "params", "capacity"), "$.edges[2]"),
+        (gen_opf(12, 0), ("objective", "params", "demands", 1), "$.objective"),
+    ],
+    ids=["pool_reserve", "lossless_capacity", "opf_line_capacity", "opf_demand"],
+)
+def test_cli_rejects_numbers_past_the_float_range(tmp_path, capsys, doc, keys, where):
+    # 1e400 reads as inf.  These used to end status=infeasible_start, or
+    # solve as an uncapped line.
+    doc = json.loads(json.dumps(doc))
+    holder = doc
+    for key in keys[:-1]:
+        holder = holder[key]
+    holder[keys[-1]] = "HUGE"
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1e400"))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    assert f"error: {where}: " in captured.err and "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        {"kind": "maxflow", "params": {"sink": 9}},
+        {"kind": "maxflow", "params": {"sink": 3.7}},
+        {"kind": "maxflow", "params": {"source": -1}},
+        {"kind": "maxflow", "params": {"source": True}},
+        {"kind": "maxflow", "params": {"source": 3}},
+        {"kind": "mincost", "params": {"target": 1.0, "sink": 9}},
+        {"kind": "mincost", "params": {"target": 1.0, "source": "0"}},
+        {"kind": "mincost", "params": {"target": 1.0, "source": 2, "sink": 2}},
+    ],
+)
+def test_cli_rejects_bad_source_and_sink(tmp_path, capsys, objective):
+    # A sink past the last node used to end in an IndexError traceback,
+    # and source -1 silently meant the sink.
+    doc = dict(gen_maxflow(4, 0.5, 0), objective=objective)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InstanceValidationError, match=r"^\$\.objective: (source|sink)"):
+        parse_instance(path.read_text())
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    assert "error: $.objective: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        (lambda d: d.update(version=True), r"\$\.version"),
+        (lambda d: d.update(n=True), r"\$\.n"),
+        (lambda d: d["edges"][0].update(nodes=[True, 2]), r"\$\.edges\[0\]\.nodes"),
+    ],
+    ids=["version", "n", "nodes"],
+)
+def test_json_booleans_are_not_integers(change, where):
+    doc = json.loads(json.dumps(gen_maxflow(3, 1.0, 0)))
+    change(doc)
+    with pytest.raises(ParseError, match=where):
+        parse_instance(json.dumps(doc))
+
+
+def test_solving_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: importing the package and solving
+    # through the command line must not load it.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(gen_maxflow(6, 0.4, 1)))
+    script = (
+        "import sys\n"
+        "from convexflows import io_cli\n"
+        f"assert io_cli.main(['solve', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -21,14 +21,8 @@ from test_edges import sample_edges
 from test_escape_screen import stall_points, unit_vertices
 
 
-def faces_by_position(program, x):
-    """``{edge position: (P, Q)}`` of the faces the table finds at ``x``."""
-    faces = program._faces(x)
-    return {int(program._face_pos[r]): (e[0], e[1]) for r, e in zip(faces.rows, faces.ends)}
-
-
 def expected_faces(program, x):
-    """The same, from ``supported_face`` at each edge's own prices."""
+    """``{edge position: (P, Q)}`` from ``supported_face`` at each edge's own prices."""
     etas = program.to_point(x).edge_prices
     found = {}
     for pos, edge in enumerate(program.instance.edges):
@@ -39,7 +33,7 @@ def expected_faces(program, x):
 
 
 def assert_same_faces(program, x):
-    got, want = faces_by_position(program, x), expected_faces(program, x)
+    got, want = program.supported_faces(x), expected_faces(program, x)
     assert sorted(got) == sorted(want)
     for pos, (p, q) in want.items():
         assert np.array_equal(got[pos][0], p) and np.array_equal(got[pos][1], q)
@@ -85,7 +79,7 @@ def test_faces_on_utility_edges_are_found_at_edge_prices(monkeypatch):
         program = DualProgram(instance)
         for x in stall_points(instance, monkeypatch) + unit_vertices(instance, rng, 5):
             assert_same_faces(program, x)
-            utility_faces += sum(instance.edges[pos].utility is not None for pos in faces_by_position(program, x))
+            utility_faces += sum(instance.edges[pos].utility is not None for pos in program.supported_faces(x))
     assert utility_faces > 0
 
 

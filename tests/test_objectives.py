@@ -210,3 +210,23 @@ def test_primal_relaxation_tolerance():
     y = np.array([-1e-9, 1.0])
     assert obj.evaluate_primal(y) == -math.inf
     assert obj.evaluate_primal(y, tol=1e-6) == pytest.approx(1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("objective", [MaxFlowObjective, lambda n, **kw: MinCostObjective(n, 1.0, **kw)])
+def test_source_and_sink_must_be_distinct_node_indices(objective):
+    for source, sink in [(0, 4), (0, -1), (-1, None), (0, 3.0), (True, 2), (np.int64(1), 1), (3, None)]:
+        with pytest.raises(ValueError, match="source|sink"):
+            objective(4, source=source, sink=sink)
+    conservation = objective(4, source=np.int64(2), sink=0).conservation
+    assert (conservation.source, conservation.sink) == (2, 0) and type(conservation.source) is int
+
+
+def test_objective_arrays_must_be_finite():
+    for build in (
+        lambda: LinearNonnegObjective([1.0, math.inf]),
+        lambda: OpfQuadraticObjective([math.inf, 1.0]),
+        lambda: FisherObjective([1.0, math.nan], 1),
+        lambda: MinCostObjective(3, math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            build()

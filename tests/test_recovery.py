@@ -9,49 +9,25 @@ from convexflows import (
     Hyperedge,
     OpfQuadraticObjective,
     ProblemInstance,
-    detect_ambiguous,
+    TwoNodeEdge,
     lossless_edge,
     opf_line_edge,
+    recovery,
     restore_primal,
     solve,
 )
 from convexflows.io_cli import gen_maxflow, instance_from_dict
-from convexflows.recovery import FaceSegment, RecoveryError, recover_flows
-from convexflows.solver import solve_dual
-
-
-def test_detect_segment_at_tied_prices():
-    edge = lossless_edge(1.0)
-    out = detect_ambiguous(edge, np.array([1.0, 1.0]), edge_index=3)
-    assert isinstance(out, FaceSegment)
-    assert out.edge_index == 3
-    assert_allclose(out.p, [0.0, 0.0])
-    assert_allclose(out.q, [-1.0, 1.0])
-
-
-def test_detect_unique_off_ties():
-    edge = lossless_edge(1.0)
-    assert detect_ambiguous(edge, np.array([2.0, 1.0])) is None
-    strict = opf_line_edge(16.0, 0.25, 1.0)
-    assert detect_ambiguous(strict, np.array([1.0, 1.0])) is None
-
-
-def test_segment_endpoints_share_dual_value():
-    edge = lossless_edge(2.0)
-    prices = np.array([1.5, 1.5])
-    seg = detect_ambiguous(edge, prices)
-    value = edge.evaluate(prices).value
-    assert float(prices @ seg.p) == pytest.approx(value, abs=1e-9)
-    assert float(prices @ seg.q) == pytest.approx(value, abs=1e-9)
+from convexflows.recovery import RecoveryError, recover_flows
+from convexflows.solver import DualProgram, solve_dual
 
 
 def test_restore_parallel_edges_split_target():
     # Two tied unit edges from node 0 to node 1 must jointly carry 1.5.
     incidences = [EdgeIncidence((0, 1)), EdgeIncidence((0, 1))]
-    segments = [
-        FaceSegment(0, np.array([0.0, 0.0]), np.array([-1.0, 1.0])),
-        FaceSegment(1, np.array([0.0, 0.0]), np.array([-1.0, 1.0])),
-    ]
+    segments = {
+        0: (np.array([0.0, 0.0]), np.array([-1.0, 1.0])),
+        1: (np.array([0.0, 0.0]), np.array([-1.0, 1.0])),
+    }
     flows, residual = restore_primal(
         np.array([-1.5, 1.5]), {}, segments, incidences, 2, tol=1e-8
     )
@@ -65,7 +41,7 @@ def test_restore_parallel_edges_split_target():
 def test_restore_without_segments_reports_residual():
     incidences = [EdgeIncidence((0, 1))]
     flows, residual = restore_primal(
-        np.array([-1.0, 1.0]), {0: np.array([-1.0, 1.0])}, [], incidences, 2, tol=1e-8
+        np.array([-1.0, 1.0]), {0: np.array([-1.0, 1.0])}, {}, incidences, 2, tol=1e-8
     )
     assert residual == 0.0
     assert_allclose(flows[0], [-1.0, 1.0])
@@ -73,7 +49,7 @@ def test_restore_without_segments_reports_residual():
 
 def test_restore_unreachable_target_raises():
     incidences = [EdgeIncidence((0, 1))]
-    segments = [FaceSegment(0, np.array([0.0, 0.0]), np.array([-1.0, 1.0]))]
+    segments = {0: (np.array([0.0, 0.0]), np.array([-1.0, 1.0]))}
     with pytest.raises(RecoveryError) as info:
         restore_primal(np.array([-3.0, 3.0]), {}, segments, incidences, 2, tol=1e-6)
     assert info.value.residual > 1.0
@@ -127,7 +103,35 @@ def test_box_fit_stops_once_rounds_stop_improving(monkeypatch):
         return lstsq(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "lstsq", counting)
-    conj_u = instance.net_objective.conj(dual.dual_point.node_prices)
-    flows, residual = recover_flows(instance, dual.dual_point, dual.flows, conj_u)
+    nu = dual.dual_point.node_prices
+    program = DualProgram(instance)
+    faces = program.supported_faces(program.initial_vector(dual.dual_point))
+    flows, residual = recover_flows(instance, nu, dual.flows, instance.net_objective.conj(nu), faces)
     assert residual <= 1e-12
     assert 0 < len(calls) <= 100
+
+
+def test_solve_recovers_on_the_face_table(monkeypatch):
+    # Recovery fits the faces of the dual program's table at the final
+    # iterate, looked up through the recovery module; no per-edge face
+    # rule runs.
+    handed = []
+    original = recovery.recover_flows
+
+    def recording(instance, node_prices, flows, conj_u, faces, tol):
+        handed.append(faces)
+        return original(instance, node_prices, flows, conj_u, faces, tol=tol)
+
+    def per_edge(*args):
+        raise AssertionError("per-edge face rule called")
+
+    monkeypatch.setattr(recovery, "recover_flows", recording)
+    monkeypatch.setattr(TwoNodeEdge, "supported_face", per_edge)
+    instance = instance_from_dict(gen_maxflow(20, 0.3, 1))
+    result = solve(instance)
+    program = DualProgram(instance)
+    want = program.supported_faces(program.initial_vector(result.dual_point))
+    assert len(handed) == 1 and list(handed[0]) == list(want) and want
+    for pos, (p, q) in want.items():
+        assert np.array_equal(handed[0][pos][0], p) and np.array_equal(handed[0][pos][1], q)
+    assert result.recovery_residual <= 1e-9
