@@ -12,6 +12,7 @@ solved by bisection (general separable case).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -33,22 +34,59 @@ __all__ = [
 _DUAL_BISECT_ITERS = 200
 
 
-def _validate_pool(reserves: np.ndarray, fee: float) -> np.ndarray:
-    reserves = np.asarray(reserves, dtype=float)
+def _real(value) -> float:
+    """``value`` as a Python float; booleans, strings and containers raise
+    ``TypeError`` (``float`` alone would read ``True`` as 1.0)."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer past the float range
+            return math.inf
+    raise TypeError(f"not a number: {value!r}")
+
+
+def _scalar(value, name: str) -> float:
+    try:
+        return _real(value)
+    except TypeError:
+        raise InvalidEdgeError(f"{name} must be a number, got {value!r}") from None
+
+
+def _vector(values, name: str) -> tuple[float, ...]:
+    """A reserves or weights vector as a tuple of Python floats."""
+    try:
+        items = tuple(values)
+        if all(type(v) is float for v in items):
+            return items
+        return tuple([_real(v) for v in items])
+    except TypeError:
+        raise InvalidEdgeError(f"{name} must be a list of numbers, got {values!r}") from None
+
+
+def _validate_pool(reserves, fee) -> tuple[tuple[float, ...], float]:
+    reserves = _vector(reserves, "reserves")
+    fee = _scalar(fee, "fee")
     # Written as "not in range" so that a NaN fails the checks too.
-    if not (reserves > 0.0).all():
-        raise InvalidEdgeError(f"reserves must be positive, got {reserves}")
+    if not all(r > 0.0 for r in reserves):
+        raise InvalidEdgeError(f"reserves must be positive, got {list(reserves)}")
     if not (0.0 < fee <= 1.0):
         raise InvalidEdgeError(f"fee must lie in (0, 1], got {fee}")
-    return reserves
+    return reserves, fee
 
 
-def _log_invariant(weights: np.ndarray, reserves: np.ndarray) -> float:
+def _log_invariant(weights, reserves) -> float:
     """Log of the trading function at positive reserves; an infinite
-    reserve makes it infinite and is rejected."""
+    reserve makes it infinite and is rejected.
+
+    The dot product stays in numpy: it may round as a chain of fused
+    multiply-adds, which ``w0 * l0 + w1 * l1`` in Python does not
+    reproduce bit for bit.
+    """
     log_inv = float(np.dot(weights, np.log(reserves)))
     if not math.isfinite(log_inv):
-        raise InvalidEdgeError(f"reserves must be finite, got {reserves}")
+        raise InvalidEdgeError(f"reserves must be finite, got {list(reserves)}")
     return log_inv
 
 
@@ -76,28 +114,40 @@ class TwoAssetGeometricPool(EdgeOracle):
     form: the no-trade price band is the fee-scaled marginal price of
     the pool, and outside it the post-trade reserves follow from the
     stationarity of the traded amount.
+
+    The pool keeps one copy of its data, as Python floats; ``reserves``
+    and ``weights`` build a fresh array on each access.
     """
+
+    __slots__ = ("_r0", "_r1", "weight", "fee", "_log_inv", "__dict__")
 
     dim = 2
     is_strictly_convex = True
 
     def __init__(self, reserves, weight: float = 0.5, fee: float = 1.0):
-        self.reserves = _validate_pool(reserves, fee)
-        if len(self.reserves) != 2:
+        reserves, fee = _validate_pool(reserves, fee)
+        if len(reserves) != 2:
             raise InvalidEdgeError("two-asset pool needs exactly two reserves")
+        weight = _scalar(weight, "weight")
         if not (0.0 < weight < 1.0):
             raise InvalidEdgeError(f"weight must lie in (0, 1), got {weight}")
-        self.weight = float(weight)
-        self.fee = float(fee)
-        self.weights = np.array([self.weight, 1.0 - self.weight])
-        self._log_inv = _log_invariant(self.weights, self.reserves)
-        self._price = (self.weight / self.reserves[0]) / (
-            (1.0 - self.weight) / self.reserves[1]
-        )
+        self._r0, self._r1 = reserves
+        self.weight = weight
+        self.fee = fee
+        self._log_inv = _log_invariant((weight, 1.0 - weight), reserves)
+
+    @property
+    def reserves(self) -> np.ndarray:
+        return np.array([self._r0, self._r1])
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.array([self.weight, 1.0 - self.weight])
 
     def marginal_price(self) -> float:
         """Pool price of asset 1 in units of asset 2, before fees."""
-        return self._price
+        w = self.weight
+        return (w / self._r0) / ((1.0 - w) / self._r1)
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         value, f1, f2, non_unique = self.evaluate_pair(float(prices[0]), float(prices[1]))
@@ -111,24 +161,25 @@ class TwoAssetGeometricPool(EdgeOracle):
             raise UnattainedSupremumError(
                 "supremum not attained: an asset with zero price can be tendered without limit"
             )
-        price = self._price
+        w, r0, r1, fee = self.weight, self._r0, self._r1, self.fee
+        price = (w / r0) / ((1.0 - w) / r1)
         ratio = p1 / p2
-        if self.fee * price <= ratio <= price / self.fee:
+        if fee * price <= ratio <= price / fee:
             return 0.0, 0.0, 0.0, False
-        if ratio < self.fee * price:
-            tendered, received = self._trade(0, 1, p1, p2)
+        if ratio < fee * price:
+            tendered, received = self._trade(w, 1.0 - w, r0, r1, p1, p2)
             f1, f2 = -tendered, received
         else:
-            tendered, received = self._trade(1, 0, p2, p1)
+            tendered, received = self._trade(1.0 - w, w, r1, r0, p2, p1)
             f1, f2 = received, -tendered
         return p1 * f1 + p2 * f2, f1, f2, False
 
-    def _trade(self, j_in: int, j_out: int, p_in: float, p_out: float) -> tuple[float, float]:
-        """Tender asset ``j_in`` for asset ``j_out`` at the stationary point."""
+    def _trade(
+        self, w_in: float, w_out: float, r_in: float, r_out: float, p_in: float, p_out: float
+    ) -> tuple[float, float]:
+        """Tender the asset of weight ``w_in`` and reserve ``r_in`` for the
+        other one at the stationary point."""
         gamma = self.fee
-        w_in = self.weights[j_in]
-        w_out = self.weights[j_out]
-        r_in, r_out = self.reserves[j_in], self.reserves[j_out]
         ratio = w_in / w_out
         # Stationarity: p_out * d(received)/d(tendered) = p_in, which puts
         # the post-trade input reserve at a weighted geometric mean.
@@ -152,21 +203,30 @@ class GeometricMeanPool(EdgeOracle):
     residual; the per-asset inner problems have closed forms.
     """
 
+    __slots__ = ("_r", "_w", "fee", "dim", "_log_inv", "__dict__")
+
     is_strictly_convex = True
 
     def __init__(self, reserves, weights, fee: float = 1.0):
-        self.reserves = _validate_pool(reserves, fee)
-        weights = np.asarray(weights, dtype=float)
-        if len(weights) != len(self.reserves) or len(weights) < 2:
+        reserves, fee = _validate_pool(reserves, fee)
+        weights = _vector(weights, "weights")
+        if len(weights) != len(reserves) or len(weights) < 2:
             raise InvalidEdgeError("need one positive weight per asset")
-        if not (weights > 0).all() or not abs(float(weights.sum()) - 1.0) <= 1e-9:
+        if not all(w > 0.0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
             raise InvalidEdgeError("weights must be positive and sum to one")
-        self.weights = weights
-        self.fee = float(fee)
-        self.dim = len(self.reserves)
-        self._log_inv = _log_invariant(self.weights, self.reserves)
-        self._r = [float(v) for v in self.reserves]
-        self._w = [float(v) for v in self.weights]
+        self._r = reserves
+        self._w = weights
+        self.fee = fee
+        self.dim = len(reserves)
+        self._log_inv = _log_invariant(weights, reserves)
+
+    @property
+    def reserves(self) -> np.ndarray:
+        return np.array(self._r)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.array(self._w)
 
     def _post_reserve(self, lam: float, price: float, j: int) -> float:
         base = lam * self._w[j] / price

@@ -67,26 +67,51 @@ class InstanceValidationError(ParseError):
 
 
 def _get(obj: dict, key: str, path: str, kind=None):
-    if key not in obj:
-        raise ParseError(f"{path}: missing required field '{key}'")
-    value = obj[key]
-    # An exact type test: JSON's true and false are not integers here.
+    try:
+        value = obj[key]
+    except KeyError:
+        raise ParseError(f"{path}: missing required field '{key}'") from None
+    except TypeError:
+        raise ParseError(f"{path}: expected dict, got {type(obj).__name__}") from None
+    # An exact type test: JSON's true and false are neither integers nor
+    # numbers here; an integer is read as a float where one belongs.
     if kind is not None and type(value) is not kind:
+        if kind is float and type(value) is int:
+            return _to_float(value, path)
         raise ParseError(f"{path}.{key}: expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
+def _params(doc: dict, path: str) -> dict:
+    params = doc.get("params", {})
+    if type(params) is not dict:
+        raise ParseError(f"{path}.params: expected dict, got {type(params).__name__}")
+    return params
+
+
+def _to_float(value, path: str) -> float:
+    """A JSON number as a Python float; true and false are not numbers."""
+    if type(value) is float:
+        return value
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            # Past the float range an integer reads as infinite, like
+            # 1e400, and is rejected where a finite number is needed.
+            return math.inf if value > 0 else -math.inf
+    raise ParseError(f"{path}: expected a number, got {type(value).__name__}")
+
+
 def _floats(value, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: expected a numeric array") from exc
-    return arr
+    if type(value) is not list:
+        raise ParseError(f"{path}: expected a list of numbers, got {type(value).__name__}")
+    return np.array([_to_float(v, path) for v in value], dtype=float)
 
 
 def _build_objective(doc: dict, n: int, path: str):
     kind = _get(doc, "kind", path, str)
-    params = doc.get("params", {})
+    params = _params(doc, path)
     if kind == "linear_nonneg":
         prices = _floats(_get(params, "prices", f"{path}.params"), f"{path}.params.prices")
         if len(prices) != n:
@@ -102,13 +127,13 @@ def _build_objective(doc: dict, n: int, path: str):
     if kind == "mincost":
         return MinCostObjective(
             n,
-            float(_get(params, "target", f"{path}.params")),
+            _get(params, "target", f"{path}.params", float),
             source=params.get("source", 0),
             sink=params.get("sink"),
         )
     if kind == "fisher":
         budgets = _floats(_get(params, "budgets", f"{path}.params"), f"{path}.params.budgets")
-        n_goods = int(_get(params, "n_goods", f"{path}.params"))
+        n_goods = _get(params, "n_goods", f"{path}.params", int)
         if len(budgets) + n_goods != n:
             raise InstanceValidationError(f"{path}: buyers + goods != n={n}")
         return FisherObjective(budgets, n_goods)
@@ -117,36 +142,43 @@ def _build_objective(doc: dict, n: int, path: str):
 
 def _build_edge_oracle(kind: str, params: dict, path: str):
     if kind == "lossless":
-        return TwoNodeEdge(LinearGain(slope=1.0, capacity=float(_get(params, "capacity", path))))
+        return TwoNodeEdge(LinearGain(slope=1.0, capacity=_get(params, "capacity", path, float)))
     if kind == "linear_gain":
         return TwoNodeEdge(
             LinearGain(
-                slope=float(_get(params, "gain", path)),
-                capacity=float(_get(params, "capacity", path)),
+                slope=_get(params, "gain", path, float),
+                capacity=_get(params, "capacity", path, float),
             )
         )
     if kind == "piecewise_linear":
         points = _get(params, "points", path, list)
-        return TwoNodeEdge(PiecewiseLinearGain([(float(w), float(h)) for w, h in points]))
+        where = f"{path}.points"
+        if not all(type(point) is list and len(point) == 2 for point in points):
+            raise ParseError(f"{where}: expected a list of [input, output] pairs")
+        return TwoNodeEdge(
+            PiecewiseLinearGain([(_to_float(w, where), _to_float(h, where)) for w, h in points])
+        )
     if kind == "opf_line":
         return TwoNodeEdge(
             PowerLossGain(
-                alpha=float(_get(params, "alpha", path)),
-                beta=float(_get(params, "beta", path)),
-                capacity=float(_get(params, "capacity", path)),
+                alpha=_get(params, "alpha", path, float),
+                beta=_get(params, "beta", path, float),
+                capacity=_get(params, "capacity", path, float),
             )
         )
+    # The pool constructors check their own numbers, JSON's true and
+    # false included, and keep them as Python floats.
     if kind == "uniswap":
         return TwoAssetGeometricPool(
-            _floats(_get(params, "reserves", path), f"{path}.reserves"),
-            weight=float(params.get("weight", 0.5)),
-            fee=float(params.get("fee", 1.0)),
+            _get(params, "reserves", path),
+            weight=params.get("weight", 0.5),
+            fee=params.get("fee", 1.0),
         )
     if kind == "geometric_mean":
         return GeometricMeanPool(
-            _floats(_get(params, "reserves", path), f"{path}.reserves"),
-            _floats(_get(params, "weights", path), f"{path}.weights"),
-            fee=float(params.get("fee", 1.0)),
+            _get(params, "reserves", path),
+            _get(params, "weights", path),
+            fee=params.get("fee", 1.0),
         )
     if kind == "fisher_basket":
         return FisherBasketEdge(_floats(_get(params, "valuations", path), f"{path}.valuations"))
@@ -156,7 +188,7 @@ def _build_edge_oracle(kind: str, params: dict, path: str):
 def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     """Kind, params and nodes of an edge document, with path-annotated errors."""
     kind = _get(edge_doc, "kind", path, str)
-    params = edge_doc.get("params", {})
+    params = _params(edge_doc, path)
     nodes = _get(edge_doc, "nodes", path, list)
     if any(type(j) is not int for j in nodes):
         raise ParseError(f"{path}.nodes: node indices must be integers")
@@ -184,14 +216,13 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         path = f"$.edges[{k}]"
         # One test passes a well-formed edge; an edge that fails it takes
         # the path-annotated checks, which name its first fault.
-        if (
+        if not (
             type(edge_doc) is dict
             and type(kind := edge_doc.get("kind")) is str
+            and type(params := edge_doc.get("params", {})) is dict
             and type(nodes := edge_doc.get("nodes")) is list
             and all(type(j) is int and 0 <= j < n for j in nodes)
         ):
-            params = edge_doc.get("params", {})
-        else:
             kind, params, nodes = _checked_edge(edge_doc, n, path)
         try:
             oracle = _build_edge_oracle(kind, params, path)

@@ -169,13 +169,7 @@ def _edge_candidates(oracle, resolution, focus=None):
         center = -focus[0]
         span = oracle.gain.input_hi - oracle.gain.input_lo
         return _two_node_candidates(oracle, resolution, center=center, width=0.05 * span)
-    if isinstance(oracle, TwoAssetGeometricPool):
-        pool_w = np.array([oracle.weight, 1.0 - oracle.weight])
-        centers = None if focus is None else focus[:-1]
-        return _pool_candidates(
-            oracle.reserves, pool_w, oracle.fee, resolution, centers=centers, width=0.05
-        )
-    if isinstance(oracle, GeometricMeanPool):
+    if isinstance(oracle, (TwoAssetGeometricPool, GeometricMeanPool)):
         centers = None if focus is None else focus[:-1]
         return _pool_candidates(
             oracle.reserves, oracle.weights, oracle.fee, resolution, centers=centers, width=0.05

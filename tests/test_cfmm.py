@@ -15,6 +15,7 @@ from convexflows.edges import (
     separable_cfmm_arbitrage,
     uniswap_arbitrage,
 )
+from convexflows.io_cli import gen_cfmm, instance_from_dict
 
 
 def _post_reserve_by_bisection(log_inv, weights, post_known, idx_known, idx_out):
@@ -190,6 +191,57 @@ def test_pool_membership_rejects_value_extraction():
     assert not pool.is_member(np.array([10.0, 10.0]), 1e-6)
     assert not pool.is_member(np.array([-10.0, 120.0]), 1e-6)
     assert pool.is_member(np.array([-10.0, 5.0]), 1e-6)
+
+
+@pytest.mark.parametrize(
+    "pool, prices",
+    [
+        (TwoAssetGeometricPool([100.0, 50.0]), [1.0, 1.0]),
+        (TwoAssetGeometricPool([100.0, 50.0], 0.8, 0.99), [1.0, 2.5]),
+        (GeometricMeanPool([100.0, 50.0, 80.0], [0.2, 0.3, 0.5], 0.995), [1.0, 1.5, 0.7]),
+    ],
+)
+def test_pool_data_cannot_be_changed_through_its_arrays(pool, prices):
+    # A write into the returned arrays used to reach the stored reserves
+    # and leave the cached invariant stale: TwoAssetGeometricPool([100, 50])
+    # then answered evaluate_pair(1, 1) with -663, though a support
+    # function is never negative.
+    prices = np.array(prices)
+    before = pool.evaluate(prices)
+    pair = pool.evaluate_pair(1.0, 1.0) if pool.dim == 2 else None
+    price = pool.marginal_price() if pool.dim == 2 else None
+    reserves, weights = pool.reserves, pool.weights
+    pool.reserves[0] = 1.0
+    pool.weights[0] = 0.9
+    pool.reserves[:] *= 3.0
+    after = pool.evaluate(prices)
+    assert after.value == before.value and np.array_equal(after.flow, before.flow)
+    if pool.dim == 2:
+        assert pool.evaluate_pair(1.0, 1.0) == pair
+        assert pool.marginal_price() == price
+    assert np.array_equal(pool.reserves, reserves) and np.array_equal(pool.weights, weights)
+    with pytest.raises(AttributeError):
+        pool.reserves = np.ones(pool.dim)
+
+
+def test_uniswap_evaluate_pair_returns_python_floats():
+    pool = TwoAssetGeometricPool([100.0, 50.0], 0.8, 0.99)
+    for p1, p2 in ((1.0, 1.0), (2.0, 1.0), (1.0, 9.0), (9.0, 1.0)):
+        out = pool.evaluate_pair(p1, p2)
+        assert [type(v) for v in out] == [float, float, float, bool]
+    assert any(pool.evaluate_pair(p1, p2)[0] > 0.0 for p1, p2 in ((1.0, 9.0), (9.0, 1.0)))
+    assert type(pool.marginal_price()) is float
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pool_log_invariant_is_numpy_dot_bit_for_bit(seed):
+    # The invariant stays a numpy dot product: it may round as fused
+    # multiply-adds, and a Python sum of products moves it by an ulp on
+    # some pools, which changes the solve paths of penalized instances.
+    instance = instance_from_dict(gen_cfmm(200, seed))
+    for edge in instance.edges:
+        pool = edge.oracle
+        assert pool._log_inv == float(np.dot(pool.weights, np.log(pool.reserves)))
 
 
 # -- buyer basket edges ------------------------------------------------------

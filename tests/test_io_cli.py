@@ -354,6 +354,23 @@ def test_cli_rejects_numbers_past_the_float_range(tmp_path, capsys, doc, keys, w
 
 
 @pytest.mark.parametrize(
+    "edge",
+    [
+        {"kind": "lossless", "params": {"capacity": "HUGE"}},
+        {"kind": "uniswap", "params": {"reserves": [1.0, "HUGE"]}},
+    ],
+    ids=["lossless_capacity", "pool_reserve"],
+)
+def test_integers_past_the_float_range_are_not_finite(edge):
+    # float() of such an integer raises OverflowError, which used to end
+    # in a traceback.
+    doc = dict(MINIMAL, edges=[MINIMAL["edges"][0], dict(edge, nodes=[1, 0])])
+    text = json.dumps(doc).replace('"HUGE"', "1" + "0" * 400)
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[1\]: .*finite"):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
     "objective",
     [
         {"kind": "maxflow", "params": {"sink": 9}},
@@ -386,14 +403,172 @@ def test_cli_rejects_bad_source_and_sink(tmp_path, capsys, objective):
         (lambda d: d.update(version=True), r"\$\.version"),
         (lambda d: d.update(n=True), r"\$\.n"),
         (lambda d: d["edges"][0].update(nodes=[True, 2]), r"\$\.edges\[0\]\.nodes"),
+        (lambda d: d["edges"][0].update(params={"capacity": True}), r"\$\.edges\[0\]\.capacity"),
+        (
+            lambda d: d["edges"][0].update(kind="linear_gain", params={"gain": True, "capacity": 1.0}),
+            r"\$\.edges\[0\]\.gain",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="linear_gain", params={"gain": 0.5, "capacity": True}),
+            r"\$\.edges\[0\]\.capacity",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": True, "beta": 0.25, "capacity": 1.0}),
+            r"\$\.edges\[0\]\.alpha",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": 16.0, "beta": False, "capacity": 1.0}),
+            r"\$\.edges\[0\]\.beta",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": 16.0, "beta": 0.25, "capacity": True}),
+            r"\$\.edges\[0\]\.capacity",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="piecewise_linear", params={"points": [[0.0, 0.0], [True, 1.0]]}),
+            r"\$\.edges\[0\]\.points",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [True, 1.0]}),
+            r"\$\.edges\[0\]: reserves must be a list of numbers",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [1.0, 1.0], "weight": True}),
+            r"\$\.edges\[0\]: weight must be a number",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [1.0, 1.0], "fee": True}),
+            r"\$\.edges\[0\]: fee must be a number",
+        ),
+        (
+            lambda d: d["edges"][0].update(
+                kind="geometric_mean", params={"reserves": [1.0, 1.0], "weights": [True, 0.0]}
+            ),
+            r"\$\.edges\[0\]: weights must be a list of numbers",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "linear_nonneg", "params": {"prices": [1.0, True, 1.0]}}),
+            r"\$\.objective\.params\.prices",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "opf_quadratic", "params": {"demands": [1.0, 1.0, True]}}),
+            r"\$\.objective\.params\.demands",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "fisher", "params": {"budgets": [True], "n_goods": 2}}),
+            r"\$\.objective\.params\.budgets",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "mincost", "params": {"target": True}}),
+            r"\$\.objective\.params\.target",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "fisher", "params": {"budgets": [1.0], "n_goods": True}}),
+            r"\$\.objective\.params\.n_goods",
+        ),
+        (
+            lambda d: d.update(objective={"kind": "fisher", "params": {"budgets": [1.0], "n_goods": 2.7}}),
+            r"\$\.objective\.params\.n_goods",
+        ),
     ],
-    ids=["version", "n", "nodes"],
+    ids=[
+        "version",
+        "n",
+        "nodes",
+        "lossless_capacity",
+        "linear_gain_gain",
+        "linear_gain_capacity",
+        "opf_line_alpha",
+        "opf_line_beta",
+        "opf_line_capacity",
+        "piecewise_linear_points",
+        "pool_reserves",
+        "pool_weight",
+        "pool_fee",
+        "pool_weights",
+        "prices",
+        "demands",
+        "budgets",
+        "target",
+        "n_goods",
+        "n_goods_fractional",
+    ],
 )
 def test_json_booleans_are_not_integers(change, where):
+    # Booleans used to parse as 1.0 wherever a number was read with
+    # float(...), and a fractional goods count was truncated.
     doc = json.loads(json.dumps(gen_maxflow(3, 1.0, 0)))
     change(doc)
     with pytest.raises(ParseError, match=where):
         parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "change, where",
+    [
+        (lambda d: d["edges"].__setitem__(0, 3), r"^\$\.edges\[0\]: expected dict"),
+        (lambda d: d["edges"][0].update(params=[1.0]), r"^\$\.edges\[0\]\.params: expected dict"),
+        (lambda d: d["edges"][0].update(edge_utility=3), r"^\$\.edges\[0\]\.edge_utility: expected dict"),
+        (lambda d: d["objective"].update(params=[1.0]), r"^\$\.objective\.params: expected dict"),
+    ],
+    ids=["edge", "edge_params", "edge_utility", "objective_params"],
+)
+def test_documents_that_are_not_objects_are_parse_errors(change, where):
+    # Each of these used to end in a TypeError traceback.
+    doc = json.loads(json.dumps(gen_maxflow(3, 1.0, 0)))
+    change(doc)
+    with pytest.raises(ParseError, match=where):
+        parse_instance(json.dumps(doc))
+
+
+_BAD_SHAPES = ["abc", [1.0], [1.0, "x"], [[1, 2], [3, 4]], 3.0, None]
+
+
+@pytest.mark.parametrize("bad", _BAD_SHAPES, ids=["string", "short", "mixed", "nested", "scalar", "null"])
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("uniswap", {"reserves": [1.0, 2.0], "weight": 0.5}, "reserves"),
+        ("geometric_mean", {"reserves": [1.0, 2.0], "weights": [0.5, 0.5]}, "reserves"),
+        ("geometric_mean", {"reserves": [1.0, 2.0], "weights": [0.5, 0.5]}, "weights"),
+    ],
+    ids=["uniswap_reserves", "geometric_mean_reserves", "geometric_mean_weights"],
+)
+def test_malformed_pools_are_parse_errors(tmp_path, capsys, kind, params, key, bad):
+    # The pool constructors read the JSON lists as they come; a scalar
+    # reserves entry used to end in a TypeError traceback.
+    edge = {"kind": kind, "params": dict(params, **{key: bad}), "nodes": [1, 0]}
+    doc = dict(MINIMAL, edges=[MINIMAL["edges"][0], edge])
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=r"^\$\.edges\[1\]"):
+        parse_instance(path.read_text())
+    # Instance errors exit 1; exit 2 is kept for solves that end uncertified.
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    assert captured.err.startswith("error: $.edges[1]")
+
+
+def test_parsed_cfmm_instance_stays_small():
+    # One copy of each pool's data, as Python floats in slots: about 440
+    # bytes an edge on CPython 3.11, against about 716 with reserves and
+    # weights arrays (and, for the multi-asset pools, float lists) kept
+    # beside an instance dictionary.
+    text = json.dumps(gen_cfmm(1600, 0))
+    parse_instance(text)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instance = parse_instance(text)
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert used / instance.m < 480
 
 
 def test_solving_loads_no_scipy(tmp_path):

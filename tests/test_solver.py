@@ -15,6 +15,7 @@ from conftest import (
 )
 from convexflows import (
     EdgeIncidence,
+    GeometricMeanPool,
     Hyperedge,
     LinearNonnegObjective,
     OpfQuadraticObjective,
@@ -291,6 +292,33 @@ def test_solve_calls_per_instance_evaluate_pair_wrappers(build, kind):
                 return inner(p_in, p_out)
 
             edge.oracle.evaluate_pair = counted
+            calls[k] = 0
+    assert calls
+    result = solve(instance)
+    assert min(calls.values()) > 0
+    assert (result.status, result.dual_value, result.iterations, result.n_evals) == (
+        plain.status,
+        plain.dual_value,
+        plain.iterations,
+        plain.n_evals,
+    )
+
+
+def test_solve_calls_per_instance_evaluate_wrappers_of_array_plan_pools():
+    # Multi-asset pools are answered through evaluate; a wrapper set on
+    # the instance (as the benchmark's tracer sets one) must be what the
+    # solver calls, with the solve unchanged.
+    plain = solve(cfmm_instance(m=10, seed=1))
+    instance = cfmm_instance(m=10, seed=1)
+    calls = {}
+    for k, edge in enumerate(instance.edges):
+        if type(edge.oracle) is GeometricMeanPool:
+
+            def counted(prices, k=k, inner=edge.oracle.evaluate):
+                calls[k] = calls.get(k, 0) + 1
+                return inner(prices)
+
+            edge.oracle.evaluate = counted
             calls[k] = 0
     assert calls
     result = solve(instance)
