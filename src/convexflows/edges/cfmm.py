@@ -116,10 +116,12 @@ class TwoAssetGeometricPool(EdgeOracle):
     stationarity of the traded amount.
 
     The pool keeps one copy of its data, as Python floats; ``reserves``
-    and ``weights`` build a fresh array on each access.
+    and ``weights`` build a fresh array on each access, and ``weight``
+    and ``fee`` are read-only, so the cached log invariant cannot go
+    stale.
     """
 
-    __slots__ = ("_r0", "_r1", "weight", "fee", "_log_inv", "__dict__")
+    __slots__ = ("_r0", "_r1", "_weight", "_fee", "_log_inv", "__dict__")
 
     dim = 2
     is_strictly_convex = True
@@ -132,9 +134,17 @@ class TwoAssetGeometricPool(EdgeOracle):
         if not (0.0 < weight < 1.0):
             raise InvalidEdgeError(f"weight must lie in (0, 1), got {weight}")
         self._r0, self._r1 = reserves
-        self.weight = weight
-        self.fee = fee
+        self._weight = weight
+        self._fee = fee
         self._log_inv = _log_invariant((weight, 1.0 - weight), reserves)
+
+    @property
+    def weight(self) -> float:
+        return self._weight
+
+    @property
+    def fee(self) -> float:
+        return self._fee
 
     @property
     def reserves(self) -> np.ndarray:
@@ -142,11 +152,11 @@ class TwoAssetGeometricPool(EdgeOracle):
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([self.weight, 1.0 - self.weight])
+        return np.array([self._weight, 1.0 - self._weight])
 
     def marginal_price(self) -> float:
         """Pool price of asset 1 in units of asset 2, before fees."""
-        w = self.weight
+        w = self._weight
         return (w / self._r0) / ((1.0 - w) / self._r1)
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
@@ -161,7 +171,7 @@ class TwoAssetGeometricPool(EdgeOracle):
             raise UnattainedSupremumError(
                 "supremum not attained: an asset with zero price can be tendered without limit"
             )
-        w, r0, r1, fee = self.weight, self._r0, self._r1, self.fee
+        w, r0, r1, fee = self._weight, self._r0, self._r1, self._fee
         price = (w / r0) / ((1.0 - w) / r1)
         ratio = p1 / p2
         if fee * price <= ratio <= price / fee:
@@ -179,7 +189,7 @@ class TwoAssetGeometricPool(EdgeOracle):
     ) -> tuple[float, float]:
         """Tender the asset of weight ``w_in`` and reserve ``r_in`` for the
         other one at the stationary point."""
-        gamma = self.fee
+        gamma = self._fee
         ratio = w_in / w_out
         # Stationarity: p_out * d(received)/d(tendered) = p_in, which puts
         # the post-trade input reserve at a weighted geometric mean.
@@ -192,7 +202,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         return tendered, r_out - post_out
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        return _membership(self.reserves, self.weights, self.fee, flow, tol)
+        return _membership(self.reserves, self.weights, self._fee, flow, tol)
 
 
 class GeometricMeanPool(EdgeOracle):
@@ -200,10 +210,11 @@ class GeometricMeanPool(EdgeOracle):
 
     The log transform makes the trading function separable, so the price
     subproblem's scalar dual is solved by bisection on the invariant
-    residual; the per-asset inner problems have closed forms.
+    residual; the per-asset inner problems have closed forms.  ``fee``
+    is read-only, as is the rest of the pool's data.
     """
 
-    __slots__ = ("_r", "_w", "fee", "dim", "_log_inv", "__dict__")
+    __slots__ = ("_r", "_w", "_fee", "dim", "_log_inv", "__dict__")
 
     is_strictly_convex = True
 
@@ -216,9 +227,13 @@ class GeometricMeanPool(EdgeOracle):
             raise InvalidEdgeError("weights must be positive and sum to one")
         self._r = reserves
         self._w = weights
-        self.fee = fee
+        self._fee = fee
         self.dim = len(reserves)
         self._log_inv = _log_invariant(weights, reserves)
+
+    @property
+    def fee(self) -> float:
+        return self._fee
 
     @property
     def reserves(self) -> np.ndarray:
@@ -233,7 +248,7 @@ class GeometricMeanPool(EdgeOracle):
         r = self._r[j]
         if base < r:
             return base          # receive side
-        scaled = self.fee * base
+        scaled = self._fee * base
         return scaled if scaled > r else r  # tender side or idle band
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
@@ -248,10 +263,10 @@ class GeometricMeanPool(EdgeOracle):
         # prices into the fee band around the quoted prices.
         p = [float(v) for v in prices]
         s = [p[j] * self._r[j] / self._w[j] for j in range(self.dim)]
-        if self.fee * max(s) <= min(s):
+        if self._fee * max(s) <= min(s):
             return ArbitrageResult(value=0.0, flow=np.zeros(self.dim))
 
-        lo, hi = min(s), max(s) / self.fee
+        lo, hi = min(s), max(s) / self._fee
         w, log_inv = self._w, self._log_inv
 
         def residual(lam: float) -> tuple[float, float]:
@@ -286,13 +301,13 @@ class GeometricMeanPool(EdgeOracle):
         for j in range(self.dim):
             post = self._post_reserve(lam, p[j], j)
             if post >= self._r[j]:
-                flow[j] = -(post - self._r[j]) / self.fee  # tendered
+                flow[j] = -(post - self._r[j]) / self._fee  # tendered
             else:
                 flow[j] = self._r[j] - post                # received
         return ArbitrageResult(value=float(prices @ flow), flow=flow)
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        return _membership(self.reserves, self.weights, self.fee, flow, tol)
+        return _membership(self.reserves, self.weights, self._fee, flow, tol)
 
 
 def uniswap_arbitrage(reserves, fee: float, weight: float, prices) -> tuple[np.ndarray, float]:

@@ -15,6 +15,14 @@ screen cannot rule out at their probe points, see :func:`escape_probes`),
 and an optional final polish evaluates caller-proposed points, keeping
 any that are at least as good (:func:`polish_keeps`).
 
+An optional certificate is asked once, at the start: after the first
+iterate the driver evaluates the polish candidates of the start point
+and asks the certificate whether the best of them is optimal (the
+solver compares it with a recovered primal point, by weak duality).  A
+certified point ends the run there with status ``"converged"``; a
+refused one leaves the run exactly as it would have been, apart from
+the candidates' evaluations.
+
 At such kinks the quasi-Newton direction itself often cannot descend,
 and backtracking would halve its step some fifty times down to float
 noise.  An optional line-search screen, asked once after the first
@@ -89,11 +97,12 @@ class QNResult:
     status: str
 
 
-def _projected_gradient(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def _pg_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
+    """Max-norm of the projected gradient."""
     pg = g.copy()
     at_bound = x <= lower
     pg[at_bound] = np.minimum(g[at_bound], 0.0)
-    return pg
+    return float(np.max(np.abs(pg))) if len(pg) else 0.0
 
 
 def escape_probes(x: np.ndarray, directions, lower: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -122,6 +131,33 @@ def polish_keeps(f_candidate: float, f: float) -> bool:
     within ``8 eps (1 + |f|)`` above ``f`` is kept.
     """
     return math.isfinite(f_candidate) and f_candidate <= f + _TIE_SLACK * (1.0 + abs(f))
+
+
+def _polish(fun, x, f, g, lower, generators):
+    """Evaluate the generators' points and keep the best; return
+    ``(x, f, g, evals, kept)``.
+
+    Each generator is called with the best point so far and may propose
+    one point or several; a proposal equal to that point is skipped
+    without an evaluation, and one that :func:`polish_keeps` accepts
+    becomes the best.  ``kept`` says whether any proposal was adopted.
+    """
+    evals = 0
+    kept = False
+    for generator in generators:
+        proposals = generator(x)
+        if isinstance(proposals, np.ndarray):
+            proposals = [proposals]
+        for x_c in proposals:
+            x_c = np.maximum(np.asarray(x_c, dtype=float), lower)
+            if np.array_equal(x_c, x):
+                continue
+            f_c, g_c = fun(x_c)
+            evals += 1
+            if polish_keeps(f_c, f):
+                x, f, g = x_c, f_c, np.asarray(g_c, dtype=float)
+                kept = True
+    return x, f, g, evals, kept
 
 
 def _escape_move(fun, x, f, lower, directions):
@@ -206,6 +242,7 @@ def minimize_bound_lbfgs(
     polish_candidates: Sequence[Callable[[np.ndarray], np.ndarray]] | None = None,
     escape_directions: Callable[[np.ndarray], list] | None = None,
     line_search_screen: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    certificate: Callable[[np.ndarray, float], bool] | None = None,
 ) -> QNResult:
     """Minimize ``fun`` subject to ``x >= lower``.
 
@@ -228,6 +265,13 @@ def minimize_bound_lbfgs(
             by more than the probe margin at the escape probe of ``d``
             (:func:`escape_probes`), and the search ends without further
             evaluations, as a failed one.
+        certificate: Called as ``certificate(x, value)`` once, at the best
+            of the start point and its polish candidates, after the first
+            callback.  True means the point is optimal: the driver moves
+            there (one iteration), calls the callback at it and ends with
+            status ``"converged"`` and no final polish.  False changes
+            nothing but the candidates' evaluations.  Needs
+            ``polish_candidates``.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -269,15 +313,28 @@ def minimize_bound_lbfgs(
         recent_pg.clear()
         return True
 
+    certified = False
     while iteration < config.max_iter:
-        pg = _projected_gradient(x, g, lower)
-        pg_norm = float(np.max(np.abs(pg))) if len(pg) else 0.0
+        pg_norm = _pg_norm(x, g, lower)
         if callback is not None:
             callback(iteration, x, f, g, pg_norm)
         if pg_norm <= config.grad_tol * max(1.0, abs(f)):
             status = "converged"
             converged = True
             break
+        if iteration == 0 and certificate is not None and polish_candidates:
+            # Check the best rounded start once; a refusal leaves the run
+            # as it was.
+            x_c, f_c, g_c, extra, _ = _polish(fun, x, f, g, lower, polish_candidates)
+            n_evals += extra
+            if certificate(x_c, f_c):
+                x, f, g = x_c, f_c, g_c
+                iteration += 1
+                if callback is not None:
+                    callback(iteration, x, f, g, _pg_norm(x, g, lower))
+                status = "converged"
+                converged = certified = True
+                break
         recent.append(f)
         recent_pg.append(pg_norm)
         if len(recent) > _STALL_WINDOW:
@@ -380,25 +437,14 @@ def minimize_bound_lbfgs(
         iteration += 1
 
     # Optional final polish: evaluate externally proposed points and keep
-    # anything at least as good.  Each generator may propose several
-    # points for the current best.
-    if polish_candidates:
-        for generator in polish_candidates:
-            proposals = generator(x)
-            if isinstance(proposals, np.ndarray):
-                proposals = [proposals]
-            for x_c in proposals:
-                x_c = np.maximum(np.asarray(x_c, dtype=float), lower)
-                if np.array_equal(x_c, x):
-                    continue
-                f_c, g_c = fun(x_c)
-                n_evals += 1
-                if polish_keeps(f_c, f):
-                    x, f, g = x_c, f_c, np.asarray(g_c, dtype=float)
-                    status = "polished"
+    # anything at least as good.  A certified start has nothing to polish.
+    if polish_candidates and not certified:
+        x, f, g, extra, kept = _polish(fun, x, f, g, lower, polish_candidates)
+        n_evals += extra
+        if kept:
+            status = "polished"
 
-    pg = _projected_gradient(x, g, lower)
-    pg_norm = float(np.max(np.abs(pg))) if len(pg) else 0.0
+    pg_norm = _pg_norm(x, g, lower)
     if pg_norm <= config.grad_tol * max(1.0, abs(f)):
         converged = True
     return QNResult(

@@ -88,8 +88,12 @@ class SolverConfig:
     not strictly convex), the driver finishes by evaluating rounded
     copies of the final iterate (integers and threshold cuts) and keeps
     any that are at least as good, which lands exactly on the vertex
-    solutions of combinatorial instances; strictly convex instances
-    skip that polish.
+    solutions of combinatorial instances.  Such an instance also tries
+    the rounded copies of its start once, after the first iterate: the
+    primal point recovered at the best of them certifies it when its
+    objective is finite and within ``feas_tol * (1 + |dual|)`` of the
+    dual value, and the solve then ends there with status
+    ``"converged"``.  Strictly convex instances skip both.
     """
 
     grad_tol: float = 1e-7
@@ -709,10 +713,37 @@ def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
     return candidates
 
 
+class _Recovered(NamedTuple):
+    """A recovered primal point: flows, net flow, objective and fit residual."""
+
+    flows: list[np.ndarray]
+    net_flow: np.ndarray
+    value: float
+    residual: float
+
+
+def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Recovered:
+    """Recover and score the primal point at ``x`` from its pass and faces."""
+    instance = program.instance
+    raw = program._cached_pass(x)
+    flows, residual = recovery.recover_flows(
+        instance,
+        program.node_prices(x),
+        program.edge_flows(raw),
+        raw.conj_u,
+        program.supported_faces(x),
+        tol=config.feas_tol,
+    )
+    net = assemble_net_flow(flows, instance.incidences, instance.n)
+    p = primal_objective(instance, PrimalPoint(edge_flows=flows, net_flow=net), tol=config.feas_tol)
+    return _Recovered(flows, net, p, residual)
+
+
 def _solve_dual(
     instance: ProblemInstance, start: DualPoint | None, config: SolverConfig
-) -> tuple[SolveResult, DualProgram, np.ndarray]:
-    """Run the driver; the result, the program and its final iterate."""
+) -> tuple[SolveResult, DualProgram, np.ndarray, _Recovered | None]:
+    """Run the driver; the result, the program, its final iterate and,
+    when the start was certified, the primal point recovered there."""
     program = DualProgram(instance)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
@@ -737,8 +768,23 @@ def _solve_dual(
             )
         )
 
-    # Only an instance with a flat face polishes and screens its line
-    # searches: elsewhere the face bound is the gradient term alone.
+    certified: list[_Recovered] = []
+
+    def certificate(x, f):
+        # Weak duality: a primal point within the gap tolerance of the
+        # dual value proves both optimal.
+        primal = _recover(program, x, config)
+        if math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f)):
+            certified.append(primal)
+            return True
+        # The run goes on from the start, whose pass the callback keeps;
+        # stop tracking the candidates' until the final polish.
+        program._kept_x = program._kept_pass = None
+        return False
+
+    # Only an instance with a flat face polishes, certifies its start and
+    # screens its line searches: elsewhere the face bound is the gradient
+    # term alone, and rounding lands on no vertex.
     flat = program.has_flat_faces
     candidates = [program.keeping_polish(g) for g in (np.round, _threshold_candidates)] if flat else None
     driver = minimize_bound_lbfgs(
@@ -750,6 +796,7 @@ def _solve_dual(
         polish_candidates=candidates,
         escape_directions=program.escape_directions,
         line_search_screen=program.rises_at_probe if flat else None,
+        certificate=certificate if flat else None,
     )
     raw = program._cached_pass(driver.x)
     result = SolveResult(
@@ -767,7 +814,7 @@ def _solve_dual(
         status=driver.status,
         nonsmooth=raw.nonsmooth,
     )
-    return result, program, driver.x
+    return result, program, driver.x, certified[0] if certified else None
 
 
 def solve_dual(
@@ -843,26 +890,20 @@ def solve(
     After the dual solve, flows on the edges whose prices support a flat
     face at the final iterate are re-fit along that face so their net
     flow matches the objective's target, to ``config.feas_tol`` (see
-    :mod:`convexflows.recovery`); every other edge passes through.
+    :mod:`convexflows.recovery`); every other edge passes through.  A
+    solve that ended on a certified start already recovered its primal
+    point there, and returns that one.
     """
     config = config or SolverConfig()
-    result, program, x = _solve_dual(instance, start, config)
-    flows, residual = recovery.recover_flows(
-        instance,
-        result.dual_point.node_prices,
-        result.flows,
-        program._cached_pass(x).conj_u,
-        program.supported_faces(x),
-        tol=config.feas_tol,
-    )
-    net = assemble_net_flow(flows, instance.incidences, instance.n)
-    primal = PrimalPoint(edge_flows=flows, net_flow=net)
-    p = primal_objective(instance, primal, tol=config.feas_tol)
+    result, program, x, primal = _solve_dual(instance, start, config)
+    if primal is None:
+        primal = _recover(program, x, config)
+    p = primal.value
     gap = result.dual_value - p if math.isfinite(p) else math.inf
-    result.flows = flows
-    result.net_flow = net
+    result.flows = primal.flows
+    result.net_flow = primal.net_flow
     result.primal_value = p
     result.duality_gap = gap
     result.relative_gap = gap / (1.0 + abs(result.dual_value))
-    result.recovery_residual = residual
+    result.recovery_residual = primal.residual
     return result

@@ -224,6 +224,26 @@ def test_pool_data_cannot_be_changed_through_its_arrays(pool, prices):
         pool.reserves = np.ones(pool.dim)
 
 
+@pytest.mark.parametrize(
+    "pool, names",
+    [
+        (TwoAssetGeometricPool([100.0, 50.0], 0.8, 0.99), ("weight", "fee", "weights")),
+        (GeometricMeanPool([100.0, 50.0, 80.0], [0.2, 0.3, 0.5], 0.995), ("fee", "weights")),
+    ],
+)
+def test_pool_weight_and_fee_are_read_only(pool, names):
+    # An assignment would skip validation and leave the log invariant,
+    # cached from the old weight, stale.
+    prices = np.array([1.0, 2.5, 0.7][: pool.dim])
+    before = pool.evaluate(prices)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(pool, name, 0.5)
+    after = pool.evaluate(prices)
+    assert after.value == before.value and np.array_equal(after.flow, before.flow)
+    assert pool.fee == (0.99 if pool.dim == 2 else 0.995)
+
+
 def test_uniswap_evaluate_pair_returns_python_floats():
     pool = TwoAssetGeometricPool([100.0, 50.0], 0.8, 0.99)
     for p1, p2 in ((1.0, 1.0), (2.0, 1.0), (1.0, 9.0), (9.0, 1.0)):

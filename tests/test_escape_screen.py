@@ -57,7 +57,9 @@ def unit_vertices(instance, rng, count):
     return [rng.integers(0, 2, n_vars).astype(float) for _ in range(count)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
+# Most generated instances certify their start and never stall; these
+# three do stall.
+@pytest.mark.parametrize("seed", [2, 16, 33])
 def test_bound_is_sound_on_maxflow(seed, monkeypatch):
     instance = maxflow_instance(20, 0.3, seed)
     stalls = stall_points(instance, monkeypatch)
@@ -153,7 +155,7 @@ def test_screen_reads_the_iterate_pass(monkeypatch):
 
 
 def test_escape_move_evaluations_on_maxflow(monkeypatch):
-    # Unscreened, the escapes of this solve spend 298 evaluations.
+    # Unscreened, the escapes of this solve spend 493 evaluations.
     evals = []
     original = qn._escape_move
 
@@ -165,7 +167,7 @@ def test_escape_move_evaluations_on_maxflow(monkeypatch):
         return original(counted, *args)
 
     monkeypatch.setattr(qn, "_escape_move", counting)
-    instance = maxflow_instance(20, 0.3, 5)
+    instance = maxflow_instance(20, 0.3, 2)
     result = solve(instance)
     assert 0 < len(evals) <= 150
     truth = maxflow_oracle(instance.n, maxflow_arcs(instance))

@@ -160,8 +160,9 @@ def test_driver_ends_a_screened_search_without_evaluating():
 
 def test_polished_point_is_not_evaluated_again(monkeypatch):
     # Polish can keep a candidate and then evaluate worse ones; the final
-    # assembly must read the kept candidate's pass.  Polish does that on
-    # seeds 12 and 27 (and did on seed 2 before the line-search screen).
+    # assembly must read the kept candidate's pass.  The start check does
+    # that on all three seeds, and seeds 12 and 27 end on the point it
+    # certifies; the final polish of seed 2 does it too.
     statuses, late = [], []
     original_driver = solver.minimize_bound_lbfgs
     original_pass = DualProgram._evaluate_pass

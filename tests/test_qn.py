@@ -111,6 +111,62 @@ def test_polish_candidate_adopted():
     assert_allclose(res.x, center)
 
 
+def _kink(center):
+    def fun(x):
+        return float(np.sum(np.abs(x - center))), np.sign(x - center)
+
+    return fun
+
+
+def test_certified_start_moves_once_and_ends():
+    center = np.array([1.0, 3.0])
+    seen, asked = [], []
+
+    def certificate(x, f):
+        asked.append((x.copy(), f))
+        return f == 0.0
+
+    res = minimize_bound_lbfgs(
+        _kink(center),
+        np.array([0.8, 2.6]),
+        np.zeros(2),
+        callback=lambda k, x, f, g, pg: seen.append((k, x.copy(), f)),
+        polish_candidates=[np.round],
+        certificate=certificate,
+    )
+    assert res.status == "converged" and res.converged
+    assert res.iterations == 1 and res.n_evals == 2  # the start and its rounding
+    assert np.array_equal(res.x, center) and res.value == 0.0
+    assert len(asked) == 1 and np.array_equal(asked[0][0], center)
+    # The trace ends at the adopted point.
+    assert [k for k, _, _ in seen] == [0, 1]
+    assert np.array_equal(seen[-1][1], center) and seen[-1][2] == 0.0
+
+
+def test_refused_certificate_changes_only_the_evaluation_count():
+    center = np.array([1.0, 3.0])
+    runs = []
+    for certificate in (None, lambda x, f: False):
+        seen = []
+        res = minimize_bound_lbfgs(
+            _kink(center),
+            np.array([0.8, 2.6]),
+            np.zeros(2),
+            QNConfig(max_iter=60),
+            callback=lambda k, x, f, g, pg: seen.append((k, x.copy(), f)),
+            polish_candidates=[np.round],
+            certificate=certificate,
+        )
+        runs.append((res, seen))
+    (plain, plain_seen), (refused, refused_seen) = runs
+    assert refused.n_evals == plain.n_evals + 1
+    assert refused.status == plain.status and refused.iterations == plain.iterations
+    assert np.array_equal(refused.x, plain.x) and refused.value == plain.value
+    assert len(refused_seen) == len(plain_seen)
+    for (k, x, f), (k2, x2, f2) in zip(plain_seen, refused_seen):
+        assert k == k2 and np.array_equal(x, x2) and f == f2
+
+
 def test_callback_sees_every_iteration():
     seen = []
 

@@ -359,14 +359,23 @@ def test_trace_csv_export(tmp_path):
     ids=["strictly_convex_opf", "maxflow"],
 )
 def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
-    calls = []
+    # The start certificate reads the polish candidates, so it shares
+    # their gate: a smooth instance is never offered one.
+    calls, certificates = [], []
     original = solver._threshold_candidates
+    original_driver = solver.minimize_bound_lbfgs
 
     def counting(x):
         calls.append(1)
         return original(x)
 
+    def driver(*args, **kwargs):
+        certificates.append(kwargs["certificate"])
+        return original_driver(*args, **kwargs)
+
     monkeypatch.setattr(solver, "_threshold_candidates", counting)
+    monkeypatch.setattr(solver, "minimize_bound_lbfgs", driver)
     result = solve(instance)
     assert bool(calls) == polished
+    assert len(certificates) == 1 and (certificates[0] is not None) == polished
     assert result.converged or result.status == "polished"
