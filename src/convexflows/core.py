@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .objectives import QuadraticPenalty
+
 __all__ = [
     "DimensionError",
     "EdgeIncidence",
@@ -94,7 +96,11 @@ class Hyperedge:
 
     ``oracle`` answers the per-edge price subproblem (see ``edges``);
     ``utility`` is the conjugate oracle of the edge's flow utility, or
-    ``None`` when the edge has no utility term.
+    ``None`` when the edge has no utility term.  The one supported utility
+    is :class:`~convexflows.objectives.QuadraticPenalty` on an oracle with
+    a penalized subproblem (``evaluate_penalized``: the CFMM pools and
+    two-node edges), which the solver minimizes the edge's local prices
+    inside; :class:`ProblemInstance` rejects any other pairing.
     """
 
     incidence: EdgeIncidence
@@ -134,8 +140,16 @@ class ProblemInstance:
                     f"edge {k}: oracle dimension {oracle_dim} does not match "
                     f"incidence of size {dim}"
                 )
-            if edge.utility is not None and getattr(edge.utility, "dim", None) not in (None, dim):
+            if edge.utility is None:
+                continue
+            if getattr(edge.utility, "dim", None) not in (None, dim):
                 raise DimensionError(f"edge {k}: utility dimension mismatch")
+            if not isinstance(edge.utility, QuadraticPenalty) or not hasattr(edge.oracle, "evaluate_penalized"):
+                raise ValueError(
+                    f"edge {k}: unsupported edge utility {type(edge.utility).__name__} on "
+                    f"{type(edge.oracle).__name__}; only a QuadraticPenalty on an oracle with "
+                    "evaluate_penalized is supported"
+                )
         self.utility_edges = tuple(
             k for k, edge in enumerate(self.edges) if edge.utility is not None
         )

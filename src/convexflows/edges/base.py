@@ -67,6 +67,13 @@ class EdgeOracle(ABC):
     has no instance dictionary of its own; a subclass that lists its
     fields in ``__slots__`` should also list ``__dict__``, so that a
     profiler can still shadow its methods per instance.
+
+    An oracle whose edge may carry the quadratic penalty on tendered flow
+    (``objectives.QuadraticPenalty``) also defines
+    ``evaluate_penalized(prices)``: the maximum of
+    ``prices @ x - 1/2 |x_-|^2`` over the allowable flows, as an
+    :class:`ArbitrageResult` whose ``value`` includes the penalty.  The
+    CFMM pools and two-node edges do.
     """
 
     __slots__ = ()

@@ -6,7 +6,10 @@ trading function value at the post-trade reserves ``R + fee * tendered -
 received`` does not drop below its pre-trade value.  All bundled pools
 use weighted geometric mean trading functions, for which the price
 subproblem has closed forms (two assets) or reduces to a scalar dual
-solved by bisection (general separable case).
+solved by bisection (general separable case).  The penalized price
+subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
+quadratic penalty on its tendered flow poses, reduces to the same
+scalar dual for every pool size (:func:`_penalized_trade`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ __all__ = [
 ]
 
 _DUAL_BISECT_ITERS = 200
+# Newton steps of the penalized scalar dual; each one either takes the
+# Newton step or halves the bracket, in log space.
+_PENALIZED_ITERS = 100
 
 
 def _real(value) -> float:
@@ -106,6 +112,107 @@ def _membership(reserves, weights, fee, flow, tol) -> bool:
     return max(sign_viol, inv_viol) <= scale
 
 
+def _penalized_post(lam: float, p: float, r: float, w: float, fee: float) -> tuple[float, float, float]:
+    """One asset's post-trade reserve at multiplier ``lam`` in the
+    penalized subproblem, its log slope ``d log(post) / d log(lam)`` and
+    the amount tendered.
+
+    The receive side and the idle band are those of the plain subproblem.
+    On the tender side the penalty bends the stationarity condition into
+    ``(p + t) * (r + fee * t) = lam * fee * w``, a quadratic in ``t``
+    solved in its cancellation-free form.
+    """
+    if p > 0.0:
+        base = lam * w / p
+        if base < r:
+            return base, 1.0, 0.0  # receive side
+    c = p * r - lam * fee * w
+    if c >= 0.0:
+        return r, 0.0, 0.0  # idle band
+    b = r + fee * p
+    t = -2.0 * c / (b + math.sqrt(b * b - 4.0 * fee * c))
+    post = r + fee * t
+    a = fee * (p + t)
+    return post, a / (post + a), t
+
+
+def _penalized_trade(prices, reserves, weights, fee: float) -> tuple[float, list[float]]:
+    """Maximize ``prices @ x - 1/2 |x_-|^2`` over a geometric mean pool's trades.
+
+    Shared by both pool classes.  For a fixed multiplier ``lam`` on the
+    invariant the problem separates by asset (:func:`_penalized_post`),
+    and the log residual ``sum_j w_j log(post_j / r_j)`` is increasing in
+    ``log(lam)``.  Its root is found by Newton steps on ``log(lam)``
+    inside a bracket that every step shrinks; a step that would leave the
+    bracket halves it instead.  The bracket is the plain subproblem's,
+    ``[min_j s_j, max_j s_j / fee]`` with ``s_j = p_j r_j / w_j``, widened
+    downwards when a zero price leaves its lower end above the root (an
+    asset priced at zero is tendered at any ``lam > 0``, as its first
+    unit costs nothing).  Unlike the plain subproblem, zero prices need no
+    special case: the penalty bounds what is tendered.
+
+    Returns ``(value, flow)`` with the flow as Python floats; the
+    maximizer is unique.
+    """
+    if min(prices) < 0.0:
+        raise ValueError(f"prices must be nonnegative, got {list(prices)}")
+    dim = len(prices)
+    s = [p * r / w for p, r, w in zip(prices, reserves, weights)]
+    # No-trade band of the plain subproblem; the penalty only acts on
+    # trades, so the band is the same (all-zero prices fall in it).
+    if not fee * max(s) > min(s):
+        return 0.0, [0.0] * dim
+
+    def residual(u: float) -> tuple[float, float]:
+        lam = math.exp(u)
+        resid = slope = 0.0
+        for p, r, w in zip(prices, reserves, weights):
+            post, d, _ = _penalized_post(lam, p, r, w, fee)
+            if post != r:
+                resid += w * math.log(post / r)
+                slope += w * d
+        return resid, slope
+
+    hi = math.log(max(s) / fee)
+    positive = [v for v in s if v > 0.0]
+    lo = math.log(min(positive))
+    if len(positive) == dim:
+        # Start where the receive side alone would balance: the weighted
+        # log mean of the s_j, the exact root of the plain subproblem at
+        # fee 1.
+        u = sum(w * math.log(v) for w, v in zip(weights, s))
+    else:
+        while residual(lo)[0] > 0.0:
+            lo -= 1.0
+        u = 0.5 * (lo + hi)
+    if not lo < u < hi:
+        u = 0.5 * (lo + hi)
+    for _ in range(_PENALIZED_ITERS):
+        resid, slope = residual(u)
+        if resid == 0.0:
+            break
+        if resid < 0.0:
+            lo = u
+        else:
+            hi = u
+        step = -resid / slope if slope > 0.0 else math.nan
+        if abs(step) <= 4e-16 * max(1.0, abs(u)):
+            break
+        u += step
+        if not lo < u < hi:
+            u = 0.5 * (lo + hi)
+
+    lam = math.exp(u)
+    value = 0.0
+    flow = []
+    for p, r, w in zip(prices, reserves, weights):
+        post, _, t = _penalized_post(lam, p, r, w, fee)
+        x = -t if t > 0.0 else r - post
+        flow.append(x)
+        value += p * x - 0.5 * t * t
+    return value, flow
+
+
 class TwoAssetGeometricPool(EdgeOracle):
     """Two-asset pool with trading function ``R1^w * R2^(1-w)``.
 
@@ -116,15 +223,11 @@ class TwoAssetGeometricPool(EdgeOracle):
     stationarity of the traded amount.
 
     The pool keeps one copy of its data, as Python floats; ``reserves``
-    and ``weights`` build a fresh array on each access, and ``weight``
-    and ``fee`` are read-only, so the cached log invariant cannot go
-    stale.
+    and ``weights`` build a fresh array on each access, and every other
+    field is read-only, so the cached log invariant cannot go stale.
     """
 
     __slots__ = ("_r0", "_r1", "_weight", "_fee", "_log_inv", "__dict__")
-
-    dim = 2
-    is_strictly_convex = True
 
     def __init__(self, reserves, weight: float = 0.5, fee: float = 1.0):
         reserves, fee = _validate_pool(reserves, fee)
@@ -137,6 +240,14 @@ class TwoAssetGeometricPool(EdgeOracle):
         self._weight = weight
         self._fee = fee
         self._log_inv = _log_invariant((weight, 1.0 - weight), reserves)
+
+    @property
+    def dim(self) -> int:
+        return 2
+
+    @property
+    def is_strictly_convex(self) -> bool:
+        return True
 
     @property
     def weight(self) -> float:
@@ -201,6 +312,13 @@ class TwoAssetGeometricPool(EdgeOracle):
         post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
         return tendered, r_out - post_out
 
+    def evaluate_penalized(self, prices) -> ArbitrageResult:
+        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades
+        (:func:`_penalized_trade`); ``value`` includes the penalty."""
+        reserves, weights = (self._r0, self._r1), (self._weight, 1.0 - self._weight)
+        value, flow = _penalized_trade([float(p) for p in prices], reserves, weights, self._fee)
+        return ArbitrageResult(value=value, flow=np.array(flow))
+
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
         return _membership(self.reserves, self.weights, self._fee, flow, tol)
 
@@ -211,12 +329,10 @@ class GeometricMeanPool(EdgeOracle):
     The log transform makes the trading function separable, so the price
     subproblem's scalar dual is solved by bisection on the invariant
     residual; the per-asset inner problems have closed forms.  ``fee``
-    is read-only, as is the rest of the pool's data.
+    and ``dim`` are read-only, as is the rest of the pool's data.
     """
 
-    __slots__ = ("_r", "_w", "_fee", "dim", "_log_inv", "__dict__")
-
-    is_strictly_convex = True
+    __slots__ = ("_r", "_w", "_fee", "_dim", "_log_inv", "__dict__")
 
     def __init__(self, reserves, weights, fee: float = 1.0):
         reserves, fee = _validate_pool(reserves, fee)
@@ -228,8 +344,16 @@ class GeometricMeanPool(EdgeOracle):
         self._r = reserves
         self._w = weights
         self._fee = fee
-        self.dim = len(reserves)
+        self._dim = len(reserves)
         self._log_inv = _log_invariant(weights, reserves)
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def is_strictly_convex(self) -> bool:
+        return True
 
     @property
     def fee(self) -> float:
@@ -254,7 +378,7 @@ class GeometricMeanPool(EdgeOracle):
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         prices = require_nonnegative_prices(prices)
         if (prices == 0.0).all():
-            return ArbitrageResult(value=0.0, flow=np.zeros(self.dim))
+            return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
         if (prices == 0.0).any():
             raise UnattainedSupremumError(
                 "supremum not attained: an asset with zero price can be tendered without limit"
@@ -262,9 +386,9 @@ class GeometricMeanPool(EdgeOracle):
         # No-trade test: a single multiplier can scale the pool's marginal
         # prices into the fee band around the quoted prices.
         p = [float(v) for v in prices]
-        s = [p[j] * self._r[j] / self._w[j] for j in range(self.dim)]
+        s = [p[j] * self._r[j] / self._w[j] for j in range(self._dim)]
         if self._fee * max(s) <= min(s):
-            return ArbitrageResult(value=0.0, flow=np.zeros(self.dim))
+            return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
 
         lo, hi = min(s), max(s) / self._fee
         w, log_inv = self._w, self._log_inv
@@ -272,7 +396,7 @@ class GeometricMeanPool(EdgeOracle):
         def residual(lam: float) -> tuple[float, float]:
             resid = -log_inv
             active = 0.0
-            for j in range(self.dim):
+            for j in range(self._dim):
                 post = self._post_reserve(lam, p[j], j)
                 resid += w[j] * math.log(post)
                 if post != self._r[j]:
@@ -297,14 +421,20 @@ class GeometricMeanPool(EdgeOracle):
                 break
             lam = min(max(lam * math.exp(-resid / active), lo), hi)
 
-        flow = np.zeros(self.dim)
-        for j in range(self.dim):
+        flow = np.zeros(self._dim)
+        for j in range(self._dim):
             post = self._post_reserve(lam, p[j], j)
             if post >= self._r[j]:
                 flow[j] = -(post - self._r[j]) / self._fee  # tendered
             else:
                 flow[j] = self._r[j] - post                # received
         return ArbitrageResult(value=float(prices @ flow), flow=flow)
+
+    def evaluate_penalized(self, prices) -> ArbitrageResult:
+        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades
+        (:func:`_penalized_trade`); ``value`` includes the penalty."""
+        value, flow = _penalized_trade([float(p) for p in prices], self._r, self._w, self._fee)
+        return ArbitrageResult(value=value, flow=np.array(flow))
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
         return _membership(self.reserves, self.weights, self._fee, flow, tol)

@@ -10,7 +10,10 @@ price subproblem collapses to a scalar concave maximization
 whose optimality condition brackets the price ratio between the one-sided
 slopes of ``h``.  Every bundled gain answers it in closed form
 (:meth:`GainFunction.closed_form_arbitrage`); other gains fall back to
-the reference solve :func:`solve_scalar_arbitrage`.
+the reference solve :func:`solve_scalar_arbitrage`.  An edge with a
+quadratic penalty on its tendered flow poses the penalized subproblem
+``sup_x [p·x - 1/2 |x_-|^2]`` instead, the same scalar maximization with
+a strictly concave term added (:meth:`TwoNodeEdge.evaluate_penalized`).
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ __all__ = [
 
 # Interval tolerance for the scalar solves, relative to the search span.
 _SOLVE_TOL = 1e-10
+# The same for the penalized solve, whose input amount is its flow and
+# so the gradient the dual driver steps on.
+_PENALIZED_TOL = 1e-15
 # Expansion limit when hunting for a bracket on an unbounded domain.
 _BRACKET_LIMIT = 1e15
 _LOG2 = math.log(2.0)
@@ -63,7 +69,7 @@ class GainFunction(ABC):
     One-sided slopes follow the concave conventions at the boundary: the
     left slope at ``input_lo`` is ``+inf`` and the right slope at
     ``input_hi`` is ``-inf``.  The bundled gains keep their fields in
-    slots.
+    slots and expose them read-only.
     """
 
     __slots__ = ()
@@ -154,7 +160,7 @@ class LinearGain(GainFunction):
 class PiecewiseLinearGain(GainFunction):
     """Concave piecewise-linear gain through the given ``(input, output)`` points."""
 
-    __slots__ = ("_ws", "_hs", "_slopes", "input_lo", "input_hi")
+    __slots__ = ("_ws", "_hs", "_slopes", "_lo", "_hi")
 
     def __init__(self, points: Sequence[tuple[float, float]]):
         pts = [(float(w), float(h)) for w, h in points]
@@ -172,25 +178,33 @@ class PiecewiseLinearGain(GainFunction):
         self._ws = ws
         self._hs = hs
         self._slopes = slopes
-        self.input_lo = float(ws[0])
-        self.input_hi = float(ws[-1])
+        self._lo = float(ws[0])
+        self._hi = float(ws[-1])
+
+    @property
+    def input_lo(self) -> float:
+        return self._lo
+
+    @property
+    def input_hi(self) -> float:
+        return self._hi
 
     def value(self, w: float) -> float:
-        if w < self.input_lo or w > self.input_hi:
+        if w < self._lo or w > self._hi:
             return -math.inf
         k = int(np.searchsorted(self._ws, w, side="right")) - 1
         k = min(max(k, 0), len(self._slopes) - 1)
         return float(self._hs[k] + self._slopes[k] * (w - self._ws[k]))
 
     def right_slope(self, w: float) -> float:
-        if w >= self.input_hi:
+        if w >= self._hi:
             return -math.inf
         k = int(np.searchsorted(self._ws, w, side="right")) - 1
         k = min(max(k, 0), len(self._slopes) - 1)
         return float(self._slopes[k])
 
     def left_slope(self, w: float) -> float:
-        if w <= self.input_lo:
+        if w <= self._lo:
             return math.inf
         k = int(np.searchsorted(self._ws, w, side="left")) - 1
         k = min(max(k, 0), len(self._slopes) - 1)
@@ -238,7 +252,7 @@ class PowerLossGain(GainFunction):
     ``alpha * beta = 4``, which pins the marginal gain at zero input to 1.
     """
 
-    __slots__ = ("alpha", "beta", "capacity", "input_lo", "input_hi")
+    __slots__ = ("_alpha", "_beta", "_capacity")
 
     has_exact_slopes = True
     is_strictly_concave = True
@@ -249,22 +263,40 @@ class PowerLossGain(GainFunction):
             raise InvalidEdgeError("capacity must be positive and finite")
         if not abs(alpha * beta - 4.0) <= 1e-9:
             raise InvalidEdgeError("loss family requires alpha * beta = 4")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.capacity = float(capacity)
-        self.input_lo = 0.0
-        self.input_hi = self.capacity
+        self._alpha = float(alpha)
+        self._beta = float(beta)
+        self._capacity = float(capacity)
+
+    @property
+    def alpha(self) -> float:
+        return self._alpha
+
+    @property
+    def beta(self) -> float:
+        return self._beta
+
+    @property
+    def capacity(self) -> float:
+        return self._capacity
+
+    @property
+    def input_lo(self) -> float:
+        return 0.0
+
+    @property
+    def input_hi(self) -> float:
+        return self._capacity
 
     def value(self, w: float) -> float:
-        if w < 0.0 or w > self.capacity:
+        if w < 0.0 or w > self._capacity:
             return -math.inf
-        t = self.beta * w
+        t = self._beta * w
         softplus = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
-        return 3.0 * w - self.alpha * (softplus - _LOG2)
+        return 3.0 * w - self._alpha * (softplus - _LOG2)
 
     def _slope(self, w: float) -> float:
         # h'(w) = 3 - 4 * sigmoid(beta * w)
-        t = self.beta * w
+        t = self._beta * w
         if t >= 0:
             s = 1.0 / (1.0 + math.exp(-t))
         else:
@@ -273,7 +305,7 @@ class PowerLossGain(GainFunction):
         return 3.0 - 4.0 * s
 
     def right_slope(self, w: float) -> float:
-        return self._slope(w) if w < self.capacity else -math.inf
+        return self._slope(w) if w < self._capacity else -math.inf
 
     def left_slope(self, w: float) -> float:
         return self._slope(w) if w > 0.0 else math.inf
@@ -284,7 +316,7 @@ class PowerLossGain(GainFunction):
         if num <= 0.0 or den <= 0.0:
             w = 0.0
         else:
-            w = min(max(math.log(num / den) / self.beta, 0.0), self.capacity)
+            w = min(max(math.log(num / den) / self._beta, 0.0), self._capacity)
         return w, self.value(w), False
 
 
@@ -296,7 +328,7 @@ class CallableGain(GainFunction):
     value-only golden-section search for it.
     """
 
-    __slots__ = ("_fn", "input_lo", "input_hi")
+    __slots__ = ("_fn", "_lo", "_hi")
 
     has_exact_slopes = False
 
@@ -306,27 +338,35 @@ class CallableGain(GainFunction):
         if input_hi <= input_lo:
             raise InvalidEdgeError("empty domain")
         self._fn = fn
-        self.input_lo = float(input_lo)
-        self.input_hi = float(input_hi)
+        self._lo = float(input_lo)
+        self._hi = float(input_hi)
+
+    @property
+    def input_lo(self) -> float:
+        return self._lo
+
+    @property
+    def input_hi(self) -> float:
+        return self._hi
 
     def value(self, w: float) -> float:
-        if w < self.input_lo or w > self.input_hi:
+        if w < self._lo or w > self._hi:
             return -math.inf
         return float(self._fn(w))
 
     def _step(self, w: float) -> float:
-        return 1e-7 * max(1.0, abs(w), self.input_hi - self.input_lo)
+        return 1e-7 * max(1.0, abs(w), self._hi - self._lo)
 
     def right_slope(self, w: float) -> float:
-        if w >= self.input_hi:
+        if w >= self._hi:
             return -math.inf
-        d = min(self._step(w), self.input_hi - w)
+        d = min(self._step(w), self._hi - w)
         return (self.value(w + d) - self.value(w)) / d
 
     def left_slope(self, w: float) -> float:
-        if w <= self.input_lo:
+        if w <= self._lo:
             return math.inf
-        d = min(self._step(w), w - self.input_lo)
+        d = min(self._step(w), w - self._lo)
         return (self.value(w) - self.value(w - d)) / d
 
 
@@ -339,15 +379,28 @@ class ScalarArbitrage:
 
 
 class TwoNodeEdge(EdgeOracle):
-    """Edge between two nodes, local order ``(input node, output node)``."""
+    """Edge between two nodes, local order ``(input node, output node)``.
 
-    __slots__ = ("gain", "is_strictly_convex", "__dict__")
+    ``gain``, ``dim`` and ``is_strictly_convex`` are read-only.
+    """
 
-    dim = 2
+    __slots__ = ("_gain", "_strict", "__dict__")
 
     def __init__(self, gain: GainFunction):
-        self.gain = gain
-        self.is_strictly_convex = gain.is_strictly_concave
+        self._gain = gain
+        self._strict = gain.is_strictly_concave
+
+    @property
+    def gain(self) -> GainFunction:
+        return self._gain
+
+    @property
+    def dim(self) -> int:
+        return 2
+
+    @property
+    def is_strictly_convex(self) -> bool:
+        return self._strict
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         value, f_in, f_out, non_unique = self.evaluate_pair(float(prices[0]), float(prices[1]))
@@ -361,7 +414,7 @@ class TwoNodeEdge(EdgeOracle):
         """
         if p_in < 0.0 or p_out < 0.0:
             raise ValueError(f"prices must be nonnegative, got ({p_in}, {p_out})")
-        gain = self.gain
+        gain = self._gain
 
         if p_out == 0.0:
             if p_in == 0.0:
@@ -383,6 +436,53 @@ class TwoNodeEdge(EdgeOracle):
 
         res = solve_scalar_arbitrage(self, (p_in, p_out))
         return res.value, float(res.flow[0]), float(res.flow[1]), res.non_unique
+
+    def evaluate_penalized(self, prices) -> ArbitrageResult:
+        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the allowable flows.
+
+        With ``x = (-w, h(w))`` this is the scalar concave maximization of
+
+            -p_in * w + p_out * h(w) - 1/2 max(w, 0)^2 - 1/2 min(h(w), 0)^2
+
+        over the gain's domain, solved like :func:`solve_scalar_arbitrage`:
+        bisection of its one-sided slope condition inside a bracket, then
+        the best of the final interval's ends and any kink inside it, or
+        golden-section search when the gain's slopes are not exact.  The
+        output ``h(w)`` is optimal even at a zero output price.  ``value``
+        includes the penalty.  The maximizer is reported as unique: the
+        penalty makes the objective strictly concave wherever input is
+        tendered.
+
+        Raises:
+            UnboundedEdgeError: The objective grows without bound.
+        """
+        p_in, p_out = float(prices[0]), float(prices[1])
+        if p_in < 0.0 or p_out < 0.0:
+            raise ValueError(f"prices must be nonnegative, got ({p_in}, {p_out})")
+        gain = self._gain
+
+        def margin(w: float, slope: float) -> float:
+            # The gain's slope is worth the output price plus the penalty's
+            # marginal value on a negative output; a zero worth times an
+            # infinite boundary slope counts as zero.
+            c = p_out - min(gain.value(w), 0.0)
+            return (c * slope if c > 0.0 else 0.0) - p_in - max(w, 0.0)
+
+        def objective(w: float) -> float:
+            h = gain.value(w)
+            return -p_in * w + p_out * h - 0.5 * (max(w, 0.0) ** 2 + min(h, 0.0) ** 2)
+
+        if gain.has_exact_slopes:
+            w = _concave_argmax(
+                gain,
+                lambda w: margin(w, gain.right_slope(w)),
+                lambda w: margin(w, gain.left_slope(w)),
+                objective,
+                _PENALIZED_TOL,
+            )
+        else:
+            w, _ = _golden_section(objective, gain.input_lo, gain.input_hi)
+        return ArbitrageResult(value=objective(w), flow=np.array([-w, gain.value(w)]))
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
         flow = np.asarray(flow, dtype=float)
@@ -462,42 +562,55 @@ def solve_scalar_arbitrage(edge: TwoNodeEdge, prices) -> ScalarArbitrage:
             non_unique=non_unique,
         )
 
+    def objective(w: float) -> float:
+        return -p_in * w + p_out * gain.value(w)
+
     if not gain.has_exact_slopes:
-        w, non_unique = _golden_section(
-            lambda w: -p_in * w + p_out * gain.value(w), gain.input_lo, gain.input_hi
-        )
+        w, non_unique = _golden_section(objective, gain.input_lo, gain.input_hi)
         return finish(w, non_unique)
 
-    lo, hi = _slope_bracket(gain, p_in, p_out)
+    best = _concave_argmax(
+        gain,
+        lambda w: p_out * gain.right_slope(w) - p_in,
+        lambda w: p_out * gain.left_slope(w) - p_in,
+        objective,
+        _SOLVE_TOL,
+    )
+    return finish(best)
+
+
+def _concave_argmax(gain: GainFunction, margin_right, margin_left, objective, rel_tol: float) -> float:
+    """Maximizer of a concave ``objective`` over the gain's domain.
+
+    ``margin_right`` and ``margin_left`` are its one-sided slopes.  The
+    slope condition is bisected inside a bracket to ``rel_tol`` of the
+    bracket's width (at least 1) or until the midpoint rounds onto an
+    end; the best of the final interval's ends and of any kink of a
+    piecewise-linear gain inside it is returned, since such a kink is the
+    exact optimum.
+    """
+    lo, hi = _slope_bracket(gain, margin_right, margin_left)
     if lo == hi:
-        return finish(lo)
-    span = hi - lo
-    tol = _SOLVE_TOL * max(1.0, span)
+        return lo
+    tol = rel_tol * max(1.0, hi - lo)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if p_out * gain.right_slope(mid) - p_in > 0.0:
+        if not lo < mid < hi:
+            break
+        if margin_right(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    # A kink inside the final interval is the exact optimum; snap to it.
     candidates = [lo, hi]
     segments = gain.linear_segments()
     if segments is not None:
         for w_a, w_b, _ in segments:
             candidates.extend(w for w in (w_a, w_b) if lo <= w <= hi)
-    best = max(candidates, key=lambda w: -p_in * w + p_out * gain.value(w))
-    return finish(best)
+    return max(candidates, key=objective)
 
 
-def _slope_bracket(gain: GainFunction, p_in: float, p_out: float) -> tuple[float, float]:
+def _slope_bracket(gain: GainFunction, margin_right, margin_left) -> tuple[float, float]:
     """Bracket [lo, hi] with the slope condition positive at lo, nonpositive at hi."""
-
-    def margin_right(w: float) -> float:
-        return p_out * gain.right_slope(w) - p_in
-
-    def margin_left(w: float) -> float:
-        return p_out * gain.left_slope(w) - p_in
-
     lo = gain.input_lo
     if math.isfinite(lo):
         if margin_right(lo) <= 0.0:

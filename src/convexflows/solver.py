@@ -5,12 +5,27 @@ The dual of the flow problem minimizes
     g(nu, eta) = conj_U(nu) + sum_i [ conj_V_i(eta_i - A_i^T nu) + support_i(eta_i) ]
 
 over node prices ``nu >= 0`` and local edge prices ``eta_i >= A_i^T nu``.
-The lower-triangular change of variables ``eta_i -> eta_i - A_i^T nu``
-maps the feasible set onto the nonnegative orthant, where a
-limited-memory quasi-Newton driver with bound projection runs.  Edges
-without a utility term force ``eta_i = A_i^T nu`` (their transformed
-block is pinned at zero and never becomes a variable), so zero-utility
-instances are a problem in ``nu`` alone.
+The minimization over each edge's local prices is partial minimization
+of an edge-local problem, done inside the edge, so the driver (a
+limited-memory quasi-Newton method with bound projection) works on the
+free node prices alone:
+
+    g(nu) = conj_U(nu) + sum_i h_i(A_i^T nu).
+
+An edge without a utility term forces ``eta_i = A_i^T nu``, and
+``h_i`` is its support function.  An edge with the quadratic penalty
+``V_i(x) = -1/2 |x_-|^2`` has
+
+    h_i(p) = min_{xi >= 0} [1/2 |xi|^2 + support_i(p + xi)]
+           = sup_{x in T_i} [p·x - 1/2 |x_-|^2],
+
+the penalized subproblem its oracle answers (``evaluate_penalized``).
+The penalty is strongly concave, so ``h_i`` is smooth (a Moreau
+smoothing of the support function), its gradient is the maximizer
+``x_i`` (envelope theorem), and the minimizing local prices are
+``eta_i = A_i^T nu + (x_i)_-``, the node prices plus what the edge
+tenders.  An instance may pair only this utility with such an oracle
+(:class:`~convexflows.core.ProblemInstance` rejects anything else).
 
 One evaluator, :class:`DualProgram`, computes the dual for every
 instance and every entry point (:func:`eval_dual`, :func:`solve_dual`,
@@ -19,9 +34,9 @@ gives the dual value, the gradient and every edge's maximizer; the
 driver, its screens, the trace callback and the final result all read
 that pass.
 
-Gradients assemble from the subproblem maximizers: the transformed
-node-price gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``,
-so the driver's convergence literally is primal feasibility.
+Gradients assemble from the subproblem maximizers: the node-price
+gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
+driver's convergence literally is primal feasibility.
 """
 
 from __future__ import annotations
@@ -70,7 +85,12 @@ class UnboundedDualError(RuntimeError):
 
 @dataclass
 class DualPoint:
-    """Node prices plus one local price vector per edge."""
+    """Node prices plus one local price vector per edge.
+
+    A solve's local prices are ``A_i^T nu``, plus the tendered flow on an
+    edge with a penalty.  As a start only the node prices count: each
+    edge's local prices are minimized inside the edge at every evaluation.
+    """
 
     node_prices: np.ndarray
     edge_prices: list[np.ndarray]
@@ -85,7 +105,7 @@ class SolverConfig:
     are judged feasible and scored.  Every solve runs the one serial
     dual evaluator (see :class:`DualProgram`), so results are
     deterministic.  When some edge has a flat face (an oracle that is
-    not strictly convex), the driver finishes by evaluating rounded
+    not strictly convex, on an edge without a penalty), the driver finishes by evaluating rounded
     copies of the final iterate (integers and threshold cuts) and keeps
     any that are at least as good, which lands exactly on the vertex
     solutions of combinatorial instances.  Such an instance also tries
@@ -148,14 +168,14 @@ class _Pass(NamedTuple):
 
     ``value`` is the dual value, ``conj_u`` the net-objective conjugate
     (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
-    of the edge maximizers.  ``utility``, ``pair`` and ``array`` hold the
-    per-edge outputs of the three plans in plan order:
-    ``(ArbitrageResult, utility maximizer)`` pairs,
+    of the edge maximizers.  ``penalized``, ``pair`` and ``array`` hold
+    the per-edge outputs of the three plans in plan order:
+    ``ArbitrageResult`` objects of the penalized subproblems,
     ``(value, flow_in, flow_out, non_unique)`` tuples and
     ``ArbitrageResult`` objects (:meth:`DualProgram.edge_flows` reads the
-    flows back in edge order).  ``grad`` is the gradient in the reduced
-    vector.  ``edge_ties`` says whether some edge answered with a
-    non-unique maximizer; ``nonsmooth`` also counts the conjugates.
+    flows back in edge order).  ``grad`` is the gradient in the free node
+    prices.  ``edge_ties`` says whether some edge answered with a
+    non-unique maximizer; ``nonsmooth`` also counts the conjugate.
     """
 
     value: float
@@ -164,7 +184,7 @@ class _Pass(NamedTuple):
     grad: np.ndarray
     nonsmooth: bool
     edge_ties: bool
-    utility: list
+    penalized: list
     pair: list
     array: list
 
@@ -183,24 +203,25 @@ class _Faces(NamedTuple):
 
 
 class DualProgram:
-    """The dual evaluator over the reduced optimization vector.
+    """The dual evaluator over the free node prices.
 
     Node-price coordinates pinned by the objective are substituted out;
-    transformed price blocks of utility-free edges are identically zero
-    and never enter the vector.  What remains is exactly the variable
-    set the bound-constrained driver sees.
+    what remains is the vector the bound-constrained driver sees, one
+    coordinate per free node on every instance.
 
     The edges are split once, at build time, into three plans that every
     evaluation visits in this order (which fixes the floating-point
-    summation order): edges with a utility, each owning a block of the
-    vector; utility-free two-node edges, answered by the allocation-free
-    ``evaluate_pair``; and the remaining utility-free edges.  The oracle
-    and conjugate bound methods are captured here.
+    summation order): edges with a penalty, answered by their penalized
+    subproblem; the other two-node edges, answered by the
+    allocation-free ``evaluate_pair``; and the remaining edges.  The
+    oracle and conjugate bound methods are captured here.
 
-    The piecewise-linear two-node edges, the only ones with flat faces
-    to report, also go into a face table of arrays (their nodes, vector
-    columns and linear segments), so the faces at a point come from one
-    vectorized comparison instead of a ``supported_face`` call per edge.
+    The piecewise-linear two-node edges without a penalty, the only ones
+    with flat faces to report, also go into a face table of arrays (their
+    nodes, vector columns and linear segments), so the faces at a point
+    come from one vectorized comparison instead of a ``supported_face``
+    call per edge.  A penalized edge is smooth in the node prices and has
+    no face.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -216,28 +237,26 @@ class DualProgram:
         self.free_nodes = np.array([j for j in range(instance.n) if j not in fixed], dtype=int)
         self._free_pos = {int(j): k for k, j in enumerate(self.free_nodes)}
         self._conj_u = objective.conj
-        self._utility_plan = []
+        self._penalized_plan = []
         self._pair_plan = []
         self._array_plan = []
-        offset = len(self.free_nodes)
         for pos, edge in enumerate(instance.edges):
             nodes = edge.incidence.nodes
-            dim = len(nodes)
             if edge.utility is not None:
-                block = slice(offset, offset + dim)
                 idx = np.array(nodes, dtype=np.intp)
-                self._utility_plan.append((pos, idx, block, edge.utility.conj, edge.oracle.evaluate))
-                offset += dim
-            elif dim == 2 and hasattr(edge.oracle, "evaluate_pair"):
+                self._penalized_plan.append((pos, itemgetter(*nodes), idx, edge.oracle.evaluate_penalized))
+            elif len(nodes) == 2 and hasattr(edge.oracle, "evaluate_pair"):
                 self._pair_plan.append((pos, nodes[0], nodes[1], edge.oracle.evaluate_pair))
             else:
                 self._array_plan.append((pos, np.array(nodes, dtype=np.intp), edge.oracle.evaluate))
-        # Rounding can land on a vertex optimum only when some edge's flow
-        # set has a flat face; strictly convex instances skip the polish.
-        self.has_flat_faces = any(not edge.oracle.is_strictly_convex for edge in instance.edges)
-        self.n_vars = offset
+        # Rounding can land on a vertex optimum only when some edge's term
+        # has a flat face; smooth instances skip the polish.
+        self.has_flat_faces = any(
+            edge.utility is None and not edge.oracle.is_strictly_convex for edge in instance.edges
+        )
+        self.n_vars = len(self.free_nodes)
         bounds = np.maximum(np.asarray(objective.lower_bounds(), dtype=float), 0.0)
-        self.lower = np.concatenate([bounds[self.free_nodes], np.zeros(offset - len(self.free_nodes))])
+        self.lower = bounds[self.free_nodes]
         self._last_x: np.ndarray | None = None
         self._last_pass: _Pass | None = None
         # The pass at the driver's current iterate, kept apart from the
@@ -252,39 +271,33 @@ class DualProgram:
         self._faces_at: _Faces | None = None
 
     def _build_face_table(self) -> None:
-        """Arrays of the piecewise-linear two-node edges, in edge order.
+        """Arrays of the piecewise-linear two-node edges of the pair plan,
+        in edge order.
 
-        Per edge: its position, its plan and index there, its two nodes,
-        and the vector columns that move each of its two prices (node
-        price, utility block), with ``n_vars`` (a zero appended to the
-        vector) standing in for a pinned node price or a missing block.
+        Per edge: its position, its index in the pair plan, its two nodes,
+        and the vector columns of its two node prices, with ``n_vars`` (a
+        zero appended to the vector) standing in for a pinned node price.
         Per linear segment: its edge, slope and endpoints
         ``P = (-w_a, h(w_a))``, ``Q = (-w_b, h(w_b))``, and whether it
         is its edge's only segment.
         """
-        where = {pos: (True, k, block.start) for k, (pos, _, block, _, _) in enumerate(self._utility_plan)}
-        where.update({pos: (False, k, None) for k, (pos, _, _, _) in enumerate(self._pair_plan)})
         edges, segments = [], []
         # An instance without flat faces has no table edge to look for.
-        for pos, edge in enumerate(self.instance.edges if self.has_flat_faces else ()):
-            oracle = edge.oracle
+        for plan, (pos, i0, i1, _) in enumerate(self._pair_plan if self.has_flat_faces else ()):
+            oracle = self.instance.edges[pos].oracle
             pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
             if not pieces:
                 continue
-            utility, plan, start = where[pos]
-            nodes = edge.incidence.nodes
-            node_cols = [self._free_pos.get(j, self.n_vars) for j in nodes]
-            block_cols = [start, start + 1] if utility else [self.n_vars] * 2
-            edges.append((pos, utility, plan, *nodes, *node_cols, *block_cols))
+            node_cols = [self._free_pos.get(j, self.n_vars) for j in (i0, i1)]
+            edges.append((pos, plan, i0, i1, *node_cols))
             for w_a, w_b, slope in pieces:
                 ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
                 segments.append((len(edges) - 1, slope, *ends, len(pieces) == 1))
-        table = np.array(edges, dtype=int).reshape(-1, 9)
+        table = np.array(edges, dtype=int).reshape(-1, 6)
         self._face_pos = table[:, 0]
-        self._face_utility = table[:, 1].astype(bool)
-        self._face_plan = table[:, 2]
-        self._face_nodes = table[:, 3:5]
-        self._face_cols = table[:, 5:9].reshape(-1, 2, 2)  # (node, block) x slot
+        self._face_plan = table[:, 1]
+        self._face_nodes = table[:, 2:4]
+        self._face_cols = table[:, 4:6]
         seg = np.array(segments, dtype=float).reshape(-1, 7)
         self._seg_edge = seg[:, 0].astype(int)
         self._seg_slope = seg[:, 1]
@@ -301,33 +314,32 @@ class DualProgram:
         return nu
 
     def to_point(self, x: np.ndarray) -> DualPoint:
+        """Node prices and the minimizing local prices of every edge at ``x``.
+
+        A penalized edge's local prices are its node prices plus the flow
+        it tenders in the pass at ``x``.
+        """
         nu = self.node_prices(x)
         etas = [edge.incidence.gather(nu).astype(float) for edge in self.instance.edges]
-        for pos, _, block, _, _ in self._utility_plan:
-            etas[pos] = etas[pos] + x[block]
+        raw = self._cached_pass(x)
+        if raw is not None:
+            for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
+                etas[pos] = etas[pos] + np.maximum(-res.flow, 0.0)
         return DualPoint(node_prices=nu, edge_prices=etas)
 
     def initial_vector(self, start: DualPoint | None) -> np.ndarray:
+        """The free node prices of ``start`` (or of the objective's
+        initial prices), clipped to the bounds; edge prices play no part."""
         if start is None:
             nu = np.asarray(self.instance.net_objective.initial_prices(), dtype=float)
-            x = np.zeros(self.n_vars)
         else:
             nu = np.asarray(start.node_prices, dtype=float)
-            x = self._edge_blocks(nu, start.edge_prices)
-        x[: len(self.free_nodes)] = nu[self.free_nodes]
-        return np.maximum(x, self.lower)
-
-    def _edge_blocks(self, nu: np.ndarray, edge_prices) -> np.ndarray:
-        """Vector whose utility blocks hold ``eta_i - A_i^T nu`` (node block zero)."""
-        x = np.zeros(self.n_vars)
-        for pos, idx, block, _, _ in self._utility_plan:
-            x[block] = np.asarray(edge_prices[pos], dtype=float) - nu[idx]
-        return x
+        return np.maximum(nu[self.free_nodes], self.lower)
 
     # -- evaluation ------------------------------------------------------
 
-    def _evaluate_pass(self, nu: np.ndarray, x: np.ndarray) -> _Pass | None:
-        """Visit the three plans at node prices ``nu`` and utility blocks of ``x``.
+    def _evaluate_pass(self, nu: np.ndarray) -> _Pass | None:
+        """Visit the three plans at node prices ``nu``.
 
         None means an infinite dual value: a conjugate outside its domain
         or degenerate boundary prices, which the line search treats as
@@ -337,30 +349,21 @@ class DualProgram:
         if not conj_u.finite:
             return None
         value = conj_u.value
-        nonsmooth = conj_u.non_unique
         ties = False
         y_arb = np.zeros(self.instance.n)
-        utility_out = []
+        penalized_out = []
         pair_out = []
         array_out = []
-        grad_blocks = []
+        # Python floats: scalar arithmetic on them is exact IEEE as on
+        # numpy scalars, only faster, and the outputs stay plain floats.
+        prices = nu.tolist()
         try:
-            for _, idx, block, conj_v_of, evaluate in self._utility_plan:
-                xi = x[block]
-                conj_v = conj_v_of(xi)
-                if not conj_v.finite:
-                    return None
-                value += conj_v.value
-                nonsmooth = nonsmooth or conj_v.non_unique
-                res = evaluate(nu[idx] + xi)
+            for _, local, idx, evaluate_penalized in self._penalized_plan:
+                res = evaluate_penalized(local(prices))
                 value += res.value
                 ties = ties or res.non_unique
                 y_arb[idx] += res.flow
-                utility_out.append((res, conj_v.maximizer))
-                grad_blocks.append(res.flow - conj_v.maximizer)
-            # Python floats: scalar arithmetic on them is exact IEEE as on
-            # numpy scalars, only faster, and the outputs stay plain floats.
-            prices = nu.tolist()
+                penalized_out.append(res)
             for _, i0, i1, evaluate_pair in self._pair_plan:
                 out = evaluate_pair(prices[i0], prices[i1])
                 value += out[0]
@@ -379,9 +382,7 @@ class DualProgram:
         except UnboundedEdgeError as exc:
             raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
-        if grad_blocks:
-            grad = np.concatenate([grad] + grad_blocks)
-        return _Pass(float(value), conj_u, y_arb, grad, nonsmooth or ties, ties, utility_out, pair_out, array_out)
+        return _Pass(float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties, penalized_out, pair_out, array_out)
 
     def _residual(self, raw: _Pass) -> float:
         if raw.conj_u.non_unique:
@@ -389,7 +390,7 @@ class DualProgram:
         return float(np.max(np.abs(raw.conj_u.maximizer - raw.y_arb)))
 
     def _fresh_pass(self, x: np.ndarray) -> _Pass | None:
-        self._last_pass = self._evaluate_pass(self.node_prices(x), x)
+        self._last_pass = self._evaluate_pass(self.node_prices(x))
         self._last_x = np.array(x, copy=True)
         return self._last_pass
 
@@ -444,19 +445,19 @@ class DualProgram:
     def utility_flows(self, x: np.ndarray) -> list:
         """Edge flows at ``x`` for :func:`primal_objective`, from its pass.
 
-        Only edges with a utility are scored, so only their arbitrage flows
-        are filled in; the utility-free entries are None.  Call after
+        Only edges with a utility are scored, so only their flows are
+        filled in; the utility-free entries are None.  Call after
         :meth:`trace_info` has confirmed a finite value at ``x``.
         """
         flows = [None] * len(self.instance.edges)
-        for (pos, _, _, _, _), (res, _) in zip(self._utility_plan, self._cached_pass(x).utility):
+        for (pos, _, _, _), res in zip(self._penalized_plan, self._cached_pass(x).penalized):
             flows[pos] = res.flow
         return flows
 
     def edge_flows(self, raw: _Pass) -> list[np.ndarray]:
-        """The arbitrage flow of every edge in the pass ``raw``, in edge order."""
+        """The maximizing flow of every edge in the pass ``raw``, in edge order."""
         flows: list = [None] * len(self.instance.edges)
-        for (pos, _, _, _, _), (res, _) in zip(self._utility_plan, raw.utility):
+        for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
             flows[pos] = res.flow
         for (pos, _, _, _), out in zip(self._pair_plan, raw.pair):
             flows[pos] = np.array(out[1:3])
@@ -468,8 +469,7 @@ class DualProgram:
         """The flat faces supported at ``x``, cached for the last ``x`` asked.
 
         An edge's face is its first linear segment whose slope matches
-        the edge's own price ratio to a relative ``1e-7`` (a utility
-        edge's prices include its block of ``x``), or, at zero prices,
+        the edge's price ratio to a relative ``1e-7``, or, at zero prices,
         its only segment: the rule of ``TwoNodeEdge.supported_face``,
         applied to every table edge in one comparison.  It is the only
         face rule of the solve: the line-search screen, a
@@ -479,8 +479,7 @@ class DualProgram:
         """
         if self._faces_x is not None and np.array_equal(self._faces_x, x):
             return self._faces_at
-        nu = self.node_prices(x)
-        prices = nu[self._face_nodes] + np.append(x, 0.0)[self._face_cols[:, 1]]
+        prices = self.node_prices(x)[self._face_nodes]
         seg_prices = prices[self._seg_edge]
         p_in, p_out = seg_prices[:, 0], seg_prices[:, 1]
         hit = (p_out > 0.0) & (np.abs(p_in - self._seg_slope * p_out) <= _FACE_TOL * (p_in + p_out))
@@ -507,23 +506,12 @@ class DualProgram:
 
         A tie flag says that the edge's oracle reported a non-unique
         maximizer: its prices lie exactly on a face, not just within the
-        face tolerance of one.
+        face tolerance of one.  ``rows`` must not be empty.
         """
-        plan = self._face_plan[rows]
-        utility = self._face_utility[rows]
-        flow = np.empty((len(rows), 2))
-        tie = np.empty(len(rows), dtype=bool)
-        if not utility.all():
-            picked = plan[~utility].tolist()
-            picked = itemgetter(*picked)(raw.pair) if len(picked) > 1 else [raw.pair[picked[0]]]
-            _, flow_in, flow_out, flags = zip(*picked)
-            flow[~utility] = np.array((flow_in, flow_out)).T
-            tie[~utility] = flags
-        if utility.any():
-            picked = [raw.utility[j][0] for j in plan[utility].tolist()]
-            flow[utility] = [res.flow for res in picked]
-            tie[utility] = [res.non_unique for res in picked]
-        return flow, tie
+        picked = self._face_plan[rows].tolist()
+        picked = itemgetter(*picked)(raw.pair) if len(picked) > 1 else [raw.pair[picked[0]]]
+        _, flow_in, flow_out, flags = zip(*picked)
+        return np.array((flow_in, flow_out)).T, np.array(flags)
 
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
@@ -620,8 +608,7 @@ class DualProgram:
 
             g·s + sum_i max_{w in {z_i, P_i, Q_i}} (w - z_i)·(p_i + d_i)
 
-        over the edges whose prices ``p_i`` (node prices plus the
-        transformed block of a utility edge) support a face with
+        over the edges whose prices ``p_i`` support a face with
         endpoints ``P_i``, ``Q_i``; ``d_i`` is their share of ``s``.
         Each edge's support function at shifted prices is at least the
         value of any allowable flow there, its value at ``x`` is
@@ -655,7 +642,7 @@ class DualProgram:
         steps = np.concatenate([steps, np.zeros((len(steps), 1))], axis=1)
         for lo in range(0, len(steps), _BOUND_ROWS):
             part = steps[lo : lo + _BOUND_ROWS]
-            moves = part[:, cols[:, 0]] + part[:, cols[:, 1]]  # rows x faces x slot
+            moves = part[:, cols]  # rows x faces x slot
             terms = np.einsum("rks,kes->rke", moves, toward) + offsets
             bounds[lo : lo + len(part)] += np.maximum(terms.max(axis=2), 0.0).sum(axis=1)
         return bounds, margin
@@ -822,12 +809,11 @@ def solve_dual(
     start: DualPoint | None = None,
     config: SolverConfig | None = None,
 ) -> SolveResult:
-    """Minimize the dual over the transformed orthant.
+    """Minimize the dual over the free node prices.
 
-    Works for any instance; utility-free edges contribute no variables,
-    so an instance without edge utilities is a problem in the free node
-    prices alone.  Returns a dual-focused result whose flows are the raw
-    arbitrage maximizers (no recovery pass; see :func:`solve`).
+    Works for any instance: every edge's local prices are minimized
+    inside the edge.  Returns a dual-focused result whose flows are the
+    raw edge maximizers (no recovery pass; see :func:`solve`).
     """
     return _solve_dual(instance, start, config or SolverConfig())[0]
 
@@ -835,24 +821,41 @@ def solve_dual(
 def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     """The dual value at explicit prices; ``+inf`` outside the dual domain.
 
-    Node prices are taken as given (no fixed-coordinate substitution).
-    Infinite conjugate values (such as negative prices) give ``+inf``,
-    and so does an edge without a utility term whose prices differ from
-    ``eta_i = A_i^T nu``.
+    The explicit form ``g(nu, eta)``, summed edge by edge in edge order:
+    node prices and edge prices are taken as given (no fixed-coordinate
+    substitution, no minimization over the edge prices).  Infinite
+    conjugate values (such as negative prices) give ``+inf``, and so does
+    an edge without a utility term whose prices differ from
+    ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.
 
     Raises:
         UnboundedDualError: An edge's price subproblem is unbounded.
     """
     nu = np.asarray(point.node_prices, dtype=float)
-    for edge, eta in zip(instance.edges, point.edge_prices):
-        if edge.utility is None:
+    conj_u = instance.net_objective.conj(nu)
+    if not conj_u.finite:
+        return math.inf
+    value = conj_u.value
+    try:
+        for edge, eta in zip(instance.edges, point.edge_prices):
+            base = edge.incidence.gather(nu)
             eta = np.asarray(eta, dtype=float)
-            off = np.max(np.abs(eta - edge.incidence.gather(nu)), initial=0.0)
-            if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
-                return math.inf
-    program = DualProgram(instance)
-    raw = program._evaluate_pass(nu, program._edge_blocks(nu, point.edge_prices))
-    return math.inf if raw is None else raw.value
+            if edge.utility is None:
+                off = np.max(np.abs(eta - base), initial=0.0)
+                if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
+                    return math.inf
+                eta = base
+            else:
+                conj_v = edge.utility.conj(eta - base)
+                if not conj_v.finite:
+                    return math.inf
+                value += conj_v.value
+            value += edge.oracle.evaluate(eta).value
+    except UnattainedSupremumError:
+        return math.inf
+    except UnboundedEdgeError as exc:
+        raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
+    return float(value)
 
 
 def duality_gap(

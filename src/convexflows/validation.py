@@ -48,8 +48,7 @@ def fd_gradient_check(
     """Compare the driver's dual gradient against central differences.
 
     Differentiates :meth:`DualProgram.value_and_grad`, the function the
-    quasi-Newton driver steps on, in the reduced variable space (node
-    prices only for instances without edge utilities).  Coordinates
+    quasi-Newton driver steps on, in the free node prices.  Coordinates
     where any of the three evaluations reports a non-unique maximizer
     are skipped rather than failed: the dual is nonsmooth there and no
     gradient exists.

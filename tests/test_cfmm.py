@@ -264,6 +264,110 @@ def test_pool_log_invariant_is_numpy_dot_bit_for_bit(seed):
         assert pool._log_inv == float(np.dot(pool.weights, np.log(pool.reserves)))
 
 
+@pytest.mark.parametrize(
+    "pool",
+    [
+        TwoAssetGeometricPool([100.0, 50.0], 0.8, 0.99),
+        GeometricMeanPool([100.0, 50.0, 80.0], [0.2, 0.3, 0.5], 0.995),
+    ],
+    ids=["uniswap", "geometric_mean"],
+)
+def test_pool_dim_and_strictness_are_read_only(pool):
+    # GeometricMeanPool.dim used to be a writable slot: after dim = 2,
+    # evaluate raised a numpy ValueError instead of answering.
+    prices = np.array([1.0, 2.0, 1.0][: pool.dim])
+    before = pool.evaluate(prices), pool.evaluate_penalized(prices)
+    for name, value in (("dim", 2), ("is_strictly_convex", False)):
+        with pytest.raises(AttributeError):
+            setattr(pool, name, value)
+    after = pool.evaluate(prices), pool.evaluate_penalized(prices)
+    for a, b in zip(before, after):
+        assert a.value == b.value and np.array_equal(a.flow, b.flow)
+
+
+# -- penalized subproblem ----------------------------------------------------
+
+
+def penalized_by_minimize(pool, prices):
+    """``min_{xi >= 0} f(p + xi) + 1/2 |xi|^2`` by L-BFGS-B on the plain
+    oracle ``f``; any ``xi`` bounds the penalized maximum from above."""
+    from scipy.optimize import minimize
+
+    def fun(xi):
+        res = pool.evaluate(prices + xi)
+        return res.value + 0.5 * float(xi @ xi), res.flow + xi
+
+    best = math.inf
+    for start in (np.zeros(len(prices)), np.full(len(prices), 0.5)):
+        run = minimize(
+            fun, start, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * len(prices),
+            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 2000},
+        )
+        best = min(best, run.fun)
+    return best
+
+
+def random_pool(rng, dim, fee):
+    reserves = rng.uniform(10.0, 200.0, dim)
+    if dim == 2:
+        return TwoAssetGeometricPool(reserves, float(rng.uniform(0.2, 0.8)), fee)
+    weights = rng.uniform(0.2, 1.0, dim)
+    return GeometricMeanPool(reserves, weights / weights.sum(), fee)
+
+
+@pytest.mark.parametrize("fee", [1.0, 0.997, 0.9])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_penalized_pool_matches_minimize(dim, fee):
+    rng = np.random.default_rng(int(1000 * fee) + dim)
+    worst = 0.0
+    for _ in range(30):
+        pool = random_pool(rng, dim, fee)
+        prices = rng.uniform(0.2, 3.0, dim)
+        res = pool.evaluate_penalized(prices)
+        tendered = np.maximum(-res.flow, 0.0)
+        # The value is attained by the returned flow, which is a trade.
+        assert res.value == pytest.approx(float(prices @ res.flow) - 0.5 * float(tendered @ tendered), rel=1e-14, abs=1e-14)
+        assert pool.is_member(res.flow, 1e-9)
+        assert not res.non_unique
+        reference = penalized_by_minimize(pool, prices)
+        worst = max(worst, abs(res.value - reference) / (1.0 + abs(reference)))
+    assert worst <= 1e-10
+
+
+def test_penalized_pool_no_trade_band_and_zero_prices():
+    pool = GeometricMeanPool([100.0, 50.0, 80.0], [0.2, 0.3, 0.5], 0.995)
+    # Inside the plain no-trade band the penalized trade is zero as well.
+    marginal = np.array([0.2 / 100.0, 0.3 / 50.0, 0.5 / 80.0])
+    idle = pool.evaluate_penalized(marginal)
+    assert idle.value == 0.0 and not np.any(idle.flow)
+    assert not np.any(pool.evaluate_penalized(np.zeros(3)).flow)
+    # A zero price leaves the plain supremum unattained, but the penalty
+    # bounds what is tendered: the asset is tendered, and the answer is
+    # the limit of small positive prices.
+    with pytest.raises(UnboundedEdgeError):
+        pool.evaluate(np.array([0.0, 1.0, 2.0]))
+    res = pool.evaluate_penalized(np.array([0.0, 1.0, 2.0]))
+    assert res.flow[0] < 0.0 and pool.is_member(res.flow, 1e-9)
+    near = pool.evaluate_penalized(np.array([1e-12, 1.0, 2.0]))
+    assert near.value == pytest.approx(res.value, rel=1e-10)
+    assert_allclose(near.flow, res.flow, rtol=1e-9)
+    with pytest.raises(ValueError):
+        pool.evaluate_penalized(np.array([-1.0, 1.0, 2.0]))
+
+
+def test_penalized_pools_agree_across_classes():
+    # One routine serves both classes: a two-asset GeometricMeanPool
+    # answers as the TwoAssetGeometricPool with the same data.
+    rng = np.random.default_rng(9)
+    for fee in (1.0, 0.997):
+        for _ in range(20):
+            reserves, weight = rng.uniform(10.0, 200.0, 2), float(rng.uniform(0.2, 0.8))
+            prices = rng.uniform(0.2, 3.0, 2)
+            a = TwoAssetGeometricPool(reserves, weight, fee).evaluate_penalized(prices)
+            b = GeometricMeanPool(reserves, [weight, 1.0 - weight], fee).evaluate_penalized(prices)
+            assert a.value == b.value and np.array_equal(a.flow, b.flow)
+
+
 # -- buyer basket edges ------------------------------------------------------
 
 

@@ -171,3 +171,20 @@ def test_check_feasibility_capacity_exceeded():
     report = check_feasibility(instance, PrimalPoint(flows, y), tol=1e-9)
     assert report.edge_membership == [False]
     assert not report.ok
+
+
+def test_instance_rejects_unsupported_edge_utilities():
+    # The solver minimizes a penalized edge's local prices inside the
+    # edge's oracle, so an edge utility must be the quadratic penalty on an
+    # oracle with a penalized subproblem.
+    from convexflows import FisherBasketEdge, QuadraticPenalty, TwoAssetGeometricPool
+
+    pool = Hyperedge(EdgeIncidence((0, 1)), TwoAssetGeometricPool([100.0, 50.0]), QuadraticPenalty(2))
+    objective = LinearNonnegObjective(np.ones(3))
+    assert ProblemInstance(n=3, edges=[pool], net_objective=objective).utility_edges == (0,)
+    basket = Hyperedge(EdgeIncidence((0, 1, 2)), FisherBasketEdge([2.0, 1.0]), QuadraticPenalty(3))
+    with pytest.raises(ValueError, match="edge 1: unsupported edge utility QuadraticPenalty on FisherBasketEdge"):
+        ProblemInstance(n=3, edges=[pool, basket], net_objective=objective)
+    other = Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0), OpfQuadraticObjective(np.zeros(2)))
+    with pytest.raises(ValueError, match="edge 0: unsupported edge utility OpfQuadraticObjective on TwoNodeEdge"):
+        ProblemInstance(n=3, edges=[other], net_objective=objective)

@@ -357,3 +357,71 @@ def test_gain_validation_errors():
         PowerLossGain(alpha=16.0, beta=1.0, capacity=1.0)
     with pytest.raises(InvalidEdgeError):
         CallableGain(lambda w: w, 0.0, math.inf)
+
+
+# -- penalized subproblem ----------------------------------------------------
+
+
+def test_penalized_two_node_matches_minimize():
+    # sup_x [p·x - 1/2 |x_-|^2] against min_{xi >= 0} f(p + xi) + 1/2 |xi|^2
+    # over the plain oracle f: any xi bounds the maximum from above, so the
+    # two meet only at the optimum.  The support function is piecewise
+    # linear on most of these edges, so the reference runs Nelder-Mead.
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(21)
+    worst = 0.0
+    for edge in sample_edges():
+        for k in range(12):
+            prices = rng.uniform(0.0, 3.0, 2)
+            if k % 4 == 0:
+                prices[k % 2] = 0.0
+            res = edge.evaluate_penalized(prices)
+            w, h = -res.flow[0], res.flow[1]
+            assert h == edge.gain.value(w) and edge.is_member(res.flow, 1e-12)
+            tendered = np.maximum(-res.flow, 0.0)
+            attained = float(prices @ res.flow) - 0.5 * float(tendered @ tendered)
+            assert res.value == pytest.approx(attained, rel=1e-15, abs=1e-15)
+
+            def fun(xi):
+                return edge.evaluate(prices + xi).value + 0.5 * float(xi @ xi)
+
+            reference = math.inf
+            for start in (tendered + 0.05, np.ones(2)):
+                run = minimize(
+                    fun, start, method="Nelder-Mead", bounds=[(0.0, None)] * 2,
+                    options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 5000},
+                )
+                reference = min(reference, run.fun)
+            assert res.value <= reference + 1e-12 * (1.0 + abs(reference))
+            worst = max(worst, abs(res.value - reference) / (1.0 + abs(reference)))
+    assert worst <= 1e-10
+
+
+def test_penalized_lossless_closed_form():
+    # -p_in w + p_out w - w^2 / 2 on [0, cap]: w = clip(p_out - p_in, 0, cap).
+    edge = lossless_edge(2.0)
+    for (p_in, p_out), w in (((0.5, 1.2), 0.7), ((1.0, 0.4), 0.0), ((0.0, 5.0), 2.0), ((0.0, 0.0), 0.0)):
+        res = edge.evaluate_penalized(np.array([p_in, p_out]))
+        assert res.flow[0] == pytest.approx(-w, abs=1e-14) and res.flow[1] == pytest.approx(w, abs=1e-14)
+        assert res.value == pytest.approx((p_out - p_in) * w - 0.5 * w * w, abs=1e-14)
+
+
+def test_two_node_records_are_read_only():
+    # A writable gain.capacity let opf_line_edge(16, 0.25, 1).evaluate_pair
+    # tender 2.04 while input_hi stayed 1.0.
+    edge = opf_line_edge(16.0, 0.25, 1.0)
+    before = edge.evaluate_pair(0.5, 1.0), edge.evaluate_penalized(np.array([0.5, 1.0])).value
+    records = [
+        (edge, ("gain", "dim", "is_strictly_convex")),
+        (edge.gain, ("alpha", "beta", "capacity", "input_lo", "input_hi")),
+        (PiecewiseLinearGain([(0.0, 0.0), (1.0, 1.0), (2.0, 1.5)]), ("input_lo", "input_hi")),
+        (CallableGain(math.sqrt, 0.0, 4.0), ("input_lo", "input_hi")),
+        (LinearGain(slope=1.0, capacity=2.0), ("slope", "capacity", "input_lo", "input_hi")),
+    ]
+    for record, names in records:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 5.0)
+    assert (edge.evaluate_pair(0.5, 1.0), edge.evaluate_penalized(np.array([0.5, 1.0])).value) == before
+    assert edge.gain.capacity == edge.gain.input_hi == 1.0

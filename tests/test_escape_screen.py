@@ -92,22 +92,24 @@ def test_bound_is_sound_on_piecewise_linear(monkeypatch):
     assert np.max(gaps) > 1e-9
 
 
-def test_bound_is_sound_with_faces_on_utility_edges(monkeypatch):
+def test_bound_is_sound_next_to_penalized_edges(monkeypatch):
+    # A penalized edge is smooth in its node prices and has no face: the
+    # bound covers it through the gradient term, next to the faces of the
+    # utility-free edges.
     rng = np.random.default_rng(3)
     gaps = []
     for seed in range(3):
         instance = quadratic_penalty_on(maxflow_instance(10, 0.4, seed), every=2)
         program = DualProgram(instance)
-        assert len(program.free_nodes) < program.n_vars
         points = stall_points(instance, monkeypatch) + unit_vertices(instance, rng, 15)
-        # Some faces must lie on utility edges at these points.
-        utility_faces = 0
+        faces = 0
         for x in points:
             program.value_and_grad(x)
-            for pos in program._face_pos[program._faces(x).rows]:
-                utility_faces += instance.edges[pos].utility is not None
-        assert utility_faces > 0
-        # Random directions also move the utility blocks.
+            positions = program._face_pos[program._faces(x).rows]
+            assert all(instance.edges[pos].utility is None for pos in positions)
+            faces += len(positions)
+        assert faces > 0
+        # Random directions move the penalized edges' prices too.
         gaps.append(bound_gaps(instance, points, rng))
     gaps = np.concatenate(gaps)
     assert len(gaps) > 100

@@ -126,6 +126,28 @@ def test_cli_edge_range_errors_carry_the_edge_path(tmp_path, capsys):
     assert "error: $.edges[3]: capacity must be positive" in capsys.readouterr().err
 
 
+def basket_doc(penalized):
+    edge = {"kind": "fisher_basket", "params": {"valuations": [2.0, 1.0]}, "nodes": [0, 1, 2]}
+    if penalized:
+        edge["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
+    objective = {"kind": "linear_nonneg", "params": {"prices": [1.0, 1.0, 1.0]}}
+    return {"version": 1, "n": 3, "objective": objective, "edges": [edge]}
+
+
+def test_penalty_on_a_basket_edge_is_rejected(tmp_path, capsys):
+    # A buyer basket has no penalized subproblem to minimize its local
+    # prices in.
+    assert instance_from_dict(basket_doc(False)).m == 1
+    with pytest.raises(InstanceValidationError, match="edge 0: unsupported edge utility"):
+        instance_from_dict(basket_doc(True))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(basket_doc(True)))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    assert "error: $: edge 0: unsupported edge utility QuadraticPenalty on FisherBasketEdge" in captured.err
+
+
 @pytest.mark.parametrize(
     "edge",
     [

@@ -22,11 +22,14 @@ from test_escape_screen import stall_points, unit_vertices
 
 
 def expected_faces(program, x):
-    """``{edge position: (P, Q)}`` from ``supported_face`` at each edge's own prices."""
-    etas = program.to_point(x).edge_prices
+    """``{edge position: (P, Q)}`` from ``supported_face`` at the node
+    prices of each edge without a penalty (a penalized edge has no face)."""
+    nu = program.node_prices(x)
     found = {}
     for pos, edge in enumerate(program.instance.edges):
-        face = edge.oracle.supported_face(etas[pos], 1e-7)
+        if edge.utility is not None:
+            continue
+        face = edge.oracle.supported_face(edge.incidence.gather(nu), 1e-7)
         if face is not None:
             found[pos] = face
     return found
@@ -71,16 +74,19 @@ def test_vectorized_faces_match_supported_face():
     assert found > 50
 
 
-def test_faces_on_utility_edges_are_found_at_edge_prices(monkeypatch):
-    utility_faces = 0
+def test_penalized_edges_have_no_faces(monkeypatch):
+    # The table holds the utility-free edges only, and their faces are
+    # found at their node prices next to penalized edges.
+    found = 0
     rng = np.random.default_rng(1)
     for seed in range(6):
         instance = quadratic_penalty_on(maxflow_instance(10, 0.4, seed), every=2)
         program = DualProgram(instance)
+        free = [pos for pos, edge in enumerate(instance.edges) if edge.utility is None]
+        assert program._face_pos.tolist() == free
         for x in stall_points(instance, monkeypatch) + unit_vertices(instance, rng, 5):
-            assert_same_faces(program, x)
-            utility_faces += sum(instance.edges[pos].utility is not None for pos in program.supported_faces(x))
-    assert utility_faces > 0
+            found += assert_same_faces(program, x)
+    assert found > 0
 
 
 def recorded_rejections(instance, monkeypatch):
@@ -172,9 +178,9 @@ def test_polished_point_is_not_evaluated_again(monkeypatch):
         statuses.append(result.status)
         return result
 
-    def counting(self, nu, x):
+    def counting(self, nu):
         late.append(len(statuses))
-        return original_pass(self, nu, x)
+        return original_pass(self, nu)
 
     monkeypatch.setattr(solver, "minimize_bound_lbfgs", driver)
     monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
