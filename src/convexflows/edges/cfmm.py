@@ -5,8 +5,10 @@ received from the pool, negative entries tendered to it) whenever the
 trading function value at the post-trade reserves ``R + fee * tendered -
 received`` does not drop below its pre-trade value.  All bundled pools
 use weighted geometric mean trading functions, for which the price
-subproblem has closed forms (two assets) or reduces to a scalar dual
-solved by bisection (general separable case).  The penalized price
+subproblem has closed forms: directly for two assets, and in general
+through a scalar dual whose log residual is piecewise linear in the log
+multiplier, so that its root is a weighted mean of knots found by a
+scan over at most ``2 * dim - 1`` pieces.  The penalized price
 subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
 scalar dual for every pool size (:func:`_penalized_trade`).
@@ -34,7 +36,6 @@ __all__ = [
     "separable_cfmm_arbitrage",
 ]
 
-_DUAL_BISECT_ITERS = 200
 # Newton steps of the penalized scalar dual; each one either takes the
 # Newton step or halves the bracket, in log space.
 _PENALIZED_ITERS = 100
@@ -75,25 +76,11 @@ def _validate_pool(reserves, fee) -> tuple[tuple[float, ...], float]:
     reserves = _vector(reserves, "reserves")
     fee = _scalar(fee, "fee")
     # Written as "not in range" so that a NaN fails the checks too.
-    if not all(r > 0.0 for r in reserves):
-        raise InvalidEdgeError(f"reserves must be positive, got {list(reserves)}")
+    if not all(0.0 < r < math.inf for r in reserves):
+        raise InvalidEdgeError(f"reserves must be positive and finite, got {list(reserves)}")
     if not (0.0 < fee <= 1.0):
         raise InvalidEdgeError(f"fee must lie in (0, 1], got {fee}")
     return reserves, fee
-
-
-def _log_invariant(weights, reserves) -> float:
-    """Log of the trading function at positive reserves; an infinite
-    reserve makes it infinite and is rejected.
-
-    The dot product stays in numpy: it may round as a chain of fused
-    multiply-adds, which ``w0 * l0 + w1 * l1`` in Python does not
-    reproduce bit for bit.
-    """
-    log_inv = float(np.dot(weights, np.log(reserves)))
-    if not math.isfinite(log_inv):
-        raise InvalidEdgeError(f"reserves must be finite, got {list(reserves)}")
-    return log_inv
 
 
 def _membership(reserves, weights, fee, flow, tol) -> bool:
@@ -239,7 +226,10 @@ class TwoAssetGeometricPool(EdgeOracle):
         self._r0, self._r1 = reserves
         self._weight = weight
         self._fee = fee
-        self._log_inv = _log_invariant((weight, 1.0 - weight), reserves)
+        # Log of the trading function.  The dot product stays in numpy: it
+        # may round as a chain of fused multiply-adds, which
+        # ``w0 * l0 + w1 * l1`` in Python does not reproduce bit for bit.
+        self._log_inv = float(np.dot((weight, 1.0 - weight), np.log(reserves)))
 
     @property
     def dim(self) -> int:
@@ -327,12 +317,14 @@ class GeometricMeanPool(EdgeOracle):
     """Weighted geometric mean pool over any number of assets.
 
     The log transform makes the trading function separable, so the price
-    subproblem's scalar dual is solved by bisection on the invariant
-    residual; the per-asset inner problems have closed forms.  ``fee``
-    and ``dim`` are read-only, as is the rest of the pool's data.
+    subproblem reduces to one multiplier ``lam`` on the invariant, and
+    each asset's inner problem has a closed form.  The invariant's log
+    residual is piecewise linear in ``log(lam)``, so its root is found
+    exactly by a scan over the pieces between the assets' knots.
+    ``fee`` and ``dim`` are read-only, as is the rest of the pool's data.
     """
 
-    __slots__ = ("_r", "_w", "_fee", "_dim", "_log_inv", "__dict__")
+    __slots__ = ("_r", "_w", "_fee", "_dim", "__dict__")
 
     def __init__(self, reserves, weights, fee: float = 1.0):
         reserves, fee = _validate_pool(reserves, fee)
@@ -345,7 +337,6 @@ class GeometricMeanPool(EdgeOracle):
         self._w = weights
         self._fee = fee
         self._dim = len(reserves)
-        self._log_inv = _log_invariant(weights, reserves)
 
     @property
     def dim(self) -> int:
@@ -367,14 +358,6 @@ class GeometricMeanPool(EdgeOracle):
     def weights(self) -> np.ndarray:
         return np.array(self._w)
 
-    def _post_reserve(self, lam: float, price: float, j: int) -> float:
-        base = lam * self._w[j] / price
-        r = self._r[j]
-        if base < r:
-            return base          # receive side
-        scaled = self._fee * base
-        return scaled if scaled > r else r  # tender side or idle band
-
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         prices = require_nonnegative_prices(prices)
         if (prices == 0.0).all():
@@ -386,48 +369,44 @@ class GeometricMeanPool(EdgeOracle):
         # No-trade test: a single multiplier can scale the pool's marginal
         # prices into the fee band around the quoted prices.
         p = [float(v) for v in prices]
-        s = [p[j] * self._r[j] / self._w[j] for j in range(self._dim)]
-        if self._fee * max(s) <= min(s):
+        w, fee = self._w, self._fee
+        s = [p[j] * self._r[j] / w[j] for j in range(self._dim)]
+        if fee * max(s) <= min(s):
             return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
 
-        lo, hi = min(s), max(s) / self._fee
-        w, log_inv = self._w, self._log_inv
-
-        def residual(lam: float) -> tuple[float, float]:
-            resid = -log_inv
-            active = 0.0
-            for j in range(self._dim):
-                post = self._post_reserve(lam, p[j], j)
-                resid += w[j] * math.log(post)
-                if post != self._r[j]:
-                    active += w[j]
-            return resid, active
-
-        # Bisect to the right active pattern, then Newton steps on the
-        # log residual (linear in log(lam) per pattern) to full precision.
-        for _ in range(_DUAL_BISECT_ITERS):
-            lam = 0.5 * (lo + hi)
-            resid, _ = residual(lam)
-            if resid < 0.0:
-                lo = lam
+        # The log residual sum_j w_j log(post_j / r_j) is piecewise linear
+        # in u = log(lam): asset j is received below the knot log s_j, idle
+        # up to log(s_j / fee) and tendered above it, and each active asset
+        # adds w_j (u - knot_j).  On a piece the root is the weighted mean
+        # of the active knots; the residual rises with u, so the root lies
+        # on the first piece whose upper end the residual reaches.
+        log_fee = math.log(fee)
+        log_s = [math.log(v) for v in s]
+        knots = sorted([(k, j, False) for j, k in enumerate(log_s)]
+                       + [(k - log_fee, j, True) for j, k in enumerate(log_s)])
+        # Active asset -> the shift of its knot: log(fee) if tendered, else 0.
+        active = dict.fromkeys(range(self._dim), 0.0)
+        total, moment = sum(w), sum(wj * k for wj, k in zip(w, log_s))
+        for knot, j, tender in knots:
+            if moment <= total * knot:
+                break
+            if tender:
+                active[j] = log_fee
+                total, moment = total + w[j], moment + w[j] * knot
             else:
-                hi = lam
-            if hi - lo <= 1e-9 * hi:
-                break
-        lam = 0.5 * (lo + hi)
-        for _ in range(4):
-            resid, active = residual(lam)
-            if active <= 0.0 or resid == 0.0:
-                break
-            lam = min(max(lam * math.exp(-resid / active), lo), hi)
+                del active[j]
+                total, moment = total - w[j], moment - w[j] * knot
 
+        # Each active asset's offset u - knot_j, as a weighted mean of
+        # knot differences taken from ratios so that nothing cancels; a
+        # tendered amount is what enters the pool over the fee.
+        weight = sum(w[k] for k in active)
         flow = np.zeros(self._dim)
-        for j in range(self._dim):
-            post = self._post_reserve(lam, p[j], j)
-            if post >= self._r[j]:
-                flow[j] = -(post - self._r[j]) / self._fee  # tendered
-            else:
-                flow[j] = self._r[j] - post                # received
+        for j, shift in active.items():
+            offset = sum(
+                w[k] * (math.log(s[k] / s[j]) + shift - shift_k) for k, shift_k in active.items()
+            )
+            flow[j] = -self._r[j] * math.expm1(offset / weight) / (fee if shift else 1.0)
         return ArbitrageResult(value=float(prices @ flow), flow=flow)
 
     def evaluate_penalized(self, prices) -> ArbitrageResult:

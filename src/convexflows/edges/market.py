@@ -16,17 +16,33 @@ __all__ = ["FisherBasketEdge", "fisher_linear_arbitrage"]
 
 
 class FisherBasketEdge(EdgeOracle):
-    """Hyperedge converting goods flow into utility flow, ``u(x) = v @ x``."""
+    """Hyperedge converting goods flow into utility flow, ``u(x) = v @ x``.
 
-    is_strictly_convex = False
+    The edge keeps its own copy of the valuations; ``valuations`` builds
+    a fresh array on each access, and ``dim`` is read-only.
+    """
+
+    __slots__ = ("_v", "__dict__")
 
     def __init__(self, valuations):
-        self.valuations = np.asarray(valuations, dtype=float)
-        if self.valuations.ndim != 1 or len(self.valuations) < 1:
+        v = np.array(valuations, dtype=float)
+        if v.ndim != 1 or len(v) < 1:
             raise InvalidEdgeError("valuations must be a nonempty vector")
-        if np.any(self.valuations < 0):
+        if np.any(v < 0):
             raise InvalidEdgeError("valuations must be nonnegative")
-        self.dim = len(self.valuations) + 1
+        self._v = v
+
+    @property
+    def dim(self) -> int:
+        return len(self._v) + 1
+
+    @property
+    def is_strictly_convex(self) -> bool:
+        return False
+
+    @property
+    def valuations(self) -> np.ndarray:
+        return self._v.copy()
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         prices = require_nonnegative_prices(prices)
@@ -35,12 +51,12 @@ class FisherBasketEdge(EdgeOracle):
         # Linear objective on a box: buy good j outright when the utility
         # it generates outprices it, otherwise skip (ties skip, keeping
         # the flow sparse; the maximizer is then not unique).
-        margins = utility_price * self.valuations - good_prices
+        margins = utility_price * self._v - good_prices
         buy = margins > 0.0
         goods = np.where(buy, -1.0, 0.0)
-        utility = float(self.valuations @ (-goods))
+        utility = float(self._v @ (-goods))
         flow = np.concatenate([goods, [utility]])
-        tie = np.any((margins == 0.0) & ((self.valuations > 0) | (good_prices > 0)))
+        tie = np.any((margins == 0.0) & ((self._v > 0) | (good_prices > 0)))
         return ArbitrageResult(
             value=float(np.sum(margins[buy])),
             flow=flow,
@@ -53,8 +69,8 @@ class FisherBasketEdge(EdgeOracle):
         goods, utility = flow[:-1], float(flow[-1])
         if np.any(goods < -1.0 - scale) or np.any(goods > scale):
             return False
-        cap = float(self.valuations @ (-np.clip(goods, -1.0, 0.0)))
-        return utility <= cap + scale * max(1.0, float(np.sum(self.valuations)))
+        cap = float(self._v @ (-np.clip(goods, -1.0, 0.0)))
+        return utility <= cap + scale * max(1.0, float(np.sum(self._v)))
 
 
 def fisher_linear_arbitrage(valuations, prices) -> tuple[np.ndarray, float]:

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -162,6 +163,99 @@ def test_geometric_pool_degenerate_prices():
         pool.evaluate(np.array([1.0, 1.0, 0.0]))
 
 
+def geometric_pool_by_decimal(pool, prices, digits=40):
+    """Exact trade against a geometric mean pool, to ``digits`` digits.
+
+    The log residual ``sum_j w_j log(post_j / r_j)`` is piecewise linear
+    in ``u = log(lam)``, with asset j received below ``log s_j``, idle up
+    to ``log(s_j / fee)`` and tendered above; its root is the weighted
+    mean of the active knots on the piece that contains that mean.
+    Returns ``(value, flow, pattern)`` with the pattern per asset one of
+    ``"receive"``, ``"idle"`` and ``"tender"``.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        r = [D(v) for v in pool.reserves]
+        w = [D(v) for v in pool.weights]
+        p = [D(float(v)) for v in prices]
+        fee = D(pool.fee)
+        log_s = [(pj * rj / wj).ln() for pj, rj, wj in zip(p, r, w)]
+        log_fee = fee.ln()
+        knots = sorted(set(log_s) | {k - log_fee for k in log_s})
+        lows = [None] + knots
+        highs = knots + [None]
+        for lo, hi in zip(lows, highs):
+            probe = lo if hi is None else hi if lo is None else (lo + hi) / 2
+            sides = [
+                "receive" if probe < k else "tender" if probe > k - log_fee else "idle"
+                for k in log_s
+            ]
+            active = [j for j, side in enumerate(sides) if side != "idle"]
+            if not active:
+                continue
+            mean = sum(
+                w[j] * (log_s[j] - (log_fee if sides[j] == "tender" else 0)) for j in active
+            ) / sum(w[j] for j in active)
+            if (lo is None or lo <= mean) and (hi is None or mean <= hi):
+                break
+        else:
+            return 0.0, [0.0] * len(r), ["idle"] * len(r)
+        flow = []
+        for j, side in enumerate(sides):
+            if side == "receive":
+                flow.append(r[j] * (1 - (mean - log_s[j]).exp()))
+            elif side == "tender":
+                flow.append(-r[j] * ((mean - log_s[j] + log_fee).exp() - 1) / fee)
+            else:
+                flow.append(D(0))
+        value = sum(pj * x for pj, x in zip(p, flow))
+        return float(value), [float(x) for x in flow], sides
+
+
+def _exact_root_cases():
+    """Pools of 2 to 6 assets at several fees, with prices spread so that
+    receive, idle and tender pieces all occur, plus tied ``s_j``.
+
+    Reserves span ``gen_cfmm``'s range and the largest price is 1: a
+    flow's rounding floor is a few ulps of its reserve, whatever the
+    method, and the tolerance below is absolute in the flows."""
+    rng = np.random.default_rng(13)
+    for fee in (1.0, 0.997, 0.9, 0.5):
+        for dim in range(2, 7):
+            for _ in range(12):
+                reserves = rng.uniform(100.0, 200.0, size=dim)
+                weights = rng.uniform(0.5, 2.0, size=dim)
+                weights /= weights.sum()
+                marginal = weights / reserves
+                spread = 0.3 if fee == 1.0 else 2.0 * math.log(1.0 / fee)
+                prices = marginal * np.exp(rng.uniform(-spread, spread, size=dim))
+                prices /= prices.max()
+                yield GeometricMeanPool(reserves, weights, fee), prices
+            # Tied s_j: equal reserves, weights and prices on two assets.
+            reserves = rng.uniform(100.0, 200.0, size=dim)
+            reserves[1] = reserves[0]
+            weights = np.full(dim, 1.0 / dim)
+            prices = rng.uniform(0.5, 2.0, size=dim)
+            prices[1] = prices[0]
+            yield GeometricMeanPool(reserves, weights, fee), prices
+
+
+def test_geometric_pool_matches_exact_root():
+    # The knot scan finds the root of the piecewise-linear log residual
+    # exactly, so only rounding is left; a bisection to 1e-9 followed by
+    # Newton steps is off by about 1e-12 on these pools.
+    patterns = set()
+    for pool, prices in _exact_root_cases():
+        res = pool.evaluate(prices)
+        value, flow, sides = geometric_pool_by_decimal(pool, prices)
+        patterns.update(sides)
+        tol = 1e-13 * (1.0 + abs(value))
+        assert abs(res.value - value) <= tol, (pool.reserves, pool.weights, pool.fee, prices)
+        assert np.max(np.abs(res.flow - flow)) <= tol, (pool.reserves, pool.weights, pool.fee, prices)
+    assert patterns == {"receive", "idle", "tender"}
+
+
 def test_pool_support_properties():
     rng = np.random.default_rng(3)
     pools = [
@@ -255,12 +349,14 @@ def test_uniswap_evaluate_pair_returns_python_floats():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pool_log_invariant_is_numpy_dot_bit_for_bit(seed):
-    # The invariant stays a numpy dot product: it may round as fused
+    # The two-asset pool's invariant, which its closed form reads for the
+    # received amount, stays a numpy dot product: that may round as fused
     # multiply-adds, and a Python sum of products moves it by an ulp on
-    # some pools, which changes the solve paths of penalized instances.
+    # some pools, which changes plain cfmm solve paths.
     instance = instance_from_dict(gen_cfmm(200, seed))
-    for edge in instance.edges:
-        pool = edge.oracle
+    pools = [edge.oracle for edge in instance.edges if isinstance(edge.oracle, TwoAssetGeometricPool)]
+    assert pools
+    for pool in pools:
         assert pool._log_inv == float(np.dot(pool.weights, np.log(pool.reserves)))
 
 
@@ -407,6 +503,23 @@ def test_fisher_arbitrage_matches_corner_oracle():
         edge = FisherBasketEdge(valuations)
         assert edge.is_member(flow, 1e-9)
         assert value == pytest.approx(float(prices @ flow), abs=1e-10)
+
+
+def test_fisher_edge_data_is_read_only():
+    # valuations and dim used to be plain attributes: after an assignment
+    # evaluate raised a numpy ValueError, and a write into the array
+    # skipped the nonnegativity check.
+    edge = FisherBasketEdge([2.0, 1.0, 0.5])
+    prices = np.array([1.0, 1.5, 0.2, 0.9])
+    before = edge.evaluate(prices)
+    for name, value in (("valuations", np.array([3.0])), ("dim", 2), ("is_strictly_convex", True)):
+        with pytest.raises(AttributeError):
+            setattr(edge, name, value)
+    edge.valuations[:] = -1.0
+    after = edge.evaluate(prices)
+    assert after.value == before.value and np.array_equal(after.flow, before.flow)
+    assert edge.dim == 4 and edge.valuations.tolist() == [2.0, 1.0, 0.5]
+    assert edge.is_member(before.flow, 1e-9)
 
 
 def test_fisher_tie_flagged_non_unique():
