@@ -371,7 +371,8 @@ class GeometricMeanPool(EdgeOracle):
         p = [float(v) for v in prices]
         w, fee = self._w, self._fee
         s = [p[j] * self._r[j] / w[j] for j in range(self._dim)]
-        if fee * max(s) <= min(s):
+        s_max, s_min = max(s), min(s)
+        if fee * s_max <= s_min:
             return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
 
         # The log residual sum_j w_j log(post_j / r_j) is piecewise linear
@@ -399,12 +400,16 @@ class GeometricMeanPool(EdgeOracle):
 
         # Each active asset's offset u - knot_j, as a weighted mean of
         # knot differences taken from ratios so that nothing cancels; a
-        # tendered amount is what enters the pool over the fee.
+        # tendered amount is what enters the pool over the fee.  When the
+        # ratios leave the float range the knots span over 700, and the
+        # differences of the logs lose nothing that matters there.
+        wide = not s_max / s_min < math.inf
         weight = sum(w[k] for k in active)
         flow = np.zeros(self._dim)
         for j, shift in active.items():
             offset = sum(
-                w[k] * (math.log(s[k] / s[j]) + shift - shift_k) for k, shift_k in active.items()
+                w[k] * ((log_s[k] - log_s[j] if wide else math.log(s[k] / s[j])) + shift - shift_k)
+                for k, shift_k in active.items()
             )
             flow[j] = -self._r[j] * math.expm1(offset / weight) / (fee if shift else 1.0)
         return ArbitrageResult(value=float(prices @ flow), flow=flow)

@@ -2,26 +2,36 @@
 
 Minimizes a convex function over coordinate lower bounds.  The search
 direction comes from the standard two-loop recursion restricted to the
-free coordinates; steps follow a projected weak-Wolfe line search.  The
-objective may return ``+inf`` (an implicit constraint), which only ever
-shrinks the step, so iterates stay inside the finite region.  Near the
-float noise floor, steps are accepted on the curvature condition alone,
-letting the gradients keep converging after objective differences stop
-being measurable.  Nonsmooth objectives can jam the iteration at points
-where no single coordinate descends; a stall then triggers exact line
+free coordinates; steps follow a projected weak-Wolfe line search,
+which tries the unit step first and halves it.  A steepest-descent
+direction (the first one, and each one after a restart or an escape
+empties the memory) has no curvature pair to give it a length, so its
+search starts at the largest of those halvings that moves no coordinate
+by more than ``1 + |x|_inf``, as L-BFGS-B scales its first step (Byrd,
+Lu, Nocedal and Zhu, 1995); it skips only trials that would move the
+point past its own scale.  The objective may return ``+inf`` (an
+implicit constraint), which only ever shrinks the step, so iterates
+stay inside the finite region.  Near the float noise floor, steps are
+accepted on the curvature condition alone, letting the gradients keep
+converging after objective differences stop being measurable.
+Nonsmooth objectives can jam the iteration at points where no single
+coordinate descends; a stall then triggers exact line
 searches along directions the caller derives from the objective's
 structure (the solver supplies the tie-graph moves that its first-order
 screen cannot rule out at their probe points, see :func:`escape_probes`),
 and an optional final polish evaluates caller-proposed points, keeping
 any that are at least as good (:func:`polish_keeps`).
 
-An optional certificate is asked once, at the start: after the first
-iterate the driver evaluates the polish candidates of the start point
-and asks the certificate whether the best of them is optimal (the
-solver compares it with a recovered primal point, by weak duality).  A
-certified point ends the run there with status ``"converged"``; a
-refused one leaves the run exactly as it would have been, apart from
-the candidates' evaluations.
+An optional certificate decides every stop on the gradient test: when
+the projected gradient is small the driver asks it whether the iterate
+is optimal (the solver compares it with a recovered primal point, by
+weak duality), and a refusal keeps the run going.  With polish
+candidates it is also asked once at the start: after the first iterate
+the driver evaluates the candidates of the start point and asks about
+the best of them; a refusal there leaves the run exactly as it would
+have been, apart from the candidates' evaluations.  A certified point
+ends the run with status ``"converged"``, and with a certificate no
+other ending counts as converged.
 
 At such kinks the quasi-Newton direction itself often cannot descend,
 and backtracking would halve its step some fifty times down to float
@@ -260,18 +270,22 @@ def minimize_bound_lbfgs(
             stalls; its directions are line-searched exactly, in order.
             Without it a stall ends the run.
         line_search_screen: Called as ``line_search_screen(x, d)`` when the
-            first trial of a line search (the full step along ``d``)
-            fails sufficient decrease.  True means ``f`` provably rises
-            by more than the probe margin at the escape probe of ``d``
+            first trial of a line search along ``d`` fails sufficient
+            decrease.  True means ``f`` provably rises by more than the
+            probe margin at the escape probe of ``d``
             (:func:`escape_probes`), and the search ends without further
             evaluations, as a failed one.
-        certificate: Called as ``certificate(x, value)`` once, at the best
-            of the start point and its polish candidates, after the first
-            callback.  True means the point is optimal: the driver moves
-            there (one iteration), calls the callback at it and ends with
-            status ``"converged"`` and no final polish.  False changes
-            nothing but the candidates' evaluations.  Needs
-            ``polish_candidates``.
+        certificate: Called as ``certificate(x, value)`` at each iterate
+            that passes the gradient test, and, with
+            ``polish_candidates``, once at the best of the start point
+            and its candidates, after the first callback.  True means
+            the point is optimal: the driver ends there with status
+            ``"converged"`` and no final polish (at the start, it first
+            moves to the point in one iteration and calls the callback
+            at it).  False at a gradient stop keeps the run going; at
+            the start it changes nothing but the candidates'
+            evaluations.  With a certificate, ``converged`` is true only
+            after a True answer.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -319,9 +333,13 @@ def minimize_bound_lbfgs(
         if callback is not None:
             callback(iteration, x, f, g, pg_norm)
         if pg_norm <= config.grad_tol * max(1.0, abs(f)):
-            status = "converged"
-            converged = True
-            break
+            # With a certificate the gradient test only proposes a stop; a
+            # refusal keeps the run going.
+            if certificate is None or certificate(x, f):
+                status = "converged"
+                converged = True
+                certified = certificate is not None
+                break
         if iteration == 0 and certificate is not None and polish_candidates:
             # Check the best rounded start once; a refusal leaves the run
             # as it was.
@@ -369,6 +387,15 @@ def minimize_bound_lbfgs(
         # (s, y) pairs well scaled, which is what lets the memory track
         # nonsmooth objectives without collapsing the step size.
         alpha, lo_a, hi_a = 1.0, 0.0, math.inf
+        if not pairs:
+            # Without curvature pairs the direction has no length of its
+            # own: start at the largest step of the halving sequence
+            # (1, 1/2, 1/4, ...) that moves no coordinate by more than
+            # 1 + |x|_inf, the scale of the escape probes.
+            scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+            reach = float(np.max(np.abs(d), initial=0.0))
+            while alpha * reach > scale:
+                alpha *= _SHRINK
         accepted = False
         x_new = x
         f_new, g_new = f, g
@@ -444,8 +471,9 @@ def minimize_bound_lbfgs(
         if kept:
             status = "polished"
 
+    # Only the certificate, when there is one, can make the run converged.
     pg_norm = _pg_norm(x, g, lower)
-    if pg_norm <= config.grad_tol * max(1.0, abs(f)):
+    if certificate is None and pg_norm <= config.grad_tol * max(1.0, abs(f)):
         converged = True
     return QNResult(
         x=x,

@@ -109,11 +109,13 @@ class SolverConfig:
     copies of the final iterate (integers and threshold cuts) and keeps
     any that are at least as good, which lands exactly on the vertex
     solutions of combinatorial instances.  Such an instance also tries
-    the rounded copies of its start once, after the first iterate: the
-    primal point recovered at the best of them certifies it when its
-    objective is finite and within ``feas_tol * (1 + |dual|)`` of the
-    dual value, and the solve then ends there with status
-    ``"converged"``.  Strictly convex instances skip both.
+    the rounded copies of its start once, after the first iterate.
+    Every instance asks a certificate before it stops on ``grad_tol``,
+    and a flat-faced one also at that best rounded start: the primal
+    point recovered there certifies the point when its objective is
+    finite and within ``feas_tol * (1 + |dual|)`` of the dual value.  A
+    certified point ends the solve with status ``"converged"``; a
+    refused gradient stop goes on iterating.
     """
 
     grad_tol: float = 1e-7
@@ -730,7 +732,7 @@ def _solve_dual(
     instance: ProblemInstance, start: DualPoint | None, config: SolverConfig
 ) -> tuple[SolveResult, DualProgram, np.ndarray, _Recovered | None]:
     """Run the driver; the result, the program, its final iterate and,
-    when the start was certified, the primal point recovered there."""
+    when the driver stopped certified, the primal point recovered there."""
     program = DualProgram(instance)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
@@ -764,14 +766,16 @@ def _solve_dual(
         if math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f)):
             certified.append(primal)
             return True
-        # The run goes on from the start, whose pass the callback keeps;
-        # stop tracking the candidates' until the final polish.
+        # The run goes on from the iterate, whose pass the callback
+        # keeps; stop tracking the start candidates' until the final
+        # polish.
         program._kept_x = program._kept_pass = None
         return False
 
     # Only an instance with a flat face polishes, certifies its start and
     # screens its line searches: elsewhere the face bound is the gradient
-    # term alone, and rounding lands on no vertex.
+    # term alone, and rounding lands on no vertex.  Every instance
+    # certifies its gradient stop.
     flat = program.has_flat_faces
     candidates = [program.keeping_polish(g) for g in (np.round, _threshold_candidates)] if flat else None
     driver = minimize_bound_lbfgs(
@@ -783,7 +787,7 @@ def _solve_dual(
         polish_candidates=candidates,
         escape_directions=program.escape_directions,
         line_search_screen=program.rises_at_probe if flat else None,
-        certificate=certificate if flat else None,
+        certificate=certificate,
     )
     raw = program._cached_pass(driver.x)
     result = SolveResult(
@@ -894,8 +898,8 @@ def solve(
     face at the final iterate are re-fit along that face so their net
     flow matches the objective's target, to ``config.feas_tol`` (see
     :mod:`convexflows.recovery`); every other edge passes through.  A
-    solve that ended on a certified start already recovered its primal
-    point there, and returns that one.
+    solve that stopped certified already recovered its primal point
+    there, and returns that one.
     """
     config = config or SolverConfig()
     result, program, x, primal = _solve_dual(instance, start, config)

@@ -256,6 +256,20 @@ def test_geometric_pool_matches_exact_root():
     assert patterns == {"receive", "idle", "tender"}
 
 
+@pytest.mark.parametrize(
+    "prices", [[1e-320, 1.0, 1.0], [1.0, 1e-320, 1.0], [1.0, 1.0, 1e-320], [1e300, 1e-10, 1.0]]
+)
+def test_geometric_pool_prices_past_the_float_range(prices):
+    # Some quotient s_k / s_j overflows at these prices; the offsets then
+    # come from differences of the logs, and the answer stays finite.
+    pool = GeometricMeanPool([100.0, 150.0, 120.0], [0.2, 0.3, 0.5], 0.997)
+    res = pool.evaluate(np.array(prices))
+    value, flow, _ = geometric_pool_by_decimal(pool, prices)
+    assert math.isfinite(res.value) and np.all(np.isfinite(res.flow))
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert_allclose(res.flow, flow, rtol=1e-12)
+
+
 def test_pool_support_properties():
     rng = np.random.default_rng(3)
     pools = [

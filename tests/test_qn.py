@@ -5,7 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize as scipy_minimize
 
-from convexflows.qn import InfeasibleStartError, QNConfig, _escape_move, minimize_bound_lbfgs
+from convexflows.qn import (
+    InfeasibleStartError,
+    QNConfig,
+    _escape_move,
+    _pg_norm,
+    minimize_bound_lbfgs,
+)
 
 
 def quad(center, scale=None):
@@ -167,6 +173,35 @@ def test_refused_certificate_changes_only_the_evaluation_count():
         assert k == k2 and np.array_equal(x, x2) and f == f2
 
 
+def test_refused_gradient_stop_keeps_iterating():
+    # The certificate refuses the first two gradient stops; the run goes
+    # on from each and stops at the third.
+    fun = quad(np.array([2.0, -1.5, 0.7]), np.array([1.0, 40.0, 3.0]))
+    plain = minimize_bound_lbfgs(fun, np.ones(3), np.zeros(3))
+    asked = []
+
+    def certificate(x, f):
+        asked.append(_pg_norm(x, fun(x)[1], np.zeros(3)))
+        return len(asked) == 3
+
+    res = minimize_bound_lbfgs(fun, np.ones(3), np.zeros(3), certificate=certificate)
+    assert res.status == "converged" and res.converged
+    assert len(asked) == 3 and asked[0] == plain.pg_norm
+    assert asked[2] < asked[1] < asked[0]
+    assert res.iterations > plain.iterations
+
+
+def test_refusing_certificate_never_converges():
+    # A small projected gradient at the end does not stand in for the
+    # certificate's answer.
+    fun = quad(np.array([2.0, -1.5, 0.7]))
+    res = minimize_bound_lbfgs(
+        fun, np.ones(3), np.zeros(3), QNConfig(max_iter=50), certificate=lambda x, f: False
+    )
+    assert res.pg_norm <= 1e-7
+    assert not res.converged and res.status != "converged"
+
+
 def test_callback_sees_every_iteration():
     seen = []
 
@@ -206,3 +241,55 @@ def test_config_rejects_nonpositive_and_nan_fields(name, value):
     # A NaN max_iter would end the run at once with status max_iter.
     with pytest.raises(ValueError):
         QNConfig(**{name: value})
+
+
+def _first_search_trials(fun, x0, lower):
+    """The points the first line search evaluates, in order."""
+    points = []
+
+    def recording(x):
+        points.append(x.copy())
+        return fun(x)
+
+    minimize_bound_lbfgs(recording, x0, lower, QNConfig(max_iter=1))
+    return points[1:]
+
+
+# Curvatures far apart: the steepest-descent direction from the ones
+# vector has |d|_inf = 5000 at prices of scale 2.
+_STEEP_CENTER = np.array([0.5, 2.0, 1.5])
+_STEEP_SCALE = np.array([1e4, 1.0, 30.0])
+
+
+def test_first_search_stays_within_the_price_scale():
+    x0 = np.ones(3)
+    trials = _first_search_trials(quad(_STEEP_CENTER, _STEEP_SCALE), x0, np.full(3, -np.inf))
+    assert len(trials) >= 2
+    scale = 1.0 + np.max(np.abs(x0))
+    for x in trials:
+        assert np.max(np.abs(x - x0)) <= scale
+
+
+def test_first_trial_is_the_largest_halving_that_fits():
+    x0 = np.ones(3)
+    fun = quad(_STEEP_CENTER, _STEEP_SCALE)
+    d = -fun(x0)[1]
+    scale = 1.0 + np.max(np.abs(x0))
+    k = 0
+    while 2.0**-k * np.max(np.abs(d)) > scale:
+        k += 1
+    assert k > 0 and 2.0 ** (1 - k) * np.max(np.abs(d)) > scale
+    trials = _first_search_trials(fun, x0, np.full(3, -np.inf))
+    assert np.array_equal(trials[0], x0 + 2.0**-k * d)
+
+
+def test_well_scaled_first_search_starts_at_the_full_step():
+    # |d|_inf = 2 = 1 + |x0|_inf: nothing is skipped, and the search
+    # tries the full step first and then halves it.
+    x0 = np.array([1.0, 0.5])
+    fun = quad(np.array([0.2, 0.5]), np.array([2.5, 1.0]))
+    d = -fun(x0)[1]
+    trials = _first_search_trials(fun, x0, np.full(2, -np.inf))
+    assert np.max(np.abs(d)) <= 1.0 + np.max(np.abs(x0))
+    assert [x.tolist() for x in trials] == [(x0 + 2.0**-j * d).tolist() for j in range(len(trials))]
+    assert len(trials) >= 2

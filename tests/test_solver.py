@@ -254,6 +254,18 @@ def test_penalized_cfmm_fixtures_converge(seed):
     assert eval_dual(instance, result.dual_point) == pytest.approx(result.dual_value, rel=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cfmm_gradient_stop_is_certified(seed):
+    # Each passes the gradient test with a net flow a hair below zero (a
+    # primal value of -inf); the certificate refuses that stop, and the
+    # run goes on until the recovered primal point closes the gap.
+    instance = cfmm_instance(m=1600, seed=seed)
+    result = solve(instance)
+    assert result.converged and result.status == "converged"
+    assert math.isfinite(result.primal_value)
+    assert abs(result.relative_gap) <= 1e-6
+
+
 def test_cfmm_instance_solves_with_nonnegative_net_flow():
     # The pg tolerance is relative to |g|, which is large for arbitrage
     # objectives; tighten it so the reconstructed flow meets 1e-7.
@@ -401,9 +413,9 @@ def test_trace_csv_export(tmp_path):
     ids=["strictly_convex_opf", "maxflow"],
 )
 def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
-    # The start certificate reads the polish candidates, so it shares
-    # their gate: a smooth instance is never offered one.
-    calls, certificates = [], []
+    # The start check reads the polish candidates, so it shares their
+    # gate; every instance gets a certificate for its gradient stop.
+    calls, offered = [], []
     original = solver._threshold_candidates
     original_driver = solver.minimize_bound_lbfgs
 
@@ -412,12 +424,12 @@ def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
         return original(x)
 
     def driver(*args, **kwargs):
-        certificates.append(kwargs["certificate"])
+        offered.append((kwargs["polish_candidates"], kwargs["certificate"]))
         return original_driver(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_threshold_candidates", counting)
     monkeypatch.setattr(solver, "minimize_bound_lbfgs", driver)
     result = solve(instance)
     assert bool(calls) == polished
-    assert len(certificates) == 1 and (certificates[0] is not None) == polished
+    assert len(offered) == 1 and bool(offered[0][0]) == polished and offered[0][1] is not None
     assert result.converged or result.status == "polished"
