@@ -14,12 +14,17 @@ a slotted record like the edge that holds it: ``gather`` and
 ``scatter_add`` index with the tuple on demand, and the solver builds
 the index arrays it keeps from ``nodes``, so a parsed instance stays
 small before and after a solve.
+
+A solve's per-edge vectors (its flows and edge prices) are laid out the
+same way: one float buffer over the concatenated edge nodes, in edge
+order, and one offsets array (:class:`EdgeVectors`).
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .objectives import QuadraticPenalty
 __all__ = [
     "DimensionError",
     "EdgeIncidence",
+    "EdgeVectors",
     "Hyperedge",
     "ProblemInstance",
     "PrimalPoint",
@@ -88,6 +94,85 @@ class EdgeIncidence:
                 f"local vector of length {len(local)} does not match edge of size {self.dim}"
             )
         out[list(self.nodes)] += local
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only for good: an array that owns its memory is
+    frozen in place, and a view (whose owner could still be written) is
+    copied first."""
+    if not array.flags.owndata:
+        array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+class EdgeVectors(Sequence):
+    """One vector per edge, packed in one read-only float buffer.
+
+    Edge ``i``'s vector is ``data[offsets[i]:offsets[i + 1]]``; with the
+    offsets of an instance's incidences the buffer runs over their
+    concatenated nodes, in edge order.  It reads as a list of arrays does:
+    ``len``, iteration, ``[i]`` (negative ``i`` too) and slices (a list),
+    except that every vector is a view of the buffer that cannot be
+    written.  Several instances may share one offsets array.
+
+    The buffer and the offsets are taken over, not copied, when they own
+    their memory, and are made read-only in place.
+    """
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data, offsets):
+        data = np.asarray(data, dtype=float)
+        offsets = np.asarray(offsets, dtype=np.intp)
+        if data.ndim != 1 or offsets.ndim != 1 or len(offsets) < 1:
+            raise DimensionError("edge vectors need a flat buffer and at least one offset")
+        if offsets[0] != 0 or offsets[-1] != len(data) or np.any(np.diff(offsets) < 0):
+            raise DimensionError(
+                f"offsets must rise from 0 to the buffer length {len(data)}, "
+                f"got {offsets[0]}..{offsets[-1]}"
+            )
+        self.data = _frozen(data)
+        self.offsets = _frozen(offsets)
+
+    @classmethod
+    def pack(cls, vectors: Sequence, offsets: np.ndarray) -> "EdgeVectors":
+        """Copy a sequence of per-edge vectors into one buffer laid out by
+        ``offsets``; an :class:`EdgeVectors` on those offsets is returned
+        as it is."""
+        if isinstance(vectors, EdgeVectors) and vectors.offsets is offsets:
+            return vectors
+        offsets = np.asarray(offsets, dtype=np.intp)
+        vectors = [np.asarray(v, dtype=float) for v in vectors]
+        if len(vectors) != len(offsets) - 1:
+            raise DimensionError(f"{len(vectors)} vectors for {len(offsets) - 1} edges")
+        sizes = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
+        if not np.array_equal(sizes, np.diff(offsets)):
+            raise DimensionError("vector lengths do not match the edge sizes")
+        return cls(np.concatenate(vectors) if vectors else np.zeros(0), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        m = len(self)
+        k = operator.index(index)
+        if k < 0:
+            k += m
+        if not 0 <= k < m:
+            raise IndexError(f"edge index {index} out of range for {m} edges")
+        return self.data[self.offsets[k] : self.offsets[k + 1]]
+
+    def __iter__(self):
+        bounds = self.offsets.tolist()
+        data = self.data
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield data[lo:hi]
+
+    def __repr__(self) -> str:
+        return f"EdgeVectors({len(self)} edges, {len(self.data)} entries)"
 
 
 @dataclass(slots=True)
@@ -167,11 +252,12 @@ class ProblemInstance:
 class PrimalPoint:
     """Candidate primal point: per-edge flows plus a net flow vector.
 
-    Consistency of ``net_flow`` with the scattered edge flows is checked
+    ``edge_flows`` is any sequence of one array per edge in edge order: a
+    list, or the :class:`EdgeVectors` of a solve result.  Consistency of ``net_flow`` with the scattered edge flows is checked
     by :func:`check_feasibility`, not enforced on construction.
     """
 
-    edge_flows: list[np.ndarray]
+    edge_flows: Sequence[np.ndarray]
     net_flow: np.ndarray
 
 
@@ -193,7 +279,8 @@ def assemble_net_flow(
     """Scatter edge flows onto the nodes and sum them.
 
     Args:
-        edge_flows: One local flow vector per edge.
+        edge_flows: One local flow vector per edge: a list of arrays or
+            an :class:`EdgeVectors`.
         incidences: Matching incidence list.
         n: Number of nodes.
 

@@ -268,11 +268,14 @@ class TwoAssetGeometricPool(EdgeOracle):
         """Allocation-free form of :meth:`evaluate` (scalars in and out)."""
         if p1 < 0.0 or p2 < 0.0:
             raise ValueError(f"prices must be nonnegative, got ({p1}, {p2})")
-        if p1 == 0.0 or p2 == 0.0:
+        w, r0, r1, fee = self._weight, self._r0, self._r1, self._fee
+        # A zero price, or one whose s_j = p_j r_j / w_j underflows to zero
+        # (exactly when p_j r_j does, as w_j < 1), leaves the supremum
+        # unattained.
+        if p1 * r0 == 0.0 or p2 * r1 == 0.0:
             raise UnattainedSupremumError(
                 "supremum not attained: an asset with zero price can be tendered without limit"
             )
-        w, r0, r1, fee = self._weight, self._r0, self._r1, self._fee
         price = (w / r0) / ((1.0 - w) / r1)
         ratio = p1 / p2
         if fee * price <= ratio <= price / fee:
@@ -293,10 +296,11 @@ class TwoAssetGeometricPool(EdgeOracle):
         gamma = self._fee
         ratio = w_in / w_out
         # Stationarity: p_out * d(received)/d(tendered) = p_in, which puts
-        # the post-trade input reserve at a weighted geometric mean.
-        log_post_in = (
-            math.log(gamma * ratio * r_out * p_out / p_in) + ratio * math.log(r_in)
-        ) / (ratio + 1.0)
+        # the post-trade input reserve at a weighted geometric mean.  A
+        # price ratio past the float range is split into two logs.
+        scale = gamma * ratio * r_out * p_out / p_in
+        log_scale = math.log(scale) if scale < math.inf else math.log(gamma * ratio * r_out * p_out) - math.log(p_in)
+        log_post_in = (log_scale + ratio * math.log(r_in)) / (ratio + 1.0)
         post_in = math.exp(log_post_in)
         tendered = (post_in - r_in) / gamma
         post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
@@ -360,18 +364,21 @@ class GeometricMeanPool(EdgeOracle):
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
         prices = require_nonnegative_prices(prices)
-        if (prices == 0.0).all():
-            return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
-        if (prices == 0.0).any():
-            raise UnattainedSupremumError(
-                "supremum not attained: an asset with zero price can be tendered without limit"
-            )
         # No-trade test: a single multiplier can scale the pool's marginal
-        # prices into the fee band around the quoted prices.
+        # prices into the fee band around the quoted prices.  An s_j that
+        # is zero, from a zero price or by underflow, counts as a zero
+        # price: all zero trade nothing, and some zero leave the supremum
+        # unattained.
         p = [float(v) for v in prices]
         w, fee = self._w, self._fee
         s = [p[j] * self._r[j] / w[j] for j in range(self._dim)]
         s_max, s_min = max(s), min(s)
+        if s_min == 0.0:
+            if s_max == 0.0:
+                return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
+            raise UnattainedSupremumError(
+                "supremum not attained: an asset with zero price can be tendered without limit"
+            )
         if fee * s_max <= s_min:
             return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
 

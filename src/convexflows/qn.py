@@ -29,9 +29,10 @@ weak duality), and a refusal keeps the run going.  With polish
 candidates it is also asked once at the start: after the first iterate
 the driver evaluates the candidates of the start point and asks about
 the best of them; a refusal there leaves the run exactly as it would
-have been, apart from the candidates' evaluations.  A certified point
-ends the run with status ``"converged"``, and with a certificate no
-other ending counts as converged.
+have been, apart from the candidates' evaluations.  A point the final
+polish keeps is asked about once more, at no evaluation.  A certified
+point ends the run with status ``"converged"``, and with a certificate
+no other ending counts as converged.
 
 At such kinks the quasi-Newton direction itself often cannot descend,
 and backtracking would halve its step some fifty times down to float
@@ -278,14 +279,16 @@ def minimize_bound_lbfgs(
         certificate: Called as ``certificate(x, value)`` at each iterate
             that passes the gradient test, and, with
             ``polish_candidates``, once at the best of the start point
-            and its candidates, after the first callback.  True means
+            and its candidates, after the first callback, and once at
+            the final polish's point when it keeps one.  True means
             the point is optimal: the driver ends there with status
             ``"converged"`` and no final polish (at the start, it first
             moves to the point in one iteration and calls the callback
             at it).  False at a gradient stop keeps the run going; at
             the start it changes nothing but the candidates'
-            evaluations.  With a certificate, ``converged`` is true only
-            after a True answer.
+            evaluations, and after the final polish the run ends
+            ``"polished"``.  With a certificate, ``converged`` is true
+            only after a True answer.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -465,11 +468,15 @@ def minimize_bound_lbfgs(
 
     # Optional final polish: evaluate externally proposed points and keep
     # anything at least as good.  A certified start has nothing to polish.
+    # A kept point is new, so the certificate is asked about it once.
     if polish_candidates and not certified:
         x, f, g, extra, kept = _polish(fun, x, f, g, lower, polish_candidates)
         n_evals += extra
         if kept:
             status = "polished"
+            if certificate is not None and certificate(x, f):
+                status = "converged"
+                converged = True
 
     # Only the certificate, when there is one, can make the run converged.
     pg_norm = _pg_norm(x, g, lower)

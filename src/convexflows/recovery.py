@@ -15,6 +15,7 @@ runs here.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -186,17 +187,18 @@ def _check_residual(residual: float, y_target: np.ndarray, tol: float) -> None:
 def recover_flows(
     instance: ProblemInstance,
     node_prices: np.ndarray,
-    flows: list[np.ndarray],
+    flows: Sequence[np.ndarray],
     conj_u: ConjugateValue,
     faces: dict[int, tuple[np.ndarray, np.ndarray]],
     tol: float = 1e-6,
 ):
     """Recovery pass used by the end-to-end solve.
 
-    ``flows`` are the edge maximizers at a dual point in edge order,
-    ``conj_u`` is the net-objective conjugate at its ``node_prices`` and
-    ``faces`` maps each edge whose prices support a flat face there to
-    the face's endpoints, all at the same dual point.  The edges on a
+    ``flows`` are the edge maximizers at a dual point in edge order (a
+    list or an :class:`~convexflows.core.EdgeVectors`), ``conj_u`` is the
+    net-objective conjugate at its ``node_prices`` and ``faces`` maps
+    each edge whose prices support a flat face there to the face's
+    endpoints, all at the same dual point.  The edges on a
     face are re-fit along it against the objective's recovery target;
     the others keep their flows.  When the objective pins nothing, or no
     edge is on a face and the target is already met, the arbitrage

@@ -44,6 +44,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
@@ -51,11 +52,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import recovery
-from .core import PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
+from .core import EdgeVectors, PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
 from .edges.two_node import TwoNodeEdge
 from .objectives import ConjugateValue
-from .qn import InfeasibleStartError, QNConfig, escape_probes, minimize_bound_lbfgs, polish_keeps
+from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs, polish_keeps
 
 __all__ = [
     "DualPoint",
@@ -88,12 +89,14 @@ class DualPoint:
     """Node prices plus one local price vector per edge.
 
     A solve's local prices are ``A_i^T nu``, plus the tendered flow on an
-    edge with a penalty.  As a start only the node prices count: each
-    edge's local prices are minimized inside the edge at every evaluation.
+    edge with a penalty, as :class:`~convexflows.core.EdgeVectors`; a
+    point built by hand may hold a list.  As a start only the node prices
+    count: each edge's local prices are minimized inside the edge at
+    every evaluation.
     """
 
     node_prices: np.ndarray
-    edge_prices: list[np.ndarray]
+    edge_prices: Sequence[np.ndarray]
 
 
 @dataclass
@@ -111,11 +114,12 @@ class SolverConfig:
     solutions of combinatorial instances.  Such an instance also tries
     the rounded copies of its start once, after the first iterate.
     Every instance asks a certificate before it stops on ``grad_tol``,
-    and a flat-faced one also at that best rounded start: the primal
-    point recovered there certifies the point when its objective is
-    finite and within ``feas_tol * (1 + |dual|)`` of the dual value.  A
-    certified point ends the solve with status ``"converged"``; a
-    refused gradient stop goes on iterating.
+    and a flat-faced one also at that best rounded start and at a point
+    the final polish keeps: the primal point recovered there certifies
+    the point when its objective is finite and within
+    ``feas_tol * (1 + |dual|)`` of the dual value.  A certified point
+    ends the solve with status ``"converged"``; a refused gradient stop
+    goes on iterating, and a refused polished point ends ``"polished"``.
     """
 
     grad_tol: float = 1e-7
@@ -224,6 +228,9 @@ class DualProgram:
     come from one vectorized comparison instead of a ``supported_face``
     call per edge.  A penalized edge is smooth in the node prices and has
     no face.
+
+    Its results' per-edge vectors share one ``offsets`` array over the
+    edges' concatenated nodes (:class:`~convexflows.core.EdgeVectors`).
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -242,8 +249,10 @@ class DualProgram:
         self._penalized_plan = []
         self._pair_plan = []
         self._array_plan = []
+        all_nodes = []
         for pos, edge in enumerate(instance.edges):
             nodes = edge.incidence.nodes
+            all_nodes.extend(nodes)
             if edge.utility is not None:
                 idx = np.array(nodes, dtype=np.intp)
                 self._penalized_plan.append((pos, itemgetter(*nodes), idx, edge.oracle.evaluate_penalized))
@@ -251,6 +260,13 @@ class DualProgram:
                 self._pair_plan.append((pos, nodes[0], nodes[1], edge.oracle.evaluate_pair))
             else:
                 self._array_plan.append((pos, np.array(nodes, dtype=np.intp), edge.oracle.evaluate))
+        self._nodes = np.array(all_nodes, dtype=np.intp)
+        offsets = np.zeros(len(instance.edges) + 1, dtype=np.intp)
+        np.cumsum([len(edge.incidence.nodes) for edge in instance.edges], out=offsets[1:])
+        offsets.flags.writeable = False
+        self.offsets = offsets
+        # Where each pair-plan edge's two entries start.
+        self._pair_at = offsets[[pos for pos, _, _, _ in self._pair_plan]]
         # Rounding can land on a vertex optimum only when some edge's term
         # has a flat face; smooth instances skip the polish.
         self.has_flat_faces = any(
@@ -318,16 +334,18 @@ class DualProgram:
     def to_point(self, x: np.ndarray) -> DualPoint:
         """Node prices and the minimizing local prices of every edge at ``x``.
 
-        A penalized edge's local prices are its node prices plus the flow
-        it tenders in the pass at ``x``.
+        The local prices are one gather of the node prices over the
+        concatenated edge nodes; a penalized edge's then gain, in place,
+        the flow it tenders in the pass at ``x``.
         """
         nu = self.node_prices(x)
-        etas = [edge.incidence.gather(nu).astype(float) for edge in self.instance.edges]
+        etas = nu[self._nodes]
         raw = self._cached_pass(x)
         if raw is not None:
+            offsets = self.offsets
             for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
-                etas[pos] = etas[pos] + np.maximum(-res.flow, 0.0)
-        return DualPoint(node_prices=nu, edge_prices=etas)
+                etas[offsets[pos] : offsets[pos + 1]] += np.maximum(-res.flow, 0.0)
+        return DualPoint(node_prices=nu, edge_prices=EdgeVectors(etas, self.offsets))
 
     def initial_vector(self, start: DualPoint | None) -> np.ndarray:
         """The free node prices of ``start`` (or of the objective's
@@ -456,16 +474,20 @@ class DualProgram:
             flows[pos] = res.flow
         return flows
 
-    def edge_flows(self, raw: _Pass) -> list[np.ndarray]:
-        """The maximizing flow of every edge in the pass ``raw``, in edge order."""
-        flows: list = [None] * len(self.instance.edges)
+    def edge_flows(self, raw: _Pass) -> EdgeVectors:
+        """The maximizing flow of every edge in the pass ``raw``, packed
+        straight into one buffer in edge order."""
+        offsets = self.offsets
+        data = np.empty(offsets[-1])
         for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
-            flows[pos] = res.flow
-        for (pos, _, _, _), out in zip(self._pair_plan, raw.pair):
-            flows[pos] = np.array(out[1:3])
+            data[offsets[pos] : offsets[pos + 1]] = res.flow
+        if raw.pair:
+            pair = np.array(raw.pair, dtype=float)
+            data[self._pair_at] = pair[:, 1]
+            data[self._pair_at + 1] = pair[:, 2]
         for (pos, _, _), res in zip(self._array_plan, raw.array):
-            flows[pos] = res.flow
-        return flows
+            data[offsets[pos] : offsets[pos + 1]] = res.flow
+        return EdgeVectors(data, offsets)
 
     def _faces(self, x: np.ndarray) -> _Faces:
         """The flat faces supported at ``x``, cached for the last ``x`` asked.
@@ -654,16 +676,18 @@ class DualProgram:
 class SolveResult:
     """Everything a solve produces.
 
-    The dual quantities come from the pass at the final iterate:
-    ``flows`` are the edge maximizers there and ``net_flow`` is their
-    incidence sum.  :func:`solve` then replaces both with the recovered
-    flows and fills in the primal quantities; :func:`solve_dual` leaves
-    those at NaN.
+    The dual quantities come from the pass at the final iterate.
+    ``flows`` are the recovered flows (:func:`solve`) or the edge
+    maximizers there (:func:`solve_dual`, which leaves the primal
+    quantities at NaN), and ``net_flow`` is their incidence sum.
+    ``flows`` and ``dual_point.edge_prices`` are
+    :class:`~convexflows.core.EdgeVectors` on one offsets array: they
+    read as lists of read-only per-edge views.
     """
 
     dual_point: DualPoint
     dual_value: float
-    flows: list[np.ndarray]
+    flows: Sequence[np.ndarray]
     net_flow: np.ndarray
     primal_value: float
     duality_gap: float
@@ -705,7 +729,7 @@ def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
 class _Recovered(NamedTuple):
     """A recovered primal point: flows, net flow, objective and fit residual."""
 
-    flows: list[np.ndarray]
+    flows: EdgeVectors
     net_flow: np.ndarray
     value: float
     residual: float
@@ -723,6 +747,7 @@ def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Reco
         program.supported_faces(x),
         tol=config.feas_tol,
     )
+    flows = EdgeVectors.pack(flows, program.offsets)
     net = assemble_net_flow(flows, instance.incidences, instance.n)
     p = primal_objective(instance, PrimalPoint(edge_flows=flows, net_flow=net), tol=config.feas_tol)
     return _Recovered(flows, net, p, residual)
@@ -730,9 +755,9 @@ def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Reco
 
 def _solve_dual(
     instance: ProblemInstance, start: DualPoint | None, config: SolverConfig
-) -> tuple[SolveResult, DualProgram, np.ndarray, _Recovered | None]:
-    """Run the driver; the result, the program, its final iterate and,
-    when the driver stopped certified, the primal point recovered there."""
+) -> tuple[DualProgram, QNResult, ConvergenceTrace, _Recovered | None]:
+    """Run the driver; the program, its result, the trace and the primal
+    point recovered at the final iterate if a certificate was asked there."""
     program = DualProgram(instance)
     trace = ConvergenceTrace()
     t0 = time.perf_counter()
@@ -757,14 +782,14 @@ def _solve_dual(
             )
         )
 
-    certified: list[_Recovered] = []
+    asked: list = [None, None]  # the last point asked about, its recovery
 
     def certificate(x, f):
         # Weak duality: a primal point within the gap tolerance of the
         # dual value proves both optimal.
         primal = _recover(program, x, config)
+        asked[:] = np.array(x, copy=True), primal
         if math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f)):
-            certified.append(primal)
             return True
         # The run goes on from the iterate, whose pass the callback
         # keeps; stop tracking the start candidates' until the final
@@ -789,12 +814,19 @@ def _solve_dual(
         line_search_screen=program.rises_at_probe if flat else None,
         certificate=certificate,
     )
+    at_end = asked[0] is not None and np.array_equal(asked[0], driver.x)
+    return program, driver, trace, asked[1] if at_end else None
+
+
+def _result(program: DualProgram, driver: QNResult, trace: ConvergenceTrace, flows, net_flow) -> SolveResult:
+    """The result at the driver's final iterate with the given flows and
+    net flow; the primal fields are left at NaN."""
     raw = program._cached_pass(driver.x)
-    result = SolveResult(
+    return SolveResult(
         dual_point=program.to_point(driver.x),
         dual_value=raw.value,
-        flows=program.edge_flows(raw),
-        net_flow=raw.y_arb,
+        flows=flows,
+        net_flow=net_flow,
         primal_value=math.nan,
         duality_gap=math.nan,
         relative_gap=math.nan,
@@ -805,7 +837,6 @@ def _solve_dual(
         status=driver.status,
         nonsmooth=raw.nonsmooth,
     )
-    return result, program, driver.x, certified[0] if certified else None
 
 
 def solve_dual(
@@ -819,7 +850,9 @@ def solve_dual(
     inside the edge.  Returns a dual-focused result whose flows are the
     raw edge maximizers (no recovery pass; see :func:`solve`).
     """
-    return _solve_dual(instance, start, config or SolverConfig())[0]
+    program, driver, trace, _ = _solve_dual(instance, start, config or SolverConfig())
+    raw = program._cached_pass(driver.x)
+    return _result(program, driver, trace, program.edge_flows(raw), raw.y_arb)
 
 
 def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
@@ -898,17 +931,16 @@ def solve(
     face at the final iterate are re-fit along that face so their net
     flow matches the objective's target, to ``config.feas_tol`` (see
     :mod:`convexflows.recovery`); every other edge passes through.  A
-    solve that stopped certified already recovered its primal point
-    there, and returns that one.
+    solve whose certificate was last asked at its final iterate (every
+    certified stop) returns the primal point recovered there.
     """
     config = config or SolverConfig()
-    result, program, x, primal = _solve_dual(instance, start, config)
+    program, driver, trace, primal = _solve_dual(instance, start, config)
     if primal is None:
-        primal = _recover(program, x, config)
+        primal = _recover(program, driver.x, config)
+    result = _result(program, driver, trace, primal.flows, primal.net_flow)
     p = primal.value
     gap = result.dual_value - p if math.isfinite(p) else math.inf
-    result.flows = primal.flows
-    result.net_flow = primal.net_flow
     result.primal_value = p
     result.duality_gap = gap
     result.relative_gap = gap / (1.0 + abs(result.dual_value))

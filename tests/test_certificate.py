@@ -1,8 +1,9 @@
-"""The start certificate on flat-faced instances.
+"""The start and polish certificates on flat-faced instances.
 
 After the first iterate the driver evaluates the polish candidates of the
 start point, and the solver recovers and scores a primal point at the best
-of them; a gap within ``feas_tol`` ends the solve there.
+of them; a gap within ``feas_tol`` ends the solve there.  A point the
+final polish keeps is asked about the same way.
 """
 
 import math
@@ -59,8 +60,11 @@ def test_failed_start_changes_only_the_evaluation_count(monkeypatch):
             return callback(*cb_args)
 
         def asked(x, f):
+            # The start is refused on its own; the point the final polish
+            # keeps would certify, and is refused here so that both runs
+            # end as the run without a certificate does.
             events.append("certificate")
-            return certificate(x, f)
+            return certificate(x, f) and events.count("certificate") == 1
 
         return original(counted, *args, callback=iterate, certificate=certificate and asked, **kwargs)
 
@@ -70,7 +74,8 @@ def test_failed_start_changes_only_the_evaluation_count(monkeypatch):
     instance = maxflow_instance(10, 0.3, 0)
     monkeypatch.setattr(solver, "minimize_bound_lbfgs", recording)
     checked = solve(instance)
-    assert events.count("certificate") == 1
+    assert events.count("certificate") == 2  # the start and the polished point
+    assert events[-1] == "certificate"
     candidates = _start_phase(events)
     assert candidates > 1
     monkeypatch.setattr(solver, "minimize_bound_lbfgs", uncertified)
@@ -85,3 +90,26 @@ def test_failed_start_changes_only_the_evaluation_count(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(checked.flows, plain.flows))
     assert [row.value for row in checked.trace.rows] == [row.value for row in plain.trace.rows]
     assert math.isfinite(checked.primal_value)
+
+
+@pytest.mark.parametrize("seed, iterations, evals", [(2, 679, 1456), (16, 298, 802)])
+def test_polished_point_is_certified(seed, iterations, evals, monkeypatch):
+    # These runs refuse their start, stop on no gradient test and keep a
+    # point in the final polish, where the gap is below 1e-13: the one
+    # certificate asked there ends them converged, with the counts of the
+    # uncertified ending and the recovered flows as the result's.
+    recoveries = []
+    original = recovery.recover_flows
+
+    def counting(*args, **kwargs):
+        recoveries.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "recover_flows", counting)
+    instance = maxflow_instance(20, 0.3, seed)
+    result = solve(instance)
+    assert result.status == "converged" and result.converged
+    assert (result.iterations, result.n_evals) == (iterations, evals)
+    assert len(recoveries) == 2  # the refused start and the polished point
+    assert result.primal_value == pytest.approx(maxflow_oracle(instance.n, maxflow_arcs(instance)), rel=1e-9)
+    assert abs(result.duality_gap) <= 1e-13 * (1.0 + abs(result.dual_value))

@@ -16,6 +16,7 @@ from convexflows.edges import (
     separable_cfmm_arbitrage,
     uniswap_arbitrage,
 )
+from convexflows.edges.base import UnattainedSupremumError
 from convexflows.io_cli import gen_cfmm, instance_from_dict
 
 
@@ -542,3 +543,41 @@ def test_fisher_tie_flagged_non_unique():
     assert res.non_unique  # good 2 ties exactly
     res = edge.evaluate(np.array([1.0, 1.01, 1.0]))
     assert not res.non_unique
+
+
+@pytest.mark.parametrize(
+    "pool, prices",
+    [
+        (GeometricMeanPool([0.1, 150.0, 120.0], [0.2, 0.3, 0.5], 0.997), [5e-324, 1.0, 1.0]),
+        (GeometricMeanPool([150.0, 0.1, 120.0], [0.3, 0.2, 0.5], 0.997), [1.0, 5e-324, 1.0]),
+        (TwoAssetGeometricPool([0.1, 150.0], 0.5, 0.997), [5e-324, 1.0]),
+        (TwoAssetGeometricPool([150.0, 0.1], 0.5, 0.997), [1.0, 5e-324]),
+    ],
+)
+def test_pool_price_whose_s_underflows_counts_as_zero(pool, prices):
+    # s_j = p_j r_j / w_j rounds to zero at these positive prices, so the
+    # pool answers as at a zero price: the supremum is not attained.
+    with pytest.raises(UnattainedSupremumError):
+        pool.evaluate(np.array(prices))
+    zero = [0.0 if p == 5e-324 else p for p in prices]
+    with pytest.raises(UnattainedSupremumError):
+        pool.evaluate(np.array(zero))
+    # A few bits above the underflow the pool trades, and a price ratio
+    # past the float range still gives a finite trade.
+    tiny = [p * 2.0**10 if p == 5e-324 else p for p in prices]
+    res = pool.evaluate(np.array(tiny))
+    assert math.isfinite(res.value) and np.all(np.isfinite(res.flow)) and np.any(res.flow)
+
+
+def test_pool_prices_whose_s_all_underflow_trade_nothing():
+    pool = GeometricMeanPool([0.1, 0.1, 0.1], [0.2, 0.3, 0.5], 0.997)
+    res = pool.evaluate(np.full(3, 5e-324))
+    assert res.value == 0.0 and not np.any(res.flow)
+
+
+def test_pool_zero_price_is_unattained_when_the_no_trade_test_underflows():
+    # fee * s_max rounds to zero here, so the no-trade test alone would
+    # pass; the zero price must still leave the supremum unattained.
+    pool = GeometricMeanPool([1.0, 1.0], [0.5, 0.5], 0.25)
+    with pytest.raises(UnattainedSupremumError):
+        pool.evaluate(np.array([0.0, 5e-324]))

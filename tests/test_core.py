@@ -18,7 +18,7 @@ from convexflows import (
     primal_objective,
     scatter_prices,
 )
-from convexflows.core import DimensionError
+from convexflows.core import DimensionError, EdgeVectors
 
 
 def test_single_edge_identity_scatter():
@@ -188,3 +188,72 @@ def test_instance_rejects_unsupported_edge_utilities():
     other = Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0), OpfQuadraticObjective(np.zeros(2)))
     with pytest.raises(ValueError, match="edge 0: unsupported edge utility OpfQuadraticObjective on TwoNodeEdge"):
         ProblemInstance(n=3, edges=[other], net_objective=objective)
+
+
+# -- packed per-edge vectors ---------------------------------------------------
+
+
+def _packed():
+    vectors = [np.array([1.0, -2.0]), np.array([3.0, 4.0, 5.0]), np.array([-6.0, 7.0])]
+    return vectors, EdgeVectors(np.concatenate(vectors), [0, 2, 5, 7])
+
+
+def test_edge_vectors_read_as_a_list():
+    vectors, packed = _packed()
+    assert len(packed) == 3
+    assert [v.tolist() for v in packed] == [v.tolist() for v in vectors]
+    for k in range(-3, 3):
+        assert np.array_equal(packed[k], vectors[k])
+    assert [v.tolist() for v in packed[1:]] == [v.tolist() for v in vectors[1:]]
+    assert [v.tolist() for v in packed[::-2]] == [v.tolist() for v in vectors[::-2]]
+    assert packed[5:] == []
+    assert list(reversed(packed))[0].tolist() == [-6.0, 7.0]
+    for index in (3, -4, 10):
+        with pytest.raises(IndexError):
+            packed[index]
+    with pytest.raises(TypeError):
+        packed[1.0]
+
+
+def test_edge_vectors_are_read_only_views_of_one_buffer():
+    _, packed = _packed()
+    view = packed[1]
+    assert np.shares_memory(view, packed.data) and view.base is not None
+    with pytest.raises(ValueError):
+        view[0] = 0.0
+    with pytest.raises(ValueError):
+        view.flags.writeable = True
+    with pytest.raises(ValueError):
+        packed.data[0] = 0.0
+    with pytest.raises(ValueError):
+        packed.offsets[1] = 1
+    with pytest.raises(AttributeError):
+        packed.extra = 1
+    assert packed[1].tolist() == [3.0, 4.0, 5.0]
+
+
+def test_edge_vectors_pack_checks_the_layout():
+    vectors, packed = _packed()
+    again = EdgeVectors.pack(vectors, packed.offsets)
+    assert np.array_equal(again.data, packed.data) and again.offsets is packed.offsets
+    assert EdgeVectors.pack(again, packed.offsets) is again
+    with pytest.raises(DimensionError):
+        EdgeVectors.pack(vectors[:2], packed.offsets)
+    with pytest.raises(DimensionError):
+        EdgeVectors.pack([vectors[1], vectors[0], vectors[2]], packed.offsets)
+    for offsets in ([0, 2, 5], [1, 2, 5, 7], [0, 5, 2, 7]):
+        with pytest.raises(DimensionError):
+            EdgeVectors(packed.data, offsets)
+
+
+def test_net_flow_from_packed_flows_matches_the_list_bit_for_bit():
+    rng = np.random.default_rng(11)
+    incs = [EdgeIncidence(tuple(rng.choice(9, size=int(rng.integers(2, 5)), replace=False))) for _ in range(40)]
+    flows = [rng.normal(size=inc.dim) * 10.0 ** rng.integers(-8, 8) for inc in incs]
+    offsets = np.cumsum([0] + [inc.dim for inc in incs])
+    packed = EdgeVectors.pack(flows, offsets)
+    assert np.array_equal(assemble_net_flow(packed, incs, 9), assemble_net_flow(flows, incs, 9))
+    with pytest.raises(DimensionError):
+        assemble_net_flow(packed, incs[:-1], 9)
+    with pytest.raises(DimensionError):
+        assemble_net_flow(EdgeVectors(packed.data, [0, *offsets[2:]]), incs[1:], 9)

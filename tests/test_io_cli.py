@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import os
@@ -281,6 +282,50 @@ def test_cli_generate_solve_check_cycle(tmp_path, capsys):
     result["flows"][0][1] += 0.5
     result_path.write_text(json.dumps(result))
     assert main(["check", str(instance_path), str(result_path)]) == 1
+
+
+# SHA-256 of the `solve --out` file of one small seed-0 instance per
+# family, as written when flows and edge prices were lists of per-edge
+# arrays (CPython 3.11, numpy 2.4, x86-64).  Reading the packed buffers
+# must write the same bytes.
+_GOLDEN_OUT = {
+    "cfmm": (gen_cfmm, (30, 0), {}, "90ae584e3a1855908caf47408860154ae6166b79894e4ae234adeb5c534cdda0"),
+    "cfmm_pen": (
+        gen_cfmm, (20, 0), {"edge_penalties": True}, "51acf699c8eafc4831d1a4839de41eef0e9caf078e1e624c0a51baacd78ea98d"
+    ),
+    "opf": (gen_opf, (30, 0), {}, "5f4accbf69d98f9226b94607f47c0c2242c310c7aff5b0cc3d6bf42a407fccdc"),
+    "maxflow": (gen_maxflow, (12, 0.3, 0), {}, "08838c0f4a61527228ebf8de30ebddf6d9182b4006c4f85cd2e46a369a515246"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_GOLDEN_OUT))
+def test_cli_result_file_is_byte_identical_to_the_per_edge_layout(family, tmp_path, capsys):
+    generate, args, kwargs, digest = _GOLDEN_OUT[family]
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    instance_path.write_text(json.dumps(generate(*args, **kwargs)))
+    assert main(["solve", str(instance_path), "--out", str(result_path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(result_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "generate_args",
+    [["cfmm", "--size", "40", "--seed", "0", "--edge-penalties"], ["maxflow", "--size", "14", "--seed", "0"]],
+    ids=["cfmm_pen", "maxflow"],
+)
+def test_cli_solve_out_then_check_round_trip(generate_args, tmp_path, capsys):
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    assert main(["generate", *generate_args, "-o", str(instance_path)]) == 0
+    assert main(["solve", str(instance_path), "--out", str(result_path)]) == 0
+    assert main(["check", str(instance_path), str(result_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("=> OK")
+    doc = json.loads(result_path.read_text())
+    instance = parse_instance(instance_path.read_text())
+    assert [len(x) for x in doc["flows"]] == [len(x) for x in doc["edge_prices"]] == [
+        edge.incidence.dim for edge in instance.edges
+    ]
 
 
 def test_cli_solve_result_is_strict_json_and_exit_needs_finite_primal(tmp_path, capsys):

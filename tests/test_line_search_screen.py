@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import cfmm_instance, maxflow_instance, opf_instance, quadratic_penalty_on
-from convexflows import EdgeIncidence, Hyperedge, LinearNonnegObjective, ProblemInstance, solver
+from convexflows import EdgeIncidence, Hyperedge, LinearNonnegObjective, ProblemInstance, qn, solver
 from convexflows.qn import escape_probes, minimize_bound_lbfgs
 from convexflows.solver import DualProgram, solve, solve_dual
 from test_edges import sample_edges
@@ -168,10 +168,12 @@ def test_polished_point_is_not_evaluated_again(monkeypatch):
     # Polish can keep a candidate and then evaluate worse ones; the final
     # assembly must read the kept candidate's pass.  The start check does
     # that on all three seeds, and seeds 12 and 27 end on the point it
-    # certifies; the final polish of seed 2 does it too.
-    statuses, late = [], []
+    # certifies; the final polish of seed 2 does it too, and its
+    # certificate then ends the run on the kept point.
+    statuses, late, kept = [], [], []
     original_driver = solver.minimize_bound_lbfgs
     original_pass = DualProgram._evaluate_pass
+    original_polish = qn._polish
 
     def driver(*args, **kwargs):
         result = original_driver(*args, **kwargs)
@@ -182,10 +184,19 @@ def test_polished_point_is_not_evaluated_again(monkeypatch):
         late.append(len(statuses))
         return original_pass(self, nu)
 
+    def polish(*args):
+        out = original_polish(*args)
+        kept.append((len(statuses), out[4]))
+        return out
+
     monkeypatch.setattr(solver, "minimize_bound_lbfgs", driver)
     monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
+    monkeypatch.setattr(qn, "_polish", polish)
     for seed in (2, 12, 27):
         late.clear()
         solve(maxflow_instance(20, 0.3, seed))
         assert late.count(len(statuses)) == 0, seed
-    assert "polished" in statuses
+    # Seed 2 polishes twice, at its start and at its end, and keeps a
+    # point in the final polish.
+    assert [flag for run, flag in kept if run == 0][1:] == [True]
+    assert statuses[0] == "converged"

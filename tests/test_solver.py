@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,10 +25,13 @@ from convexflows import (
     ProblemInstance,
     QuadraticPenalty,
     TwoAssetGeometricPool,
+    assemble_net_flow,
     fisher_instance,
     lossless_edge,
 )
 from convexflows import solver
+from convexflows.core import EdgeVectors
+from convexflows.io_cli import gen_opf, instance_from_dict
 from convexflows.edges import TwoNodeEdge
 from convexflows.solver import (
     DualPoint,
@@ -433,3 +438,56 @@ def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
     assert bool(calls) == polished
     assert len(offered) == 1 and bool(offered[0][0]) == polished and offered[0][1] is not None
     assert result.converged or result.status == "polished"
+
+
+# -- packed per-edge vectors -------------------------------------------------
+#
+# A result's flows and edge prices are EdgeVectors on the offsets its
+# DualProgram lays out: one read-only buffer each, over the concatenated
+# edge nodes.
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [quadratic_penalty_on(cfmm_instance(m=6, seed=1)), opf_instance(10, 0), maxflow_instance(10, 0.3, 0)],
+    ids=["cfmm_pen", "opf", "maxflow"],
+)
+@pytest.mark.parametrize("entry", [solve, solve_dual])
+def test_result_vectors_share_one_layout(instance, entry):
+    result = entry(instance)
+    flows, etas = result.flows, result.dual_point.edge_prices
+    assert isinstance(flows, EdgeVectors) and isinstance(etas, EdgeVectors)
+    assert flows.offsets is etas.offsets
+    assert np.diff(flows.offsets).tolist() == [edge.incidence.dim for edge in instance.edges]
+    # solve_dual's net flow is summed in plan order, not edge order.
+    assert_allclose(assemble_net_flow(list(flows), instance.incidences, instance.n), result.net_flow, rtol=0, atol=1e-12)
+    # Recovery re-fits flat faces only, so a penalized edge keeps the
+    # flow it tenders in the final pass.
+    nu = result.dual_point.node_prices
+    for edge, flow, eta in zip(instance.edges, flows, etas):
+        assert not flow.flags.writeable and not eta.flags.writeable
+        tendered = np.maximum(-flow, 0.0) if edge.utility is not None else 0.0
+        assert np.array_equal(eta, edge.incidence.gather(nu) + tendered)
+
+
+def test_solve_result_keeps_little_memory_per_edge():
+    # Flows and edge prices take 8 bytes an entry in two buffers and
+    # share one offsets array: about 48 bytes an edge of gen_opf(1000, 0)
+    # with the trace and node vectors, against 280 with one small array
+    # per edge and vector.
+    instance = instance_from_dict(gen_opf(1000, 0))
+    solve(instance)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = solve(instance)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert result.converged
+    assert kept / instance.m <= 80
