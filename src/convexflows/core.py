@@ -11,30 +11,41 @@ Incidences are stored as index lists, never as dense matrices: typical
 instances have far more edges than nodes, and every incidence operation
 is a gather or scatter loop.  An incidence keeps only its node tuple, in
 a slotted record like the edge that holds it: ``gather`` and
-``scatter_add`` index with the tuple on demand, and the solver builds
-the index arrays it keeps from ``nodes``, so a parsed instance stays
-small before and after a solve.
+``scatter_add`` index with the tuple on demand.  An instance's
+incidences read as one node array over the concatenated edge nodes, in
+edge order, and one offsets array (:class:`Incidences`), and the solver
+and recovery index with those.
 
 A solve's per-edge vectors (its flows and edge prices) are laid out the
-same way: one float buffer over the concatenated edge nodes, in edge
-order, and one offsets array (:class:`EdgeVectors`).
+same way: one float buffer and the same offsets (:class:`EdgeVectors`).
+
+A parsed instance keeps its bundled two-node edges (every ``opf_line``,
+``lossless`` and ``linear_gain`` edge without a utility) as columns, one
+:class:`TwoNodeColumns` per gain type: a node array and one float array
+per gain parameter.  Its ``edges`` are an :class:`EdgeTable`, which
+reads as a list of records does and rebuilds a column-stored record on
+every access; the solver reads the columns themselves.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .edges.two_node import TwoNodeEdge
 from .objectives import QuadraticPenalty
 
 __all__ = [
     "DimensionError",
     "EdgeIncidence",
+    "EdgeTable",
     "EdgeVectors",
     "Hyperedge",
+    "Incidences",
+    "TwoNodeColumns",
     "ProblemInstance",
     "PrimalPoint",
     "FeasibilityReport",
@@ -157,12 +168,7 @@ class EdgeVectors(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[k] for k in range(*index.indices(len(self)))]
-        m = len(self)
-        k = operator.index(index)
-        if k < 0:
-            k += m
-        if not 0 <= k < m:
-            raise IndexError(f"edge index {index} out of range for {m} edges")
+        k = _edge_index(index, len(self))
         return self.data[self.offsets[k] : self.offsets[k + 1]]
 
     def __iter__(self):
@@ -173,6 +179,52 @@ class EdgeVectors(Sequence):
 
     def __repr__(self) -> str:
         return f"EdgeVectors({len(self)} edges, {len(self.data)} entries)"
+
+
+def _edge_index(index, m: int) -> int:
+    """A sequence index in ``range(m)``; negative ones count from the end."""
+    k = operator.index(index)
+    if k < 0:
+        k += m
+    if not 0 <= k < m:
+        raise IndexError(f"edge index {index} out of range for {m} edges")
+    return k
+
+
+class Incidences(Sequence):
+    """The incidences of a list of edges as one node array and offsets.
+
+    Edge ``i`` touches ``nodes[offsets[i]:offsets[i + 1]]`` (:meth:`nodes_of`).
+    ``len`` and ``[i]`` read as on a list of :class:`EdgeIncidence`; each
+    one is built on access.  Both arrays are read-only.
+    """
+
+    __slots__ = ("nodes", "offsets")
+
+    def __init__(self, nodes, offsets):
+        self.nodes = _frozen(np.asarray(nodes, dtype=np.intp))
+        self.offsets = _frozen(np.asarray(offsets, dtype=np.intp))
+
+    @classmethod
+    def of(cls, incidences: Sequence[EdgeIncidence]) -> "Incidences":
+        """The flat form of a sequence of incidences (returned as it is if
+        it has that form already)."""
+        if isinstance(incidences, Incidences):
+            return incidences
+        offsets = np.zeros(len(incidences) + 1, dtype=np.intp)
+        np.cumsum([len(inc.nodes) for inc in incidences], out=offsets[1:])
+        nodes = np.fromiter((j for inc in incidences for j in inc.nodes), dtype=np.intp, count=offsets[-1])
+        return cls(nodes, offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def nodes_of(self, k: int) -> np.ndarray:
+        """The nodes of edge ``k``, as a view of ``nodes``."""
+        return self.nodes[self.offsets[k] : self.offsets[k + 1]]
+
+    def __getitem__(self, index) -> EdgeIncidence:
+        return EdgeIncidence(tuple(self.nodes_of(_edge_index(index, len(self))).tolist()))
 
 
 @dataclass(slots=True)
@@ -193,29 +245,100 @@ class Hyperedge:
     utility: "object | None" = None
 
 
+class TwoNodeColumns:
+    """Two-node edges of one bundled gain type, without utilities, one row
+    each.
+
+    Row ``r`` is the edge ``TwoNodeEdge(gain_type(*args))`` from node
+    ``nodes[r, 0]`` to node ``nodes[r, 1]``, where ``args`` are row ``r``
+    of ``params``: one float column per constructor argument, in order
+    (the gain's ``pair_params``).  The arrays are read-only; the values
+    are checked where the columns are filled (the parser checks them
+    column-wise).
+    """
+
+    __slots__ = ("gain_type", "nodes", "params")
+
+    def __init__(self, gain_type: type, nodes, params):
+        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
+        if np.any(nodes < 0) or np.any(nodes[:, 0] == nodes[:, 1]):
+            raise ValueError("two-node edges need two distinct nonnegative node indices")
+        params = tuple(np.asarray(column, dtype=float) for column in params)
+        if any(column.shape != (len(nodes),) for column in params):
+            raise DimensionError(f"every parameter column needs {len(nodes)} rows")
+        self.gain_type = gain_type
+        self.nodes = _frozen(nodes)
+        self.params = tuple(map(_frozen, params))
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def record(self, row: int) -> Hyperedge:
+        """Row ``row`` as a new edge record."""
+        gain = self.gain_type(*(float(column[row]) for column in self.params))
+        return Hyperedge(EdgeIncidence(tuple(self.nodes[row].tolist())), TwoNodeEdge(gain))
+
+
+class EdgeTable(Sequence):
+    """The read-only edge sequence of a parsed instance.
+
+    Edge ``k`` is kept in the record list when ``group[k]`` is 0, and in
+    ``columns[group[k] - 1]`` otherwise; each holds its edges in edge
+    order.  It reads as a list of :class:`Hyperedge` does: ``len``,
+    iteration, ``[k]`` (negative ``k`` too) and slices (a list).  A
+    column-stored edge is rebuilt on every access
+    (:meth:`TwoNodeColumns.record`), so writing to it changes nothing.
+    """
+
+    __slots__ = ("records", "columns", "group", "_row")
+
+    def __init__(self, records: list, columns: Sequence[TwoNodeColumns], group):
+        self.records = list(records)
+        self.columns = tuple(columns)
+        self.group = _frozen(np.asarray(group, dtype=np.int8))
+        # Each edge's row in its group.
+        self._row = np.empty(len(self.group), dtype=np.intp)
+        for g in range(len(self.columns) + 1):
+            at = self.group == g
+            self._row[at] = np.arange(np.count_nonzero(at))
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[k] for k in range(*index.indices(len(self)))]
+        k = _edge_index(index, len(self))
+        g, row = int(self.group[k]), int(self._row[k])
+        return self.records[row] if g == 0 else self.columns[g - 1].record(row)
+
+
+
 @dataclass
 class ProblemInstance:
     """A convex flow problem over a hypergraph.
 
     Attributes:
         n: Number of nodes.
-        edges: Hyperedges with their oracles.
+        edges: Hyperedges with their oracles: a list, or the
+            :class:`EdgeTable` of a parsed instance.
         net_objective: Conjugate oracle of the net flow utility.
         utility_edges: Positions of the edges with a utility term, in
             increasing order, recorded at construction.
     """
 
     n: int
-    edges: list[Hyperedge]
+    edges: Sequence[Hyperedge]
     net_objective: "object"
     utility_edges: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("instance needs at least one node")
-        if not self.edges:
+        if not len(self.edges):
             raise ValueError("instance needs at least one edge")
-        for k, edge in enumerate(self.edges):
+        utility_edges = []
+        for k, edge in self.edge_records():
             incidence = edge.incidence
             incidence.validate(self.n)
             dim = len(incidence.nodes)
@@ -227,6 +350,7 @@ class ProblemInstance:
                 )
             if edge.utility is None:
                 continue
+            utility_edges.append(k)
             if getattr(edge.utility, "dim", None) not in (None, dim):
                 raise DimensionError(f"edge {k}: utility dimension mismatch")
             if not isinstance(edge.utility, QuadraticPenalty) or not hasattr(edge.oracle, "evaluate_penalized"):
@@ -235,17 +359,52 @@ class ProblemInstance:
                     f"{type(edge.oracle).__name__}; only a QuadraticPenalty on an oracle with "
                     "evaluate_penalized is supported"
                 )
-        self.utility_edges = tuple(
-            k for k, edge in enumerate(self.edges) if edge.utility is not None
-        )
+        for _, columns in self.edge_columns():
+            if len(columns) and columns.nodes.max() >= self.n:
+                raise DimensionError(f"column-stored incidence out of range for n={self.n}")
+        self.utility_edges = tuple(utility_edges)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    def edge_records(self) -> Iterator[tuple[int, Hyperedge]]:
+        """``(position, edge)`` of every edge kept as a record, in edge
+        order: all of a list's, the record list of an :class:`EdgeTable`."""
+        edges = self.edges
+        if isinstance(edges, EdgeTable):
+            return zip(np.flatnonzero(edges.group == 0).tolist(), edges.records)
+        return enumerate(edges)
+
+    def edge_columns(self) -> list[tuple[np.ndarray, TwoNodeColumns]]:
+        """``(positions, columns)`` of every column group of an
+        :class:`EdgeTable`; a list of edges has none."""
+        edges = self.edges
+        if isinstance(edges, EdgeTable):
+            return [(np.flatnonzero(edges.group == g + 1), columns) for g, columns in enumerate(edges.columns)]
+        return []
+
     @property
-    def incidences(self) -> list[EdgeIncidence]:
-        return [e.incidence for e in self.edges]
+    def incidences(self) -> Incidences:
+        """Every edge's incidence, flat; read from the columns, not from
+        rebuilt records, for column-stored edges."""
+        if not isinstance(self.edges, EdgeTable):
+            return Incidences.of([edge.incidence for edge in self.edges])
+        records = list(self.edge_records())
+        columns = self.edge_columns()
+        sizes = np.full(len(self.edges), 2, dtype=np.intp)
+        for k, edge in records:
+            sizes[k] = len(edge.incidence.nodes)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+        np.cumsum(sizes, out=offsets[1:])
+        nodes = np.empty(offsets[-1], dtype=np.intp)
+        for positions, group in columns:
+            starts = offsets[positions]
+            nodes[starts] = group.nodes[:, 0]
+            nodes[starts + 1] = group.nodes[:, 1]
+        for k, edge in records:
+            nodes[offsets[k] : offsets[k + 1]] = edge.incidence.nodes
+        return Incidences(nodes, offsets)
 
 
 @dataclass
@@ -281,7 +440,7 @@ def assemble_net_flow(
     Args:
         edge_flows: One local flow vector per edge: a list of arrays or
             an :class:`EdgeVectors`.
-        incidences: Matching incidence list.
+        incidences: Matching incidence list, or an :class:`Incidences`.
         n: Number of nodes.
 
     Returns:
@@ -295,17 +454,23 @@ def assemble_net_flow(
         raise DimensionError(
             f"{len(edge_flows)} flow vectors for {len(incidences)} incidences"
         )
+    incidences = Incidences.of(incidences)
+    offsets = incidences.offsets
     flows = [np.asarray(flow, dtype=float) for flow in edge_flows]
-    for flow, inc in zip(flows, incidences):
-        inc.validate(n)
-        if len(flow) != inc.dim:
-            raise DimensionError(
-                f"local vector of length {len(flow)} does not match edge of size {inc.dim}"
-            )
     y = np.zeros(n)
-    if flows:
-        nodes = [j for inc in incidences for j in inc.nodes]
-        np.add.at(y, nodes, np.concatenate(flows))
+    if not flows:
+        return y
+    sizes = np.fromiter(map(len, flows), dtype=np.intp, count=len(flows))
+    # The first edge that is out of range or whose flow has the wrong
+    # length is named, range first, as a per-edge check would.
+    bad = (np.maximum.reduceat(incidences.nodes, offsets[:-1]) >= n) | (sizes != np.diff(offsets))
+    if bad.any():
+        k = int(np.argmax(bad))
+        incidences[k].validate(n)
+        raise DimensionError(
+            f"local vector of length {sizes[k]} does not match edge of size {offsets[k + 1] - offsets[k]}"
+        )
+    np.add.at(y, incidences.nodes, np.concatenate(flows))
     return y
 
 

@@ -59,6 +59,8 @@ _PENALIZED_TOL = 1e-15
 # Expansion limit when hunting for a bracket on an unbounded domain.
 _BRACKET_LIMIT = 1e15
 _LOG2 = math.log(2.0)
+# PowerLossGain's softplus at zero input.
+_SOFTPLUS_0 = math.log1p(math.exp(0.0))
 
 
 class GainFunction(ABC):
@@ -156,6 +158,52 @@ class LinearGain(GainFunction):
             return self.capacity, self.slope * self.capacity, False
         return self.input_lo, self.slope * self.input_lo, margin == 0.0
 
+    def pair_params(self) -> tuple[float, float, float]:
+        """The constructor's arguments ``(slope, capacity, input_lo)``: one
+        row of :meth:`evaluate_pairs`."""
+        return self.slope, self.capacity, self.input_lo
+
+    @staticmethod
+    def invalid_rows(slope, capacity, input_lo) -> np.ndarray:
+        """Which rows of constructor arguments the constructor rejects, by
+        its own checks, over arrays."""
+        return ~((input_lo < capacity) & (capacity < math.inf)) | ~((0 <= slope) & (slope < math.inf))
+
+    @staticmethod
+    def evaluate_pairs(slope, capacity, input_lo, p_in, p_out):
+        """:meth:`TwoNodeEdge.evaluate_pair` of ``TwoNodeEdge(LinearGain(
+        slope, capacity, input_lo))`` over arrays, one edge a row.
+
+        Returns the arrays ``(value, flow_in, flow_out, non_unique)``,
+        equal bit for bit to the scalar answers: the same IEEE operations
+        on the same operands, and the zero-price conventions row by row.
+        """
+        _require_pair_prices(p_in, p_out)
+        with np.errstate(all="ignore"):
+            margin = p_out * slope - p_in
+            up = margin > 0.0
+            w = np.where(up, capacity, input_lo)
+            h = np.where(up, slope * capacity, slope * input_lo)
+            value = -p_in * w + p_out * h
+            tie = ~up & (margin == 0.0)
+            zero_out = p_out == 0.0
+            if zero_out.any():
+                idle = zero_out & (p_in == 0.0)
+                withdraw = zero_out & ~idle
+                if np.any(withdraw & ~np.isfinite(input_lo)):
+                    raise UnboundedEdgeError("input can be withdrawn without limit at zero output price")
+                # At a zero output price the input stays at its lower bound
+                # (the margin is not positive, so w and h are set), except
+                # at two zero prices: min(max(0.0, input_lo), capacity)
+                # there, as Python's max and min pick between equals.
+                w_idle = np.where(input_lo > 0.0, input_lo, 0.0)
+                w_idle = np.where(capacity < w_idle, capacity, w_idle)
+                w = np.where(idle, w_idle, w)
+                h = np.where(idle, slope * w_idle, h)
+                value = np.where(idle, 0.0, np.where(withdraw, -p_in * input_lo, value))
+                tie = idle | (tie & ~withdraw)
+        return value, -w, h, tie
+
 
 class PiecewiseLinearGain(GainFunction):
     """Concave piecewise-linear gain through the given ``(input, output)`` points."""
@@ -219,6 +267,15 @@ class PiecewiseLinearGain(GainFunction):
     def closed_form_arbitrage(self, p_in: float, p_out: float):
         w, non_unique = _segment_scan(self.linear_segments(), p_in, p_out)
         return w, None, non_unique
+
+
+def _require_pair_prices(p_in: np.ndarray, p_out: np.ndarray) -> None:
+    """The negative-price check of :meth:`TwoNodeEdge.evaluate_pair`, over
+    arrays; it names the first offending row's prices."""
+    bad = (p_in < 0.0) | (p_out < 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"prices must be nonnegative, got ({float(p_in[k])}, {float(p_out[k])})")
 
 
 def _segment_scan(
@@ -318,6 +375,59 @@ class PowerLossGain(GainFunction):
         else:
             w = min(max(math.log(num / den) / self._beta, 0.0), self._capacity)
         return w, self.value(w), False
+
+    def pair_params(self) -> tuple[float, float, float]:
+        """The constructor's arguments ``(alpha, beta, capacity)``: one row
+        of :meth:`evaluate_pairs`."""
+        return self._alpha, self._beta, self._capacity
+
+    @staticmethod
+    def invalid_rows(alpha, beta, capacity) -> np.ndarray:
+        """Which rows of constructor arguments the constructor rejects, by
+        its own checks, over arrays."""
+        with np.errstate(all="ignore"):
+            return ~((0 < capacity) & (capacity < math.inf)) | ~(abs(alpha * beta - 4.0) <= 1e-9)
+
+    @staticmethod
+    def evaluate_pairs(alpha, beta, capacity, p_in, p_out):
+        """:meth:`TwoNodeEdge.evaluate_pair` of ``TwoNodeEdge(PowerLossGain(
+        alpha, beta, capacity))`` over arrays, one edge a row.
+
+        Returns the arrays ``(value, flow_in, flow_out, non_unique)``,
+        equal bit for bit to the scalar answers.  The IEEE arithmetic and
+        the clipping run in numpy; ``log``, ``exp`` and ``log1p`` go
+        through :mod:`math`, as in the scalar code, on the rows that need
+        them (numpy's versions may round differently in the last bit):
+        the log on the rows whose closed form takes it, the softplus on
+        the rows with a nonzero input.  At zero input every row's
+        softplus is ``log1p(exp(0))``.
+        """
+        _require_pair_prices(p_in, p_out)
+        with np.errstate(all="ignore"):
+            num = 3.0 * p_out - p_in
+            den = p_out + p_in
+            w = np.zeros(len(p_in))
+            rows = np.flatnonzero((p_out != 0.0) & ~((num <= 0.0) | (den <= 0.0)))
+            if len(rows):
+                logs = np.fromiter(map(math.log, (num[rows] / den[rows]).tolist()), float, len(rows))
+                x = logs / beta[rows]
+                x = np.where(0.0 > x, 0.0, x)  # max(x, 0.0)
+                cap = capacity[rows]
+                w[rows] = np.where(cap < x, cap, x)  # min(x, capacity)
+            t = beta * w
+            softplus = np.full(len(w), _SOFTPLUS_0)
+            rows = np.flatnonzero(w != 0.0)
+            if len(rows):
+                t_rows = t[rows]
+                arg = np.where(t_rows > 0.0, -t_rows, t_rows)
+                tail = np.fromiter(map(math.log1p, map(math.exp, arg.tolist())), float, len(rows))
+                softplus[rows] = np.where(t_rows > 0.0, t_rows + tail, tail)
+            h = 3.0 * w - alpha * (softplus - _LOG2)
+            value = -p_in * w + p_out * h
+            zero_out = p_out == 0.0
+            tie = zero_out & (p_in == 0.0)
+            value = np.where(zero_out, np.where(tie, 0.0, -p_in * w), value)
+        return value, -w, h, tie
 
 
 class CallableGain(GainFunction):

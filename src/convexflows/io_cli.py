@@ -16,7 +16,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EdgeIncidence, Hyperedge, PrimalPoint, ProblemInstance, check_feasibility, primal_objective
+from .core import (
+    EdgeIncidence,
+    EdgeTable,
+    Hyperedge,
+    PrimalPoint,
+    ProblemInstance,
+    TwoNodeColumns,
+    check_feasibility,
+    primal_objective,
+)
 from .edges import (
     FisherBasketEdge,
     GeometricMeanPool,
@@ -197,7 +206,74 @@ def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     return kind, params, nodes
 
 
+# The bundled two-node kinds kept as columns: gain type and the JSON
+# fields of its parameters (a float: a constant), in constructor order.
+_COLUMN_KINDS = {
+    "opf_line": (PowerLossGain, ("alpha", "beta", "capacity")),
+    "lossless": (LinearGain, (1.0, "capacity", 0.0)),
+    "linear_gain": (LinearGain, ("gain", "capacity", 0.0)),
+}
+
+
+class _ColumnBuilder:
+    """The rows of one column group as the reader collects them: edge
+    positions, flat node pairs and one list per gain parameter; ``code``
+    is the group's number in the edge table."""
+
+    def __init__(self, gain_type: type, width: int, code: int):
+        self.gain_type = gain_type
+        self.code = code
+        self.positions: list[int] = []
+        self.nodes: list[int] = []
+        self.params: list[list[float]] = [[] for _ in range(width)]
+
+
+def _check_columns(builders) -> None:
+    """Raise the path-annotated error of the first column row, in edge
+    order, whose parameters its gain's constructor rejects.  The checks
+    run column-wise (``invalid_rows``); the constructor words the error."""
+    bad = []
+    for builder in builders:
+        rows = builder.gain_type.invalid_rows(*(np.array(column, dtype=float) for column in builder.params))
+        if rows.any():
+            row = int(np.argmax(rows))
+            bad.append((builder.positions[row], row, builder))
+    if bad:
+        position, row, builder = min(bad, key=lambda fault: fault[0])
+        try:
+            builder.gain_type(*(column[row] for column in builder.params))
+        except InvalidEdgeError as exc:
+            raise InstanceValidationError(f"$.edges[{position}]: {exc}") from exc
+
+
+def _column_row(fields, params: dict) -> list[float] | None:
+    """The gain parameters of a column-stored edge, or None when a field
+    is missing or not a number (the record path then names the fault)."""
+    row = []
+    for name in fields:
+        if type(name) is float:
+            row.append(name)
+            continue
+        value = params.get(name)
+        if type(value) is float:
+            row.append(value)
+        elif type(value) is int:
+            row.append(_to_float(value, name))
+        else:
+            return None
+    return row
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
+    """Build an instance from its document; errors carry the JSON path.
+
+    Every utility-free ``opf_line``, ``lossless`` and ``linear_gain`` edge
+    with two distinct nodes and numeric parameters is stored in the
+    columns of its gain type (an :class:`~convexflows.core.EdgeTable`),
+    and its parameters are checked column-wise once every edge is read;
+    every other edge becomes a record at once.  The first fault in edge
+    order is reported either way, with the message a record would give.
+    """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
         raise ParseError(f"$.version: unsupported version {version}")
@@ -211,35 +287,67 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     except ValueError as exc:
         raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
-    edges = []
+    records = []
+    # One column group per gain type, numbered from 1 as first met; a
+    # record is group 0.
+    builders: dict[type, _ColumnBuilder] = {}
+    group = bytearray(len(edges_doc))
     for k, edge_doc in enumerate(edges_doc):
         path = f"$.edges[{k}]"
-        # One test passes a well-formed edge; an edge that fails it takes
-        # the path-annotated checks, which name its first fault.
-        if not (
-            type(edge_doc) is dict
-            and type(kind := edge_doc.get("kind")) is str
-            and type(params := edge_doc.get("params", {})) is dict
-            and type(nodes := edge_doc.get("nodes")) is list
-            and all(type(j) is int and 0 <= j < n for j in nodes)
-        ):
-            kind, params, nodes = _checked_edge(edge_doc, n, path)
         try:
-            oracle = _build_edge_oracle(kind, params, path)
-        except InvalidEdgeError as exc:
-            raise InstanceValidationError(f"{path}: {exc}") from exc
-        try:
-            incidence = EdgeIncidence(tuple(nodes))
-        except ValueError as exc:
-            raise InstanceValidationError(f"{path}.nodes: {exc}") from exc
-        utility = None
-        u_doc = edge_doc.get("edge_utility")
-        if u_doc is not None:
-            u_kind = _get(u_doc, "kind", f"{path}.edge_utility", str)
-            if u_kind != "quadratic_penalty":
-                raise ParseError(f"{path}.edge_utility.kind: unknown kind '{u_kind}'")
-            utility = QuadraticPenalty(len(nodes))
-        edges.append(Hyperedge(incidence=incidence, oracle=oracle, utility=utility))
+            # One test passes a well-formed edge; an edge that fails it takes
+            # the path-annotated checks, which name its first fault.
+            if not (
+                type(edge_doc) is dict
+                and type(kind := edge_doc.get("kind")) is str
+                and type(params := edge_doc.get("params", {})) is dict
+                and type(nodes := edge_doc.get("nodes")) is list
+                and all(type(j) is int and 0 <= j < n for j in nodes)
+            ):
+                kind, params, nodes = _checked_edge(edge_doc, n, path)
+            column = _COLUMN_KINDS.get(kind)
+            if (
+                column is not None
+                and len(nodes) == 2
+                and nodes[0] != nodes[1]
+                and edge_doc.get("edge_utility") is None
+                and (row := _column_row(column[1], params)) is not None
+            ):
+                gain_type = column[0]
+                if gain_type not in builders:
+                    builders[gain_type] = _ColumnBuilder(gain_type, len(row), len(builders) + 1)
+                builder = builders[gain_type]
+                builder.positions.append(k)
+                builder.nodes.extend(nodes)
+                for values, value in zip(builder.params, row):
+                    values.append(value)
+                group[k] = builder.code
+                continue
+            try:
+                oracle = _build_edge_oracle(kind, params, path)
+            except InvalidEdgeError as exc:
+                raise InstanceValidationError(f"{path}: {exc}") from exc
+            try:
+                incidence = EdgeIncidence(tuple(nodes))
+            except ValueError as exc:
+                raise InstanceValidationError(f"{path}.nodes: {exc}") from exc
+            utility = None
+            u_doc = edge_doc.get("edge_utility")
+            if u_doc is not None:
+                u_kind = _get(u_doc, "kind", f"{path}.edge_utility", str)
+                if u_kind != "quadratic_penalty":
+                    raise ParseError(f"{path}.edge_utility.kind: unknown kind '{u_kind}'")
+                utility = QuadraticPenalty(len(nodes))
+            records.append(Hyperedge(incidence=incidence, oracle=oracle, utility=utility))
+        except ParseError:
+            # A column row before this edge may be invalid too; it comes
+            # first.
+            _check_columns(builders.values())
+            raise
+    _check_columns(builders.values())
+    # An instance without a column-stored edge keeps a list of records.
+    columns = [TwoNodeColumns(b.gain_type, b.nodes, b.params) for b in builders.values()]
+    edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)
     except ValueError as exc:

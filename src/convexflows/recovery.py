@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import EdgeIncidence, ProblemInstance, assemble_net_flow
+from .core import DimensionError, EdgeIncidence, Incidences, ProblemInstance
 from .objectives import ConjugateValue
 
 __all__ = ["RecoveryError", "restore_primal", "recover_flows"]
@@ -40,7 +40,7 @@ def restore_primal(
     y_target: np.ndarray,
     unique_flows: dict[int, np.ndarray],
     segments: dict[int, tuple[np.ndarray, np.ndarray]],
-    incidences: list[EdgeIncidence],
+    incidences: Sequence[EdgeIncidence],
     n: int,
     mask: np.ndarray | None = None,
     tol: float = 1e-6,
@@ -57,7 +57,8 @@ def restore_primal(
         unique_flows: Fixed flow per edge index.
         segments: Endpoints ``(P, Q)`` of the supported segment
             ``P + t (Q - P)``, t in [0, 1], per ambiguous edge index.
-        incidences: Incidence list of the full instance.
+        incidences: Incidence list of the full instance, or its
+            :class:`~convexflows.core.Incidences`.
         n: Node count.
         mask: Coordinates of the target that must be matched (all by
             default).
@@ -74,10 +75,21 @@ def restore_primal(
     if mask is None:
         mask = np.ones(n, dtype=bool)
 
-    # The fixed flows in edge order, then each segment's start point.
+    incidences = Incidences.of(incidences)
+    # The fixed flows in edge order, then each segment's start point,
+    # added in that order.
     at = [*unique_flows, *segments]
     local = [*unique_flows.values(), *(p for p, _ in segments.values())]
-    base = assemble_net_flow(local, [incidences[i] for i in at], n)
+    base = np.zeros(n)
+    if at:
+        at = np.array(at, dtype=np.intp)
+        starts = incidences.offsets[at]
+        sizes = incidences.offsets[at + 1] - starts
+        if not np.array_equal(sizes, np.fromiter(map(len, local), dtype=np.intp, count=len(at))):
+            raise DimensionError("local flow lengths do not match their edges")
+        # The node entries of the edges in ``at``, concatenated.
+        entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        np.add.at(base, incidences.nodes[entries], np.concatenate(local))
 
     k = len(segments)
     if k == 0:
@@ -88,7 +100,7 @@ def restore_primal(
 
     directions = np.zeros((n, k))
     for col, (i, (p, q)) in enumerate(segments.items()):
-        incidences[i].scatter_add(q - p, directions[:, col])
+        directions[incidences.nodes_of(i), col] += q - p
     d_m = directions[mask]
     r0 = (base - y_target)[mask]
     t = _box_least_squares(d_m, r0)

@@ -28,11 +28,14 @@ tenders.  An instance may pair only this utility with such an oracle
 (:class:`~convexflows.core.ProblemInstance` rejects anything else).
 
 One evaluator, :class:`DualProgram`, computes the dual for every
-instance and every entry point (:func:`eval_dual`, :func:`solve_dual`,
-:func:`solve`), serially and in a fixed edge order.  One pass of it
-gives the dual value, the gradient and every edge's maximizer; the
-driver, its screens, the trace callback and the final result all read
-that pass.
+instance and every entry point (:func:`solve_dual`, :func:`solve`),
+serially and in a fixed edge order.  One pass of it gives the dual
+value, the gradient and every edge's maximizer; the driver, its
+screens, the trace callback and the final result all read that pass.
+The subproblems split over the edges: the two-node edges of a bundled
+gain type (transmission lines and linear gains) are answered together
+by one kernel over arrays, bit for bit as edge by edge, and read
+straight from the columns a parsed instance stores them in.
 
 Gradients assemble from the subproblem maximizers: the node-price
 gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
@@ -52,9 +55,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import recovery
-from .core import EdgeVectors, PrimalPoint, ProblemInstance, assemble_net_flow, check_feasibility, primal_objective
+from .core import (
+    EdgeVectors,
+    PrimalPoint,
+    ProblemInstance,
+    TwoNodeColumns,
+    assemble_net_flow,
+    check_feasibility,
+    primal_objective,
+)
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
-from .edges.two_node import TwoNodeEdge
+from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
 from .objectives import ConjugateValue
 from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs, polish_keeps
 
@@ -78,6 +89,8 @@ _ZERO_UTILITY_PRICE_TOL = 1e-9
 _FACE_TOL = 1e-7
 # Directions per block when the descent bounds work out their face terms.
 _BOUND_ROWS = 32
+# The gain types whose two-node edges the pair plan answers by kernel.
+_KERNEL_GAINS = (PowerLossGain, LinearGain)
 
 
 class UnboundedDualError(RuntimeError):
@@ -174,14 +187,14 @@ class _Pass(NamedTuple):
 
     ``value`` is the dual value, ``conj_u`` the net-objective conjugate
     (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
-    of the edge maximizers.  ``penalized``, ``pair`` and ``array`` hold
-    the per-edge outputs of the three plans in plan order:
-    ``ArbitrageResult`` objects of the penalized subproblems,
-    ``(value, flow_in, flow_out, non_unique)`` tuples and
-    ``ArbitrageResult`` objects (:meth:`DualProgram.edge_flows` reads the
-    flows back in edge order).  ``grad`` is the gradient in the free node
-    prices.  ``edge_ties`` says whether some edge answered with a
-    non-unique maximizer; ``nonsmooth`` also counts the conjugate.
+    of the edge maximizers.  The per-edge outputs of the three plans are
+    kept in plan order: ``penalized`` and ``array`` hold
+    ``ArbitrageResult`` objects, and the pair plan's flows and tie flags
+    are the arrays ``pair_flows`` (``(flow_in, flow_out)`` rows) and
+    ``pair_ties`` (:meth:`DualProgram.edge_flows` reads the flows back in
+    edge order).  ``grad`` is the gradient in the free node prices.
+    ``edge_ties`` says whether some edge answered with a non-unique
+    maximizer; ``nonsmooth`` also counts the conjugate.
     """
 
     value: float
@@ -191,8 +204,22 @@ class _Pass(NamedTuple):
     nonsmooth: bool
     edge_ties: bool
     penalized: list
-    pair: list
+    pair_flows: np.ndarray
+    pair_ties: np.ndarray
     array: list
+
+
+class _Kernel(NamedTuple):
+    """Pair-plan edges of one bundled gain type, which its
+    ``evaluate_pairs`` answers all at once.
+
+    ``rows`` are their pair-plan indices and ``params`` the gain
+    parameter columns, row for row.
+    """
+
+    gain_type: type
+    rows: np.ndarray
+    params: tuple
 
 
 class _Faces(NamedTuple):
@@ -218,18 +245,30 @@ class DualProgram:
     The edges are split once, at build time, into three plans that every
     evaluation visits in this order (which fixes the floating-point
     summation order): edges with a penalty, answered by their penalized
-    subproblem; the other two-node edges, answered by the
-    allocation-free ``evaluate_pair``; and the remaining edges.  The
-    oracle and conjugate bound methods are captured here.
+    subproblem; the other two-node edges (the pair plan); and the
+    remaining edges.  The oracle and conjugate bound methods are
+    captured here.
 
-    The piecewise-linear two-node edges without a penalty, the only ones
-    with flat faces to report, also go into a face table of arrays (their
-    nodes, vector columns and linear segments), so the faces at a point
-    come from one vectorized comparison instead of a ``supported_face``
-    call per edge.  A penalized edge is smooth in the node prices and has
-    no face.
+    The pair plan answers each bundled gain type with one kernel over
+    arrays: every ``TwoNodeEdge`` whose gain is exactly a
+    ``PowerLossGain`` or a ``LinearGain`` (column-stored or not) goes to
+    that gain type's ``evaluate_pairs``, which equals the edge's
+    ``evaluate_pair`` bit for bit.  Its other edges keep their own
+    ``evaluate_pair``.  The pair plan's values and net flows are then
+    added in plan order, so the sums do not depend on which edges the
+    kernels took.  A column-stored edge (see
+    :class:`~convexflows.core.EdgeTable`) is read from its columns and
+    never built as a record.
 
-    Its results' per-edge vectors share one ``offsets`` array over the
+    The piecewise-linear two-node edges without a penalty (the linear
+    gains too), the only ones with flat faces to report, also go into a
+    face table of arrays (their nodes, vector columns and linear
+    segments), so the faces at a point come from one vectorized
+    comparison instead of a ``supported_face`` call per edge.  A
+    penalized edge is smooth in the node prices and has no face.
+
+    It keeps the instance's flat incidences (``incidences``), and its
+    results' per-edge vectors share their ``offsets`` array over the
     edges' concatenated nodes (:class:`~convexflows.core.EdgeVectors`).
     """
 
@@ -246,32 +285,55 @@ class DualProgram:
         self.free_nodes = np.array([j for j in range(instance.n) if j not in fixed], dtype=int)
         self._free_pos = {int(j): k for k, j in enumerate(self.free_nodes)}
         self._conj_u = objective.conj
+        self.incidences = instance.incidences
+        self._nodes = self.incidences.nodes
+        self.offsets = self.incidences.offsets
         self._penalized_plan = []
-        self._pair_plan = []
         self._array_plan = []
-        all_nodes = []
-        for pos, edge in enumerate(instance.edges):
+        # The pair plan: the edges answered one by one, and the column
+        # groups of the kernels' edges, the instance's own and one per gain
+        # type for its records.
+        loop, kernel_rows = [], {}
+        flat = False
+        for pos, edge in instance.edge_records():
+            oracle = edge.oracle
             nodes = edge.incidence.nodes
-            all_nodes.extend(nodes)
             if edge.utility is not None:
                 idx = np.array(nodes, dtype=np.intp)
-                self._penalized_plan.append((pos, itemgetter(*nodes), idx, edge.oracle.evaluate_penalized))
-            elif len(nodes) == 2 and hasattr(edge.oracle, "evaluate_pair"):
-                self._pair_plan.append((pos, nodes[0], nodes[1], edge.oracle.evaluate_pair))
+                self._penalized_plan.append((pos, itemgetter(*nodes), idx, oracle.evaluate_penalized))
+                continue
+            flat = flat or not oracle.is_strictly_convex
+            if len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
+                gain_type = type(oracle.gain) if type(oracle) is TwoNodeEdge else None
+                if gain_type in _KERNEL_GAINS:
+                    kernel_rows.setdefault(gain_type, []).append((pos, nodes, oracle.gain.pair_params()))
+                else:
+                    loop.append((pos, oracle))
             else:
-                self._array_plan.append((pos, np.array(nodes, dtype=np.intp), edge.oracle.evaluate))
-        self._nodes = np.array(all_nodes, dtype=np.intp)
-        offsets = np.zeros(len(instance.edges) + 1, dtype=np.intp)
-        np.cumsum([len(edge.incidence.nodes) for edge in instance.edges], out=offsets[1:])
-        offsets.flags.writeable = False
-        self.offsets = offsets
-        # Where each pair-plan edge's two entries start.
-        self._pair_at = offsets[[pos for pos, _, _, _ in self._pair_plan]]
+                self._array_plan.append((pos, np.array(nodes, dtype=np.intp), oracle.evaluate))
+        groups = instance.edge_columns()
+        for gain_type, rows in kernel_rows.items():
+            positions, nodes, params = zip(*rows)
+            groups.append((np.array(positions), TwoNodeColumns(gain_type, nodes, zip(*params))))
+        flat = flat or any(len(columns) and not columns.gain_type.is_strictly_concave for _, columns in groups)
+        loop_pos = np.array([pos for pos, _ in loop], dtype=np.intp)
+        pair_pos = np.sort(np.concatenate([loop_pos, *(positions for positions, _ in groups)]))
+        self._pair_pos = pair_pos
+        # Where each pair-plan edge's two entries start, and its nodes.
+        self._pair_at = self.offsets[pair_pos]
+        self._pair_nodes = np.stack([self._nodes[self._pair_at], self._nodes[self._pair_at + 1]], axis=1)
+        self._kernels = [
+            _Kernel(columns.gain_type, np.searchsorted(pair_pos, positions), columns.params)
+            for positions, columns in groups
+        ]
+        self._loop_rows = np.searchsorted(pair_pos, loop_pos)
+        self._pair_loop = [
+            (*self._pair_nodes[plan].tolist(), oracle.evaluate_pair)
+            for plan, (_, oracle) in zip(self._loop_rows.tolist(), loop)
+        ]
         # Rounding can land on a vertex optimum only when some edge's term
         # has a flat face; smooth instances skip the polish.
-        self.has_flat_faces = any(
-            edge.utility is None and not edge.oracle.is_strictly_convex for edge in instance.edges
-        )
+        self.has_flat_faces = bool(flat)
         self.n_vars = len(self.free_nodes)
         bounds = np.maximum(np.asarray(objective.lower_bounds(), dtype=float), 0.0)
         self.lower = bounds[self.free_nodes]
@@ -284,12 +346,12 @@ class DualProgram:
         # The pass at the point polish currently keeps (see keeping_polish).
         self._kept_x: np.ndarray | None = None
         self._kept_pass: _Pass | None = None
-        self._build_face_table()
+        self._build_face_table(loop)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
 
-    def _build_face_table(self) -> None:
-        """Arrays of the piecewise-linear two-node edges of the pair plan,
+    def _build_face_table(self, loop) -> None:
+        """Arrays of the pair plan's two-node edges with linear segments,
         in edge order.
 
         Per edge: its position, its index in the pair plan, its two nodes,
@@ -297,27 +359,38 @@ class DualProgram:
         zero appended to the vector) standing in for a pinned node price.
         Per linear segment: its edge, slope and endpoints
         ``P = (-w_a, h(w_a))``, ``Q = (-w_b, h(w_b))``, and whether it
-        is its edge's only segment.
+        is its edge's only segment.  A linear gain's one segment comes
+        from its kernel's parameter columns; ``loop`` holds the
+        ``(position, oracle)`` of the pair-plan edges answered one by one.
         """
-        edges, segments = [], []
+        # Rows of (plan index, slope, P, Q, single segment), in plan order;
+        # an edge's own segments keep theirs.
+        seg = np.zeros((0, 7))
         # An instance without flat faces has no table edge to look for.
-        for plan, (pos, i0, i1, _) in enumerate(self._pair_plan if self.has_flat_faces else ()):
-            oracle = self.instance.edges[pos].oracle
-            pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
-            if not pieces:
-                continue
-            node_cols = [self._free_pos.get(j, self.n_vars) for j in (i0, i1)]
-            edges.append((pos, plan, i0, i1, *node_cols))
-            for w_a, w_b, slope in pieces:
-                ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
-                segments.append((len(edges) - 1, slope, *ends, len(pieces) == 1))
-        table = np.array(edges, dtype=int).reshape(-1, 6)
-        self._face_pos = table[:, 0]
-        self._face_plan = table[:, 1]
-        self._face_nodes = table[:, 2:4]
-        self._face_cols = table[:, 4:6]
-        seg = np.array(segments, dtype=float).reshape(-1, 7)
-        self._seg_edge = seg[:, 0].astype(int)
+        if self.has_flat_faces:
+            segments = []
+            for (_, oracle), plan in zip(loop, self._loop_rows.tolist()):
+                pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
+                for w_a, w_b, slope in pieces or ():
+                    ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
+                    segments.append((plan, slope, *ends, len(pieces) == 1))
+            parts = [seg, np.array(segments, dtype=float).reshape(-1, 7)]
+            for kernel in self._kernels:
+                if kernel.gain_type is LinearGain:
+                    slope, capacity, input_lo = kernel.params
+                    ends = (-input_lo, slope * input_lo, -capacity, slope * capacity)
+                    parts.append(np.stack([kernel.rows, slope, *ends, np.ones(len(slope))], axis=1))
+            seg = np.concatenate(parts)
+            seg = seg[np.argsort(seg[:, 0], kind="stable")]
+        plan = seg[:, 0].astype(np.intp)
+        first = np.diff(plan, prepend=-1) != 0  # an edge's first segment
+        self._face_plan = plan[first]
+        self._seg_edge = np.cumsum(first) - 1
+        self._face_pos = self._pair_pos[self._face_plan]
+        self._face_nodes = self._pair_nodes[self._face_plan]
+        col_of_node = np.full(self.instance.n, self.n_vars, dtype=np.intp)
+        col_of_node[self.free_nodes] = np.arange(self.n_vars)
+        self._face_cols = col_of_node[self._face_nodes]
         self._seg_slope = seg[:, 1]
         self._seg_ends = seg[:, 2:6].reshape(-1, 2, 2)  # (P, Q) x slot
         self._seg_single = seg[:, 6].astype(bool)
@@ -372,8 +445,11 @@ class DualProgram:
         ties = False
         y_arb = np.zeros(self.instance.n)
         penalized_out = []
-        pair_out = []
         array_out = []
+        n_pair = len(self._pair_pos)
+        pair_values = np.empty(n_pair)
+        pair_flows = np.empty((n_pair, 2))
+        pair_ties = np.empty(n_pair, dtype=bool)
         # Python floats: scalar arithmetic on them is exact IEEE as on
         # numpy scalars, only faster, and the outputs stay plain floats.
         prices = nu.tolist()
@@ -384,13 +460,20 @@ class DualProgram:
                 ties = ties or res.non_unique
                 y_arb[idx] += res.flow
                 penalized_out.append(res)
-            for _, i0, i1, evaluate_pair in self._pair_plan:
-                out = evaluate_pair(prices[i0], prices[i1])
-                value += out[0]
-                y_arb[i0] += out[1]
-                y_arb[i1] += out[2]
-                ties = ties or out[3]
-                pair_out.append(out)
+            if n_pair:
+                p_in, p_out = nu[self._pair_nodes[:, 0]], nu[self._pair_nodes[:, 1]]
+                for gain_type, rows, params in self._kernels:
+                    out = gain_type.evaluate_pairs(*params, p_in[rows], p_out[rows])
+                    pair_values[rows], pair_flows[rows, 0], pair_flows[rows, 1], pair_ties[rows] = out
+                if self._pair_loop:
+                    outs = [evaluate_pair(prices[i0], prices[i1]) for i0, i1, evaluate_pair in self._pair_loop]
+                    rows = self._loop_rows
+                    pair_values[rows], pair_flows[rows, 0], pair_flows[rows, 1], pair_ties[rows] = zip(*outs)
+                # Plan order: the running sum and an unbuffered scatter add
+                # term by term, as a loop over the edges would.
+                value = float(np.cumsum(np.concatenate(([value], pair_values)))[-1])
+                np.add.at(y_arb, self._pair_nodes.ravel(), pair_flows.ravel())
+                ties = ties or bool(pair_ties.any())
             for _, idx, evaluate in self._array_plan:
                 res = evaluate(nu[idx])
                 value += res.value
@@ -402,7 +485,10 @@ class DualProgram:
         except UnboundedEdgeError as exc:
             raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
-        return _Pass(float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties, penalized_out, pair_out, array_out)
+        return _Pass(
+            float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties,
+            penalized_out, pair_flows, pair_ties, array_out,
+        )
 
     def _residual(self, raw: _Pass) -> float:
         if raw.conj_u.non_unique:
@@ -481,10 +567,8 @@ class DualProgram:
         data = np.empty(offsets[-1])
         for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
             data[offsets[pos] : offsets[pos + 1]] = res.flow
-        if raw.pair:
-            pair = np.array(raw.pair, dtype=float)
-            data[self._pair_at] = pair[:, 1]
-            data[self._pair_at + 1] = pair[:, 2]
+        data[self._pair_at] = raw.pair_flows[:, 0]
+        data[self._pair_at + 1] = raw.pair_flows[:, 1]
         for (pos, _, _), res in zip(self._array_plan, raw.array):
             data[offsets[pos] : offsets[pos + 1]] = res.flow
         return EdgeVectors(data, offsets)
@@ -532,10 +616,8 @@ class DualProgram:
         maximizer: its prices lie exactly on a face, not just within the
         face tolerance of one.  ``rows`` must not be empty.
         """
-        picked = self._face_plan[rows].tolist()
-        picked = itemgetter(*picked)(raw.pair) if len(picked) > 1 else [raw.pair[picked[0]]]
-        _, flow_in, flow_out, flags = zip(*picked)
-        return np.array((flow_in, flow_out)).T, np.array(flags)
+        plan = self._face_plan[rows]
+        return raw.pair_flows[plan], raw.pair_ties[plan]
 
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
@@ -748,7 +830,7 @@ def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Reco
         tol=config.feas_tol,
     )
     flows = EdgeVectors.pack(flows, program.offsets)
-    net = assemble_net_flow(flows, instance.incidences, instance.n)
+    net = assemble_net_flow(flows, program.incidences, instance.n)
     p = primal_objective(instance, PrimalPoint(edge_flows=flows, net_flow=net), tol=config.feas_tol)
     return _Recovered(flows, net, p, residual)
 

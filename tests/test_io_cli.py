@@ -85,9 +85,10 @@ def test_parse_instance_keeps_the_callers_gc_state():
 
 
 def test_parsed_opf_instance_stays_small():
-    # Slotted edge records and no index array kept per incidence: about
-    # 420 bytes an edge on CPython 3.11, against about 680 with a
-    # dictionary per record and a numpy index on every incidence.
+    # Column-stored opf lines: about 60 bytes an edge on CPython 3.11,
+    # against about 420 as slotted records and about 680 with a
+    # dictionary per record and a numpy index on every incidence
+    # (tests/test_columnar.py holds the tighter bound).
     text = json.dumps(gen_opf(200, 0))
     parse_instance(text)
     gc.collect()

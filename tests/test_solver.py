@@ -26,6 +26,7 @@ from convexflows import (
     QuadraticPenalty,
     TwoAssetGeometricPool,
     assemble_net_flow,
+    concave_gain_edge,
     fisher_instance,
     lossless_edge,
 )
@@ -329,17 +330,30 @@ def test_solver_config_rejects_nonpositive_fields(name, value):
         SolverConfig(**{name: value})
 
 
+def _user_gain_opf_instance():
+    # The lines of a small power network as user gains, which the pair
+    # plan answers edge by edge.
+    instance = opf_instance(n=10, seed=0)
+    edges = [
+        Hyperedge(edge.incidence, concave_gain_edge(edge.oracle.gain.value, edge.oracle.gain.capacity))
+        for edge in instance.edges
+    ]
+    return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
+
+
 @pytest.mark.parametrize(
     "build, kind",
     [
-        (lambda: opf_instance(n=10, seed=0), TwoNodeEdge),
+        (lambda: _user_gain_opf_instance(), TwoNodeEdge),
         (lambda: cfmm_instance(m=10, seed=3), TwoAssetGeometricPool),
     ],
 )
 def test_solve_calls_per_instance_evaluate_pair_wrappers(build, kind):
     # A profiler may shadow an oracle's bound method with an instance
     # attribute (the benchmark's tracer does); slotted oracles keep a
-    # __dict__ for it, and the solver must call the wrapper.
+    # __dict__ for it, and the solver must call the wrapper of an edge it
+    # answers one by one.  (A bundled gain's kernel answers its edges
+    # from their parameters and calls no wrapper.)
     plain = solve(build())
     instance = build()
     calls = {}
