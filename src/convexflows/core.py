@@ -313,7 +313,6 @@ class EdgeTable(Sequence):
         return self.records[row] if g == 0 else self.columns[g - 1].record(row)
 
 
-
 @dataclass
 class ProblemInstance:
     """A convex flow problem over a hypergraph.
@@ -412,8 +411,9 @@ class PrimalPoint:
     """Candidate primal point: per-edge flows plus a net flow vector.
 
     ``edge_flows`` is any sequence of one array per edge in edge order: a
-    list, or the :class:`EdgeVectors` of a solve result.  Consistency of ``net_flow`` with the scattered edge flows is checked
-    by :func:`check_feasibility`, not enforced on construction.
+    list, or the :class:`EdgeVectors` of a solve result.  Consistency
+    of ``net_flow`` with the scattered edge flows is checked by
+    :func:`check_feasibility`, not enforced on construction.
     """
 
     edge_flows: Sequence[np.ndarray]

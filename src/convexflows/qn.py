@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["QNConfig", "QNResult", "InfeasibleStartError", "minimize_bound_lbfgs", "polish_keeps"]
+__all__ = ["QNConfig", "QNResult", "InfeasibleStartError", "minimize_bound_lbfgs"]
 
 
 class InfeasibleStartError(RuntimeError):

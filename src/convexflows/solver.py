@@ -30,8 +30,11 @@ tenders.  An instance may pair only this utility with such an oracle
 One evaluator, :class:`DualProgram`, computes the dual for every
 instance and every entry point (:func:`solve_dual`, :func:`solve`),
 serially and in a fixed edge order.  One pass of it gives the dual
-value, the gradient and every edge's maximizer; the driver, its
-screens, the trace callback and the final result all read that pass.
+value, the gradient and every edge's maximizer, in one buffer in edge
+order whichever plan answered the edge; the driver, its screens, the
+trace callback and the final result all read that pass.  The evaluator
+caches two passes, the last one and the one at the driver's iterate,
+and leaves the choice of points (polish included) to the driver.
 The subproblems split over the edges: the two-node edges of a bundled
 gain type (transmission lines and linear gains) are answered together
 by one kernel over arrays, bit for bit as edge by edge, and read
@@ -67,7 +70,7 @@ from .core import (
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
 from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
 from .objectives import ConjugateValue
-from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs, polish_keeps
+from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs
 
 __all__ = [
     "DualPoint",
@@ -121,18 +124,19 @@ class SolverConfig:
     are judged feasible and scored.  Every solve runs the one serial
     dual evaluator (see :class:`DualProgram`), so results are
     deterministic.  When some edge has a flat face (an oracle that is
-    not strictly convex, on an edge without a penalty), the driver finishes by evaluating rounded
-    copies of the final iterate (integers and threshold cuts) and keeps
-    any that are at least as good, which lands exactly on the vertex
-    solutions of combinatorial instances.  Such an instance also tries
-    the rounded copies of its start once, after the first iterate.
-    Every instance asks a certificate before it stops on ``grad_tol``,
-    and a flat-faced one also at that best rounded start and at a point
-    the final polish keeps: the primal point recovered there certifies
-    the point when its objective is finite and within
-    ``feas_tol * (1 + |dual|)`` of the dual value.  A certified point
-    ends the solve with status ``"converged"``; a refused gradient stop
-    goes on iterating, and a refused polished point ends ``"polished"``.
+    not strictly convex, on an edge without a penalty), the driver
+    finishes by evaluating rounded copies of the final iterate (integers
+    and threshold cuts) and keeps any that are at least as good, which
+    lands exactly on the vertex solutions of combinatorial instances.
+    Such an instance also tries the rounded copies of its start once,
+    after the first iterate.  Every instance asks a certificate before
+    it stops on ``grad_tol``, and a flat-faced one also at that best
+    rounded start and at a point the final polish keeps: the primal
+    point recovered there certifies the point when its objective is
+    finite and within ``feas_tol * (1 + |dual|)`` of the dual value.  A
+    certified point ends the solve with status ``"converged"``; a
+    refused gradient stop goes on iterating, and a refused polished
+    point ends ``"polished"``.
     """
 
     grad_tol: float = 1e-7
@@ -187,12 +191,10 @@ class _Pass(NamedTuple):
 
     ``value`` is the dual value, ``conj_u`` the net-objective conjugate
     (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
-    of the edge maximizers.  The per-edge outputs of the three plans are
-    kept in plan order: ``penalized`` and ``array`` hold
-    ``ArbitrageResult`` objects, and the pair plan's flows and tie flags
-    are the arrays ``pair_flows`` (``(flow_in, flow_out)`` rows) and
-    ``pair_ties`` (:meth:`DualProgram.edge_flows` reads the flows back in
-    edge order).  ``grad`` is the gradient in the free node prices.
+    of the edge maximizers.  ``flows`` holds every edge's maximizer in
+    one buffer on the program's offsets, in edge order, whichever plan
+    answered it; ``pair_ties`` are the pair plan's tie flags, in plan
+    order.  ``grad`` is the gradient in the free node prices.
     ``edge_ties`` says whether some edge answered with a non-unique
     maximizer; ``nonsmooth`` also counts the conjugate.
     """
@@ -203,10 +205,8 @@ class _Pass(NamedTuple):
     grad: np.ndarray
     nonsmooth: bool
     edge_ties: bool
-    penalized: list
-    pair_flows: np.ndarray
+    flows: EdgeVectors
     pair_ties: np.ndarray
-    array: list
 
 
 class _Kernel(NamedTuple):
@@ -270,6 +270,9 @@ class DualProgram:
     It keeps the instance's flat incidences (``incidences``), and its
     results' per-edge vectors share their ``offsets`` array over the
     edges' concatenated nodes (:class:`~convexflows.core.EdgeVectors`).
+    Every plan writes its maximizers into one such buffer per pass, and
+    the net flow is one scatter of that buffer in plan order.  Two passes
+    stay cached: the last one and the one at the driver's iterate.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -298,9 +301,9 @@ class DualProgram:
         for pos, edge in instance.edge_records():
             oracle = edge.oracle
             nodes = edge.incidence.nodes
+            span = slice(*self.offsets[pos : pos + 2].tolist())
             if edge.utility is not None:
-                idx = np.array(nodes, dtype=np.intp)
-                self._penalized_plan.append((pos, itemgetter(*nodes), idx, oracle.evaluate_penalized))
+                self._penalized_plan.append((itemgetter(*nodes), span, oracle.evaluate_penalized))
                 continue
             flat = flat or not oracle.is_strictly_convex
             if len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
@@ -310,7 +313,7 @@ class DualProgram:
                 else:
                     loop.append((pos, oracle))
             else:
-                self._array_plan.append((pos, np.array(nodes, dtype=np.intp), oracle.evaluate))
+                self._array_plan.append((np.array(nodes, dtype=np.intp), span, oracle.evaluate))
         groups = instance.edge_columns()
         for gain_type, rows in kernel_rows.items():
             positions, nodes, params = zip(*rows)
@@ -327,10 +330,26 @@ class DualProgram:
             for positions, columns in groups
         ]
         self._loop_rows = np.searchsorted(pair_pos, loop_pos)
+        self._loop_at = self._pair_at[self._loop_rows]
         self._pair_loop = [
             (*self._pair_nodes[plan].tolist(), oracle.evaluate_pair)
             for plan, (_, oracle) in zip(self._loop_rows.tolist(), loop)
         ]
+
+        def entries(plan):
+            return np.concatenate([np.zeros(0, np.intp), *(np.arange(s.start, s.stop) for _, s, _ in plan)])
+
+        # The buffer entries in plan order and their nodes: one unbuffered
+        # scatter over them adds into each node in the order of a loop over
+        # the plans.  The penalized edges' entries come first.  When plan
+        # order is edge order, a slice reads the buffer without a copy.
+        self._tendering = entries(self._penalized_plan)
+        pair_entries = np.stack([self._pair_at, self._pair_at + 1], axis=1).ravel()
+        plan_entries = np.concatenate([self._tendering, pair_entries, entries(self._array_plan)])
+        if np.all(plan_entries[1:] > plan_entries[:-1]):
+            plan_entries = slice(None)
+        self._plan_entries = plan_entries
+        self._plan_nodes = self._nodes[plan_entries]
         # Rounding can land on a vertex optimum only when some edge's term
         # has a flat face; smooth instances skip the polish.
         self.has_flat_faces = bool(flat)
@@ -343,9 +362,6 @@ class DualProgram:
         # line search's trial points (see trace_info).
         self._iterate_x: np.ndarray | None = None
         self._iterate_pass: _Pass | None = None
-        # The pass at the point polish currently keeps (see keeping_polish).
-        self._kept_x: np.ndarray | None = None
-        self._kept_pass: _Pass | None = None
         self._build_face_table(loop)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
@@ -408,16 +424,14 @@ class DualProgram:
         """Node prices and the minimizing local prices of every edge at ``x``.
 
         The local prices are one gather of the node prices over the
-        concatenated edge nodes; a penalized edge's then gain, in place,
-        the flow it tenders in the pass at ``x``.
+        concatenated edge nodes; the penalized edges' entries then gain,
+        in place, the flow they tender in the pass at ``x``.
         """
         nu = self.node_prices(x)
         etas = nu[self._nodes]
         raw = self._cached_pass(x)
         if raw is not None:
-            offsets = self.offsets
-            for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
-                etas[offsets[pos] : offsets[pos + 1]] += np.maximum(-res.flow, 0.0)
+            etas[self._tendering] += np.maximum(-raw.flows.data[self._tendering], 0.0)
         return DualPoint(node_prices=nu, edge_prices=EdgeVectors(etas, self.offsets))
 
     def initial_vector(self, start: DualPoint | None) -> np.ndarray:
@@ -443,52 +457,47 @@ class DualProgram:
             return None
         value = conj_u.value
         ties = False
-        y_arb = np.zeros(self.instance.n)
-        penalized_out = []
-        array_out = []
+        flows = np.empty(len(self._nodes))
         n_pair = len(self._pair_pos)
         pair_values = np.empty(n_pair)
-        pair_flows = np.empty((n_pair, 2))
         pair_ties = np.empty(n_pair, dtype=bool)
         # Python floats: scalar arithmetic on them is exact IEEE as on
         # numpy scalars, only faster, and the outputs stay plain floats.
         prices = nu.tolist()
         try:
-            for _, local, idx, evaluate_penalized in self._penalized_plan:
+            for local, span, evaluate_penalized in self._penalized_plan:
                 res = evaluate_penalized(local(prices))
                 value += res.value
                 ties = ties or res.non_unique
-                y_arb[idx] += res.flow
-                penalized_out.append(res)
+                flows[span] = res.flow
             if n_pair:
                 p_in, p_out = nu[self._pair_nodes[:, 0]], nu[self._pair_nodes[:, 1]]
                 for gain_type, rows, params in self._kernels:
                     out = gain_type.evaluate_pairs(*params, p_in[rows], p_out[rows])
-                    pair_values[rows], pair_flows[rows, 0], pair_flows[rows, 1], pair_ties[rows] = out
+                    at = self._pair_at[rows]
+                    pair_values[rows], flows[at], flows[at + 1], pair_ties[rows] = out
                 if self._pair_loop:
                     outs = [evaluate_pair(prices[i0], prices[i1]) for i0, i1, evaluate_pair in self._pair_loop]
-                    rows = self._loop_rows
-                    pair_values[rows], pair_flows[rows, 0], pair_flows[rows, 1], pair_ties[rows] = zip(*outs)
-                # Plan order: the running sum and an unbuffered scatter add
-                # term by term, as a loop over the edges would.
+                    rows, at = self._loop_rows, self._loop_at
+                    pair_values[rows], flows[at], flows[at + 1], pair_ties[rows] = zip(*outs)
+                # Plan order: the running sum adds term by term, as a loop
+                # over the edges would.
                 value = float(np.cumsum(np.concatenate(([value], pair_values)))[-1])
-                np.add.at(y_arb, self._pair_nodes.ravel(), pair_flows.ravel())
                 ties = ties or bool(pair_ties.any())
-            for _, idx, evaluate in self._array_plan:
+            for idx, span, evaluate in self._array_plan:
                 res = evaluate(nu[idx])
                 value += res.value
-                y_arb[idx] += res.flow
                 ties = ties or res.non_unique
-                array_out.append(res)
+                flows[span] = res.flow
         except UnattainedSupremumError:
             return None
         except UnboundedEdgeError as exc:
             raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
+        y_arb = np.zeros(self.instance.n)
+        np.add.at(y_arb, self._plan_nodes, flows[self._plan_entries])
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
-        return _Pass(
-            float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties,
-            penalized_out, pair_flows, pair_ties, array_out,
-        )
+        flows = EdgeVectors(flows, self.offsets)
+        return _Pass(float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties, flows, pair_ties)
 
     def _residual(self, raw: _Pass) -> float:
         if raw.conj_u.non_unique:
@@ -503,37 +512,16 @@ class DualProgram:
     def _cached_pass(self, x: np.ndarray) -> _Pass | None:
         if self._last_x is not None and np.array_equal(self._last_x, x):
             return self._last_pass
-        for kept_x, kept_pass in ((self._iterate_x, self._iterate_pass), (self._kept_x, self._kept_pass)):
-            if kept_x is not None and np.array_equal(kept_x, x):
-                self._last_x, self._last_pass = kept_x, kept_pass
-                return kept_pass
+        if self._iterate_x is not None and np.array_equal(self._iterate_x, x):
+            self._last_x, self._last_pass = self._iterate_x, self._iterate_pass
+            return self._last_pass
         return self._fresh_pass(x)
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         raw = self._fresh_pass(x)
         if raw is None:
             return math.inf, None
-        if self._kept_pass is not None and polish_keeps(raw.value, self._kept_pass.value):
-            self._kept_x, self._kept_pass = self._last_x, raw
         return raw.value, raw.grad
-
-    def keeping_polish(self, generator):
-        """Wrap a polish generator so the pass at the point polish keeps
-        stays cached.
-
-        The driver calls each generator with its best point so far; from
-        then on every evaluation that :func:`convexflows.qn.polish_keeps`
-        accepts against the kept value replaces the kept pass, as the
-        driver replaces its point.  The result at the polished point then
-        reads that pass instead of evaluating it again.
-        """
-
-        def propose(x):
-            raw = self._cached_pass(x)
-            self._kept_x, self._kept_pass = self._last_x, raw
-            return generator(x)
-
-        return propose
 
     def trace_info(self, x: np.ndarray):
         """(primal_residual, net_flow, nonsmooth) at ``x``, from its pass.
@@ -547,31 +535,6 @@ class DualProgram:
         if raw is None:
             return math.nan, None, False
         return self._residual(raw), raw.y_arb, raw.nonsmooth
-
-    def utility_flows(self, x: np.ndarray) -> list:
-        """Edge flows at ``x`` for :func:`primal_objective`, from its pass.
-
-        Only edges with a utility are scored, so only their flows are
-        filled in; the utility-free entries are None.  Call after
-        :meth:`trace_info` has confirmed a finite value at ``x``.
-        """
-        flows = [None] * len(self.instance.edges)
-        for (pos, _, _, _), res in zip(self._penalized_plan, self._cached_pass(x).penalized):
-            flows[pos] = res.flow
-        return flows
-
-    def edge_flows(self, raw: _Pass) -> EdgeVectors:
-        """The maximizing flow of every edge in the pass ``raw``, packed
-        straight into one buffer in edge order."""
-        offsets = self.offsets
-        data = np.empty(offsets[-1])
-        for (pos, _, _, _), res in zip(self._penalized_plan, raw.penalized):
-            data[offsets[pos] : offsets[pos + 1]] = res.flow
-        data[self._pair_at] = raw.pair_flows[:, 0]
-        data[self._pair_at + 1] = raw.pair_flows[:, 1]
-        for (pos, _, _), res in zip(self._array_plan, raw.array):
-            data[offsets[pos] : offsets[pos + 1]] = res.flow
-        return EdgeVectors(data, offsets)
 
     def _faces(self, x: np.ndarray) -> _Faces:
         """The flat faces supported at ``x``, cached for the last ``x`` asked.
@@ -608,16 +571,6 @@ class DualProgram:
         """
         faces = self._faces(x)
         return {pos: (ends[0], ends[1]) for pos, ends in zip(self._face_pos[faces.rows].tolist(), faces.ends)}
-
-    def _face_state(self, raw: _Pass, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flows and tie flags of the given face-table edges in the pass ``raw``.
-
-        A tie flag says that the edge's oracle reported a non-unique
-        maximizer: its prices lie exactly on a face, not just within the
-        face tolerance of one.  ``rows`` must not be empty.
-        """
-        plan = self._face_plan[rows]
-        return raw.pair_flows[plan], raw.pair_ties[plan]
 
     def escape_directions(self, x: np.ndarray) -> list[np.ndarray]:
         """Structural stall-escape directions from the current tie graph.
@@ -739,8 +692,10 @@ class DualProgram:
         rows, prices, ends = self._faces(x)
         if not len(rows):
             return bounds, margin
-        flow, tie = self._face_state(raw, rows)
+        plan = self._face_plan[rows]
+        flow = raw.flows.data[self._pair_at[plan][:, None] + (0, 1)]
         if ties_only:
+            tie = raw.pair_ties[plan]
             rows, prices, ends, flow = rows[tie], prices[tie], ends[tie], flow[tie]
         toward = ends - flow[:, None, :]
         offsets = np.einsum("kes,ks->ke", toward, prices)
@@ -824,7 +779,7 @@ def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Reco
     flows, residual = recovery.recover_flows(
         instance,
         program.node_prices(x),
-        program.edge_flows(raw),
+        raw.flows,
         raw.conj_u,
         program.supported_faces(x),
         tol=config.feas_tol,
@@ -848,7 +803,7 @@ def _solve_dual(
         gap = math.nan
         residual, net, nonsmooth = program.trace_info(x)
         if net is not None:
-            point = PrimalPoint(edge_flows=program.utility_flows(x), net_flow=net)
+            point = PrimalPoint(edge_flows=program._cached_pass(x).flows, net_flow=net)
             p = primal_objective(instance, point, tol=config.feas_tol)
             if math.isfinite(p):
                 gap = f - p
@@ -871,20 +826,14 @@ def _solve_dual(
         # dual value proves both optimal.
         primal = _recover(program, x, config)
         asked[:] = np.array(x, copy=True), primal
-        if math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f)):
-            return True
-        # The run goes on from the iterate, whose pass the callback
-        # keeps; stop tracking the start candidates' until the final
-        # polish.
-        program._kept_x = program._kept_pass = None
-        return False
+        return math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f))
 
     # Only an instance with a flat face polishes, certifies its start and
     # screens its line searches: elsewhere the face bound is the gradient
     # term alone, and rounding lands on no vertex.  Every instance
     # certifies its gradient stop.
     flat = program.has_flat_faces
-    candidates = [program.keeping_polish(g) for g in (np.round, _threshold_candidates)] if flat else None
+    candidates = [np.round, _threshold_candidates] if flat else None
     driver = minimize_bound_lbfgs(
         program.value_and_grad,
         program.initial_vector(start),
@@ -934,7 +883,7 @@ def solve_dual(
     """
     program, driver, trace, _ = _solve_dual(instance, start, config or SolverConfig())
     raw = program._cached_pass(driver.x)
-    return _result(program, driver, trace, program.edge_flows(raw), raw.y_arb)
+    return _result(program, driver, trace, raw.flows, raw.y_arb)
 
 
 def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:

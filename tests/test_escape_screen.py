@@ -146,9 +146,9 @@ def test_screen_reads_the_iterate_pass(monkeypatch):
     passes = []
     original = DualProgram._evaluate_pass
 
-    def counting(self, nu, vec):
+    def counting(self, nu):
         passes.append(1)
-        return original(self, nu, vec)
+        return original(self, nu)
 
     monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
     assert program._tie_graph(x)

@@ -1,0 +1,143 @@
+"""The one buffer of a dual pass.
+
+Every edge's maximizer lands in one :class:`~convexflows.core.EdgeVectors`
+buffer on the program's offsets, whichever plan answered it: penalized
+edges, the pair plan (kernels and edge-by-edge) and the array plan.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import maxflow_instance
+from convexflows import (
+    EdgeIncidence,
+    GeometricMeanPool,
+    Hyperedge,
+    OpfQuadraticObjective,
+    ProblemInstance,
+    QuadraticPenalty,
+    TwoAssetGeometricPool,
+    concave_gain_edge,
+    lossless_edge,
+    opf_line_edge,
+    piecewise_linear_edge,
+)
+from convexflows.solver import DualProgram, solve, solve_dual
+
+
+def _mixed_instance():
+    """Edges of all three plans, interleaved so that edge order is not
+    plan order and every node is touched by more than one plan."""
+    edges = [
+        Hyperedge(EdgeIncidence((0, 1, 2)), GeometricMeanPool([100.0, 150.0, 200.0], [0.2, 0.3, 0.5], 0.997)),
+        Hyperedge(EdgeIncidence((1, 2)), opf_line_edge(16.0, 0.25, 2.0)),
+        Hyperedge(EdgeIncidence((2, 0)), TwoAssetGeometricPool([100.0, 120.0], 0.5, 0.997), QuadraticPenalty(2)),
+        Hyperedge(EdgeIncidence((0, 3)), lossless_edge(1.5)),
+        Hyperedge(EdgeIncidence((3, 1)), piecewise_linear_edge([(0.0, 0.0), (1.0, 0.9), (2.0, 1.5)])),
+        Hyperedge(EdgeIncidence((1, 0)), lossless_edge(1.0), QuadraticPenalty(2)),
+        Hyperedge(EdgeIncidence((2, 3)), concave_gain_edge(lambda w: 0.9 * w - 0.05 * w * w, 3.0)),
+        Hyperedge(EdgeIncidence((3, 2, 0)), GeometricMeanPool([50.0, 80.0, 60.0], [0.5, 0.25, 0.25], 1.0)),
+    ]
+    return ProblemInstance(n=4, edges=edges, net_objective=OpfQuadraticObjective([0.5, 1.0, 2.0, 1.5]))
+
+
+def _plan_order(instance):
+    """Edge positions in the order the evaluator visits them."""
+    penalized = [k for k, e in enumerate(instance.edges) if e.utility is not None]
+    pair = [
+        k
+        for k, e in enumerate(instance.edges)
+        if e.utility is None and len(e.incidence.nodes) == 2 and hasattr(e.oracle, "evaluate_pair")
+    ]
+    array = [k for k in range(instance.m) if k not in penalized and k not in pair]
+    return penalized + pair + array
+
+
+def _points(program, count=20):
+    rng = np.random.default_rng(4)
+    return [rng.uniform(0.2, 3.0, program.n_vars) for _ in range(count)]
+
+
+def _scatter(instance, flows, order):
+    """Net flow of ``flows`` added edge by edge in ``order``."""
+    y = np.zeros(instance.n)
+    for k in order:
+        for j, f in zip(instance.edges[k].incidence.nodes, flows[k].tolist()):
+            y[j] += f
+    return y
+
+
+def test_mixed_instance_fills_every_plan():
+    program = DualProgram(_mixed_instance())
+    assert len(program._penalized_plan) == 2
+    assert sorted(k.gain_type.__name__ for k in program._kernels) == ["LinearGain", "PowerLossGain"]
+    assert len(program._pair_loop) == 2
+    assert len(program._array_plan) == 2
+
+
+def test_net_flow_is_a_plan_order_scatter_of_the_buffer():
+    instance = _mixed_instance()
+    program = DualProgram(instance)
+    order = _plan_order(instance)
+    differs = 0
+    for x in _points(program):
+        raw = program._cached_pass(x)
+        assert raw.flows.offsets is program.offsets
+        assert _scatter(instance, raw.flows, order).tobytes() == raw.y_arb.tobytes()
+        differs += _scatter(instance, raw.flows, range(instance.m)).tobytes() != raw.y_arb.tobytes()
+    # Summed in edge order, some point's net flow has other bits.
+    assert differs > 0
+
+
+def test_solve_dual_returns_the_final_pass_buffer(monkeypatch):
+    passes = []
+    original = DualProgram._evaluate_pass
+
+    def recording(self, nu):
+        raw = original(self, nu)
+        passes.append(raw)
+        return raw
+
+    monkeypatch.setattr(DualProgram, "_evaluate_pass", recording)
+    result = solve_dual(_mixed_instance())
+    final = [raw for raw in passes if raw is not None and raw.flows is result.flows]
+    assert len(final) == 1
+    assert result.net_flow is final[0].y_arb
+    assert result.dual_value == final[0].value
+    assert not result.flows.data.flags.writeable
+
+
+def test_to_point_adds_tendered_flow_on_penalized_edges_only():
+    instance = _mixed_instance()
+    program = DualProgram(instance)
+    tendering = free_tendering = 0
+    for x in _points(program):
+        point = program.to_point(x)
+        flows = program._cached_pass(x).flows
+        for edge, eta, flow in zip(instance.edges, point.edge_prices, flows):
+            base = edge.incidence.gather(point.node_prices)
+            if edge.utility is None:
+                assert np.array_equal(eta, base)
+                free_tendering += bool(np.any(flow < 0.0))
+            else:
+                assert np.array_equal(eta, base + np.maximum(-flow, 0.0))
+                tendering += bool(np.any(flow < 0.0))
+    # Both kinds of edge tender at some point, so the check is not vacuous.
+    assert tendering > 0 and free_tendering > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_solve_evaluates_at_most_two_passes_beyond_the_driver(monkeypatch, seed):
+    # The driver's evaluations, plus a fresh pass for each certificate
+    # asked at a polish point (the best rounded start, a point the final
+    # polish keeps) whose pass later candidates evicted.
+    passes = []
+    original = DualProgram._evaluate_pass
+
+    def counting(self, nu):
+        passes.append(1)
+        return original(self, nu)
+
+    monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
+    result = solve(maxflow_instance(20, 0.3, seed))
+    assert len(passes) <= result.n_evals + 2

@@ -67,7 +67,7 @@ def test_reduced_vector_round_trip():
         back = program.to_point(x)
         assert np.array_equal(back.node_prices, point.node_prices)
         assert np.array_equal(program.initial_vector(back), x)
-        flows = program.edge_flows(program._cached_pass(x))
+        flows = program._cached_pass(x).flows
         tendering = 0
         for edge, eta, flow in zip(instance.edges, back.edge_prices, flows):
             tendered = np.maximum(-flow, 0.0) if edge.utility is not None else 0.0
