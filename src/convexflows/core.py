@@ -20,11 +20,13 @@ A solve's per-edge vectors (its flows and edge prices) are laid out the
 same way: one float buffer and the same offsets (:class:`EdgeVectors`).
 
 A parsed instance keeps its bundled two-node edges (every ``opf_line``,
-``lossless`` and ``linear_gain`` edge without a utility) as columns, one
-:class:`TwoNodeColumns` per gain type: a node array and one float array
-per gain parameter.  Its ``edges`` are an :class:`EdgeTable`, which
-reads as a list of records does and rebuilds a column-stored record on
-every access; the solver reads the columns themselves.
+``lossless``, ``linear_gain`` and ``uniswap`` edge without a utility) as
+columns, one :class:`TwoNodeColumns` per oracle kind (a gain type, or
+the two-asset pool): a node array and one float array per parameter.
+Its ``edges`` are an :class:`EdgeTable`, which reads as a list of
+records does, building a column-stored record on its first access and
+keeping it; the solver reads the columns themselves and builds no
+record, and :func:`check_feasibility` keeps none of those it builds.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edges.two_node import TwoNodeEdge
 from .objectives import QuadraticPenalty
 
 __all__ = [
@@ -246,27 +247,30 @@ class Hyperedge:
 
 
 class TwoNodeColumns:
-    """Two-node edges of one bundled gain type, without utilities, one row
-    each.
+    """Two-node edges of one bundled oracle kind, without utilities, one
+    row each.
 
-    Row ``r`` is the edge ``TwoNodeEdge(gain_type(*args))`` from node
-    ``nodes[r, 0]`` to node ``nodes[r, 1]``, where ``args`` are row ``r``
-    of ``params``: one float column per constructor argument, in order
-    (the gain's ``pair_params``).  The arrays are read-only; the values
-    are checked where the columns are filled (the parser checks them
+    ``kind`` is the type whose ``evaluate_pairs`` answers the rows: a
+    gain type, for the edges ``TwoNodeEdge(kind(*args))``, or the oracle
+    type ``TwoAssetGeometricPool``.  Row ``r`` is the edge
+    ``kind.pair_oracle(*args)`` from node ``nodes[r, 0]`` to node
+    ``nodes[r, 1]``, where ``args`` are row ``r`` of ``params``: one
+    float column per parameter of ``evaluate_pairs``, in order (the
+    kind's ``pair_params``).  The arrays are read-only; the values are
+    checked where the columns are filled (the parser checks them
     column-wise).
     """
 
-    __slots__ = ("gain_type", "nodes", "params")
+    __slots__ = ("kind", "nodes", "params")
 
-    def __init__(self, gain_type: type, nodes, params):
+    def __init__(self, kind: type, nodes, params):
         nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
         if np.any(nodes < 0) or np.any(nodes[:, 0] == nodes[:, 1]):
             raise ValueError("two-node edges need two distinct nonnegative node indices")
         params = tuple(np.asarray(column, dtype=float) for column in params)
         if any(column.shape != (len(nodes),) for column in params):
             raise DimensionError(f"every parameter column needs {len(nodes)} rows")
-        self.gain_type = gain_type
+        self.kind = kind
         self.nodes = _frozen(nodes)
         self.params = tuple(map(_frozen, params))
 
@@ -275,8 +279,8 @@ class TwoNodeColumns:
 
     def record(self, row: int) -> Hyperedge:
         """Row ``row`` as a new edge record."""
-        gain = self.gain_type(*(float(column[row]) for column in self.params))
-        return Hyperedge(EdgeIncidence(tuple(self.nodes[row].tolist())), TwoNodeEdge(gain))
+        oracle = self.kind.pair_oracle(*(float(column[row]) for column in self.params))
+        return Hyperedge(EdgeIncidence(tuple(self.nodes[row].tolist())), oracle)
 
 
 class EdgeTable(Sequence):
@@ -286,11 +290,13 @@ class EdgeTable(Sequence):
     ``columns[group[k] - 1]`` otherwise; each holds its edges in edge
     order.  It reads as a list of :class:`Hyperedge` does: ``len``,
     iteration, ``[k]`` (negative ``k`` too) and slices (a list).  A
-    column-stored edge is rebuilt on every access
-    (:meth:`TwoNodeColumns.record`), so writing to it changes nothing.
+    column-stored edge is built on its first access
+    (:meth:`TwoNodeColumns.record`) and kept, so every access gives the
+    same record; the solver reads the columns and builds none.
+    :meth:`scan` reads every edge without keeping what it builds.
     """
 
-    __slots__ = ("records", "columns", "group", "_row")
+    __slots__ = ("records", "columns", "group", "_row", "_kept")
 
     def __init__(self, records: list, columns: Sequence[TwoNodeColumns], group):
         self.records = list(records)
@@ -301,6 +307,8 @@ class EdgeTable(Sequence):
         for g in range(len(self.columns) + 1):
             at = self.group == g
             self._row[at] = np.arange(np.count_nonzero(at))
+        # The column-stored records built so far, by edge position.
+        self._kept: dict[int, Hyperedge] = {}
 
     def __len__(self) -> int:
         return len(self.group)
@@ -310,7 +318,23 @@ class EdgeTable(Sequence):
             return [self[k] for k in range(*index.indices(len(self)))]
         k = _edge_index(index, len(self))
         g, row = int(self.group[k]), int(self._row[k])
-        return self.records[row] if g == 0 else self.columns[g - 1].record(row)
+        if g == 0:
+            return self.records[row]
+        edge = self._kept.get(k)
+        if edge is None:
+            edge = self._kept[k] = self.columns[g - 1].record(row)
+        return edge
+
+    def scan(self) -> Iterator[Hyperedge]:
+        """Every edge in edge order, as iteration gives them, except that a
+        column-stored edge not built yet is built for the caller alone and
+        not kept."""
+        for k, (g, row) in enumerate(zip(self.group.tolist(), self._row.tolist())):
+            if g == 0:
+                yield self.records[row]
+            else:
+                edge = self._kept.get(k)
+                yield self.columns[g - 1].record(row) if edge is None else edge
 
 
 @dataclass
@@ -382,6 +406,12 @@ class ProblemInstance:
         if isinstance(edges, EdgeTable):
             return [(np.flatnonzero(edges.group == g + 1), columns) for g, columns in enumerate(edges.columns)]
         return []
+
+    def scan_edges(self) -> Iterator[Hyperedge]:
+        """Every edge in edge order, for one pass over them that keeps no
+        record it builds (:meth:`EdgeTable.scan`)."""
+        edges = self.edges
+        return edges.scan() if isinstance(edges, EdgeTable) else iter(edges)
 
     @property
     def incidences(self) -> Incidences:
@@ -507,7 +537,9 @@ def check_feasibility(
 
     The residual is the infinity norm of ``net_flow`` minus the scattered
     sum of the edge flows; membership uses each edge oracle's scaled
-    membership test at tolerance ``tol``.
+    membership test at tolerance ``tol``.  A column-stored edge is tested
+    on a record built for the test and then dropped, so a parsed
+    instance keeps no record for it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -515,6 +547,6 @@ def check_feasibility(
     residual = float(np.max(np.abs(np.asarray(point.net_flow, float) - assembled)))
     membership = [
         bool(edge.oracle.is_member(np.asarray(x, float), tol))
-        for edge, x in zip(instance.edges, point.edge_flows)
+        for edge, x in zip(instance.scan_edges(), point.edge_flows)
     ]
     return FeasibilityReport(net_flow_residual=residual, edge_membership=membership)

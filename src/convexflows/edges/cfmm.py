@@ -11,7 +11,10 @@ multiplier, so that its root is a weighted mean of knots found by a
 scan over at most ``2 * dim - 1`` pieces.  The penalized price
 subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
-scalar dual for every pool size (:func:`_penalized_trade`).
+scalar dual for every pool size (:func:`_penalized_trade`).  The
+two-asset pool's closed form also runs over arrays, one pool a row
+(:meth:`TwoAssetGeometricPool.evaluate_pairs`), bit for bit as pool by
+pool; the dual evaluator answers its pools with it.
 """
 
 from __future__ import annotations
@@ -81,6 +84,11 @@ def _validate_pool(reserves, fee) -> tuple[tuple[float, ...], float]:
     if not (0.0 < fee <= 1.0):
         raise InvalidEdgeError(f"fee must lie in (0, 1], got {fee}")
     return reserves, fee
+
+
+def _math(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` applied to each entry of a float array."""
+    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
 
 
 def _membership(reserves, weights, fee, flow, tol) -> bool:
@@ -305,6 +313,88 @@ class TwoAssetGeometricPool(EdgeOracle):
         tendered = (post_in - r_in) / gamma
         post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
         return tendered, r_out - post_out
+
+    def pair_params(self) -> tuple[float, float, float, float, float]:
+        """``(r0, r1, weight, fee, log_inv)``: one row of
+        :meth:`evaluate_pairs`, with the pool's own log invariant."""
+        return self._r0, self._r1, self._weight, self._fee, self._log_inv
+
+    @staticmethod
+    def invalid_rows(r0, r1, weight, fee) -> np.ndarray:
+        """Which rows of reserves, weights and fees the constructor
+        rejects, by its own checks, over arrays."""
+        return (
+            ~((0.0 < r0) & (r0 < math.inf))
+            | ~((0.0 < r1) & (r1 < math.inf))
+            | ~((0.0 < fee) & (fee <= 1.0))
+            | ~((0.0 < weight) & (weight < 1.0))
+        )
+
+    @staticmethod
+    def pair_columns(r0, r1, weight, fee) -> tuple[np.ndarray, ...]:
+        """The columns of :meth:`evaluate_pairs` from valid constructor
+        arguments: the arguments and the log invariant.  ``vecdot`` rounds
+        each row as the constructor's ``dot`` of two terms does."""
+        r0, r1, weight, fee = (np.asarray(column, dtype=float) for column in (r0, r1, weight, fee))
+        log_inv = np.vecdot(np.stack([weight, 1.0 - weight], 1), np.log(np.stack([r0, r1], 1)))
+        return r0, r1, weight, fee, log_inv
+
+    @classmethod
+    def pair_oracle(cls, r0, r1, weight, fee, log_inv=None) -> "TwoAssetGeometricPool":
+        """The pool of one row of constructor arguments or of
+        :meth:`evaluate_pairs` columns; it computes its log invariant
+        itself."""
+        return cls((r0, r1), weight, fee)
+
+    @staticmethod
+    def evaluate_pairs(r0, r1, weight, fee, log_inv, p1, p2):
+        """:meth:`evaluate_pair` over arrays, one pool a row.
+
+        Returns the arrays ``(value, flow_1, flow_2, non_unique)``, equal
+        bit for bit to the scalar answers: numpy does the IEEE arithmetic,
+        the no-trade band and the choice of the tendered asset, with the
+        scalar code's operands in its order, and ``log`` and ``exp`` go
+        through :mod:`math` on the trading rows (numpy's may round
+        differently in the last bit).  A negative price raises the scalar
+        code's ``ValueError`` for the first such row, and a zero ``p_j
+        r_j`` in any row leaves the supremum unattained.
+        """
+        bad = (p1 < 0.0) | (p2 < 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"prices must be nonnegative, got ({float(p1[k])}, {float(p2[k])})")
+        m = len(p1)
+        value, f1, f2 = np.zeros(m), np.zeros(m), np.zeros(m)
+        with np.errstate(all="ignore"):
+            if np.any((p1 * r0 == 0.0) | (p2 * r1 == 0.0)):
+                raise UnattainedSupremumError(
+                    "supremum not attained: an asset with zero price can be tendered without limit"
+                )
+            price = (weight / r0) / ((1.0 - weight) / r1)
+            ratio = p1 / p2
+            low = fee * price
+            rows = np.flatnonzero(~((low <= ratio) & (ratio <= price / fee)))
+            # Per trading row: whether it tenders asset 1 (the first branch),
+            # and _trade's arguments.
+            first = ratio[rows] < low[rows]
+            w, gamma, q1, q2, a, b = (column[rows] for column in (weight, fee, p1, p2, r0, r1))
+            w_in, w_out = np.where(first, w, 1.0 - w), np.where(first, 1.0 - w, w)
+            r_in, r_out = np.where(first, a, b), np.where(first, b, a)
+            p_in, p_out = np.where(first, q1, q2), np.where(first, q2, q1)
+            # _trade, term by term.
+            shape = w_in / w_out
+            top = gamma * shape * r_out * p_out
+            scale = top / p_in
+            log_scale = _math(math.log, scale)
+            wide = np.flatnonzero(~(scale < math.inf))
+            log_scale[wide] = _math(math.log, top[wide]) - _math(math.log, p_in[wide])
+            log_post_in = (log_scale + shape * _math(math.log, r_in)) / (shape + 1.0)
+            tendered = (_math(math.exp, log_post_in) - r_in) / gamma
+            received = r_out - _math(math.exp, (log_inv[rows] - w_in * log_post_in) / w_out)
+            f1[rows] = np.where(first, -tendered, received)
+            f2[rows] = np.where(first, received, -tendered)
+            value[rows] = q1 * f1[rows] + q2 * f2[rows]
+        return value, f1, f2, np.zeros(m, dtype=bool)
 
     def evaluate_penalized(self, prices) -> ArbitrageResult:
         """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades

@@ -36,6 +36,7 @@ from .edges import (
     TwoAssetGeometricPool,
     TwoNodeEdge,
 )
+from .edges.cfmm import _real
 from .objectives import (
     FisherObjective,
     LinearNonnegObjective,
@@ -206,46 +207,6 @@ def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     return kind, params, nodes
 
 
-# The bundled two-node kinds kept as columns: gain type and the JSON
-# fields of its parameters (a float: a constant), in constructor order.
-_COLUMN_KINDS = {
-    "opf_line": (PowerLossGain, ("alpha", "beta", "capacity")),
-    "lossless": (LinearGain, (1.0, "capacity", 0.0)),
-    "linear_gain": (LinearGain, ("gain", "capacity", 0.0)),
-}
-
-
-class _ColumnBuilder:
-    """The rows of one column group as the reader collects them: edge
-    positions, flat node pairs and one list per gain parameter; ``code``
-    is the group's number in the edge table."""
-
-    def __init__(self, gain_type: type, width: int, code: int):
-        self.gain_type = gain_type
-        self.code = code
-        self.positions: list[int] = []
-        self.nodes: list[int] = []
-        self.params: list[list[float]] = [[] for _ in range(width)]
-
-
-def _check_columns(builders) -> None:
-    """Raise the path-annotated error of the first column row, in edge
-    order, whose parameters its gain's constructor rejects.  The checks
-    run column-wise (``invalid_rows``); the constructor words the error."""
-    bad = []
-    for builder in builders:
-        rows = builder.gain_type.invalid_rows(*(np.array(column, dtype=float) for column in builder.params))
-        if rows.any():
-            row = int(np.argmax(rows))
-            bad.append((builder.positions[row], row, builder))
-    if bad:
-        position, row, builder = min(bad, key=lambda fault: fault[0])
-        try:
-            builder.gain_type(*(column[row] for column in builder.params))
-        except InvalidEdgeError as exc:
-            raise InstanceValidationError(f"$.edges[{position}]: {exc}") from exc
-
-
 def _column_row(fields, params: dict) -> list[float] | None:
     """The gain parameters of a column-stored edge, or None when a field
     is missing or not a number (the record path then names the fault)."""
@@ -264,15 +225,78 @@ def _column_row(fields, params: dict) -> list[float] | None:
     return row
 
 
+def _gain_row(*fields):
+    """The row reader of a gain type whose constructor arguments are
+    these JSON fields (a float: a constant), in order."""
+    return lambda params: _column_row(fields, params)
+
+
+def _pool_row(params: dict) -> list[float] | None:
+    """``(r0, r1, weight, fee)`` of a two-asset pool, read as its
+    constructor reads them (weight 0.5 and fee 1 when missing), or None
+    unless there are two reserves and every value is a number (the record
+    path then names the fault)."""
+    reserves = params.get("reserves")
+    if type(reserves) is not list or len(reserves) != 2:
+        return None
+    try:
+        return [_real(v) for v in (*reserves, params.get("weight", 0.5), params.get("fee", 1.0))]
+    except TypeError:
+        return None
+
+
+# The bundled two-node kinds kept as columns: the type whose
+# ``evaluate_pairs`` answers them, and the reader of one row of its
+# constructor arguments.
+_COLUMN_KINDS = {
+    "opf_line": (PowerLossGain, _gain_row("alpha", "beta", "capacity")),
+    "lossless": (LinearGain, _gain_row(1.0, "capacity", 0.0)),
+    "linear_gain": (LinearGain, _gain_row("gain", "capacity", 0.0)),
+    "uniswap": (TwoAssetGeometricPool, _pool_row),
+}
+
+
+class _ColumnBuilder:
+    """The rows of one column group as the reader collects them: edge
+    positions, flat node pairs and one list per constructor argument;
+    ``code`` is the group's number in the edge table."""
+
+    def __init__(self, kind: type, width: int, code: int):
+        self.kind = kind
+        self.code = code
+        self.positions: list[int] = []
+        self.nodes: list[int] = []
+        self.params: list[list[float]] = [[] for _ in range(width)]
+
+
+def _check_columns(builders) -> None:
+    """Raise the path-annotated error of the first column row, in edge
+    order, whose arguments its constructor rejects.  The checks run
+    column-wise (``invalid_rows``); the constructor words the error."""
+    bad = []
+    for builder in builders:
+        rows = builder.kind.invalid_rows(*(np.array(column, dtype=float) for column in builder.params))
+        if rows.any():
+            row = int(np.argmax(rows))
+            bad.append((builder.positions[row], row, builder))
+    if bad:
+        position, row, builder = min(bad, key=lambda fault: fault[0])
+        try:
+            builder.kind.pair_oracle(*(column[row] for column in builder.params))
+        except InvalidEdgeError as exc:
+            raise InstanceValidationError(f"$.edges[{position}]: {exc}") from exc
+
+
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Build an instance from its document; errors carry the JSON path.
 
-    Every utility-free ``opf_line``, ``lossless`` and ``linear_gain`` edge
-    with two distinct nodes and numeric parameters is stored in the
-    columns of its gain type (an :class:`~convexflows.core.EdgeTable`),
-    and its parameters are checked column-wise once every edge is read;
-    every other edge becomes a record at once.  The first fault in edge
-    order is reported either way, with the message a record would give.
+    Every utility-free ``opf_line``, ``lossless``, ``linear_gain`` and
+    ``uniswap`` edge with two distinct nodes and numeric parameters (two
+    reserves for a pool) is stored in the columns of its kind (an
+    :class:`~convexflows.core.EdgeTable`), and its parameters are checked
+    column-wise once every edge is read; every other edge becomes a
+    record at once.  The first fault in edge order is reported either
+    way, with the message a record would give.
     """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -288,8 +312,8 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
     records = []
-    # One column group per gain type, numbered from 1 as first met; a
-    # record is group 0.
+    # One column group per kind, numbered from 1 as first met; a record
+    # is group 0.
     builders: dict[type, _ColumnBuilder] = {}
     group = bytearray(len(edges_doc))
     for k, edge_doc in enumerate(edges_doc):
@@ -311,12 +335,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                 and len(nodes) == 2
                 and nodes[0] != nodes[1]
                 and edge_doc.get("edge_utility") is None
-                and (row := _column_row(column[1], params)) is not None
+                and (row := column[1](params)) is not None
             ):
-                gain_type = column[0]
-                if gain_type not in builders:
-                    builders[gain_type] = _ColumnBuilder(gain_type, len(row), len(builders) + 1)
-                builder = builders[gain_type]
+                kind_type = column[0]
+                if kind_type not in builders:
+                    builders[kind_type] = _ColumnBuilder(kind_type, len(row), len(builders) + 1)
+                builder = builders[kind_type]
                 builder.positions.append(k)
                 builder.nodes.extend(nodes)
                 for values, value in zip(builder.params, row):
@@ -346,7 +370,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             raise
     _check_columns(builders.values())
     # An instance without a column-stored edge keeps a list of records.
-    columns = [TwoNodeColumns(b.gain_type, b.nodes, b.params) for b in builders.values()]
+    columns = [TwoNodeColumns(b.kind, b.nodes, b.kind.pair_columns(*b.params)) for b in builders.values()]
     edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)
@@ -435,7 +459,7 @@ def _oracle_to_dict(oracle) -> tuple[str, dict]:
 
 def instance_to_dict(instance: ProblemInstance) -> dict:
     edges = []
-    for edge in instance.edges:
+    for edge in instance.scan_edges():
         kind, params = _oracle_to_dict(edge.oracle)
         doc = {"kind": kind, "params": params, "nodes": list(edge.incidence.nodes)}
         if edge.utility is not None:

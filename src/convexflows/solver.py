@@ -36,9 +36,10 @@ trace callback and the final result all read that pass.  The evaluator
 caches two passes, the last one and the one at the driver's iterate,
 and leaves the choice of points (polish included) to the driver.
 The subproblems split over the edges: the two-node edges of a bundled
-gain type (transmission lines and linear gains) are answered together
-by one kernel over arrays, bit for bit as edge by edge, and read
-straight from the columns a parsed instance stores them in.
+kind (transmission lines, linear gains and two-asset pools) are
+answered together by one kernel per kind over arrays, bit for bit as
+edge by edge, and read straight from the columns a parsed instance
+stores them in.
 
 Gradients assemble from the subproblem maximizers: the node-price
 gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
@@ -68,6 +69,7 @@ from .core import (
     primal_objective,
 )
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
+from .edges.cfmm import TwoAssetGeometricPool
 from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
 from .objectives import ConjugateValue
 from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs
@@ -92,8 +94,9 @@ _ZERO_UTILITY_PRICE_TOL = 1e-9
 _FACE_TOL = 1e-7
 # Directions per block when the descent bounds work out their face terms.
 _BOUND_ROWS = 32
-# The gain types whose two-node edges the pair plan answers by kernel.
-_KERNEL_GAINS = (PowerLossGain, LinearGain)
+# The kinds whose two-node edges the pair plan answers by kernel: the
+# gain types of a TwoNodeEdge, and an oracle type.
+_KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool)
 
 
 class UnboundedDualError(RuntimeError):
@@ -210,14 +213,14 @@ class _Pass(NamedTuple):
 
 
 class _Kernel(NamedTuple):
-    """Pair-plan edges of one bundled gain type, which its
-    ``evaluate_pairs`` answers all at once.
+    """Pair-plan edges of one bundled kind, which its ``evaluate_pairs``
+    answers all at once.
 
-    ``rows`` are their pair-plan indices and ``params`` the gain
+    ``rows`` are their pair-plan indices and ``params`` the kind's
     parameter columns, row for row.
     """
 
-    gain_type: type
+    kind: type
     rows: np.ndarray
     params: tuple
 
@@ -249,14 +252,15 @@ class DualProgram:
     remaining edges.  The oracle and conjugate bound methods are
     captured here.
 
-    The pair plan answers each bundled gain type with one kernel over
-    arrays: every ``TwoNodeEdge`` whose gain is exactly a
-    ``PowerLossGain`` or a ``LinearGain`` (column-stored or not) goes to
-    that gain type's ``evaluate_pairs``, which equals the edge's
-    ``evaluate_pair`` bit for bit.  Its other edges keep their own
-    ``evaluate_pair``.  The pair plan's values and net flows are then
-    added in plan order, so the sums do not depend on which edges the
-    kernels took.  A column-stored edge (see
+    The pair plan answers each bundled kind with one kernel over arrays:
+    every ``TwoNodeEdge`` whose gain is exactly a ``PowerLossGain`` or a
+    ``LinearGain``, and every oracle that is exactly a
+    ``TwoAssetGeometricPool`` (column-stored or not), goes to that gain
+    or oracle type's ``evaluate_pairs``, which equals the edge's
+    ``evaluate_pair`` bit for bit.  Its other edges, subclasses
+    included, keep their own ``evaluate_pair``.  The pair plan's values
+    and net flows are then added in plan order, so the sums do not
+    depend on which edges the kernels took.  A column-stored edge (see
     :class:`~convexflows.core.EdgeTable`) is read from its columns and
     never built as a record.
 
@@ -294,8 +298,8 @@ class DualProgram:
         self._penalized_plan = []
         self._array_plan = []
         # The pair plan: the edges answered one by one, and the column
-        # groups of the kernels' edges, the instance's own and one per gain
-        # type for its records.
+        # groups of the kernels' edges, the instance's own and one per kind
+        # for its records.
         loop, kernel_rows = [], {}
         flat = False
         for pos, edge in instance.edge_records():
@@ -307,18 +311,20 @@ class DualProgram:
                 continue
             flat = flat or not oracle.is_strictly_convex
             if len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
-                gain_type = type(oracle.gain) if type(oracle) is TwoNodeEdge else None
-                if gain_type in _KERNEL_GAINS:
-                    kernel_rows.setdefault(gain_type, []).append((pos, nodes, oracle.gain.pair_params()))
+                # A bundled gain's parameters sit on the gain, a pool's on itself.
+                owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
+                if type(owner) in _KERNEL_KINDS:
+                    kernel_rows.setdefault(type(owner), []).append((pos, nodes, owner.pair_params()))
                 else:
                     loop.append((pos, oracle))
             else:
                 self._array_plan.append((np.array(nodes, dtype=np.intp), span, oracle.evaluate))
         groups = instance.edge_columns()
-        for gain_type, rows in kernel_rows.items():
+        for kind, rows in kernel_rows.items():
             positions, nodes, params = zip(*rows)
-            groups.append((np.array(positions), TwoNodeColumns(gain_type, nodes, zip(*params))))
-        flat = flat or any(len(columns) and not columns.gain_type.is_strictly_concave for _, columns in groups)
+            groups.append((np.array(positions), TwoNodeColumns(kind, nodes, zip(*params))))
+        # Linear gains are the one kernel kind with flat faces.
+        flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in groups)
         loop_pos = np.array([pos for pos, _ in loop], dtype=np.intp)
         pair_pos = np.sort(np.concatenate([loop_pos, *(positions for positions, _ in groups)]))
         self._pair_pos = pair_pos
@@ -326,7 +332,7 @@ class DualProgram:
         self._pair_at = self.offsets[pair_pos]
         self._pair_nodes = np.stack([self._nodes[self._pair_at], self._nodes[self._pair_at + 1]], axis=1)
         self._kernels = [
-            _Kernel(columns.gain_type, np.searchsorted(pair_pos, positions), columns.params)
+            _Kernel(columns.kind, np.searchsorted(pair_pos, positions), columns.params)
             for positions, columns in groups
         ]
         self._loop_rows = np.searchsorted(pair_pos, loop_pos)
@@ -392,7 +398,7 @@ class DualProgram:
                     segments.append((plan, slope, *ends, len(pieces) == 1))
             parts = [seg, np.array(segments, dtype=float).reshape(-1, 7)]
             for kernel in self._kernels:
-                if kernel.gain_type is LinearGain:
+                if kernel.kind is LinearGain:
                     slope, capacity, input_lo = kernel.params
                     ends = (-input_lo, slope * input_lo, -capacity, slope * capacity)
                     parts.append(np.stack([kernel.rows, slope, *ends, np.ones(len(slope))], axis=1))
@@ -472,8 +478,8 @@ class DualProgram:
                 flows[span] = res.flow
             if n_pair:
                 p_in, p_out = nu[self._pair_nodes[:, 0]], nu[self._pair_nodes[:, 1]]
-                for gain_type, rows, params in self._kernels:
-                    out = gain_type.evaluate_pairs(*params, p_in[rows], p_out[rows])
+                for kind, rows, params in self._kernels:
+                    out = kind.evaluate_pairs(*params, p_in[rows], p_out[rows])
                     at = self._pair_at[rows]
                     pair_values[rows], flows[at], flows[at + 1], pair_ties[rows] = out
                 if self._pair_loop:
@@ -905,7 +911,7 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
         return math.inf
     value = conj_u.value
     try:
-        for edge, eta in zip(instance.edges, point.edge_prices):
+        for edge, eta in zip(instance.scan_edges(), point.edge_prices):
             base = edge.incidence.gather(nu)
             eta = np.asarray(eta, dtype=float)
             if edge.utility is None:

@@ -1,13 +1,14 @@
 """Column-stored two-node edges and the pair plan's kernels.
 
-A parsed instance keeps its utility-free ``opf_line``, ``lossless`` and
-``linear_gain`` edges as columns (``core.EdgeTable``), and the dual
-program answers every ``TwoNodeEdge`` whose gain is exactly a
-``PowerLossGain`` or a ``LinearGain`` with one kernel per gain type
+A parsed instance keeps its utility-free ``opf_line``, ``lossless``,
+``linear_gain`` and ``uniswap`` edges as columns (``core.EdgeTable``),
+and the dual program answers every ``TwoNodeEdge`` whose gain is exactly
+a ``PowerLossGain`` or a ``LinearGain``, and every oracle that is
+exactly a ``TwoAssetGeometricPool``, with one kernel per kind
 (``evaluate_pairs``).  These tests hold both to the per-edge forms they
-replace: the kernels to ``TwoNodeEdge.evaluate_pair`` bit for bit, the
-reader to the messages and documents of the record path, and the solve
-to the per-edge solve bit for bit.
+replace: the kernels to ``evaluate_pair`` bit for bit, the reader to the
+messages and documents of the record path, and the solve to the
+per-edge solve bit for bit.
 """
 
 import copy
@@ -23,7 +24,10 @@ from convexflows import (
     EdgeIncidence,
     Hyperedge,
     OpfQuadraticObjective,
+    PrimalPoint,
     ProblemInstance,
+    TwoAssetGeometricPool,
+    check_feasibility,
     concave_gain_edge,
     linear_gain_edge,
     lossless_edge,
@@ -32,9 +36,11 @@ from convexflows import (
 )
 from convexflows.core import EdgeTable, TwoNodeColumns
 from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
+from convexflows.edges.base import UnattainedSupremumError
 from convexflows.io_cli import (
     InstanceValidationError,
     ParseError,
+    gen_cfmm,
     gen_maxflow,
     gen_opf,
     instance_to_dict,
@@ -114,6 +120,115 @@ def test_linear_kernel_keeps_the_unbounded_withdrawal_error():
         TwoNodeEdge(LinearGain(1.0, 2.0, -math.inf)).evaluate_pair(1.0, 0.0)
 
 
+def _pool_columns(rng, m):
+    """Random two-asset pools as kernel columns: reserves over nine
+    decades, any weight, fees from none to steep."""
+    r0 = 10.0 ** rng.uniform(-3.0, 6.0, m)
+    r1 = 10.0 ** rng.uniform(-3.0, 6.0, m)
+    weight = np.where(rng.random(m) < 0.3, 0.5, rng.uniform(0.01, 0.99, m))
+    fee = rng.choice([1.0, 0.997, 0.9, 0.3], m)
+    return TwoAssetGeometricPool.pair_columns(r0, r1, weight, fee)
+
+
+def _assert_pool_kernel_matches(params, p1, p2):
+    value, f1, f2, tie = TwoAssetGeometricPool.evaluate_pairs(*params, p1, p2)
+    for k in range(len(p1)):
+        pool = TwoAssetGeometricPool.pair_oracle(*(float(column[k]) for column in params))
+        want = pool.evaluate_pair(float(p1[k]), float(p2[k]))
+        got = (value[k], f1[k], f2[k])
+        # Bytes, so that a signed zero or a last bit shows.
+        assert np.array(got).tobytes() == np.array(want[:3]).tobytes(), (k, got, want)
+        assert bool(tie[k]) is want[3] is False
+
+
+def test_pool_kernel_equals_evaluate_pair_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        m = 400
+        params = _pool_columns(rng, m)
+        r0, r1, weight, fee, _ = params
+        p1 = rng.uniform(0.0, 2.0, m) * 10.0 ** rng.integers(-6, 7, m) + 1e-12
+        p2 = rng.uniform(0.0, 2.0, m) * 10.0 ** rng.integers(-6, 7, m) + 1e-12
+        # Prices exactly at both edges of the no-trade band, and just past
+        # them.
+        price = (weight / r0) / ((1.0 - weight) / r1)
+        kind = rng.integers(0, 6, m)
+        p2[kind < 4] = 1.0
+        p1[kind == 0] = (fee * price)[kind == 0]
+        p1[kind == 1] = (price / fee)[kind == 1]
+        p1[kind == 2] = np.nextafter(fee * price, 0.0)[kind == 2]
+        p1[kind == 3] = np.nextafter(price / fee, np.inf)[kind == 3]
+        _assert_pool_kernel_matches(params, p1, p2)
+
+
+def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
+    rng = np.random.default_rng(3)
+    weight = rng.uniform(0.01, 0.99, 200)
+    fee = rng.choice([1.0, 0.997, 0.9], 200)
+    params = TwoAssetGeometricPool.pair_columns(np.full(200, 150.0), np.full(200, 120.0), weight, fee)
+    # Either asset priced at 1e-320 against 1.0: the stationary scale
+    # overflows and takes the split-log path, on both branches.
+    p1 = np.where(np.arange(200) % 2 == 0, 1e-320, 1.0)
+    p2 = np.where(np.arange(200) % 2 == 0, 1.0, 1e-320)
+    # Far from equal weights the post-trade reserve itself can leave the
+    # float range; the scalar form then raises OverflowError, and so must
+    # the kernel on any batch holding such a row.
+    overflow = []
+    for k in range(200):
+        try:
+            pool = TwoAssetGeometricPool.pair_oracle(*(float(c[k]) for c in params))
+            pool.evaluate_pair(float(p1[k]), float(p2[k]))
+        except OverflowError:
+            overflow.append(k)
+    fine = np.setdiff1d(np.arange(200), overflow)
+    assert 0 < len(overflow) < 20
+    _assert_pool_kernel_matches(tuple(c[fine] for c in params), p1[fine], p2[fine])
+    value, f1, f2, _ = TwoAssetGeometricPool.evaluate_pairs(*(c[fine] for c in params), p1[fine], p2[fine])
+    assert np.all(np.isfinite(value)) and np.all((f1 < 0.0) != (f2 < 0.0))
+    for k in overflow:
+        with pytest.raises(OverflowError):
+            TwoAssetGeometricPool.evaluate_pairs(*(c[[0, k]] for c in params), p1[[0, k]], p2[[0, k]])
+
+
+@pytest.mark.parametrize(
+    "p1, p2, r0",
+    [(0.0, 1.0, 150.0), (1.0, 0.0, 150.0), (0.0, 0.0, 150.0), (1e-320, 1.0, 1e-10)],
+    ids=["zero_first", "zero_second", "both_zero", "underflow"],
+)
+def test_pool_kernel_leaves_zero_prices_unattained(p1, p2, r0):
+    # p_j r_j == 0, by a zero price or by underflow, in any one row.
+    params = TwoAssetGeometricPool.pair_columns([150.0, r0, 130.0], [120.0, 120.0, 110.0], [0.5] * 3, [0.997] * 3)
+    prices = (np.array([1.0, p1, 2.0]), np.array([1.5, p2, 1.0]))
+    with pytest.raises(UnattainedSupremumError):
+        TwoAssetGeometricPool((r0, 120.0), 0.5, 0.997).evaluate_pair(p1, p2)
+    with pytest.raises(UnattainedSupremumError):
+        TwoAssetGeometricPool.evaluate_pairs(*params, *prices)
+
+
+def test_pool_kernel_keeps_the_negative_price_error():
+    params = TwoAssetGeometricPool.pair_columns([150.0] * 3, [120.0] * 3, [0.5] * 3, [0.997] * 3)
+    with pytest.raises(ValueError) as scalar:
+        TwoAssetGeometricPool((150.0, 120.0), 0.5, 0.997).evaluate_pair(1.0, -0.5)
+    with pytest.raises(ValueError) as batch:
+        TwoAssetGeometricPool.evaluate_pairs(*params, np.array([1.0, 1.0, -2.0]), np.array([1.0, -0.5, -1.0]))
+    assert str(batch.value) == str(scalar.value) == "prices must be nonnegative, got (1.0, -0.5)"
+
+
+def test_pool_log_invariant_columns_match_each_record():
+    # The columns' vecdot and each pool's own np.dot must round alike on
+    # this platform, or the kernel and the record would part in the last
+    # bit of every traded amount.
+    rng = np.random.default_rng(5)
+    r0, r1, weight, fee, log_inv = _pool_columns(rng, 5000)
+    for k in range(len(r0)):
+        pool = TwoAssetGeometricPool((float(r0[k]), float(r1[k])), float(weight[k]), float(fee[k]))
+        assert pool.pair_params()[4] == log_inv[k], k
+    instance = parse_instance(json.dumps(gen_cfmm(400, 1)))
+    (columns,) = instance.edges.columns
+    for row, edge in enumerate(map(columns.record, range(len(columns)))):
+        assert edge.oracle.pair_params() == tuple(float(column[row]) for column in columns.params)
+
+
 def _interleaved(seed, per_edge=False):
     """opf lines, piecewise-linear and user gains, interleaved by hand.
 
@@ -164,7 +279,7 @@ def _fingerprint(result):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_interleaved_hand_built_instance_solves_as_edge_by_edge(seed):
     kernels = DualProgram(_interleaved(seed))._kernels
-    assert sorted(k.gain_type.__name__ for k in kernels) == ["LinearGain", "PowerLossGain"]
+    assert sorted(k.kind.__name__ for k in kernels) == ["LinearGain", "PowerLossGain"]
     assert not DualProgram(_interleaved(seed, per_edge=True))._kernels
     assert _fingerprint(solve(_interleaved(seed))) == _fingerprint(solve(_interleaved(seed, per_edge=True)))
 
@@ -177,6 +292,34 @@ def test_parsed_instances_solve_as_their_records():
         assert isinstance(parsed.edges, EdgeTable)
         listed = ProblemInstance(n=parsed.n, edges=list(parsed.edges), net_objective=parsed.net_objective)
         assert _fingerprint(solve(parsed)) == _fingerprint(solve(listed))
+
+
+class _PerEdgePool(TwoAssetGeometricPool):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_parsed_cfmm_solves_as_its_records(seed):
+    # Column-stored pools, the same pools as a list of records (which the
+    # kernel reads through pair_params) and as a subclass (which the pair
+    # plan answers one by one, as it answered every pool before the
+    # kernel): one solve, bit for bit.
+    parsed = parse_instance(json.dumps(gen_cfmm(200, seed)))
+    (columns,) = parsed.edges.columns
+    assert columns.kind is TwoAssetGeometricPool and len(columns) > 100
+    records = list(parsed.edges.scan())
+    per_edge = [
+        Hyperedge(e.incidence, _PerEdgePool(e.oracle.reserves, e.oracle.weight, e.oracle.fee))
+        if type(e.oracle) is TwoAssetGeometricPool
+        else e
+        for e in records
+    ]
+    program = DualProgram(ProblemInstance(n=parsed.n, edges=per_edge, net_objective=parsed.net_objective))
+    assert not program._kernels and len(program._pair_loop) == len(columns)
+    want = _fingerprint(solve(parsed))
+    for edges in (records, per_edge):
+        assert _fingerprint(solve(ProblemInstance(n=parsed.n, edges=edges, net_objective=parsed.net_objective))) == want
+    assert not parsed.edges._kept
 
 
 # -- the reader ---------------------------------------------------------------
@@ -192,13 +335,16 @@ def _linear_gain_doc():
 
 @pytest.mark.parametrize(
     "doc",
-    [gen_opf(30, 1), gen_maxflow(15, 0.3, 2), _linear_gain_doc()],
-    ids=["opf_line", "lossless", "linear_gain"],
+    [gen_opf(30, 1), gen_maxflow(15, 0.3, 2), _linear_gain_doc(), gen_cfmm(60, 1)],
+    ids=["opf_line", "lossless", "linear_gain", "uniswap"],
 )
 def test_column_stored_instances_serialize_to_their_documents(doc):
     instance = parse_instance(json.dumps(doc))
-    assert isinstance(instance.edges, EdgeTable) and not instance.edges.records
+    records = [e for e in doc["edges"] if e["kind"] not in ("opf_line", "lossless", "linear_gain", "uniswap")]
+    assert isinstance(instance.edges, EdgeTable) and len(instance.edges.records) == len(records)
     assert instance_to_dict(instance) == doc
+    # Serializing keeps none of the records it builds.
+    assert not instance.edges._kept
 
 
 def test_edge_table_reads_as_a_list_of_records():
@@ -212,9 +358,12 @@ def test_edge_table_reads_as_a_list_of_records():
     assert [e.incidence.nodes for e in edges[2:5]] == [tuple(e["nodes"]) for e in doc["edges"][2:5]]
     with pytest.raises(IndexError):
         edges[len(edges)]
-    # A column-stored record is new at every access: writing to it is lost.
-    assert edges[0] is not edges[0]
+    # A column-stored record is built on its first access and kept.
+    assert edges[0] is edges[0]
     assert instance.incidences.nodes.tolist() == [j for e in doc["edges"] for j in e["nodes"]]
+
+
+_MISSING = object()
 
 
 def _with(doc, k, **changes):
@@ -222,6 +371,8 @@ def _with(doc, k, **changes):
     for key, value in changes.items():
         if key == "nodes":
             doc["edges"][k]["nodes"] = value
+        elif value is _MISSING:
+            del doc["edges"][k]["params"][key]
         else:
             doc["edges"][k]["params"][key] = value
     return doc
@@ -275,11 +426,77 @@ def test_the_first_fault_in_edge_order_is_reported():
         parse_instance(json.dumps(late_dimension))
 
 
+# gen_cfmm(12, 0) has uniswap edges at 0, 2, 4, 6, 8, 10 and 11.
+_CFMM = gen_cfmm(12, 0)
+
+
+# A uniswap fault after five good pools: the record path's message, word
+# for word, which the same edge with a penalty (always a record) gives.
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"weight": True}, InstanceValidationError, "weight must be a number, got True"),
+        ({"fee": "0.3"}, InstanceValidationError, "fee must be a number, got '0.3'"),
+        ({"fee": 0}, InstanceValidationError, "fee must lie in (0, 1], got 0.0"),
+        ({"fee": 1.5}, InstanceValidationError, "fee must lie in (0, 1], got 1.5"),
+        ({"weight": 0.0}, InstanceValidationError, "weight must lie in (0, 1), got 0.0"),
+        ({"weight": 1}, InstanceValidationError, "weight must lie in (0, 1), got 1.0"),
+        ({"reserves": [150.0]}, InstanceValidationError, "two-asset pool needs exactly two reserves"),
+        ({"reserves": [150.0, 1.0, 2.0]}, InstanceValidationError, "two-asset pool needs exactly two reserves"),
+        ({"reserves": [0, 120.0]}, InstanceValidationError, "reserves must be positive and finite, got [0.0, 120.0]"),
+        ({"reserves": [150.0, -1.0]}, InstanceValidationError, "reserves must be positive and finite, got [150.0, -1.0]"),
+        ({"reserves": [10**400, 120.0]}, InstanceValidationError, "reserves must be positive and finite, got [inf, 120.0]"),
+        ({"reserves": [150.0, -(10**400)]}, InstanceValidationError, "reserves must be positive and finite, got [150.0, inf]"),
+        ({"reserves": _MISSING}, ParseError, "missing required field 'reserves'"),
+    ],
+    ids=[
+        "bool_weight", "string_fee", "zero_fee", "fee_above_one", "zero_weight", "unit_weight", "one_reserve",
+        "three_reserves", "zero_reserve", "negative_reserve", "huge_reserve", "huge_negative_reserve", "no_reserves",
+    ],
+)
+def test_a_bad_pool_after_good_ones_keeps_its_message(changes, error, message):
+    doc = _with(_CFMM, 10, **changes)
+    penalized = copy.deepcopy(doc)
+    penalized["edges"][10]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
+    for text in (json.dumps(doc), json.dumps(penalized)):
+        with pytest.raises(error) as info:
+            parse_instance(text)
+        assert type(info.value) is error and str(info.value) == f"$.edges[10]: {message}"
+
+
+def test_the_first_pool_fault_in_edge_order_is_reported():
+    # A column fault (found after the loop) before a record fault (found
+    # at once), and the other way round.
+    early_column = _with(_with(_CFMM, 4, fee=0.0), 8, weight=True)
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[4\]: fee must lie"):
+        parse_instance(json.dumps(early_column))
+    early_record = _with(_with(_CFMM, 4, weight=True), 8, fee=0.0)
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[4\]: weight must be a number"):
+        parse_instance(json.dumps(early_record))
+    # Two column faults of different kinds: the earlier edge.
+    both = _with(_with(_CFMM, 6, reserves=[1.0, -1.0]), 2, weight=2.0)
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[2\]: weight must lie"):
+        parse_instance(json.dumps(both))
+
+
+def test_pools_accept_integer_reserves_and_keep_penalized_ones_as_records():
+    doc = _with(_with(_CFMM, 2, reserves=[150, 120]), 4, weight=1 / 3)
+    doc["edges"][6]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
+    instance = parse_instance(json.dumps(doc))
+    (columns,) = instance.edges.columns
+    assert columns.kind is TwoAssetGeometricPool and len(columns) == 6
+    assert instance.edges[2].oracle.reserves.tolist() == [150.0, 120.0]
+    assert instance.edges[4].oracle.weight == 1 / 3
+    assert instance.utility_edges == (6,) and instance.edges[6] in instance.edges.records
+    # Every edge of a penalized market stays a record.
+    assert not isinstance(parse_instance(json.dumps(gen_cfmm(20, 0, edge_penalties=True))).edges, EdgeTable)
+
+
 def test_column_rows_hold_integers_as_floats():
     doc = gen_maxflow(8, 0.5, 0)  # integer capacities
     instance = parse_instance(json.dumps(doc))
     (columns,) = instance.edges.columns
-    assert columns.gain_type is LinearGain and columns.params[1].dtype == float
+    assert columns.kind is LinearGain and columns.params[1].dtype == float
     assert [e.oracle.gain.capacity for e in instance.edges] == [float(e["params"]["capacity"]) for e in doc["edges"]]
 
 
@@ -322,3 +539,66 @@ def test_parsed_opf_instance_keeps_little_memory_per_edge():
         if started:
             tracemalloc.stop()
     assert kept / instance.m <= 100
+
+
+def test_solving_a_parsed_cfmm_instance_builds_no_record(monkeypatch):
+    instance = parse_instance(json.dumps(gen_cfmm(200, 1)))
+    built = []
+    record = TwoNodeColumns.record
+
+    def counting(self, row):
+        built.append(row)
+        return record(self, row)
+
+    monkeypatch.setattr(TwoNodeColumns, "record", counting)
+    result = solve(instance)
+    assert result.converged
+    assert built == [] and not instance.edges._kept
+    # A record is built on its first access and kept after it.
+    edge = instance.edges[4]
+    assert instance.edges[4] is edge and instance.edges[-len(instance.edges) + 4] is edge
+    assert len(built) == 1 and list(instance.edges._kept) == [4]
+
+
+def test_parsed_cfmm_instance_keeps_little_memory_per_edge():
+    # Two-asset pools in columns (a node pair and five floats, plus the
+    # table's group and row index: about 65 bytes), beside the slotted
+    # records of the three-asset pools: about 142 bytes an edge of
+    # gen_cfmm(1600, 0) on CPython 3.11, against about 395 with every
+    # pool a record.
+    text = json.dumps(gen_cfmm(1600, 0))
+    parse_instance(text)
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        instance = parse_instance(text)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert kept / instance.m <= 180
+
+
+@pytest.mark.parametrize("doc", [gen_cfmm(120, 2), gen_opf(60, 1)], ids=["cfmm", "opf"])
+def test_check_feasibility_keeps_no_record(doc):
+    # The bench's gate, `convexflows check` and duality_gap test every
+    # edge's membership; on a parsed instance they must leave no record
+    # behind, and judge as the records would.
+    instance = parse_instance(json.dumps(doc))
+    listed = ProblemInstance(n=instance.n, edges=list(instance.edges.scan()), net_objective=instance.net_objective)
+    result = solve(instance)
+    flows = [np.array(flow) for flow in result.flows]
+    for k in range(0, len(flows), 7):
+        flows[k] = flows[k] + 0.5  # some edges now outside their sets
+    for edge_flows in (result.flows, flows):
+        point = PrimalPoint(edge_flows=edge_flows, net_flow=result.net_flow)
+        report = check_feasibility(instance, point, 1e-6)
+        assert not instance.edges._kept
+        want = check_feasibility(listed, point, 1e-6)
+        assert report.edge_membership == want.edge_membership
+        assert report.net_flow_residual == want.net_flow_residual
+    assert report.edge_membership.count(False) > 0

@@ -70,7 +70,7 @@ def _scatter(instance, flows, order):
 def test_mixed_instance_fills_every_plan():
     program = DualProgram(_mixed_instance())
     assert len(program._penalized_plan) == 2
-    assert sorted(k.gain_type.__name__ for k in program._kernels) == ["LinearGain", "PowerLossGain"]
+    assert sorted(k.kind.__name__ for k in program._kernels) == ["LinearGain", "PowerLossGain"]
     assert len(program._pair_loop) == 2
     assert len(program._array_plan) == 2
 

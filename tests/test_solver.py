@@ -341,18 +341,35 @@ def _user_gain_opf_instance():
     return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
 
 
+class _UserPool(TwoAssetGeometricPool):
+    __slots__ = ()
+
+
+def _user_pool_cfmm_instance():
+    # The two-asset pools of a small market as a user subclass, which the
+    # pair plan answers edge by edge: its kernel takes the exact type only.
+    instance = cfmm_instance(m=10, seed=3)
+    edges = [
+        Hyperedge(edge.incidence, _UserPool(edge.oracle.reserves, edge.oracle.weight, edge.oracle.fee))
+        if type(edge.oracle) is TwoAssetGeometricPool
+        else edge
+        for edge in instance.edges
+    ]
+    return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
+
+
 @pytest.mark.parametrize(
     "build, kind",
     [
         (lambda: _user_gain_opf_instance(), TwoNodeEdge),
-        (lambda: cfmm_instance(m=10, seed=3), TwoAssetGeometricPool),
+        (lambda: _user_pool_cfmm_instance(), _UserPool),
     ],
 )
 def test_solve_calls_per_instance_evaluate_pair_wrappers(build, kind):
     # A profiler may shadow an oracle's bound method with an instance
     # attribute (the benchmark's tracer does); slotted oracles keep a
     # __dict__ for it, and the solver must call the wrapper of an edge it
-    # answers one by one.  (A bundled gain's kernel answers its edges
+    # answers one by one.  (A bundled kind's kernel answers its edges
     # from their parameters and calls no wrapper.)
     plain = solve(build())
     instance = build()
