@@ -10,11 +10,10 @@ flow into an edge.
 Incidences are stored as index lists, never as dense matrices: typical
 instances have far more edges than nodes, and every incidence operation
 is a gather or scatter loop.  An incidence keeps only its node tuple, in
-a slotted record like the edge that holds it: ``gather`` and
-``scatter_add`` index with the tuple on demand.  An instance's
-incidences read as one node array over the concatenated edge nodes, in
-edge order, and one offsets array (:class:`Incidences`), and the solver
-and recovery index with those.
+a slotted record like the edge that holds it: ``gather`` indexes with
+the tuple on demand.  An instance's incidences read as one node array
+over the concatenated edge nodes, in edge order, and one offsets array
+(:class:`Incidences`), and the solver and recovery index with those.
 
 A solve's per-edge vectors (its flows and edge prices) are laid out the
 same way: one float buffer and the same offsets (:class:`EdgeVectors`).
@@ -94,18 +93,6 @@ class EdgeIncidence:
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Select the local entries of a global vector (applies the transpose map)."""
         return values[list(self.nodes)]
-
-    def scatter_add(self, local: np.ndarray, out: np.ndarray) -> None:
-        """Accumulate a local vector into a global one in place.
-
-        Safe as a plain fancy-index update because an incidence never
-        repeats a node.
-        """
-        if len(local) != self.dim:
-            raise DimensionError(
-                f"local vector of length {len(local)} does not match edge of size {self.dim}"
-            )
-        out[list(self.nodes)] += local
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -255,10 +242,11 @@ class TwoNodeColumns:
     type ``TwoAssetGeometricPool``.  Row ``r`` is the edge
     ``kind.pair_oracle(*args)`` from node ``nodes[r, 0]`` to node
     ``nodes[r, 1]``, where ``args`` are row ``r`` of ``params``: one
-    float column per parameter of ``evaluate_pairs``, in order (the
-    kind's ``pair_params``).  The arrays are read-only; the values are
-    checked where the columns are filled (the parser checks them
-    column-wise).
+    float column per constructor argument, in order (the kind's
+    ``pair_params``), for every kind; ``evaluate_pairs`` takes these
+    columns and derives whatever else it needs.  The arrays are
+    read-only; the values are checked where the columns are filled (the
+    parser checks them column-wise).
     """
 
     __slots__ = ("kind", "nodes", "params")

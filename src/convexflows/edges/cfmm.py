@@ -39,6 +39,10 @@ __all__ = [
     "separable_cfmm_arbitrage",
 ]
 
+# A trade whose post-trade reserve overflows has no float answer; the
+# solver backs off from such prices as from a zero price.
+_PAST_FLOAT_RANGE = "supremum not attained in floating point: the post-trade reserve leaves the float range"
+
 # Newton steps of the penalized scalar dual; each one either takes the
 # Newton step or halves the bracket, in log space.
 _PENALIZED_ITERS = 100
@@ -89,6 +93,13 @@ def _validate_pool(reserves, fee) -> tuple[tuple[float, ...], float]:
 def _math(fn, values: np.ndarray) -> np.ndarray:
     """``fn`` from :mod:`math` applied to each entry of a float array."""
     return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
+
+
+def _log_invariants(r0, r1, weight) -> np.ndarray:
+    """Log of each two-asset pool's trading function, one pool a row.
+    ``vecdot`` rounds each row as the pool's own ``np.dot`` of two terms
+    does."""
+    return np.vecdot(np.stack([weight, 1.0 - weight], 1), np.log(np.stack([r0, r1], 1)))
 
 
 def _membership(reserves, weights, fee, flow, tol) -> bool:
@@ -309,15 +320,17 @@ class TwoAssetGeometricPool(EdgeOracle):
         scale = gamma * ratio * r_out * p_out / p_in
         log_scale = math.log(scale) if scale < math.inf else math.log(gamma * ratio * r_out * p_out) - math.log(p_in)
         log_post_in = (log_scale + ratio * math.log(r_in)) / (ratio + 1.0)
-        post_in = math.exp(log_post_in)
+        try:
+            post_in = math.exp(log_post_in)
+        except OverflowError:
+            raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
         tendered = (post_in - r_in) / gamma
         post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
         return tendered, r_out - post_out
 
-    def pair_params(self) -> tuple[float, float, float, float, float]:
-        """``(r0, r1, weight, fee, log_inv)``: one row of
-        :meth:`evaluate_pairs`, with the pool's own log invariant."""
-        return self._r0, self._r1, self._weight, self._fee, self._log_inv
+    def pair_params(self) -> tuple[float, float, float, float]:
+        """``(r0, r1, weight, fee)``: one row of :meth:`evaluate_pairs`."""
+        return self._r0, self._r1, self._weight, self._fee
 
     @staticmethod
     def invalid_rows(r0, r1, weight, fee) -> np.ndarray:
@@ -330,24 +343,13 @@ class TwoAssetGeometricPool(EdgeOracle):
             | ~((0.0 < weight) & (weight < 1.0))
         )
 
-    @staticmethod
-    def pair_columns(r0, r1, weight, fee) -> tuple[np.ndarray, ...]:
-        """The columns of :meth:`evaluate_pairs` from valid constructor
-        arguments: the arguments and the log invariant.  ``vecdot`` rounds
-        each row as the constructor's ``dot`` of two terms does."""
-        r0, r1, weight, fee = (np.asarray(column, dtype=float) for column in (r0, r1, weight, fee))
-        log_inv = np.vecdot(np.stack([weight, 1.0 - weight], 1), np.log(np.stack([r0, r1], 1)))
-        return r0, r1, weight, fee, log_inv
-
     @classmethod
-    def pair_oracle(cls, r0, r1, weight, fee, log_inv=None) -> "TwoAssetGeometricPool":
-        """The pool of one row of constructor arguments or of
-        :meth:`evaluate_pairs` columns; it computes its log invariant
-        itself."""
+    def pair_oracle(cls, r0, r1, weight, fee) -> "TwoAssetGeometricPool":
+        """The pool of one row of constructor arguments."""
         return cls((r0, r1), weight, fee)
 
     @staticmethod
-    def evaluate_pairs(r0, r1, weight, fee, log_inv, p1, p2):
+    def evaluate_pairs(r0, r1, weight, fee, p1, p2):
         """:meth:`evaluate_pair` over arrays, one pool a row.
 
         Returns the arrays ``(value, flow_1, flow_2, non_unique)``, equal
@@ -355,9 +357,11 @@ class TwoAssetGeometricPool(EdgeOracle):
         the no-trade band and the choice of the tendered asset, with the
         scalar code's operands in its order, and ``log`` and ``exp`` go
         through :mod:`math` on the trading rows (numpy's may round
-        differently in the last bit).  A negative price raises the scalar
-        code's ``ValueError`` for the first such row, and a zero ``p_j
-        r_j`` in any row leaves the supremum unattained.
+        differently in the last bit).  The trading rows' log invariants
+        come from :func:`_log_invariants`.  A negative price raises the
+        scalar code's ``ValueError`` for the first such row, and a zero
+        ``p_j r_j`` or a post-trade reserve past the float range in any
+        row leaves the supremum unattained.
         """
         bad = (p1 < 0.0) | (p2 < 0.0)
         if bad.any():
@@ -389,8 +393,13 @@ class TwoAssetGeometricPool(EdgeOracle):
             wide = np.flatnonzero(~(scale < math.inf))
             log_scale[wide] = _math(math.log, top[wide]) - _math(math.log, p_in[wide])
             log_post_in = (log_scale + shape * _math(math.log, r_in)) / (shape + 1.0)
-            tendered = (_math(math.exp, log_post_in) - r_in) / gamma
-            received = r_out - _math(math.exp, (log_inv[rows] - w_in * log_post_in) / w_out)
+            try:
+                post_in = _math(math.exp, log_post_in)
+            except OverflowError:
+                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
+            tendered = (post_in - r_in) / gamma
+            log_inv = _log_invariants(a, b, w)
+            received = r_out - _math(math.exp, (log_inv - w_in * log_post_in) / w_out)
             f1[rows] = np.where(first, -tendered, received)
             f2[rows] = np.where(first, received, -tendered)
             value[rows] = q1 * f1[rows] + q2 * f2[rows]

@@ -113,12 +113,6 @@ class GainFunction(ABC):
         return None
 
     @classmethod
-    def pair_columns(cls, *args) -> tuple[np.ndarray, ...]:
-        """The parameter columns of a gain's ``evaluate_pairs`` from
-        columns of valid constructor arguments: those columns."""
-        return tuple(np.asarray(column, dtype=float) for column in args)
-
-    @classmethod
     def pair_oracle(cls, *args) -> "TwoNodeEdge":
         """The two-node edge of this gain type built from one row of
         constructor arguments."""

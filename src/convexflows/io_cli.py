@@ -36,7 +36,6 @@ from .edges import (
     TwoAssetGeometricPool,
     TwoNodeEdge,
 )
-from .edges.cfmm import _real
 from .objectives import (
     FisherObjective,
     LinearNonnegObjective,
@@ -151,15 +150,7 @@ def _build_objective(doc: dict, n: int, path: str):
 
 
 def _build_edge_oracle(kind: str, params: dict, path: str):
-    if kind == "lossless":
-        return TwoNodeEdge(LinearGain(slope=1.0, capacity=_get(params, "capacity", path, float)))
-    if kind == "linear_gain":
-        return TwoNodeEdge(
-            LinearGain(
-                slope=_get(params, "gain", path, float),
-                capacity=_get(params, "capacity", path, float),
-            )
-        )
+    """The oracle of an edge whose kind is not a column kind."""
     if kind == "piecewise_linear":
         points = _get(params, "points", path, list)
         where = f"{path}.points"
@@ -168,22 +159,8 @@ def _build_edge_oracle(kind: str, params: dict, path: str):
         return TwoNodeEdge(
             PiecewiseLinearGain([(_to_float(w, where), _to_float(h, where)) for w, h in points])
         )
-    if kind == "opf_line":
-        return TwoNodeEdge(
-            PowerLossGain(
-                alpha=_get(params, "alpha", path, float),
-                beta=_get(params, "beta", path, float),
-                capacity=_get(params, "capacity", path, float),
-            )
-        )
-    # The pool constructors check their own numbers, JSON's true and
-    # false included, and keep them as Python floats.
-    if kind == "uniswap":
-        return TwoAssetGeometricPool(
-            _get(params, "reserves", path),
-            weight=params.get("weight", 0.5),
-            fee=params.get("fee", 1.0),
-        )
+    # The pool constructor checks its own numbers, JSON's true and false
+    # included, and keeps them as Python floats.
     if kind == "geometric_mean":
         return GeometricMeanPool(
             _get(params, "reserves", path),
@@ -207,47 +184,44 @@ def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     return kind, params, nodes
 
 
-def _column_row(fields, params: dict) -> list[float] | None:
-    """The gain parameters of a column-stored edge, or None when a field
-    is missing or not a number (the record path then names the fault)."""
-    row = []
-    for name in fields:
-        if type(name) is float:
-            row.append(name)
-            continue
-        value = params.get(name)
-        if type(value) is float:
-            row.append(value)
-        elif type(value) is int:
-            row.append(_to_float(value, name))
-        else:
-            return None
-    return row
-
-
 def _gain_row(*fields):
     """The row reader of a gain type whose constructor arguments are
-    these JSON fields (a float: a constant), in order."""
-    return lambda params: _column_row(fields, params)
+    these JSON fields (a float: a constant), in order.  A field that is
+    missing or not a number raises the error of :func:`_get`."""
+
+    def read(params: dict, path: str) -> list[float]:
+        row = []
+        for name in fields:
+            if type(name) is float:
+                row.append(name)
+            elif type(value := params.get(name)) is float:
+                row.append(value)
+            else:
+                row.append(_get(params, name, path, float))
+        return row
+
+    return read
 
 
-def _pool_row(params: dict) -> list[float] | None:
-    """``(r0, r1, weight, fee)`` of a two-asset pool, read as its
-    constructor reads them (weight 0.5 and fee 1 when missing), or None
-    unless there are two reserves and every value is a number (the record
-    path then names the fault)."""
+def _pool_row(params: dict, path: str) -> tuple[float, float, float, float]:
+    """``(r0, r1, weight, fee)`` of a two-asset pool (weight 0.5 and fee 1
+    when missing).  Unless they are two float reserves and two floats, the
+    pool is built, so that its constructor reads the numbers (JSON's true
+    and false are not numbers) and names the first fault."""
     reserves = params.get("reserves")
-    if type(reserves) is not list or len(reserves) != 2:
-        return None
-    try:
-        return [_real(v) for v in (*reserves, params.get("weight", 0.5), params.get("fee", 1.0))]
-    except TypeError:
-        return None
+    weight = params.get("weight", 0.5)
+    fee = params.get("fee", 1.0)
+    if type(reserves) is list and len(reserves) == 2:
+        r0, r1 = reserves
+        if type(r0) is float and type(r1) is float and type(weight) is float and type(fee) is float:
+            return r0, r1, weight, fee
+    return TwoAssetGeometricPool(_get(params, "reserves", path), weight, fee).pair_params()
 
 
-# The bundled two-node kinds kept as columns: the type whose
-# ``evaluate_pairs`` answers them, and the reader of one row of its
-# constructor arguments.
+# The bundled two-node kinds, whose edges are read here and nowhere
+# else: the type whose ``evaluate_pairs`` answers them, and the reader of
+# one row of its constructor arguments (``pair_oracle`` builds the edge
+# of a row).
 _COLUMN_KINDS = {
     "opf_line": (PowerLossGain, _gain_row("alpha", "beta", "capacity")),
     "lossless": (LinearGain, _gain_row(1.0, "capacity", 0.0)),
@@ -290,13 +264,14 @@ def _check_columns(builders) -> None:
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Build an instance from its document; errors carry the JSON path.
 
-    Every utility-free ``opf_line``, ``lossless``, ``linear_gain`` and
-    ``uniswap`` edge with two distinct nodes and numeric parameters (two
-    reserves for a pool) is stored in the columns of its kind (an
-    :class:`~convexflows.core.EdgeTable`), and its parameters are checked
-    column-wise once every edge is read; every other edge becomes a
-    record at once.  The first fault in edge order is reported either
-    way, with the message a record would give.
+    An ``opf_line``, ``lossless``, ``linear_gain`` or ``uniswap`` edge is
+    read as one row of its kind's constructor arguments.  Without a
+    utility and on two distinct nodes it is stored in the columns of its
+    kind (an :class:`~convexflows.core.EdgeTable`), whose values are
+    checked column-wise once every edge is read; otherwise it becomes the
+    record ``pair_oracle(*row)``, as every other edge becomes a record, at
+    once.  The first fault in edge order is reported either way, with the
+    message a record would give.
     """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -330,25 +305,23 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             ):
                 kind, params, nodes = _checked_edge(edge_doc, n, path)
             column = _COLUMN_KINDS.get(kind)
-            if (
-                column is not None
-                and len(nodes) == 2
-                and nodes[0] != nodes[1]
-                and edge_doc.get("edge_utility") is None
-                and (row := column[1](params)) is not None
-            ):
-                kind_type = column[0]
-                if kind_type not in builders:
-                    builders[kind_type] = _ColumnBuilder(kind_type, len(row), len(builders) + 1)
-                builder = builders[kind_type]
-                builder.positions.append(k)
-                builder.nodes.extend(nodes)
-                for values, value in zip(builder.params, row):
-                    values.append(value)
-                group[k] = builder.code
-                continue
             try:
-                oracle = _build_edge_oracle(kind, params, path)
+                if column is None:
+                    oracle = _build_edge_oracle(kind, params, path)
+                else:
+                    kind_type, read_row = column
+                    row = read_row(params, path)
+                    if len(nodes) == 2 and nodes[0] != nodes[1] and edge_doc.get("edge_utility") is None:
+                        if kind_type not in builders:
+                            builders[kind_type] = _ColumnBuilder(kind_type, len(row), len(builders) + 1)
+                        builder = builders[kind_type]
+                        builder.positions.append(k)
+                        builder.nodes.extend(nodes)
+                        for values, value in zip(builder.params, row):
+                            values.append(value)
+                        group[k] = builder.code
+                        continue
+                    oracle = kind_type.pair_oracle(*row)
             except InvalidEdgeError as exc:
                 raise InstanceValidationError(f"{path}: {exc}") from exc
             try:
@@ -370,7 +343,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
             raise
     _check_columns(builders.values())
     # An instance without a column-stored edge keeps a list of records.
-    columns = [TwoNodeColumns(b.kind, b.nodes, b.kind.pair_columns(*b.params)) for b in builders.values()]
+    columns = [TwoNodeColumns(b.kind, b.nodes, b.params) for b in builders.values()]
     edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)
@@ -431,7 +404,10 @@ def _oracle_to_dict(oracle) -> tuple[str, dict]:
     if isinstance(oracle, TwoNodeEdge):
         gain = oracle.gain
         if isinstance(gain, LinearGain):
-            if gain.slope == 1.0 and gain.input_lo == 0.0:
+            # The document has no field for a lower input bound.
+            if gain.input_lo != 0.0:
+                raise ValueError(f"cannot serialize a linear gain with input_lo {gain.input_lo}")
+            if gain.slope == 1.0:
                 return "lossless", {"capacity": gain.capacity}
             return "linear_gain", {"gain": gain.slope, "capacity": gain.capacity}
         if isinstance(gain, PiecewiseLinearGain):

@@ -583,9 +583,8 @@ class DualProgram:
 
         Nodes joined by an edge whose prices support a flat face must
         move together to preserve the tie; scaling such a component by a
-        common factor preserves every price-ratio tie inside it, and a
-        uniform shift covers the zero-price components.  Both signed
-        variants are built per component, in reduced coordinates.
+        common factor preserves every price-ratio tie inside it.  Both
+        signed variants are built per component, in reduced coordinates.
 
         Only directions that can descend are returned, in the order they
         were built: a direction whose first-order lower bound
@@ -653,14 +652,13 @@ class DualProgram:
         for group in components.values():
             if len(group) < 2:
                 continue
-            for values in (nu[group], np.ones(len(group))):
-                d = np.zeros(len(x))
-                for j, v in zip(group, values):
-                    if j in free_pos:
-                        d[free_pos[j]] = v
-                if np.any(d):
-                    directions.append(d)
-                    directions.append(-d)
+            d = np.zeros(len(x))
+            for j, v in zip(group, nu[group]):
+                if j in free_pos:
+                    d[free_pos[j]] = v
+            if np.any(d):
+                directions.append(d)
+                directions.append(-d)
         return directions
 
     def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:

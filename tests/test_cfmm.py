@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from convexflows import EdgeIncidence, Hyperedge, LinearNonnegObjective, ProblemInstance
 from convexflows.edges import (
     FisherBasketEdge,
     GeometricMeanPool,
@@ -18,6 +19,7 @@ from convexflows.edges import (
 )
 from convexflows.edges.base import UnattainedSupremumError
 from convexflows.io_cli import gen_cfmm, instance_from_dict
+from convexflows.solver import DualProgram
 
 
 def _post_reserve_by_bisection(log_inv, weights, post_known, idx_known, idx_out):
@@ -567,6 +569,21 @@ def test_pool_price_whose_s_underflows_counts_as_zero(pool, prices):
     tiny = [p * 2.0**10 if p == 5e-324 else p for p in prices]
     res = pool.evaluate(np.array(tiny))
     assert math.isfinite(res.value) and np.all(np.isfinite(res.flow)) and np.any(res.flow)
+
+
+def test_pool_post_trade_reserve_past_the_float_range_is_unattained():
+    # At weight 0.01 and the price ratio 1e-320 the stationary post-trade
+    # reserve leaves the float range: there is no float answer, so the
+    # supremum counts as unattained, and a dual pass there backs off (the
+    # pass answers the hand-built pool with its kernel).
+    pool = TwoAssetGeometricPool((150.0, 120.0), 0.01, 0.997)
+    with pytest.raises(UnattainedSupremumError):
+        pool.evaluate_pair(1e-320, 1.0)
+    edge = Hyperedge(EdgeIncidence((0, 1)), pool)
+    program = DualProgram(ProblemInstance(n=2, edges=[edge], net_objective=LinearNonnegObjective(np.zeros(2))))
+    assert program.value_and_grad(np.array([1e-320, 1.0])) == (math.inf, None)
+    value, grad = program.value_and_grad(np.array([1e-300, 1.0]))
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
 
 
 def test_pool_prices_whose_s_all_underflow_trade_nothing():

@@ -37,6 +37,7 @@ from convexflows import (
 from convexflows.core import EdgeTable, TwoNodeColumns
 from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
 from convexflows.edges.base import UnattainedSupremumError
+from convexflows.edges.cfmm import _log_invariants
 from convexflows.io_cli import (
     InstanceValidationError,
     ParseError,
@@ -121,13 +122,13 @@ def test_linear_kernel_keeps_the_unbounded_withdrawal_error():
 
 
 def _pool_columns(rng, m):
-    """Random two-asset pools as kernel columns: reserves over nine
-    decades, any weight, fees from none to steep."""
+    """Random two-asset pools as kernel columns (constructor arguments):
+    reserves over nine decades, any weight, fees from none to steep."""
     r0 = 10.0 ** rng.uniform(-3.0, 6.0, m)
     r1 = 10.0 ** rng.uniform(-3.0, 6.0, m)
     weight = np.where(rng.random(m) < 0.3, 0.5, rng.uniform(0.01, 0.99, m))
     fee = rng.choice([1.0, 0.997, 0.9, 0.3], m)
-    return TwoAssetGeometricPool.pair_columns(r0, r1, weight, fee)
+    return r0, r1, weight, fee
 
 
 def _assert_pool_kernel_matches(params, p1, p2):
@@ -146,7 +147,7 @@ def test_pool_kernel_equals_evaluate_pair_bit_for_bit():
     for _ in range(20):
         m = 400
         params = _pool_columns(rng, m)
-        r0, r1, weight, fee, _ = params
+        r0, r1, weight, fee = params
         p1 = rng.uniform(0.0, 2.0, m) * 10.0 ** rng.integers(-6, 7, m) + 1e-12
         p2 = rng.uniform(0.0, 2.0, m) * 10.0 ** rng.integers(-6, 7, m) + 1e-12
         # Prices exactly at both edges of the no-trade band, and just past
@@ -165,20 +166,20 @@ def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
     rng = np.random.default_rng(3)
     weight = rng.uniform(0.01, 0.99, 200)
     fee = rng.choice([1.0, 0.997, 0.9], 200)
-    params = TwoAssetGeometricPool.pair_columns(np.full(200, 150.0), np.full(200, 120.0), weight, fee)
+    params = (np.full(200, 150.0), np.full(200, 120.0), weight, fee)
     # Either asset priced at 1e-320 against 1.0: the stationary scale
     # overflows and takes the split-log path, on both branches.
     p1 = np.where(np.arange(200) % 2 == 0, 1e-320, 1.0)
     p2 = np.where(np.arange(200) % 2 == 0, 1.0, 1e-320)
     # Far from equal weights the post-trade reserve itself can leave the
-    # float range; the scalar form then raises OverflowError, and so must
-    # the kernel on any batch holding such a row.
+    # float range; the scalar form then leaves the supremum unattained,
+    # and so must the kernel on any batch holding such a row.
     overflow = []
     for k in range(200):
         try:
             pool = TwoAssetGeometricPool.pair_oracle(*(float(c[k]) for c in params))
             pool.evaluate_pair(float(p1[k]), float(p2[k]))
-        except OverflowError:
+        except UnattainedSupremumError:
             overflow.append(k)
     fine = np.setdiff1d(np.arange(200), overflow)
     assert 0 < len(overflow) < 20
@@ -186,7 +187,7 @@ def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
     value, f1, f2, _ = TwoAssetGeometricPool.evaluate_pairs(*(c[fine] for c in params), p1[fine], p2[fine])
     assert np.all(np.isfinite(value)) and np.all((f1 < 0.0) != (f2 < 0.0))
     for k in overflow:
-        with pytest.raises(OverflowError):
+        with pytest.raises(UnattainedSupremumError):
             TwoAssetGeometricPool.evaluate_pairs(*(c[[0, k]] for c in params), p1[[0, k]], p2[[0, k]])
 
 
@@ -197,7 +198,7 @@ def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
 )
 def test_pool_kernel_leaves_zero_prices_unattained(p1, p2, r0):
     # p_j r_j == 0, by a zero price or by underflow, in any one row.
-    params = TwoAssetGeometricPool.pair_columns([150.0, r0, 130.0], [120.0, 120.0, 110.0], [0.5] * 3, [0.997] * 3)
+    params = (np.array([150.0, r0, 130.0]), np.array([120.0, 120.0, 110.0]), np.full(3, 0.5), np.full(3, 0.997))
     prices = (np.array([1.0, p1, 2.0]), np.array([1.5, p2, 1.0]))
     with pytest.raises(UnattainedSupremumError):
         TwoAssetGeometricPool((r0, 120.0), 0.5, 0.997).evaluate_pair(p1, p2)
@@ -206,7 +207,7 @@ def test_pool_kernel_leaves_zero_prices_unattained(p1, p2, r0):
 
 
 def test_pool_kernel_keeps_the_negative_price_error():
-    params = TwoAssetGeometricPool.pair_columns([150.0] * 3, [120.0] * 3, [0.5] * 3, [0.997] * 3)
+    params = (np.full(3, 150.0), np.full(3, 120.0), np.full(3, 0.5), np.full(3, 0.997))
     with pytest.raises(ValueError) as scalar:
         TwoAssetGeometricPool((150.0, 120.0), 0.5, 0.997).evaluate_pair(1.0, -0.5)
     with pytest.raises(ValueError) as batch:
@@ -215,14 +216,15 @@ def test_pool_kernel_keeps_the_negative_price_error():
 
 
 def test_pool_log_invariant_columns_match_each_record():
-    # The columns' vecdot and each pool's own np.dot must round alike on
-    # this platform, or the kernel and the record would part in the last
-    # bit of every traded amount.
+    # The kernel's vecdot over columns and each pool's own np.dot must
+    # round alike on this platform, or the kernel and the record would
+    # part in the last bit of every traded amount.
     rng = np.random.default_rng(5)
-    r0, r1, weight, fee, log_inv = _pool_columns(rng, 5000)
+    r0, r1, weight, fee = _pool_columns(rng, 5000)
+    log_inv = _log_invariants(r0, r1, weight)
     for k in range(len(r0)):
         pool = TwoAssetGeometricPool((float(r0[k]), float(r1[k])), float(weight[k]), float(fee[k]))
-        assert pool.pair_params()[4] == log_inv[k], k
+        assert pool._log_inv == log_inv[k], k  # the constructor's np.dot
     instance = parse_instance(json.dumps(gen_cfmm(400, 1)))
     (columns,) = instance.edges.columns
     for row, edge in enumerate(map(columns.record, range(len(columns)))):

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convexflows import io_cli
+from convexflows import EdgeIncidence, Hyperedge, MaxFlowObjective, ProblemInstance, TwoNodeEdge, io_cli
+from convexflows.edges import LinearGain
 from convexflows.io_cli import (
     InstanceValidationError,
     ParseError,
@@ -49,6 +50,20 @@ def test_round_trip_identity():
         assert json.loads(again) == json.loads(text)
         # Parsing the serialized form gives the same document again.
         assert json.loads(serialize_instance(parse_instance(again))) == json.loads(text)
+
+
+@pytest.mark.parametrize("slope", [1.0, 2.0], ids=["lossless", "linear_gain"])
+def test_linear_gains_round_trip_or_refuse_to_serialize(slope):
+    def instance(gain):
+        edge = Hyperedge(EdgeIncidence((0, 1)), TwoNodeEdge(gain))
+        return ProblemInstance(n=2, edges=[edge], net_objective=MaxFlowObjective(2, source=0, sink=1))
+
+    kept = LinearGain(slope, 3.0)
+    assert parse_instance(serialize_instance(instance(kept))).edges[0].oracle.gain == kept
+    # A document has no lower input bound: a gain with one is refused,
+    # not written as if it had none.
+    with pytest.raises(ValueError, match="cannot serialize"):
+        serialize_instance(instance(LinearGain(slope, 3.0, -1.0)))
 
 
 def test_parse_errors_carry_paths():
