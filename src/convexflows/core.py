@@ -18,10 +18,12 @@ over the concatenated edge nodes, in edge order, and one offsets array
 A solve's per-edge vectors (its flows and edge prices) are laid out the
 same way: one float buffer and the same offsets (:class:`EdgeVectors`).
 
-A parsed instance keeps its bundled two-node edges (every ``opf_line``,
-``lossless``, ``linear_gain`` and ``uniswap`` edge without a utility) as
-columns, one :class:`TwoNodeColumns` per oracle kind (a gain type, or
-the two-asset pool): a node array and one float array per parameter.
+A parsed instance keeps its bundled edges (every ``opf_line``,
+``lossless``, ``linear_gain``, ``uniswap`` and ``geometric_mean`` edge
+without a utility, on distinct nodes) as columns, one
+:class:`EdgeColumns` per oracle kind and edge size (a gain type, the
+two-asset pool, or the multi-asset pool of one ``dim``): an ``m x d``
+node array and one array per constructor argument.
 Its ``edges`` are an :class:`EdgeTable`, which reads as a list of
 records does, building a column-stored record on its first access and
 keeping it; the solver reads the columns themselves and builds no
@@ -45,7 +47,7 @@ __all__ = [
     "EdgeVectors",
     "Hyperedge",
     "Incidences",
-    "TwoNodeColumns",
+    "EdgeColumns",
     "ProblemInstance",
     "PrimalPoint",
     "FeasibilityReport",
@@ -233,30 +235,33 @@ class Hyperedge:
     utility: "object | None" = None
 
 
-class TwoNodeColumns:
-    """Two-node edges of one bundled oracle kind, without utilities, one
+class EdgeColumns:
+    """Edges of one bundled oracle kind and size, without utilities, one
     row each.
 
-    ``kind`` is the type whose ``evaluate_pairs`` answers the rows: a
-    gain type, for the edges ``TwoNodeEdge(kind(*args))``, or the oracle
-    type ``TwoAssetGeometricPool``.  Row ``r`` is the edge
-    ``kind.pair_oracle(*args)`` from node ``nodes[r, 0]`` to node
-    ``nodes[r, 1]``, where ``args`` are row ``r`` of ``params``: one
-    float column per constructor argument, in order (the kind's
-    ``pair_params``), for every kind; ``evaluate_pairs`` takes these
-    columns and derives whatever else it needs.  The arrays are
-    read-only; the values are checked where the columns are filled (the
-    parser checks them column-wise).
+    ``kind`` is the type that answers the rows: a gain type, for the
+    two-node edges ``TwoNodeEdge(kind(*args))``, or an oracle type
+    (``TwoAssetGeometricPool``, ``GeometricMeanPool``).  Row ``r`` is the
+    edge ``kind.row_oracle(*args)`` on the nodes ``nodes[r]`` (an ``m x
+    d`` array, ``d >= 2`` distinct nodes a row), where ``args`` are row
+    ``r`` of ``params``: one column per constructor argument, in order
+    (the kind's ``row_params``), a float column for a number and an ``m
+    x d`` one for a vector (a pool's reserves and weights).  The kind's
+    kernel takes these columns and derives whatever else it needs.  The
+    arrays are read-only; the values are checked where the columns are
+    filled (the parser checks them column-wise).
     """
 
     __slots__ = ("kind", "nodes", "params")
 
     def __init__(self, kind: type, nodes, params):
-        nodes = np.asarray(nodes, dtype=np.intp).reshape(-1, 2)
-        if np.any(nodes < 0) or np.any(nodes[:, 0] == nodes[:, 1]):
-            raise ValueError("two-node edges need two distinct nonnegative node indices")
+        nodes = np.asarray(nodes, dtype=np.intp)
+        if nodes.ndim != 2 or nodes.shape[1] < 2:
+            raise DimensionError("column-stored edges need an m x d node array with d >= 2")
+        if np.any(nodes < 0) or any(np.any(nodes[:, i] == nodes[:, :i].T) for i in range(1, nodes.shape[1])):
+            raise ValueError("column-stored edges need distinct nonnegative node indices")
         params = tuple(np.asarray(column, dtype=float) for column in params)
-        if any(column.shape != (len(nodes),) for column in params):
+        if any(column.shape not in ((len(nodes),), nodes.shape) for column in params):
             raise DimensionError(f"every parameter column needs {len(nodes)} rows")
         self.kind = kind
         self.nodes = _frozen(nodes)
@@ -267,7 +272,7 @@ class TwoNodeColumns:
 
     def record(self, row: int) -> Hyperedge:
         """Row ``row`` as a new edge record."""
-        oracle = self.kind.pair_oracle(*(float(column[row]) for column in self.params))
+        oracle = self.kind.row_oracle(*(column[row].tolist() for column in self.params))
         return Hyperedge(EdgeIncidence(tuple(self.nodes[row].tolist())), oracle)
 
 
@@ -275,21 +280,23 @@ class EdgeTable(Sequence):
     """The read-only edge sequence of a parsed instance.
 
     Edge ``k`` is kept in the record list when ``group[k]`` is 0, and in
-    ``columns[group[k] - 1]`` otherwise; each holds its edges in edge
-    order.  It reads as a list of :class:`Hyperedge` does: ``len``,
+    ``columns[group[k] - 1]`` otherwise (a byte: at most 255 column
+    groups); each holds its edges in edge order.  It reads as a list of :class:`Hyperedge` does: ``len``,
     iteration, ``[k]`` (negative ``k`` too) and slices (a list).  A
     column-stored edge is built on its first access
-    (:meth:`TwoNodeColumns.record`) and kept, so every access gives the
+    (:meth:`EdgeColumns.record`) and kept, so every access gives the
     same record; the solver reads the columns and builds none.
     :meth:`scan` reads every edge without keeping what it builds.
     """
 
     __slots__ = ("records", "columns", "group", "_row", "_kept")
 
-    def __init__(self, records: list, columns: Sequence[TwoNodeColumns], group):
+    def __init__(self, records: list, columns: Sequence[EdgeColumns], group):
         self.records = list(records)
         self.columns = tuple(columns)
-        self.group = _frozen(np.asarray(group, dtype=np.int8))
+        if len(self.columns) > 255:
+            raise ValueError(f"an edge table holds at most 255 column groups, got {len(self.columns)}")
+        self.group = _frozen(np.asarray(group, dtype=np.uint8))
         # Each edge's row in its group.
         self._row = np.empty(len(self.group), dtype=np.intp)
         for g in range(len(self.columns) + 1):
@@ -387,7 +394,7 @@ class ProblemInstance:
             return zip(np.flatnonzero(edges.group == 0).tolist(), edges.records)
         return enumerate(edges)
 
-    def edge_columns(self) -> list[tuple[np.ndarray, TwoNodeColumns]]:
+    def edge_columns(self) -> list[tuple[np.ndarray, EdgeColumns]]:
         """``(positions, columns)`` of every column group of an
         :class:`EdgeTable`; a list of edges has none."""
         edges = self.edges
@@ -409,16 +416,16 @@ class ProblemInstance:
             return Incidences.of([edge.incidence for edge in self.edges])
         records = list(self.edge_records())
         columns = self.edge_columns()
-        sizes = np.full(len(self.edges), 2, dtype=np.intp)
+        sizes = np.empty(len(self.edges), dtype=np.intp)
+        for positions, group in columns:
+            sizes[positions] = group.nodes.shape[1]
         for k, edge in records:
             sizes[k] = len(edge.incidence.nodes)
         offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         nodes = np.empty(offsets[-1], dtype=np.intp)
         for positions, group in columns:
-            starts = offsets[positions]
-            nodes[starts] = group.nodes[:, 0]
-            nodes[starts + 1] = group.nodes[:, 1]
+            nodes[offsets[positions][:, None] + np.arange(group.nodes.shape[1])] = group.nodes
         for k, edge in records:
             nodes[offsets[k] : offsets[k + 1]] = edge.incidence.nodes
         return Incidences(nodes, offsets)

@@ -11,10 +11,12 @@ multiplier, so that its root is a weighted mean of knots found by a
 scan over at most ``2 * dim - 1`` pieces.  The penalized price
 subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
-scalar dual for every pool size (:func:`_penalized_trade`).  The
-two-asset pool's closed form also runs over arrays, one pool a row
-(:meth:`TwoAssetGeometricPool.evaluate_pairs`), bit for bit as pool by
-pool; the dual evaluator answers its pools with it.
+scalar dual for every pool size (:func:`_penalized_trade`).  Both
+plain subproblems also run over arrays, one pool a row
+(:meth:`TwoAssetGeometricPool.evaluate_pairs`, and
+:meth:`GeometricMeanPool.evaluate_rows` for the pools of one ``dim``),
+bit for bit as pool by pool; the dual evaluator answers its pools with
+them.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class TwoAssetGeometricPool(EdgeOracle):
     field is read-only, so the cached log invariant cannot go stale.
     """
 
-    __slots__ = ("_r0", "_r1", "_weight", "_fee", "_log_inv", "__dict__")
+    __slots__ = ("_r0", "_r1", "_weight", "_fee", "_log_inv_memo", "__dict__")
 
     def __init__(self, reserves, weight: float = 0.5, fee: float = 1.0):
         reserves, fee = _validate_pool(reserves, fee)
@@ -245,10 +247,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         self._r0, self._r1 = reserves
         self._weight = weight
         self._fee = fee
-        # Log of the trading function.  The dot product stays in numpy: it
-        # may round as a chain of fused multiply-adds, which
-        # ``w0 * l0 + w1 * l1`` in Python does not reproduce bit for bit.
-        self._log_inv = float(np.dot((weight, 1.0 - weight), np.log(reserves)))
+        self._log_inv_memo = None
 
     @property
     def dim(self) -> int:
@@ -257,6 +256,17 @@ class TwoAssetGeometricPool(EdgeOracle):
     @property
     def is_strictly_convex(self) -> bool:
         return True
+
+    @property
+    def _log_inv(self) -> float:
+        """Log of the trading function, computed on first use: a pool with
+        a penalty never reads it.  The dot product stays in numpy: it may
+        round as a chain of fused multiply-adds, which ``w0 * l0 + w1 *
+        l1`` in Python does not reproduce bit for bit."""
+        if self._log_inv_memo is None:
+            w = self._weight
+            self._log_inv_memo = float(np.dot((w, 1.0 - w), np.log((self._r0, self._r1))))
+        return self._log_inv_memo
 
     @property
     def weight(self) -> float:
@@ -328,7 +338,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
         return tendered, r_out - post_out
 
-    def pair_params(self) -> tuple[float, float, float, float]:
+    def row_params(self) -> tuple[float, float, float, float]:
         """``(r0, r1, weight, fee)``: one row of :meth:`evaluate_pairs`."""
         return self._r0, self._r1, self._weight, self._fee
 
@@ -344,7 +354,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         )
 
     @classmethod
-    def pair_oracle(cls, r0, r1, weight, fee) -> "TwoAssetGeometricPool":
+    def row_oracle(cls, r0, r1, weight, fee) -> "TwoAssetGeometricPool":
         """The pool of one row of constructor arguments."""
         return cls((r0, r1), weight, fee)
 
@@ -519,6 +529,131 @@ class GeometricMeanPool(EdgeOracle):
             )
             flow[j] = -self._r[j] * math.expm1(offset / weight) / (fee if shift else 1.0)
         return ArbitrageResult(value=float(prices @ flow), flow=flow)
+
+    def row_params(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+        """``(reserves, weights, fee)``: one row of :meth:`evaluate_rows`."""
+        return self._r, self._w, self._fee
+
+    @staticmethod
+    def invalid_rows(reserves, weights, fee) -> np.ndarray:
+        """Which rows of reserves, weights (``m x dim`` each) and fees the
+        constructor rejects, by its own checks, over arrays.  The weights
+        are summed left to right, as ``sum`` adds them."""
+        total = np.zeros(len(fee))
+        for column in weights.T:
+            total = total + column
+        return (
+            ~((0.0 < reserves) & (reserves < math.inf)).all(axis=1)
+            | ~((0.0 < fee) & (fee <= 1.0))
+            | ~(weights > 0.0).all(axis=1)
+            | ~(np.abs(total - 1.0) <= 1e-9)
+        )
+
+    @classmethod
+    def row_oracle(cls, reserves, weights, fee) -> "GeometricMeanPool":
+        """The pool of one row of constructor arguments."""
+        return cls(reserves, weights, fee)
+
+    @staticmethod
+    def evaluate_rows(reserves, weights, fee, prices):
+        """:meth:`evaluate` over arrays, one pool of the same ``dim`` a row.
+
+        ``reserves``, ``weights`` and ``prices`` are ``m x dim``, ``fee``
+        has ``m`` entries.  Returns the arrays ``(value, flow, non_unique)``
+        (``flow`` is ``m x dim``), equal bit for bit to the scalar answers.
+        The kernel replays the scalar scan on every trading row at once:
+        the knots sorted as the scalar code sorts its tuples, one step of
+        the scan per knot with the rows that broke off left alone, and the
+        active assets in the order of the scalar code's ``active`` dict
+        (the assets never passed, in index order, then the tendered ones
+        in the order of their knots).  Every sum adds its terms left to
+        right in that order, ``log`` and ``expm1`` go through :mod:`math`
+        (numpy's may round differently in the last bit), and ``vecdot``
+        rounds each row's value as the scalar ``prices @ flow`` does.  A
+        negative price raises the scalar code's ``ValueError`` for the
+        first such row, and a zero ``s_j`` beside a positive one in any
+        row leaves the supremum unattained.
+        """
+        bad = (prices < 0).any(axis=1)
+        if bad.any():
+            raise ValueError(f"prices must be nonnegative, got {prices[int(np.argmax(bad))]}")
+        m, dim = prices.shape
+        value, flow = np.zeros(m), np.zeros((m, dim))
+        with np.errstate(all="ignore"):
+            s = prices * reserves / weights
+            s_max, s_min = s.max(axis=1), s.min(axis=1)
+            if np.any((s_min == 0.0) & (s_max != 0.0)):
+                raise UnattainedSupremumError(
+                    "supremum not attained: an asset with zero price can be tendered without limit"
+                )
+            rows = np.flatnonzero((s_min != 0.0) & ~(fee * s_max <= s_min))
+            t = len(rows)
+            s, w, r, gamma = s[rows], weights[rows], reserves[rows], fee[rows]
+            log_fee = _math(math.log, gamma)
+            log_s = _math(math.log, s.ravel()).reshape(t, dim)
+
+            # The knots, as the scalar code's (knot, asset, tendered) tuples
+            # sort: receive knots are the first dim columns, tender knots the
+            # next dim.
+            knots = np.concatenate([log_s, log_s - log_fee[:, None]], axis=1)
+            column = np.broadcast_to(np.arange(2 * dim), knots.shape)
+            order = np.lexsort((column >= dim, column % dim, knots), axis=1)
+            knots = np.take_along_axis(knots, order, axis=1)
+            assets, tenders = order % dim, order >= dim
+            total, moment = np.zeros(t), np.zeros(t)
+            for j in range(dim):
+                total, moment = total + w[:, j], moment + w[:, j] * log_s[:, j]
+            # Each asset's place in the active dict: its index while it is
+            # received, dim + the scan step at which it is tendered, and
+            # past both (3 dim) while it is idle.
+            place = np.tile(np.arange(dim), (t, 1))
+            scanning = np.ones(t, dtype=bool)
+            at = np.arange(t)
+            for step in range(2 * dim):
+                knot, j, tender = knots[:, step], assets[:, step], tenders[:, step]
+                scanning &= ~(moment <= total * knot)
+                w_j = w[at, j]
+                total = np.where(scanning, np.where(tender, total + w_j, total - w_j), total)
+                moment = np.where(scanning, np.where(tender, moment + w_j * knot, moment - w_j * knot), moment)
+                place[at[scanning], j[scanning]] = np.where(tender, dim + step, 3 * dim)[scanning]
+
+            # The assets in the active dict's order; ``live`` marks the
+            # positions that hold an active one.
+            active = np.argsort(place, axis=1, kind="stable")
+            place = np.take_along_axis(place, active, axis=1)
+            live = place < 3 * dim
+            w_a = np.take_along_axis(w, active, axis=1)
+            s_a = np.take_along_axis(s, active, axis=1)
+            log_s_a = np.take_along_axis(log_s, active, axis=1)
+            shift = np.where(live & (place >= dim), log_fee[:, None], 0.0)
+            weight = np.zeros(t)
+            for q in range(dim):
+                weight = np.where(live[:, q], weight + w_a[:, q], weight)
+
+            # offset[a] = sum over the active b of w_b * (diff(b, a) + shift_a
+            # - shift_b), with diff(b, a) = log(s_b / s_a), or log_s_b -
+            # log_s_a when the ratios leave the float range.
+            wide = ~(s_max[rows] / s_min[rows] < math.inf)
+            pairs = live[:, :, None] & live[:, None, :]  # (t, a, b)
+            diff = np.zeros((t, dim, dim))
+            narrow = pairs & ~wide[:, None, None]
+            diff[narrow] = _math(math.log, (s_a[:, None, :] / s_a[:, :, None])[narrow])
+            far = pairs & wide[:, None, None]
+            diff[far] = (log_s_a[:, None, :] - log_s_a[:, :, None])[far]
+            terms = w_a[:, None, :] * (diff + shift[:, :, None] - shift[:, None, :])
+            offset = np.zeros((t, dim))
+            for b in range(dim):
+                offset = np.where(pairs[:, :, b], offset + terms[:, :, b], offset)
+            # A tendered amount is what enters the pool over the fee.
+            moved = np.zeros((t, dim))
+            moved[live] = _math(math.expm1, (offset / weight[:, None])[live])
+            divisor = np.where(shift != 0.0, gamma[:, None], 1.0)
+            traded = np.where(live, -np.take_along_axis(r, active, axis=1) * moved / divisor, 0.0)
+            traded_rows = np.zeros((t, dim))
+            np.put_along_axis(traded_rows, active, traded, axis=1)
+            flow[rows] = traded_rows
+            value[rows] = np.vecdot(prices[rows], traded_rows)
+        return value, flow, np.zeros(m, dtype=bool)
 
     def evaluate_penalized(self, prices) -> ArbitrageResult:
         """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades

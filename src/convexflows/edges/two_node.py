@@ -113,7 +113,7 @@ class GainFunction(ABC):
         return None
 
     @classmethod
-    def pair_oracle(cls, *args) -> "TwoNodeEdge":
+    def row_oracle(cls, *args) -> "TwoNodeEdge":
         """The two-node edge of this gain type built from one row of
         constructor arguments."""
         return TwoNodeEdge(cls(*args))
@@ -164,7 +164,7 @@ class LinearGain(GainFunction):
             return self.capacity, self.slope * self.capacity, False
         return self.input_lo, self.slope * self.input_lo, margin == 0.0
 
-    def pair_params(self) -> tuple[float, float, float]:
+    def row_params(self) -> tuple[float, float, float]:
         """The constructor's arguments ``(slope, capacity, input_lo)``: one
         row of :meth:`evaluate_pairs`."""
         return self.slope, self.capacity, self.input_lo
@@ -382,7 +382,7 @@ class PowerLossGain(GainFunction):
             w = min(max(math.log(num / den) / self._beta, 0.0), self._capacity)
         return w, self.value(w), False
 
-    def pair_params(self) -> tuple[float, float, float]:
+    def row_params(self) -> tuple[float, float, float]:
         """The constructor's arguments ``(alpha, beta, capacity)``: one row
         of :meth:`evaluate_pairs`."""
         return self._alpha, self._beta, self._capacity

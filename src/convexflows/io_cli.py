@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    EdgeColumns,
     EdgeIncidence,
     EdgeTable,
     Hyperedge,
     PrimalPoint,
     ProblemInstance,
-    TwoNodeColumns,
     check_feasibility,
     primal_objective,
 )
@@ -159,14 +159,6 @@ def _build_edge_oracle(kind: str, params: dict, path: str):
         return TwoNodeEdge(
             PiecewiseLinearGain([(_to_float(w, where), _to_float(h, where)) for w, h in points])
         )
-    # The pool constructor checks its own numbers, JSON's true and false
-    # included, and keeps them as Python floats.
-    if kind == "geometric_mean":
-        return GeometricMeanPool(
-            _get(params, "reserves", path),
-            _get(params, "weights", path),
-            fee=params.get("fee", 1.0),
-        )
     if kind == "fisher_basket":
         return FisherBasketEdge(_floats(_get(params, "valuations", path), f"{path}.valuations"))
     raise ParseError(f"{path}.kind: unknown edge kind '{kind}'")
@@ -215,63 +207,103 @@ def _pool_row(params: dict, path: str) -> tuple[float, float, float, float]:
         r0, r1 = reserves
         if type(r0) is float and type(r1) is float and type(weight) is float and type(fee) is float:
             return r0, r1, weight, fee
-    return TwoAssetGeometricPool(_get(params, "reserves", path), weight, fee).pair_params()
+    return TwoAssetGeometricPool(_get(params, "reserves", path), weight, fee).row_params()
 
 
-# The bundled two-node kinds, whose edges are read here and nowhere
-# else: the type whose ``evaluate_pairs`` answers them, and the reader of
-# one row of its constructor arguments (``pair_oracle`` builds the edge
-# of a row).
+def _geometric_row(params: dict, path: str) -> tuple:
+    """``(reserves, weights, fee)`` of a multi-asset pool (fee 1 when
+    missing).  Unless the reserves and weights are float lists of one
+    length, two or more, and the fee a float, the pool is built, so that
+    its constructor reads the numbers (JSON's true and false are not
+    numbers) and names the first fault."""
+    reserves = params.get("reserves")
+    weights = params.get("weights")
+    fee = params.get("fee", 1.0)
+    if (
+        type(reserves) is list
+        and type(weights) is list
+        and len(reserves) == len(weights) >= 2
+        and type(fee) is float
+        and all(type(v) is float for v in reserves)
+        and all(type(v) is float for v in weights)
+    ):
+        return reserves, weights, fee
+    return GeometricMeanPool(_get(params, "reserves", path), _get(params, "weights", path), fee).row_params()
+
+
+# The bundled kinds, whose edges are read here and nowhere else: the
+# type whose kernel answers them, and the reader of one row of its
+# constructor arguments (``row_oracle`` builds the edge of a row).  A
+# row's first argument is a number for a two-node kind, and a
+# multi-asset pool's reserves, one per node, for a pool.
 _COLUMN_KINDS = {
     "opf_line": (PowerLossGain, _gain_row("alpha", "beta", "capacity")),
     "lossless": (LinearGain, _gain_row(1.0, "capacity", 0.0)),
     "linear_gain": (LinearGain, _gain_row("gain", "capacity", 0.0)),
     "uniswap": (TwoAssetGeometricPool, _pool_row),
+    "geometric_mean": (GeometricMeanPool, _geometric_row),
 }
 
 
 class _ColumnBuilder:
     """The rows of one column group as the reader collects them: edge
-    positions, flat node pairs and one list per constructor argument;
-    ``code`` is the group's number in the edge table."""
+    positions, and the rows' ``dim`` nodes and ``width`` constructor
+    arguments, each row after the other in one flat list; ``code`` is the
+    group's number in the edge table."""
 
-    def __init__(self, kind: type, width: int, code: int):
+    def __init__(self, kind: type, dim: int, width: int, code: int):
         self.kind = kind
+        self.dim = dim
+        self.width = width
         self.code = code
         self.positions: list[int] = []
         self.nodes: list[int] = []
-        self.params: list[list[float]] = [[] for _ in range(width)]
+        self.args: list = []
+
+    def row(self, row: int) -> list:
+        """The constructor arguments of row ``row``."""
+        return self.args[row * self.width : (row + 1) * self.width]
+
+    def columns(self) -> EdgeColumns:
+        """The group, one column per constructor argument."""
+        args = [self.args[k :: self.width] for k in range(self.width)]
+        return EdgeColumns(self.kind, np.reshape(self.nodes, (-1, self.dim)), args)
 
 
-def _check_columns(builders) -> None:
-    """Raise the path-annotated error of the first column row, in edge
+def _columns(builders) -> list[EdgeColumns]:
+    """The column groups of the builders, once no row is faulty.
+
+    Raise the path-annotated error of the first column row, in edge
     order, whose arguments its constructor rejects.  The checks run
     column-wise (``invalid_rows``); the constructor words the error."""
+    columns = [builder.columns() for builder in builders]
     bad = []
-    for builder in builders:
-        rows = builder.kind.invalid_rows(*(np.array(column, dtype=float) for column in builder.params))
+    for builder, group in zip(builders, columns):
+        rows = group.kind.invalid_rows(*group.params)
         if rows.any():
             row = int(np.argmax(rows))
             bad.append((builder.positions[row], row, builder))
     if bad:
         position, row, builder = min(bad, key=lambda fault: fault[0])
         try:
-            builder.kind.pair_oracle(*(column[row] for column in builder.params))
+            builder.kind.row_oracle(*builder.row(row))
         except InvalidEdgeError as exc:
             raise InstanceValidationError(f"$.edges[{position}]: {exc}") from exc
+    return columns
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Build an instance from its document; errors carry the JSON path.
 
-    An ``opf_line``, ``lossless``, ``linear_gain`` or ``uniswap`` edge is
-    read as one row of its kind's constructor arguments.  Without a
-    utility and on two distinct nodes it is stored in the columns of its
-    kind (an :class:`~convexflows.core.EdgeTable`), whose values are
-    checked column-wise once every edge is read; otherwise it becomes the
-    record ``pair_oracle(*row)``, as every other edge becomes a record, at
-    once.  The first fault in edge order is reported either way, with the
-    message a record would give.
+    An ``opf_line``, ``lossless``, ``linear_gain``, ``uniswap`` or
+    ``geometric_mean`` edge is read as one row of its kind's constructor
+    arguments.  Without a utility, and on distinct nodes, one per asset
+    of a pool, it is stored in the columns of its kind and size (an
+    :class:`~convexflows.core.EdgeTable`, up to 255 groups), whose values
+    are checked column-wise once every edge is read; otherwise it becomes
+    the record ``row_oracle(*row)``, as every other edge becomes a record,
+    at once.  The first fault in edge order is reported either way, with
+    the message a record would give.
     """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -287,9 +319,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
     records = []
-    # One column group per kind, numbered from 1 as first met; a record
-    # is group 0.
-    builders: dict[type, _ColumnBuilder] = {}
+    # One column group per kind and size, numbered from 1 as first met; a
+    # record is group 0.  A group number is one byte: once 255 groups are
+    # open, an edge of a further kind or size stays a record.
+    builders: dict[tuple[type, int], _ColumnBuilder] = {}
     group = bytearray(len(edges_doc))
     for k, edge_doc in enumerate(edges_doc):
         path = f"$.edges[{k}]"
@@ -311,17 +344,24 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
                 else:
                     kind_type, read_row = column
                     row = read_row(params, path)
-                    if len(nodes) == 2 and nodes[0] != nodes[1] and edge_doc.get("edge_utility") is None:
-                        if kind_type not in builders:
-                            builders[kind_type] = _ColumnBuilder(kind_type, len(row), len(builders) + 1)
-                        builder = builders[kind_type]
-                        builder.positions.append(k)
-                        builder.nodes.extend(nodes)
-                        for values, value in zip(builder.params, row):
-                            values.append(value)
-                        group[k] = builder.code
-                        continue
-                    oracle = kind_type.pair_oracle(*row)
+                    dim = 2 if type(row[0]) is float else len(row[0])
+                    if (
+                        len(nodes) == dim
+                        and (nodes[0] != nodes[1] if dim == 2 else len(set(nodes)) == dim)
+                        and edge_doc.get("edge_utility") is None
+                    ):
+                        builder = builders.get((kind_type, dim))
+                        if builder is None and len(builders) < 255:
+                            builder = builders[kind_type, dim] = _ColumnBuilder(
+                                kind_type, dim, len(row), len(builders) + 1
+                            )
+                        if builder is not None:
+                            builder.positions.append(k)
+                            builder.nodes.extend(nodes)
+                            builder.args.extend(row)
+                            group[k] = builder.code
+                            continue
+                    oracle = kind_type.row_oracle(*row)
             except InvalidEdgeError as exc:
                 raise InstanceValidationError(f"{path}: {exc}") from exc
             try:
@@ -339,11 +379,10 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
         except ParseError:
             # A column row before this edge may be invalid too; it comes
             # first.
-            _check_columns(builders.values())
+            _columns(list(builders.values()))
             raise
-    _check_columns(builders.values())
+    columns = _columns(list(builders.values()))
     # An instance without a column-stored edge keeps a list of records.
-    columns = [TwoNodeColumns(b.kind, b.nodes, b.params) for b in builders.values()]
     edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)

@@ -35,11 +35,11 @@ order whichever plan answered the edge; the driver, its screens, the
 trace callback and the final result all read that pass.  The evaluator
 caches two passes, the last one and the one at the driver's iterate,
 and leaves the choice of points (polish included) to the driver.
-The subproblems split over the edges: the two-node edges of a bundled
-kind (transmission lines, linear gains and two-asset pools) are
-answered together by one kernel per kind over arrays, bit for bit as
-edge by edge, and read straight from the columns a parsed instance
-stores them in.
+The subproblems split over the edges: the edges of a bundled kind
+(transmission lines, linear gains, two-asset pools, and multi-asset
+pools of each size) are answered together by one kernel per kind over
+arrays, bit for bit as edge by edge, and read straight from the columns
+a parsed instance stores them in.
 
 Gradients assemble from the subproblem maximizers: the node-price
 gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
@@ -60,16 +60,16 @@ import numpy as np
 
 from . import recovery
 from .core import (
+    EdgeColumns,
     EdgeVectors,
     PrimalPoint,
     ProblemInstance,
-    TwoNodeColumns,
     assemble_net_flow,
     check_feasibility,
     primal_objective,
 )
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
-from .edges.cfmm import TwoAssetGeometricPool
+from .edges.cfmm import GeometricMeanPool, TwoAssetGeometricPool
 from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
 from .objectives import ConjugateValue
 from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs
@@ -225,6 +225,21 @@ class _Kernel(NamedTuple):
     params: tuple
 
 
+class _PoolKernel(NamedTuple):
+    """Array-plan pools of one ``dim``, which
+    ``GeometricMeanPool.evaluate_rows`` answers all at once.
+
+    ``rows`` are their array-plan indices, ``nodes`` their nodes and
+    ``entries`` their flows' places in the pass buffer (``m x dim`` each),
+    and ``params`` the pool's parameter columns, row for row.
+    """
+
+    rows: np.ndarray
+    nodes: np.ndarray
+    entries: np.ndarray
+    params: tuple
+
+
 class _Faces(NamedTuple):
     """The flat faces supported at one point, in edge order.
 
@@ -258,9 +273,13 @@ class DualProgram:
     ``TwoAssetGeometricPool`` (column-stored or not), goes to that gain
     or oracle type's ``evaluate_pairs``, which equals the edge's
     ``evaluate_pair`` bit for bit.  Its other edges, subclasses
-    included, keep their own ``evaluate_pair``.  The pair plan's values
-    and net flows are then added in plan order, so the sums do not
-    depend on which edges the kernels took.  A column-stored edge (see
+    included, keep their own ``evaluate_pair``.  The array plan does the
+    same for every oracle that is exactly a ``GeometricMeanPool``: the
+    pools of each ``dim`` go to one ``evaluate_rows``, which equals
+    ``evaluate`` bit for bit, and its other edges keep their own
+    ``evaluate``.  Each plan's values are then added in plan order, and
+    the net flows too, so the sums do not depend on which edges the
+    kernels took.  A column-stored edge (see
     :class:`~convexflows.core.EdgeTable`) is read from its columns and
     never built as a record.
 
@@ -296,11 +315,12 @@ class DualProgram:
         self._nodes = self.incidences.nodes
         self.offsets = self.incidences.offsets
         self._penalized_plan = []
-        self._array_plan = []
-        # The pair plan: the edges answered one by one, and the column
-        # groups of the kernels' edges, the instance's own and one per kind
-        # for its records.
+        # The pair plan and the array plan: the edges each answers one by
+        # one, and the column groups of its kernels' edges, the instance's
+        # own and one per kind (and pool dim) for its records.
         loop, kernel_rows = [], {}
+        array_loop, pool_rows = [], {}
+        penalized_pos = []
         flat = False
         for pos, edge in instance.edge_records():
             oracle = edge.oracle
@@ -308,21 +328,25 @@ class DualProgram:
             span = slice(*self.offsets[pos : pos + 2].tolist())
             if edge.utility is not None:
                 self._penalized_plan.append((itemgetter(*nodes), span, oracle.evaluate_penalized))
+                penalized_pos.append(pos)
                 continue
             flat = flat or not oracle.is_strictly_convex
             if len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
                 # A bundled gain's parameters sit on the gain, a pool's on itself.
                 owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
                 if type(owner) in _KERNEL_KINDS:
-                    kernel_rows.setdefault(type(owner), []).append((pos, nodes, owner.pair_params()))
+                    kernel_rows.setdefault(type(owner), []).append((pos, nodes, owner.row_params()))
                 else:
                     loop.append((pos, oracle))
+            elif type(oracle) is GeometricMeanPool:
+                pool_rows.setdefault(len(nodes), []).append((pos, nodes, oracle.row_params()))
             else:
-                self._array_plan.append((np.array(nodes, dtype=np.intp), span, oracle.evaluate))
-        groups = instance.edge_columns()
-        for kind, rows in kernel_rows.items():
-            positions, nodes, params = zip(*rows)
-            groups.append((np.array(positions), TwoNodeColumns(kind, nodes, zip(*params))))
+                array_loop.append((pos, np.array(nodes, dtype=np.intp), span, oracle.evaluate))
+        groups, pool_groups = [], []
+        for positions, columns in instance.edge_columns():
+            (pool_groups if columns.kind is GeometricMeanPool else groups).append((positions, columns))
+        groups += [_record_columns(kind, rows) for kind, rows in kernel_rows.items()]
+        pool_groups += [_record_columns(GeometricMeanPool, rows) for rows in pool_rows.values()]
         # Linear gains are the one kernel kind with flat faces.
         flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in groups)
         loop_pos = np.array([pos for pos, _ in loop], dtype=np.intp)
@@ -341,15 +365,34 @@ class DualProgram:
             (*self._pair_nodes[plan].tolist(), oracle.evaluate_pair)
             for plan, (_, oracle) in zip(self._loop_rows.tolist(), loop)
         ]
+        # The array plan's edge positions, in plan (edge) order.
+        array_loop_pos = np.array([pos for pos, *_ in array_loop], dtype=np.intp)
+        self._array_plan = np.sort(np.concatenate([array_loop_pos, *(positions for positions, _ in pool_groups)]))
+        self._array_loop = [
+            (row, *plan) for row, (_, *plan) in zip(np.searchsorted(self._array_plan, array_loop_pos).tolist(), array_loop)
+        ]
+        self._pool_kernels = [
+            _PoolKernel(
+                np.searchsorted(self._array_plan, positions),
+                columns.nodes,
+                self.offsets[positions][:, None] + np.arange(columns.nodes.shape[1]),
+                columns.params,
+            )
+            for positions, columns in pool_groups
+        ]
 
-        def entries(plan):
-            return np.concatenate([np.zeros(0, np.intp), *(np.arange(s.start, s.stop) for _, s, _ in plan)])
+        def entries(positions):
+            """The buffer entries of the edges at ``positions``, in that order."""
+            positions = np.asarray(positions, dtype=np.intp)
+            starts = self.offsets[positions]
+            sizes = self.offsets[positions + 1] - starts
+            return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
         # The buffer entries in plan order and their nodes: one unbuffered
         # scatter over them adds into each node in the order of a loop over
         # the plans.  The penalized edges' entries come first.  When plan
         # order is edge order, a slice reads the buffer without a copy.
-        self._tendering = entries(self._penalized_plan)
+        self._tendering = entries(penalized_pos)
         pair_entries = np.stack([self._pair_at, self._pair_at + 1], axis=1).ravel()
         plan_entries = np.concatenate([self._tendering, pair_entries, entries(self._array_plan)])
         if np.all(plan_entries[1:] > plan_entries[:-1]):
@@ -490,11 +533,18 @@ class DualProgram:
                 # over the edges would.
                 value = float(np.cumsum(np.concatenate(([value], pair_values)))[-1])
                 ties = ties or bool(pair_ties.any())
-            for idx, span, evaluate in self._array_plan:
-                res = evaluate(nu[idx])
-                value += res.value
-                ties = ties or res.non_unique
-                flows[span] = res.flow
+            if len(self._array_plan):
+                array_values = np.empty(len(self._array_plan))
+                for rows, nodes, at, params in self._pool_kernels:
+                    array_values[rows], flows[at], pool_ties = GeometricMeanPool.evaluate_rows(*params, nu[nodes])
+                    ties = ties or bool(pool_ties.any())
+                for row, idx, span, evaluate in self._array_loop:
+                    res = evaluate(nu[idx])
+                    array_values[row] = res.value
+                    ties = ties or res.non_unique
+                    flows[span] = res.flow
+                # Plan order, as in the pair plan.
+                value = float(np.cumsum(np.concatenate(([value], array_values)))[-1])
         except UnattainedSupremumError:
             return None
         except UnboundedEdgeError as exc:
@@ -740,6 +790,13 @@ class SolveResult:
     status: str
     nonsmooth: bool
     recovery_residual: float = math.nan
+
+
+def _record_columns(kind: type, rows) -> tuple[np.ndarray, EdgeColumns]:
+    """``(positions, columns)`` of hand-built records of one kernel kind,
+    from their ``(position, nodes, row_params())`` rows."""
+    positions, nodes, params = zip(*rows)
+    return np.array(positions), EdgeColumns(kind, nodes, zip(*params))
 
 
 def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:

@@ -1,14 +1,15 @@
-"""Column-stored two-node edges and the pair plan's kernels.
+"""Column-stored edges and the dual program's kernels.
 
 A parsed instance keeps its utility-free ``opf_line``, ``lossless``,
-``linear_gain`` and ``uniswap`` edges as columns (``core.EdgeTable``),
-and the dual program answers every ``TwoNodeEdge`` whose gain is exactly
-a ``PowerLossGain`` or a ``LinearGain``, and every oracle that is
-exactly a ``TwoAssetGeometricPool``, with one kernel per kind
-(``evaluate_pairs``).  These tests hold both to the per-edge forms they
-replace: the kernels to ``evaluate_pair`` bit for bit, the reader to the
-messages and documents of the record path, and the solve to the
-per-edge solve bit for bit.
+``linear_gain``, ``uniswap`` and ``geometric_mean`` edges as columns
+(``core.EdgeTable``), and the dual program answers every ``TwoNodeEdge``
+whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and every
+oracle that is exactly a ``TwoAssetGeometricPool`` or a
+``GeometricMeanPool``, with one kernel per kind (``evaluate_pairs``, and
+``evaluate_rows`` per pool ``dim``).  These tests hold both to the
+per-edge forms they replace: the kernels to ``evaluate_pair`` and
+``evaluate`` bit for bit, the reader to the messages and documents of
+the record path, and the solve to the per-edge solve bit for bit.
 """
 
 import copy
@@ -22,7 +23,10 @@ import pytest
 
 from convexflows import (
     EdgeIncidence,
+    FisherBasketEdge,
+    GeometricMeanPool,
     Hyperedge,
+    LinearNonnegObjective,
     OpfQuadraticObjective,
     PrimalPoint,
     ProblemInstance,
@@ -34,11 +38,12 @@ from convexflows import (
     opf_line_edge,
     piecewise_linear_edge,
 )
-from convexflows.core import EdgeTable, TwoNodeColumns
+from convexflows.core import EdgeTable, EdgeColumns
 from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
 from convexflows.edges.base import UnattainedSupremumError
 from convexflows.edges.cfmm import _log_invariants
 from convexflows.io_cli import (
+    _COLUMN_KINDS,
     InstanceValidationError,
     ParseError,
     gen_cfmm,
@@ -134,7 +139,7 @@ def _pool_columns(rng, m):
 def _assert_pool_kernel_matches(params, p1, p2):
     value, f1, f2, tie = TwoAssetGeometricPool.evaluate_pairs(*params, p1, p2)
     for k in range(len(p1)):
-        pool = TwoAssetGeometricPool.pair_oracle(*(float(column[k]) for column in params))
+        pool = TwoAssetGeometricPool.row_oracle(*(float(column[k]) for column in params))
         want = pool.evaluate_pair(float(p1[k]), float(p2[k]))
         got = (value[k], f1[k], f2[k])
         # Bytes, so that a signed zero or a last bit shows.
@@ -177,7 +182,7 @@ def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
     overflow = []
     for k in range(200):
         try:
-            pool = TwoAssetGeometricPool.pair_oracle(*(float(c[k]) for c in params))
+            pool = TwoAssetGeometricPool.row_oracle(*(float(c[k]) for c in params))
             pool.evaluate_pair(float(p1[k]), float(p2[k]))
         except UnattainedSupremumError:
             overflow.append(k)
@@ -226,9 +231,138 @@ def test_pool_log_invariant_columns_match_each_record():
         pool = TwoAssetGeometricPool((float(r0[k]), float(r1[k])), float(weight[k]), float(fee[k]))
         assert pool._log_inv == log_inv[k], k  # the constructor's np.dot
     instance = parse_instance(json.dumps(gen_cfmm(400, 1)))
-    (columns,) = instance.edges.columns
+    columns = _group(instance, TwoAssetGeometricPool)
     for row, edge in enumerate(map(columns.record, range(len(columns)))):
-        assert edge.oracle.pair_params() == tuple(float(column[row]) for column in columns.params)
+        assert edge.oracle.row_params() == tuple(float(column[row]) for column in columns.params)
+
+
+def _geometric_columns(rng, m, dim):
+    """Random multi-asset pools of one ``dim`` as kernel columns, and
+    prices that reach every branch of the scan: spread prices, knots tied
+    across assets (equal ``s_j`` on some assets, and at fee 1 a receive
+    knot on its own tender knot), unit prices, and ratios past the float
+    range on the first asset."""
+    reserves = 10.0 ** rng.uniform(-3.0, 6.0, (m, dim))
+    weights = rng.dirichlet(np.ones(dim), m)
+    weights[rng.random(m) < 0.3] = 1.0 / dim
+    fee = np.where(rng.random(m) < 0.4, 1.0, rng.uniform(0.9, 1.0, m))
+    prices = rng.uniform(0.0, 2.0, (m, dim)) * 10.0 ** rng.integers(-6, 7, (m, dim)) + 1e-12
+    kind = rng.integers(0, 4, m)
+    prices[kind == 0] = 1.0
+    tied = kind == 1
+    prices[tied] = weights[tied] / reserves[tied] * rng.choice([1.0, 2.0], (np.count_nonzero(tied), dim))
+    prices[kind == 2, 0] = 1e-320
+    return (reserves, weights, fee), prices
+
+
+def _assert_geometric_kernel_matches(params, prices):
+    """Row by row, the kernel on the row alone raises what ``evaluate``
+    raises; the rows that answer, in one batch, answer its bytes.  Returns
+    the counts of trading rows, trading rows past the float range and
+    raising rows."""
+    answered, wants, raised = [], [], 0
+    for k in range(len(prices)):
+        pool = GeometricMeanPool.row_oracle(*(column[k].tolist() for column in params))
+        try:
+            wants.append(pool.evaluate(prices[k].copy()))
+        except (UnattainedSupremumError, ArithmeticError) as exc:
+            with pytest.raises(type(exc)) as batch:
+                GeometricMeanPool.evaluate_rows(*(column[k : k + 1] for column in params), prices[k : k + 1])
+            assert str(batch.value) == str(exc)
+            raised += 1
+        else:
+            answered.append(k)
+    value, flow, tie = GeometricMeanPool.evaluate_rows(*(column[answered] for column in params), prices[answered])
+    for i, want in enumerate(wants):
+        # Bytes, so that a signed zero or a last bit shows.
+        assert np.array(value[i]).tobytes() == np.array(want.value).tobytes(), (i, value[i], want.value)
+        assert flow[i].tobytes() == want.flow.tobytes(), (i, flow[i], want.flow)
+        assert not tie[i] and not want.non_unique
+    s = prices[answered] * params[0][answered] / params[1][answered]
+    trading = value != 0.0
+    with np.errstate(over="ignore"):
+        wide = trading & ~(s.max(axis=1) / s.min(axis=1) < math.inf)
+    return np.count_nonzero(trading), np.count_nonzero(wide), raised
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_geometric_kernel_equals_evaluate_bit_for_bit(dim):
+    rng = np.random.default_rng(10 + dim)
+    trading = wide = raised = 0
+    for _ in range(5):
+        counts = _assert_geometric_kernel_matches(*_geometric_columns(rng, 400, dim))
+        trading, wide, raised = trading + counts[0], wide + counts[1], raised + counts[2]
+    # Each branch is reached often enough to show a fault.
+    assert trading > 800 and wide > 100 and raised > 0, (trading, wide, raised)
+
+
+def test_geometric_kernel_answers_zero_prices_as_evaluate_does():
+    params = (np.array([[150.0, 120.0, 100.0], [0.1, 130.0, 110.0]]), np.full((2, 3), 1 / 3), np.array([0.997, 1.0]))
+    pools = [GeometricMeanPool.row_oracle(*(column[k].tolist() for column in params)) for k in range(2)]
+    # All s_j zero: no trade.  One zero, by a zero price or by underflow
+    # (5e-324 * 0.1 rounds to zero): the supremum is not attained.
+    zero = np.zeros((2, 3))
+    value, flow, _ = GeometricMeanPool.evaluate_rows(*params, zero)
+    assert not value.any() and not flow.any()
+    assert all(pool.evaluate(price).value == 0.0 for pool, price in zip(pools, zero))
+    for k, prices in [(0, [1.0, 0.0, 2.0]), (1, [5e-324, 1.0, 1.0])]:
+        with pytest.raises(UnattainedSupremumError):
+            pools[k].evaluate(np.array(prices))
+        batch = np.array([[1.0, 2.0, 1.5], [1.0, 1.0, 2.0]])
+        batch[k] = prices
+        with pytest.raises(UnattainedSupremumError):
+            GeometricMeanPool.evaluate_rows(*params, batch)
+
+
+def test_geometric_kernel_keeps_the_negative_price_error():
+    params = (np.full((3, 3), 150.0), np.full((3, 3), 1 / 3), np.full(3, 0.997))
+    prices = np.array([[1.0, 2.0, 1.0], [1.0, -0.5, 2.0], [-1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError) as scalar:
+        GeometricMeanPool.row_oracle(*(column[1].tolist() for column in params)).evaluate(prices[1])
+    with pytest.raises(ValueError) as batch:
+        GeometricMeanPool.evaluate_rows(*params, prices)
+    assert str(batch.value) == str(scalar.value) == "prices must be nonnegative, got [ 1.  -0.5  2. ]"
+
+
+def _market(seed, per_edge=False):
+    """Two-asset pools, multi-asset pools of three sizes (exact records
+    and a user subclass) and a buyer basket, interleaved by hand.
+
+    With ``per_edge`` every pool is a subclass, which the plans answer one
+    by one, as they answered every pool before the kernels.
+    """
+    rng = np.random.default_rng(seed)
+    n = 10
+    edges = []
+    for k in range(60):
+        dim = [2, 2, 3, 4, 2, 3][k % 6]
+        nodes = tuple(int(j) for j in rng.choice(n, size=dim, replace=False))
+        reserves = rng.uniform(100.0, 200.0, dim).tolist()
+        if k % 6 in (0, 4):
+            oracle = TwoAssetGeometricPool(reserves, float(rng.choice([0.5, 0.8])), 0.997)
+        else:
+            weights = rng.dirichlet(np.ones(dim)).tolist()
+            pool_type = _PerEdgeGeometricPool if k % 12 == 5 else GeometricMeanPool
+            oracle = pool_type(reserves, weights, float(rng.choice([1.0, 0.997])))
+        edges.append(Hyperedge(EdgeIncidence(nodes), oracle))
+    edges.insert(17, Hyperedge(EdgeIncidence((3, 7, 1)), FisherBasketEdge([0.5, 0.8])))
+    if per_edge:
+        edges = list(map(_per_edge, edges))
+    return ProblemInstance(n=n, edges=edges, net_objective=LinearNonnegObjective(rng.uniform(0.5, 2.0, n)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interleaved_market_solves_as_edge_by_edge(seed):
+    program = DualProgram(_market(seed))
+    assert [k.kind for k in program._kernels] == [TwoAssetGeometricPool]
+    assert sorted(kernel.nodes.shape[1] for kernel in program._pool_kernels) == [2, 3, 4]
+    assert sorted(type(evaluate.__self__).__name__ for *_, evaluate in program._array_loop) == [
+        "FisherBasketEdge",
+        *["_PerEdgeGeometricPool"] * 5,
+    ]
+    per_edge = DualProgram(_market(seed, per_edge=True))
+    assert not per_edge._kernels and not per_edge._pool_kernels
+    assert _fingerprint(solve(_market(seed))) == _fingerprint(solve(_market(seed, per_edge=True)))
 
 
 def _interleaved(seed, per_edge=False):
@@ -296,28 +430,44 @@ def test_parsed_instances_solve_as_their_records():
         assert _fingerprint(solve(parsed)) == _fingerprint(solve(listed))
 
 
+def _group(instance, kind):
+    """The one column group of ``kind`` in a parsed instance."""
+    (columns,) = [columns for columns in instance.edges.columns if columns.kind is kind]
+    return columns
+
+
 class _PerEdgePool(TwoAssetGeometricPool):
     __slots__ = ()
+
+
+class _PerEdgeGeometricPool(GeometricMeanPool):
+    __slots__ = ()
+
+
+def _per_edge(edge):
+    """``edge`` with its pool as a subclass, which the plans answer one by
+    one, as they answered every pool before the kernels."""
+    oracle = edge.oracle
+    if type(oracle) is TwoAssetGeometricPool:
+        return Hyperedge(edge.incidence, _PerEdgePool(oracle.reserves, oracle.weight, oracle.fee))
+    if type(oracle) is GeometricMeanPool:
+        return Hyperedge(edge.incidence, _PerEdgeGeometricPool(oracle.reserves, oracle.weights, oracle.fee))
+    return edge
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_parsed_cfmm_solves_as_its_records(seed):
     # Column-stored pools, the same pools as a list of records (which the
-    # kernel reads through pair_params) and as a subclass (which the pair
-    # plan answers one by one, as it answered every pool before the
-    # kernel): one solve, bit for bit.
+    # kernels read through row_params) and as subclasses (which the plans
+    # answer one by one): one solve, bit for bit.
     parsed = parse_instance(json.dumps(gen_cfmm(200, seed)))
-    (columns,) = parsed.edges.columns
-    assert columns.kind is TwoAssetGeometricPool and len(columns) > 100
+    pairs, pools = _group(parsed, TwoAssetGeometricPool), _group(parsed, GeometricMeanPool)
+    assert len(pairs) > 100 and len(pools) > 20 and pools.nodes.shape[1] == 3
     records = list(parsed.edges.scan())
-    per_edge = [
-        Hyperedge(e.incidence, _PerEdgePool(e.oracle.reserves, e.oracle.weight, e.oracle.fee))
-        if type(e.oracle) is TwoAssetGeometricPool
-        else e
-        for e in records
-    ]
+    per_edge = list(map(_per_edge, records))
     program = DualProgram(ProblemInstance(n=parsed.n, edges=per_edge, net_objective=parsed.net_objective))
-    assert not program._kernels and len(program._pair_loop) == len(columns)
+    assert not program._kernels and len(program._pair_loop) == len(pairs)
+    assert not program._pool_kernels and len(program._array_loop) == len(pools)
     want = _fingerprint(solve(parsed))
     for edges in (records, per_edge):
         assert _fingerprint(solve(ProblemInstance(n=parsed.n, edges=edges, net_objective=parsed.net_objective))) == want
@@ -342,7 +492,7 @@ def _linear_gain_doc():
 )
 def test_column_stored_instances_serialize_to_their_documents(doc):
     instance = parse_instance(json.dumps(doc))
-    records = [e for e in doc["edges"] if e["kind"] not in ("opf_line", "lossless", "linear_gain", "uniswap")]
+    records = [e for e in doc["edges"] if e["kind"] not in _COLUMN_KINDS]
     assert isinstance(instance.edges, EdgeTable) and len(instance.edges.records) == len(records)
     assert instance_to_dict(instance) == doc
     # Serializing keeps none of the records it builds.
@@ -481,12 +631,173 @@ def test_the_first_pool_fault_in_edge_order_is_reported():
         parse_instance(json.dumps(both))
 
 
+# gen_cfmm(12, 0) has geometric_mean edges at 1, 3, 5, 7 and 9; the
+# faulty edge 9 gets fixed numbers, so that the messages are fixed too.
+_GEOMETRIC = _with(_CFMM, 9, reserves=[150.0, 120.0, 100.0])
+
+
+# A geometric_mean fault after four good pools: the record path's
+# message, word for word, which the same edge with a penalty (always a
+# record) gives.
+@pytest.mark.parametrize(
+    "changes, error, message",
+    [
+        ({"weights": [0.5, 0.3, 0.3]}, InstanceValidationError, "$.edges[9]: weights must be positive and sum to one"),
+        ({"weights": [0.0, 0.5, 0.5]}, InstanceValidationError, "$.edges[9]: weights must be positive and sum to one"),
+        ({"weights": [0.5, 0.5]}, InstanceValidationError, "$.edges[9]: need one positive weight per asset"),
+        ({"weights": True}, InstanceValidationError, "$.edges[9]: weights must be a list of numbers, got True"),
+        (
+            {"reserves": [True, 120.0, 100.0]},
+            InstanceValidationError,
+            "$.edges[9]: reserves must be a list of numbers, got [True, 120.0, 100.0]",
+        ),
+        (
+            {"reserves": [150.0, -1.0, 100.0]},
+            InstanceValidationError,
+            "$.edges[9]: reserves must be positive and finite, got [150.0, -1.0, 100.0]",
+        ),
+        (
+            {"reserves": [150.0, 10**400, 100.0]},
+            InstanceValidationError,
+            "$.edges[9]: reserves must be positive and finite, got [150.0, inf, 100.0]",
+        ),
+        ({"fee": 1.5}, InstanceValidationError, "$.edges[9]: fee must lie in (0, 1], got 1.5"),
+        ({"fee": 0}, InstanceValidationError, "$.edges[9]: fee must lie in (0, 1], got 0.0"),
+        ({"weights": _MISSING}, ParseError, "$.edges[9]: missing required field 'weights'"),
+        ({"nodes": [2, 2, 5]}, InstanceValidationError, "$.edges[9].nodes: duplicate node in incidence (2, 2, 5)"),
+        (
+            {"nodes": [2, 5]},
+            InstanceValidationError,
+            "$: edge 9: oracle dimension 3 does not match incidence of size 2",
+        ),
+    ],
+    ids=[
+        "weight_sum", "zero_weight", "length_mismatch", "bool_weights", "bool_reserve", "negative_reserve",
+        "huge_reserve", "fee_above_one", "zero_fee", "no_weights", "repeated_node", "too_few_nodes",
+    ],
+)
+def test_a_bad_geometric_pool_after_good_ones_keeps_its_message(changes, error, message):
+    doc = _with(_GEOMETRIC, 9, **changes)
+    penalized = copy.deepcopy(doc)
+    penalized["edges"][9]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
+    for text in (json.dumps(doc), json.dumps(penalized)):
+        with pytest.raises(error) as info:
+            parse_instance(text)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_first_geometric_pool_fault_in_edge_order_is_reported():
+    # A column fault (found after the loop) before a record fault (found
+    # at once), and the other way round.
+    early_column = _with(_with(_GEOMETRIC, 3, weights=[0.5, 0.3, 0.3]), 7, reserves=[True, 1.0, 1.0])
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[3\]: weights must be positive"):
+        parse_instance(json.dumps(early_column))
+    early_record = _with(_with(_GEOMETRIC, 3, reserves=[True, 1.0, 1.0]), 7, weights=[0.5, 0.3, 0.3])
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[3\]: reserves must be a list"):
+        parse_instance(json.dumps(early_record))
+    # Column faults of two kinds: the earlier edge.
+    both = _with(_with(_GEOMETRIC, 4, fee=2.0), 5, weights=[0.5, 0.3, 0.3])
+    with pytest.raises(InstanceValidationError, match=r"^\$\.edges\[4\]: fee must lie"):
+        parse_instance(json.dumps(both))
+
+
+def _mixed_dim_doc():
+    """gen_cfmm(30, 0) with a two-asset and a four-asset geometric_mean
+    pool among its three-asset ones."""
+    doc = copy.deepcopy(gen_cfmm(30, 0))
+    pair, four = doc["edges"][3], doc["edges"][14]
+    pair["nodes"], pair["params"] = pair["nodes"][:2], {"reserves": [150.0, 120.0], "weights": [0.25, 0.75], "fee": 0.997}
+    four["nodes"].append(next(j for j in range(doc["n"]) if j not in four["nodes"]))
+    four["params"] = {"reserves": [*four["params"]["reserves"], 130.0], "weights": [0.25] * 4, "fee": 1.0}
+    return doc
+
+
+def test_geometric_pools_of_each_dim_share_one_column_group():
+    doc = _mixed_dim_doc()
+    instance = parse_instance(json.dumps(doc))
+    assert not instance.edges.records
+    groups = sorted((columns.kind.__name__, columns.nodes.shape[1], len(columns)) for columns in instance.edges.columns)
+    assert groups == [("GeometricMeanPool", 2, 1), ("GeometricMeanPool", 3, 8), ("GeometricMeanPool", 4, 1),
+                      ("TwoAssetGeometricPool", 2, 20)]
+    # A two-asset geometric_mean pool stays a GeometricMeanPool.
+    assert type(instance.edges[3].oracle) is GeometricMeanPool
+    assert instance.edges[3].oracle.weights.tolist() == [0.25, 0.75]
+    assert instance.incidences.nodes.tolist() == [j for e in doc["edges"] for j in e["nodes"]]
+    assert instance_to_dict(instance) == doc
+    per_edge = ProblemInstance(
+        n=instance.n, edges=list(map(_per_edge, instance.edges.scan())), net_objective=instance.net_objective
+    )
+    assert _fingerprint(solve(instance)) == _fingerprint(solve(per_edge))
+
+
+def test_pools_of_more_sizes_than_255_groups_stay_records_past_them():
+    # A group's number is one byte; the 256th size of pool is a record.
+    n = 260
+    edges = [
+        {"kind": "geometric_mean", "params": {"reserves": [100.0] * d, "weights": [1.0 / d] * d}, "nodes": list(range(d))}
+        for d in range(2, 259)
+    ]
+    doc = {"version": 1, "n": n, "objective": {"kind": "linear_nonneg", "params": {"prices": [1.0] * n}}, "edges": edges}
+    instance = parse_instance(json.dumps(doc))
+    assert len(instance.edges.columns) == 255 and len(instance.edges.records) == 2
+    assert [len(e.incidence.nodes) for e in instance.edges.records] == [257, 258]
+    assert instance.incidences.nodes.tolist() == [j for e in edges for j in e["nodes"]]
+
+
+def _only(doc, tag):
+    """``doc`` with its ``tag`` edges alone."""
+    doc = copy.deepcopy(doc)
+    doc["edges"] = [edge for edge in doc["edges"] if edge["kind"] == tag]
+    return doc
+
+
+# A document of each column kind's edges alone.
+_ONE_KIND = {
+    "opf_line": gen_opf(12, 0),
+    "lossless": gen_maxflow(8, 0.5, 0),
+    "linear_gain": _linear_gain_doc(),
+    "uniswap": _only(gen_cfmm(30, 0), "uniswap"),
+    "geometric_mean": _only(_mixed_dim_doc(), "geometric_mean"),
+}
+
+
+def _refuse(*args):
+    raise AssertionError("a column-stored edge was answered one by one")
+
+
+@pytest.mark.parametrize("tag", sorted(_COLUMN_KINDS))
+def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypatch):
+    # The reader, the solver and the writer share one registry of column
+    # kinds: a kind the reader stores as columns must be answered by a
+    # kernel, with no record built and no per-edge call in a whole solve,
+    # and must serialize back to its document.
+    assert set(_ONE_KIND) == set(_COLUMN_KINDS)
+    kind = _COLUMN_KINDS[tag][0]
+    doc = _ONE_KIND[tag]
+    instance = parse_instance(json.dumps(doc))
+    assert not instance.edges.records and {columns.kind for columns in instance.edges.columns} == {kind}
+    program = DualProgram(instance)
+    assert not program._pair_loop and not program._array_loop
+    assert {k.kind for k in program._kernels} | {GeometricMeanPool for _ in program._pool_kernels} == {kind}
+    for owner, name in [
+        (EdgeColumns, "record"),
+        (TwoNodeEdge, "evaluate"),
+        (TwoNodeEdge, "evaluate_pair"),
+        (TwoAssetGeometricPool, "evaluate"),
+        (TwoAssetGeometricPool, "evaluate_pair"),
+        (GeometricMeanPool, "evaluate"),
+    ]:
+        monkeypatch.setattr(owner, name, _refuse)
+    solve(instance)
+    monkeypatch.undo()
+    assert instance_to_dict(instance) == doc
+
+
 def test_pools_accept_integer_reserves_and_keep_penalized_ones_as_records():
     doc = _with(_with(_CFMM, 2, reserves=[150, 120]), 4, weight=1 / 3)
     doc["edges"][6]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
     instance = parse_instance(json.dumps(doc))
-    (columns,) = instance.edges.columns
-    assert columns.kind is TwoAssetGeometricPool and len(columns) == 6
+    assert len(_group(instance, TwoAssetGeometricPool)) == 6
     assert instance.edges[2].oracle.reserves.tolist() == [150.0, 120.0]
     assert instance.edges[4].oracle.weight == 1 / 3
     assert instance.utility_edges == (6,) and instance.edges[6] in instance.edges.records
@@ -508,13 +819,13 @@ def test_column_rows_hold_integers_as_floats():
 def test_solving_a_parsed_opf_instance_builds_no_record(monkeypatch):
     instance = parse_instance(json.dumps(gen_opf(100, 0)))
     built = []
-    record = TwoNodeColumns.record
+    record = EdgeColumns.record
 
     def counting(self, row):
         built.append(row)
         return record(self, row)
 
-    monkeypatch.setattr(TwoNodeColumns, "record", counting)
+    monkeypatch.setattr(EdgeColumns, "record", counting)
     result = solve(instance)
     assert result.converged
     assert built == []
@@ -545,14 +856,17 @@ def test_parsed_opf_instance_keeps_little_memory_per_edge():
 
 def test_solving_a_parsed_cfmm_instance_builds_no_record(monkeypatch):
     instance = parse_instance(json.dumps(gen_cfmm(200, 1)))
+    # Every pool is a column row: two-asset and geometric_mean alike.
+    assert not instance.edges.records
+    assert {columns.kind for columns in instance.edges.columns} == {TwoAssetGeometricPool, GeometricMeanPool}
     built = []
-    record = TwoNodeColumns.record
+    record = EdgeColumns.record
 
     def counting(self, row):
-        built.append(row)
+        built.append((self.kind, row))
         return record(self, row)
 
-    monkeypatch.setattr(TwoNodeColumns, "record", counting)
+    monkeypatch.setattr(EdgeColumns, "record", counting)
     result = solve(instance)
     assert result.converged
     assert built == [] and not instance.edges._kept
@@ -563,11 +877,12 @@ def test_solving_a_parsed_cfmm_instance_builds_no_record(monkeypatch):
 
 
 def test_parsed_cfmm_instance_keeps_little_memory_per_edge():
-    # Two-asset pools in columns (a node pair and five floats, plus the
-    # table's group and row index: about 65 bytes), beside the slotted
-    # records of the three-asset pools: about 142 bytes an edge of
-    # gen_cfmm(1600, 0) on CPython 3.11, against about 395 with every
-    # pool a record.
+    # Every pool in columns: a node pair and four floats for a two-asset
+    # pool, three nodes and seven floats for a three-asset one, plus the
+    # table's group and row index: about 67 bytes an edge of
+    # gen_cfmm(1600, 0) on CPython 3.11, against about 161 with the
+    # three-asset pools as slotted records and 395 with every pool a
+    # record.
     text = json.dumps(gen_cfmm(1600, 0))
     parse_instance(text)
     gc.collect()
@@ -582,7 +897,7 @@ def test_parsed_cfmm_instance_keeps_little_memory_per_edge():
     finally:
         if started:
             tracemalloc.stop()
-    assert kept / instance.m <= 180
+    assert kept / instance.m <= 75
 
 
 @pytest.mark.parametrize("doc", [gen_cfmm(120, 2), gen_opf(60, 1)], ids=["cfmm", "opf"])

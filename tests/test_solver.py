@@ -394,15 +394,34 @@ def test_solve_calls_per_instance_evaluate_pair_wrappers(build, kind):
     )
 
 
-def test_solve_calls_per_instance_evaluate_wrappers_of_array_plan_pools():
-    # Multi-asset pools are answered through evaluate; a wrapper set on
-    # the instance (as the benchmark's tracer sets one) must be what the
-    # solver calls, with the solve unchanged.
-    plain = solve(cfmm_instance(m=10, seed=1))
+class _UserGeometricPool(GeometricMeanPool):
+    __slots__ = ()
+
+
+def _user_geometric_pool_cfmm_instance():
+    # The multi-asset pools of a small market as a user subclass, which
+    # the array plan answers edge by edge: its kernel takes the exact type
+    # only.
     instance = cfmm_instance(m=10, seed=1)
+    edges = [
+        Hyperedge(edge.incidence, _UserGeometricPool(edge.oracle.reserves, edge.oracle.weights, edge.oracle.fee))
+        if type(edge.oracle) is GeometricMeanPool
+        else edge
+        for edge in instance.edges
+    ]
+    return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
+
+
+def test_solve_calls_per_instance_evaluate_wrappers_of_array_plan_pools():
+    # A user pool is answered through evaluate; a wrapper set on the
+    # instance (as the benchmark's tracer sets one) must be what the
+    # solver calls, with the solve unchanged.  (The pool kernel answers
+    # an exact GeometricMeanPool from its parameters and calls no wrapper.)
+    plain = solve(_user_geometric_pool_cfmm_instance())
+    instance = _user_geometric_pool_cfmm_instance()
     calls = {}
     for k, edge in enumerate(instance.edges):
-        if type(edge.oracle) is GeometricMeanPool:
+        if type(edge.oracle) is _UserGeometricPool:
 
             def counted(prices, k=k, inner=edge.oracle.evaluate):
                 calls[k] = calls.get(k, 0) + 1
