@@ -527,7 +527,11 @@ class GeometricMeanPool(EdgeOracle):
                 w[k] * ((log_s[k] - log_s[j] if wide else math.log(s[k] / s[j])) + shift - shift_k)
                 for k, shift_k in active.items()
             )
-            flow[j] = -self._r[j] * math.expm1(offset / weight) / (fee if shift else 1.0)
+            try:
+                moved = math.expm1(offset / weight)
+            except OverflowError:
+                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
+            flow[j] = -self._r[j] * moved / (fee if shift else 1.0)
         return ArbitrageResult(value=float(prices @ flow), flow=flow)
 
     def row_params(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
@@ -571,8 +575,9 @@ class GeometricMeanPool(EdgeOracle):
         (numpy's may round differently in the last bit), and ``vecdot``
         rounds each row's value as the scalar ``prices @ flow`` does.  A
         negative price raises the scalar code's ``ValueError`` for the
-        first such row, and a zero ``s_j`` beside a positive one in any
-        row leaves the supremum unattained.
+        first such row, and a zero ``s_j`` beside a positive one, or a
+        tendered amount past the float range, in any row leaves the
+        supremum unattained.
         """
         bad = (prices < 0).any(axis=1)
         if bad.any():
@@ -646,7 +651,10 @@ class GeometricMeanPool(EdgeOracle):
                 offset = np.where(pairs[:, :, b], offset + terms[:, :, b], offset)
             # A tendered amount is what enters the pool over the fee.
             moved = np.zeros((t, dim))
-            moved[live] = _math(math.expm1, (offset / weight[:, None])[live])
+            try:
+                moved[live] = _math(math.expm1, (offset / weight[:, None])[live])
+            except OverflowError:
+                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
             divisor = np.where(shift != 0.0, gamma[:, None], 1.0)
             traded = np.where(live, -np.take_along_axis(r, active, axis=1) * moved / divisor, 0.0)
             traded_rows = np.zeros((t, dim))

@@ -20,7 +20,11 @@ searches along directions the caller derives from the objective's
 structure (the solver supplies the tie-graph moves that its first-order
 screen cannot rule out at their probe points, see :func:`escape_probes`),
 and an optional final polish evaluates caller-proposed points, keeping
-any that are at least as good (:func:`polish_keeps`).
+any that are at least as good (:func:`polish_keeps`).  An optional
+polish floor bounds the value at each proposal from below, from the
+best point so far; polish skips a proposal it would reject even at its
+bound, so it keeps exactly what it would keep without the floor, at
+fewer evaluations.
 
 An optional certificate decides every stop on the gradient test: when
 the projected gradient is small the driver asks it whether the iterate
@@ -29,7 +33,8 @@ weak duality), and a refusal keeps the run going.  With polish
 candidates it is also asked once at the start: after the first iterate
 the driver evaluates the candidates of the start point and asks about
 the best of them; a refusal there leaves the run exactly as it would
-have been, apart from the candidates' evaluations.  A point the final
+have been, apart from the evaluations of the candidates (those the
+polish floor does not rule out).  A point the final
 polish keeps is asked about once more, at no evaluation.  A certified
 point ends the run with status ``"converged"``, and with a certificate
 no other ending counts as converged.
@@ -144,7 +149,7 @@ def polish_keeps(f_candidate: float, f: float) -> bool:
     return math.isfinite(f_candidate) and f_candidate <= f + _TIE_SLACK * (1.0 + abs(f))
 
 
-def _polish(fun, x, f, g, lower, generators):
+def _polish(fun, x, f, g, lower, generators, floor=None):
     """Evaluate the generators' points and keep the best; return
     ``(x, f, g, evals, kept)``.
 
@@ -152,6 +157,14 @@ def _polish(fun, x, f, g, lower, generators):
     one point or several; a proposal equal to that point is skipped
     without an evaluation, and one that :func:`polish_keeps` accepts
     becomes the best.  ``kept`` says whether any proposal was adopted.
+
+    With ``floor``, called as ``floor(x, points)`` with the best point so
+    far and the proposals still to come (rows), a proposal whose lower
+    bound :func:`polish_keeps` rejects is skipped without an evaluation:
+    its value could only be rejected too.  After a kept proposal, the
+    ones still to come are bounded again from it, so each is judged
+    against the best point it would have met, and the outcome is the
+    same as without ``floor``.  A ``-inf`` or NaN bound proves nothing.
     """
     evals = 0
     kept = False
@@ -159,15 +172,23 @@ def _polish(fun, x, f, g, lower, generators):
         proposals = generator(x)
         if isinstance(proposals, np.ndarray):
             proposals = [proposals]
-        for x_c in proposals:
-            x_c = np.maximum(np.asarray(x_c, dtype=float), lower)
+        pending = [np.maximum(np.asarray(x_c, dtype=float), lower) for x_c in proposals]
+        first, bounds = 0, None
+        for i, x_c in enumerate(pending):
             if np.array_equal(x_c, x):
                 continue
+            if floor is not None:
+                if bounds is None:
+                    first, bounds = i, floor(x, np.array(pending[i:]))
+                bound = bounds[i - first]
+                if bound > -math.inf and not polish_keeps(bound, f):
+                    continue
             f_c, g_c = fun(x_c)
             evals += 1
             if polish_keeps(f_c, f):
                 x, f, g = x_c, f_c, np.asarray(g_c, dtype=float)
                 kept = True
+                bounds = None
     return x, f, g, evals, kept
 
 
@@ -254,6 +275,7 @@ def minimize_bound_lbfgs(
     escape_directions: Callable[[np.ndarray], list] | None = None,
     line_search_screen: Callable[[np.ndarray, np.ndarray], bool] | None = None,
     certificate: Callable[[np.ndarray, float], bool] | None = None,
+    polish_floor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> QNResult:
     """Minimize ``fun`` subject to ``x >= lower``.
 
@@ -289,6 +311,11 @@ def minimize_bound_lbfgs(
             evaluations, and after the final polish the run ends
             ``"polished"``.  With a certificate, ``converged`` is true
             only after a True answer.
+        polish_floor: Called as ``polish_floor(x, points)`` with the best
+            point so far and polish proposals (rows), by the start check
+            and the final polish.  It returns a lower bound on ``fun`` at
+            each point, and a proposal whose bound :func:`polish_keeps`
+            rejects is not evaluated; what polish keeps does not change.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -346,7 +373,7 @@ def minimize_bound_lbfgs(
         if iteration == 0 and certificate is not None and polish_candidates:
             # Check the best rounded start once; a refusal leaves the run
             # as it was.
-            x_c, f_c, g_c, extra, _ = _polish(fun, x, f, g, lower, polish_candidates)
+            x_c, f_c, g_c, extra, _ = _polish(fun, x, f, g, lower, polish_candidates, polish_floor)
             n_evals += extra
             if certificate(x_c, f_c):
                 x, f, g = x_c, f_c, g_c
@@ -470,7 +497,7 @@ def minimize_bound_lbfgs(
     # anything at least as good.  A certified start has nothing to polish.
     # A kept point is new, so the certificate is asked about it once.
     if polish_candidates and not certified:
-        x, f, g, extra, kept = _polish(fun, x, f, g, lower, polish_candidates)
+        x, f, g, extra, kept = _polish(fun, x, f, g, lower, polish_candidates, polish_floor)
         n_evals += extra
         if kept:
             status = "polished"

@@ -92,8 +92,11 @@ _ZERO_UTILITY_PRICE_TOL = 1e-9
 # Relative price tolerance at which a face counts as supported, as in
 # ``supported_face(prices, 1e-7)``.
 _FACE_TOL = 1e-7
-# Directions per block when the descent bounds work out their face terms.
+# Steps per block when the descent bounds work out their face terms.
 _BOUND_ROWS = 32
+# Relative margin of the polish floor over the rounding of its bound and
+# of the values it is compared with (see DualProgram.polish_floor).
+_FLOOR_SLACK = 1e-9
 # The kinds whose two-node edges the pair plan answers by kernel: the
 # gain types of a TwoNodeEdge, and an oracle type.
 _KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool)
@@ -130,7 +133,9 @@ class SolverConfig:
     not strictly convex, on an edge without a penalty), the driver
     finishes by evaluating rounded copies of the final iterate (integers
     and threshold cuts) and keeps any that are at least as good, which
-    lands exactly on the vertex solutions of combinatorial instances.
+    lands exactly on the vertex solutions of combinatorial instances; a
+    copy that the face bound proves worse is skipped unevaluated
+    (:meth:`DualProgram.polish_floor`).
     Such an instance also tries the rounded copies of its start once,
     after the first iterate.  Every instance asks a certificate before
     it stops on ``grad_tol``, and a flat-faced one also at that best
@@ -565,13 +570,15 @@ class DualProgram:
         self._last_x = np.array(x, copy=True)
         return self._last_pass
 
-    def _cached_pass(self, x: np.ndarray) -> _Pass | None:
+    def _cached_pass(self, x: np.ndarray, evaluate: bool = True) -> _Pass | None:
+        """The pass at ``x`` from either cache, else a fresh one; without
+        ``evaluate``, None when neither cache holds ``x``."""
         if self._last_x is not None and np.array_equal(self._last_x, x):
             return self._last_pass
         if self._iterate_x is not None and np.array_equal(self._iterate_x, x):
             self._last_x, self._last_pass = self._iterate_x, self._iterate_pass
             return self._last_pass
-        return self._fresh_pass(x)
+        return self._fresh_pass(x) if evaluate else None
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         raw = self._fresh_pass(x)
@@ -667,6 +674,41 @@ class DualProgram:
         bounds, margin = self._descent_bounds(x, np.asarray(d)[None, :], ties_only=True)
         return bool(bounds[0] > margin)
 
+    def polish_floor(self, x: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Lower bounds on the dual value at ``points`` (one per row), from
+        the pass at ``x``.
+
+        The driver's polish screen.  Each is ``f(x) + b - margin``, with
+        ``b`` the bound of :meth:`_step_bounds` on the step
+        ``point - x``, which holds for a step of any length.  Only a
+        cached pass is read, the last one or the iterate's: when neither
+        is at ``x`` (or the dual is infinite there), every floor is
+        ``-inf``, and no pass is ever evaluated here.
+
+        The margin, ``1e-9 (1 + |f(x)| + |b| + S)``, covers the rounding
+        of ``f(x)``, of ``b`` and of the value the point evaluates to.
+        ``S = |conj_U(nu)| + sum_i |p_i|·|z_i|`` is the size of the terms
+        summed into ``f(x)``, and ``|b|`` stands for what the step adds to
+        them.  Each of the three is a sum of terms rounded to a few ulps
+        of their size, so while the terms stay within that scale, ten
+        thousand of them round by about ``1e-11`` of it, a hundredth of
+        the margin.
+        """
+        raw = self._cached_pass(x, evaluate=False)
+        if raw is None:
+            return np.full(len(points), -math.inf)
+        bounds = self._step_bounds(x, raw, points - x)
+        size = abs(raw.conj_u.value) + float(np.abs(self.node_prices(x)[self._nodes]) @ np.abs(raw.flows.data))
+        return raw.value + bounds - _FLOOR_SLACK * (1.0 + abs(raw.value) + size + np.abs(bounds))
+
+    def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:
+        """The bounds of :meth:`_step_bounds` at the escape probe steps of
+        ``directions`` (:func:`convexflows.qn.escape_probes`), from the
+        pass at ``x``, and the probe margin."""
+        steps, _, margin = escape_probes(x, directions, self.lower)
+        steps -= x  # probe points to probe steps, in place
+        return self._step_bounds(x, self._cached_pass(x), steps, ties_only), margin
+
     def _tie_graph(self, x: np.ndarray) -> list[np.ndarray]:
         """The unscreened tie-graph moves at ``x``."""
         nu = self.node_prices(x)
@@ -711,13 +753,12 @@ class DualProgram:
                 directions.append(-d)
         return directions
 
-    def _descent_bounds(self, x: np.ndarray, directions, ties_only: bool = False) -> tuple[np.ndarray, float]:
-        """First-order lower bounds on ``f(x + s) - f(x)``, one per
-        direction, and the probe margin.
+    def _step_bounds(self, x: np.ndarray, raw: _Pass | None, steps: np.ndarray, ties_only: bool = False) -> np.ndarray:
+        """First-order lower bounds on ``f(x + s) - f(x)``, one per row
+        ``s`` of ``steps``, from the pass ``raw`` at ``x``.
 
-        ``s`` is the escape probe step of each direction
-        (:func:`convexflows.qn.escape_probes`).  With ``g`` the gradient
-        and ``z_i`` the flow of edge ``i`` at ``x``, the bound is
+        With ``g`` the gradient and ``z_i`` the flow of edge ``i`` at
+        ``x``, the bound is
 
             g·s + sum_i max_{w in {z_i, P_i, Q_i}} (w - z_i)·(p_i + d_i)
 
@@ -725,27 +766,25 @@ class DualProgram:
         endpoints ``P_i``, ``Q_i``; ``d_i`` is their share of ``s``.
         Each edge's support function at shifted prices is at least the
         value of any allowable flow there, its value at ``x`` is
-        ``z_i·p_i``, and every other term of the dual is at least its
-        value plus its subgradient step, so the bound holds up to
-        rounding.  With ``ties_only`` the sum runs over the tied faces
-        alone (see :meth:`rises_at_probe`).
+        ``z_i·p_i``, and every other term of the dual is convex, so at
+        least its value plus its subgradient step: the bound holds, up to
+        rounding, for a step of any length.  With ``ties_only`` the sum
+        runs over the tied faces alone (see :meth:`rises_at_probe`).  A
+        pass of infinite value (None) bounds nothing: ``-inf``.
 
         Edge ``i``'s term is ``max_w (w - z_i)·(p_i + d_i)``, worked out
         as ``max(0, offsets + toward·d_i)`` (``w = z_i`` gives the zero)
-        with ``d_i`` gathered from each probe step's columns, a block of
-        rows at a time.
+        with ``d_i`` gathered from each step's columns, a block of rows
+        at a time.
         """
-        steps, _, margin = escape_probes(x, directions, self.lower)
-        steps -= x  # probe points to probe steps, in place
-        raw = self._cached_pass(x)
         if raw is None:
-            return np.full(len(steps), -math.inf), margin
+            return np.full(len(steps), -math.inf)
         bounds = steps @ raw.grad
         if ties_only and not raw.edge_ties:
-            return bounds, margin
+            return bounds
         rows, prices, ends = self._faces(x)
         if not len(rows):
-            return bounds, margin
+            return bounds
         plan = self._face_plan[rows]
         flow = raw.flows.data[self._pair_at[plan][:, None] + (0, 1)]
         if ties_only:
@@ -760,7 +799,7 @@ class DualProgram:
             moves = part[:, cols]  # rows x faces x slot
             terms = np.einsum("rks,kes->rke", moves, toward) + offsets
             bounds[lo : lo + len(part)] += np.maximum(terms.max(axis=2), 0.0).sum(axis=1)
-        return bounds, margin
+        return bounds
 
 
 @dataclass
@@ -805,10 +844,15 @@ def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
     For combinatorial instances the optimal dual is an indicator vector,
     and the best threshold cut of any point clipped into the unit box is
     at least as good as the point itself, so these candidates certify
-    exact vertex optima from a merely near-optimal iterate.
+    exact vertex optima from a merely near-optimal iterate.  The distinct
+    values come from a sort, as ``np.unique`` finds them, without the
+    masked-array module that ``np.unique`` imports on a float array.
     """
     z = np.clip(x, 0.0, 1.0)
-    values = np.unique(z)
+    values = np.sort(z)
+    distinct = np.ones(len(values), dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    values = values[distinct]
     if len(values) > 64 or len(values) < 2:
         return []
     candidates = [np.zeros_like(z)]  # threshold above the maximum
@@ -890,9 +934,9 @@ def _solve_dual(
         return math.isfinite(primal.value) and abs(f - primal.value) <= config.feas_tol * (1.0 + abs(f))
 
     # Only an instance with a flat face polishes, certifies its start and
-    # screens its line searches: elsewhere the face bound is the gradient
-    # term alone, and rounding lands on no vertex.  Every instance
-    # certifies its gradient stop.
+    # screens its line searches and polish proposals: elsewhere the face
+    # bound is the gradient term alone, and rounding lands on no vertex.
+    # Every instance certifies its gradient stop.
     flat = program.has_flat_faces
     candidates = [np.round, _threshold_candidates] if flat else None
     driver = minimize_bound_lbfgs(
@@ -904,6 +948,7 @@ def _solve_dual(
         polish_candidates=candidates,
         escape_directions=program.escape_directions,
         line_search_screen=program.rises_at_probe if flat else None,
+        polish_floor=program.polish_floor if flat else None,
         certificate=certificate,
     )
     at_end = asked[0] is not None and np.array_equal(asked[0], driver.x)

@@ -586,6 +586,25 @@ def test_pool_post_trade_reserve_past_the_float_range_is_unattained():
     assert math.isfinite(value) and np.all(np.isfinite(grad))
 
 
+def test_multi_asset_tender_past_the_float_range_is_unattained():
+    # At weight 0.02 on an asset priced at 1e-320, the amount tendered of
+    # it leaves the float range: the supremum counts as unattained in the
+    # scalar form and in the kernel, and a dual pass there (the pass
+    # answers the hand-built pool with its kernel) backs off.
+    pool = GeometricMeanPool([150.0, 120.0, 100.0], [0.02, 0.49, 0.49], 0.997)
+    prices = np.array([1e-320, 1.0, 1.0])
+    with pytest.raises(UnattainedSupremumError):
+        pool.evaluate(prices)
+    params = tuple(np.array([column]) for column in pool.row_params())
+    with pytest.raises(UnattainedSupremumError):
+        GeometricMeanPool.evaluate_rows(*params, prices[None, :])
+    edge = Hyperedge(EdgeIncidence((0, 1, 2)), pool)
+    program = DualProgram(ProblemInstance(n=3, edges=[edge], net_objective=LinearNonnegObjective(np.zeros(3))))
+    assert program.value_and_grad(prices) == (math.inf, None)
+    value, grad = program.value_and_grad(np.array([1e-300, 1.0, 1.0]))
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+
+
 def test_pool_prices_whose_s_all_underflow_trade_nothing():
     pool = GeometricMeanPool([0.1, 0.1, 0.1], [0.2, 0.3, 0.5], 0.997)
     res = pool.evaluate(np.full(3, 5e-324))

@@ -296,6 +296,29 @@ def test_geometric_kernel_equals_evaluate_bit_for_bit(dim):
     assert trading > 800 and wide > 100 and raised > 0, (trading, wide, raised)
 
 
+def test_geometric_kernel_leaves_a_tender_past_the_float_range_unattained():
+    # One asset priced at 1e-320 against unit prices: at a small weight the
+    # amount tendered of it leaves the float range, and both forms leave
+    # the supremum unattained on that row, alone or in any batch; the other
+    # rows answer evaluate's bytes.
+    rng = np.random.default_rng(7)
+    m = 200
+    reserves = np.tile([150.0, 120.0, 100.0], (m, 1))
+    first = rng.uniform(0.01, 0.4, m)
+    weights = np.stack([first, (1.0 - first) / 2, (1.0 - first) / 2], axis=1)
+    params = (reserves, weights, rng.choice([1.0, 0.997, 0.9], m))
+    prices = np.tile([1e-320, 1.0, 1.0], (m, 1))
+    trading, _, raised = _assert_geometric_kernel_matches(params, prices)
+    assert raised > 0 and trading > 0, (trading, raised)
+    for k in range(m):
+        try:
+            GeometricMeanPool.row_oracle(*(column[k].tolist() for column in params)).evaluate(prices[k])
+        except UnattainedSupremumError:
+            rows = [k, (k + 1) % m]
+            with pytest.raises(UnattainedSupremumError):
+                GeometricMeanPool.evaluate_rows(*(column[rows] for column in params), prices[rows])
+
+
 def test_geometric_kernel_answers_zero_prices_as_evaluate_does():
     params = (np.array([[150.0, 120.0, 100.0], [0.1, 130.0, 110.0]]), np.full((2, 3), 1 / 3), np.array([0.997, 1.0]))
     pools = [GeometricMeanPool.row_oracle(*(column[k].tolist() for column in params)) for k in range(2)]

@@ -669,3 +669,21 @@ def test_solving_loads_no_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_solving_a_flat_faced_instance_loads_no_masked_arrays(tmp_path):
+    # The threshold candidates of the polish find the distinct values of
+    # the iterate without np.unique, which imports numpy.ma on a float
+    # array; numpy.matrixlib, which numpy always loads, does not match.
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(gen_maxflow(6, 0.4, 1)))
+    script = (
+        "import sys\n"
+        "from convexflows import io_cli\n"
+        f"assert io_cli.main(['solve', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
