@@ -105,9 +105,20 @@ def _log_invariants(r0, r1, weight) -> np.ndarray:
 
 
 def _membership(reserves, weights, fee, flow, tol) -> bool:
-    """Scaled residual test for the invariant and the reserve signs."""
+    """Whether ``flow`` lies within ``scale = tol (1 + |flow|_inf)`` of
+    the pool's set.
+
+    Receiving less or tendering more only raises the post-trade
+    reserves, so the flow counts when the flow lowered by ``scale`` in
+    every coordinate passes the scaled residual test for the reserve
+    signs and the invariant.  Without the shift, the exact answer to a
+    price ratio past the float range, a trade whose post-trade reserve
+    rounds to zero, would fail the invariant's log though it lies
+    within the slack of the set.
+    """
     flow = np.asarray(flow, dtype=float)
     scale = tol * (1.0 + float(np.max(np.abs(flow))))
+    flow = flow - scale
     tendered = np.maximum(-flow, 0.0)
     received = np.maximum(flow, 0.0)
     post = reserves + fee * tendered - received

@@ -3,15 +3,21 @@
 Minimizes a convex function over coordinate lower bounds.  The search
 direction comes from the standard two-loop recursion restricted to the
 free coordinates; steps follow a projected weak-Wolfe line search,
-which tries the unit step first and halves it.  A steepest-descent
-direction (the first one, and each one after a restart or an escape
-empties the memory) has no curvature pair to give it a length, so its
-search starts at the largest of those halvings that moves no coordinate
-by more than ``1 + |x|_inf``, as L-BFGS-B scales its first step (Byrd,
-Lu, Nocedal and Zhu, 1995); it skips only trials that would move the
-point past its own scale.  The objective may return ``+inf`` (an
-implicit constraint), which only ever shrinks the step, so iterates
-stay inside the finite region.  Near the float noise floor, steps are
+which tries the unit step first.  A steepest-descent direction (the
+first one, and each one after a restart or an escape empties the
+memory) has no curvature pair to give it a length, so its search
+starts at the largest step of the halving sequence 1, 1/2, 1/4, ...
+that moves no coordinate by more than ``1 + |x|_inf``, as L-BFGS-B
+scales its first step (Byrd, Lu, Nocedal and Zhu, 1995); it skips
+only trials that would move the point past its own scale.  A trial
+that fails sufficient decrease with a finite value, while no shorter
+step has passed, is shrunk to the minimizer of the quadratic through
+``f(x)``, the projected slope of the trial and its value, safeguarded
+to a tenth and a half of the trial (Nocedal and Wright, *Numerical
+Optimization*, 2006, §3.5); any other failure halves the step, or the
+bracket.  The objective may return ``+inf`` (an implicit constraint),
+which only ever shrinks the step, so iterates stay inside the finite
+region.  Near the float noise floor, steps are
 accepted on the curvature condition alone, letting the gradients keep
 converging after objective differences stop being measurable.
 Nonsmooth objectives can jam the iteration at points where no single
@@ -45,7 +51,10 @@ noise.  An optional line-search screen, asked once after the first
 trial step fails, can end the search at once: it answers whether the
 direction provably rises at its escape probe point, and a search it
 ends takes the same failed-search path (a steepest-descent retry, then
-an escape) as one that ran out of steps.
+an escape) as one that ran out of steps.  A search with a screen halves
+every failed trial: the solver screens exactly the objectives with flat
+faces, and on those the quadratic model's steps made solve paths
+erratic (on small max-flow instances, some took twice the iterations).
 
 The objective callable returns ``(value, gradient)``; the gradient is
 ignored (and may be None) when the value is infinite.
@@ -297,7 +306,8 @@ def minimize_bound_lbfgs(
             decrease.  True means ``f`` provably rises by more than the
             probe margin at the escape probe of ``d``
             (:func:`escape_probes`), and the search ends without further
-            evaluations, as a failed one.
+            evaluations, as a failed one.  With a screen, failed trials
+            halve the step rather than interpolate it.
         certificate: Called as ``certificate(x, value)`` at each iterate
             that passes the gradient test, and, with
             ``polish_candidates``, once at the best of the start point
@@ -446,10 +456,19 @@ def minimize_bound_lbfgs(
             threshold = _ARMIJO * slope
             if -threshold <= noise:
                 threshold = noise
+            shrink = _SHRINK
             if not math.isfinite(f_try) or f_try > f + threshold:
                 hi_a = alpha
-                if trial == 0 and line_search_screen is not None and line_search_screen(x, d):
-                    break
+                if line_search_screen is not None:
+                    if trial == 0 and line_search_screen(x, d):
+                        break
+                elif lo_a == 0.0 and math.isfinite(f_try):
+                    # No shorter step has passed yet: shrink to the minimizer
+                    # of the quadratic through f, the slope and f_try, kept
+                    # within [0.1, 0.5] of the trial.
+                    curve = f_try - f - slope
+                    if slope < 0.0 and curve > 0.0:
+                        shrink = min(max(-slope / (2.0 * curve), 0.1), _SHRINK)
             else:
                 if f_try <= f + _ARMIJO * slope:
                     fallback = (x_try, f_try, g_try)
@@ -459,7 +478,7 @@ def minimize_bound_lbfgs(
                     x_new, f_new, g_new = x_try, f_try, g_try
                     accepted = True
                     break
-            alpha = 2.0 * lo_a if math.isinf(hi_a) else lo_a + _SHRINK * (hi_a - lo_a)
+            alpha = 2.0 * lo_a if math.isinf(hi_a) else lo_a + shrink * (hi_a - lo_a)
             if alpha > 1e12:
                 break
         if not accepted and fallback is not None:

@@ -416,6 +416,10 @@ class DualProgram:
         # line search's trial points (see trace_info).
         self._iterate_x: np.ndarray | None = None
         self._iterate_pass: _Pass | None = None
+        # The pass at polish's best point so far, kept apart from the
+        # proposals evaluated after it (see polish_floor).
+        self._polish_x: np.ndarray | None = None
+        self._polish_pass: _Pass | None = None
         self._build_face_table(loop)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
@@ -571,13 +575,15 @@ class DualProgram:
         return self._last_pass
 
     def _cached_pass(self, x: np.ndarray, evaluate: bool = True) -> _Pass | None:
-        """The pass at ``x`` from either cache, else a fresh one; without
-        ``evaluate``, None when neither cache holds ``x``."""
+        """The pass at ``x`` from a cache (the last pass, the iterate's or
+        polish's), else a fresh one; without ``evaluate``, None when no
+        cache holds ``x``."""
         if self._last_x is not None and np.array_equal(self._last_x, x):
             return self._last_pass
-        if self._iterate_x is not None and np.array_equal(self._iterate_x, x):
-            self._last_x, self._last_pass = self._iterate_x, self._iterate_pass
-            return self._last_pass
+        for kept_x, kept in ((self._iterate_x, self._iterate_pass), (self._polish_x, self._polish_pass)):
+            if kept_x is not None and np.array_equal(kept_x, x):
+                self._last_x, self._last_pass = kept_x, kept
+                return kept
         return self._fresh_pass(x) if evaluate else None
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
@@ -681,9 +687,12 @@ class DualProgram:
         The driver's polish screen.  Each is ``f(x) + b - margin``, with
         ``b`` the bound of :meth:`_step_bounds` on the step
         ``point - x``, which holds for a step of any length.  Only a
-        cached pass is read, the last one or the iterate's: when neither
-        is at ``x`` (or the dual is infinite there), every floor is
-        ``-inf``, and no pass is ever evaluated here.
+        cached pass is read: when no cache holds ``x`` (or the dual is
+        infinite there), every floor is ``-inf``, and no pass is ever
+        evaluated here.  Polish calls this with its best point so far
+        before it evaluates the proposals, so the pass read is kept until
+        the next call: a certificate asked at the best point, or the next
+        floor from it, reads it after the proposals were evaluated.
 
         The margin, ``1e-9 (1 + |f(x)| + |b| + S)``, covers the rounding
         of ``f(x)``, of ``b`` and of the value the point evaluates to.
@@ -697,6 +706,7 @@ class DualProgram:
         raw = self._cached_pass(x, evaluate=False)
         if raw is None:
             return np.full(len(points), -math.inf)
+        self._polish_x, self._polish_pass = self._last_x, raw
         bounds = self._step_bounds(x, raw, points - x)
         size = abs(raw.conj_u.value) + float(np.abs(self.node_prices(x)[self._nodes]) @ np.abs(raw.flows.data))
         return raw.value + bounds - _FLOOR_SLACK * (1.0 + abs(raw.value) + size + np.abs(bounds))

@@ -305,6 +305,25 @@ def test_pool_membership_rejects_value_extraction():
 
 
 @pytest.mark.parametrize(
+    "pool",
+    [TwoAssetGeometricPool([0.1, 150.0], 0.5, 0.997), GeometricMeanPool([0.1, 150.0], [0.5, 0.5], 0.997)],
+    ids=["two-asset", "multi-asset"],
+)
+def test_membership_accepts_a_flow_within_the_slack_of_the_set(pool):
+    # Past the float range of the price ratio, the exact trade takes all
+    # of asset 1 up to a post-trade reserve that rounds to zero, so its
+    # log invariant is -inf.  The flow lies within tol (1 + |flow|_inf)
+    # of the set, and that is what membership decides; a thousand times
+    # that slack beyond the reserve is still refused.
+    flow = pool.evaluate(np.array([1e-320, 1.0])).flow
+    assert flow[1] == 150.0 and -math.inf < flow[0] < -1e160
+    assert pool.is_member(flow, 1e-9)
+    slack = 1e-9 * (1.0 + np.max(np.abs(flow)))
+    assert pool.is_member(flow + [0.0, slack], 1e-9)
+    assert not pool.is_member(flow + [0.0, 1e3 * slack], 1e-9)
+
+
+@pytest.mark.parametrize(
     "pool, prices",
     [
         (TwoAssetGeometricPool([100.0, 50.0]), [1.0, 1.0]),

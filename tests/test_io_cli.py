@@ -305,11 +305,11 @@ def test_cli_generate_solve_check_cycle(tmp_path, capsys):
 # arrays (CPython 3.11, numpy 2.4, x86-64).  Reading the packed buffers
 # must write the same bytes.
 _GOLDEN_OUT = {
-    "cfmm": (gen_cfmm, (30, 0), {}, "90ae584e3a1855908caf47408860154ae6166b79894e4ae234adeb5c534cdda0"),
+    "cfmm": (gen_cfmm, (30, 0), {}, "31e80c0671b71fc28dad5ccc6594aa3cae14ac8a9b693023a0bb83457718e4d0"),
     "cfmm_pen": (
-        gen_cfmm, (20, 0), {"edge_penalties": True}, "51acf699c8eafc4831d1a4839de41eef0e9caf078e1e624c0a51baacd78ea98d"
+        gen_cfmm, (20, 0), {"edge_penalties": True}, "60ba9269e3600ecf022ac8354dd67e258dc1e2f533a389daa9d9e9c1b18f969c"
     ),
-    "opf": (gen_opf, (30, 0), {}, "5f4accbf69d98f9226b94607f47c0c2242c310c7aff5b0cc3d6bf42a407fccdc"),
+    "opf": (gen_opf, (30, 0), {}, "c62076ea136ffcc2e6a747adaeb03a129d7a71a588592813e33c552401bece59"),
     "maxflow": (gen_maxflow, (12, 0.3, 0), {}, "08838c0f4a61527228ebf8de30ebddf6d9182b4006c4f85cd2e46a369a515246"),
 }
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import maxflow_instance, piecewise_dag_instance
+from conftest import cfmm_instance, maxflow_instance, opf_instance, piecewise_dag_instance
 from convexflows import qn, solver
 from convexflows.io_cli import fisher_instance
 from convexflows.qn import polish_keeps
@@ -174,3 +174,34 @@ def test_polish_evaluates_only_what_the_floor_leaves():
         x, f, _, evals, kept = qn._polish(fun, np.zeros(1), 2.0, np.zeros(1), np.zeros(1), [lambda x: points], floor)
         assert (float(x[0]), f, kept) == (4.0, values[4], True)
         assert log == [1.0, 2.0, 3.0, 4.0] and evals == 4
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        piecewise_dag_instance(0),
+        piecewise_dag_instance(1),
+        piecewise_dag_instance(2),
+        fisher_market(0, 3, 3),
+        cfmm_instance(m=30),
+        cfmm_instance(m=20, edge_penalties=True),
+        opf_instance(30),
+        maxflow_instance(20, 0.3, 0),
+    ],
+    ids=["dag-0", "dag-1", "dag-2", "fisher-3x3", "cfmm", "cfmm_pen", "opf", "maxflow"],
+)
+def test_every_dual_pass_is_counted(instance, monkeypatch):
+    # The best rounded start is certified from the pass polish_floor kept
+    # for it, though the candidates rejected after it were evaluated
+    # later.  (A failed escape's probes are still left out of n_evals;
+    # none of these solves has one.)
+    passes = []
+    original = DualProgram._evaluate_pass
+
+    def counting(self, nu):
+        passes.append(1)
+        return original(self, nu)
+
+    monkeypatch.setattr(DualProgram, "_evaluate_pass", counting)
+    result = solve(instance)
+    assert len(passes) == result.n_evals

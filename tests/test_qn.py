@@ -150,13 +150,16 @@ def test_certified_start_moves_once_and_ends():
 
 
 def test_refused_certificate_changes_only_the_evaluation_count():
+    # The start rounds to the kink, which the refusing certificate is
+    # asked about; neither run stops on the gradient test, where only
+    # the plain one would end.
     center = np.array([1.0, 3.0])
     runs = []
     for certificate in (None, lambda x, f: False):
         seen = []
         res = minimize_bound_lbfgs(
             _kink(center),
-            np.array([0.8, 2.6]),
+            np.array([0.8, 2.7]),
             np.zeros(2),
             QNConfig(max_iter=60),
             callback=lambda k, x, f, g, pg: seen.append((k, x.copy(), f)),
@@ -243,7 +246,7 @@ def test_config_rejects_nonpositive_and_nan_fields(name, value):
         QNConfig(**{name: value})
 
 
-def _first_search_trials(fun, x0, lower):
+def _first_search_trials(fun, x0, lower, **options):
     """The points the first line search evaluates, in order."""
     points = []
 
@@ -251,7 +254,7 @@ def _first_search_trials(fun, x0, lower):
         points.append(x.copy())
         return fun(x)
 
-    minimize_bound_lbfgs(recording, x0, lower, QNConfig(max_iter=1))
+    minimize_bound_lbfgs(recording, x0, lower, QNConfig(max_iter=1), **options)
     return points[1:]
 
 
@@ -284,12 +287,84 @@ def test_first_trial_is_the_largest_halving_that_fits():
 
 
 def test_well_scaled_first_search_starts_at_the_full_step():
-    # |d|_inf = 2 = 1 + |x0|_inf: nothing is skipped, and the search
-    # tries the full step first and then halves it.
+    # |d|_inf = 1 < 1 + |x0|_inf: nothing is skipped, and the search
+    # tries the full step first.  The minimizer along d lies at half of
+    # it, where the quadratic model puts the second trial.
     x0 = np.array([1.0, 0.5])
-    fun = quad(np.array([0.2, 0.5]), np.array([2.5, 1.0]))
+    fun = quad(np.array([0.5, 0.5]), np.array([2.0, 1.0]))
     d = -fun(x0)[1]
     trials = _first_search_trials(fun, x0, np.full(2, -np.inf))
     assert np.max(np.abs(d)) <= 1.0 + np.max(np.abs(x0))
     assert [x.tolist() for x in trials] == [(x0 + 2.0**-j * d).tolist() for j in range(len(trials))]
     assert len(trials) >= 2
+
+
+def test_second_trial_is_the_model_minimizer_on_a_quadratic():
+    # The full step overshoots; the quadratic through f(x0), the slope
+    # and the trial value is the objective itself along d, so the second
+    # trial lands on the minimizer (at 0.4 of the step) and is accepted.
+    x0 = np.array([1.0, 0.5])
+    center = np.array([0.2, 0.5])
+    fun = quad(center, np.array([2.5, 1.0]))
+    d = -fun(x0)[1]
+    trials = _first_search_trials(fun, x0, np.full(2, -np.inf))
+    assert len(trials) == 2 and np.array_equal(trials[0], x0 + d)
+    assert_allclose(trials[1], center, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "curvature, clamp",
+    [
+        # Along d the minimizer is at 1/100 of the full step: clamped up.
+        (100.0, 0.1),
+        # At 0.50002: the full step lowers f, but too little to pass.
+        (1.0 / 0.50002, 0.5),
+    ],
+    ids=["lower", "upper"],
+)
+def test_model_step_is_clamped_to_a_tenth_and_a_half(curvature, clamp):
+    # f = curvature/2 (x - c)^2 from 0 puts its minimizer at
+    # 1/curvature of the steepest-descent step.
+    fun = quad(np.array([0.5 / curvature]), np.array([curvature]))
+    x0 = np.zeros(1)
+    f0, g0 = fun(x0)
+    d = -g0
+    assert 0.0 < d[0] <= 1.0  # the search starts at the full step
+    trials = _first_search_trials(fun, x0, np.full(1, -np.inf))
+    assert np.array_equal(trials[0], x0 + d)
+    assert fun(trials[0])[0] > f0 + 1e-4 * float(g0 @ d)  # no sufficient decrease
+    assert np.array_equal(trials[1], x0 + clamp * d)
+
+
+def _barrier_quad(x):
+    # A quadratic centred at 2, infinite from 0.5 on.
+    if x[0] >= 0.5:
+        return math.inf, None
+    return 0.5 * (x[0] - 2.0) ** 2, np.array([x[0] - 2.0])
+
+
+def test_infinite_trial_halves():
+    x0 = np.array([-0.5])
+    d = -_barrier_quad(x0)[1]
+    trials = _first_search_trials(_barrier_quad, x0, np.full(1, -np.inf))
+    assert _barrier_quad(trials[0])[0] == math.inf
+    assert np.array_equal(trials[0], x0 + d / 2.0)  # the largest halving within 1 + |x0|_inf
+    assert np.array_equal(trials[1], x0 + d / 4.0)
+
+
+def test_screened_search_still_halves():
+    # The lower-clamp case, but with a screen that never ends the search:
+    # it is asked once, and the trials halve.
+    fun = quad(np.array([0.005]), np.array([100.0]))
+    x0 = np.zeros(1)
+    d = -fun(x0)[1]
+    asked = []
+
+    def screen(x, direction):
+        asked.append(direction.copy())
+        return False
+
+    trials = _first_search_trials(fun, x0, np.full(1, -np.inf), line_search_screen=screen)
+    assert len(asked) == 1
+    assert len(trials) >= 3
+    assert [x.tolist() for x in trials[:3]] == [(x0 + 2.0**-j * d).tolist() for j in range(3)]
