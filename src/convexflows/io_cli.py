@@ -765,12 +765,13 @@ def _cmd_check(args) -> int:
     instance = _read_instance(args.instance)
     with open(args.result, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    flows = [np.asarray(x, dtype=float) for x in doc["flows"]]
-    net_flow = np.asarray(doc["net_flow"], dtype=float)
+    path = args.result
+    flows = [_floats(x, f"{path}.flows[{k}]") for k, x in enumerate(_get(doc, "flows", path, list))]
+    net_flow = _floats(_get(doc, "net_flow", path), f"{path}.net_flow")
+    dual_value = _get(doc, "dual_value", path, float)
     point = PrimalPoint(edge_flows=flows, net_flow=net_flow)
     report = check_feasibility(instance, point, args.tol)
     primal = primal_objective(instance, point, tol=args.tol)
-    dual_value = float(doc["dual_value"])
     gap = dual_value - primal if math.isfinite(primal) else math.inf
     rel_gap = gap / (1.0 + abs(dual_value))
     ok = (

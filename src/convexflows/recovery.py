@@ -5,11 +5,11 @@ face supported by the optimal prices admits a segment of maximizers, and
 the particular maximizer the oracle returned need not assemble into a
 feasible net flow.  This pass takes the supported faces from the dual
 program's face table (:meth:`convexflows.solver.DualProgram.supported_faces`,
-two-node piecewise-linear edges only) together with the flows and the
-net-objective conjugate of its final pass, then fits the segment
+two-node piecewise-linear edges only) together with the flow buffer and
+the net-objective conjugate of its final pass, then fits the segment
 parameters by box-constrained least squares so the assembled net flow
-matches the objective's target on the coordinates it pins.  No oracle
-runs here.
+matches the objective's target on the coordinates it pins, writing only
+the face edges' entries of the buffer.  No oracle runs here.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import DimensionError, EdgeIncidence, Incidences, ProblemInstance
+from .core import DimensionError, EdgeIncidence, EdgeVectors, Incidences, ProblemInstance
 from .objectives import ConjugateValue
 
 __all__ = ["RecoveryError", "restore_primal", "recover_flows"]
@@ -38,13 +38,13 @@ class RecoveryError(RuntimeError):
 
 def restore_primal(
     y_target: np.ndarray,
-    unique_flows: dict[int, np.ndarray],
+    flows: EdgeVectors,
     segments: dict[int, tuple[np.ndarray, np.ndarray]],
     incidences: Sequence[EdgeIncidence],
     n: int,
     mask: np.ndarray | None = None,
     tol: float = 1e-6,
-) -> tuple[list[np.ndarray], float]:
+) -> tuple[EdgeVectors, float]:
     """Fit segment parameters so the assembled net flow matches the target.
 
     Minimizes the masked least-squares error between the target and the
@@ -54,7 +54,7 @@ def restore_primal(
 
     Args:
         y_target: Net flow target (full length ``n``).
-        unique_flows: Fixed flow per edge index.
+        flows: Every edge's flow, laid out by the incidences' offsets.
         segments: Endpoints ``(P, Q)`` of the supported segment
             ``P + t (Q - P)``, t in [0, 1], per ambiguous edge index.
         incidences: Incidence list of the full instance, or its
@@ -65,10 +65,12 @@ def restore_primal(
         tol: Residual acceptance threshold, scaled by the target size.
 
     Returns:
-        ``(flows, residual)`` with flows in edge order and the final
-        masked residual (2-norm).
+        ``(flows, residual)``: a copy of the buffer with the fitted points
+        at the entries of the segment edges (the buffer itself when there
+        are no segments), and the final masked residual (2-norm).
 
     Raises:
+        DimensionError: The buffer or a segment does not fit its edges.
         RecoveryError: The residual exceeds the scaled tolerance.
     """
     y_target = np.asarray(y_target, dtype=float)
@@ -76,43 +78,41 @@ def restore_primal(
         mask = np.ones(n, dtype=bool)
 
     incidences = Incidences.of(incidences)
+    offsets = incidences.offsets
+    at = np.fromiter(segments, dtype=np.intp, count=len(segments))
+    starts = offsets[at]
+    sizes = offsets[at + 1] - starts
+    ends = list(segments.values())
+    if not np.array_equal(flows.offsets, offsets) or any(
+        len(a) != size or len(b) != size for (a, b), size in zip(ends, sizes.tolist())
+    ):
+        raise DimensionError("flow or segment lengths do not match their edges")
+    # The entries of the segment edges, concatenated in segment order.
+    entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+    p = np.concatenate([np.zeros(0), *(a for a, _ in ends)])
     # The fixed flows in edge order, then each segment's start point,
     # added in that order.
-    at = [*unique_flows, *segments]
-    local = [*unique_flows.values(), *(p for p, _ in segments.values())]
     base = np.zeros(n)
-    if at:
-        at = np.array(at, dtype=np.intp)
-        starts = incidences.offsets[at]
-        sizes = incidences.offsets[at + 1] - starts
-        if not np.array_equal(sizes, np.fromiter(map(len, local), dtype=np.intp, count=len(at))):
-            raise DimensionError("local flow lengths do not match their edges")
-        # The node entries of the edges in ``at``, concatenated.
-        entries = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        np.add.at(base, incidences.nodes[entries], np.concatenate(local))
-
-    k = len(segments)
-    if k == 0:
-        residual = float(np.linalg.norm((y_target - base)[mask]))
-        flows = [unique_flows[i] for i in range(len(incidences))]
+    np.add.at(base, np.delete(incidences.nodes, entries), np.delete(flows.data, entries))
+    np.add.at(base, incidences.nodes[entries], p)
+    r0 = (base - y_target)[mask]
+    if not segments:
+        residual = float(np.linalg.norm(r0))
         _check_residual(residual, y_target, tol)
         return flows, residual
 
-    directions = np.zeros((n, k))
-    for col, (i, (p, q)) in enumerate(segments.items()):
-        directions[incidences.nodes_of(i), col] += q - p
+    span = np.concatenate([b for _, b in ends]) - p
+    columns = np.repeat(np.arange(len(ends)), sizes)
+    directions = np.zeros((n, len(ends)))
+    directions[incidences.nodes[entries], columns] += span
     d_m = directions[mask]
-    r0 = (base - y_target)[mask]
     t = _box_least_squares(d_m, r0)
     residual = float(np.linalg.norm(r0 + d_m @ t))
-
-    flows = [None] * len(incidences)
-    for idx, flow in unique_flows.items():
-        flows[idx] = flow
-    for col, (i, (p, q)) in enumerate(segments.items()):
-        flows[i] = p + t[col] * (q - p)
     _check_residual(residual, y_target, tol)
-    return flows, residual
+
+    out = flows.data.copy()
+    out[entries] = p + t[columns] * span
+    return EdgeVectors(out, flows.offsets), residual
 
 
 def _box_least_squares(d_m: np.ndarray, r0: np.ndarray) -> np.ndarray:
@@ -199,23 +199,20 @@ def _check_residual(residual: float, y_target: np.ndarray, tol: float) -> None:
 def recover_flows(
     instance: ProblemInstance,
     node_prices: np.ndarray,
-    flows: Sequence[np.ndarray],
+    flows: EdgeVectors,
     conj_u: ConjugateValue,
     faces: dict[int, tuple[np.ndarray, np.ndarray]],
     tol: float = 1e-6,
-):
+) -> tuple[EdgeVectors, float]:
     """Recovery pass used by the end-to-end solve.
 
-    ``flows`` are the edge maximizers at a dual point in edge order (a
-    list or an :class:`~convexflows.core.EdgeVectors`), ``conj_u`` is the
+    ``flows`` is the edge maximizer buffer of a dual pass, ``conj_u`` the
     net-objective conjugate at its ``node_prices`` and ``faces`` maps
     each edge whose prices support a flat face there to the face's
-    endpoints, all at the same dual point.  The edges on a
-    face are re-fit along it against the objective's recovery target;
-    the others keep their flows.  When the objective pins nothing, or no
-    edge is on a face and the target is already met, the arbitrage
-    maximizers pass through unchanged.  A failed fit degrades gracefully:
-    the raw flows are returned with the residual attached.
+    endpoints.  The edges on a face are re-fit along it against the
+    objective's recovery target, in a copy of the buffer; the others
+    keep their entries.  With no face to fit, or no target, the buffer
+    itself is returned; a failed fit returns it with the residual.
 
     Returns:
         ``(flows, residual)``; the residual is NaN when no fit ran.
@@ -223,9 +220,8 @@ def recover_flows(
     target_spec = instance.net_objective.recovery_target(np.asarray(node_prices, dtype=float), conj_u)
     if target_spec is None:
         return flows, math.nan
-    unique_flows = {i: flow for i, flow in enumerate(flows) if i not in faces}
     y_target, mask = target_spec
     try:
-        return restore_primal(y_target, unique_flows, faces, instance.incidences, instance.n, mask=mask, tol=tol)
+        return restore_primal(y_target, flows, faces, instance.incidences, instance.n, mask=mask, tol=tol)
     except RecoveryError as exc:
         return flows, exc.residual

@@ -64,7 +64,6 @@ from .core import (
     EdgeVectors,
     PrimalPoint,
     ProblemInstance,
-    assemble_net_flow,
     check_feasibility,
     primal_objective,
 )
@@ -899,8 +898,9 @@ def _recover(program: DualProgram, x: np.ndarray, config: SolverConfig) -> _Reco
         program.supported_faces(x),
         tol=config.feas_tol,
     )
-    flows = EdgeVectors.pack(flows, program.offsets)
-    net = assemble_net_flow(flows, program.incidences, instance.n)
+    # One unbuffered scatter in edge order: the bits of a per-edge sum.
+    net = np.zeros(instance.n)
+    np.add.at(net, program.incidences.nodes, flows.data)
     p = primal_objective(instance, PrimalPoint(edge_flows=flows, net_flow=net), tol=config.feas_tol)
     return _Recovered(flows, net, p, residual)
 

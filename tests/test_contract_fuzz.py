@@ -1,0 +1,73 @@
+"""Seeded contract fuzz over small instances of every solved family.
+
+Each case is one generated instance, fixed by its family and seed.  The
+contract of :func:`convexflows.solve` on it:
+
+- the solve raises nothing, and its result file is strict JSON;
+- a ``converged`` solve returns a point that passes ``check_feasibility``
+  at ``feas_tol``, with a finite primal value within
+  ``feas_tol * (1 + |dual|)`` of the dual value;
+- a second solve returns the same bytes.
+
+The seed range is fixed.  A case that breaks the contract is marked as
+a strict xfail that names the fault; it is never dropped from the range.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import piecewise_dag_instance
+from convexflows import PrimalPoint, SolverConfig, check_feasibility, solve
+from convexflows.io_cli import fisher_instance, gen_cfmm, gen_maxflow, gen_opf, instance_from_dict, result_to_dict
+
+SEEDS = range(10)
+
+
+def _fisher(seed):
+    rng = np.random.default_rng(seed)
+    buyers, goods = 2 + seed % 3, 2 + seed % 4
+    return fisher_instance(rng.uniform(1.0, 3.0, buyers), rng.uniform(0.5, 2.5, (buyers, goods)))[0]
+
+
+FAMILIES = {
+    "maxflow": lambda seed: instance_from_dict(gen_maxflow(8, 0.3, seed)),
+    "opf": lambda seed: instance_from_dict(gen_opf(12, seed)),
+    "cfmm": lambda seed: instance_from_dict(gen_cfmm(8, seed)),
+    "cfmm_pen": lambda seed: instance_from_dict(gen_cfmm(8, seed, edge_penalties=True)),
+    "fisher": _fisher,
+    "dag": lambda seed: piecewise_dag_instance(seed, n=6),
+}
+
+
+def _answer(result):
+    return (
+        result.status,
+        result.iterations,
+        result.n_evals,
+        np.float64(result.dual_value).tobytes(),
+        np.float64(result.primal_value).tobytes(),
+        result.dual_point.node_prices.tobytes(),
+        result.flows.data.tobytes(),
+        result.net_flow.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("family, seed", [(family, seed) for family in FAMILIES for seed in SEEDS])
+def test_solve_keeps_its_contract(family, seed):
+    config = SolverConfig()
+    instance = FAMILIES[family](seed)
+    result = solve(instance, config=config)
+    # As `convexflows solve --out` writes it: a non-finite value is null.
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in result_to_dict(result).items()}
+    json.dumps(doc, allow_nan=False)
+    if result.status == "converged":
+        tol = config.feas_tol
+        report = check_feasibility(instance, PrimalPoint(result.flows, result.net_flow), tol)
+        assert report.ok
+        assert report.net_flow_residual <= tol * (1.0 + float(np.max(np.abs(result.net_flow), initial=0.0)))
+        assert math.isfinite(result.primal_value)
+        assert abs(result.dual_value - result.primal_value) <= tol * (1.0 + abs(result.dual_value))
+    assert _answer(solve(FAMILIES[family](seed), config=config)) == _answer(result)

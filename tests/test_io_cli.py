@@ -300,6 +300,30 @@ def test_cli_generate_solve_check_cycle(tmp_path, capsys):
     assert main(["check", str(instance_path), str(result_path)]) == 1
 
 
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda doc: {k: v for k, v in doc.items() if k != "flows"}, "missing required field 'flows'"),
+        (lambda doc: {**doc, "dual_value": None}, ".dual_value: expected float, got NoneType"),
+        (lambda doc: [doc], "expected dict, got list"),
+        (lambda doc: {**doc, "net_flow": "0"}, ".net_flow: expected a list of numbers, got str"),
+        (lambda doc: {**doc, "flows": [[True, 0.0]] + doc["flows"][1:]}, ".flows[0]: expected a number, got bool"),
+    ],
+    ids=["missing_key", "null_dual", "top_level_list", "net_flow_not_a_list", "boolean_flow"],
+)
+def test_cli_check_reports_a_malformed_result_file(tamper, message, tmp_path, capsys):
+    instance_path = tmp_path / "inst.json"
+    result_path = tmp_path / "result.json"
+    instance_path.write_text(json.dumps(MINIMAL))
+    assert main(["solve", str(instance_path), "--out", str(result_path)]) == 0
+    result_path.write_text(json.dumps(tamper(json.loads(result_path.read_text()))))
+    capsys.readouterr()
+    assert main(["check", str(instance_path), str(result_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {result_path}") and err[0].endswith(message)
+
+
 # SHA-256 of the `solve --out` file of one small seed-0 instance per
 # family, as written when flows and edge prices were lists of per-edge
 # arrays (CPython 3.11, numpy 2.4, x86-64).  Reading the packed buffers

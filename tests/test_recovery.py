@@ -16,9 +16,15 @@ from convexflows import (
     restore_primal,
     solve,
 )
-from convexflows.io_cli import gen_maxflow, instance_from_dict
+from convexflows.core import DimensionError, EdgeVectors
+from convexflows.io_cli import gen_maxflow, gen_opf, instance_from_dict
 from convexflows.recovery import RecoveryError, recover_flows
 from convexflows.solver import DualProgram, solve_dual
+
+
+def _buffer(*flows):
+    """The flows of a list of edges as one buffer, laid out in edge order."""
+    return EdgeVectors.pack([np.asarray(f, dtype=float) for f in flows], np.cumsum([0, *map(len, flows)]))
 
 
 def test_restore_parallel_edges_split_target():
@@ -29,9 +35,10 @@ def test_restore_parallel_edges_split_target():
         1: (np.array([0.0, 0.0]), np.array([-1.0, 1.0])),
     }
     flows, residual = restore_primal(
-        np.array([-1.5, 1.5]), {}, segments, incidences, 2, tol=1e-8
+        np.array([-1.5, 1.5]), _buffer([9.0, 9.0], [9.0, 9.0]), segments, incidences, 2, tol=1e-8
     )
     assert residual <= 1e-10
+    assert isinstance(flows, EdgeVectors)
     total = flows[0] + flows[1]
     assert_allclose(total, [-1.5, 1.5], atol=1e-9)
     for flow in flows:
@@ -40,19 +47,43 @@ def test_restore_parallel_edges_split_target():
 
 def test_restore_without_segments_reports_residual():
     incidences = [EdgeIncidence((0, 1))]
-    flows, residual = restore_primal(
-        np.array([-1.0, 1.0]), {0: np.array([-1.0, 1.0])}, {}, incidences, 2, tol=1e-8
-    )
+    buffer = _buffer([-1.0, 1.0])
+    flows, residual = restore_primal(np.array([-1.0, 1.0]), buffer, {}, incidences, 2, tol=1e-8)
     assert residual == 0.0
-    assert_allclose(flows[0], [-1.0, 1.0])
+    assert flows is buffer
 
 
 def test_restore_unreachable_target_raises():
     incidences = [EdgeIncidence((0, 1))]
     segments = {0: (np.array([0.0, 0.0]), np.array([-1.0, 1.0]))}
     with pytest.raises(RecoveryError) as info:
-        restore_primal(np.array([-3.0, 3.0]), {}, segments, incidences, 2, tol=1e-6)
+        restore_primal(np.array([-3.0, 3.0]), _buffer([0.0, 0.0]), segments, incidences, 2, tol=1e-6)
     assert info.value.residual > 1.0
+
+
+def test_restore_writes_only_the_face_entries():
+    # Edge 1 is on a face; edges 0 and 2 keep the bytes of their
+    # entries, whatever the fit does, and the output keeps the offsets.
+    incidences = [EdgeIncidence((0, 1, 2)), EdgeIncidence((1, 2)), EdgeIncidence((0, 2))]
+    buffer = _buffer([-0.1, 0.2, -0.1], [0.5, 0.5], [-0.3, 0.3])
+    segments = {1: (np.array([0.0, 0.0]), np.array([-2.0, 2.0]))}
+    flows, residual = restore_primal(
+        np.array([-0.4, -0.8, 1.2]), buffer, segments, incidences, 3, tol=1e-8
+    )
+    assert residual <= 1e-10
+    assert flows.offsets is buffer.offsets
+    assert_allclose(flows[1], [-1.0, 1.0])
+    fixed = np.r_[0:3, 5:7]
+    assert flows.data[fixed].tobytes() == buffer.data[fixed].tobytes()
+
+
+def test_restore_rejects_a_segment_or_buffer_of_the_wrong_length():
+    incidences = [EdgeIncidence((0, 1))]
+    segments = {0: (np.array([0.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0]))}
+    with pytest.raises(DimensionError):
+        restore_primal(np.array([-1.0, 1.0]), _buffer([0.0, 0.0]), segments, incidences, 2)
+    with pytest.raises(DimensionError):
+        restore_primal(np.array([-1.0, 1.0]), _buffer([0.0, 0.0, 0.0]), {}, incidences, 2)
 
 
 def _parallel_tie_instance():
@@ -85,8 +116,30 @@ def test_recovery_noop_for_strictly_convex_instance():
         n=2, edges=edges, net_objective=OpfQuadraticObjective([0.0, 1.0])
     )
     result = solve(instance)
-    for flow, raw in zip(result.flows, solve_dual(instance).flows):
-        assert_allclose(flow, raw)
+    assert result.flows.data.tobytes() == solve_dual(instance).flows.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "doc", [gen_opf(30, 0), gen_maxflow(12, 0.3, 0)], ids=["opf", "maxflow"]
+)
+def test_recovery_makes_no_per_edge_pass(doc, monkeypatch):
+    # Recovery reads and writes the pass buffer as a whole: it never
+    # walks the flows edge by edge.
+    original = recovery.recover_flows
+    calls = []
+
+    def per_edge(self):
+        raise AssertionError("recovery iterated the flows edge by edge")
+
+    def guarded(*args, **kwargs):
+        calls.append(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(EdgeVectors, "__iter__", per_edge)
+            return original(*args, **kwargs)
+
+    monkeypatch.setattr(recovery, "recover_flows", guarded)
+    result = solve(instance_from_dict(doc))
+    assert calls and result.converged
 
 
 def test_box_fit_stops_once_rounds_stop_improving(monkeypatch):
