@@ -114,3 +114,15 @@ def require_nonnegative_prices(prices: np.ndarray) -> np.ndarray:
     if (prices < 0).any():
         raise ValueError(f"prices must be nonnegative, got {prices}")
     return prices
+
+
+def require_pair_prices(prices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two price columns of an ``m x 2`` block, after the negative-price
+    check of the two-node ``evaluate_pair`` over them; it names the first
+    offending row's prices."""
+    p_in, p_out = prices.T
+    bad = (p_in < 0.0) | (p_out < 0.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"prices must be nonnegative, got ({float(p_in[k])}, {float(p_out[k])})")
+    return p_in, p_out

@@ -13,8 +13,7 @@ subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
 scalar dual for every pool size (:func:`_penalized_trade`).  Both
 plain subproblems also run over arrays, one pool a row
-(:meth:`TwoAssetGeometricPool.evaluate_pairs`, and
-:meth:`GeometricMeanPool.evaluate_rows` for the pools of one ``dim``),
+(``evaluate_rows`` of each pool type, over the pools of one ``dim``),
 bit for bit as pool by pool; the dual evaluator answers its pools with
 them.
 """
@@ -32,6 +31,7 @@ from .base import (
     InvalidEdgeError,
     UnattainedSupremumError,
     require_nonnegative_prices,
+    require_pair_prices,
 )
 
 __all__ = [
@@ -350,7 +350,7 @@ class TwoAssetGeometricPool(EdgeOracle):
         return tendered, r_out - post_out
 
     def row_params(self) -> tuple[float, float, float, float]:
-        """``(r0, r1, weight, fee)``: one row of :meth:`evaluate_pairs`."""
+        """``(r0, r1, weight, fee)``: one row of :meth:`evaluate_rows`."""
         return self._r0, self._r1, self._weight, self._fee
 
     @staticmethod
@@ -370,24 +370,22 @@ class TwoAssetGeometricPool(EdgeOracle):
         return cls((r0, r1), weight, fee)
 
     @staticmethod
-    def evaluate_pairs(r0, r1, weight, fee, p1, p2):
+    def evaluate_rows(r0, r1, weight, fee, prices):
         """:meth:`evaluate_pair` over arrays, one pool a row.
 
-        Returns the arrays ``(value, flow_1, flow_2, non_unique)``, equal
-        bit for bit to the scalar answers: numpy does the IEEE arithmetic,
-        the no-trade band and the choice of the tendered asset, with the
-        scalar code's operands in its order, and ``log`` and ``exp`` go
-        through :mod:`math` on the trading rows (numpy's may round
-        differently in the last bit).  The trading rows' log invariants
+        ``prices`` is ``m x 2``.  Returns the arrays ``(value, flow,
+        non_unique)`` (``flow`` is ``m x 2``), equal bit for bit to the
+        scalar answers: numpy does the IEEE arithmetic, the no-trade band
+        and the choice of the tendered asset, with the scalar code's
+        operands in its order, and ``log`` and ``exp`` go through
+        :mod:`math` on the trading rows (numpy's may round differently in
+        the last bit).  The trading rows' log invariants
         come from :func:`_log_invariants`.  A negative price raises the
         scalar code's ``ValueError`` for the first such row, and a zero
         ``p_j r_j`` or a post-trade reserve past the float range in any
         row leaves the supremum unattained.
         """
-        bad = (p1 < 0.0) | (p2 < 0.0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"prices must be nonnegative, got ({float(p1[k])}, {float(p2[k])})")
+        p1, p2 = require_pair_prices(prices)
         m = len(p1)
         value, f1, f2 = np.zeros(m), np.zeros(m), np.zeros(m)
         with np.errstate(all="ignore"):
@@ -424,7 +422,7 @@ class TwoAssetGeometricPool(EdgeOracle):
             f1[rows] = np.where(first, -tendered, received)
             f2[rows] = np.where(first, received, -tendered)
             value[rows] = q1 * f1[rows] + q2 * f2[rows]
-        return value, f1, f2, np.zeros(m, dtype=bool)
+        return value, np.stack([f1, f2], axis=1), np.zeros(m, dtype=bool)
 
     def evaluate_penalized(self, prices) -> ArbitrageResult:
         """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades

@@ -31,6 +31,7 @@ from .base import (
     UnboundedEdgeError,
     EdgeOracle,
     require_nonnegative_prices,
+    require_pair_prices,
 )
 
 __all__ = [
@@ -166,7 +167,7 @@ class LinearGain(GainFunction):
 
     def row_params(self) -> tuple[float, float, float]:
         """The constructor's arguments ``(slope, capacity, input_lo)``: one
-        row of :meth:`evaluate_pairs`."""
+        row of :meth:`evaluate_rows`."""
         return self.slope, self.capacity, self.input_lo
 
     @staticmethod
@@ -176,15 +177,16 @@ class LinearGain(GainFunction):
         return ~((input_lo < capacity) & (capacity < math.inf)) | ~((0 <= slope) & (slope < math.inf))
 
     @staticmethod
-    def evaluate_pairs(slope, capacity, input_lo, p_in, p_out):
+    def evaluate_rows(slope, capacity, input_lo, prices):
         """:meth:`TwoNodeEdge.evaluate_pair` of ``TwoNodeEdge(LinearGain(
         slope, capacity, input_lo))`` over arrays, one edge a row.
 
-        Returns the arrays ``(value, flow_in, flow_out, non_unique)``,
+        ``prices`` is ``m x 2``, the input and output prices.  Returns the
+        arrays ``(value, flow, non_unique)`` (``flow`` is ``m x 2``),
         equal bit for bit to the scalar answers: the same IEEE operations
         on the same operands, and the zero-price conventions row by row.
         """
-        _require_pair_prices(p_in, p_out)
+        p_in, p_out = require_pair_prices(prices)
         with np.errstate(all="ignore"):
             margin = p_out * slope - p_in
             up = margin > 0.0
@@ -208,7 +210,7 @@ class LinearGain(GainFunction):
                 h = np.where(idle, slope * w_idle, h)
                 value = np.where(idle, 0.0, np.where(withdraw, -p_in * input_lo, value))
                 tie = idle | (tie & ~withdraw)
-        return value, -w, h, tie
+        return value, np.stack([-w, h], axis=1), tie
 
 
 class PiecewiseLinearGain(GainFunction):
@@ -273,15 +275,6 @@ class PiecewiseLinearGain(GainFunction):
     def closed_form_arbitrage(self, p_in: float, p_out: float):
         w, non_unique = _segment_scan(self.linear_segments(), p_in, p_out)
         return w, None, non_unique
-
-
-def _require_pair_prices(p_in: np.ndarray, p_out: np.ndarray) -> None:
-    """The negative-price check of :meth:`TwoNodeEdge.evaluate_pair`, over
-    arrays; it names the first offending row's prices."""
-    bad = (p_in < 0.0) | (p_out < 0.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(f"prices must be nonnegative, got ({float(p_in[k])}, {float(p_out[k])})")
 
 
 def _segment_scan(
@@ -384,7 +377,7 @@ class PowerLossGain(GainFunction):
 
     def row_params(self) -> tuple[float, float, float]:
         """The constructor's arguments ``(alpha, beta, capacity)``: one row
-        of :meth:`evaluate_pairs`."""
+        of :meth:`evaluate_rows`."""
         return self._alpha, self._beta, self._capacity
 
     @staticmethod
@@ -395,12 +388,13 @@ class PowerLossGain(GainFunction):
             return ~((0 < capacity) & (capacity < math.inf)) | ~(abs(alpha * beta - 4.0) <= 1e-9)
 
     @staticmethod
-    def evaluate_pairs(alpha, beta, capacity, p_in, p_out):
+    def evaluate_rows(alpha, beta, capacity, prices):
         """:meth:`TwoNodeEdge.evaluate_pair` of ``TwoNodeEdge(PowerLossGain(
         alpha, beta, capacity))`` over arrays, one edge a row.
 
-        Returns the arrays ``(value, flow_in, flow_out, non_unique)``,
-        equal bit for bit to the scalar answers.  The IEEE arithmetic and
+        ``prices`` is ``m x 2``, the input and output prices.  Returns the
+        arrays ``(value, flow, non_unique)`` (``flow`` is ``m x 2``), equal
+        bit for bit to the scalar answers.  The IEEE arithmetic and
         the clipping run in numpy; ``log``, ``exp`` and ``log1p`` go
         through :mod:`math`, as in the scalar code, on the rows that need
         them (numpy's versions may round differently in the last bit):
@@ -408,7 +402,7 @@ class PowerLossGain(GainFunction):
         the rows with a nonzero input.  At zero input every row's
         softplus is ``log1p(exp(0))``.
         """
-        _require_pair_prices(p_in, p_out)
+        p_in, p_out = require_pair_prices(prices)
         with np.errstate(all="ignore"):
             num = 3.0 * p_out - p_in
             den = p_out + p_in
@@ -433,7 +427,7 @@ class PowerLossGain(GainFunction):
             zero_out = p_out == 0.0
             tie = zero_out & (p_in == 0.0)
             value = np.where(zero_out, np.where(tie, 0.0, -p_in * w), value)
-        return value, -w, h, tie
+        return value, np.stack([-w, h], axis=1), tie
 
 
 class CallableGain(GainFunction):

@@ -29,17 +29,18 @@ tenders.  An instance may pair only this utility with such an oracle
 
 One evaluator, :class:`DualProgram`, computes the dual for every
 instance and every entry point (:func:`solve_dual`, :func:`solve`),
-serially and in a fixed edge order.  One pass of it gives the dual
-value, the gradient and every edge's maximizer, in one buffer in edge
-order whichever plan answered the edge; the driver, its screens, the
-trace callback and the final result all read that pass.  The evaluator
-caches two passes, the last one and the one at the driver's iterate,
+serially and in a fixed order.  The subproblems split over the edges,
+and the edges into groups, each answered by one call per pass: the
+edges of a bundled kind (transmission lines, linear gains, two-asset
+pools, and multi-asset pools of each size) by that kind's kernel over
+arrays, bit for bit as edge by edge, read straight from the columns a
+parsed instance stores them in; every other edge by a loop over its
+group's records.  One pass gives the dual value, the gradient and every
+edge's maximizer, in one buffer in edge order whichever group answered
+the edge; the driver, its screens, the trace callback and the final
+result all read that pass.  The evaluator caches three passes, the last
+one, the one at the driver's iterate and the one at polish's best point,
 and leaves the choice of points (polish included) to the driver.
-The subproblems split over the edges: the edges of a bundled kind
-(transmission lines, linear gains, two-asset pools, and multi-asset
-pools of each size) are answered together by one kernel per kind over
-arrays, bit for bit as edge by edge, and read straight from the columns
-a parsed instance stores them in.
 
 Gradients assemble from the subproblem maximizers: the node-price
 gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
@@ -51,8 +52,9 @@ from __future__ import annotations
 import csv
 import math
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -60,6 +62,7 @@ import numpy as np
 
 from . import recovery
 from .core import (
+    DimensionError,
     EdgeColumns,
     EdgeVectors,
     PrimalPoint,
@@ -96,9 +99,9 @@ _BOUND_ROWS = 32
 # Relative margin of the polish floor over the rounding of its bound and
 # of the values it is compared with (see DualProgram.polish_floor).
 _FLOOR_SLACK = 1e-9
-# The kinds whose two-node edges the pair plan answers by kernel: the
-# gain types of a TwoNodeEdge, and an oracle type.
-_KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool)
+# The kinds whose edges a kernel answers: the gain types of a
+# TwoNodeEdge, and oracle types.
+_KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool, GeometricMeanPool)
 
 
 class UnboundedDualError(RuntimeError):
@@ -199,11 +202,11 @@ class _Pass(NamedTuple):
     ``value`` is the dual value, ``conj_u`` the net-objective conjugate
     (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
     of the edge maximizers.  ``flows`` holds every edge's maximizer in
-    one buffer on the program's offsets, in edge order, whichever plan
-    answered it; ``pair_ties`` are the pair plan's tie flags, in plan
-    order.  ``grad`` is the gradient in the free node prices.
-    ``edge_ties`` says whether some edge answered with a non-unique
-    maximizer; ``nonsmooth`` also counts the conjugate.
+    one buffer on the program's offsets, in edge order, whichever group
+    answered it, and ``ties`` whether each edge's maximizer is not
+    unique, in plan order.  ``grad`` is the gradient in the free node
+    prices.  ``nonsmooth`` says whether some edge or the conjugate has a
+    non-unique maximizer.
     """
 
     value: float
@@ -211,37 +214,25 @@ class _Pass(NamedTuple):
     y_arb: np.ndarray
     grad: np.ndarray
     nonsmooth: bool
-    edge_ties: bool
     flows: EdgeVectors
-    pair_ties: np.ndarray
+    ties: np.ndarray
 
 
-class _Kernel(NamedTuple):
-    """Pair-plan edges of one bundled kind, which its ``evaluate_pairs``
-    answers all at once.
+class _Group(NamedTuple):
+    """Edges that one call answers per pass, the unit of a :class:`DualProgram`.
 
-    ``rows`` are their pair-plan indices and ``params`` the kind's
-    parameter columns, row for row.
+    ``kind`` is the bundled kind whose kernel answers them, or None for a
+    loop over their records.  ``rows`` are their plan rows and ``entries``
+    their flows' places in the pass buffer, each edge's in a run.
+    ``call`` maps the pass's node prices to their values and tie flags,
+    row for row, and their flows (an ``m x d`` block from a kernel),
+    which laid end to end match ``entries``.
     """
 
-    kind: type
+    kind: type | None
     rows: np.ndarray
-    params: tuple
-
-
-class _PoolKernel(NamedTuple):
-    """Array-plan pools of one ``dim``, which
-    ``GeometricMeanPool.evaluate_rows`` answers all at once.
-
-    ``rows`` are their array-plan indices, ``nodes`` their nodes and
-    ``entries`` their flows' places in the pass buffer (``m x dim`` each),
-    and ``params`` the pool's parameter columns, row for row.
-    """
-
-    rows: np.ndarray
-    nodes: np.ndarray
     entries: np.ndarray
-    params: tuple
+    call: Callable
 
 
 class _Faces(NamedTuple):
@@ -264,42 +255,36 @@ class DualProgram:
     what remains is the vector the bound-constrained driver sees, one
     coordinate per free node on every instance.
 
-    The edges are split once, at build time, into three plans that every
-    evaluation visits in this order (which fixes the floating-point
-    summation order): edges with a penalty, answered by their penalized
-    subproblem; the other two-node edges (the pair plan); and the
-    remaining edges.  The oracle and conjugate bound methods are
-    captured here.
-
-    The pair plan answers each bundled kind with one kernel over arrays:
-    every ``TwoNodeEdge`` whose gain is exactly a ``PowerLossGain`` or a
+    The edges are split once, at build time, into groups (:class:`_Group`),
+    and a pass is one call per group, in this order, which fixes the
+    first error a pass raises: the edges with a penalty (a loop over
+    their penalized subproblems), the two-node kernels, the other
+    two-node edges (a loop over ``evaluate_pair`` on Python floats), the
+    multi-asset pool kernels, and the rest (a loop over ``evaluate``).
+    Every ``TwoNodeEdge`` whose gain is exactly a ``PowerLossGain`` or a
     ``LinearGain``, and every oracle that is exactly a
-    ``TwoAssetGeometricPool`` (column-stored or not), goes to that gain
-    or oracle type's ``evaluate_pairs``, which equals the edge's
-    ``evaluate_pair`` bit for bit.  Its other edges, subclasses
-    included, keep their own ``evaluate_pair``.  The array plan does the
-    same for every oracle that is exactly a ``GeometricMeanPool``: the
-    pools of each ``dim`` go to one ``evaluate_rows``, which equals
-    ``evaluate`` bit for bit, and its other edges keep their own
-    ``evaluate``.  Each plan's values are then added in plan order, and
-    the net flows too, so the sums do not depend on which edges the
-    kernels took.  A column-stored edge (see
+    ``TwoAssetGeometricPool`` or a ``GeometricMeanPool``, goes to its
+    kind's kernel (``evaluate_rows``, one group per kind and size), equal
+    bit for bit to the edge's own method; a column-stored edge (see
     :class:`~convexflows.core.EdgeTable`) is read from its columns and
-    never built as a record.
+    never built as a record.  The loops' oracle methods are captured
+    here.  Values are added in plan order (the penalized edges, the other
+    two-node edges, the rest, each in edge order) by one running sum, and
+    the net flow is one scatter of the buffer in that order, so the sums
+    do not depend on which group answered an edge.
 
     The piecewise-linear two-node edges without a penalty (the linear
     gains too), the only ones with flat faces to report, also go into a
-    face table of arrays (their nodes, vector columns and linear
-    segments), so the faces at a point come from one vectorized
-    comparison instead of a ``supported_face`` call per edge.  A
-    penalized edge is smooth in the node prices and has no face.
+    face table of arrays (their plan rows, buffer entries, nodes, vector
+    columns and linear segments), so the faces at a point come from one
+    vectorized comparison instead of a ``supported_face`` call per edge.
+    A penalized edge is smooth in the node prices and has no face.
 
     It keeps the instance's flat incidences (``incidences``), and its
     results' per-edge vectors share their ``offsets`` array over the
     edges' concatenated nodes (:class:`~convexflows.core.EdgeVectors`).
-    Every plan writes its maximizers into one such buffer per pass, and
-    the net flow is one scatter of that buffer in plan order.  Two passes
-    stay cached: the last one and the one at the driver's iterate.
+    Three passes stay cached: the last one, the one at the driver's
+    iterate and the one at polish's best point.
     """
 
     def __init__(self, instance: ProblemInstance):
@@ -312,93 +297,83 @@ class DualProgram:
             if val < 0:
                 raise ValueError("fixed prices must be nonnegative")
         self.fixed = fixed
+        self._fixed_nodes = np.array(list(fixed), dtype=np.intp)
+        self._fixed_prices = np.array(list(fixed.values()), dtype=float)
         self.free_nodes = np.array([j for j in range(instance.n) if j not in fixed], dtype=int)
         self._free_pos = {int(j): k for k, j in enumerate(self.free_nodes)}
         self._conj_u = objective.conj
         self.incidences = instance.incidences
         self._nodes = self.incidences.nodes
         self.offsets = self.incidences.offsets
-        self._penalized_plan = []
-        # The pair plan and the array plan: the edges each answers one by
-        # one, and the column groups of its kernels' edges, the instance's
-        # own and one per kind (and pool dim) for its records.
-        loop, kernel_rows = [], {}
-        array_loop, pool_rows = [], {}
-        penalized_pos = []
+        # The loop groups' records, as (position, nodes, method), and the
+        # rows of the kernel kinds' records, by kind and size.
+        penalized, pairs, others, kernel_rows = [], [], [], {}
         flat = False
         for pos, edge in instance.edge_records():
             oracle = edge.oracle
             nodes = edge.incidence.nodes
-            span = slice(*self.offsets[pos : pos + 2].tolist())
             if edge.utility is not None:
-                self._penalized_plan.append((itemgetter(*nodes), span, oracle.evaluate_penalized))
-                penalized_pos.append(pos)
+                penalized.append((pos, nodes, oracle.evaluate_penalized))
                 continue
             flat = flat or not oracle.is_strictly_convex
-            if len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
-                # A bundled gain's parameters sit on the gain, a pool's on itself.
-                owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
-                if type(owner) in _KERNEL_KINDS:
-                    kernel_rows.setdefault(type(owner), []).append((pos, nodes, owner.row_params()))
-                else:
-                    loop.append((pos, oracle))
-            elif type(oracle) is GeometricMeanPool:
-                pool_rows.setdefault(len(nodes), []).append((pos, nodes, oracle.row_params()))
+            # A bundled gain's parameters sit on the gain, a pool's on itself.
+            owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
+            if type(owner) in _KERNEL_KINDS:
+                kernel_rows.setdefault((type(owner), len(nodes)), []).append((pos, nodes, owner.row_params()))
+            elif len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
+                pairs.append((pos, *nodes, oracle.evaluate_pair))
             else:
-                array_loop.append((pos, np.array(nodes, dtype=np.intp), span, oracle.evaluate))
-        groups, pool_groups = [], []
-        for positions, columns in instance.edge_columns():
-            (pool_groups if columns.kind is GeometricMeanPool else groups).append((positions, columns))
-        groups += [_record_columns(kind, rows) for kind, rows in kernel_rows.items()]
-        pool_groups += [_record_columns(GeometricMeanPool, rows) for rows in pool_rows.values()]
+                others.append((pos, nodes, oracle.evaluate))
+        kernels = instance.edge_columns()
+        for (kind, _), rows in kernel_rows.items():
+            positions, nodes, params = zip(*rows)
+            kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params))))
+        # The multi-asset pool, which has no evaluate_pair, is the one
+        # kernel kind outside the two-node edges.
+        pair_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is not GeometricMeanPool]
+        pool_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is GeometricMeanPool]
         # Linear gains are the one kernel kind with flat faces.
-        flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in groups)
-        loop_pos = np.array([pos for pos, _ in loop], dtype=np.intp)
-        pair_pos = np.sort(np.concatenate([loop_pos, *(positions for positions, _ in groups)]))
-        self._pair_pos = pair_pos
-        # Where each pair-plan edge's two entries start, and its nodes.
-        self._pair_at = self.offsets[pair_pos]
-        self._pair_nodes = np.stack([self._nodes[self._pair_at], self._nodes[self._pair_at + 1]], axis=1)
-        self._kernels = [
-            _Kernel(columns.kind, np.searchsorted(pair_pos, positions), columns.params)
-            for positions, columns in groups
-        ]
-        self._loop_rows = np.searchsorted(pair_pos, loop_pos)
-        self._loop_at = self._pair_at[self._loop_rows]
-        self._pair_loop = [
-            (*self._pair_nodes[plan].tolist(), oracle.evaluate_pair)
-            for plan, (_, oracle) in zip(self._loop_rows.tolist(), loop)
-        ]
-        # The array plan's edge positions, in plan (edge) order.
-        array_loop_pos = np.array([pos for pos, *_ in array_loop], dtype=np.intp)
-        self._array_plan = np.sort(np.concatenate([array_loop_pos, *(positions for positions, _ in pool_groups)]))
-        self._array_loop = [
-            (row, *plan) for row, (_, *plan) in zip(np.searchsorted(self._array_plan, array_loop_pos).tolist(), array_loop)
-        ]
-        self._pool_kernels = [
-            _PoolKernel(
-                np.searchsorted(self._array_plan, positions),
-                columns.nodes,
-                self.offsets[positions][:, None] + np.arange(columns.nodes.shape[1]),
-                columns.params,
-            )
-            for positions, columns in pool_groups
-        ]
+        flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in pair_kernels)
+
+        def positions_of(loop, groups=()):
+            """The edge positions of a loop's records (in edge order already)
+            and of kernel groups, in edge order."""
+            positions = np.array([pos for pos, *_ in loop], dtype=np.intp)
+            return np.sort(np.concatenate([positions, *(p for p, _ in groups)])) if groups else positions
 
         def entries(positions):
             """The buffer entries of the edges at ``positions``, in that order."""
-            positions = np.asarray(positions, dtype=np.intp)
             starts = self.offsets[positions]
             sizes = self.offsets[positions + 1] - starts
             return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
+        # Plan order: the penalized edges, the other two-node edges, the
+        # rest, each in edge order; row_of maps an edge position to its row.
+        plan_pos = np.concatenate(
+            [positions_of(penalized), positions_of(pairs, pair_kernels), positions_of(others, pool_kernels)]
+        )
+        row_of = np.empty(len(plan_pos), dtype=np.intp)
+        row_of[plan_pos] = np.arange(len(plan_pos))
+
+        def group(kind, positions, call):
+            return _Group(kind, row_of[positions], entries(positions), call)
+
+        def loop_group(loop, call):
+            return [group(None, positions_of(loop), call(loop))] if loop else []
+
+        self._groups = [
+            *loop_group(penalized, partial(_result_call, as_floats=True)),
+            *(group(columns.kind, positions, _kernel_call(columns)) for positions, columns in pair_kernels),
+            *loop_group(pairs, _pair_call),
+            *(group(columns.kind, positions, _kernel_call(columns)) for positions, columns in pool_kernels),
+            *loop_group(others, _result_call),
+        ]
         # The buffer entries in plan order and their nodes: one unbuffered
         # scatter over them adds into each node in the order of a loop over
-        # the plans.  The penalized edges' entries come first.  When plan
+        # the plan.  The penalized edges' entries come first.  When plan
         # order is edge order, a slice reads the buffer without a copy.
-        self._tendering = entries(penalized_pos)
-        pair_entries = np.stack([self._pair_at, self._pair_at + 1], axis=1).ravel()
-        plan_entries = np.concatenate([self._tendering, pair_entries, entries(self._array_plan)])
+        self._tendering = entries(positions_of(penalized))
+        plan_entries = entries(plan_pos)
         if np.all(plan_entries[1:] > plan_entries[:-1]):
             plan_entries = slice(None)
         self._plan_entries = plan_entries
@@ -419,48 +394,50 @@ class DualProgram:
         # proposals evaluated after it (see polish_floor).
         self._polish_x: np.ndarray | None = None
         self._polish_pass: _Pass | None = None
-        self._build_face_table(loop)
+        self._build_face_table(positions_of(pairs), pair_kernels, row_of)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
 
-    def _build_face_table(self, loop) -> None:
-        """Arrays of the pair plan's two-node edges with linear segments,
-        in edge order.
+    def _build_face_table(self, pairs, pair_kernels, row_of) -> None:
+        """Arrays of the two-node edges with linear segments, in edge order.
 
-        Per edge: its position, its index in the pair plan, its two nodes,
-        and the vector columns of its two node prices, with ``n_vars`` (a
-        zero appended to the vector) standing in for a pinned node price.
-        Per linear segment: its edge, slope and endpoints
-        ``P = (-w_a, h(w_a))``, ``Q = (-w_b, h(w_b))``, and whether it
-        is its edge's only segment.  A linear gain's one segment comes
-        from its kernel's parameter columns; ``loop`` holds the
-        ``(position, oracle)`` of the pair-plan edges answered one by one.
+        Per edge: its position, its plan row (``row_of`` of the position),
+        its two buffer entries and nodes, and the vector columns of its
+        two node prices, with ``n_vars`` (a zero appended to the vector)
+        standing in for a pinned node price.  Per linear segment: its
+        edge, slope and endpoints ``P = (-w_a, h(w_a))``, ``Q = (-w_b,
+        h(w_b))``, and whether it is its edge's only segment.  A linear
+        gain's one segment comes from its kernel's parameter columns;
+        ``pairs`` holds the positions of the two-node edges answered one
+        by one.
         """
-        # Rows of (plan index, slope, P, Q, single segment), in plan order;
+        # Rows of (position, slope, P, Q, single segment), in edge order;
         # an edge's own segments keep theirs.
         seg = np.zeros((0, 7))
         # An instance without flat faces has no table edge to look for.
         if self.has_flat_faces:
             segments = []
-            for (_, oracle), plan in zip(loop, self._loop_rows.tolist()):
+            for pos in pairs.tolist():
+                oracle = self.instance.edges[pos].oracle
                 pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
                 for w_a, w_b, slope in pieces or ():
                     ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
-                    segments.append((plan, slope, *ends, len(pieces) == 1))
+                    segments.append((pos, slope, *ends, len(pieces) == 1))
             parts = [seg, np.array(segments, dtype=float).reshape(-1, 7)]
-            for kernel in self._kernels:
-                if kernel.kind is LinearGain:
-                    slope, capacity, input_lo = kernel.params
+            for positions, columns in pair_kernels:
+                if columns.kind is LinearGain:
+                    slope, capacity, input_lo = columns.params
                     ends = (-input_lo, slope * input_lo, -capacity, slope * capacity)
-                    parts.append(np.stack([kernel.rows, slope, *ends, np.ones(len(slope))], axis=1))
+                    parts.append(np.stack([positions, slope, *ends, np.ones(len(slope))], axis=1))
             seg = np.concatenate(parts)
             seg = seg[np.argsort(seg[:, 0], kind="stable")]
-        plan = seg[:, 0].astype(np.intp)
-        first = np.diff(plan, prepend=-1) != 0  # an edge's first segment
-        self._face_plan = plan[first]
+        pos = seg[:, 0].astype(np.intp)
+        first = np.diff(pos, prepend=-1) != 0  # an edge's first segment
+        self._face_pos = pos[first]
         self._seg_edge = np.cumsum(first) - 1
-        self._face_pos = self._pair_pos[self._face_plan]
-        self._face_nodes = self._pair_nodes[self._face_plan]
+        self._face_rows = row_of[self._face_pos]
+        self._face_entries = self.offsets[self._face_pos][:, None] + np.arange(2)
+        self._face_nodes = self._nodes[self._face_entries]
         col_of_node = np.full(self.instance.n, self.n_vars, dtype=np.intp)
         col_of_node[self.free_nodes] = np.arange(self.n_vars)
         self._face_cols = col_of_node[self._face_nodes]
@@ -472,8 +449,7 @@ class DualProgram:
 
     def node_prices(self, x: np.ndarray) -> np.ndarray:
         nu = np.zeros(self.instance.n)
-        for j, val in self.fixed.items():
-            nu[j] = val
+        nu[self._fixed_nodes] = self._fixed_prices
         nu[self.free_nodes] = x[: len(self.free_nodes)]
         return nu
 
@@ -503,7 +479,7 @@ class DualProgram:
     # -- evaluation ------------------------------------------------------
 
     def _evaluate_pass(self, nu: np.ndarray) -> _Pass | None:
-        """Visit the three plans at node prices ``nu``.
+        """Call every group at node prices ``nu``.
 
         None means an infinite dual value: a conjugate outside its domain
         or degenerate boundary prices, which the line search treats as
@@ -512,56 +488,25 @@ class DualProgram:
         conj_u = self._conj_u(nu)
         if not conj_u.finite:
             return None
-        value = conj_u.value
-        ties = False
+        m = len(self.offsets) - 1
+        values, ties = np.empty(m), np.empty(m, dtype=bool)
         flows = np.empty(len(self._nodes))
-        n_pair = len(self._pair_pos)
-        pair_values = np.empty(n_pair)
-        pair_ties = np.empty(n_pair, dtype=bool)
-        # Python floats: scalar arithmetic on them is exact IEEE as on
-        # numpy scalars, only faster, and the outputs stay plain floats.
-        prices = nu.tolist()
         try:
-            for local, span, evaluate_penalized in self._penalized_plan:
-                res = evaluate_penalized(local(prices))
-                value += res.value
-                ties = ties or res.non_unique
-                flows[span] = res.flow
-            if n_pair:
-                p_in, p_out = nu[self._pair_nodes[:, 0]], nu[self._pair_nodes[:, 1]]
-                for kind, rows, params in self._kernels:
-                    out = kind.evaluate_pairs(*params, p_in[rows], p_out[rows])
-                    at = self._pair_at[rows]
-                    pair_values[rows], flows[at], flows[at + 1], pair_ties[rows] = out
-                if self._pair_loop:
-                    outs = [evaluate_pair(prices[i0], prices[i1]) for i0, i1, evaluate_pair in self._pair_loop]
-                    rows, at = self._loop_rows, self._loop_at
-                    pair_values[rows], flows[at], flows[at + 1], pair_ties[rows] = zip(*outs)
-                # Plan order: the running sum adds term by term, as a loop
-                # over the edges would.
-                value = float(np.cumsum(np.concatenate(([value], pair_values)))[-1])
-                ties = ties or bool(pair_ties.any())
-            if len(self._array_plan):
-                array_values = np.empty(len(self._array_plan))
-                for rows, nodes, at, params in self._pool_kernels:
-                    array_values[rows], flows[at], pool_ties = GeometricMeanPool.evaluate_rows(*params, nu[nodes])
-                    ties = ties or bool(pool_ties.any())
-                for row, idx, span, evaluate in self._array_loop:
-                    res = evaluate(nu[idx])
-                    array_values[row] = res.value
-                    ties = ties or res.non_unique
-                    flows[span] = res.flow
-                # Plan order, as in the pair plan.
-                value = float(np.cumsum(np.concatenate(([value], array_values)))[-1])
+            for _, rows, entries, call in self._groups:
+                values[rows], flow, ties[rows] = call(nu)
+                flows[entries] = np.ravel(flow)
         except UnattainedSupremumError:
             return None
         except UnboundedEdgeError as exc:
             raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
+        # Plan order: the running sum adds term by term, as a loop over the
+        # edges would.
+        value = float(np.cumsum(np.concatenate(([conj_u.value], values)))[-1])
         y_arb = np.zeros(self.instance.n)
         np.add.at(y_arb, self._plan_nodes, flows[self._plan_entries])
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
         flows = EdgeVectors(flows, self.offsets)
-        return _Pass(float(value), conj_u, y_arb, grad, conj_u.non_unique or ties, ties, flows, pair_ties)
+        return _Pass(value, conj_u, y_arb, grad, conj_u.non_unique or bool(ties.any()), flows, ties)
 
     def _residual(self, raw: _Pass) -> float:
         if raw.conj_u.non_unique:
@@ -789,15 +734,14 @@ class DualProgram:
         if raw is None:
             return np.full(len(steps), -math.inf)
         bounds = steps @ raw.grad
-        if ties_only and not raw.edge_ties:
+        if ties_only and not raw.ties.any():
             return bounds
         rows, prices, ends = self._faces(x)
         if not len(rows):
             return bounds
-        plan = self._face_plan[rows]
-        flow = raw.flows.data[self._pair_at[plan][:, None] + (0, 1)]
+        flow = raw.flows.data[self._face_entries[rows]]
         if ties_only:
-            tie = raw.pair_ties[plan]
+            tie = raw.ties[self._face_rows[rows]]
             rows, prices, ends, flow = rows[tie], prices[tie], ends[tie], flow[tie]
         toward = ends - flow[:, None, :]
         offsets = np.einsum("kes,ks->ke", toward, prices)
@@ -840,11 +784,51 @@ class SolveResult:
     recovery_residual: float = math.nan
 
 
-def _record_columns(kind: type, rows) -> tuple[np.ndarray, EdgeColumns]:
-    """``(positions, columns)`` of hand-built records of one kernel kind,
-    from their ``(position, nodes, row_params())`` rows."""
-    positions, nodes, params = zip(*rows)
-    return np.array(positions), EdgeColumns(kind, nodes, zip(*params))
+def _kernel_call(columns: EdgeColumns) -> Callable:
+    """The call of a kernel group: its kind's ``evaluate_rows`` over the
+    block of its edges' node prices."""
+    evaluate_rows, nodes, params = columns.kind.evaluate_rows, columns.nodes, columns.params
+    return lambda nu: evaluate_rows(*params, nu[nodes])
+
+
+def _pair_call(records) -> Callable:
+    """The call of a loop group of two-node edges, from their ``(position,
+    node, node, evaluate_pair)`` records, on Python floats (exact IEEE as on
+    numpy scalars, only faster)."""
+
+    def call(nu):
+        prices = nu.tolist()
+        out = np.array([evaluate_pair(prices[i], prices[j]) for _, i, j, evaluate_pair in records])
+        return out[:, 0], out[:, 1:3], out[:, 3] != 0.0
+
+    return call
+
+
+def _result_call(records, as_floats: bool = False) -> Callable:
+    """The call of a loop group of edges whose oracle method returns an
+    ``ArbitrageResult``, from their ``(position, nodes, method)`` records.
+
+    With ``as_floats`` a method takes its local prices as a tuple of
+    Python floats, else as an array.  Each flow goes straight into its
+    span of the group's flows, so no edge's result outlives its turn.
+    """
+    ends = np.cumsum([len(nodes) for _, nodes, _ in records]).tolist()
+    calls = [
+        (itemgetter(*nodes) if as_floats else itemgetter(np.array(nodes)), slice(end - len(nodes), end), method)
+        for (_, nodes, method), end in zip(records, ends)
+    ]
+
+    def call(nu):
+        prices = nu.tolist() if as_floats else nu
+        values, flows, ties = [], np.empty(ends[-1]), []
+        for local, span, evaluate in calls:
+            res = evaluate(local(prices))
+            values.append(res.value)
+            flows[span] = res.flow
+            ties.append(res.non_unique)
+        return values, flows, ties
+
+    return call
 
 
 def _threshold_candidates(x: np.ndarray) -> list[np.ndarray]:
@@ -1013,17 +997,25 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.
 
     Raises:
+        DimensionError: The node prices are not ``n`` numbers, the point
+            has not one price vector per edge, or a vector's length is not
+            its edge's size.
         UnboundedDualError: An edge's price subproblem is unbounded.
     """
     nu = np.asarray(point.node_prices, dtype=float)
+    etas = [np.asarray(eta, dtype=float) for eta in point.edge_prices]
+    if nu.shape != (instance.n,) or len(etas) != instance.m:
+        raise DimensionError(f"need {instance.n} node prices, {instance.m} edge price vectors; got {nu.shape}, {len(etas)}")
+    for k, (eta, size) in enumerate(zip(etas, np.diff(instance.incidences.offsets).tolist())):
+        if eta.shape != (size,):
+            raise DimensionError(f"edge {k}: need {size} edge prices, got shape {eta.shape}")
     conj_u = instance.net_objective.conj(nu)
     if not conj_u.finite:
         return math.inf
     value = conj_u.value
     try:
-        for edge, eta in zip(instance.scan_edges(), point.edge_prices):
+        for edge, eta in zip(instance.scan_edges(), etas):
             base = edge.incidence.gather(nu)
-            eta = np.asarray(eta, dtype=float)
             if edge.utility is None:
                 off = np.max(np.abs(eta - base), initial=0.0)
                 if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):

@@ -90,6 +90,19 @@ def maxflow_arcs(instance):
     return arcs
 
 
+def group_edges(program, group):
+    """The edge positions a dual program's group answers, in its row order:
+    the edges that own its buffer entries, each edge's entries in a run."""
+    owners = np.searchsorted(program.offsets, np.ravel(group.entries), side="right") - 1
+    return owners[np.diff(owners, prepend=-1) != 0].tolist()
+
+
+def answered_by(program):
+    """``{edge position: kernel kind}`` over a dual program's groups, with
+    None for an edge answered one by one through its own oracle."""
+    return {pos: group.kind for group in program._groups for pos in group_edges(program, group)}
+
+
 def quadratic_penalty_on(instance, every=1):
     """Copy of the instance with a quadratic penalty on every ``every``-th edge."""
     edges = [

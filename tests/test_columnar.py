@@ -5,8 +5,8 @@ A parsed instance keeps its utility-free ``opf_line``, ``lossless``,
 (``core.EdgeTable``), and the dual program answers every ``TwoNodeEdge``
 whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and every
 oracle that is exactly a ``TwoAssetGeometricPool`` or a
-``GeometricMeanPool``, with one kernel per kind (``evaluate_pairs``, and
-``evaluate_rows`` per pool ``dim``).  These tests hold both to the
+``GeometricMeanPool``, with one kernel per kind (``evaluate_rows``, one
+call per kind and ``dim``).  These tests hold both to the
 per-edge forms they replace: the kernels to ``evaluate_pair`` and
 ``evaluate`` bit for bit, the reader to the messages and documents of
 the record path, and the solve to the per-edge solve bit for bit.
@@ -53,8 +53,17 @@ from convexflows.io_cli import (
     parse_instance,
 )
 from convexflows.solver import DualProgram, solve
+from conftest import answered_by
 
 # -- kernels ------------------------------------------------------------------
+
+
+def _evaluate_pairs(kind, *args):
+    """``kind.evaluate_rows`` with the last two arguments as the price
+    block's columns, and the flow block split into its columns."""
+    *params, p_in, p_out = args
+    value, flow, tie = kind.evaluate_rows(*params, np.stack([p_in, p_out], axis=1))
+    return value, flow[:, 0], flow[:, 1], tie
 
 
 def _prices(rng, m, slopes):
@@ -72,7 +81,7 @@ def _prices(rng, m, slopes):
 
 
 def _assert_matches_evaluate_pair(gain_type, params, p_in, p_out):
-    value, flow_in, flow_out, tie = gain_type.evaluate_pairs(*params, p_in, p_out)
+    value, flow_in, flow_out, tie = _evaluate_pairs(gain_type, *params, p_in, p_out)
     for k in range(len(p_in)):
         edge = TwoNodeEdge(gain_type(*(float(column[k]) for column in params)))
         want = edge.evaluate_pair(float(p_in[k]), float(p_out[k]))
@@ -114,14 +123,14 @@ def test_kernels_keep_the_negative_price_error(gain_type, params):
     with pytest.raises(ValueError) as scalar:
         TwoNodeEdge(gain_type(*params)).evaluate_pair(1.0, -0.5)
     with pytest.raises(ValueError) as batch:
-        gain_type.evaluate_pairs(*columns, np.array([1.0, 1.0, 2.0]), np.array([1.0, -0.5, -1.0]))
+        _evaluate_pairs(gain_type, *columns, np.array([1.0, 1.0, 2.0]), np.array([1.0, -0.5, -1.0]))
     assert str(batch.value) == str(scalar.value) == "prices must be nonnegative, got (1.0, -0.5)"
 
 
 def test_linear_kernel_keeps_the_unbounded_withdrawal_error():
     params = (np.array([1.0, 1.0]), np.array([2.0, 2.0]), np.array([0.0, -math.inf]))
     with pytest.raises(UnboundedEdgeError):
-        LinearGain.evaluate_pairs(*params, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        _evaluate_pairs(LinearGain, *params, np.array([1.0, 1.0]), np.array([0.0, 0.0]))
     with pytest.raises(UnboundedEdgeError):
         TwoNodeEdge(LinearGain(1.0, 2.0, -math.inf)).evaluate_pair(1.0, 0.0)
 
@@ -137,7 +146,7 @@ def _pool_columns(rng, m):
 
 
 def _assert_pool_kernel_matches(params, p1, p2):
-    value, f1, f2, tie = TwoAssetGeometricPool.evaluate_pairs(*params, p1, p2)
+    value, f1, f2, tie = _evaluate_pairs(TwoAssetGeometricPool, *params, p1, p2)
     for k in range(len(p1)):
         pool = TwoAssetGeometricPool.row_oracle(*(float(column[k]) for column in params))
         want = pool.evaluate_pair(float(p1[k]), float(p2[k]))
@@ -189,11 +198,11 @@ def test_pool_kernel_splits_a_price_ratio_past_the_float_range():
     fine = np.setdiff1d(np.arange(200), overflow)
     assert 0 < len(overflow) < 20
     _assert_pool_kernel_matches(tuple(c[fine] for c in params), p1[fine], p2[fine])
-    value, f1, f2, _ = TwoAssetGeometricPool.evaluate_pairs(*(c[fine] for c in params), p1[fine], p2[fine])
+    value, f1, f2, _ = _evaluate_pairs(TwoAssetGeometricPool, *(c[fine] for c in params), p1[fine], p2[fine])
     assert np.all(np.isfinite(value)) and np.all((f1 < 0.0) != (f2 < 0.0))
     for k in overflow:
         with pytest.raises(UnattainedSupremumError):
-            TwoAssetGeometricPool.evaluate_pairs(*(c[[0, k]] for c in params), p1[[0, k]], p2[[0, k]])
+            _evaluate_pairs(TwoAssetGeometricPool, *(c[[0, k]] for c in params), p1[[0, k]], p2[[0, k]])
 
 
 @pytest.mark.parametrize(
@@ -208,7 +217,7 @@ def test_pool_kernel_leaves_zero_prices_unattained(p1, p2, r0):
     with pytest.raises(UnattainedSupremumError):
         TwoAssetGeometricPool((r0, 120.0), 0.5, 0.997).evaluate_pair(p1, p2)
     with pytest.raises(UnattainedSupremumError):
-        TwoAssetGeometricPool.evaluate_pairs(*params, *prices)
+        _evaluate_pairs(TwoAssetGeometricPool, *params, *prices)
 
 
 def test_pool_kernel_keeps_the_negative_price_error():
@@ -216,7 +225,7 @@ def test_pool_kernel_keeps_the_negative_price_error():
     with pytest.raises(ValueError) as scalar:
         TwoAssetGeometricPool((150.0, 120.0), 0.5, 0.997).evaluate_pair(1.0, -0.5)
     with pytest.raises(ValueError) as batch:
-        TwoAssetGeometricPool.evaluate_pairs(*params, np.array([1.0, 1.0, -2.0]), np.array([1.0, -0.5, -1.0]))
+        _evaluate_pairs(TwoAssetGeometricPool, *params, np.array([1.0, 1.0, -2.0]), np.array([1.0, -0.5, -1.0]))
     assert str(batch.value) == str(scalar.value) == "prices must be nonnegative, got (1.0, -0.5)"
 
 
@@ -351,8 +360,8 @@ def _market(seed, per_edge=False):
     """Two-asset pools, multi-asset pools of three sizes (exact records
     and a user subclass) and a buyer basket, interleaved by hand.
 
-    With ``per_edge`` every pool is a subclass, which the plans answer one
-    by one, as they answered every pool before the kernels.
+    With ``per_edge`` every pool is a subclass, which loop groups answer
+    one by one, as every pool was answered before the kernels.
     """
     rng = np.random.default_rng(seed)
     n = 10
@@ -376,15 +385,14 @@ def _market(seed, per_edge=False):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_interleaved_market_solves_as_edge_by_edge(seed):
-    program = DualProgram(_market(seed))
-    assert [k.kind for k in program._kernels] == [TwoAssetGeometricPool]
-    assert sorted(kernel.nodes.shape[1] for kernel in program._pool_kernels) == [2, 3, 4]
-    assert sorted(type(evaluate.__self__).__name__ for *_, evaluate in program._array_loop) == [
-        "FisherBasketEdge",
-        *["_PerEdgeGeometricPool"] * 5,
-    ]
+    instance = _market(seed)
+    program = DualProgram(instance)
+    kernels = [(g.kind, len(g.entries) // len(g.rows)) for g in program._groups if g.kind is not None]
+    assert kernels == [(TwoAssetGeometricPool, 2), *((GeometricMeanPool, dim) for dim in (2, 3, 4))]
+    loop = [type(instance.edges[k].oracle).__name__ for k, kind in answered_by(program).items() if kind is None]
+    assert sorted(loop) == ["FisherBasketEdge", *["_PerEdgeGeometricPool"] * 5]
     per_edge = DualProgram(_market(seed, per_edge=True))
-    assert not per_edge._kernels and not per_edge._pool_kernels
+    assert set(answered_by(per_edge).values()) == {None}
     assert _fingerprint(solve(_market(seed))) == _fingerprint(solve(_market(seed, per_edge=True)))
 
 
@@ -392,8 +400,8 @@ def _interleaved(seed, per_edge=False):
     """opf lines, piecewise-linear and user gains, interleaved by hand.
 
     With ``per_edge`` the bundled gains sit on a subclass of
-    ``TwoNodeEdge``, which the pair plan answers one by one, as it
-    answered every two-node edge before the kernels.
+    ``TwoNodeEdge``, which a loop group answers one by one, as every
+    two-node edge was answered before the kernels.
     """
 
     class PerEdge(TwoNodeEdge):
@@ -437,9 +445,8 @@ def _fingerprint(result):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_interleaved_hand_built_instance_solves_as_edge_by_edge(seed):
-    kernels = DualProgram(_interleaved(seed))._kernels
-    assert sorted(k.kind.__name__ for k in kernels) == ["LinearGain", "PowerLossGain"]
-    assert not DualProgram(_interleaved(seed, per_edge=True))._kernels
+    assert set(answered_by(DualProgram(_interleaved(seed))).values()) == {LinearGain, PowerLossGain, None}
+    assert set(answered_by(DualProgram(_interleaved(seed, per_edge=True))).values()) == {None}
     assert _fingerprint(solve(_interleaved(seed))) == _fingerprint(solve(_interleaved(seed, per_edge=True)))
 
 
@@ -468,8 +475,8 @@ class _PerEdgeGeometricPool(GeometricMeanPool):
 
 
 def _per_edge(edge):
-    """``edge`` with its pool as a subclass, which the plans answer one by
-    one, as they answered every pool before the kernels."""
+    """``edge`` with its pool as a subclass, which loop groups answer one
+    by one, as every pool was answered before the kernels."""
     oracle = edge.oracle
     if type(oracle) is TwoAssetGeometricPool:
         return Hyperedge(edge.incidence, _PerEdgePool(oracle.reserves, oracle.weight, oracle.fee))
@@ -481,7 +488,7 @@ def _per_edge(edge):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_parsed_cfmm_solves_as_its_records(seed):
     # Column-stored pools, the same pools as a list of records (which the
-    # kernels read through row_params) and as subclasses (which the plans
+    # kernels read through row_params) and as subclasses (which loop groups
     # answer one by one): one solve, bit for bit.
     parsed = parse_instance(json.dumps(gen_cfmm(200, seed)))
     pairs, pools = _group(parsed, TwoAssetGeometricPool), _group(parsed, GeometricMeanPool)
@@ -489,8 +496,7 @@ def test_parsed_cfmm_solves_as_its_records(seed):
     records = list(parsed.edges.scan())
     per_edge = list(map(_per_edge, records))
     program = DualProgram(ProblemInstance(n=parsed.n, edges=per_edge, net_objective=parsed.net_objective))
-    assert not program._kernels and len(program._pair_loop) == len(pairs)
-    assert not program._pool_kernels and len(program._array_loop) == len(pools)
+    assert [(g.kind, len(g.rows)) for g in program._groups] == [(None, len(pairs)), (None, len(pools))]
     want = _fingerprint(solve(parsed))
     for edges in (records, per_edge):
         assert _fingerprint(solve(ProblemInstance(n=parsed.n, edges=edges, net_objective=parsed.net_objective))) == want
@@ -800,8 +806,7 @@ def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypa
     instance = parse_instance(json.dumps(doc))
     assert not instance.edges.records and {columns.kind for columns in instance.edges.columns} == {kind}
     program = DualProgram(instance)
-    assert not program._pair_loop and not program._array_loop
-    assert {k.kind for k in program._kernels} | {GeometricMeanPool for _ in program._pool_kernels} == {kind}
+    assert {group.kind for group in program._groups} == {kind}
     for owner, name in [
         (EdgeColumns, "record"),
         (TwoNodeEdge, "evaluate"),

@@ -1,14 +1,19 @@
-"""The one buffer of a dual pass.
+"""The groups of a dual program and the one buffer of a dual pass.
 
-Every edge's maximizer lands in one :class:`~convexflows.core.EdgeVectors`
-buffer on the program's offsets, whichever plan answered it: penalized
-edges, the pair plan (kernels and edge-by-edge) and the array plan.
+Every edge belongs to one group, a kernel of a bundled kind or a loop
+over records that answer one by one, and every edge's maximizer lands in
+one :class:`~convexflows.core.EdgeVectors` buffer on the program's
+offsets, whichever group answered it.  Values and net flows are added in
+plan order: penalized edges, then the other two-node edges, then the
+rest, each in edge order.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from conftest import maxflow_instance
+from conftest import answered_by, group_edges, maxflow_instance
 from convexflows import (
     EdgeIncidence,
     GeometricMeanPool,
@@ -22,12 +27,14 @@ from convexflows import (
     opf_line_edge,
     piecewise_linear_edge,
 )
-from convexflows.solver import DualProgram, solve, solve_dual
+from convexflows.edges import LinearGain, PowerLossGain
+from convexflows.io_cli import gen_cfmm, gen_maxflow, gen_opf, parse_instance
+from convexflows.solver import _KERNEL_KINDS, DualProgram, solve, solve_dual
 
 
 def _mixed_instance():
-    """Edges of all three plans, interleaved so that edge order is not
-    plan order and every node is touched by more than one plan."""
+    """Edges of every kind of group, interleaved so that edge order is not
+    plan order and every node is touched by more than one group."""
     edges = [
         Hyperedge(EdgeIncidence((0, 1, 2)), GeometricMeanPool([100.0, 150.0, 200.0], [0.2, 0.3, 0.5], 0.997)),
         Hyperedge(EdgeIncidence((1, 2)), opf_line_edge(16.0, 0.25, 2.0)),
@@ -69,10 +76,45 @@ def _scatter(instance, flows, order):
 
 def test_mixed_instance_fills_every_plan():
     program = DualProgram(_mixed_instance())
-    assert len(program._penalized_plan) == 2
-    assert sorted(k.kind.__name__ for k in program._kernels) == ["LinearGain", "PowerLossGain"]
-    assert len(program._pair_loop) == 2
-    assert len(program._array_plan) == 2
+    kernels = {0: GeometricMeanPool, 1: PowerLossGain, 3: LinearGain, 7: GeometricMeanPool}
+    assert answered_by(program) == {k: kernels.get(k) for k in range(8)}
+    # The penalized edges, then the other two-node edges answered one by one.
+    assert [group_edges(program, g) for g in program._groups if g.kind is None] == [[2, 5], [4, 6]]
+
+
+def _parsed(doc):
+    return parse_instance(json.dumps(doc))
+
+
+# The mixed instance and a parsed seed-0 instance of each bench family.
+_LAYOUTS = {
+    "mixed": _mixed_instance,
+    "cfmm": lambda: _parsed(gen_cfmm(1600, 0)),
+    "cfmm_pen": lambda: _parsed(gen_cfmm(100, 0, edge_penalties=True)),
+    "opf": lambda: _parsed(gen_opf(1000, 0)),
+    "maxflow": lambda: _parsed(gen_maxflow(20, 0.3, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+def test_groups_partition_the_edges_and_the_buffer_in_plan_order(name):
+    instance = _LAYOUTS[name]()
+    program = DualProgram(instance)
+    order = _plan_order(instance)
+    edges = [pos for group in program._groups for pos in group_edges(program, group)]
+    assert sorted(edges) == list(range(instance.m))
+    entries = np.concatenate([np.ravel(group.entries) for group in program._groups])
+    assert np.array_equal(np.sort(entries), np.arange(len(program.incidences.nodes)))
+    rows = np.concatenate([group.rows for group in program._groups])
+    assert np.array_equal(np.sort(rows), np.arange(instance.m))
+    for group in program._groups:
+        assert group_edges(program, group) == [order[row] for row in group.rows.tolist()]
+
+
+def test_every_kernel_kind_has_the_row_protocol():
+    for kind in _KERNEL_KINDS:
+        for name in ("evaluate_rows", "row_params", "row_oracle", "invalid_rows"):
+            assert callable(getattr(kind, name, None)), (kind.__name__, name)
 
 
 def test_net_flow_is_a_plan_order_scatter_of_the_buffer():

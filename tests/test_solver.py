@@ -31,7 +31,7 @@ from convexflows import (
     lossless_edge,
 )
 from convexflows import solver
-from convexflows.core import EdgeVectors
+from convexflows.core import DimensionError, EdgeVectors
 from convexflows.io_cli import gen_opf, instance_from_dict
 from convexflows.edges import TwoNodeEdge
 from convexflows.solver import (
@@ -157,6 +157,29 @@ def test_eval_dual_infinite_cases():
     assert eval_dual(instance, DualPoint(np.array([-0.5, 2.0]), [np.array([-0.5, 2.0])])) == math.inf
     # A zero-utility edge pins its local prices to the gathered node prices.
     assert eval_dual(instance, DualPoint(np.array([1.0, 2.0]), [np.array([1.5, 2.0])])) == math.inf
+
+
+def test_eval_dual_rejects_points_of_the_wrong_size():
+    # A short edge-price list once truncated the sum silently (0.0 here,
+    # where the dual is 2.0), and short node prices raised an IndexError.
+    instance = maxflow_instance(8, 0.3, 0)
+    result = solve(instance)
+    nu, etas = result.dual_point.node_prices, list(result.dual_point.edge_prices)
+    assert eval_dual(instance, result.dual_point) == pytest.approx(2.0)
+    primal = PrimalPoint(edge_flows=result.flows, net_flow=result.net_flow)
+    for point in (
+        DualPoint(nu, []),
+        DualPoint(nu, etas[:-1]),
+        DualPoint(nu, [*etas, etas[0]]),
+        DualPoint(nu[:-1], etas),
+        DualPoint(np.append(nu, 1.0), etas),
+        DualPoint(nu, [*etas[:-1], etas[-1][:1]]),
+        DualPoint(nu, [np.append(etas[0], 0.0), *etas[1:]]),
+    ):
+        with pytest.raises(DimensionError):
+            eval_dual(instance, point)
+        with pytest.raises(DimensionError):
+            duality_gap(instance, point, primal)
 
 
 def test_eval_dual_matches_solve_dual_at_its_point():
