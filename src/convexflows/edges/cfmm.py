@@ -11,11 +11,11 @@ multiplier, so that its root is a weighted mean of knots found by a
 scan over at most ``2 * dim - 1`` pieces.  The penalized price
 subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
-scalar dual for every pool size (:func:`_penalized_trade`).  Both
-plain subproblems also run over arrays, one pool a row
-(``evaluate_rows`` of each pool type, over the pools of one ``dim``),
-bit for bit as pool by pool; the dual evaluator answers its pools with
-them.
+scalar dual for every pool size (:func:`_penalized_trade`).  Each
+pool type's plain subproblem has one closed form, over arrays, one pool
+a row (``evaluate_rows``, over the pools of one ``dim``): the dual
+evaluator answers its pools with it, and a pool's own ``evaluate`` is a
+one-row call of it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .base import (
     EdgeOracle,
     InvalidEdgeError,
     UnattainedSupremumError,
-    require_nonnegative_prices,
     require_pair_prices,
 )
 
@@ -92,16 +91,9 @@ def _validate_pool(reserves, fee) -> tuple[tuple[float, ...], float]:
     return reserves, fee
 
 
-def _math(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` from :mod:`math` applied to each entry of a float array."""
-    return np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
-
-
-def _log_invariants(r0, r1, weight) -> np.ndarray:
-    """Log of each two-asset pool's trading function, one pool a row.
-    ``vecdot`` rounds each row as the pool's own ``np.dot`` of two terms
-    does."""
-    return np.vecdot(np.stack([weight, 1.0 - weight], 1), np.log(np.stack([r0, r1], 1)))
+def _row(params) -> tuple[np.ndarray, ...]:
+    """A pool's ``row_params`` as the one-row columns of its kernel."""
+    return tuple(np.array([column]) for column in params)
 
 
 def _membership(reserves, weights, fee, flow, tol) -> bool:
@@ -237,16 +229,16 @@ class TwoAssetGeometricPool(EdgeOracle):
 
     ``weight = 1/2`` is the classic product market; other weights give
     weighted swap markets.  The price subproblem is solved in closed
-    form: the no-trade price band is the fee-scaled marginal price of
-    the pool, and outside it the post-trade reserves follow from the
-    stationarity of the traded amount.
+    form (:meth:`evaluate_rows`): the no-trade price band is the
+    fee-scaled marginal price of the pool, and outside it the post-trade
+    reserves follow from the stationarity of the traded amount.
 
     The pool keeps one copy of its data, as Python floats; ``reserves``
     and ``weights`` build a fresh array on each access, and every other
-    field is read-only, so the cached log invariant cannot go stale.
+    field is read-only.
     """
 
-    __slots__ = ("_r0", "_r1", "_weight", "_fee", "_log_inv_memo", "__dict__")
+    __slots__ = ("_r0", "_r1", "_weight", "_fee", "__dict__")
 
     def __init__(self, reserves, weight: float = 0.5, fee: float = 1.0):
         reserves, fee = _validate_pool(reserves, fee)
@@ -258,7 +250,6 @@ class TwoAssetGeometricPool(EdgeOracle):
         self._r0, self._r1 = reserves
         self._weight = weight
         self._fee = fee
-        self._log_inv_memo = None
 
     @property
     def dim(self) -> int:
@@ -267,17 +258,6 @@ class TwoAssetGeometricPool(EdgeOracle):
     @property
     def is_strictly_convex(self) -> bool:
         return True
-
-    @property
-    def _log_inv(self) -> float:
-        """Log of the trading function, computed on first use: a pool with
-        a penalty never reads it.  The dot product stays in numpy: it may
-        round as a chain of fused multiply-adds, which ``w0 * l0 + w1 *
-        l1`` in Python does not reproduce bit for bit."""
-        if self._log_inv_memo is None:
-            w = self._weight
-            self._log_inv_memo = float(np.dot((w, 1.0 - w), np.log((self._r0, self._r1))))
-        return self._log_inv_memo
 
     @property
     def weight(self) -> float:
@@ -305,49 +285,11 @@ class TwoAssetGeometricPool(EdgeOracle):
         return ArbitrageResult(value=value, flow=np.array([f1, f2]), non_unique=non_unique)
 
     def evaluate_pair(self, p1: float, p2: float) -> tuple[float, float, float, bool]:
-        """Allocation-free form of :meth:`evaluate` (scalars in and out)."""
-        if p1 < 0.0 or p2 < 0.0:
-            raise ValueError(f"prices must be nonnegative, got ({p1}, {p2})")
-        w, r0, r1, fee = self._weight, self._r0, self._r1, self._fee
-        # A zero price, or one whose s_j = p_j r_j / w_j underflows to zero
-        # (exactly when p_j r_j does, as w_j < 1), leaves the supremum
-        # unattained.
-        if p1 * r0 == 0.0 or p2 * r1 == 0.0:
-            raise UnattainedSupremumError(
-                "supremum not attained: an asset with zero price can be tendered without limit"
-            )
-        price = (w / r0) / ((1.0 - w) / r1)
-        ratio = p1 / p2
-        if fee * price <= ratio <= price / fee:
-            return 0.0, 0.0, 0.0, False
-        if ratio < fee * price:
-            tendered, received = self._trade(w, 1.0 - w, r0, r1, p1, p2)
-            f1, f2 = -tendered, received
-        else:
-            tendered, received = self._trade(1.0 - w, w, r1, r0, p2, p1)
-            f1, f2 = received, -tendered
-        return p1 * f1 + p2 * f2, f1, f2, False
-
-    def _trade(
-        self, w_in: float, w_out: float, r_in: float, r_out: float, p_in: float, p_out: float
-    ) -> tuple[float, float]:
-        """Tender the asset of weight ``w_in`` and reserve ``r_in`` for the
-        other one at the stationary point."""
-        gamma = self._fee
-        ratio = w_in / w_out
-        # Stationarity: p_out * d(received)/d(tendered) = p_in, which puts
-        # the post-trade input reserve at a weighted geometric mean.  A
-        # price ratio past the float range is split into two logs.
-        scale = gamma * ratio * r_out * p_out / p_in
-        log_scale = math.log(scale) if scale < math.inf else math.log(gamma * ratio * r_out * p_out) - math.log(p_in)
-        log_post_in = (log_scale + ratio * math.log(r_in)) / (ratio + 1.0)
-        try:
-            post_in = math.exp(log_post_in)
-        except OverflowError:
-            raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
-        tendered = (post_in - r_in) / gamma
-        post_out = math.exp((self._log_inv - w_in * log_post_in) / w_out)
-        return tendered, r_out - post_out
+        """:meth:`evaluate` with scalars in and out: a one-row call of
+        :meth:`evaluate_rows`."""
+        value, flow, _ = self.evaluate_rows(*_row(self.row_params()), np.array([[p1, p2]]))
+        f1, f2 = flow[0].tolist()
+        return float(value[0]), f1, f2, False
 
     def row_params(self) -> tuple[float, float, float, float]:
         """``(r0, r1, weight, fee)``: one row of :meth:`evaluate_rows`."""
@@ -371,17 +313,17 @@ class TwoAssetGeometricPool(EdgeOracle):
 
     @staticmethod
     def evaluate_rows(r0, r1, weight, fee, prices):
-        """:meth:`evaluate_pair` over arrays, one pool a row.
+        """The pool's price subproblem over arrays, one pool a row.
 
         ``prices`` is ``m x 2``.  Returns the arrays ``(value, flow,
-        non_unique)`` (``flow`` is ``m x 2``), equal bit for bit to the
-        scalar answers: numpy does the IEEE arithmetic, the no-trade band
-        and the choice of the tendered asset, with the scalar code's
-        operands in its order, and ``log`` and ``exp`` go through
-        :mod:`math` on the trading rows (numpy's may round differently in
-        the last bit).  The trading rows' log invariants
-        come from :func:`_log_invariants`.  A negative price raises the
-        scalar code's ``ValueError`` for the first such row, and a zero
+        non_unique)`` (``flow`` is ``m x 2``).  A row whose price ratio
+        lies in the fee band around the pool's marginal price trades
+        nothing.  Any other row tenders the asset that is cheap at the
+        pool: stationarity, ``p_out * d(received)/d(tendered) = p_in``,
+        puts its post-trade reserve at a weighted geometric mean, worked
+        out in logs (a price ratio past the float range is split into two
+        logs), and the invariant gives the amount received.  A negative
+        price raises ``ValueError`` for the first such row, and a zero
         ``p_j r_j`` or a post-trade reserve past the float range in any
         row leaves the supremum unattained.
         """
@@ -389,6 +331,9 @@ class TwoAssetGeometricPool(EdgeOracle):
         m = len(p1)
         value, f1, f2 = np.zeros(m), np.zeros(m), np.zeros(m)
         with np.errstate(all="ignore"):
+            # A zero price, or one whose s_j = p_j r_j / w_j underflows to
+            # zero (exactly when p_j r_j does, as w_j < 1), leaves the
+            # supremum unattained.
             if np.any((p1 * r0 == 0.0) | (p2 * r1 == 0.0)):
                 raise UnattainedSupremumError(
                     "supremum not attained: an asset with zero price can be tendered without limit"
@@ -397,28 +342,25 @@ class TwoAssetGeometricPool(EdgeOracle):
             ratio = p1 / p2
             low = fee * price
             rows = np.flatnonzero(~((low <= ratio) & (ratio <= price / fee)))
-            # Per trading row: whether it tenders asset 1 (the first branch),
-            # and _trade's arguments.
+            # Per trading row: whether it tenders asset 1, and the weight,
+            # reserve and price of the asset tendered (in) and received (out).
             first = ratio[rows] < low[rows]
             w, gamma, q1, q2, a, b = (column[rows] for column in (weight, fee, p1, p2, r0, r1))
             w_in, w_out = np.where(first, w, 1.0 - w), np.where(first, 1.0 - w, w)
             r_in, r_out = np.where(first, a, b), np.where(first, b, a)
             p_in, p_out = np.where(first, q1, q2), np.where(first, q2, q1)
-            # _trade, term by term.
             shape = w_in / w_out
             top = gamma * shape * r_out * p_out
             scale = top / p_in
-            log_scale = _math(math.log, scale)
-            wide = np.flatnonzero(~(scale < math.inf))
-            log_scale[wide] = _math(math.log, top[wide]) - _math(math.log, p_in[wide])
-            log_post_in = (log_scale + shape * _math(math.log, r_in)) / (shape + 1.0)
-            try:
-                post_in = _math(math.exp, log_post_in)
-            except OverflowError:
-                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
+            log_scale = np.where(scale < math.inf, np.log(scale), np.log(top) - np.log(p_in))
+            log_post_in = (log_scale + shape * np.log(r_in)) / (shape + 1.0)
+            post_in = np.exp(log_post_in)
+            if not np.isfinite(post_in).all():
+                raise UnattainedSupremumError(_PAST_FLOAT_RANGE)
             tendered = (post_in - r_in) / gamma
-            log_inv = _log_invariants(a, b, w)
-            received = r_out - _math(math.exp, (log_inv - w_in * log_post_in) / w_out)
+            # The log invariant, one dot product a row.
+            log_inv = np.vecdot(np.stack([w, 1.0 - w], 1), np.log(np.stack([a, b], 1)))
+            received = r_out - np.exp((log_inv - w_in * log_post_in) / w_out)
             f1[rows] = np.where(first, -tendered, received)
             f2[rows] = np.where(first, received, -tendered)
             value[rows] = q1 * f1[rows] + q2 * f2[rows]
@@ -481,67 +423,9 @@ class GeometricMeanPool(EdgeOracle):
         return np.array(self._w)
 
     def evaluate(self, prices: np.ndarray) -> ArbitrageResult:
-        prices = require_nonnegative_prices(prices)
-        # No-trade test: a single multiplier can scale the pool's marginal
-        # prices into the fee band around the quoted prices.  An s_j that
-        # is zero, from a zero price or by underflow, counts as a zero
-        # price: all zero trade nothing, and some zero leave the supremum
-        # unattained.
-        p = [float(v) for v in prices]
-        w, fee = self._w, self._fee
-        s = [p[j] * self._r[j] / w[j] for j in range(self._dim)]
-        s_max, s_min = max(s), min(s)
-        if s_min == 0.0:
-            if s_max == 0.0:
-                return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
-            raise UnattainedSupremumError(
-                "supremum not attained: an asset with zero price can be tendered without limit"
-            )
-        if fee * s_max <= s_min:
-            return ArbitrageResult(value=0.0, flow=np.zeros(self._dim))
-
-        # The log residual sum_j w_j log(post_j / r_j) is piecewise linear
-        # in u = log(lam): asset j is received below the knot log s_j, idle
-        # up to log(s_j / fee) and tendered above it, and each active asset
-        # adds w_j (u - knot_j).  On a piece the root is the weighted mean
-        # of the active knots; the residual rises with u, so the root lies
-        # on the first piece whose upper end the residual reaches.
-        log_fee = math.log(fee)
-        log_s = [math.log(v) for v in s]
-        knots = sorted([(k, j, False) for j, k in enumerate(log_s)]
-                       + [(k - log_fee, j, True) for j, k in enumerate(log_s)])
-        # Active asset -> the shift of its knot: log(fee) if tendered, else 0.
-        active = dict.fromkeys(range(self._dim), 0.0)
-        total, moment = sum(w), sum(wj * k for wj, k in zip(w, log_s))
-        for knot, j, tender in knots:
-            if moment <= total * knot:
-                break
-            if tender:
-                active[j] = log_fee
-                total, moment = total + w[j], moment + w[j] * knot
-            else:
-                del active[j]
-                total, moment = total - w[j], moment - w[j] * knot
-
-        # Each active asset's offset u - knot_j, as a weighted mean of
-        # knot differences taken from ratios so that nothing cancels; a
-        # tendered amount is what enters the pool over the fee.  When the
-        # ratios leave the float range the knots span over 700, and the
-        # differences of the logs lose nothing that matters there.
-        wide = not s_max / s_min < math.inf
-        weight = sum(w[k] for k in active)
-        flow = np.zeros(self._dim)
-        for j, shift in active.items():
-            offset = sum(
-                w[k] * ((log_s[k] - log_s[j] if wide else math.log(s[k] / s[j])) + shift - shift_k)
-                for k, shift_k in active.items()
-            )
-            try:
-                moved = math.expm1(offset / weight)
-            except OverflowError:
-                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
-            flow[j] = -self._r[j] * moved / (fee if shift else 1.0)
-        return ArbitrageResult(value=float(prices @ flow), flow=flow)
+        """A one-row call of :meth:`evaluate_rows`."""
+        value, flow, _ = self.evaluate_rows(*_row(self.row_params()), np.asarray(prices, dtype=float)[None])
+        return ArbitrageResult(value=float(value[0]), flow=flow[0])
 
     def row_params(self) -> tuple[tuple[float, ...], tuple[float, ...], float]:
         """``(reserves, weights, fee)``: one row of :meth:`evaluate_rows`."""
@@ -569,24 +453,20 @@ class GeometricMeanPool(EdgeOracle):
 
     @staticmethod
     def evaluate_rows(reserves, weights, fee, prices):
-        """:meth:`evaluate` over arrays, one pool of the same ``dim`` a row.
+        """The pool's price subproblem over arrays, one pool of the same
+        ``dim`` a row.
 
         ``reserves``, ``weights`` and ``prices`` are ``m x dim``, ``fee``
         has ``m`` entries.  Returns the arrays ``(value, flow, non_unique)``
-        (``flow`` is ``m x dim``), equal bit for bit to the scalar answers.
-        The kernel replays the scalar scan on every trading row at once:
-        the knots sorted as the scalar code sorts its tuples, one step of
-        the scan per knot with the rows that broke off left alone, and the
-        active assets in the order of the scalar code's ``active`` dict
-        (the assets never passed, in index order, then the tendered ones
-        in the order of their knots).  Every sum adds its terms left to
-        right in that order, ``log`` and ``expm1`` go through :mod:`math`
-        (numpy's may round differently in the last bit), and ``vecdot``
-        rounds each row's value as the scalar ``prices @ flow`` does.  A
-        negative price raises the scalar code's ``ValueError`` for the
-        first such row, and a zero ``s_j`` beside a positive one, or a
-        tendered amount past the float range, in any row leaves the
-        supremum unattained.
+        (``flow`` is ``m x dim``).  A row trades nothing when a single
+        multiplier can scale the pool's marginal prices into the fee band
+        around the quoted prices.  Every other row is scanned at once: its
+        knots sorted (by value, then asset, a receive knot before a tender
+        knot), one step of the scan per knot, with the rows that broke off
+        left alone.  A negative price raises ``ValueError`` for the first
+        such row, and a zero ``s_j`` beside a positive one, or a tendered
+        amount past the float range, in any row leaves the supremum
+        unattained.
         """
         bad = (prices < 0).any(axis=1)
         if bad.any():
@@ -594,6 +474,9 @@ class GeometricMeanPool(EdgeOracle):
         m, dim = prices.shape
         value, flow = np.zeros(m), np.zeros((m, dim))
         with np.errstate(all="ignore"):
+            # An s_j that is zero, from a zero price or by underflow, counts
+            # as a zero price: all zero trade nothing, and some zero leave
+            # the supremum unattained.
             s = prices * reserves / weights
             s_max, s_min = s.max(axis=1), s.min(axis=1)
             if np.any((s_min == 0.0) & (s_max != 0.0)):
@@ -603,12 +486,17 @@ class GeometricMeanPool(EdgeOracle):
             rows = np.flatnonzero((s_min != 0.0) & ~(fee * s_max <= s_min))
             t = len(rows)
             s, w, r, gamma = s[rows], weights[rows], reserves[rows], fee[rows]
-            log_fee = _math(math.log, gamma)
-            log_s = _math(math.log, s.ravel()).reshape(t, dim)
+            log_fee = np.log(gamma)
+            log_s = np.log(s)
 
-            # The knots, as the scalar code's (knot, asset, tendered) tuples
-            # sort: receive knots are the first dim columns, tender knots the
-            # next dim.
+            # The log residual sum_j w_j log(post_j / r_j) is piecewise
+            # linear in u = log(lam): asset j is received below the knot
+            # log s_j, idle up to log(s_j / fee) and tendered above it, and
+            # each active asset adds w_j (u - knot_j).  On a piece the root
+            # is the weighted mean of the active knots; the residual rises
+            # with u, so the root lies on the first piece whose upper end
+            # the residual reaches.  Receive knots are the first dim
+            # columns, tender knots the next dim.
             knots = np.concatenate([log_s, log_s - log_fee[:, None]], axis=1)
             column = np.broadcast_to(np.arange(2 * dim), knots.shape)
             order = np.lexsort((column >= dim, column % dim, knots), axis=1)
@@ -617,10 +505,8 @@ class GeometricMeanPool(EdgeOracle):
             total, moment = np.zeros(t), np.zeros(t)
             for j in range(dim):
                 total, moment = total + w[:, j], moment + w[:, j] * log_s[:, j]
-            # Each asset's place in the active dict: its index while it is
-            # received, dim + the scan step at which it is tendered, and
-            # past both (3 dim) while it is idle.
-            place = np.tile(np.arange(dim), (t, 1))
+            # Which assets are active, and which of those are tendered.
+            live, tendered = np.ones((t, dim), dtype=bool), np.zeros((t, dim), dtype=bool)
             scanning = np.ones(t, dtype=bool)
             at = np.arange(t)
             for step in range(2 * dim):
@@ -629,47 +515,32 @@ class GeometricMeanPool(EdgeOracle):
                 w_j = w[at, j]
                 total = np.where(scanning, np.where(tender, total + w_j, total - w_j), total)
                 moment = np.where(scanning, np.where(tender, moment + w_j * knot, moment - w_j * knot), moment)
-                place[at[scanning], j[scanning]] = np.where(tender, dim + step, 3 * dim)[scanning]
+                live[at[scanning], j[scanning]] = tendered[at[scanning], j[scanning]] = tender[scanning]
 
-            # The assets in the active dict's order; ``live`` marks the
-            # positions that hold an active one.
-            active = np.argsort(place, axis=1, kind="stable")
-            place = np.take_along_axis(place, active, axis=1)
-            live = place < 3 * dim
-            w_a = np.take_along_axis(w, active, axis=1)
-            s_a = np.take_along_axis(s, active, axis=1)
-            log_s_a = np.take_along_axis(log_s, active, axis=1)
-            shift = np.where(live & (place >= dim), log_fee[:, None], 0.0)
-            weight = np.zeros(t)
-            for q in range(dim):
-                weight = np.where(live[:, q], weight + w_a[:, q], weight)
-
-            # offset[a] = sum over the active b of w_b * (diff(b, a) + shift_a
-            # - shift_b), with diff(b, a) = log(s_b / s_a), or log_s_b -
-            # log_s_a when the ratios leave the float range.
+            # Each active asset's offset u - knot_a, as a weighted mean of
+            # knot differences: offset[a] sums w_b (diff(b, a) + shift_a -
+            # shift_b) over the active b, with shift log(fee) on a tendered
+            # asset and diff(b, a) = log(s_b / s_a), taken from the ratio
+            # so that nothing cancels.  When the ratios leave the float
+            # range the knots span over 700, and the differences of the
+            # logs lose nothing that matters there.  Sums run in asset order.
             wide = ~(s_max[rows] / s_min[rows] < math.inf)
-            pairs = live[:, :, None] & live[:, None, :]  # (t, a, b)
-            diff = np.zeros((t, dim, dim))
-            narrow = pairs & ~wide[:, None, None]
-            diff[narrow] = _math(math.log, (s_a[:, None, :] / s_a[:, :, None])[narrow])
-            far = pairs & wide[:, None, None]
-            diff[far] = (log_s_a[:, None, :] - log_s_a[:, :, None])[far]
-            terms = w_a[:, None, :] * (diff + shift[:, :, None] - shift[:, None, :])
-            offset = np.zeros((t, dim))
+            diff = np.where(
+                wide[:, None, None], log_s[:, None, :] - log_s[:, :, None], np.log(s[:, None, :] / s[:, :, None])
+            )
+            shift = np.where(tendered, log_fee[:, None], 0.0)
+            terms = w[:, None, :] * (diff + shift[:, :, None] - shift[:, None, :])
+            weight, offset = np.zeros(t), np.zeros((t, dim))
             for b in range(dim):
-                offset = np.where(pairs[:, :, b], offset + terms[:, :, b], offset)
+                weight = np.where(live[:, b], weight + w[:, b], weight)
+                offset = np.where(live[:, b, None], offset + terms[:, :, b], offset)
             # A tendered amount is what enters the pool over the fee.
-            moved = np.zeros((t, dim))
-            try:
-                moved[live] = _math(math.expm1, (offset / weight[:, None])[live])
-            except OverflowError:
-                raise UnattainedSupremumError(_PAST_FLOAT_RANGE) from None
-            divisor = np.where(shift != 0.0, gamma[:, None], 1.0)
-            traded = np.where(live, -np.take_along_axis(r, active, axis=1) * moved / divisor, 0.0)
-            traded_rows = np.zeros((t, dim))
-            np.put_along_axis(traded_rows, active, traded, axis=1)
-            flow[rows] = traded_rows
-            value[rows] = np.vecdot(prices[rows], traded_rows)
+            moved = np.expm1(offset / weight[:, None])
+            traded = np.where(live, -r * moved / np.where(tendered, gamma[:, None], 1.0), 0.0)
+            if not np.isfinite(traded).all():
+                raise UnattainedSupremumError(_PAST_FLOAT_RANGE)
+            flow[rows] = traded
+            value[rows] = np.vecdot(prices[rows], traded)
         return value, flow, np.zeros(m, dtype=bool)
 
     def evaluate_penalized(self, prices) -> ArbitrageResult:

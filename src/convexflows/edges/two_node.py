@@ -60,8 +60,6 @@ _PENALIZED_TOL = 1e-15
 # Expansion limit when hunting for a bracket on an unbounded domain.
 _BRACKET_LIMIT = 1e15
 _LOG2 = math.log(2.0)
-# PowerLossGain's softplus at zero input.
-_SOFTPLUS_0 = math.log1p(math.exp(0.0))
 
 
 class GainFunction(ABC):
@@ -347,8 +345,8 @@ class PowerLossGain(GainFunction):
         if w < 0.0 or w > self._capacity:
             return -math.inf
         t = self._beta * w
-        softplus = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
-        return 3.0 * w - self._alpha * (softplus - _LOG2)
+        softplus = t + np.log1p(np.exp(-t)) if t > 0.0 else np.log1p(np.exp(t))
+        return float(3.0 * w - self._alpha * (softplus - _LOG2))
 
     def _slope(self, w: float) -> float:
         # h'(w) = 3 - 4 * sigmoid(beta * w)
@@ -367,12 +365,14 @@ class PowerLossGain(GainFunction):
         return self._slope(w) if w > 0.0 else math.inf
 
     def closed_form_arbitrage(self, p_in: float, p_out: float):
+        # numpy's log and exp, as in evaluate_rows: on a float they give
+        # the bits they give inside an array, so both forms agree.
         num = 3.0 * p_out - p_in
         den = p_out + p_in
         if num <= 0.0 or den <= 0.0:
             w = 0.0
         else:
-            w = min(max(math.log(num / den) / self._beta, 0.0), self._capacity)
+            w = min(max(float(np.log(num / den)) / self._beta, 0.0), self._capacity)
         return w, self.value(w), False
 
     def row_params(self) -> tuple[float, float, float]:
@@ -394,34 +394,21 @@ class PowerLossGain(GainFunction):
 
         ``prices`` is ``m x 2``, the input and output prices.  Returns the
         arrays ``(value, flow, non_unique)`` (``flow`` is ``m x 2``), equal
-        bit for bit to the scalar answers.  The IEEE arithmetic and
-        the clipping run in numpy; ``log``, ``exp`` and ``log1p`` go
-        through :mod:`math`, as in the scalar code, on the rows that need
-        them (numpy's versions may round differently in the last bit):
-        the log on the rows whose closed form takes it, the softplus on
-        the rows with a nonzero input.  At zero input every row's
-        softplus is ``log1p(exp(0))``.
+        bit for bit to the scalar answers: the same IEEE operations on the
+        same operands, the clipping as Python's ``max`` and ``min`` pick,
+        and numpy's ``log``, ``exp`` and ``log1p`` in both forms.
         """
         p_in, p_out = require_pair_prices(prices)
         with np.errstate(all="ignore"):
             num = 3.0 * p_out - p_in
             den = p_out + p_in
-            w = np.zeros(len(p_in))
-            rows = np.flatnonzero((p_out != 0.0) & ~((num <= 0.0) | (den <= 0.0)))
-            if len(rows):
-                logs = np.fromiter(map(math.log, (num[rows] / den[rows]).tolist()), float, len(rows))
-                x = logs / beta[rows]
-                x = np.where(0.0 > x, 0.0, x)  # max(x, 0.0)
-                cap = capacity[rows]
-                w[rows] = np.where(cap < x, cap, x)  # min(x, capacity)
+            x = np.log(num / den) / beta
+            x = np.where(0.0 > x, 0.0, x)  # max(x, 0.0)
+            x = np.where(capacity < x, capacity, x)  # min(x, capacity)
+            w = np.where((p_out != 0.0) & ~((num <= 0.0) | (den <= 0.0)), x, 0.0)
             t = beta * w
-            softplus = np.full(len(w), _SOFTPLUS_0)
-            rows = np.flatnonzero(w != 0.0)
-            if len(rows):
-                t_rows = t[rows]
-                arg = np.where(t_rows > 0.0, -t_rows, t_rows)
-                tail = np.fromiter(map(math.log1p, map(math.exp, arg.tolist())), float, len(rows))
-                softplus[rows] = np.where(t_rows > 0.0, t_rows + tail, tail)
+            tail = np.log1p(np.exp(np.where(t > 0.0, -t, t)))
+            softplus = np.where(t > 0.0, t + tail, tail)
             h = 3.0 * w - alpha * (softplus - _LOG2)
             value = -p_in * w + p_out * h
             zero_out = p_out == 0.0

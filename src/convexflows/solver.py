@@ -305,35 +305,15 @@ class DualProgram:
         self.incidences = instance.incidences
         self._nodes = self.incidences.nodes
         self.offsets = self.incidences.offsets
-        # The loop groups' records, as (position, nodes, method), and the
-        # rows of the kernel kinds' records, by kind and size.
-        penalized, pairs, others, kernel_rows = [], [], [], {}
-        flat = False
-        for pos, edge in instance.edge_records():
-            oracle = edge.oracle
-            nodes = edge.incidence.nodes
-            if edge.utility is not None:
-                penalized.append((pos, nodes, oracle.evaluate_penalized))
-                continue
-            flat = flat or not oracle.is_strictly_convex
-            # A bundled gain's parameters sit on the gain, a pool's on itself.
-            owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
-            if type(owner) in _KERNEL_KINDS:
-                kernel_rows.setdefault((type(owner), len(nodes)), []).append((pos, nodes, owner.row_params()))
-            elif len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
-                pairs.append((pos, *nodes, oracle.evaluate_pair))
-            else:
-                others.append((pos, nodes, oracle.evaluate))
-        kernels = instance.edge_columns()
-        for (kind, _), rows in kernel_rows.items():
-            positions, nodes, params = zip(*rows)
-            kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params))))
+        # The loop groups' records, as (position, nodes, method).
+        penalized, pairs, others, kernels, flat = _edge_groups(instance)
+        penalized = [(pos, edge.incidence.nodes, edge.oracle.evaluate_penalized) for pos, edge in penalized]
+        pairs = [(pos, *edge.incidence.nodes, edge.oracle.evaluate_pair) for pos, edge in pairs]
+        others = [(pos, edge.incidence.nodes, edge.oracle.evaluate) for pos, edge in others]
         # The multi-asset pool, which has no evaluate_pair, is the one
         # kernel kind outside the two-node edges.
         pair_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is not GeometricMeanPool]
         pool_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is GeometricMeanPool]
-        # Linear gains are the one kernel kind with flat faces.
-        flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in pair_kernels)
 
         def positions_of(loop, groups=()):
             """The edge positions of a loop's records (in edge order already)
@@ -784,6 +764,45 @@ class SolveResult:
     recovery_residual: float = math.nan
 
 
+def _edge_groups(instance: ProblemInstance):
+    """The edges of ``instance`` split as a :class:`DualProgram` groups them.
+
+    Returns ``(penalized, pairs, others, kernels, flat)``: the ``(position,
+    edge)`` records of the edges with a utility, of the other two-node
+    edges with an ``evaluate_pair`` and of the rest, each in edge order;
+    ``(positions, columns)`` of every kernel group, the instance's column
+    groups first and then one :class:`~convexflows.core.EdgeColumns` per
+    kernel kind and size over the records of that kind; and whether some
+    edge without a utility has a flat face.  An edge goes to a kernel
+    group when it has no utility and its oracle is exactly one of the
+    kernel kinds, or a ``TwoNodeEdge`` whose gain is exactly one.
+    """
+    penalized, pairs, others, kernel_rows = [], [], [], {}
+    flat = False
+    for pos, edge in instance.edge_records():
+        oracle = edge.oracle
+        if edge.utility is not None:
+            penalized.append((pos, edge))
+            continue
+        flat = flat or not oracle.is_strictly_convex
+        nodes = edge.incidence.nodes
+        # A bundled gain's parameters sit on the gain, a pool's on itself.
+        owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
+        if type(owner) in _KERNEL_KINDS:
+            kernel_rows.setdefault((type(owner), len(nodes)), []).append((pos, nodes, owner.row_params()))
+        elif len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
+            pairs.append((pos, edge))
+        else:
+            others.append((pos, edge))
+    kernels = instance.edge_columns()
+    for (kind, _), rows in kernel_rows.items():
+        positions, nodes, params = zip(*rows)
+        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params))))
+    # Linear gains are the one kernel kind with flat faces.
+    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in kernels)
+    return penalized, pairs, others, kernels, flat
+
+
 def _kernel_call(columns: EdgeColumns) -> Callable:
     """The call of a kernel group: its kind's ``evaluate_rows`` over the
     block of its edges' node prices."""
@@ -994,7 +1013,10 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     substitution, no minimization over the edge prices).  Infinite
     conjugate values (such as negative prices) give ``+inf``, and so does
     an edge without a utility term whose prices differ from
-    ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.
+    ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.  The
+    edges are split as :class:`DualProgram` splits them: each kernel
+    group is answered by one call of its kind's kernel, and only the
+    other edges one by one.
 
     Raises:
         DimensionError: The node prices are not ``n`` numbers, the point
@@ -1004,34 +1026,48 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     """
     nu = np.asarray(point.node_prices, dtype=float)
     etas = [np.asarray(eta, dtype=float) for eta in point.edge_prices]
+    incidences = instance.incidences
+    offsets = incidences.offsets
     if nu.shape != (instance.n,) or len(etas) != instance.m:
         raise DimensionError(f"need {instance.n} node prices, {instance.m} edge price vectors; got {nu.shape}, {len(etas)}")
-    for k, (eta, size) in enumerate(zip(etas, np.diff(instance.incidences.offsets).tolist())):
+    for k, (eta, size) in enumerate(zip(etas, np.diff(offsets).tolist())):
         if eta.shape != (size,):
             raise DimensionError(f"edge {k}: need {size} edge prices, got shape {eta.shape}")
     conj_u = instance.net_objective.conj(nu)
     if not conj_u.finite:
         return math.inf
-    value = conj_u.value
+    eta = np.concatenate(etas)
+    base = nu[incidences.nodes]
+    # Every edge (at least two entries each) without a utility must be
+    # priced at A_i^T nu.
+    off = np.maximum.reduceat(np.abs(eta - base), offsets[:-1])
+    scale = np.maximum.reduceat(np.abs(eta), offsets[:-1])
+    mismatch = off > _ZERO_UTILITY_PRICE_TOL * (1.0 + scale)
+    mismatch[list(instance.utility_edges)] = False
+    if mismatch.any():
+        return math.inf
+    penalized, pairs, others, kernels, _ = _edge_groups(instance)
+    values, conj_v = np.empty(instance.m), []
     try:
-        for edge, eta in zip(instance.scan_edges(), etas):
-            base = edge.incidence.gather(nu)
-            if edge.utility is None:
-                off = np.max(np.abs(eta - base), initial=0.0)
-                if off > _ZERO_UTILITY_PRICE_TOL * (1.0 + float(np.max(np.abs(eta)))):
-                    return math.inf
-                eta = base
-            else:
-                conj_v = edge.utility.conj(eta - base)
-                if not conj_v.finite:
-                    return math.inf
-                value += conj_v.value
-            value += edge.oracle.evaluate(eta).value
+        for pos, edge in penalized:
+            span = slice(offsets[pos], offsets[pos + 1])
+            conj = edge.utility.conj(eta[span] - base[span])
+            if not conj.finite:
+                return math.inf
+            conj_v.append(conj.value)
+            values[pos] = edge.oracle.evaluate(eta[span]).value
+        for pos, edge in pairs + others:
+            values[pos] = edge.oracle.evaluate(base[offsets[pos] : offsets[pos + 1]]).value
+        for positions, columns in kernels:
+            values[positions] = columns.kind.evaluate_rows(*columns.params, nu[columns.nodes])[0]
     except UnattainedSupremumError:
         return math.inf
     except UnboundedEdgeError as exc:
         raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
-    return float(value)
+    # Edge order, each utility's conjugate just before its edge's value:
+    # the running sum adds term by term, as a loop over the edges would.
+    terms = np.insert(values, [pos for pos, _ in penalized], conj_v)
+    return float(np.cumsum(np.concatenate(([conj_u.value], terms)))[-1])
 
 
 def duality_gap(

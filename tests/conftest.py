@@ -1,4 +1,6 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders and references for the test suite."""
+
+import decimal
 
 import numpy as np
 
@@ -181,3 +183,61 @@ def mincost_instance(seed):
     graph = maxflow_instance(12, 0.35, seed)
     flow = solve(graph).primal_value
     return ProblemInstance(n=graph.n, edges=graph.edges, net_objective=MinCostObjective(graph.n, 0.5 * flow))
+
+
+def geometric_pool_by_decimal(pool, prices, digits=40, s=None):
+    """Exact trade against a geometric mean pool, to ``digits`` digits.
+
+    The log residual ``sum_j w_j log(post_j / r_j)`` is piecewise linear
+    in ``u = log(lam)``, with asset j received below ``log s_j``, idle up
+    to ``log(s_j / fee)`` and tendered above; its root is the weighted
+    mean of the active knots on the piece that contains that mean.
+    ``s_j = p_j r_j / w_j`` is exact unless ``s`` gives it: a closed
+    form that works from the floats ``s_j`` can answer only for those,
+    and below the normal range a float keeps few of their digits.  A
+    two-asset pool is the one of weights ``(w, 1 - w)``.  Returns
+    ``(value, flow, pattern)`` with the pattern per asset one of
+    ``"receive"``, ``"idle"`` and ``"tender"``; an amount past the float
+    range reads as an infinite float.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        D = decimal.Decimal
+        r = [D(v) for v in pool.reserves]
+        w = [D(v) for v in pool.weights]
+        p = [D(float(v)) for v in prices]
+        fee = D(pool.fee)
+        if s is None:
+            log_s = [(pj * rj / wj).ln() for pj, rj, wj in zip(p, r, w)]
+        else:
+            log_s = [D(float(v)).ln() for v in s]
+        log_fee = fee.ln()
+        knots = sorted(set(log_s) | {k - log_fee for k in log_s})
+        lows = [None] + knots
+        highs = knots + [None]
+        for lo, hi in zip(lows, highs):
+            probe = lo if hi is None else hi if lo is None else (lo + hi) / 2
+            sides = [
+                "receive" if probe < k else "tender" if probe > k - log_fee else "idle"
+                for k in log_s
+            ]
+            active = [j for j, side in enumerate(sides) if side != "idle"]
+            if not active:
+                continue
+            mean = sum(
+                w[j] * (log_s[j] - (log_fee if sides[j] == "tender" else 0)) for j in active
+            ) / sum(w[j] for j in active)
+            if (lo is None or lo <= mean) and (hi is None or mean <= hi):
+                break
+        else:
+            return 0.0, [0.0] * len(r), ["idle"] * len(r)
+        flow = []
+        for j, side in enumerate(sides):
+            if side == "receive":
+                flow.append(r[j] * (1 - (mean - log_s[j]).exp()))
+            elif side == "tender":
+                flow.append(-r[j] * ((mean - log_s[j] + log_fee).exp() - 1) / fee)
+            else:
+                flow.append(D(0))
+        value = sum(pj * x for pj, x in zip(p, flow))
+        return float(value), [float(x) for x in flow], sides

@@ -1,4 +1,3 @@
-import decimal
 import itertools
 import math
 
@@ -18,8 +17,8 @@ from convexflows.edges import (
     uniswap_arbitrage,
 )
 from convexflows.edges.base import UnattainedSupremumError
-from convexflows.io_cli import gen_cfmm, instance_from_dict
 from convexflows.solver import DualProgram
+from conftest import geometric_pool_by_decimal
 
 
 def _post_reserve_by_bisection(log_inv, weights, post_known, idx_known, idx_out):
@@ -164,56 +163,6 @@ def test_geometric_pool_degenerate_prices():
     assert res.value == 0.0
     with pytest.raises(UnboundedEdgeError):
         pool.evaluate(np.array([1.0, 1.0, 0.0]))
-
-
-def geometric_pool_by_decimal(pool, prices, digits=40):
-    """Exact trade against a geometric mean pool, to ``digits`` digits.
-
-    The log residual ``sum_j w_j log(post_j / r_j)`` is piecewise linear
-    in ``u = log(lam)``, with asset j received below ``log s_j``, idle up
-    to ``log(s_j / fee)`` and tendered above; its root is the weighted
-    mean of the active knots on the piece that contains that mean.
-    Returns ``(value, flow, pattern)`` with the pattern per asset one of
-    ``"receive"``, ``"idle"`` and ``"tender"``.
-    """
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits
-        D = decimal.Decimal
-        r = [D(v) for v in pool.reserves]
-        w = [D(v) for v in pool.weights]
-        p = [D(float(v)) for v in prices]
-        fee = D(pool.fee)
-        log_s = [(pj * rj / wj).ln() for pj, rj, wj in zip(p, r, w)]
-        log_fee = fee.ln()
-        knots = sorted(set(log_s) | {k - log_fee for k in log_s})
-        lows = [None] + knots
-        highs = knots + [None]
-        for lo, hi in zip(lows, highs):
-            probe = lo if hi is None else hi if lo is None else (lo + hi) / 2
-            sides = [
-                "receive" if probe < k else "tender" if probe > k - log_fee else "idle"
-                for k in log_s
-            ]
-            active = [j for j, side in enumerate(sides) if side != "idle"]
-            if not active:
-                continue
-            mean = sum(
-                w[j] * (log_s[j] - (log_fee if sides[j] == "tender" else 0)) for j in active
-            ) / sum(w[j] for j in active)
-            if (lo is None or lo <= mean) and (hi is None or mean <= hi):
-                break
-        else:
-            return 0.0, [0.0] * len(r), ["idle"] * len(r)
-        flow = []
-        for j, side in enumerate(sides):
-            if side == "receive":
-                flow.append(r[j] * (1 - (mean - log_s[j]).exp()))
-            elif side == "tender":
-                flow.append(-r[j] * ((mean - log_s[j] + log_fee).exp() - 1) / fee)
-            else:
-                flow.append(D(0))
-        value = sum(pj * x for pj, x in zip(p, flow))
-        return float(value), [float(x) for x in flow], sides
 
 
 def _exact_root_cases():
@@ -381,19 +330,6 @@ def test_uniswap_evaluate_pair_returns_python_floats():
         assert [type(v) for v in out] == [float, float, float, bool]
     assert any(pool.evaluate_pair(p1, p2)[0] > 0.0 for p1, p2 in ((1.0, 9.0), (9.0, 1.0)))
     assert type(pool.marginal_price()) is float
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_pool_log_invariant_is_numpy_dot_bit_for_bit(seed):
-    # The two-asset pool's invariant, which its closed form reads for the
-    # received amount, stays a numpy dot product: that may round as fused
-    # multiply-adds, and a Python sum of products moves it by an ulp on
-    # some pools, which changes plain cfmm solve paths.
-    instance = instance_from_dict(gen_cfmm(200, seed))
-    pools = [edge.oracle for edge in instance.edges if isinstance(edge.oracle, TwoAssetGeometricPool)]
-    assert pools
-    for pool in pools:
-        assert pool._log_inv == float(np.dot(pool.weights, np.log(pool.reserves)))
 
 
 @pytest.mark.parametrize(

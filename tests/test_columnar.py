@@ -6,10 +6,11 @@ A parsed instance keeps its utility-free ``opf_line``, ``lossless``,
 whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and every
 oracle that is exactly a ``TwoAssetGeometricPool`` or a
 ``GeometricMeanPool``, with one kernel per kind (``evaluate_rows``, one
-call per kind and ``dim``).  These tests hold both to the
-per-edge forms they replace: the kernels to ``evaluate_pair`` and
-``evaluate`` bit for bit, the reader to the messages and documents of
-the record path, and the solve to the per-edge solve bit for bit.
+call per kind and ``dim``).  These tests hold the kernels to the
+per-edge methods bit for bit (a pool's own method is a one-row call of
+its kernel, a gain's a scalar form of it) and the pool kernels to the
+exact trade within rounding, the reader to the messages and documents
+of the record path, and the solve to the per-edge solve bit for bit.
 """
 
 import copy
@@ -41,7 +42,6 @@ from convexflows import (
 from convexflows.core import EdgeTable, EdgeColumns
 from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
 from convexflows.edges.base import UnattainedSupremumError
-from convexflows.edges.cfmm import _log_invariants
 from convexflows.io_cli import (
     _COLUMN_KINDS,
     InstanceValidationError,
@@ -52,8 +52,8 @@ from convexflows.io_cli import (
     instance_to_dict,
     parse_instance,
 )
-from convexflows.solver import DualProgram, solve
-from conftest import answered_by
+from convexflows.solver import DualProgram, eval_dual, solve
+from conftest import answered_by, geometric_pool_by_decimal
 
 # -- kernels ------------------------------------------------------------------
 
@@ -103,6 +103,33 @@ def test_power_loss_kernel_equals_evaluate_pair_bit_for_bit():
         _assert_matches_evaluate_pair(PowerLossGain, params, p_in, p_out)
 
 
+def test_numpy_elementary_functions_round_a_float_as_inside_an_array():
+    """``np.log``, ``np.exp``, ``np.log1p`` and ``np.expm1`` give a Python
+    float the bits they give it inside an array, over the ranges the
+    kernels feed them: logs of positive floats from the subnormals up,
+    exponents up to the float range, and the softplus tail ``log1p(exp(-|t|))``.
+    ``PowerLossGain``'s scalar form and its kernel agree bit for bit only
+    because of this.  numpy picks its SIMD code per machine; this was
+    read on numpy 2.4.6 with the ``X86_V4`` (AVX-512) target.
+    """
+    rng = np.random.default_rng(6)
+    n = 20_000
+    positive = np.concatenate([10.0 ** rng.uniform(-323.0, 308.0, n), rng.uniform(0.0, 4.0, n) + 5e-324])
+    exponents = np.concatenate([rng.uniform(-745.0, 709.0, n), rng.uniform(-40.0, 40.0, n)])
+    cases = [
+        (np.log, positive),
+        (np.exp, exponents),
+        (np.log1p, np.concatenate([np.exp(-rng.uniform(0.0, 745.0, n)), 10.0 ** rng.uniform(-300.0, 300.0, n)])),
+        (np.expm1, exponents),
+    ]
+    for fn, inputs in cases:
+        in_array = fn(inputs)
+        on_floats = np.array([fn(x) for x in inputs.tolist()])
+        # Bytes, so that a signed zero or a last bit shows.
+        same = in_array.view(np.int64) == on_floats.view(np.int64)
+        assert same.all(), (fn.__name__, inputs[~same][:5])
+
+
 def test_linear_gain_kernel_equals_evaluate_pair_bit_for_bit():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -145,7 +172,22 @@ def _pool_columns(rng, m):
     return r0, r1, weight, fee
 
 
+def _assert_near_exact(pool, prices, value, flow, s=None):
+    """``value`` and ``flow`` within rounding of the exact trade
+    (``geometric_pool_by_decimal``, at ``s``): each amount within 1e-12
+    of its asset's scale ``r_j + |x_j|`` and the value within 1e-13 of
+    ``sum_j p_j (r_j + |x_j|)``.  The closed forms work in logs, whose
+    rounding grows with ``|log s_j|``, up to about 740 here."""
+    want_value, want_flow, _ = geometric_pool_by_decimal(pool, prices, s=s)
+    scale = pool.reserves + np.abs(want_flow)
+    assert np.all(np.abs(np.asarray(flow) - want_flow) <= 1e-12 * scale), (pool.reserves, prices, flow, want_flow)
+    assert abs(value - want_value) <= 1e-13 * float(np.asarray(prices) @ scale), (value, want_value)
+
+
 def _assert_pool_kernel_matches(params, p1, p2):
+    """The kernel on a batch answers each row within rounding of the
+    exact trade, and with the bytes that ``evaluate_pair``, the per-edge
+    path, answers for the row alone."""
     value, f1, f2, tie = _evaluate_pairs(TwoAssetGeometricPool, *params, p1, p2)
     for k in range(len(p1)):
         pool = TwoAssetGeometricPool.row_oracle(*(float(column[k]) for column in params))
@@ -154,6 +196,7 @@ def _assert_pool_kernel_matches(params, p1, p2):
         # Bytes, so that a signed zero or a last bit shows.
         assert np.array(got).tobytes() == np.array(want[:3]).tobytes(), (k, got, want)
         assert bool(tie[k]) is want[3] is False
+        _assert_near_exact(pool, (p1[k], p2[k]), value[k], (f1[k], f2[k]))
 
 
 def test_pool_kernel_equals_evaluate_pair_bit_for_bit():
@@ -229,22 +272,6 @@ def test_pool_kernel_keeps_the_negative_price_error():
     assert str(batch.value) == str(scalar.value) == "prices must be nonnegative, got (1.0, -0.5)"
 
 
-def test_pool_log_invariant_columns_match_each_record():
-    # The kernel's vecdot over columns and each pool's own np.dot must
-    # round alike on this platform, or the kernel and the record would
-    # part in the last bit of every traded amount.
-    rng = np.random.default_rng(5)
-    r0, r1, weight, fee = _pool_columns(rng, 5000)
-    log_inv = _log_invariants(r0, r1, weight)
-    for k in range(len(r0)):
-        pool = TwoAssetGeometricPool((float(r0[k]), float(r1[k])), float(weight[k]), float(fee[k]))
-        assert pool._log_inv == log_inv[k], k  # the constructor's np.dot
-    instance = parse_instance(json.dumps(gen_cfmm(400, 1)))
-    columns = _group(instance, TwoAssetGeometricPool)
-    for row, edge in enumerate(map(columns.record, range(len(columns)))):
-        assert edge.oracle.row_params() == tuple(float(column[row]) for column in columns.params)
-
-
 def _geometric_columns(rng, m, dim):
     """Random multi-asset pools of one ``dim`` as kernel columns, and
     prices that reach every branch of the scan: spread prices, knots tied
@@ -265,22 +292,30 @@ def _geometric_columns(rng, m, dim):
 
 
 def _assert_geometric_kernel_matches(params, prices):
-    """Row by row, the kernel on the row alone raises what ``evaluate``
-    raises; the rows that answer, in one batch, answer its bytes.  Returns
-    the counts of trading rows, trading rows past the float range and
-    raising rows."""
+    """Row by row, ``evaluate`` (the kernel on the row alone) either
+    answers within rounding of the exact trade at the ``s_j = p_j r_j /
+    w_j`` the floats hold, or raises where the exact answer has no float
+    form: at a zero ``s_j`` beside a positive one, or when a tendered
+    amount scales its reserve past the float range (``|x_j| fee / r_j``
+    overflows).  The rows that answer, in one batch, answer ``evaluate``'s
+    bytes.  Returns the counts of trading rows, trading rows past the
+    float range and raising rows."""
     answered, wants, raised = [], [], 0
     for k in range(len(prices)):
         pool = GeometricMeanPool.row_oracle(*(column[k].tolist() for column in params))
+        s = prices[k] * pool.reserves / pool.weights
         try:
-            wants.append(pool.evaluate(prices[k].copy()))
-        except (UnattainedSupremumError, ArithmeticError) as exc:
-            with pytest.raises(type(exc)) as batch:
-                GeometricMeanPool.evaluate_rows(*(column[k : k + 1] for column in params), prices[k : k + 1])
-            assert str(batch.value) == str(exc)
+            want = pool.evaluate(prices[k].copy())
+        except UnattainedSupremumError:
+            if s.min() > 0.0:
+                _, exact, _ = geometric_pool_by_decimal(pool, prices[k], s=s)
+                with np.errstate(over="ignore"):
+                    assert np.max(np.abs(exact) * pool.fee / pool.reserves) > 1e308, (k, exact)
             raised += 1
         else:
+            _assert_near_exact(pool, prices[k], want.value, want.flow, s)
             answered.append(k)
+            wants.append(want)
     value, flow, tie = GeometricMeanPool.evaluate_rows(*(column[answered] for column in params), prices[answered])
     for i, want in enumerate(wants):
         # Bytes, so that a signed zero or a last bit shows.
@@ -794,6 +829,18 @@ def _refuse(*args):
     raise AssertionError("a column-stored edge was answered one by one")
 
 
+# What a column-stored edge would go through if it were answered one by
+# one: its record, and the per-edge methods of the kernel kinds.
+_PER_EDGE_PATHS = [
+    (EdgeColumns, "record"),
+    (TwoNodeEdge, "evaluate"),
+    (TwoNodeEdge, "evaluate_pair"),
+    (TwoAssetGeometricPool, "evaluate"),
+    (TwoAssetGeometricPool, "evaluate_pair"),
+    (GeometricMeanPool, "evaluate"),
+]
+
+
 @pytest.mark.parametrize("tag", sorted(_COLUMN_KINDS))
 def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypatch):
     # The reader, the solver and the writer share one registry of column
@@ -807,14 +854,7 @@ def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypa
     assert not instance.edges.records and {columns.kind for columns in instance.edges.columns} == {kind}
     program = DualProgram(instance)
     assert {group.kind for group in program._groups} == {kind}
-    for owner, name in [
-        (EdgeColumns, "record"),
-        (TwoNodeEdge, "evaluate"),
-        (TwoNodeEdge, "evaluate_pair"),
-        (TwoAssetGeometricPool, "evaluate"),
-        (TwoAssetGeometricPool, "evaluate_pair"),
-        (GeometricMeanPool, "evaluate"),
-    ]:
+    for owner, name in _PER_EDGE_PATHS:
         monkeypatch.setattr(owner, name, _refuse)
     solve(instance)
     monkeypatch.undo()
@@ -947,3 +987,18 @@ def test_check_feasibility_keeps_no_record(doc):
         assert report.edge_membership == want.edge_membership
         assert report.net_flow_residual == want.net_flow_residual
     assert report.edge_membership.count(False) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("make", [lambda seed: gen_cfmm(200, seed), lambda seed: gen_opf(100, seed)], ids=["cfmm", "opf"])
+def test_eval_dual_answers_column_groups_with_their_kernels(make, seed, monkeypatch):
+    # eval_dual splits the edges as the dual program does: it builds no
+    # record and answers no edge of a kernel kind one by one, and it
+    # agrees with the solve's plan-order sum to the rounding of the sums.
+    instance = parse_instance(json.dumps(make(seed)))
+    result = solve(instance)
+    for owner, name in _PER_EDGE_PATHS:
+        monkeypatch.setattr(owner, name, _refuse)
+    value = eval_dual(instance, result.dual_point)
+    assert not instance.edges._kept
+    assert abs(value - result.dual_value) <= 1e-14 * abs(result.dual_value), (value, result.dual_value)

@@ -7,6 +7,9 @@ contract of :func:`convexflows.solve` on it:
 - a ``converged`` solve returns a point that passes ``check_feasibility``
   at ``feas_tol``, with a finite primal value within
   ``feas_tol * (1 + |dual|)`` of the dual value;
+- a finite dual value is what :func:`convexflows.eval_dual` gives at the
+  result's dual point, within ``1e-12 * (1 + |dual|)``: the explicit
+  form, summed edge by edge, checks the pass's sum in plan order;
 - a second solve returns the same bytes.
 
 The seed range is fixed.  A case that breaks the contract is marked as
@@ -20,7 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import piecewise_dag_instance
-from convexflows import PrimalPoint, SolverConfig, check_feasibility, solve
+from convexflows import PrimalPoint, SolverConfig, check_feasibility, eval_dual, solve
 from convexflows.io_cli import fisher_instance, gen_cfmm, gen_maxflow, gen_opf, instance_from_dict, result_to_dict
 
 SEEDS = range(10)
@@ -70,4 +73,7 @@ def test_solve_keeps_its_contract(family, seed):
         assert report.net_flow_residual <= tol * (1.0 + float(np.max(np.abs(result.net_flow), initial=0.0)))
         assert math.isfinite(result.primal_value)
         assert abs(result.dual_value - result.primal_value) <= tol * (1.0 + abs(result.dual_value))
+    if math.isfinite(result.dual_value):
+        dual = eval_dual(instance, result.dual_point)
+        assert abs(dual - result.dual_value) <= 1e-12 * (1.0 + abs(result.dual_value)), (dual, result.dual_value)
     assert _answer(solve(FAMILIES[family](seed), config=config)) == _answer(result)

@@ -262,7 +262,8 @@ def test_cfmm_single_pool_stationary_at_pool_price():
 
 def test_partial_edge_utilities_solve_certified():
     # Penalties on edges 0, 2, 4, 6 leave two utility-free two-node pools
-    # and two utility-free multi-asset pools: every evaluator plan is used.
+    # and two utility-free multi-asset pools: every kind of evaluator group
+    # is used.
     instance = quadratic_penalty_on(cfmm_instance(m=8, seed=4), every=2)
     result = solve(instance)
     assert math.isfinite(result.primal_value)
@@ -354,8 +355,8 @@ def test_solver_config_rejects_nonpositive_fields(name, value):
 
 
 def _user_gain_opf_instance():
-    # The lines of a small power network as user gains, which the pair
-    # plan answers edge by edge.
+    # The lines of a small power network as user gains, which a loop group
+    # answers edge by edge through evaluate_pair.
     instance = opf_instance(n=10, seed=0)
     edges = [
         Hyperedge(edge.incidence, concave_gain_edge(edge.oracle.gain.value, edge.oracle.gain.capacity))
@@ -369,8 +370,9 @@ class _UserPool(TwoAssetGeometricPool):
 
 
 def _user_pool_cfmm_instance():
-    # The two-asset pools of a small market as a user subclass, which the
-    # pair plan answers edge by edge: its kernel takes the exact type only.
+    # The two-asset pools of a small market as a user subclass, which a
+    # loop group answers edge by edge through evaluate_pair: the pool
+    # kernel's group takes the exact type only.
     instance = cfmm_instance(m=10, seed=3)
     edges = [
         Hyperedge(edge.incidence, _UserPool(edge.oracle.reserves, edge.oracle.weight, edge.oracle.fee))
@@ -422,9 +424,9 @@ class _UserGeometricPool(GeometricMeanPool):
 
 
 def _user_geometric_pool_cfmm_instance():
-    # The multi-asset pools of a small market as a user subclass, which
-    # the array plan answers edge by edge: its kernel takes the exact type
-    # only.
+    # The multi-asset pools of a small market as a user subclass, which a
+    # loop group answers edge by edge through evaluate: the pool kernel's
+    # group takes the exact type only.
     instance = cfmm_instance(m=10, seed=1)
     edges = [
         Hyperedge(edge.incidence, _UserGeometricPool(edge.oracle.reserves, edge.oracle.weights, edge.oracle.fee))
@@ -435,7 +437,7 @@ def _user_geometric_pool_cfmm_instance():
     return ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
 
 
-def test_solve_calls_per_instance_evaluate_wrappers_of_array_plan_pools():
+def test_solve_calls_per_instance_evaluate_wrappers_of_user_pools():
     # A user pool is answered through evaluate; a wrapper set on the
     # instance (as the benchmark's tracer sets one) must be what the
     # solver calls, with the solve unchanged.  (The pool kernel answers
