@@ -12,7 +12,10 @@ import gc
 import json
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .core import (
 )
 from .edges import (
     FisherBasketEdge,
+    GainFunction,
     GeometricMeanPool,
     InvalidEdgeError,
     LinearGain,
@@ -176,134 +180,228 @@ def _checked_edge(edge_doc, n: int, path: str) -> tuple[str, dict, list]:
     return kind, params, nodes
 
 
-def _gain_row(*fields):
-    """The row reader of a gain type whose constructor arguments are
-    these JSON fields (a float: a constant), in order.  A field that is
-    missing or not a number raises the error of :func:`_get`."""
+class _Field(NamedTuple):
+    """A JSON field of a column kind's edges: its name, its value when it
+    is missing (``None``: the field is required), and its shape: a
+    ``"number"`` (one argument), a ``"pair"`` of numbers (one argument
+    each), or a list of one number ``"per node"`` (one argument, an ``m
+    x d`` column)."""
 
-    def read(params: dict, path: str) -> list[float]:
-        row = []
-        for name in fields:
-            if type(name) is float:
-                row.append(name)
-            elif type(value := params.get(name)) is float:
-                row.append(value)
-            else:
-                row.append(_get(params, name, path, float))
-        return row
-
-    return read
+    name: str
+    default: float | None = None
+    shape: str = "number"
 
 
-def _pool_row(params: dict, path: str) -> tuple[float, float, float, float]:
-    """``(r0, r1, weight, fee)`` of a two-asset pool (weight 0.5 and fee 1
-    when missing).  Unless they are two float reserves and two floats, the
-    pool is built, so that its constructor reads the numbers (JSON's true
-    and false are not numbers) and names the first fault."""
-    reserves = params.get("reserves")
-    weight = params.get("weight", 0.5)
-    fee = params.get("fee", 1.0)
-    if type(reserves) is list and len(reserves) == 2:
-        r0, r1 = reserves
-        if type(r0) is float and type(r1) is float and type(weight) is float and type(fee) is float:
-            return r0, r1, weight, fee
-    return TwoAssetGeometricPool(_get(params, "reserves", path), weight, fee).row_params()
-
-
-def _geometric_row(params: dict, path: str) -> tuple:
-    """``(reserves, weights, fee)`` of a multi-asset pool (fee 1 when
-    missing).  Unless the reserves and weights are float lists of one
-    length, two or more, and the fee a float, the pool is built, so that
-    its constructor reads the numbers (JSON's true and false are not
-    numbers) and names the first fault."""
-    reserves = params.get("reserves")
-    weights = params.get("weights")
-    fee = params.get("fee", 1.0)
-    if (
-        type(reserves) is list
-        and type(weights) is list
-        and len(reserves) == len(weights) >= 2
-        and type(fee) is float
-        and all(type(v) is float for v in reserves)
-        and all(type(v) is float for v in weights)
-    ):
-        return reserves, weights, fee
-    return GeometricMeanPool(_get(params, "reserves", path), _get(params, "weights", path), fee).row_params()
-
-
-# The bundled kinds, whose edges are read here and nowhere else: the
-# type whose kernel answers them, and the reader of one row of its
-# constructor arguments (``row_oracle`` builds the edge of a row).  A
-# row's first argument is a number for a two-node kind, and a
-# multi-asset pool's reserves, one per node, for a pool.
+# The bundled kinds, whose edges are read and written here and nowhere
+# else: the type whose kernel answers them, and the arguments of its
+# ``row_oracle`` in order, each a JSON field or a float constant.  A
+# kind without a per-node field takes two nodes.
 _COLUMN_KINDS = {
-    "opf_line": (PowerLossGain, _gain_row("alpha", "beta", "capacity")),
-    "lossless": (LinearGain, _gain_row(1.0, "capacity", 0.0)),
-    "linear_gain": (LinearGain, _gain_row("gain", "capacity", 0.0)),
-    "uniswap": (TwoAssetGeometricPool, _pool_row),
-    "geometric_mean": (GeometricMeanPool, _geometric_row),
+    "opf_line": (PowerLossGain, (_Field("alpha"), _Field("beta"), _Field("capacity"))),
+    "lossless": (LinearGain, (1.0, _Field("capacity"), 0.0)),
+    "linear_gain": (LinearGain, (_Field("gain"), _Field("capacity"), 0.0)),
+    "uniswap": (TwoAssetGeometricPool, (_Field("reserves", shape="pair"), _Field("weight", 0.5), _Field("fee", 1.0))),
+    "geometric_mean": (
+        GeometricMeanPool,
+        (_Field("reserves", shape="per node"), _Field("weights", shape="per node"), _Field("fee", 1.0)),
+    ),
 }
 
-
-class _ColumnBuilder:
-    """The rows of one column group as the reader collects them: edge
-    positions, and the rows' ``dim`` nodes and ``width`` constructor
-    arguments, each row after the other in one flat list; ``code`` is the
-    group's number in the edge table."""
-
-    def __init__(self, kind: type, dim: int, width: int, code: int):
-        self.kind = kind
-        self.dim = dim
-        self.width = width
-        self.code = code
-        self.positions: list[int] = []
-        self.nodes: list[int] = []
-        self.args: list = []
-
-    def row(self, row: int) -> list:
-        """The constructor arguments of row ``row``."""
-        return self.args[row * self.width : (row + 1) * self.width]
-
-    def columns(self) -> EdgeColumns:
-        """The group, one column per constructor argument."""
-        args = [self.args[k :: self.width] for k in range(self.width)]
-        return EdgeColumns(self.kind, np.reshape(self.nodes, (-1, self.dim)), args)
+_KERNEL_KINDS = tuple(dict.fromkeys(kind for kind, _ in _COLUMN_KINDS.values()))
 
 
-def _columns(builders) -> list[EdgeColumns]:
-    """The column groups of the builders, once no row is faulty.
+def _read_oracle(kind: type, fields, params: dict, path: str):
+    """The oracle of one edge of a column kind, its fields read one by
+    one: a gain's numbers in order, so that a missing or non-numeric
+    field raises the error of :func:`_get` (an integer reads as a
+    float), and a pool's fields as its constructor takes them, so that
+    it reads the numbers (JSON's true and false are not numbers) and
+    names the first fault."""
+    if issubclass(kind, GainFunction):
+        return kind.row_oracle(*[field if type(field) is float else _get(params, field.name, path, float) for field in fields])
+    return kind(*[_get(params, name, path) if default is None else params.get(name, default) for name, default, _ in fields])
 
-    Raise the path-annotated error of the first column row, in edge
-    order, whose arguments its constructor rejects.  The checks run
-    column-wise (``invalid_rows``); the constructor words the error."""
-    columns = [builder.columns() for builder in builders]
-    bad = []
-    for builder, group in zip(builders, columns):
-        rows = group.kind.invalid_rows(*group.params)
-        if rows.any():
-            row = int(np.argmax(rows))
-            bad.append((builder.positions[row], row, builder))
-    if bad:
-        position, row, builder = min(bad, key=lambda fault: fault[0])
+
+def _record(edge_doc, n: int, path: str) -> Hyperedge:
+    """An edge document read as a record; the first fault of the edge
+    raises, with its JSON path."""
+    kind, params, nodes = _checked_edge(edge_doc, n, path)
+    column = _COLUMN_KINDS.get(kind)
+    try:
+        if column is None:
+            oracle = _build_edge_oracle(kind, params, path)
+        else:
+            oracle = _read_oracle(*column, params, path)
+    except InvalidEdgeError as exc:
+        raise InstanceValidationError(f"{path}: {exc}") from exc
+    try:
+        incidence = EdgeIncidence(tuple(nodes))
+    except ValueError as exc:
+        raise InstanceValidationError(f"{path}.nodes: {exc}") from exc
+    utility = None
+    u_doc = edge_doc.get("edge_utility")
+    if u_doc is not None:
+        u_kind = _get(u_doc, "kind", f"{path}.edge_utility", str)
+        if u_kind != "quadratic_penalty":
+            raise ParseError(f"{path}.edge_utility.kind: unknown kind '{u_kind}'")
+        utility = QuadraticPenalty(len(nodes))
+    return Hyperedge(incidence=incidence, oracle=oracle, utility=utility)
+
+
+def _float_column(values: list) -> np.ndarray | None:
+    """JSON numbers as one float array, an integer read as a float; None
+    if a value is not a number or is an integer past the float range
+    (which no field accepts)."""
+    types = set(map(type, values))
+    if types <= {float}:
+        return np.array(values, dtype=float)
+    if types <= {float, int}:
         try:
-            builder.kind.row_oracle(*builder.row(row))
-        except InvalidEdgeError as exc:
-            raise InstanceValidationError(f"$.edges[{position}]: {exc}") from exc
-    return columns
+            return np.array(list(map(float, values)))
+        except OverflowError:
+            return None
+    return None
+
+
+def _read_group(fields, docs: list, d: int, n: int):
+    """``(nodes, columns)`` of edges of one column kind on ``d`` nodes
+    each, read field by field: an ``m x d`` node array and the
+    ``row_oracle`` argument columns.  None unless every node is an
+    integer in ``range(n)`` and every field holds numbers of its shape;
+    whatever builds the edges checks the rest."""
+    nodes = [doc["nodes"] for doc in docs]
+    params = [doc.get("params") for doc in docs]
+    if set(map(type, nodes)) != {list} or set(map(type, params)) != {dict}:
+        return None
+    flat = list(chain.from_iterable(nodes))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        nodes = np.array(flat, dtype=np.intp).reshape(-1, d)
+    except OverflowError:  # an index past the machine's integers
+        return None
+    if nodes.min() < 0 or nodes.max() >= n:
+        return None
+    m = len(docs)
+    columns = []
+    for field in fields:
+        if type(field) is float:
+            columns.append(np.full(m, field))
+            continue
+        name, default, shape = field
+        values = [p.get(name, default) for p in params]
+        if shape != "number":
+            width = 2 if shape == "pair" else d
+            if set(map(type, values)) != {list} or set(map(len, values)) != {width}:
+                return None
+            values = list(chain.from_iterable(values))
+        column = _float_column(values)
+        if column is None:
+            return None
+        if shape == "number":
+            columns.append(column)
+        elif shape == "pair":
+            columns.extend(column.reshape(m, 2).T)
+        else:
+            columns.append(column.reshape(m, d))
+    return nodes, columns
+
+
+def _penalties(docs: list) -> bool:
+    """Whether every edge's ``edge_utility`` is a quadratic penalty."""
+    utilities = [doc["edge_utility"] for doc in docs]
+    return set(map(type, utilities)) == {dict} and [u.get("kind") for u in utilities].count("quadratic_penalty") == len(docs)
+
+
+def _read_table(edges_doc: list, n: int):
+    """``(records, columns, group)`` of an edge list (the parts of an
+    :class:`~convexflows.core.EdgeTable`), or None when a test fails.
+
+    One pass sorts the edges by kind, node count and utility.  The edges
+    of a column kind are read per key, field by field
+    (:func:`_read_group`).  Those without a utility go to the column
+    group of their kernel type and size; groups are numbered from 1 in
+    the order first met, and a number is one byte, so the edges of any
+    group past the 255th are records.  An edge with a utility is a
+    record built from its row.  Every other edge is read as a record
+    (:func:`_record`), in edge order, once every edge of a column kind
+    has passed its tests.  None means that an edge of a column kind is
+    faulty, or that its oracle cannot take its nodes; the caller names
+    the fault.
+    """
+    if not set(map(type, edges_doc)) <= {dict}:
+        return None
+    by_key: dict[tuple, list[int]] = defaultdict(list)
+    try:
+        for k, edge_doc in enumerate(edges_doc):
+            by_key[edge_doc.get("kind"), len(edge_doc.get("nodes")), edge_doc.get("edge_utility") is None].append(k)
+    except TypeError:  # a kind that cannot be a key, or nodes without a length
+        return None
+    groups: dict[tuple[type, int], list] = {}  # utility-free parts by kernel type and size
+    rows = []  # parts whose edges are records: (positions, nodes, columns, kind, penalized)
+    others = []  # positions of the edges of other kinds
+    for (tag, d, plain), positions in by_key.items():
+        column = _COLUMN_KINDS.get(tag)
+        if column is None:
+            others += positions
+            continue
+        kind, fields = column
+        per_node = any(type(field) is not float and field.shape == "per node" for field in fields)
+        docs = list(map(edges_doc.__getitem__, positions))
+        if not (d == 2 or (d > 2 and per_node)) or not (plain or _penalties(docs)):
+            return None
+        read = _read_group(fields, docs, d, n)
+        if read is None:
+            return None
+        if plain:
+            groups.setdefault((kind, d), []).append((positions, *read))
+        else:
+            rows.append((positions, *read, kind, True))
+    order = sorted(groups, key=lambda key: min(part[0][0] for part in groups[key]))
+    rows += [(*part, kind, False) for kind, d in order[255:] for part in groups[kind, d]]
+    columns = []
+    group = np.zeros(len(edges_doc), dtype=np.uint8)
+    for code, key in enumerate(order[:255], start=1):
+        parts = groups[key]
+        positions, nodes, params = parts[0]
+        if len(parts) > 1:
+            # Kinds of one kernel type (lossless and linear_gain edges)
+            # share its group, in edge order.
+            at = np.argsort(np.concatenate([part[0] for part in parts]))
+            positions = np.concatenate([part[0] for part in parts])[at]
+            nodes = np.concatenate([part[1] for part in parts])[at]
+            params = [np.concatenate(column)[at] for column in zip(*(part[2] for part in parts))]
+        try:
+            kept = EdgeColumns(key[0], nodes, params)
+        except ValueError:  # a node repeated in an edge
+            return None
+        if key[0].invalid_rows(*kept.params).any():
+            return None
+        columns.append(kept)
+        group[positions] = code
+    try:
+        records = [
+            (k, Hyperedge(EdgeIncidence(tuple(row_nodes)), kind.row_oracle(*row), QuadraticPenalty(len(row_nodes)) if penalized else None))
+            for positions, nodes, params, kind, penalized in rows
+            for k, row_nodes, row in zip(positions, nodes.tolist(), zip(*(column.tolist() for column in params)))
+        ]
+    except ValueError:  # a node repeated in an edge, or a row its constructor refuses
+        return None
+    records += [(k, _record(edges_doc[k], n, f"$.edges[{k}]")) for k in sorted(others)]
+    records.sort(key=lambda record: record[0])
+    return [edge for _, edge in records], columns, group
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
     """Build an instance from its document; errors carry the JSON path.
 
     An ``opf_line``, ``lossless``, ``linear_gain``, ``uniswap`` or
-    ``geometric_mean`` edge is read as one row of its kind's constructor
-    arguments.  Without a utility, and on distinct nodes, one per asset
-    of a pool, it is stored in the columns of its kind and size (an
-    :class:`~convexflows.core.EdgeTable`, up to 255 groups), whose values
-    are checked column-wise once every edge is read; otherwise it becomes
-    the record ``row_oracle(*row)``, as every other edge becomes a record,
-    at once.  The first fault in edge order is reported either way, with
-    the message a record would give.
+    ``geometric_mean`` edge without a utility, on distinct nodes, one per
+    asset of a pool, is stored in the columns of its kind and size (an
+    :class:`~convexflows.core.EdgeTable`, up to 255 groups), which are
+    read field by field; every other edge becomes a record.  When a test
+    of that reader fails, every edge is read as a record, in edge order,
+    which names the first fault with the message its record gives.
     """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -318,72 +416,15 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     except ValueError as exc:
         raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
-    records = []
-    # One column group per kind and size, numbered from 1 as first met; a
-    # record is group 0.  A group number is one byte: once 255 groups are
-    # open, an edge of a further kind or size stays a record.
-    builders: dict[tuple[type, int], _ColumnBuilder] = {}
-    group = bytearray(len(edges_doc))
-    for k, edge_doc in enumerate(edges_doc):
-        path = f"$.edges[{k}]"
-        try:
-            # One test passes a well-formed edge; an edge that fails it takes
-            # the path-annotated checks, which name its first fault.
-            if not (
-                type(edge_doc) is dict
-                and type(kind := edge_doc.get("kind")) is str
-                and type(params := edge_doc.get("params", {})) is dict
-                and type(nodes := edge_doc.get("nodes")) is list
-                and all(type(j) is int and 0 <= j < n for j in nodes)
-            ):
-                kind, params, nodes = _checked_edge(edge_doc, n, path)
-            column = _COLUMN_KINDS.get(kind)
-            try:
-                if column is None:
-                    oracle = _build_edge_oracle(kind, params, path)
-                else:
-                    kind_type, read_row = column
-                    row = read_row(params, path)
-                    dim = 2 if type(row[0]) is float else len(row[0])
-                    if (
-                        len(nodes) == dim
-                        and (nodes[0] != nodes[1] if dim == 2 else len(set(nodes)) == dim)
-                        and edge_doc.get("edge_utility") is None
-                    ):
-                        builder = builders.get((kind_type, dim))
-                        if builder is None and len(builders) < 255:
-                            builder = builders[kind_type, dim] = _ColumnBuilder(
-                                kind_type, dim, len(row), len(builders) + 1
-                            )
-                        if builder is not None:
-                            builder.positions.append(k)
-                            builder.nodes.extend(nodes)
-                            builder.args.extend(row)
-                            group[k] = builder.code
-                            continue
-                    oracle = kind_type.row_oracle(*row)
-            except InvalidEdgeError as exc:
-                raise InstanceValidationError(f"{path}: {exc}") from exc
-            try:
-                incidence = EdgeIncidence(tuple(nodes))
-            except ValueError as exc:
-                raise InstanceValidationError(f"{path}.nodes: {exc}") from exc
-            utility = None
-            u_doc = edge_doc.get("edge_utility")
-            if u_doc is not None:
-                u_kind = _get(u_doc, "kind", f"{path}.edge_utility", str)
-                if u_kind != "quadratic_penalty":
-                    raise ParseError(f"{path}.edge_utility.kind: unknown kind '{u_kind}'")
-                utility = QuadraticPenalty(len(nodes))
-            records.append(Hyperedge(incidence=incidence, oracle=oracle, utility=utility))
-        except ParseError:
-            # A column row before this edge may be invalid too; it comes
-            # first.
-            _columns(list(builders.values()))
-            raise
-    columns = _columns(list(builders.values()))
-    # An instance without a column-stored edge keeps a list of records.
-    edges = EdgeTable(records, columns, group) if columns else records
+    table = _read_table(edges_doc, n)
+    if table is None:
+        # A fault that no record raises (an oracle that does not fit its
+        # nodes) is the instance's, named below.
+        edges = [_record(edge_doc, n, f"$.edges[{k}]") for k, edge_doc in enumerate(edges_doc)]
+    else:
+        records, columns, group = table
+        # An instance without a column-stored edge keeps a list of records.
+        edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)
     except ValueError as exc:
@@ -439,52 +480,80 @@ def _objective_to_dict(objective) -> dict:
     raise ValueError(f"cannot serialize objective type {type(objective).__name__}")
 
 
+def _row_doc(kind: type, row) -> tuple[str, dict]:
+    """The edge kind and params of one row of ``kind.row_oracle``
+    arguments: those of the first column kind of ``kind`` whose constants
+    the row holds (a linear gain of slope 1 is ``lossless``)."""
+    for tag, (tag_kind, fields) in _COLUMN_KINDS.items():
+        if not issubclass(kind, tag_kind):
+            continue
+        params, args = {}, iter(row)
+        for field in fields:
+            if type(field) is float:
+                if next(args) != field:
+                    break
+            elif field.shape == "pair":
+                params[field.name] = [next(args), next(args)]
+            elif field.shape == "per node":
+                params[field.name] = list(next(args))
+            else:
+                params[field.name] = next(args)
+        else:
+            return tag, params
+    # A document has no field for, say, a linear gain's lower input bound.
+    raise ValueError(f"cannot serialize {kind.__name__}{tuple(row)}: no edge kind holds these arguments")
+
+
 def _oracle_to_dict(oracle) -> tuple[str, dict]:
+    # A bundled gain's arguments sit on the gain, a pool's on itself.
+    owner = oracle.gain if isinstance(oracle, TwoNodeEdge) else oracle
+    if isinstance(owner, _KERNEL_KINDS):
+        return _row_doc(type(owner), owner.row_params())
+    if isinstance(owner, PiecewiseLinearGain):
+        points = [[float(w), float(h)] for w, h in zip(owner._ws, owner._hs)]
+        return "piecewise_linear", {"points": points}
     if isinstance(oracle, TwoNodeEdge):
-        gain = oracle.gain
-        if isinstance(gain, LinearGain):
-            # The document has no field for a lower input bound.
-            if gain.input_lo != 0.0:
-                raise ValueError(f"cannot serialize a linear gain with input_lo {gain.input_lo}")
-            if gain.slope == 1.0:
-                return "lossless", {"capacity": gain.capacity}
-            return "linear_gain", {"gain": gain.slope, "capacity": gain.capacity}
-        if isinstance(gain, PiecewiseLinearGain):
-            points = [[float(w), float(h)] for w, h in zip(gain._ws, gain._hs)]
-            return "piecewise_linear", {"points": points}
-        if isinstance(gain, PowerLossGain):
-            return "opf_line", {"alpha": gain.alpha, "beta": gain.beta, "capacity": gain.capacity}
-        raise ValueError(f"cannot serialize gain type {type(gain).__name__}")
-    if isinstance(oracle, TwoAssetGeometricPool):
-        return "uniswap", {
-            "reserves": oracle.reserves.tolist(),
-            "weight": oracle.weight,
-            "fee": oracle.fee,
-        }
-    if isinstance(oracle, GeometricMeanPool):
-        return "geometric_mean", {
-            "reserves": oracle.reserves.tolist(),
-            "weights": oracle.weights.tolist(),
-            "fee": oracle.fee,
-        }
+        raise ValueError(f"cannot serialize gain type {type(owner).__name__}")
     if isinstance(oracle, FisherBasketEdge):
         return "fisher_basket", {"valuations": oracle.valuations.tolist()}
     raise ValueError(f"cannot serialize edge type {type(oracle).__name__}")
 
 
+def _record_to_dict(edge: Hyperedge) -> dict:
+    kind, params = _oracle_to_dict(edge.oracle)
+    doc = {"kind": kind, "params": params, "nodes": list(edge.incidence.nodes)}
+    if edge.utility is not None:
+        doc["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
+    return doc
+
+
+def _columns_to_dicts(columns: EdgeColumns) -> list[dict]:
+    """The documents of a column group's rows, in row order, written
+    from its columns."""
+    docs = []
+    rows = zip(*(column.tolist() for column in columns.params))
+    for row, nodes in zip(rows, columns.nodes.tolist()):
+        kind, params = _row_doc(columns.kind, row)
+        docs.append({"kind": kind, "params": params, "nodes": nodes})
+    return docs
+
+
 def instance_to_dict(instance: ProblemInstance) -> dict:
-    edges = []
-    for edge in instance.scan_edges():
-        kind, params = _oracle_to_dict(edge.oracle)
-        doc = {"kind": kind, "params": params, "nodes": list(edge.incidence.nodes)}
-        if edge.utility is not None:
-            doc["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
-        edges.append(doc)
+    """The document of an instance; a column group is written from its
+    columns, with no record built."""
+    edges = instance.edges
+    if isinstance(edges, EdgeTable):
+        # Each group's documents in its row order, dealt out in edge order.
+        groups = [iter(list(map(_record_to_dict, edges.records)))]
+        groups += [iter(_columns_to_dicts(columns)) for columns in edges.columns]
+        docs = [next(groups[g]) for g in edges.group.tolist()]
+    else:
+        docs = list(map(_record_to_dict, edges))
     return {
         "version": FORMAT_VERSION,
         "n": instance.n,
         "objective": _objective_to_dict(instance.net_objective),
-        "edges": edges,
+        "edges": docs,
     }
 
 

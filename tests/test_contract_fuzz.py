@@ -10,7 +10,9 @@ contract of :func:`convexflows.solve` on it:
 - a finite dual value is what :func:`convexflows.eval_dual` gives at the
   result's dual point, within ``1e-12 * (1 + |dual|)``: the explicit
   form, summed edge by edge, checks the pass's sum in plan order;
-- a second solve returns the same bytes.
+- a second solve returns the same bytes;
+- the instance's document parses to the same kernel groups (and, for a
+  parsed instance, the same group bytes), which solve to the same bytes.
 
 The seed range is fixed.  A case that breaks the contract is marked as
 a strict xfail that names the fault; it is never dropped from the range.
@@ -24,7 +26,18 @@ import pytest
 
 from conftest import piecewise_dag_instance
 from convexflows import PrimalPoint, SolverConfig, check_feasibility, eval_dual, solve
-from convexflows.io_cli import fisher_instance, gen_cfmm, gen_maxflow, gen_opf, instance_from_dict, result_to_dict
+from convexflows.core import EdgeTable
+from convexflows.io_cli import (
+    fisher_instance,
+    gen_cfmm,
+    gen_maxflow,
+    gen_opf,
+    instance_from_dict,
+    parse_instance,
+    result_to_dict,
+    serialize_instance,
+)
+from convexflows.solver import _edge_groups
 
 SEEDS = range(10)
 
@@ -77,3 +90,25 @@ def test_solve_keeps_its_contract(family, seed):
         dual = eval_dual(instance, result.dual_point)
         assert abs(dual - result.dual_value) <= 1e-12 * (1.0 + abs(result.dual_value)), (dual, result.dual_value)
     assert _answer(solve(FAMILIES[family](seed), config=config)) == _answer(result)
+
+
+def _groups(instance):
+    """The kernel groups a dual program forms (positions, kind, node and
+    parameter bytes), and the group bytes of an edge table (None for a
+    list of edges)."""
+    kernels = [
+        (positions.tobytes(), columns.kind, columns.nodes.tobytes(), [column.tobytes() for column in columns.params])
+        for positions, columns in _edge_groups(instance)[3]
+    ]
+    return kernels, instance.edges.group.tobytes() if isinstance(instance.edges, EdgeTable) else None
+
+
+@pytest.mark.parametrize("family, seed", [(family, seed) for family in FAMILIES for seed in SEEDS])
+def test_a_serialized_instance_parses_to_the_same_groups_and_solve(family, seed):
+    instance = FAMILIES[family](seed)
+    again = parse_instance(serialize_instance(instance))
+    kernels, group = _groups(instance)
+    assert _groups(again)[0] == kernels
+    if group is not None:
+        assert _groups(again)[1] == group
+    assert _answer(solve(again)) == _answer(solve(instance))
