@@ -26,8 +26,9 @@ two-asset pool, or the multi-asset pool of one ``dim``): an ``m x d``
 node array and one array per constructor argument.
 Its ``edges`` are an :class:`EdgeTable`, which reads as a list of
 records does, building a column-stored record on its first access and
-keeping it; the solver reads the columns themselves and builds no
-record, and :func:`check_feasibility` keeps none of those it builds.
+keeping it.  The solver and :func:`check_feasibility` read the columns
+themselves and build no record: each kind answers a whole group at once
+(``evaluate_rows`` for prices, ``member_rows`` for flows).
 """
 
 from __future__ import annotations
@@ -286,7 +287,6 @@ class EdgeTable(Sequence):
     column-stored edge is built on its first access
     (:meth:`EdgeColumns.record`) and kept, so every access gives the
     same record; the solver reads the columns and builds none.
-    :meth:`scan` reads every edge without keeping what it builds.
     """
 
     __slots__ = ("records", "columns", "group", "_row", "_kept")
@@ -319,17 +319,6 @@ class EdgeTable(Sequence):
         if edge is None:
             edge = self._kept[k] = self.columns[g - 1].record(row)
         return edge
-
-    def scan(self) -> Iterator[Hyperedge]:
-        """Every edge in edge order, as iteration gives them, except that a
-        column-stored edge not built yet is built for the caller alone and
-        not kept."""
-        for k, (g, row) in enumerate(zip(self.group.tolist(), self._row.tolist())):
-            if g == 0:
-                yield self.records[row]
-            else:
-                edge = self._kept.get(k)
-                yield self.columns[g - 1].record(row) if edge is None else edge
 
 
 @dataclass
@@ -401,12 +390,6 @@ class ProblemInstance:
         if isinstance(edges, EdgeTable):
             return [(np.flatnonzero(edges.group == g + 1), columns) for g, columns in enumerate(edges.columns)]
         return []
-
-    def scan_edges(self) -> Iterator[Hyperedge]:
-        """Every edge in edge order, for one pass over them that keeps no
-        record it builds (:meth:`EdgeTable.scan`)."""
-        edges = self.edges
-        return edges.scan() if isinstance(edges, EdgeTable) else iter(edges)
 
     @property
     def incidences(self) -> Incidences:
@@ -532,16 +515,20 @@ def check_feasibility(
 
     The residual is the infinity norm of ``net_flow`` minus the scattered
     sum of the edge flows; membership uses each edge oracle's scaled
-    membership test at tolerance ``tol``.  A column-stored edge is tested
-    on a record built for the test and then dropped, so a parsed
-    instance keeps no record for it.
+    membership test at tolerance ``tol``.  Column-stored edges are tested
+    a group at a time from their columns (the kind's ``member_rows``),
+    and every other edge by its record's ``is_member``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    assembled = assemble_net_flow(point.edge_flows, instance.incidences, instance.n)
+    incidences = instance.incidences
+    assembled = assemble_net_flow(point.edge_flows, incidences, instance.n)
     residual = float(np.max(np.abs(np.asarray(point.net_flow, float) - assembled)))
-    membership = [
-        bool(edge.oracle.is_member(np.asarray(x, float), tol))
-        for edge, x in zip(instance.scan_edges(), point.edge_flows)
-    ]
-    return FeasibilityReport(net_flow_residual=residual, edge_membership=membership)
+    flows = EdgeVectors.pack(point.edge_flows, incidences.offsets)
+    membership = np.empty(len(flows), dtype=bool)
+    for positions, columns in instance.edge_columns():
+        block = flows.data[flows.offsets[positions, None] + np.arange(columns.nodes.shape[1])]
+        membership[positions] = columns.kind.member_rows(*columns.params, block, tol)
+    for k, edge in instance.edge_records():
+        membership[k] = edge.oracle.is_member(flows[k], tol)
+    return FeasibilityReport(net_flow_residual=residual, edge_membership=membership.tolist())

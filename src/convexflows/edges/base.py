@@ -98,7 +98,8 @@ class EdgeOracle(ABC):
 
     @abstractmethod
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        """Test set membership with residuals scaled by ``tol * (1 + |flow|_inf)``."""
+        """Test set membership with residuals scaled by ``tol * (1 + |flow|_inf)``;
+        a flow with a non-finite entry is never a member."""
 
     def supported_face(self, prices: np.ndarray, rel_tol: float = 1e-6):
         """Endpoints ``(p, q)`` of a supported line segment, or None.

@@ -15,7 +15,9 @@ scalar dual for every pool size (:func:`_penalized_trade`).  Each
 pool type's plain subproblem has one closed form, over arrays, one pool
 a row (``evaluate_rows``, over the pools of one ``dim``): the dual
 evaluator answers its pools with it, and a pool's own ``evaluate`` is a
-one-row call of it.
+one-row call of it.  Both pool types share one membership test over
+rows (``member_rows``), which ``check_feasibility`` runs on a group of
+pools at once and of which a pool's ``is_member`` is a one-row call.
 """
 
 from __future__ import annotations
@@ -96,31 +98,29 @@ def _row(params) -> tuple[np.ndarray, ...]:
     return tuple(np.array([column]) for column in params)
 
 
-def _membership(reserves, weights, fee, flow, tol) -> bool:
-    """Whether ``flow`` lies within ``scale = tol (1 + |flow|_inf)`` of
-    the pool's set.
+def _member_rows(reserves, weights, fee, flows, tol) -> np.ndarray:
+    """Which rows of an ``m x dim`` flow block lie within ``scale = tol (1
+    + |row|_inf)`` of their pool's set, one pool a row.
 
     Receiving less or tendering more only raises the post-trade
-    reserves, so the flow counts when the flow lowered by ``scale`` in
-    every coordinate passes the scaled residual test for the reserve
-    signs and the invariant.  Without the shift, the exact answer to a
-    price ratio past the float range, a trade whose post-trade reserve
-    rounds to zero, would fail the invariant's log though it lies
-    within the slack of the set.
+    reserves, so a row counts when the row lowered by ``scale`` in every
+    coordinate passes the scaled residual test for the reserve signs and
+    the invariant.  Without the shift, the exact answer to a price ratio
+    past the float range, a trade whose post-trade reserve rounds to
+    zero, would fail the invariant's log though it lies within the slack
+    of the set.  A row with a non-finite entry is not a member (it would
+    make the scale infinite).
     """
-    flow = np.asarray(flow, dtype=float)
-    scale = tol * (1.0 + float(np.max(np.abs(flow))))
-    flow = flow - scale
-    tendered = np.maximum(-flow, 0.0)
-    received = np.maximum(flow, 0.0)
-    post = reserves + fee * tendered - received
-    sign_viol = max(0.0, -float(np.min(post))) / max(1.0, float(np.max(reserves)))
-    post_clip = np.maximum(post, 0.0)
-    log_pre = float(np.dot(weights, np.log(reserves)))
-    with np.errstate(divide="ignore"):
-        log_post = float(np.dot(weights, np.log(post_clip)))
-    inv_viol = max(0.0, math.expm1(log_pre - log_post)) if math.isfinite(log_post) else math.inf
-    return max(sign_viol, inv_viol) <= scale
+    finite = np.isfinite(flows).all(axis=1)
+    flows = np.where(finite[:, None], flows, 0.0)
+    scale = tol * (1.0 + np.abs(flows).max(axis=1))
+    shifted = flows - scale[:, None]
+    post = reserves + fee[:, None] * np.maximum(-shifted, 0.0) - np.maximum(shifted, 0.0)
+    sign_viol = np.maximum(-post.min(axis=1), 0.0) / np.maximum(reserves.max(axis=1), 1.0)
+    with np.errstate(all="ignore"):
+        log_post = np.vecdot(weights, np.log(np.maximum(post, 0.0)))
+        inv_viol = np.where(np.isfinite(log_post), np.expm1(np.vecdot(weights, np.log(reserves)) - log_post), math.inf)
+    return finite & (np.maximum(sign_viol, np.maximum(inv_viol, 0.0)) <= scale)
 
 
 def _penalized_post(lam: float, p: float, r: float, w: float, fee: float) -> tuple[float, float, float]:
@@ -373,8 +373,14 @@ class TwoAssetGeometricPool(EdgeOracle):
         value, flow = _penalized_trade([float(p) for p in prices], reserves, weights, self._fee)
         return ArbitrageResult(value=value, flow=np.array(flow))
 
+    @staticmethod
+    def member_rows(r0, r1, weight, fee, flows, tol) -> np.ndarray:
+        """The pools' membership test, one pool a row (:func:`_member_rows`)."""
+        return _member_rows(np.stack([r0, r1], axis=1), np.stack([weight, 1.0 - weight], axis=1), fee, flows, tol)
+
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        return _membership(self.reserves, self.weights, self._fee, flow, tol)
+        """A one-row call of :meth:`member_rows`."""
+        return bool(self.member_rows(*_row(self.row_params()), np.asarray(flow, dtype=float)[None], tol)[0])
 
 
 class GeometricMeanPool(EdgeOracle):
@@ -549,8 +555,12 @@ class GeometricMeanPool(EdgeOracle):
         value, flow = _penalized_trade([float(p) for p in prices], self._r, self._w, self._fee)
         return ArbitrageResult(value=value, flow=np.array(flow))
 
+    #: The pools' membership test, one pool a row (:func:`_member_rows`).
+    member_rows = staticmethod(_member_rows)
+
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        return _membership(self.reserves, self.weights, self._fee, flow, tol)
+        """A one-row call of :meth:`member_rows`."""
+        return bool(self.member_rows(*_row(self.row_params()), np.asarray(flow, dtype=float)[None], tol)[0])
 
 
 def uniswap_arbitrage(reserves, fee: float, weight: float, prices) -> tuple[np.ndarray, float]:

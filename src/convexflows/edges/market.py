@@ -65,6 +65,8 @@ class FisherBasketEdge(EdgeOracle):
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
         flow = np.asarray(flow, dtype=float)
+        if not np.isfinite(flow).all():
+            return False
         scale = tol * (1.0 + float(np.max(np.abs(flow))))
         goods, utility = flow[:-1], float(flow[-1])
         if np.any(goods < -1.0 - scale) or np.any(goods > scale):

@@ -210,6 +210,11 @@ class LinearGain(GainFunction):
                 tie = idle | (tie & ~withdraw)
         return value, np.stack([-w, h], axis=1), tie
 
+    @staticmethod
+    def member_rows(slope, capacity, input_lo, flows, tol) -> np.ndarray:
+        """The edges' membership test, one edge a row (:func:`_member_rows`)."""
+        return _member_rows(input_lo, capacity, lambda w: slope * w, flows, tol)
+
 
 class PiecewiseLinearGain(GainFunction):
     """Concave piecewise-linear gain through the given ``(input, output)`` points."""
@@ -406,15 +411,25 @@ class PowerLossGain(GainFunction):
             x = np.where(0.0 > x, 0.0, x)  # max(x, 0.0)
             x = np.where(capacity < x, capacity, x)  # min(x, capacity)
             w = np.where((p_out != 0.0) & ~((num <= 0.0) | (den <= 0.0)), x, 0.0)
-            t = beta * w
-            tail = np.log1p(np.exp(np.where(t > 0.0, -t, t)))
-            softplus = np.where(t > 0.0, t + tail, tail)
-            h = 3.0 * w - alpha * (softplus - _LOG2)
+            h = _power_gain(alpha, beta, w)
             value = -p_in * w + p_out * h
             zero_out = p_out == 0.0
             tie = zero_out & (p_in == 0.0)
             value = np.where(zero_out, np.where(tie, 0.0, -p_in * w), value)
         return value, np.stack([-w, h], axis=1), tie
+
+    @staticmethod
+    def member_rows(alpha, beta, capacity, flows, tol) -> np.ndarray:
+        """The edges' membership test, one edge a row (:func:`_member_rows`)."""
+        return _member_rows(0.0, capacity, lambda w: _power_gain(alpha, beta, w), flows, tol)
+
+
+def _power_gain(alpha, beta, w) -> np.ndarray:
+    """``h(w)`` of :class:`PowerLossGain` over arrays, as ``value`` takes it."""
+    t = beta * w
+    tail = np.log1p(np.exp(np.where(t > 0.0, -t, t)))
+    softplus = np.where(t > 0.0, t + tail, tail)
+    return 3.0 * w - alpha * (softplus - _LOG2)
 
 
 class CallableGain(GainFunction):
@@ -582,14 +597,9 @@ class TwoNodeEdge(EdgeOracle):
         return ArbitrageResult(value=objective(w), flow=np.array([-w, gain.value(w)]))
 
     def is_member(self, flow: np.ndarray, tol: float) -> bool:
-        flow = np.asarray(flow, dtype=float)
-        scale = tol * (1.0 + float(np.max(np.abs(flow))))
-        w = -flow[0]
-        gain = self.gain
-        if w < gain.input_lo - scale or w > gain.input_hi + scale:
-            return False
-        w_c = min(max(w, gain.input_lo), gain.input_hi)
-        return flow[1] <= gain.value(w_c) + scale
+        """A one-row call of :func:`_member_rows` with the gain's ``value``."""
+        gain, flows = self._gain, np.asarray(flow, dtype=float)[None]
+        return bool(_member_rows(gain.input_lo, gain.input_hi, lambda w: gain.value(w.item()), flows, tol)[0])
 
     def supported_face(self, prices: np.ndarray, rel_tol: float = 1e-6):
         segments = self.gain.linear_segments()
@@ -615,6 +625,20 @@ class TwoNodeEdge(EdgeOracle):
                 q = np.array([-w_b, self.gain.value(w_b)])
                 return p, q
         return None
+
+
+def _member_rows(input_lo, input_hi, h, flows, tol) -> np.ndarray:
+    """Which rows ``(-w, t)`` of an ``m x 2`` flow block lie within ``scale
+    = tol (1 + |row|_inf)`` of ``{(-w, t) : t <= h(w)}``, for a gain ``h``
+    on ``[input_lo, input_hi]`` that takes an array of inputs: ``w``
+    within the scale of the domain, ``t`` within it of ``h`` at ``w``
+    clipped onto the domain.  A row with a non-finite entry is not a member."""
+    finite = np.isfinite(flows).all(axis=1)
+    flows = np.where(finite[:, None], flows, 0.0)
+    scale = tol * (1.0 + np.abs(flows).max(axis=1))
+    w = -flows[:, 0]
+    inside = (input_lo - scale <= w) & (w <= input_hi + scale)
+    return finite & inside & (flows[:, 1] <= h(np.minimum(np.maximum(w, input_lo), input_hi)) + scale)
 
 
 def solve_scalar_arbitrage(edge: TwoNodeEdge, prices) -> ScalarArbitrage:

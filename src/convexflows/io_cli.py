@@ -156,15 +156,15 @@ def _build_objective(doc: dict, n: int, path: str):
 def _build_edge_oracle(kind: str, params: dict, path: str):
     """The oracle of an edge whose kind is not a column kind."""
     if kind == "piecewise_linear":
-        points = _get(params, "points", path, list)
-        where = f"{path}.points"
+        points = _get(params, "points", f"{path}.params", list)
+        where = f"{path}.params.points"
         if not all(type(point) is list and len(point) == 2 for point in points):
             raise ParseError(f"{where}: expected a list of [input, output] pairs")
         return TwoNodeEdge(
             PiecewiseLinearGain([(_to_float(w, where), _to_float(h, where)) for w, h in points])
         )
     if kind == "fisher_basket":
-        return FisherBasketEdge(_floats(_get(params, "valuations", path), f"{path}.valuations"))
+        return FisherBasketEdge(_floats(_get(params, "valuations", f"{path}.params"), f"{path}.params.valuations"))
     raise ParseError(f"{path}.kind: unknown edge kind '{kind}'")
 
 
@@ -212,14 +212,22 @@ _KERNEL_KINDS = tuple(dict.fromkeys(kind for kind, _ in _COLUMN_KINDS.values()))
 
 def _read_oracle(kind: type, fields, params: dict, path: str):
     """The oracle of one edge of a column kind, its fields read one by
-    one: a gain's numbers in order, so that a missing or non-numeric
-    field raises the error of :func:`_get` (an integer reads as a
-    float), and a pool's fields as its constructor takes them, so that
-    it reads the numbers (JSON's true and false are not numbers) and
-    names the first fault."""
+    one from ``params`` (at JSON path ``path``): a gain's numbers in
+    order, so that a missing or non-numeric field raises the error of
+    :func:`_get` (an integer reads as a float), and a pool's fields as
+    its constructor takes them, so that it reads the numbers and names
+    the first fault, except that a boolean where a number belongs is a
+    ``ParseError`` naming its path (JSON's true and false are not
+    numbers)."""
     if issubclass(kind, GainFunction):
         return kind.row_oracle(*[field if type(field) is float else _get(params, field.name, path, float) for field in fields])
-    return kind(*[_get(params, name, path) if default is None else params.get(name, default) for name, default, _ in fields])
+    args = [_get(params, name, path) if default is None else params.get(name, default) for name, default, _ in fields]
+    for (name, _, shape), value in zip(fields, args):
+        if shape == "number" and type(value) is bool:
+            raise ParseError(f"{path}.{name}: expected a number, got bool")
+        if shape != "number" and type(value) is list and bool in map(type, value):
+            raise ParseError(f"{path}.{name}[{[type(v) for v in value].index(bool)}]: expected a number, got bool")
+    return kind(*args)
 
 
 def _record(edge_doc, n: int, path: str) -> Hyperedge:
@@ -231,7 +239,7 @@ def _record(edge_doc, n: int, path: str) -> Hyperedge:
         if column is None:
             oracle = _build_edge_oracle(kind, params, path)
         else:
-            oracle = _read_oracle(*column, params, path)
+            oracle = _read_oracle(*column, params, f"{path}.params")
     except InvalidEdgeError as exc:
         raise InstanceValidationError(f"{path}: {exc}") from exc
     try:

@@ -1087,7 +1087,7 @@ def duality_gap(
         dual_value = float(dual)
     report = check_feasibility(instance, primal, feas_tol)
     y_scale = 1.0 + float(np.max(np.abs(primal.net_flow)))
-    if not report.ok or report.net_flow_residual > feas_tol * y_scale:
+    if not report.ok or not report.net_flow_residual <= feas_tol * y_scale:
         return math.inf
     p = primal_objective(instance, primal, tol=feas_tol)
     if not math.isfinite(p):

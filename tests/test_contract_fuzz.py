@@ -10,6 +10,10 @@ contract of :func:`convexflows.solve` on it:
 - a finite dual value is what :func:`convexflows.eval_dual` gives at the
   result's dual point, within ``1e-12 * (1 + |dual|)``: the explicit
   form, summed edge by edge, checks the pass's sum in plan order;
+- ``check_feasibility`` on the instance, which tests column-stored edges
+  a group at a time, gives the report that it gives on the same edges as
+  a list of records, each tested by its ``is_member``, both at the
+  result's flows and with every third edge's flow moved by 0.5;
 - a second solve returns the same bytes;
 - the instance's document parses to the same kernel groups (and, for a
   parsed instance, the same group bytes), which solve to the same bytes.
@@ -25,7 +29,7 @@ import numpy as np
 import pytest
 
 from conftest import piecewise_dag_instance
-from convexflows import PrimalPoint, SolverConfig, check_feasibility, eval_dual, solve
+from convexflows import PrimalPoint, ProblemInstance, SolverConfig, check_feasibility, eval_dual, solve
 from convexflows.core import EdgeTable
 from convexflows.io_cli import (
     fisher_instance,
@@ -89,6 +93,12 @@ def test_solve_keeps_its_contract(family, seed):
     if math.isfinite(result.dual_value):
         dual = eval_dual(instance, result.dual_point)
         assert abs(dual - result.dual_value) <= 1e-12 * (1.0 + abs(result.dual_value)), (dual, result.dual_value)
+    records = ProblemInstance(n=instance.n, edges=list(FAMILIES[family](seed).edges), net_objective=instance.net_objective)
+    moved = [flow + 0.5 if k % 3 == 0 else flow for k, flow in enumerate(result.flows)]
+    for flows in (result.flows, moved):
+        point = PrimalPoint(flows, result.net_flow)
+        got, want = check_feasibility(instance, point, config.feas_tol), check_feasibility(records, point, config.feas_tol)
+        assert (got.edge_membership, got.net_flow_residual) == (want.edge_membership, want.net_flow_residual)
     assert _answer(solve(FAMILIES[family](seed), config=config)) == _answer(result)
 
 

@@ -513,48 +513,52 @@ def test_cli_rejects_bad_source_and_sink(tmp_path, capsys, objective):
         (lambda d: d.update(version=True), r"\$\.version"),
         (lambda d: d.update(n=True), r"\$\.n"),
         (lambda d: d["edges"][0].update(nodes=[True, 2]), r"\$\.edges\[0\]\.nodes"),
-        (lambda d: d["edges"][0].update(params={"capacity": True}), r"\$\.edges\[0\]\.capacity"),
+        (lambda d: d["edges"][0].update(params={"capacity": True}), r"\$\.edges\[0\]\.params\.capacity"),
         (
             lambda d: d["edges"][0].update(kind="linear_gain", params={"gain": True, "capacity": 1.0}),
-            r"\$\.edges\[0\]\.gain",
+            r"\$\.edges\[0\]\.params\.gain",
         ),
         (
             lambda d: d["edges"][0].update(kind="linear_gain", params={"gain": 0.5, "capacity": True}),
-            r"\$\.edges\[0\]\.capacity",
+            r"\$\.edges\[0\]\.params\.capacity",
         ),
         (
             lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": True, "beta": 0.25, "capacity": 1.0}),
-            r"\$\.edges\[0\]\.alpha",
+            r"\$\.edges\[0\]\.params\.alpha",
         ),
         (
             lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": 16.0, "beta": False, "capacity": 1.0}),
-            r"\$\.edges\[0\]\.beta",
+            r"\$\.edges\[0\]\.params\.beta",
         ),
         (
             lambda d: d["edges"][0].update(kind="opf_line", params={"alpha": 16.0, "beta": 0.25, "capacity": True}),
-            r"\$\.edges\[0\]\.capacity",
+            r"\$\.edges\[0\]\.params\.capacity",
         ),
         (
             lambda d: d["edges"][0].update(kind="piecewise_linear", params={"points": [[0.0, 0.0], [True, 1.0]]}),
-            r"\$\.edges\[0\]\.points",
+            r"\$\.edges\[0\]\.params\.points",
         ),
         (
             lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [True, 1.0]}),
-            r"\$\.edges\[0\]: reserves must be a list of numbers",
+            r"\$\.edges\[0\]\.params\.reserves\[0\]: expected a number, got bool",
         ),
         (
             lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [1.0, 1.0], "weight": True}),
-            r"\$\.edges\[0\]: weight must be a number",
+            r"\$\.edges\[0\]\.params\.weight: expected a number, got bool",
         ),
         (
             lambda d: d["edges"][0].update(kind="uniswap", params={"reserves": [1.0, 1.0], "fee": True}),
-            r"\$\.edges\[0\]: fee must be a number",
+            r"\$\.edges\[0\]\.params\.fee: expected a number, got bool",
         ),
         (
             lambda d: d["edges"][0].update(
                 kind="geometric_mean", params={"reserves": [1.0, 1.0], "weights": [True, 0.0]}
             ),
-            r"\$\.edges\[0\]: weights must be a list of numbers",
+            r"\$\.edges\[0\]\.params\.weights\[0\]: expected a number, got bool",
+        ),
+        (
+            lambda d: d["edges"][0].update(kind="fisher_basket", params={"valuations": [True]}),
+            r"\$\.edges\[0\]\.params\.valuations: expected a number, got bool",
         ),
         (
             lambda d: d.update(objective={"kind": "linear_nonneg", "params": {"prices": [1.0, True, 1.0]}}),
@@ -596,6 +600,7 @@ def test_cli_rejects_bad_source_and_sink(tmp_path, capsys, objective):
         "pool_weight",
         "pool_fee",
         "pool_weights",
+        "basket_valuations",
         "prices",
         "demands",
         "budgets",

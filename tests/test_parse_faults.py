@@ -7,7 +7,9 @@ table below holds the type and message of each fault as the per-edge
 reader that the column reader replaced gave them (recorded at commit
 e797b71), for every column kind, at the first, a middle and the last
 edge of that kind in a document that mixes the column kinds with
-records.
+records.  Since then a parameter fault names the field's path under
+``params``, and a boolean in a pool field is a ``ParseError`` that
+names its path.
 """
 
 import copy
@@ -90,38 +92,38 @@ def _text(doc):
 
 # (kind, fault, error type, message with the edge position as {k}).
 FAULTS = [
-    ("opf_line", "missing", ParseError, "$.edges[{k}]: missing required field 'capacity'"),
-    ("opf_line", "true", ParseError, "$.edges[{k}].capacity: expected float, got bool"),
-    ("opf_line", "string", ParseError, "$.edges[{k}].capacity: expected float, got str"),
-    ("opf_line", "nested_list", ParseError, "$.edges[{k}].capacity: expected float, got list"),
+    ("opf_line", "missing", ParseError, "$.edges[{k}].params: missing required field 'capacity'"),
+    ("opf_line", "true", ParseError, "$.edges[{k}].params.capacity: expected float, got bool"),
+    ("opf_line", "string", ParseError, "$.edges[{k}].params.capacity: expected float, got str"),
+    ("opf_line", "nested_list", ParseError, "$.edges[{k}].params.capacity: expected float, got list"),
     ("opf_line", "nan", ParseError, "$: non-finite number NaN is not valid in an instance"),
     ("opf_line", "1e400", InstanceValidationError, "$.edges[{k}]: capacity must be positive and finite"),
     ("opf_line", "huge_int", InstanceValidationError, "$.edges[{k}]: capacity must be positive and finite"),
     ("opf_line", "node_out_of_range", InstanceValidationError, "$.edges[{k}].nodes: index out of range for n=12"),
     ("opf_line", "repeated_node", InstanceValidationError, "$.edges[{k}].nodes: duplicate node in incidence (0, 0)"),
     ("opf_line", "non_integer_node", ParseError, "$.edges[{k}].nodes: node indices must be integers"),
-    ("lossless", "missing", ParseError, "$.edges[{k}]: missing required field 'capacity'"),
-    ("lossless", "true", ParseError, "$.edges[{k}].capacity: expected float, got bool"),
-    ("lossless", "string", ParseError, "$.edges[{k}].capacity: expected float, got str"),
-    ("lossless", "nested_list", ParseError, "$.edges[{k}].capacity: expected float, got list"),
+    ("lossless", "missing", ParseError, "$.edges[{k}].params: missing required field 'capacity'"),
+    ("lossless", "true", ParseError, "$.edges[{k}].params.capacity: expected float, got bool"),
+    ("lossless", "string", ParseError, "$.edges[{k}].params.capacity: expected float, got str"),
+    ("lossless", "nested_list", ParseError, "$.edges[{k}].params.capacity: expected float, got list"),
     ("lossless", "nan", ParseError, "$: non-finite number NaN is not valid in an instance"),
     ("lossless", "1e400", InstanceValidationError, "$.edges[{k}]: capacity must be finite and exceed the lower input bound"),
     ("lossless", "huge_int", InstanceValidationError, "$.edges[{k}]: capacity must be finite and exceed the lower input bound"),
     ("lossless", "node_out_of_range", InstanceValidationError, "$.edges[{k}].nodes: index out of range for n=12"),
     ("lossless", "repeated_node", InstanceValidationError, "$.edges[{k}].nodes: duplicate node in incidence (2, 2)"),
     ("lossless", "non_integer_node", ParseError, "$.edges[{k}].nodes: node indices must be integers"),
-    ("linear_gain", "missing", ParseError, "$.edges[{k}]: missing required field 'gain'"),
-    ("linear_gain", "true", ParseError, "$.edges[{k}].gain: expected float, got bool"),
-    ("linear_gain", "string", ParseError, "$.edges[{k}].gain: expected float, got str"),
-    ("linear_gain", "nested_list", ParseError, "$.edges[{k}].gain: expected float, got list"),
+    ("linear_gain", "missing", ParseError, "$.edges[{k}].params: missing required field 'gain'"),
+    ("linear_gain", "true", ParseError, "$.edges[{k}].params.gain: expected float, got bool"),
+    ("linear_gain", "string", ParseError, "$.edges[{k}].params.gain: expected float, got str"),
+    ("linear_gain", "nested_list", ParseError, "$.edges[{k}].params.gain: expected float, got list"),
     ("linear_gain", "nan", ParseError, "$: non-finite number NaN is not valid in an instance"),
     ("linear_gain", "1e400", InstanceValidationError, "$.edges[{k}]: gain slope must be nonnegative and finite"),
     ("linear_gain", "huge_int", InstanceValidationError, "$.edges[{k}]: gain slope must be nonnegative and finite"),
     ("linear_gain", "node_out_of_range", InstanceValidationError, "$.edges[{k}].nodes: index out of range for n=12"),
     ("linear_gain", "repeated_node", InstanceValidationError, "$.edges[{k}].nodes: duplicate node in incidence (4, 4)"),
     ("linear_gain", "non_integer_node", ParseError, "$.edges[{k}].nodes: node indices must be integers"),
-    ("uniswap", "missing", ParseError, "$.edges[{k}]: missing required field 'reserves'"),
-    ("uniswap", "true", InstanceValidationError, "$.edges[{k}]: reserves must be a list of numbers, got [100.0, True]"),
+    ("uniswap", "missing", ParseError, "$.edges[{k}].params: missing required field 'reserves'"),
+    ("uniswap", "true", ParseError, "$.edges[{k}].params.reserves[1]: expected a number, got bool"),
     ("uniswap", "string", InstanceValidationError, "$.edges[{k}]: reserves must be a list of numbers, got [100.0, '1.0']"),
     ("uniswap", "nested_list", InstanceValidationError, "$.edges[{k}]: reserves must be a list of numbers, got [100.0, [1.0]]"),
     ("uniswap", "nan", ParseError, "$: non-finite number NaN is not valid in an instance"),
@@ -130,8 +132,8 @@ FAULTS = [
     ("uniswap", "node_out_of_range", InstanceValidationError, "$.edges[{k}].nodes: index out of range for n=12"),
     ("uniswap", "repeated_node", InstanceValidationError, "$.edges[{k}].nodes: duplicate node in incidence (6, 6)"),
     ("uniswap", "non_integer_node", ParseError, "$.edges[{k}].nodes: node indices must be integers"),
-    ("geometric_mean", "missing", ParseError, "$.edges[{k}]: missing required field 'weights'"),
-    ("geometric_mean", "true", InstanceValidationError, "$.edges[{k}]: weights must be a list of numbers, got [0.25, True, 0.5]"),
+    ("geometric_mean", "missing", ParseError, "$.edges[{k}].params: missing required field 'weights'"),
+    ("geometric_mean", "true", ParseError, "$.edges[{k}].params.weights[1]: expected a number, got bool"),
     ("geometric_mean", "string", InstanceValidationError, "$.edges[{k}]: weights must be a list of numbers, got [0.25, '1.0', 0.5]"),
     ("geometric_mean", "nested_list", InstanceValidationError, "$.edges[{k}]: weights must be a list of numbers, got [0.25, [1.0], 0.5]"),
     ("geometric_mean", "nan", ParseError, "$: non-finite number NaN is not valid in an instance"),

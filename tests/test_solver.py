@@ -328,6 +328,11 @@ def test_duality_gap_markers():
     # Infeasible primal is flagged with an infinite gap.
     bad = PrimalPoint([x + 1.0 for x in result.flows], result.net_flow)
     assert duality_gap(instance, result.dual_value, bad) == math.inf
+    # So is a net flow with a NaN entry, whose residual is NaN.
+    for k in range(instance.n):
+        net_flow = result.net_flow.copy()
+        net_flow[k] = math.nan
+        assert duality_gap(instance, result.dual_value, PrimalPoint(result.flows, net_flow)) == math.inf
 
 
 def test_mincost_routes_target_at_least_cost():
