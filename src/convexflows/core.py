@@ -430,12 +430,23 @@ class PrimalPoint:
 
 @dataclass
 class FeasibilityReport:
+    """What :func:`check_feasibility` finds at a primal point.
+
+    ``edge_membership`` holds one Python bool per edge, and
+    ``residual_bound`` is the most the net-flow residual may be,
+    ``tol·(1 + |net_flow|_inf)``.  ``ok`` holds when every edge's flow
+    is a member of its set and the residual is within that bound; a NaN
+    residual or net flow fails it.
+    """
+
     net_flow_residual: float
     edge_membership: list[bool]
+    residual_bound: float
     ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        self.ok = all(self.edge_membership)
+        # Written as "not above" so that a NaN fails the check too.
+        self.ok = all(self.edge_membership) and self.net_flow_residual <= self.residual_bound
 
 
 def assemble_net_flow(
@@ -514,8 +525,9 @@ def check_feasibility(
     """Check net flow consistency and per-edge set membership.
 
     The residual is the infinity norm of ``net_flow`` minus the scattered
-    sum of the edge flows; membership uses each edge oracle's scaled
-    membership test at tolerance ``tol``.  Column-stored edges are tested
+    sum of the edge flows, held to ``tol·(1 + |net_flow|_inf)``;
+    membership uses each edge oracle's scaled membership test at
+    tolerance ``tol``.  Column-stored edges are tested
     a group at a time from their columns (the kind's ``member_rows``),
     and every other edge by its record's ``is_member``.
     """
@@ -523,7 +535,9 @@ def check_feasibility(
         raise ValueError("tol must be positive")
     incidences = instance.incidences
     assembled = assemble_net_flow(point.edge_flows, incidences, instance.n)
-    residual = float(np.max(np.abs(np.asarray(point.net_flow, float) - assembled)))
+    net_flow = np.asarray(point.net_flow, float)
+    residual = float(np.max(np.abs(net_flow - assembled)))
+    bound = tol * (1.0 + float(np.max(np.abs(net_flow), initial=0.0)))
     flows = EdgeVectors.pack(point.edge_flows, incidences.offsets)
     membership = np.empty(len(flows), dtype=bool)
     for positions, columns in instance.edge_columns():
@@ -531,4 +545,4 @@ def check_feasibility(
         membership[positions] = columns.kind.member_rows(*columns.params, block, tol)
     for k, edge in instance.edge_records():
         membership[k] = edge.oracle.is_member(flows[k], tol)
-    return FeasibilityReport(net_flow_residual=residual, edge_membership=membership.tolist())
+    return FeasibilityReport(net_flow_residual=residual, edge_membership=membership.tolist(), residual_bound=bound)

@@ -419,6 +419,37 @@ class PowerLossGain(GainFunction):
         return value, np.stack([-w, h], axis=1), tie
 
     @staticmethod
+    def jacobian_rows(alpha, beta, capacity, prices) -> np.ndarray:
+        """The Jacobian of the :meth:`evaluate_rows` flows in the edges'
+        prices, one edge a row: ``m x 2 x 2``, entry ``[k, i, j]`` the
+        derivative of edge ``k``'s flow ``i`` in its price ``j``.
+
+        Inside ``(0, capacity)`` the input ``w = log(num / den) / beta``,
+        with ``num = 3 p_out - p_in`` and ``den = p_out + p_in``, moves by
+        ``dw/dp_in = (-1/num - 1/den) / beta`` and ``dw/dp_out = (3/num -
+        1/den) / beta``.  The flow is ``(-w, h(w))``, and there
+        ``h'(w) = p_in / p_out``, so its second entry moves by that
+        multiple of ``dw``.  Where ``w`` is clipped (at either end, and at
+        ``p_out = 0``) the flow does not move, and the Jacobian is 0.  Each
+        block is the Hessian of the edge's support function: symmetric
+        positive semidefinite, ``c u u^T`` with ``u = (1, -p_in / p_out)``.
+        """
+        p_in, p_out = require_pair_prices(prices)
+        with np.errstate(all="ignore"):
+            num = 3.0 * p_out - p_in
+            den = p_out + p_in
+            x = np.log(num / den) / beta
+            # x is NaN or infinite where evaluate_rows takes w = 0 without
+            # it (p_out = 0, or num <= 0), which fails both tests.
+            inside = (0.0 < x) & (x < capacity)
+            inv_num, inv_den = 1.0 / num, 1.0 / den
+            dw_in = (-inv_num - inv_den) / beta
+            dw_out = (3.0 * inv_num - inv_den) / beta
+            slope = p_in / p_out
+            jac = np.stack([-dw_in, -dw_out, slope * dw_in, slope * dw_out], axis=1)
+        return np.where(inside[:, None], jac, 0.0).reshape(-1, 2, 2)
+
+    @staticmethod
     def member_rows(alpha, beta, capacity, flows, tol) -> np.ndarray:
         """The edges' membership test, one edge a row (:func:`_member_rows`)."""
         return _member_rows(0.0, capacity, lambda w: _power_gain(alpha, beta, w), flows, tol)

@@ -216,15 +216,15 @@ def _read_oracle(kind: type, fields, params: dict, path: str):
     order, so that a missing or non-numeric field raises the error of
     :func:`_get` (an integer reads as a float), and a pool's fields as
     its constructor takes them, so that it reads the numbers and names
-    the first fault, except that a boolean where a number belongs is a
-    ``ParseError`` naming its path (JSON's true and false are not
-    numbers)."""
+    the first fault, except that a number field that holds no JSON number
+    is a ``ParseError`` naming its path, and so is a boolean in a list of
+    numbers (JSON's true and false are not numbers)."""
     if issubclass(kind, GainFunction):
         return kind.row_oracle(*[field if type(field) is float else _get(params, field.name, path, float) for field in fields])
     args = [_get(params, name, path) if default is None else params.get(name, default) for name, default, _ in fields]
     for (name, _, shape), value in zip(fields, args):
-        if shape == "number" and type(value) is bool:
-            raise ParseError(f"{path}.{name}: expected a number, got bool")
+        if shape == "number" and type(value) not in (int, float):
+            raise ParseError(f"{path}.{name}: expected a number, got {type(value).__name__}")
         if shape != "number" and type(value) is list and bool in map(type, value):
             raise ParseError(f"{path}.{name}[{[type(v) for v in value].index(bool)}]: expected a number, got bool")
     return kind(*args)
@@ -853,7 +853,6 @@ def _cmd_check(args) -> int:
     rel_gap = gap / (1.0 + abs(dual_value))
     ok = (
         report.ok
-        and report.net_flow_residual <= args.tol * (1.0 + float(np.max(np.abs(net_flow))))
         and math.isfinite(primal)
         and rel_gap >= -args.tol
         and rel_gap <= args.gap_tol

@@ -99,6 +99,14 @@ class ObjectiveOracle(ConjugateOracle):
         """Constraint violation of ``y`` against the utility's domain."""
         return 0.0
 
+    def conj_curvature(self, prices: np.ndarray) -> np.ndarray | None:
+        """The diagonal of the conjugate's Hessian at ``prices`` inside its
+        domain, or None: an objective gives it at every such point or at
+        none, and only one whose conjugate Hessian is diagonal gives it.
+        The dual's Hessian product needs it (see
+        :meth:`~convexflows.solver.DualProgram.hessian_at`)."""
+        return None
+
     def recovery_target(
         self, prices: np.ndarray, conj_result: ConjugateValue
     ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -189,6 +197,10 @@ class OpfQuadraticObjective(ObjectiveOracle):
             return _infinite()
         value = 0.5 * float(prices @ prices) - float(self.demands @ prices)
         return ConjugateValue(value=value, maximizer=self.demands - prices)
+
+    def conj_curvature(self, prices: np.ndarray) -> np.ndarray:
+        """The identity: the conjugate is ``1/2 |p|^2 - d·p`` on ``p >= 0``."""
+        return np.ones(self.dim)
 
     def evaluate_primal(self, y: np.ndarray, tol: float = 0.0) -> float:
         shortfall = np.maximum(self.demands - np.asarray(y, dtype=float), 0.0)

@@ -9,13 +9,26 @@ memory) has no curvature pair to give it a length, so its search
 starts at the largest step of the halving sequence 1, 1/2, 1/4, ...
 that moves no coordinate by more than ``1 + |x|_inf``, as L-BFGS-B
 scales its first step (Byrd, Lu, Nocedal and Zhu, 1995); it skips
-only trials that would move the point past its own scale.  A trial
-that fails sufficient decrease with a finite value, while no shorter
-step has passed, is shrunk to the minimizer of the quadratic through
-``f(x)``, the projected slope of the trial and its value, safeguarded
-to a tenth and a half of the trial (Nocedal and Wright, *Numerical
-Optimization*, 2006, §3.5); any other failure halves the step, or the
-bracket.  The objective may return ``+inf`` (an implicit constraint),
+only trials that would move the point past its own scale.
+
+Given the product with the objective's Hessian at an iterate, the
+driver takes a truncated Newton-CG direction instead of the two-loop
+one (Dembo and Steihaug, 1983): conjugate gradients on the free
+coordinates' block of the Hessian, stopped once the residual is within
+Eisenstat and Walker's forcing term ``min(0.5, sqrt|g|)·|g|`` or on a
+direction without positive curvature.  Its search starts at the unit
+step.  The line search, the certificate and the restart, stall and
+escape paths are those of the two-loop direction; a direction of no
+descent, and the retry after a failed search, go along steepest
+descent as they do there.  A Hessian product is not an evaluation of
+the objective, and ``n_evals`` does not count it.
+
+A trial that fails sufficient decrease with a finite value, while no
+shorter step has passed, is shrunk to the minimizer of the quadratic
+through ``f(x)``, the projected slope of the trial and its value,
+safeguarded to a tenth and a half of the trial (Nocedal and Wright,
+*Numerical Optimization*, 2006, §3.5); any other failure halves the
+step, or the bracket.  The objective may return ``+inf`` (an implicit constraint),
 which only ever shrinks the step, so iterates stay inside the finite
 region.  Near the float noise floor, steps are
 accepted on the curvature condition alone, letting the gradients keep
@@ -120,6 +133,7 @@ class QNResult:
     n_evals: int
     converged: bool
     status: str
+    hessian_products: int = 0
 
 
 def _pg_norm(x: np.ndarray, g: np.ndarray, lower: np.ndarray) -> float:
@@ -274,6 +288,41 @@ def _two_loop(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) 
     return q
 
 
+def _truncated_cg(product, g: np.ndarray, active: np.ndarray) -> tuple[np.ndarray, int]:
+    """A truncated conjugate-gradient solve of ``H d = -g`` over the free
+    coordinates, ``active`` ones held at 0; returns ``d`` and the number
+    of products with ``H``.
+
+    It stops once the residual is within ``min(0.5, sqrt|g|) |g|``
+    (Eisenstat and Walker's forcing term, 2-norms) or on a direction of
+    no positive curvature, keeping the steps taken before it (none on
+    the first: then ``d`` is 0).
+    """
+    g_norm = float(np.linalg.norm(g))
+    tol = min(0.5, math.sqrt(g_norm)) * g_norm
+    d = np.zeros_like(g)
+    r = -g
+    p = r.copy()
+    rr = g_norm * g_norm
+    products = 0
+    for _ in range(len(g)):
+        hp = product(p)
+        hp[active] = 0.0
+        products += 1
+        curvature = float(p @ hp)
+        if not curvature > 0.0:
+            break
+        step = rr / curvature
+        d += step * p
+        r -= step * hp
+        rr_next = float(r @ r)
+        if math.sqrt(rr_next) <= tol:
+            break
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    return d, products
+
+
 def minimize_bound_lbfgs(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray | None]],
     x0: np.ndarray,
@@ -285,6 +334,7 @@ def minimize_bound_lbfgs(
     line_search_screen: Callable[[np.ndarray, np.ndarray], bool] | None = None,
     certificate: Callable[[np.ndarray, float], bool] | None = None,
     polish_floor: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    hessian: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> QNResult:
     """Minimize ``fun`` subject to ``x >= lower``.
 
@@ -326,6 +376,14 @@ def minimize_bound_lbfgs(
             and the final polish.  It returns a lower bound on ``fun`` at
             each point, and a proposal whose bound :func:`polish_keeps`
             rejects is not evaluated; what polish keeps does not change.
+        hessian: Called as ``hessian(x)`` at an iterate, it returns the
+            product ``v -> H v`` with the Hessian of ``fun`` there.  The
+            direction is then a truncated Newton-CG step on the free
+            coordinates (:func:`_truncated_cg`), whose search starts at
+            the unit step, in place of the two-loop direction; a retry
+            after a failed search still goes along steepest descent.
+            ``n_evals`` counts calls of ``fun`` alone: a Hessian product
+            is not one, and ``hessian_products`` counts them.
 
     Returns:
         The best point found with convergence diagnostics.
@@ -343,6 +401,7 @@ def minimize_bound_lbfgs(
     g = np.asarray(g, dtype=float)
 
     pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    products = 0
     status = "max_iter"
     converged = False
     iteration = 0
@@ -408,17 +467,23 @@ def minimize_bound_lbfgs(
                 status = "stalled"
                 break
 
-        # Direction: two-loop on the free-coordinate gradient, holding
-        # coordinates that press against their bound.
+        # Direction: Newton-CG or two-loop on the free-coordinate
+        # gradient, holding coordinates that press against their bound.
         active = (x <= lower) & (g > 0.0)
         g_free = np.where(active, 0.0, g)
-        d = -_two_loop(g_free, pairs)
+        newton = hessian is not None and not fresh_restart
+        if newton:
+            d, extra = _truncated_cg(hessian(x), g_free, active)
+            products += extra
+        else:
+            d = -_two_loop(g_free, pairs)
         d[active] = 0.0
         descent = float(d @ g_free)
         if not np.all(np.isfinite(d)) or descent >= -1e-14 * float(
             np.linalg.norm(d) * np.linalg.norm(g_free)
         ):
             pairs.clear()
+            newton = False
             d = -g_free
 
         # Projected weak-Wolfe line search.  Infinite values and failed
@@ -427,7 +492,7 @@ def minimize_bound_lbfgs(
         # (s, y) pairs well scaled, which is what lets the memory track
         # nonsmooth objectives without collapsing the step size.
         alpha, lo_a, hi_a = 1.0, 0.0, math.inf
-        if not pairs:
+        if not pairs and not newton:
             # Without curvature pairs the direction has no length of its
             # own: start at the largest step of the halving sequence
             # (1, 1/2, 1/4, ...) that moves no coordinate by more than
@@ -537,4 +602,5 @@ def minimize_bound_lbfgs(
         n_evals=n_evals,
         converged=converged,
         status=status,
+        hessian_products=products,
     )

@@ -40,7 +40,12 @@ edge's maximizer, in one buffer in edge order whichever group answered
 the edge; the driver, its screens, the trace callback and the final
 result all read that pass.  The evaluator caches three passes, the last
 one, the one at the driver's iterate and the one at polish's best point,
-and leaves the choice of points (polish included) to the driver.
+and leaves the choice of points (polish included) to the driver.  Where
+every group's kind gives its flows' Jacobian in closed form, no edge has
+a flat face and the net objective gives its conjugate's curvature (a
+smooth network of transmission lines), it also gives the driver the
+product with the dual's Hessian at an iterate
+(:meth:`DualProgram.hessian_at`), and the driver takes Newton-CG steps.
 
 Gradients assemble from the subproblem maximizers: the node-price
 gradient is the net-flow mismatch ``sum_i A_i x_arb_i - y``, so the
@@ -146,7 +151,9 @@ class SolverConfig:
     finite and within ``feas_tol * (1 + |dual|)`` of the dual value.  A
     certified point ends the solve with status ``"converged"``; a
     refused gradient stop goes on iterating, and a refused polished
-    point ends ``"polished"``.
+    point ends ``"polished"``.  A smooth network of transmission lines
+    steps along Newton-CG directions (:meth:`DualProgram.hessian_at`),
+    and every other instance along the two-loop ones.
     """
 
     grad_tol: float = 1e-7
@@ -226,13 +233,16 @@ class _Group(NamedTuple):
     their flows' places in the pass buffer, each edge's in a run.
     ``call`` maps the pass's node prices to their values and tie flags,
     row for row, and their flows (an ``m x d`` block from a kernel),
-    which laid end to end match ``entries``.
+    which laid end to end match ``entries``.  ``jacobian`` maps them to
+    the flows' Jacobians in the edges' prices, an ``m x d x d`` block, or
+    is None when the group's kind has no ``jacobian_rows``.
     """
 
     kind: type | None
     rows: np.ndarray
     entries: np.ndarray
     call: Callable
+    jacobian: Callable | None
 
 
 class _Faces(NamedTuple):
@@ -279,6 +289,10 @@ class DualProgram:
     columns and linear segments), so the faces at a point come from one
     vectorized comparison instead of a ``supported_face`` call per edge.
     A penalized edge is smooth in the node prices and has no face.
+
+    ``has_hessian`` says whether :meth:`hessian_at` applies: every group
+    is a kernel group whose kind has ``jacobian_rows``, the objective
+    gives its conjugate's curvature and no edge has a flat face.
 
     It keeps the instance's flat incidences (``incidences``), and its
     results' per-edge vectors share their ``offsets`` array over the
@@ -335,17 +349,17 @@ class DualProgram:
         row_of = np.empty(len(plan_pos), dtype=np.intp)
         row_of[plan_pos] = np.arange(len(plan_pos))
 
-        def group(kind, positions, call):
-            return _Group(kind, row_of[positions], entries(positions), call)
+        def group(kind, positions, call, jacobian=None):
+            return _Group(kind, row_of[positions], entries(positions), call, jacobian)
 
         def loop_group(loop, call):
             return [group(None, positions_of(loop), call(loop))] if loop else []
 
         self._groups = [
             *loop_group(penalized, partial(_result_call, as_floats=True)),
-            *(group(columns.kind, positions, _kernel_call(columns)) for positions, columns in pair_kernels),
+            *(group(columns.kind, positions, *_kernel_calls(columns)) for positions, columns in pair_kernels),
             *loop_group(pairs, _pair_call),
-            *(group(columns.kind, positions, _kernel_call(columns)) for positions, columns in pool_kernels),
+            *(group(columns.kind, positions, *_kernel_calls(columns)) for positions, columns in pool_kernels),
             *loop_group(others, _result_call),
         ]
         # The buffer entries in plan order and their nodes: one unbuffered
@@ -374,9 +388,26 @@ class DualProgram:
         # proposals evaluated after it (see polish_floor).
         self._polish_x: np.ndarray | None = None
         self._polish_pass: _Pass | None = None
+        # A node's column in the vector, n_vars standing in for a pinned node.
+        self._col_of_node = np.full(instance.n, self.n_vars, dtype=np.intp)
+        self._col_of_node[self.free_nodes] = np.arange(self.n_vars)
         self._build_face_table(positions_of(pairs), pair_kernels, row_of)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
+        # A Hessian product needs every edge's Jacobian, the objective's
+        # curvature and a smooth dual: no flat face.
+        self._conj_curvature = objective.conj_curvature
+        self.has_hessian = (
+            bool(self._groups)
+            and all(group.jacobian is not None for group in self._groups)
+            and not self.has_flat_faces
+            and objective.conj_curvature(objective.initial_prices()) is not None
+        )
+        if self.has_hessian:
+            # Each edge's two vector columns, in the groups' row order, as
+            # a 2 x m array.
+            group_entries = np.concatenate([group.entries for group in self._groups])
+            self._hessian_cols = self._col_of_node[self._nodes[group_entries]].reshape(-1, 2).T.copy()
 
     def _build_face_table(self, pairs, pair_kernels, row_of) -> None:
         """Arrays of the two-node edges with linear segments, in edge order.
@@ -418,9 +449,7 @@ class DualProgram:
         self._face_rows = row_of[self._face_pos]
         self._face_entries = self.offsets[self._face_pos][:, None] + np.arange(2)
         self._face_nodes = self._nodes[self._face_entries]
-        col_of_node = np.full(self.instance.n, self.n_vars, dtype=np.intp)
-        col_of_node[self.free_nodes] = np.arange(self.n_vars)
-        self._face_cols = col_of_node[self._face_nodes]
+        self._face_cols = self._col_of_node[self._face_nodes]
         self._seg_slope = seg[:, 1]
         self._seg_ends = seg[:, 2:6].reshape(-1, 2, 2)  # (P, Q) x slot
         self._seg_single = seg[:, 6].astype(bool)
@@ -472,7 +501,7 @@ class DualProgram:
         values, ties = np.empty(m), np.empty(m, dtype=bool)
         flows = np.empty(len(self._nodes))
         try:
-            for _, rows, entries, call in self._groups:
+            for _, rows, entries, call, _ in self._groups:
                 values[rows], flow, ties[rows] = call(nu)
                 flows[entries] = np.ravel(flow)
         except UnattainedSupremumError:
@@ -515,6 +544,41 @@ class DualProgram:
         if raw is None:
             return math.inf, None
         return raw.value, raw.grad
+
+    def hessian_at(self, x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The product ``v -> H v`` with the dual's Hessian at ``x``, over
+        the free node prices; only where :attr:`has_hessian` holds.
+
+        That needs every group to be a kernel group of a two-node kind
+        with ``jacobian_rows``, the objective to give its conjugate's
+        curvature ``C`` (``conj_curvature``) and no edge to have a flat
+        face.  Then ``H = C + sum_e A_e J_e A_e^T``, with ``J_e`` edge
+        ``e``'s flow Jacobian at its prices.  A two-node edge's block is
+        symmetric of rank one, ``c_e u_e u_e^T``: ``c_e`` is its first
+        entry and ``u_e`` its first row over ``c_e`` (for a line, ``u_e =
+        (1, -p_in / p_out)``).  So a product is one gather of ``v`` over
+        the edges' nodes and one ``np.bincount`` of ``c_e (u_e · v_e) u_e``
+        onto them.  The blocks
+        are built once here, from the prices at ``x``; no pass is
+        evaluated, here or in a product.
+        """
+        nu = self.node_prices(x)
+        blocks = np.concatenate([group.jacobian(nu) for group in self._groups])
+        weight = np.ascontiguousarray(blocks[:, 0, 0])
+        # u_e as a 2 x m array: the columns' order, each row contiguous.
+        u = np.ones((2, len(weight)))
+        np.divide(blocks[:, 0, 1], weight, out=u[1], where=weight > 0.0)
+        slope = u[1]
+        curvature = self._conj_curvature(nu)[self.free_nodes]
+        cols, n_vars = self._hessian_cols, self.n_vars
+        flat_cols = cols.ravel()
+
+        def product(v: np.ndarray) -> np.ndarray:
+            moves = np.append(v, 0.0)[cols]
+            along = weight * (moves[0] + slope * moves[1])
+            return np.bincount(flat_cols, (u * along).ravel(), minlength=n_vars + 1)[:n_vars] + curvature * v
+
+        return product
 
     def trace_info(self, x: np.ndarray):
         """(primal_residual, net_flow, nonsmooth) at ``x``, from its pass.
@@ -803,11 +867,14 @@ def _edge_groups(instance: ProblemInstance):
     return penalized, pairs, others, kernels, flat
 
 
-def _kernel_call(columns: EdgeColumns) -> Callable:
-    """The call of a kernel group: its kind's ``evaluate_rows`` over the
-    block of its edges' node prices."""
-    evaluate_rows, nodes, params = columns.kind.evaluate_rows, columns.nodes, columns.params
-    return lambda nu: evaluate_rows(*params, nu[nodes])
+def _kernel_calls(columns: EdgeColumns) -> tuple[Callable, Callable | None]:
+    """The call of a kernel group, its kind's ``evaluate_rows`` over the
+    block of its edges' node prices, and its Jacobian call, the kind's
+    ``jacobian_rows`` over the same block (None when the kind has none)."""
+    nodes, params = columns.nodes, columns.params
+    evaluate_rows, jacobian_rows = columns.kind.evaluate_rows, getattr(columns.kind, "jacobian_rows", None)
+    jacobian = None if jacobian_rows is None else (lambda nu: jacobian_rows(*params, nu[nodes]))
+    return (lambda nu: evaluate_rows(*params, nu[nodes])), jacobian
 
 
 def _pair_call(records) -> Callable:
@@ -963,6 +1030,7 @@ def _solve_dual(
         line_search_screen=program.rises_at_probe if flat else None,
         polish_floor=program.polish_floor if flat else None,
         certificate=certificate,
+        hessian=program.hessian_at if program.has_hessian else None,
     )
     at_end = asked[0] is not None and np.array_equal(asked[0], driver.x)
     return program, driver, trace, asked[1] if at_end else None
@@ -1085,9 +1153,7 @@ def duality_gap(
         dual_value = eval_dual(instance, dual)
     else:
         dual_value = float(dual)
-    report = check_feasibility(instance, primal, feas_tol)
-    y_scale = 1.0 + float(np.max(np.abs(primal.net_flow)))
-    if not report.ok or not report.net_flow_residual <= feas_tol * y_scale:
+    if not check_feasibility(instance, primal, feas_tol).ok:
         return math.inf
     p = primal_objective(instance, primal, tol=feas_tol)
     if not math.isfinite(p):

@@ -683,7 +683,7 @@ _CFMM = gen_cfmm(12, 0)
     "changes, error, message",
     [
         ({"weight": True}, ParseError, "$.edges[10].params.weight: expected a number, got bool"),
-        ({"fee": "0.3"}, InstanceValidationError, "$.edges[10]: fee must be a number, got '0.3'"),
+        ({"fee": "0.3"}, ParseError, "$.edges[10].params.fee: expected a number, got str"),
         ({"fee": 0}, InstanceValidationError, "$.edges[10]: fee must lie in (0, 1], got 0.0"),
         ({"fee": 1.5}, InstanceValidationError, "$.edges[10]: fee must lie in (0, 1], got 1.5"),
         ({"weight": 0.0}, InstanceValidationError, "$.edges[10]: weight must lie in (0, 1), got 0.0"),

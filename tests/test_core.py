@@ -17,8 +17,11 @@ from convexflows import (
     opf_line_edge,
     primal_objective,
     scatter_prices,
+    solve,
 )
 from convexflows.core import DimensionError, EdgeVectors
+
+from conftest import path_maxflow_instance
 
 
 def test_single_edge_identity_scatter():
@@ -162,6 +165,22 @@ def test_check_feasibility_perturbed_net_flow():
     y[1] += 1e-3
     report = check_feasibility(instance, PrimalPoint(flows, y), tol=1e-9)
     assert report.net_flow_residual == pytest.approx(1e-3)
+
+
+def test_check_feasibility_fails_a_nan_net_flow():
+    # A solved point whose net flow is NaN in one entry is not feasible,
+    # although every edge flow is a member of its set.
+    instance = path_maxflow_instance()
+    result = solve(instance)
+    net_flow = np.array(result.net_flow)
+    assert check_feasibility(instance, PrimalPoint(result.flows, net_flow), tol=1e-6).ok
+    net_flow[1] = np.nan
+    report = check_feasibility(instance, PrimalPoint(result.flows, net_flow), tol=1e-6)
+    assert all(report.edge_membership)
+    assert report.ok is False
+    # A finite residual past tol·(1 + |net_flow|_inf) fails it too.
+    net_flow[1] = result.net_flow[1] + 1e-5
+    assert not check_feasibility(instance, PrimalPoint(result.flows, net_flow), tol=1e-6).ok
 
 
 def test_check_feasibility_capacity_exceeded():
