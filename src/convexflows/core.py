@@ -33,6 +33,7 @@ themselves and build no record: each kind answers a whole group at once
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
@@ -531,8 +532,8 @@ def check_feasibility(
     a group at a time from their columns (the kind's ``member_rows``),
     and every other edge by its record's ``is_member``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     incidences = instance.incidences
     assembled = assemble_net_flow(point.edge_flows, incidences, instance.n)
     net_flow = np.asarray(point.net_flow, float)

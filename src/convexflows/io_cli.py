@@ -839,6 +839,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if not 0 < args.gap_tol < math.inf:
+        raise ValueError(f"gap-tol must be positive and finite, got {args.gap_tol!r}")
     instance = _read_instance(args.instance)
     with open(args.result, "r", encoding="utf-8") as handle:
         doc = json.load(handle)

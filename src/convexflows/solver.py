@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -130,7 +131,8 @@ class DualPoint:
 
 @dataclass
 class SolverConfig:
-    """Solve parameters; every field must be positive (else ``ValueError``).
+    """Solve parameters, else ``ValueError``: ``grad_tol`` positive,
+    ``feas_tol`` positive and finite, ``max_iter`` an integer of at least 1.
 
     ``grad_tol`` and ``max_iter`` go to the quasi-Newton driver;
     ``feas_tol`` is the scaled margin at which recovered primal points
@@ -153,7 +155,9 @@ class SolverConfig:
     refused gradient stop goes on iterating, and a refused polished
     point ends ``"polished"``.  A smooth network of transmission lines
     steps along Newton-CG directions (:meth:`DualProgram.hessian_at`),
-    and every other instance along the two-loop ones.
+    and every other instance along the two-loop ones.  A ``grad_tol`` of
+    ``inf`` stops at the first gradient test, which still asks the
+    certificate; an infinite ``feas_tol`` would certify any point.
     """
 
     grad_tol: float = 1e-7
@@ -161,10 +165,12 @@ class SolverConfig:
     feas_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("grad_tol", "max_iter", "feas_tol"):
-            value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"SolverConfig.{name} must be positive, got {value!r}")
+        if not self.grad_tol > 0:
+            raise ValueError(f"SolverConfig.grad_tol must be positive, got {self.grad_tol!r}")
+        if not 0 < self.feas_tol < math.inf:
+            raise ValueError(f"SolverConfig.feas_tol must be positive and finite, got {self.feas_tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"SolverConfig.max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -209,9 +215,9 @@ class _Pass(NamedTuple):
     ``value`` is the dual value, ``conj_u`` the net-objective conjugate
     (its maximizer is ``y*``) and ``y_arb`` the net flow ``sum_i A_i x_i``
     of the edge maximizers.  ``flows`` holds every edge's maximizer in
-    one buffer on the program's offsets, in edge order, whichever group
-    answered it, and ``ties`` whether each edge's maximizer is not
-    unique, in plan order.  ``grad`` is the gradient in the free node
+    one buffer on the program's offsets and ``ties`` whether each edge's
+    maximizer is not unique, both in edge order, whichever group
+    answered the edge.  ``grad`` is the gradient in the free node
     prices.  ``nonsmooth`` says whether some edge or the conjugate has a
     non-unique maximizer.
     """
@@ -229,17 +235,18 @@ class _Group(NamedTuple):
     """Edges that one call answers per pass, the unit of a :class:`DualProgram`.
 
     ``kind`` is the bundled kind whose kernel answers them, or None for a
-    loop over their records.  ``rows`` are their plan rows and ``entries``
-    their flows' places in the pass buffer, each edge's in a run.
-    ``call`` maps the pass's node prices to their values and tie flags,
-    row for row, and their flows (an ``m x d`` block from a kernel),
-    which laid end to end match ``entries``.  ``jacobian`` maps them to
+    loop over their records.  ``positions`` are their places in the
+    instance, in edge order, and ``entries`` their flows' places in the
+    pass buffer, each edge's in a run.  ``call`` maps the pass's node
+    prices to their values and tie flags, one per position, and their
+    flows (an ``m x d`` block from a kernel), which laid end to end
+    match ``entries``.  ``jacobian`` maps them to
     the flows' Jacobians in the edges' prices, an ``m x d x d`` block, or
     is None when the group's kind has no ``jacobian_rows``.
     """
 
     kind: type | None
-    rows: np.ndarray
+    positions: np.ndarray
     entries: np.ndarray
     call: Callable
     jacobian: Callable | None
@@ -278,14 +285,14 @@ class DualProgram:
     bit for bit to the edge's own method; a column-stored edge (see
     :class:`~convexflows.core.EdgeTable`) is read from its columns and
     never built as a record.  The loops' oracle methods are captured
-    here.  Values are added in plan order (the penalized edges, the other
-    two-node edges, the rest, each in edge order) by one running sum, and
-    the net flow is one scatter of the buffer in that order, so the sums
+    here.  Values are added in edge order by one running sum, and the net
+    flow is one scatter of the buffer in edge order, as :func:`eval_dual`
+    and :func:`~convexflows.core.assemble_net_flow` add them, so the sums
     do not depend on which group answered an edge.
 
     The piecewise-linear two-node edges without a penalty (the linear
     gains too), the only ones with flat faces to report, also go into a
-    face table of arrays (their plan rows, buffer entries, nodes, vector
+    face table of arrays (their positions, buffer entries, nodes, vector
     columns and linear segments), so the faces at a point come from one
     vectorized comparison instead of a ``supported_face`` call per edge.
     A penalized edge is smooth in the node prices and has no face.
@@ -329,11 +336,9 @@ class DualProgram:
         pair_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is not GeometricMeanPool]
         pool_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is GeometricMeanPool]
 
-        def positions_of(loop, groups=()):
-            """The edge positions of a loop's records (in edge order already)
-            and of kernel groups, in edge order."""
-            positions = np.array([pos for pos, *_ in loop], dtype=np.intp)
-            return np.sort(np.concatenate([positions, *(p for p, _ in groups)])) if groups else positions
+        def positions_of(loop):
+            """The edge positions of a loop's records, in edge order."""
+            return np.array([pos for pos, *_ in loop], dtype=np.intp)
 
         def entries(positions):
             """The buffer entries of the edges at ``positions``, in that order."""
@@ -341,16 +346,8 @@ class DualProgram:
             sizes = self.offsets[positions + 1] - starts
             return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
-        # Plan order: the penalized edges, the other two-node edges, the
-        # rest, each in edge order; row_of maps an edge position to its row.
-        plan_pos = np.concatenate(
-            [positions_of(penalized), positions_of(pairs, pair_kernels), positions_of(others, pool_kernels)]
-        )
-        row_of = np.empty(len(plan_pos), dtype=np.intp)
-        row_of[plan_pos] = np.arange(len(plan_pos))
-
         def group(kind, positions, call, jacobian=None):
-            return _Group(kind, row_of[positions], entries(positions), call, jacobian)
+            return _Group(kind, positions, entries(positions), call, jacobian)
 
         def loop_group(loop, call):
             return [group(None, positions_of(loop), call(loop))] if loop else []
@@ -362,16 +359,9 @@ class DualProgram:
             *(group(columns.kind, positions, *_kernel_calls(columns)) for positions, columns in pool_kernels),
             *loop_group(others, _result_call),
         ]
-        # The buffer entries in plan order and their nodes: one unbuffered
-        # scatter over them adds into each node in the order of a loop over
-        # the plan.  The penalized edges' entries come first.  When plan
-        # order is edge order, a slice reads the buffer without a copy.
+        # The penalized edges' buffer entries, where to_point adds the
+        # flow they tender.
         self._tendering = entries(positions_of(penalized))
-        plan_entries = entries(plan_pos)
-        if np.all(plan_entries[1:] > plan_entries[:-1]):
-            plan_entries = slice(None)
-        self._plan_entries = plan_entries
-        self._plan_nodes = self._nodes[plan_entries]
         # Rounding can land on a vertex optimum only when some edge's term
         # has a flat face; smooth instances skip the polish.
         self.has_flat_faces = bool(flat)
@@ -391,7 +381,7 @@ class DualProgram:
         # A node's column in the vector, n_vars standing in for a pinned node.
         self._col_of_node = np.full(instance.n, self.n_vars, dtype=np.intp)
         self._col_of_node[self.free_nodes] = np.arange(self.n_vars)
-        self._build_face_table(positions_of(pairs), pair_kernels, row_of)
+        self._build_face_table(positions_of(pairs), pair_kernels)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
         # A Hessian product needs every edge's Jacobian, the objective's
@@ -409,13 +399,12 @@ class DualProgram:
             group_entries = np.concatenate([group.entries for group in self._groups])
             self._hessian_cols = self._col_of_node[self._nodes[group_entries]].reshape(-1, 2).T.copy()
 
-    def _build_face_table(self, pairs, pair_kernels, row_of) -> None:
+    def _build_face_table(self, pairs, pair_kernels) -> None:
         """Arrays of the two-node edges with linear segments, in edge order.
 
-        Per edge: its position, its plan row (``row_of`` of the position),
-        its two buffer entries and nodes, and the vector columns of its
-        two node prices, with ``n_vars`` (a zero appended to the vector)
-        standing in for a pinned node price.  Per linear segment: its
+        Per edge: its position, its two buffer entries and nodes, and the
+        vector columns of its two node prices, with ``n_vars`` (a zero
+        appended to the vector) standing in for a pinned node price.  Per linear segment: its
         edge, slope and endpoints ``P = (-w_a, h(w_a))``, ``Q = (-w_b,
         h(w_b))``, and whether it is its edge's only segment.  A linear
         gain's one segment comes from its kernel's parameter columns;
@@ -446,7 +435,6 @@ class DualProgram:
         first = np.diff(pos, prepend=-1) != 0  # an edge's first segment
         self._face_pos = pos[first]
         self._seg_edge = np.cumsum(first) - 1
-        self._face_rows = row_of[self._face_pos]
         self._face_entries = self.offsets[self._face_pos][:, None] + np.arange(2)
         self._face_nodes = self._nodes[self._face_entries]
         self._face_cols = self._col_of_node[self._face_nodes]
@@ -501,18 +489,19 @@ class DualProgram:
         values, ties = np.empty(m), np.empty(m, dtype=bool)
         flows = np.empty(len(self._nodes))
         try:
-            for _, rows, entries, call, _ in self._groups:
-                values[rows], flow, ties[rows] = call(nu)
+            for _, positions, entries, call, _ in self._groups:
+                values[positions], flow, ties[positions] = call(nu)
                 flows[entries] = np.ravel(flow)
         except UnattainedSupremumError:
             return None
         except UnboundedEdgeError as exc:
             raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
-        # Plan order: the running sum adds term by term, as a loop over the
-        # edges would.
+        # Edge order: the running sum adds term by term and the unbuffered
+        # scatter node by node, as a loop over the edges would, and as
+        # eval_dual and assemble_net_flow do.
         value = float(np.cumsum(np.concatenate(([conj_u.value], values)))[-1])
         y_arb = np.zeros(self.instance.n)
-        np.add.at(y_arb, self._plan_nodes, flows[self._plan_entries])
+        np.add.at(y_arb, self._nodes, flows)
         grad = (y_arb - conj_u.maximizer)[self.free_nodes]
         flows = EdgeVectors(flows, self.offsets)
         return _Pass(value, conj_u, y_arb, grad, conj_u.non_unique or bool(ties.any()), flows, ties)
@@ -785,7 +774,7 @@ class DualProgram:
             return bounds
         flow = raw.flows.data[self._face_entries[rows]]
         if ties_only:
-            tie = raw.ties[self._face_rows[rows]]
+            tie = raw.ties[self._face_pos[rows]]
             rows, prices, ends, flow = rows[tie], prices[tie], ends[tie], flow[tie]
         toward = ends - flow[:, None, :]
         offsets = np.einsum("kes,ks->ke", toward, prices)

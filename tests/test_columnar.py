@@ -452,7 +452,7 @@ def _market(seed, per_edge=False):
 def test_interleaved_market_solves_as_edge_by_edge(seed):
     instance = _market(seed)
     program = DualProgram(instance)
-    kernels = [(g.kind, len(g.entries) // len(g.rows)) for g in program._groups if g.kind is not None]
+    kernels = [(g.kind, len(g.entries) // len(g.positions)) for g in program._groups if g.kind is not None]
     assert kernels == [(TwoAssetGeometricPool, 2), *((GeometricMeanPool, dim) for dim in (2, 3, 4))]
     loop = [type(instance.edges[k].oracle).__name__ for k, kind in answered_by(program).items() if kind is None]
     assert sorted(loop) == ["FisherBasketEdge", *["_PerEdgeGeometricPool"] * 5]
@@ -562,7 +562,7 @@ def test_parsed_cfmm_solves_as_its_records(seed):
     records = list(parse_instance(text).edges)
     per_edge = list(map(_per_edge, records))
     program = DualProgram(ProblemInstance(n=parsed.n, edges=per_edge, net_objective=parsed.net_objective))
-    assert [(g.kind, len(g.rows)) for g in program._groups] == [(None, len(pairs)), (None, len(pools))]
+    assert [(g.kind, len(g.positions)) for g in program._groups] == [(None, len(pairs)), (None, len(pools))]
     want = _fingerprint(solve(parsed))
     for edges in (records, per_edge):
         assert _fingerprint(solve(ProblemInstance(n=parsed.n, edges=edges, net_objective=parsed.net_objective))) == want
@@ -1077,12 +1077,12 @@ def test_check_feasibility_keeps_no_record(doc, monkeypatch):
 @pytest.mark.parametrize("make", [lambda seed: gen_cfmm(200, seed), lambda seed: gen_opf(100, seed)], ids=["cfmm", "opf"])
 def test_eval_dual_answers_column_groups_with_their_kernels(make, seed, monkeypatch):
     # eval_dual splits the edges as the dual program does: it builds no
-    # record and answers no edge of a kernel kind one by one, and it
-    # agrees with the solve's plan-order sum to the rounding of the sums.
+    # record and answers no edge of a kernel kind one by one, and it adds
+    # the terms the solve's pass adds in the same edge order: the same bits.
     instance = parse_instance(json.dumps(make(seed)))
     result = solve(instance)
     for owner, name in _PER_EDGE_PATHS:
         monkeypatch.setattr(owner, name, _refuse)
     value = eval_dual(instance, result.dual_point)
     assert not instance.edges._kept
-    assert abs(value - result.dual_value) <= 1e-14 * abs(result.dual_value), (value, result.dual_value)
+    assert value == result.dual_value

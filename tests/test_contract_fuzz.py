@@ -9,7 +9,9 @@ contract of :func:`convexflows.solve` on it:
   ``feas_tol * (1 + |dual|)`` of the dual value;
 - a finite dual value is what :func:`convexflows.eval_dual` gives at the
   result's dual point, within ``1e-12 * (1 + |dual|)``: the explicit
-  form, summed edge by edge, checks the pass's sum in plan order;
+  form, summed edge by edge, checks the pass's sum, also in edge order
+  (the tolerance covers a penalized edge, whose utility's conjugate the
+  explicit form adds as a term of its own);
 - ``check_feasibility`` on the instance, which tests column-stored edges
   a group at a time, gives the report that it gives on the same edges as
   a list of records, each tested by its ``is_member``, both at the

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -181,6 +182,17 @@ def test_check_feasibility_fails_a_nan_net_flow():
     # A finite residual past tol·(1 + |net_flow|_inf) fails it too.
     net_flow[1] = result.net_flow[1] + 1e-5
     assert not check_feasibility(instance, PrimalPoint(result.flows, net_flow), tol=1e-6).ok
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_check_feasibility_rejects_a_tolerance_that_cannot_judge(tol):
+    # A NaN tolerance fails every comparison, so it would judge a
+    # consistent point infeasible rather than be refused.
+    instance = _linear_instance()
+    flows = [np.array([-0.5, 0.5])]
+    y = assemble_net_flow(flows, instance.incidences, 2)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        check_feasibility(instance, PrimalPoint(flows, y), tol=tol)
 
 
 def test_check_feasibility_capacity_exceeded():

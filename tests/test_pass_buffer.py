@@ -4,8 +4,8 @@ Every edge belongs to one group, a kernel of a bundled kind or a loop
 over records that answer one by one, and every edge's maximizer lands in
 one :class:`~convexflows.core.EdgeVectors` buffer on the program's
 offsets, whichever group answered it.  Values and net flows are added in
-plan order: penalized edges, then the other two-node edges, then the
-rest, each in edge order.
+edge order, as :func:`~convexflows.eval_dual` and
+:func:`~convexflows.assemble_net_flow` add them.
 """
 
 import json
@@ -22,7 +22,9 @@ from convexflows import (
     ProblemInstance,
     QuadraticPenalty,
     TwoAssetGeometricPool,
+    assemble_net_flow,
     concave_gain_edge,
+    eval_dual,
     lossless_edge,
     opf_line_edge,
     piecewise_linear_edge,
@@ -33,8 +35,8 @@ from convexflows.solver import _KERNEL_KINDS, DualProgram, solve, solve_dual
 
 
 def _mixed_instance():
-    """Edges of every kind of group, interleaved so that edge order is not
-    plan order and every node is touched by more than one group."""
+    """Edges of every kind of group, interleaved so that no group's edges
+    are consecutive and every node is touched by more than one group."""
     edges = [
         Hyperedge(EdgeIncidence((0, 1, 2)), GeometricMeanPool([100.0, 150.0, 200.0], [0.2, 0.3, 0.5], 0.997)),
         Hyperedge(EdgeIncidence((1, 2)), opf_line_edge(16.0, 0.25, 2.0)),
@@ -48,30 +50,9 @@ def _mixed_instance():
     return ProblemInstance(n=4, edges=edges, net_objective=OpfQuadraticObjective([0.5, 1.0, 2.0, 1.5]))
 
 
-def _plan_order(instance):
-    """Edge positions in the order the evaluator visits them."""
-    penalized = [k for k, e in enumerate(instance.edges) if e.utility is not None]
-    pair = [
-        k
-        for k, e in enumerate(instance.edges)
-        if e.utility is None and len(e.incidence.nodes) == 2 and hasattr(e.oracle, "evaluate_pair")
-    ]
-    array = [k for k in range(instance.m) if k not in penalized and k not in pair]
-    return penalized + pair + array
-
-
 def _points(program, count=20):
     rng = np.random.default_rng(4)
     return [rng.uniform(0.2, 3.0, program.n_vars) for _ in range(count)]
-
-
-def _scatter(instance, flows, order):
-    """Net flow of ``flows`` added edge by edge in ``order``."""
-    y = np.zeros(instance.n)
-    for k in order:
-        for j, f in zip(instance.edges[k].incidence.nodes, flows[k].tolist()):
-            y[j] += f
-    return y
 
 
 def test_mixed_instance_fills_every_plan():
@@ -97,18 +78,16 @@ _LAYOUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_LAYOUTS))
-def test_groups_partition_the_edges_and_the_buffer_in_plan_order(name):
+def test_groups_partition_the_edges_and_the_buffer_in_edge_order(name):
     instance = _LAYOUTS[name]()
     program = DualProgram(instance)
-    order = _plan_order(instance)
-    edges = [pos for group in program._groups for pos in group_edges(program, group)]
-    assert sorted(edges) == list(range(instance.m))
+    positions = np.concatenate([group.positions for group in program._groups])
+    assert np.array_equal(np.sort(positions), np.arange(instance.m))
     entries = np.concatenate([np.ravel(group.entries) for group in program._groups])
     assert np.array_equal(np.sort(entries), np.arange(len(program.incidences.nodes)))
-    rows = np.concatenate([group.rows for group in program._groups])
-    assert np.array_equal(np.sort(rows), np.arange(instance.m))
     for group in program._groups:
-        assert group_edges(program, group) == [order[row] for row in group.rows.tolist()]
+        assert group_edges(program, group) == group.positions.tolist()
+        assert np.all(np.diff(group.positions) > 0)
 
 
 def test_every_kernel_kind_has_the_row_protocol():
@@ -117,18 +96,25 @@ def test_every_kernel_kind_has_the_row_protocol():
             assert callable(getattr(kind, name, None)), (kind.__name__, name)
 
 
-def test_net_flow_is_a_plan_order_scatter_of_the_buffer():
-    instance = _mixed_instance()
+@pytest.mark.parametrize("name", ["cfmm", "maxflow", "mixed", "opf"])
+def test_a_pass_adds_as_the_explicit_forms_do(name):
+    # The pass adds in edge order, so its net flow is assemble_net_flow's
+    # bit for bit and, where no edge has a penalty (whose utility's
+    # conjugate eval_dual adds as a term of its own), its value is
+    # eval_dual's at the same point.  On cfmm the two pool kinds'
+    # groups interleave in edge order.
+    instance = _LAYOUTS[name]()
     program = DualProgram(instance)
-    order = _plan_order(instance)
-    differs = 0
-    for x in _points(program):
+    # The solution, and random points above it: a cfmm objective's
+    # conjugate is finite only above its prices.
+    solved = solve_dual(instance).dual_point.node_prices[program.free_nodes]
+    for x in [solved, *(np.maximum(solved, point) for point in _points(program, 5))]:
         raw = program._cached_pass(x)
         assert raw.flows.offsets is program.offsets
-        assert _scatter(instance, raw.flows, order).tobytes() == raw.y_arb.tobytes()
-        differs += _scatter(instance, raw.flows, range(instance.m)).tobytes() != raw.y_arb.tobytes()
-    # Summed in edge order, some point's net flow has other bits.
-    assert differs > 0
+        net = assemble_net_flow(raw.flows, instance.incidences, instance.n)
+        assert net.tobytes() == raw.y_arb.tobytes()
+        if name != "mixed":
+            assert raw.value == eval_dual(instance, program.to_point(x))
 
 
 def test_solve_dual_returns_the_final_pass_buffer(monkeypatch):

@@ -351,12 +351,32 @@ def test_mincost_routes_target_at_least_cost():
 
 
 @pytest.mark.parametrize("name", ["grad_tol", "max_iter", "feas_tol"])
-@pytest.mark.parametrize("value", [0, -1.0, math.nan])
+@pytest.mark.parametrize("value", [0, -1.0, math.nan, -math.inf])
 def test_solver_config_rejects_nonpositive_fields(name, value):
     # Unchecked, a negative feas_tol would score every primal point -inf,
     # and a bad grad_tol would surface only after the dual is built.
     with pytest.raises(ValueError, match=name):
         SolverConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value", [("feas_tol", math.inf), ("max_iter", math.inf), ("max_iter", 2.5), ("max_iter", True)]
+)
+def test_solver_config_rejects_fields_that_void_converged(name, value):
+    # An infinite feas_tol certifies any recovered point, and a fractional
+    # or boolean max_iter is not an iteration count.
+    with pytest.raises(ValueError, match=f"SolverConfig.{name}"):
+        SolverConfig(**{name: value})
+
+
+def test_solver_config_keeps_an_infinite_grad_tol():
+    # Every gradient test passes, and each still asks the certificate, so
+    # the solve ends only at a certified point.  A numpy integer is an
+    # iteration count.
+    instance = opf_instance(10, 0)
+    result = solve(instance, config=SolverConfig(grad_tol=math.inf, max_iter=np.int64(200)))
+    assert result.status == "converged"
+    assert abs(result.duality_gap) <= 1e-6 * (1.0 + abs(result.dual_value))
 
 
 def _user_gain_opf_instance():
@@ -529,8 +549,13 @@ def test_polish_runs_only_with_flat_faces(instance, polished, monkeypatch):
 
 @pytest.mark.parametrize(
     "instance",
-    [quadratic_penalty_on(cfmm_instance(m=6, seed=1)), opf_instance(10, 0), maxflow_instance(10, 0.3, 0)],
-    ids=["cfmm_pen", "opf", "maxflow"],
+    [
+        cfmm_instance(m=10, seed=1),
+        quadratic_penalty_on(cfmm_instance(m=6, seed=1)),
+        opf_instance(10, 0),
+        maxflow_instance(10, 0.3, 0),
+    ],
+    ids=["cfmm", "cfmm_pen", "opf", "maxflow"],
 )
 @pytest.mark.parametrize("entry", [solve, solve_dual])
 def test_result_vectors_share_one_layout(instance, entry):
@@ -539,8 +564,8 @@ def test_result_vectors_share_one_layout(instance, entry):
     assert isinstance(flows, EdgeVectors) and isinstance(etas, EdgeVectors)
     assert flows.offsets is etas.offsets
     assert np.diff(flows.offsets).tolist() == [edge.incidence.dim for edge in instance.edges]
-    # solve_dual's net flow is summed in plan order, not edge order.
-    assert_allclose(assemble_net_flow(list(flows), instance.incidences, instance.n), result.net_flow, rtol=0, atol=1e-12)
+    net = assemble_net_flow(list(flows), instance.incidences, instance.n)
+    assert net.tobytes() == result.net_flow.tobytes()
     # Recovery re-fits flat faces only, so a penalized edge keeps the
     # flow it tenders in the final pass.
     nu = result.dual_point.node_prices
