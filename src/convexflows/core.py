@@ -238,8 +238,8 @@ class Hyperedge:
 
 
 class EdgeColumns:
-    """Edges of one bundled oracle kind and size, without utilities, one
-    row each.
+    """Edges of one bundled oracle kind and size, one row each, holding no
+    utility (the solver keeps a group's penalty beside its columns).
 
     ``kind`` is the type that answers the rows: a gain type, for the
     two-node edges ``TwoNodeEdge(kind(*args))``, or an oracle type

@@ -11,13 +11,14 @@ multiplier, so that its root is a weighted mean of knots found by a
 scan over at most ``2 * dim - 1`` pieces.  The penalized price
 subproblem ``sup_x [p·x - 1/2 |x_-|^2]``, the one an edge with a
 quadratic penalty on its tendered flow poses, reduces to the same
-scalar dual for every pool size (:func:`_penalized_trade`).  Each
-pool type's plain subproblem has one closed form, over arrays, one pool
-a row (``evaluate_rows``, over the pools of one ``dim``): the dual
-evaluator answers its pools with it, and a pool's own ``evaluate`` is a
-one-row call of it.  Both pool types share one membership test over
-rows (``member_rows``), which ``check_feasibility`` runs on a group of
-pools at once and of which a pool's ``is_member`` is a one-row call.
+scalar dual for every pool size (:func:`_penalized_rows`).  Each pool
+type's plain and penalized subproblems have one form each, over arrays,
+one pool of one ``dim`` a row (``evaluate_rows``, ``penalized_rows``):
+the dual evaluator answers its pools with them, and a pool's own
+``evaluate`` and ``evaluate_penalized`` are one-row calls of them.  Both
+pool types share one membership test over rows (``member_rows``), which
+``check_feasibility`` runs on a group of pools at once and of which a
+pool's ``is_member`` is a one-row call.
 """
 
 from __future__ import annotations
@@ -123,105 +124,103 @@ def _member_rows(reserves, weights, fee, flows, tol) -> np.ndarray:
     return finite & (np.maximum(sign_viol, np.maximum(inv_viol, 0.0)) <= scale)
 
 
-def _penalized_post(lam: float, p: float, r: float, w: float, fee: float) -> tuple[float, float, float]:
-    """One asset's post-trade reserve at multiplier ``lam`` in the
-    penalized subproblem, its log slope ``d log(post) / d log(lam)`` and
-    the amount tendered.
+def _by_math(fn, values) -> np.ndarray:
+    """``fn`` (``math.exp`` or ``math.log``) of each entry of ``values``;
+    numpy's differ from these in the last bit on some inputs."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
-    The receive side and the idle band are those of the plain subproblem.
-    On the tender side the penalty bends the stationarity condition into
-    ``(p + t) * (r + fee * t) = lam * fee * w``, a quadratic in ``t``
-    solved in its cancellation-free form.
-    """
-    if p > 0.0:
-        base = lam * w / p
-        if base < r:
-            return base, 1.0, 0.0  # receive side
+
+def _asset_sum(terms) -> np.ndarray:
+    """The rows of ``terms`` summed from zero in asset order, as a loop adds them."""
+    total = np.zeros(len(terms))
+    for column in terms.T:
+        total = total + column
+    return total
+
+
+def _penalized_posts(lam, p, r, w, fee) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each asset's post-trade reserve at its row's multiplier ``lam`` (a
+    column) in the penalized subproblem, its log slope ``d log(post) / d
+    log(lam)`` and the amount tendered.  The receive side and the idle
+    band are the plain subproblem's; on the tender side the penalty bends
+    stationarity into ``(p + t) * (r + fee * t) = lam * fee * w``, a
+    quadratic in ``t`` solved in its cancellation-free form."""
+    base = lam * w / p
+    receive = (p > 0.0) & (base < r)
     c = p * r - lam * fee * w
-    if c >= 0.0:
-        return r, 0.0, 0.0  # idle band
+    tender = ~receive & ~(c >= 0.0)
     b = r + fee * p
-    t = -2.0 * c / (b + math.sqrt(b * b - 4.0 * fee * c))
-    post = r + fee * t
+    t = np.where(tender, -2.0 * c / (b + np.sqrt(b * b - 4.0 * fee * c)), 0.0)
+    post = np.where(receive, base, np.where(tender, r + fee * t, r))
     a = fee * (p + t)
-    return post, a / (post + a), t
+    return post, np.where(receive, 1.0, np.where(tender, a / (post + a), 0.0)), t
 
 
-def _penalized_trade(prices, reserves, weights, fee: float) -> tuple[float, list[float]]:
-    """Maximize ``prices @ x - 1/2 |x_-|^2`` over a geometric mean pool's trades.
+def _penalized_rows(reserves, weights, fee, prices):
+    """Maximize ``prices @ x - 1/2 |x_-|^2`` over the trades of geometric
+    mean pools of one ``dim``, one pool a row (``m x dim`` blocks, ``m``
+    fees); returns ``(value, flow, non_unique)``, the penalty in ``value``.
 
-    Shared by both pool classes.  For a fixed multiplier ``lam`` on the
-    invariant the problem separates by asset (:func:`_penalized_post`),
-    and the log residual ``sum_j w_j log(post_j / r_j)`` is increasing in
-    ``log(lam)``.  Its root is found by Newton steps on ``log(lam)``
-    inside a bracket that every step shrinks; a step that would leave the
-    bracket halves it instead.  The bracket is the plain subproblem's,
-    ``[min_j s_j, max_j s_j / fee]`` with ``s_j = p_j r_j / w_j``, widened
-    downwards when a zero price leaves its lower end above the root (an
-    asset priced at zero is tendered at any ``lam > 0``, as its first
-    unit costs nothing).  Unlike the plain subproblem, zero prices need no
-    special case: the penalty bounds what is tendered.
-
-    Returns ``(value, flow)`` with the flow as Python floats; the
-    maximizer is unique.
+    At a fixed multiplier ``lam`` on the invariant the problem separates
+    by asset (:func:`_penalized_posts`), and the log residual ``sum_j w_j
+    log(post_j / r_j)`` rises with ``log(lam)``.  Newton steps on
+    ``log(lam)`` find its root in a bracket that each step shrinks, or
+    halves when the step would leave it: the plain subproblem's ``[min_j
+    s_j, max_j s_j / fee]`` (``s_j = p_j r_j / w_j``), widened downwards
+    when a zero price puts the root below it.  A row stops at a zero
+    residual or a step within ``4e-16`` of its point, and takes the steps
+    it would take alone (``math``'s exp and log, all else elementwise,
+    sums in asset order).  Rows in the plain no-trade band trade nothing;
+    a negative price raises ``ValueError`` for the first such row.
     """
-    if min(prices) < 0.0:
-        raise ValueError(f"prices must be nonnegative, got {list(prices)}")
-    dim = len(prices)
-    s = [p * r / w for p, r, w in zip(prices, reserves, weights)]
-    # No-trade band of the plain subproblem; the penalty only acts on
-    # trades, so the band is the same (all-zero prices fall in it).
-    if not fee * max(s) > min(s):
-        return 0.0, [0.0] * dim
+    bad = (prices < 0).any(axis=1)
+    if bad.any():
+        raise ValueError(f"prices must be nonnegative, got {prices[int(np.argmax(bad))].tolist()}")
+    m, dim = prices.shape
+    value, flow = np.zeros(m), np.zeros((m, dim))
+    with np.errstate(all="ignore"):
+        s = prices * reserves / weights
+        rows = np.flatnonzero(fee * s.max(axis=1) > s.min(axis=1))
+        p, r, w, gamma, s = prices[rows], reserves[rows], weights[rows], fee[rows, None], s[rows]
 
-    def residual(u: float) -> tuple[float, float]:
-        lam = math.exp(u)
-        resid = slope = 0.0
-        for p, r, w in zip(prices, reserves, weights):
-            post, d, _ = _penalized_post(lam, p, r, w, fee)
-            if post != r:
-                resid += w * math.log(post / r)
-                slope += w * d
-        return resid, slope
+        def residual(at, u):
+            # The log residual at the rows ``at`` and its slope in u; an
+            # asset whose reserve stays put adds nothing.
+            post, slope, _ = _penalized_posts(_by_math(math.exp, u)[:, None], p[at], r[at], w[at], gamma[at])
+            moved = post != r[at]
+            logs = _by_math(math.log, np.where(moved, post / r[at], 1.0))
+            return _asset_sum(w[at] * logs), _asset_sum(np.where(moved, w[at] * slope, 0.0))
 
-    hi = math.log(max(s) / fee)
-    positive = [v for v in s if v > 0.0]
-    lo = math.log(min(positive))
-    if len(positive) == dim:
-        # Start where the receive side alone would balance: the weighted
-        # log mean of the s_j, the exact root of the plain subproblem at
-        # fee 1.
-        u = sum(w * math.log(v) for w, v in zip(weights, s))
-    else:
-        while residual(lo)[0] > 0.0:
-            lo -= 1.0
-        u = 0.5 * (lo + hi)
-    if not lo < u < hi:
-        u = 0.5 * (lo + hi)
-    for _ in range(_PENALIZED_ITERS):
-        resid, slope = residual(u)
-        if resid == 0.0:
-            break
-        if resid < 0.0:
-            lo = u
-        else:
-            hi = u
-        step = -resid / slope if slope > 0.0 else math.nan
-        if abs(step) <= 4e-16 * max(1.0, abs(u)):
-            break
-        u += step
-        if not lo < u < hi:
-            u = 0.5 * (lo + hi)
+        hi = _by_math(math.log, s.max(axis=1) / gamma[:, 0])
+        lo = _by_math(math.log, np.where(s > 0.0, s, math.inf).min(axis=1))
+        # Start at the weighted log mean of the s_j, the plain subproblem's
+        # root at fee 1, or mid-bracket on a row with a zero s_j.
+        full = (s > 0.0).all(axis=1)
+        log_s = _by_math(math.log, np.where(full[:, None], s, 1.0))
+        widen = np.flatnonzero(~full)
+        while len(widen):
+            widen = widen[residual(widen, lo[widen])[0] > 0.0]
+            lo[widen] -= 1.0
+        u = np.where(full, _asset_sum(w * log_s), 0.5 * (lo + hi))
+        u = np.where((lo < u) & (u < hi), u, 0.5 * (lo + hi))
+        live = np.arange(len(rows))
+        for _ in range(_PENALIZED_ITERS):
+            if not len(live):
+                break
+            resid, slope = residual(live, u[live])
+            keep = resid != 0.0
+            live, resid, slope = live[keep], resid[keep], slope[keep]
+            at, below = u[live], resid < 0.0
+            lo[live[below]], hi[live[~below]] = at[below], at[~below]
+            step = np.where(slope > 0.0, -resid / slope, math.nan)
+            keep = ~(np.abs(step) <= 4e-16 * np.maximum(1.0, np.abs(at)))
+            live, at = live[keep], at[keep] + step[keep]
+            u[live] = np.where((lo[live] < at) & (at < hi[live]), at, 0.5 * (lo[live] + hi[live]))
 
-    lam = math.exp(u)
-    value = 0.0
-    flow = []
-    for p, r, w in zip(prices, reserves, weights):
-        post, _, t = _penalized_post(lam, p, r, w, fee)
-        x = -t if t > 0.0 else r - post
-        flow.append(x)
-        value += p * x - 0.5 * t * t
-    return value, flow
+        post, _, t = _penalized_posts(_by_math(math.exp, u)[:, None], p, r, w, gamma)
+        flow[rows] = np.where(t > 0.0, -t, r - post)
+        value[rows] = _asset_sum(p * flow[rows] - 0.5 * t * t)
+    return value, flow, np.zeros(m, dtype=bool)
 
 
 class TwoAssetGeometricPool(EdgeOracle):
@@ -366,12 +365,16 @@ class TwoAssetGeometricPool(EdgeOracle):
             value[rows] = q1 * f1[rows] + q2 * f2[rows]
         return value, np.stack([f1, f2], axis=1), np.zeros(m, dtype=bool)
 
+    @staticmethod
+    def penalized_rows(r0, r1, weight, fee, prices):
+        """The pools' penalized subproblem, one pool a row (:func:`_penalized_rows`)."""
+        return _penalized_rows(np.stack([r0, r1], axis=1), np.stack([weight, 1.0 - weight], axis=1), fee, prices)
+
     def evaluate_penalized(self, prices) -> ArbitrageResult:
-        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades
-        (:func:`_penalized_trade`); ``value`` includes the penalty."""
-        reserves, weights = (self._r0, self._r1), (self._weight, 1.0 - self._weight)
-        value, flow = _penalized_trade([float(p) for p in prices], reserves, weights, self._fee)
-        return ArbitrageResult(value=value, flow=np.array(flow))
+        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades (a
+        one-row call of :meth:`penalized_rows`); ``value`` has the penalty."""
+        value, flow, _ = self.penalized_rows(*_row(self.row_params()), np.asarray(prices, dtype=float)[None])
+        return ArbitrageResult(value=float(value[0]), flow=flow[0])
 
     @staticmethod
     def member_rows(r0, r1, weight, fee, flows, tol) -> np.ndarray:
@@ -442,14 +445,11 @@ class GeometricMeanPool(EdgeOracle):
         """Which rows of reserves, weights (``m x dim`` each) and fees the
         constructor rejects, by its own checks, over arrays.  The weights
         are summed left to right, as ``sum`` adds them."""
-        total = np.zeros(len(fee))
-        for column in weights.T:
-            total = total + column
         return (
             ~((0.0 < reserves) & (reserves < math.inf)).all(axis=1)
             | ~((0.0 < fee) & (fee <= 1.0))
             | ~(weights > 0.0).all(axis=1)
-            | ~(np.abs(total - 1.0) <= 1e-9)
+            | ~(np.abs(_asset_sum(weights) - 1.0) <= 1e-9)
         )
 
     @classmethod
@@ -549,11 +549,14 @@ class GeometricMeanPool(EdgeOracle):
             value[rows] = np.vecdot(prices[rows], traded)
         return value, flow, np.zeros(m, dtype=bool)
 
+    #: The pools' penalized subproblem, one pool a row (:func:`_penalized_rows`).
+    penalized_rows = staticmethod(_penalized_rows)
+
     def evaluate_penalized(self, prices) -> ArbitrageResult:
-        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades
-        (:func:`_penalized_trade`); ``value`` includes the penalty."""
-        value, flow = _penalized_trade([float(p) for p in prices], self._r, self._w, self._fee)
-        return ArbitrageResult(value=value, flow=np.array(flow))
+        """Maximize ``prices @ x - 1/2 |x_-|^2`` over the pool's trades (a
+        one-row call of :meth:`penalized_rows`); ``value`` has the penalty."""
+        value, flow, _ = self.penalized_rows(*_row(self.row_params()), np.asarray(prices, dtype=float)[None])
+        return ArbitrageResult(value=float(value[0]), flow=flow[0])
 
     #: The pools' membership test, one pool a row (:func:`_member_rows`).
     member_rows = staticmethod(_member_rows)

@@ -76,6 +76,7 @@ ignored (and may be None) when the value is infinite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -118,9 +119,11 @@ class QNConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        # Written as "not positive" so that a NaN fails the check too.
-        if not self.grad_tol > 0 or not self.max_iter > 0:
-            raise ValueError("driver parameters out of range")
+        # Written as "not positive" so that a NaN fails too; inf is allowed.
+        if not self.grad_tol > 0:
+            raise ValueError(f"QNConfig.grad_tol must be positive, got {self.grad_tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"QNConfig.max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass

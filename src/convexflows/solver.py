@@ -32,10 +32,10 @@ instance and every entry point (:func:`solve_dual`, :func:`solve`),
 serially and in a fixed order.  The subproblems split over the edges,
 and the edges into groups, each answered by one call per pass: the
 edges of a bundled kind (transmission lines, linear gains, two-asset
-pools, and multi-asset pools of each size) by that kind's kernel over
-arrays, bit for bit as edge by edge, read straight from the columns a
-parsed instance stores them in; every other edge by a loop over its
-group's records.  One pass gives the dual value, the gradient and every
+pools, and multi-asset pools of each size, the pools with a penalty or
+without) by that kind's kernel over arrays, bit for bit as edge by edge,
+read straight from the columns a parsed instance stores them in; every
+other edge by one loop over its record.  One pass gives the dual value, the gradient and every
 edge's maximizer, in one buffer in edge order whichever group answered
 the edge; the driver, its screens, the trace callback and the final
 result all read that pass.  The evaluator caches three passes, the last
@@ -60,8 +60,6 @@ import numbers
 import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +106,8 @@ _FLOOR_SLACK = 1e-9
 # The kinds whose edges a kernel answers: the gain types of a
 # TwoNodeEdge, and oracle types.
 _KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool, GeometricMeanPool)
+# The kinds whose edges with a penalty a kernel answers (``penalized_rows``).
+_PENALIZED_KINDS = (TwoAssetGeometricPool, GeometricMeanPool)
 
 
 class UnboundedDualError(RuntimeError):
@@ -234,15 +234,15 @@ class _Pass(NamedTuple):
 class _Group(NamedTuple):
     """Edges that one call answers per pass, the unit of a :class:`DualProgram`.
 
-    ``kind`` is the bundled kind whose kernel answers them, or None for a
-    loop over their records.  ``positions`` are their places in the
-    instance, in edge order, and ``entries`` their flows' places in the
-    pass buffer, each edge's in a run.  ``call`` maps the pass's node
-    prices to their values and tie flags, one per position, and their
-    flows (an ``m x d`` block from a kernel), which laid end to end
-    match ``entries``.  ``jacobian`` maps them to
-    the flows' Jacobians in the edges' prices, an ``m x d x d`` block, or
-    is None when the group's kind has no ``jacobian_rows``.
+    ``kind`` is the bundled kind whose kernel answers them, or None for
+    the loop over every other edge's record.  ``positions`` are their
+    places in the instance, in edge order, and ``entries`` their flows'
+    places in the pass buffer, each edge's in a run.  ``call`` maps the
+    pass's node prices to their values and tie flags, one per position,
+    and their flows (an ``m x d`` block from a kernel), which laid end to
+    end match ``entries``.  ``jacobian`` maps them to the flows'
+    Jacobians in the edges' prices, an ``m x d x d`` block, or is None
+    for the loop, a penalized group and a kind without ``jacobian_rows``.
     """
 
     kind: type | None
@@ -273,22 +273,24 @@ class DualProgram:
     coordinate per free node on every instance.
 
     The edges are split once, at build time, into groups (:class:`_Group`),
-    and a pass is one call per group, in this order, which fixes the
-    first error a pass raises: the edges with a penalty (a loop over
-    their penalized subproblems), the two-node kernels, the other
-    two-node edges (a loop over ``evaluate_pair`` on Python floats), the
-    multi-asset pool kernels, and the rest (a loop over ``evaluate``).
-    Every ``TwoNodeEdge`` whose gain is exactly a ``PowerLossGain`` or a
-    ``LinearGain``, and every oracle that is exactly a
-    ``TwoAssetGeometricPool`` or a ``GeometricMeanPool``, goes to its
-    kind's kernel (``evaluate_rows``, one group per kind and size), equal
-    bit for bit to the edge's own method; a column-stored edge (see
-    :class:`~convexflows.core.EdgeTable`) is read from its columns and
-    never built as a record.  The loops' oracle methods are captured
-    here.  Values are added in edge order by one running sum, and the net
-    flow is one scatter of the buffer in edge order, as :func:`eval_dual`
-    and :func:`~convexflows.core.assemble_net_flow` add them, so the sums
-    do not depend on which group answered an edge.
+    and a pass is one call per group: the kernel groups first, in the
+    order :func:`_edge_groups` gives them, and then the one loop group,
+    which answers every other edge in edge order through its oracle's
+    ``evaluate``, or ``evaluate_penalized`` when the edge has a penalty.
+    That order fixes the first error a pass raises: a kernel group's
+    before any loop edge's.  Every ``TwoNodeEdge`` without a penalty
+    whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and
+    every oracle that is exactly a ``TwoAssetGeometricPool`` or a
+    ``GeometricMeanPool``, goes to its kind's kernel (``evaluate_rows``,
+    or ``penalized_rows`` for a pool with a penalty; one group per kind,
+    size and penalty), equal bit for bit to the edge's own method; a
+    column-stored edge (see :class:`~convexflows.core.EdgeTable`) is read
+    from its columns and never built as a record.  The loop's oracle
+    methods are captured here.  Values are added in edge order by one
+    running sum, and the net flow is one scatter of the buffer in edge
+    order, as :func:`eval_dual` and
+    :func:`~convexflows.core.assemble_net_flow` add them, so the sums do
+    not depend on which group answered an edge.
 
     The piecewise-linear two-node edges without a penalty (the linear
     gains too), the only ones with flat faces to report, also go into a
@@ -298,8 +300,9 @@ class DualProgram:
     A penalized edge is smooth in the node prices and has no face.
 
     ``has_hessian`` says whether :meth:`hessian_at` applies: every group
-    is a kernel group whose kind has ``jacobian_rows``, the objective
-    gives its conjugate's curvature and no edge has a flat face.
+    is a kernel group without a penalty whose kind has ``jacobian_rows``,
+    the objective gives its conjugate's curvature and no edge has a flat
+    face.
 
     It keeps the instance's flat incidences (``incidences``), and its
     results' per-edge vectors share their ``offsets`` array over the
@@ -326,19 +329,7 @@ class DualProgram:
         self.incidences = instance.incidences
         self._nodes = self.incidences.nodes
         self.offsets = self.incidences.offsets
-        # The loop groups' records, as (position, nodes, method).
-        penalized, pairs, others, kernels, flat = _edge_groups(instance)
-        penalized = [(pos, edge.incidence.nodes, edge.oracle.evaluate_penalized) for pos, edge in penalized]
-        pairs = [(pos, *edge.incidence.nodes, edge.oracle.evaluate_pair) for pos, edge in pairs]
-        others = [(pos, edge.incidence.nodes, edge.oracle.evaluate) for pos, edge in others]
-        # The multi-asset pool, which has no evaluate_pair, is the one
-        # kernel kind outside the two-node edges.
-        pair_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is not GeometricMeanPool]
-        pool_kernels = [(positions, columns) for positions, columns in kernels if columns.kind is GeometricMeanPool]
-
-        def positions_of(loop):
-            """The edge positions of a loop's records, in edge order."""
-            return np.array([pos for pos, *_ in loop], dtype=np.intp)
+        records, kernels, flat = _edge_groups(instance)
 
         def entries(positions):
             """The buffer entries of the edges at ``positions``, in that order."""
@@ -349,19 +340,16 @@ class DualProgram:
         def group(kind, positions, call, jacobian=None):
             return _Group(kind, positions, entries(positions), call, jacobian)
 
-        def loop_group(loop, call):
-            return [group(None, positions_of(loop), call(loop))] if loop else []
-
         self._groups = [
-            *loop_group(penalized, partial(_result_call, as_floats=True)),
-            *(group(columns.kind, positions, *_kernel_calls(columns)) for positions, columns in pair_kernels),
-            *loop_group(pairs, _pair_call),
-            *(group(columns.kind, positions, *_kernel_calls(columns)) for positions, columns in pool_kernels),
-            *loop_group(others, _result_call),
+            group(columns.kind, positions, *_kernel_calls(columns, penalized))
+            for positions, columns, penalized in kernels
         ]
+        if records:
+            positions = np.array([pos for pos, _ in records], dtype=np.intp)
+            self._groups.append(group(None, positions, _result_call(records)))
         # The penalized edges' buffer entries, where to_point adds the
         # flow they tender.
-        self._tendering = entries(positions_of(penalized))
+        self._tendering = entries(np.array(instance.utility_edges, dtype=np.intp))
         # Rounding can land on a vertex optimum only when some edge's term
         # has a flat face; smooth instances skip the polish.
         self.has_flat_faces = bool(flat)
@@ -381,7 +369,8 @@ class DualProgram:
         # A node's column in the vector, n_vars standing in for a pinned node.
         self._col_of_node = np.full(instance.n, self.n_vars, dtype=np.intp)
         self._col_of_node[self.free_nodes] = np.arange(self.n_vars)
-        self._build_face_table(positions_of(pairs), pair_kernels)
+        two_node = [(pos, edge) for pos, edge in records if edge.utility is None and isinstance(edge.oracle, TwoNodeEdge)]
+        self._build_face_table(two_node, kernels)
         self._faces_x: np.ndarray | None = None
         self._faces_at: _Faces | None = None
         # A Hessian product needs every edge's Jacobian, the objective's
@@ -399,7 +388,7 @@ class DualProgram:
             group_entries = np.concatenate([group.entries for group in self._groups])
             self._hessian_cols = self._col_of_node[self._nodes[group_entries]].reshape(-1, 2).T.copy()
 
-    def _build_face_table(self, pairs, pair_kernels) -> None:
+    def _build_face_table(self, records, kernels) -> None:
         """Arrays of the two-node edges with linear segments, in edge order.
 
         Per edge: its position, its two buffer entries and nodes, and the
@@ -408,8 +397,8 @@ class DualProgram:
         edge, slope and endpoints ``P = (-w_a, h(w_a))``, ``Q = (-w_b,
         h(w_b))``, and whether it is its edge's only segment.  A linear
         gain's one segment comes from its kernel's parameter columns;
-        ``pairs`` holds the positions of the two-node edges answered one
-        by one.
+        ``records`` holds the ``(position, edge)`` records of the
+        ``TwoNodeEdge`` edges without a penalty that the loop answers.
         """
         # Rows of (position, slope, P, Q, single segment), in edge order;
         # an edge's own segments keep theirs.
@@ -417,14 +406,13 @@ class DualProgram:
         # An instance without flat faces has no table edge to look for.
         if self.has_flat_faces:
             segments = []
-            for pos in pairs.tolist():
-                oracle = self.instance.edges[pos].oracle
-                pieces = oracle.gain.linear_segments() if isinstance(oracle, TwoNodeEdge) else None
+            for pos, edge in records:
+                gain = edge.oracle.gain
+                pieces = gain.linear_segments()
                 for w_a, w_b, slope in pieces or ():
-                    ends = (-w_a, oracle.gain.value(w_a), -w_b, oracle.gain.value(w_b))
-                    segments.append((pos, slope, *ends, len(pieces) == 1))
+                    segments.append((pos, slope, -w_a, gain.value(w_a), -w_b, gain.value(w_b), len(pieces) == 1))
             parts = [seg, np.array(segments, dtype=float).reshape(-1, 7)]
-            for positions, columns in pair_kernels:
+            for positions, columns, _ in kernels:
                 if columns.kind is LinearGain:
                     slope, capacity, input_lo = columns.params
                     ends = (-input_lo, slope * input_lo, -capacity, slope * capacity)
@@ -820,84 +808,69 @@ class SolveResult:
 def _edge_groups(instance: ProblemInstance):
     """The edges of ``instance`` split as a :class:`DualProgram` groups them.
 
-    Returns ``(penalized, pairs, others, kernels, flat)``: the ``(position,
-    edge)`` records of the edges with a utility, of the other two-node
-    edges with an ``evaluate_pair`` and of the rest, each in edge order;
-    ``(positions, columns)`` of every kernel group, the instance's column
-    groups first and then one :class:`~convexflows.core.EdgeColumns` per
-    kernel kind and size over the records of that kind; and whether some
-    edge without a utility has a flat face.  An edge goes to a kernel
-    group when it has no utility and its oracle is exactly one of the
-    kernel kinds, or a ``TwoNodeEdge`` whose gain is exactly one.
+    Returns ``(records, kernels, flat)``: the ``(position, edge)`` records
+    of the edges the loop answers, in edge order; ``(positions, columns,
+    penalized)`` of every kernel group, the instance's column groups
+    (which have no utilities) first and then one
+    :class:`~convexflows.core.EdgeColumns` per kernel kind, size and
+    penalty over the records of that kind; and whether some edge without
+    a utility has a flat face.  An edge without a utility goes to a
+    kernel group when its oracle is exactly one of the kernel kinds, or a
+    ``TwoNodeEdge`` whose gain is exactly one; an edge with a penalty when
+    its oracle is exactly a pool kind, whose ``penalized_rows`` answers it.
     """
-    penalized, pairs, others, kernel_rows = [], [], [], {}
+    records, kernel_rows = [], {}
     flat = False
     for pos, edge in instance.edge_records():
         oracle = edge.oracle
-        if edge.utility is not None:
-            penalized.append((pos, edge))
-            continue
-        flat = flat or not oracle.is_strictly_convex
+        penalized = edge.utility is not None
+        flat = flat or not (penalized or oracle.is_strictly_convex)
         nodes = edge.incidence.nodes
         # A bundled gain's parameters sit on the gain, a pool's on itself.
         owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
-        if type(owner) in _KERNEL_KINDS:
-            kernel_rows.setdefault((type(owner), len(nodes)), []).append((pos, nodes, owner.row_params()))
-        elif len(nodes) == 2 and hasattr(oracle, "evaluate_pair"):
-            pairs.append((pos, edge))
+        if type(owner) in (_PENALIZED_KINDS if penalized else _KERNEL_KINDS):
+            kernel_rows.setdefault((type(owner), len(nodes), penalized), []).append((pos, nodes, owner.row_params()))
         else:
-            others.append((pos, edge))
-    kernels = instance.edge_columns()
-    for (kind, _), rows in kernel_rows.items():
+            records.append((pos, edge))
+    kernels = [(positions, columns, False) for positions, columns in instance.edge_columns()]
+    for (kind, _, penalized), rows in kernel_rows.items():
         positions, nodes, params = zip(*rows)
-        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params))))
+        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params)), penalized))
     # Linear gains are the one kernel kind with flat faces.
-    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in kernels)
-    return penalized, pairs, others, kernels, flat
+    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns, _ in kernels)
+    return records, kernels, flat
 
 
-def _kernel_calls(columns: EdgeColumns) -> tuple[Callable, Callable | None]:
-    """The call of a kernel group, its kind's ``evaluate_rows`` over the
-    block of its edges' node prices, and its Jacobian call, the kind's
-    ``jacobian_rows`` over the same block (None when the kind has none)."""
+def _kernel_calls(columns: EdgeColumns, penalized: bool) -> tuple[Callable, Callable | None]:
+    """The call of a kernel group, its kind's ``penalized_rows`` (with
+    ``penalized``) or ``evaluate_rows`` over the block of its edges' node
+    prices, and its Jacobian call, the kind's ``jacobian_rows`` over the
+    same block (None when the group is penalized or the kind has none)."""
     nodes, params = columns.nodes, columns.params
-    evaluate_rows, jacobian_rows = columns.kind.evaluate_rows, getattr(columns.kind, "jacobian_rows", None)
+    rows = columns.kind.penalized_rows if penalized else columns.kind.evaluate_rows
+    jacobian_rows = None if penalized else getattr(columns.kind, "jacobian_rows", None)
     jacobian = None if jacobian_rows is None else (lambda nu: jacobian_rows(*params, nu[nodes]))
-    return (lambda nu: evaluate_rows(*params, nu[nodes])), jacobian
+    return (lambda nu: rows(*params, nu[nodes])), jacobian
 
 
-def _pair_call(records) -> Callable:
-    """The call of a loop group of two-node edges, from their ``(position,
-    node, node, evaluate_pair)`` records, on Python floats (exact IEEE as on
-    numpy scalars, only faster)."""
+def _result_call(records) -> Callable:
+    """The call of the loop group, from its ``(position, edge)`` records.
 
-    def call(nu):
-        prices = nu.tolist()
-        out = np.array([evaluate_pair(prices[i], prices[j]) for _, i, j, evaluate_pair in records])
-        return out[:, 0], out[:, 1:3], out[:, 3] != 0.0
-
-    return call
-
-
-def _result_call(records, as_floats: bool = False) -> Callable:
-    """The call of a loop group of edges whose oracle method returns an
-    ``ArbitrageResult``, from their ``(position, nodes, method)`` records.
-
-    With ``as_floats`` a method takes its local prices as a tuple of
-    Python floats, else as an array.  Each flow goes straight into its
-    span of the group's flows, so no edge's result outlives its turn.
+    Each edge answers through its oracle's ``evaluate_penalized`` when it
+    has a utility and its ``evaluate`` otherwise, with its local prices as
+    an array; the methods are captured here.  Each flow goes straight
+    into its span of the group's flows, so no edge's result outlives its
+    turn.
     """
-    ends = np.cumsum([len(nodes) for _, nodes, _ in records]).tolist()
-    calls = [
-        (itemgetter(*nodes) if as_floats else itemgetter(np.array(nodes)), slice(end - len(nodes), end), method)
-        for (_, nodes, method), end in zip(records, ends)
-    ]
+    nodes = [np.array(edge.incidence.nodes) for _, edge in records]
+    methods = [edge.oracle.evaluate if edge.utility is None else edge.oracle.evaluate_penalized for _, edge in records]
+    ends = np.cumsum([len(local) for local in nodes]).tolist()
+    calls = [(local, slice(end - len(local), end), method) for local, end, method in zip(nodes, ends, methods)]
 
     def call(nu):
-        prices = nu.tolist() if as_floats else nu
         values, flows, ties = [], np.empty(ends[-1]), []
         for local, span, evaluate in calls:
-            res = evaluate(local(prices))
+            res = evaluate(nu[local])
             values.append(res.value)
             flows[span] = res.flow
             ties.append(res.non_unique)
@@ -1072,8 +1045,9 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     an edge without a utility term whose prices differ from
     ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.  The
     edges are split as :class:`DualProgram` splits them: each kernel
-    group is answered by one call of its kind's kernel, and only the
-    other edges one by one.
+    group without a penalty is answered by one call of its kind's kernel,
+    and only the other edges one by one, an edge with a utility in the
+    explicit form (its utility's conjugate and its oracle's ``evaluate``).
 
     Raises:
         DimensionError: The node prices are not ``n`` numbers, the point
@@ -1103,27 +1077,30 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     mismatch[list(instance.utility_edges)] = False
     if mismatch.any():
         return math.inf
-    penalized, pairs, others, kernels, _ = _edge_groups(instance)
+    records, kernels, _ = _edge_groups(instance)
     values, conj_v = np.empty(instance.m), []
     try:
-        for pos, edge in penalized:
+        for pos in instance.utility_edges:
+            edge = instance.edges[pos]
             span = slice(offsets[pos], offsets[pos + 1])
             conj = edge.utility.conj(eta[span] - base[span])
             if not conj.finite:
                 return math.inf
             conj_v.append(conj.value)
             values[pos] = edge.oracle.evaluate(eta[span]).value
-        for pos, edge in pairs + others:
-            values[pos] = edge.oracle.evaluate(base[offsets[pos] : offsets[pos + 1]]).value
-        for positions, columns in kernels:
-            values[positions] = columns.kind.evaluate_rows(*columns.params, nu[columns.nodes])[0]
+        for pos, edge in records:
+            if edge.utility is None:
+                values[pos] = edge.oracle.evaluate(base[offsets[pos] : offsets[pos + 1]]).value
+        for positions, columns, penalized in kernels:
+            if not penalized:
+                values[positions] = columns.kind.evaluate_rows(*columns.params, nu[columns.nodes])[0]
     except UnattainedSupremumError:
         return math.inf
     except UnboundedEdgeError as exc:
         raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
     # Edge order, each utility's conjugate just before its edge's value:
     # the running sum adds term by term, as a loop over the edges would.
-    terms = np.insert(values, [pos for pos, _ in penalized], conj_v)
+    terms = np.insert(values, list(instance.utility_edges), conj_v)
     return float(np.cumsum(np.concatenate(([conj_u.value], terms)))[-1])
 
 

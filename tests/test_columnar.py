@@ -553,8 +553,8 @@ def _per_edge(edge):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_parsed_cfmm_solves_as_its_records(seed):
     # Column-stored pools, the same pools as a list of records (which the
-    # kernels read through row_params) and as subclasses (which loop groups
-    # answer one by one): one solve, bit for bit.
+    # kernels read through row_params) and as subclasses (which the loop
+    # group answers one by one): one solve, bit for bit.
     text = json.dumps(gen_cfmm(200, seed))
     parsed = parse_instance(text)
     pairs, pools = _group(parsed, TwoAssetGeometricPool), _group(parsed, GeometricMeanPool)
@@ -562,7 +562,7 @@ def test_parsed_cfmm_solves_as_its_records(seed):
     records = list(parse_instance(text).edges)
     per_edge = list(map(_per_edge, records))
     program = DualProgram(ProblemInstance(n=parsed.n, edges=per_edge, net_objective=parsed.net_objective))
-    assert [(g.kind, len(g.positions)) for g in program._groups] == [(None, len(pairs)), (None, len(pools))]
+    assert [(g.kind, len(g.positions)) for g in program._groups] == [(None, len(pairs) + len(pools))]
     want = _fingerprint(solve(parsed))
     for edges in (records, per_edge):
         assert _fingerprint(solve(ProblemInstance(n=parsed.n, edges=edges, net_objective=parsed.net_objective))) == want

@@ -110,7 +110,7 @@ def _groups(instance):
     list of edges)."""
     kernels = [
         (positions.tobytes(), columns.kind, columns.nodes.tobytes(), [column.tobytes() for column in columns.params])
-        for positions, columns in _edge_groups(instance)[3]
+        for positions, columns, _ in _edge_groups(instance)[1]
     ]
     return kernels, instance.edges.group.tobytes() if isinstance(instance.edges, EdgeTable) else None
 

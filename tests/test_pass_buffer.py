@@ -9,6 +9,8 @@ edge order, as :func:`~convexflows.eval_dual` and
 """
 
 import json
+import math
+import traceback
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from convexflows import (
     EdgeIncidence,
     GeometricMeanPool,
     Hyperedge,
+    LinearNonnegObjective,
     OpfQuadraticObjective,
     ProblemInstance,
     QuadraticPenalty,
@@ -29,9 +32,9 @@ from convexflows import (
     opf_line_edge,
     piecewise_linear_edge,
 )
-from convexflows.edges import LinearGain, PowerLossGain
+from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge
 from convexflows.io_cli import gen_cfmm, gen_maxflow, gen_opf, parse_instance
-from convexflows.solver import _KERNEL_KINDS, DualProgram, solve, solve_dual
+from convexflows.solver import _KERNEL_KINDS, DualProgram, UnboundedDualError, solve, solve_dual
 
 
 def _mixed_instance():
@@ -57,10 +60,40 @@ def _points(program, count=20):
 
 def test_mixed_instance_fills_every_plan():
     program = DualProgram(_mixed_instance())
-    kernels = {0: GeometricMeanPool, 1: PowerLossGain, 3: LinearGain, 7: GeometricMeanPool}
+    kernels = {0: GeometricMeanPool, 1: PowerLossGain, 2: TwoAssetGeometricPool, 3: LinearGain, 7: GeometricMeanPool}
     assert answered_by(program) == {k: kernels.get(k) for k in range(8)}
-    # The penalized edges, then the other two-node edges answered one by one.
-    assert [group_edges(program, g) for g in program._groups if g.kind is None] == [[2, 5], [4, 6]]
+    # One loop group answers every other edge, the penalized lossless line too.
+    assert [group_edges(program, g) for g in program._groups if g.kind is None] == [[4, 5, 6]]
+
+
+class _UserLine(TwoNodeEdge):
+    """A subclass of the two-node edge, which the loop answers."""
+
+
+def _failing_method(exc):
+    """The oracle method a dual pass's error came from: the innermost
+    frame of the edge error it wraps."""
+    return traceback.extract_tb(exc.__cause__.__traceback__)[-1].name
+
+
+def test_a_pass_raises_the_first_kernel_error_before_any_loop_error():
+    # Both lines below can withdraw input without limit at a zero output
+    # price.  The loop edge comes first in edge order, but a pass calls
+    # the kernel groups first, so when both fail the kernel's error is
+    # the one raised; the loop edge's is raised when it fails alone.
+    unbounded = LinearGain(1.0, 2.0, -math.inf)
+    edges = [
+        Hyperedge(EdgeIncidence((0, 1)), _UserLine(unbounded)),
+        Hyperedge(EdgeIncidence((1, 2)), TwoAssetGeometricPool([100.0, 120.0], 0.5, 0.997), QuadraticPenalty(2)),
+        Hyperedge(EdgeIncidence((2, 3)), TwoNodeEdge(unbounded)),
+    ]
+    program = DualProgram(ProblemInstance(n=4, edges=edges, net_objective=LinearNonnegObjective(np.zeros(4))))
+    assert [group.kind for group in program._groups] == [TwoAssetGeometricPool, LinearGain, None]
+    for x, method in (([1.0, 0.0, 1.0, 0.0], "evaluate_rows"), ([1.0, 0.0, 1.0, 1.0], "evaluate_pair")):
+        with pytest.raises(UnboundedDualError) as raised:
+            program.value_and_grad(np.array(x))
+        assert _failing_method(raised.value) == method
+    assert math.isfinite(program.value_and_grad(np.array([1.0, 2.0, 1.0, 2.0]))[0])
 
 
 def _parsed(doc):
@@ -94,6 +127,8 @@ def test_every_kernel_kind_has_the_row_protocol():
     for kind in _KERNEL_KINDS:
         for name in ("evaluate_rows", "row_params", "row_oracle", "invalid_rows"):
             assert callable(getattr(kind, name, None)), (kind.__name__, name)
+    for kind in (TwoAssetGeometricPool, GeometricMeanPool):
+        assert callable(getattr(kind, "penalized_rows", None)), kind.__name__
 
 
 @pytest.mark.parametrize("name", ["cfmm", "maxflow", "mixed", "opf"])

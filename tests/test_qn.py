@@ -239,11 +239,18 @@ def test_escape_move_tries_only_supplied_directions():
 
 
 @pytest.mark.parametrize("name", ["grad_tol", "max_iter"])
-@pytest.mark.parametrize("value", [0, -1.0, math.nan])
+@pytest.mark.parametrize("value", [0, -1.0, math.nan, -math.inf])
 def test_config_rejects_nonpositive_and_nan_fields(name, value):
     # A NaN max_iter would end the run at once with status max_iter.
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"QNConfig.{name}"):
         QNConfig(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, math.inf])
+def test_config_rejects_a_max_iter_that_is_not_a_count(value):
+    # As SolverConfig does: 2.5 used to run 3 iterations and True one.
+    with pytest.raises(ValueError, match="QNConfig.max_iter"):
+        QNConfig(max_iter=value)
 
 
 def _first_search_trials(fun, x0, lower, **options):
