@@ -20,15 +20,18 @@ same way: one float buffer and the same offsets (:class:`EdgeVectors`).
 
 A parsed instance keeps its bundled edges (every ``opf_line``,
 ``lossless``, ``linear_gain``, ``uniswap`` and ``geometric_mean`` edge
-without a utility, on distinct nodes) as columns, one
-:class:`EdgeColumns` per oracle kind and edge size (a gain type, the
-two-asset pool, or the multi-asset pool of one ``dim``): an ``m x d``
-node array and one array per constructor argument.
+on distinct nodes, a pool with or without the quadratic penalty, any
+other kind without one) as columns, one :class:`EdgeColumns` per oracle
+kind, edge size and penalty (a gain type, the two-asset pool, or the
+multi-asset pool of one ``dim``): an ``m x d`` node array, one array per
+constructor argument and a penalty flag.
 Its ``edges`` are an :class:`EdgeTable`, which reads as a list of
 records does, building a column-stored record on its first access and
 keeping it.  The solver and :func:`check_feasibility` read the columns
 themselves and build no record: each kind answers a whole group at once
-(``evaluate_rows`` for prices, ``member_rows`` for flows).
+(``evaluate_rows`` or ``penalized_rows`` for prices, ``member_rows`` for
+flows).  :func:`primal_objective` scores the penalized edges from their
+packed flows and builds none either.
 """
 
 from __future__ import annotations
@@ -238,8 +241,8 @@ class Hyperedge:
 
 
 class EdgeColumns:
-    """Edges of one bundled oracle kind and size, one row each, holding no
-    utility (the solver keeps a group's penalty beside its columns).
+    """Edges of one bundled oracle kind and size, one row each, and whether
+    every one of them has the quadratic penalty as its utility.
 
     ``kind`` is the type that answers the rows: a gain type, for the
     two-node edges ``TwoNodeEdge(kind(*args))``, or an oracle type
@@ -251,12 +254,15 @@ class EdgeColumns:
     x d`` one for a vector (a pool's reserves and weights).  The kind's
     kernel takes these columns and derives whatever else it needs.  The
     arrays are read-only; the values are checked where the columns are
-    filled (the parser checks them column-wise).
+    filled (the parser checks them column-wise).  ``penalized`` gives
+    every row a :class:`~convexflows.objectives.QuadraticPenalty`, which
+    needs no column (its weight is fixed), and a kind with no penalized
+    kernel (``penalized_rows``: the pools) cannot take it.
     """
 
-    __slots__ = ("kind", "nodes", "params")
+    __slots__ = ("kind", "nodes", "params", "penalized")
 
-    def __init__(self, kind: type, nodes, params):
+    def __init__(self, kind: type, nodes, params, penalized: bool = False):
         nodes = np.asarray(nodes, dtype=np.intp)
         if nodes.ndim != 2 or nodes.shape[1] < 2:
             raise DimensionError("column-stored edges need an m x d node array with d >= 2")
@@ -265,17 +271,22 @@ class EdgeColumns:
         params = tuple(np.asarray(column, dtype=float) for column in params)
         if any(column.shape not in ((len(nodes),), nodes.shape) for column in params):
             raise DimensionError(f"every parameter column needs {len(nodes)} rows")
+        if penalized and not hasattr(kind, "penalized_rows"):
+            raise ValueError(f"{kind.__name__} has no penalized kernel for column-stored edges with a penalty")
         self.kind = kind
         self.nodes = _frozen(nodes)
         self.params = tuple(map(_frozen, params))
+        self.penalized = bool(penalized)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def record(self, row: int) -> Hyperedge:
-        """Row ``row`` as a new edge record."""
+        """Row ``row`` as a new edge record, with its penalty if the group
+        has one."""
         oracle = self.kind.row_oracle(*(column[row].tolist() for column in self.params))
-        return Hyperedge(EdgeIncidence(tuple(self.nodes[row].tolist())), oracle)
+        nodes = tuple(self.nodes[row].tolist())
+        return Hyperedge(EdgeIncidence(nodes), oracle, QuadraticPenalty(len(nodes)) if self.penalized else None)
 
 
 class EdgeTable(Sequence):
@@ -283,11 +294,14 @@ class EdgeTable(Sequence):
 
     Edge ``k`` is kept in the record list when ``group[k]`` is 0, and in
     ``columns[group[k] - 1]`` otherwise (a byte: at most 255 column
-    groups); each holds its edges in edge order.  It reads as a list of :class:`Hyperedge` does: ``len``,
-    iteration, ``[k]`` (negative ``k`` too) and slices (a list).  A
-    column-stored edge is built on its first access
-    (:meth:`EdgeColumns.record`) and kept, so every access gives the
-    same record; the solver reads the columns and builds none.
+    groups); each holds its edges in edge order, and a group's flag says
+    whether its edges have the quadratic penalty.  It reads as a list of
+    :class:`Hyperedge` does: ``len``, iteration, ``[k]`` (negative ``k``
+    too) and slices (a list).  A column-stored edge is built on its first
+    access (:meth:`EdgeColumns.record`, its penalty included) and kept,
+    so every access gives the same record; the solver,
+    :func:`check_feasibility` and :func:`primal_objective` read the
+    columns and build none.
     """
 
     __slots__ = ("records", "columns", "group", "_row", "_kept")
@@ -332,7 +346,8 @@ class ProblemInstance:
             :class:`EdgeTable` of a parsed instance.
         net_objective: Conjugate oracle of the net flow utility.
         utility_edges: Positions of the edges with a utility term, in
-            increasing order, recorded at construction.
+            increasing order, recorded at construction: the records'
+            and the rows of the penalized column groups.
     """
 
     n: int
@@ -367,10 +382,12 @@ class ProblemInstance:
                     f"{type(edge.oracle).__name__}; only a QuadraticPenalty on an oracle with "
                     "evaluate_penalized is supported"
                 )
-        for _, columns in self.edge_columns():
+        for positions, columns in self.edge_columns():
             if len(columns) and columns.nodes.max() >= self.n:
                 raise DimensionError(f"column-stored incidence out of range for n={self.n}")
-        self.utility_edges = tuple(utility_edges)
+            if columns.penalized:
+                utility_edges += positions.tolist()
+        self.utility_edges = tuple(sorted(utility_edges))
 
     @property
     def m(self) -> int:
@@ -507,17 +524,35 @@ def primal_objective(instance: ProblemInstance, point: PrimalPoint, tol: float =
     Returns ``-inf`` when any term is infeasible.  A positive ``tol``
     loosens indicator-style domain checks by a scaled margin, which is
     useful when scoring a numerically recovered point.
+
+    Every edge utility is the quadratic penalty ``-1/2 |x_-|^2``; the
+    edges with one are scored from their flows alone, one ``np.vecdot``
+    per edge size (the same dot products as
+    :meth:`~convexflows.objectives.QuadraticPenalty.evaluate_primal`), and
+    their values are added after the net utility in edge order by one
+    running sum, as a loop over the edges would add them.
     """
     total = instance.net_objective.evaluate_primal(np.asarray(point.net_flow, float), tol=tol)
-    if total == -np.inf:
+    if total == -np.inf or not instance.utility_edges:
+        return float(total)
+    positions = np.array(instance.utility_edges, dtype=np.intp)
+    flows = point.edge_flows
+    if isinstance(flows, EdgeVectors):
+        data, starts = flows.data, flows.offsets[positions]
+        sizes = flows.offsets[positions + 1] - starts
+    else:
+        vectors = [np.asarray(flows[k], float) for k in positions.tolist()]
+        sizes = np.fromiter(map(len, vectors), dtype=np.intp, count=len(vectors))
+        data, starts = np.concatenate(vectors), np.cumsum(sizes) - sizes
+    values = np.empty(len(positions))
+    # A set, not np.unique, which imports numpy.ma on its first call.
+    for d in set(sizes.tolist()):
+        rows = sizes == d
+        tendered = np.minimum(data[starts[rows, None] + np.arange(d)], 0.0)
+        values[rows] = -0.5 * np.vecdot(tendered, tendered)
+    if (values == -np.inf).any():
         return -np.inf
-    for k in instance.utility_edges:
-        x = np.asarray(point.edge_flows[k], float)
-        v = instance.edges[k].utility.evaluate_primal(x, tol=tol)
-        if v == -np.inf:
-            return -np.inf
-        total += v
-    return float(total)
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
 
 
 def check_feasibility(

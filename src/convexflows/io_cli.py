@@ -327,11 +327,12 @@ def _read_table(edges_doc: list, n: int):
 
     One pass sorts the edges by kind, node count and utility.  The edges
     of a column kind are read per key, field by field
-    (:func:`_read_group`).  Those without a utility go to the column
-    group of their kernel type and size; groups are numbered from 1 in
-    the order first met, and a number is one byte, so the edges of any
-    group past the 255th are records.  An edge with a utility is a
-    record built from its row.  Every other edge is read as a record
+    (:func:`_read_group`), and go to the column group of their kernel
+    type, size and penalty: a pool's penalty is its group's flag, and a
+    two-node edge with a penalty, which no kernel answers, is read as a
+    record.  Groups are numbered from 1 in the order first met, and a
+    number is one byte, so the edges of any group past the 255th are
+    records built from their rows.  Every other edge is read as a record
     (:func:`_record`), in edge order, once every edge of a column kind
     has passed its tests.  None means that an edge of a column kind is
     faulty, or that its oracle cannot take its nodes; the caller names
@@ -342,34 +343,28 @@ def _read_table(edges_doc: list, n: int):
     by_key: dict[tuple, list[int]] = defaultdict(list)
     try:
         for k, edge_doc in enumerate(edges_doc):
-            by_key[edge_doc.get("kind"), len(edge_doc.get("nodes")), edge_doc.get("edge_utility") is None].append(k)
+            by_key[edge_doc.get("kind"), len(edge_doc.get("nodes")), edge_doc.get("edge_utility") is not None].append(k)
     except TypeError:  # a kind that cannot be a key, or nodes without a length
         return None
-    groups: dict[tuple[type, int], list] = {}  # utility-free parts by kernel type and size
-    rows = []  # parts whose edges are records: (positions, nodes, columns, kind, penalized)
-    others = []  # positions of the edges of other kinds
-    for (tag, d, plain), positions in by_key.items():
+    groups: dict[tuple[type, int, bool], list] = {}  # parts by kernel type, size and penalty
+    others = []  # positions of the edges read one by one
+    for (tag, d, penalized), positions in by_key.items():
         column = _COLUMN_KINDS.get(tag)
-        if column is None:
+        if column is None or (penalized and not hasattr(column[0], "penalized_rows")):
             others += positions
             continue
         kind, fields = column
         per_node = any(type(field) is not float and field.shape == "per node" for field in fields)
         docs = list(map(edges_doc.__getitem__, positions))
-        if not (d == 2 or (d > 2 and per_node)) or not (plain or _penalties(docs)):
+        if not (d == 2 or (d > 2 and per_node)) or (penalized and not _penalties(docs)):
             return None
         read = _read_group(fields, docs, d, n)
         if read is None:
             return None
-        if plain:
-            groups.setdefault((kind, d), []).append((positions, *read))
-        else:
-            rows.append((positions, *read, kind, True))
-    order = sorted(groups, key=lambda key: min(part[0][0] for part in groups[key]))
-    rows += [(*part, kind, False) for kind, d in order[255:] for part in groups[kind, d]]
-    columns = []
+        groups.setdefault((kind, d, penalized), []).append((positions, *read))
+    columns, records = [], []
     group = np.zeros(len(edges_doc), dtype=np.uint8)
-    for code, key in enumerate(order[:255], start=1):
+    for key in sorted(groups, key=lambda key: min(part[0][0] for part in groups[key])):
         parts = groups[key]
         positions, nodes, params = parts[0]
         if len(parts) > 1:
@@ -380,21 +375,16 @@ def _read_table(edges_doc: list, n: int):
             nodes = np.concatenate([part[1] for part in parts])[at]
             params = [np.concatenate(column)[at] for column in zip(*(part[2] for part in parts))]
         try:
-            kept = EdgeColumns(key[0], nodes, params)
+            kept = EdgeColumns(key[0], nodes, params, key[2])
         except ValueError:  # a node repeated in an edge
             return None
         if key[0].invalid_rows(*kept.params).any():
             return None
-        columns.append(kept)
-        group[positions] = code
-    try:
-        records = [
-            (k, Hyperedge(EdgeIncidence(tuple(row_nodes)), kind.row_oracle(*row), QuadraticPenalty(len(row_nodes)) if penalized else None))
-            for positions, nodes, params, kind, penalized in rows
-            for k, row_nodes, row in zip(positions, nodes.tolist(), zip(*(column.tolist() for column in params)))
-        ]
-    except ValueError:  # a node repeated in an edge, or a row its constructor refuses
-        return None
+        if len(columns) < 255:
+            columns.append(kept)
+            group[positions] = len(columns)
+        else:
+            records += [(k, kept.record(row)) for row, k in enumerate(positions)]
     records += [(k, _record(edges_doc[k], n, f"$.edges[{k}]")) for k in sorted(others)]
     records.sort(key=lambda record: record[0])
     return [edge for _, edge in records], columns, group
@@ -404,10 +394,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     """Build an instance from its document; errors carry the JSON path.
 
     An ``opf_line``, ``lossless``, ``linear_gain``, ``uniswap`` or
-    ``geometric_mean`` edge without a utility, on distinct nodes, one per
-    asset of a pool, is stored in the columns of its kind and size (an
+    ``geometric_mean`` edge on distinct nodes, one per asset of a pool,
+    is stored in the columns of its kind, size and penalty (an
     :class:`~convexflows.core.EdgeTable`, up to 255 groups), which are
-    read field by field; every other edge becomes a record.  When a test
+    read field by field, unless it is a two-node edge with a penalty;
+    every other edge becomes a record.  When a test
     of that reader fails, every edge is read as a record, in edge order,
     which names the first fault with the message its record gives.
     """
@@ -537,12 +528,14 @@ def _record_to_dict(edge: Hyperedge) -> dict:
 
 def _columns_to_dicts(columns: EdgeColumns) -> list[dict]:
     """The documents of a column group's rows, in row order, written
-    from its columns."""
+    from its columns, each with the group's penalty if it has one."""
     docs = []
     rows = zip(*(column.tolist() for column in columns.params))
     for row, nodes in zip(rows, columns.nodes.tolist()):
         kind, params = _row_doc(columns.kind, row)
         docs.append({"kind": kind, "params": params, "nodes": nodes})
+        if columns.penalized:
+            docs[-1]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
     return docs
 
 

@@ -284,8 +284,9 @@ class DualProgram:
     ``GeometricMeanPool``, goes to its kind's kernel (``evaluate_rows``,
     or ``penalized_rows`` for a pool with a penalty; one group per kind,
     size and penalty), equal bit for bit to the edge's own method; a
-    column-stored edge (see :class:`~convexflows.core.EdgeTable`) is read
-    from its columns and never built as a record.  The loop's oracle
+    column-stored edge (see :class:`~convexflows.core.EdgeTable`), a
+    penalized pool included, is read from its columns, its group's flag
+    picking the kernel, and never built as a record.  The loop's oracle
     methods are captured here.  Values are added in edge order by one
     running sum, and the net flow is one scatter of the buffer in edge
     order, as :func:`eval_dual` and
@@ -341,8 +342,8 @@ class DualProgram:
             return _Group(kind, positions, entries(positions), call, jacobian)
 
         self._groups = [
-            group(columns.kind, positions, *_kernel_calls(columns, penalized))
-            for positions, columns, penalized in kernels
+            group(columns.kind, positions, *_kernel_calls(columns))
+            for positions, columns in kernels
         ]
         if records:
             positions = np.array([pos for pos, _ in records], dtype=np.intp)
@@ -412,7 +413,7 @@ class DualProgram:
                 for w_a, w_b, slope in pieces or ():
                     segments.append((pos, slope, -w_a, gain.value(w_a), -w_b, gain.value(w_b), len(pieces) == 1))
             parts = [seg, np.array(segments, dtype=float).reshape(-1, 7)]
-            for positions, columns, _ in kernels:
+            for positions, columns in kernels:
                 if columns.kind is LinearGain:
                     slope, capacity, input_lo = columns.params
                     ends = (-input_lo, slope * input_lo, -capacity, slope * capacity)
@@ -809,15 +810,17 @@ def _edge_groups(instance: ProblemInstance):
     """The edges of ``instance`` split as a :class:`DualProgram` groups them.
 
     Returns ``(records, kernels, flat)``: the ``(position, edge)`` records
-    of the edges the loop answers, in edge order; ``(positions, columns,
-    penalized)`` of every kernel group, the instance's column groups
-    (which have no utilities) first and then one
+    of the edges the loop answers, in edge order; ``(positions, columns)``
+    of every kernel group, the instance's column groups (with their
+    penalty flags) first and then one
     :class:`~convexflows.core.EdgeColumns` per kernel kind, size and
     penalty over the records of that kind; and whether some edge without
-    a utility has a flat face.  An edge without a utility goes to a
-    kernel group when its oracle is exactly one of the kernel kinds, or a
-    ``TwoNodeEdge`` whose gain is exactly one; an edge with a penalty when
-    its oracle is exactly a pool kind, whose ``penalized_rows`` answers it.
+    a utility has a flat face.  An edge record without a utility goes to
+    a kernel group when its oracle is exactly one of the kernel kinds, or
+    a ``TwoNodeEdge`` whose gain is exactly one; one with a penalty when
+    its oracle is exactly a pool kind, whose ``penalized_rows`` answers
+    it.  A parsed instance's pools are columns already, so only a
+    hand-built instance's records are regrouped.
     """
     records, kernel_rows = [], {}
     flat = False
@@ -832,21 +835,22 @@ def _edge_groups(instance: ProblemInstance):
             kernel_rows.setdefault((type(owner), len(nodes), penalized), []).append((pos, nodes, owner.row_params()))
         else:
             records.append((pos, edge))
-    kernels = [(positions, columns, False) for positions, columns in instance.edge_columns()]
+    kernels = instance.edge_columns()
     for (kind, _, penalized), rows in kernel_rows.items():
         positions, nodes, params = zip(*rows)
-        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params)), penalized))
+        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params), penalized)))
     # Linear gains are the one kernel kind with flat faces.
-    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns, _ in kernels)
+    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in kernels)
     return records, kernels, flat
 
 
-def _kernel_calls(columns: EdgeColumns, penalized: bool) -> tuple[Callable, Callable | None]:
-    """The call of a kernel group, its kind's ``penalized_rows`` (with
-    ``penalized``) or ``evaluate_rows`` over the block of its edges' node
-    prices, and its Jacobian call, the kind's ``jacobian_rows`` over the
-    same block (None when the group is penalized or the kind has none)."""
-    nodes, params = columns.nodes, columns.params
+def _kernel_calls(columns: EdgeColumns) -> tuple[Callable, Callable | None]:
+    """The call of a kernel group, its kind's ``penalized_rows`` (for a
+    penalized group) or ``evaluate_rows`` over the block of its edges'
+    node prices, and its Jacobian call, the kind's ``jacobian_rows`` over
+    the same block (None when the group is penalized or the kind has
+    none)."""
+    nodes, params, penalized = columns.nodes, columns.params, columns.penalized
     rows = columns.kind.penalized_rows if penalized else columns.kind.evaluate_rows
     jacobian_rows = None if penalized else getattr(columns.kind, "jacobian_rows", None)
     jacobian = None if jacobian_rows is None else (lambda nu: jacobian_rows(*params, nu[nodes]))
@@ -1091,8 +1095,8 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
         for pos, edge in records:
             if edge.utility is None:
                 values[pos] = edge.oracle.evaluate(base[offsets[pos] : offsets[pos + 1]]).value
-        for positions, columns, penalized in kernels:
-            if not penalized:
+        for positions, columns in kernels:
+            if not columns.penalized:
                 values[positions] = columns.kind.evaluate_rows(*columns.params, nu[columns.nodes])[0]
     except UnattainedSupremumError:
         return math.inf

@@ -1,8 +1,9 @@
 """Column-stored edges and the dual program's kernels.
 
-A parsed instance keeps its utility-free ``opf_line``, ``lossless``,
+A parsed instance keeps its ``opf_line``, ``lossless``,
 ``linear_gain``, ``uniswap`` and ``geometric_mean`` edges as columns
-(``core.EdgeTable``), and the dual program answers every ``TwoNodeEdge``
+(``core.EdgeTable``; a pool with the quadratic penalty in a flagged
+group, a two-node edge with it as a record), and the dual program answers every ``TwoNodeEdge``
 whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and every
 oracle that is exactly a ``TwoAssetGeometricPool`` or a
 ``GeometricMeanPool``, with one kernel per kind (``evaluate_rows``, one
@@ -15,6 +16,7 @@ of the record path, and the solve to the per-edge solve bit for bit.
 
 import copy
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -31,6 +33,7 @@ from convexflows import (
     OpfQuadraticObjective,
     PrimalPoint,
     ProblemInstance,
+    QuadraticPenalty,
     TwoAssetGeometricPool,
     check_feasibility,
     concave_gain_edge,
@@ -40,7 +43,7 @@ from convexflows import (
     piecewise_linear_edge,
 )
 from convexflows import io_cli
-from convexflows.core import EdgeTable, EdgeColumns
+from convexflows.core import EdgeColumns, EdgeTable, EdgeVectors, primal_objective
 from convexflows.edges import GainFunction, LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
 from convexflows.edges.base import UnattainedSupremumError
 from convexflows.io_cli import (
@@ -675,10 +678,12 @@ def test_the_first_fault_in_edge_order_is_reported():
 
 # gen_cfmm(12, 0) has uniswap edges at 0, 2, 4, 6, 8, 10 and 11.
 _CFMM = gen_cfmm(12, 0)
+_CFMM_PEN = gen_cfmm(12, 0, edge_penalties=True)
 
 
 # A uniswap fault after five good pools: the record path's message, word
-# for word, which the same edge with a penalty (always a record) gives.
+# for word, which the same edge with a penalty gives too, among plain
+# pools or penalized ones.
 @pytest.mark.parametrize(
     "changes, error, message",
     [
@@ -705,10 +710,60 @@ def test_a_bad_pool_after_good_ones_keeps_its_message(changes, error, message):
     doc = _with(_CFMM, 10, **changes)
     penalized = copy.deepcopy(doc)
     penalized["edges"][10]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
-    for text in (json.dumps(doc), json.dumps(penalized)):
+    market = _with(_CFMM_PEN, 10, **changes)
+    for text in (json.dumps(doc), json.dumps(penalized), json.dumps(market)):
         with pytest.raises(error) as info:
             parse_instance(text)
         assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "utility, error, message",
+    [
+        ({"kind": "log_barrier", "params": {}}, ParseError, "$.edges[10].edge_utility.kind: unknown kind 'log_barrier'"),
+        ({"params": {}}, ParseError, "$.edges[10].edge_utility: missing required field 'kind'"),
+        ({"kind": 3}, ParseError, "$.edges[10].edge_utility.kind: expected str, got int"),
+        ([], ParseError, "$.edges[10].edge_utility: expected dict, got list"),
+    ],
+    ids=["unknown_kind", "no_kind", "integer_kind", "list"],
+)
+def test_a_bad_edge_utility_after_good_penalized_pools_keeps_its_message(utility, error, message):
+    doc = copy.deepcopy(_CFMM_PEN)
+    doc["edges"][10]["edge_utility"] = utility
+    with pytest.raises(error) as info:
+        parse_instance(json.dumps(doc))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _per_edge_records(text):
+    """The records of the per-edge reader, one edge document at a time."""
+    doc = json.loads(text)
+    return [io_cli._record(edge, doc["n"], f"$.edges[{k}]") for k, edge in enumerate(doc["edges"])]
+
+
+def _described(edge):
+    """What a record says of its edge: oracle type and arguments, nodes,
+    and utility type and size."""
+    utility = edge.utility
+    return (
+        type(edge.oracle),
+        edge.oracle.row_params(),
+        edge.incidence.nodes,
+        None if utility is None else (type(utility), utility.dim),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_penalized_pools_read_as_the_per_edge_records(seed):
+    # A penalized pool's row gives the record of the per-edge reader, its
+    # penalty included, and writes back to its document.
+    text = json.dumps(gen_cfmm(60, seed, edge_penalties=True))
+    instance = parse_instance(text)
+    assert not instance.edges.records and all(columns.penalized for columns in instance.edges.columns)
+    want = _per_edge_records(text)
+    assert {type(edge.utility) for edge in want} == {QuadraticPenalty}
+    assert list(map(_described, instance.edges)) == list(map(_described, want))
+    assert instance_to_dict(parse_instance(text)) == json.loads(text)
 
 
 def test_the_first_pool_fault_in_edge_order_is_reported():
@@ -888,16 +943,24 @@ def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypa
     assert instance_to_dict(instance) == doc
 
 
-def test_pools_accept_integer_reserves_and_keep_penalized_ones_as_records():
+def test_pools_accept_integer_reserves_and_keep_penalized_ones_as_column_rows():
     doc = _with(_with(_CFMM, 2, reserves=[150, 120]), 4, weight=1 / 3)
     doc["edges"][6]["edge_utility"] = {"kind": "quadratic_penalty", "params": {}}
     instance = parse_instance(json.dumps(doc))
-    assert len(_group(instance, TwoAssetGeometricPool)) == 6
+    # A penalized pool is a row of its own group, flagged, beside the
+    # plain pools of its kind and size.
+    pools = [columns for columns in instance.edges.columns if columns.kind is TwoAssetGeometricPool]
+    assert [(len(columns), columns.penalized) for columns in pools] == [(6, False), (1, True)]
+    assert not instance.edges.records
     assert instance.edges[2].oracle.reserves.tolist() == [150.0, 120.0]
     assert instance.edges[4].oracle.weight == 1 / 3
-    assert instance.utility_edges == (6,) and instance.edges[6] in instance.edges.records
-    # Every edge of a penalized market stays a record.
-    assert not isinstance(parse_instance(json.dumps(gen_cfmm(20, 0, edge_penalties=True))).edges, EdgeTable)
+    assert instance.utility_edges == (6,) and isinstance(instance.edges[6].utility, QuadraticPenalty)
+    assert instance.edges[4].utility is None
+    # Every edge of a penalized market is a column row.
+    market = parse_instance(json.dumps(gen_cfmm(20, 0, edge_penalties=True)))
+    assert isinstance(market.edges, EdgeTable) and not market.edges.records
+    assert all(columns.penalized for columns in market.edges.columns)
+    assert market.utility_edges == tuple(range(20))
 
 
 def test_column_rows_hold_integers_as_floats():
@@ -1045,8 +1108,8 @@ def _partly_penalized(doc):
 @pytest.mark.parametrize(
     "doc",
     [gen_cfmm(120, 2), gen_opf(60, 1), gen_maxflow(12, 0.4, 1), _linear_gain_doc(),
-     _partly_penalized(gen_cfmm(60, 1, edge_penalties=True))],
-    ids=["cfmm", "opf", "maxflow", "linear_gain", "cfmm_pen"],
+     _partly_penalized(gen_cfmm(60, 1, edge_penalties=True)), gen_cfmm(60, 1, edge_penalties=True)],
+    ids=["cfmm", "opf", "maxflow", "linear_gain", "cfmm_pen", "cfmm_pen_all"],
 )
 def test_check_feasibility_keeps_no_record(doc, monkeypatch):
     # The bench's gate, `convexflows check` and duality_gap test every
@@ -1086,3 +1149,79 @@ def test_eval_dual_answers_column_groups_with_their_kernels(make, seed, monkeypa
     value = eval_dual(instance, result.dual_point)
     assert not instance.edges._kept
     assert value == result.dual_value
+
+
+# -- penalized pools ----------------------------------------------------------
+
+
+def _primal_by_edge(instance, point):
+    """The primal objective as a loop over the edges adds it, each edge
+    scored by its own penalty."""
+    total = instance.net_objective.evaluate_primal(np.asarray(point.net_flow, float))
+    for k in instance.utility_edges:
+        v = QuadraticPenalty(len(point.edge_flows[k])).evaluate_primal(np.asarray(point.edge_flows[k], float))
+        if v == -math.inf:
+            return -math.inf
+        total += v
+    return float(total)
+
+
+def test_a_parsed_penalized_market_builds_no_record(monkeypatch):
+    # Solving, judging and scoring a market whose every pool is a
+    # penalized column row builds no record and calls no per-edge method.
+    instance = parse_instance(json.dumps(gen_cfmm(100, 0, edge_penalties=True)))
+    assert instance.edges.records == [] and instance.utility_edges == tuple(range(100))
+    for owner, name in [*_PER_EDGE_PATHS, (TwoAssetGeometricPool, "evaluate_penalized"),
+                        (GeometricMeanPool, "evaluate_penalized"), (QuadraticPenalty, "evaluate_primal")]:
+        monkeypatch.setattr(owner, name, _refuse)
+    result = solve(instance)
+    assert result.converged
+    point = PrimalPoint(edge_flows=result.flows, net_flow=result.net_flow)
+    assert check_feasibility(instance, point, 1e-6).ok
+    assert primal_objective(instance, point, tol=1e-6) == result.primal_value
+    assert instance.edges.records == [] and not instance.edges._kept
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_parsed_penalized_market_solves_as_its_records(seed):
+    # The flagged column groups and the same pools as a list of records
+    # with their penalties (which the solver regroups): the same result
+    # document.
+    text = json.dumps(gen_cfmm(100, seed, edge_penalties=True))
+    parsed = parse_instance(text)
+    listed = ProblemInstance(n=parsed.n, edges=list(parse_instance(text).edges), net_objective=parsed.net_objective)
+
+    def digest(instance):
+        return hashlib.sha256(json.dumps(io_cli.result_to_dict(solve(instance))).encode()).hexdigest()
+
+    assert digest(parsed) == digest(listed)
+
+
+def test_primal_objective_scores_penalized_edges_as_edge_by_edge():
+    # Two- and three-asset pools, flows packed and listed, pushed out of
+    # their sets so that most coordinates tender: the same bits as a loop
+    # over the edges' own penalties.
+    instance = parse_instance(json.dumps(gen_cfmm(100, 1, edge_penalties=True)))
+    result = solve(instance)
+    moved = [flow - 0.37 * (k % 5) for k, flow in enumerate(result.flows)]
+    points = [
+        PrimalPoint(edge_flows=result.flows, net_flow=result.net_flow),
+        PrimalPoint(edge_flows=moved, net_flow=result.net_flow),
+        PrimalPoint(edge_flows=EdgeVectors.pack(moved, result.flows.offsets), net_flow=result.net_flow),
+    ]
+    for point in points:
+        assert primal_objective(instance, point) == _primal_by_edge(instance, point)
+    # An infinite tender scores -inf, past a NaN on an earlier edge too.
+    moved[3], moved[7] = np.full(len(moved[3]), math.nan), np.full(len(moved[7]), -math.inf)
+    assert primal_objective(instance, points[1]) == -math.inf == _primal_by_edge(instance, points[1])
+    # One edge tendering on every coordinate at a zero net flow, so that
+    # the total is that edge's own value: a sum of squares that rounds
+    # otherwise than its dot product (as a fused multiply-add does) shows.
+    rng = np.random.default_rng(0)
+    offsets = result.flows.offsets
+    for trial, k in enumerate(rng.integers(0, instance.m, 200)):
+        flows = np.zeros(offsets[-1])
+        flows[offsets[k] : offsets[k + 1]] = -rng.uniform(0.1, 10.0, offsets[k + 1] - offsets[k])
+        packed = EdgeVectors(flows, offsets)
+        point = PrimalPoint(edge_flows=packed if trial % 2 else list(packed), net_flow=np.zeros(instance.n))
+        assert primal_objective(instance, point) == _primal_by_edge(instance, point)

@@ -105,12 +105,12 @@ def test_solve_keeps_its_contract(family, seed):
 
 
 def _groups(instance):
-    """The kernel groups a dual program forms (positions, kind, node and
-    parameter bytes), and the group bytes of an edge table (None for a
-    list of edges)."""
+    """The kernel groups a dual program forms (positions, kind, penalty,
+    node and parameter bytes), and the group bytes of an edge table (None
+    for a list of edges)."""
     kernels = [
-        (positions.tobytes(), columns.kind, columns.nodes.tobytes(), [column.tobytes() for column in columns.params])
-        for positions, columns, _ in _edge_groups(instance)[1]
+        (positions.tobytes(), columns.kind, columns.penalized, columns.nodes.tobytes(), [column.tobytes() for column in columns.params])
+        for positions, columns in _edge_groups(instance)[1]
     ]
     return kernels, instance.edges.group.tobytes() if isinstance(instance.edges, EdgeTable) else None
 

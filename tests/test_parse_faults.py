@@ -1,7 +1,8 @@
 """Faults of a column-stored edge, named as a record would name them.
 
-The reader stores the utility-free edges of each column kind as columns
-and tests each field of a group at once; when a test fails, every edge
+The reader stores the edges of each column kind as columns (a pool with
+a penalty too, in a flagged group) and tests each field of a group at
+once; when a test fails, every edge
 is read as a record, which names the first fault in edge order.  The
 table below holds the type and message of each fault as the per-edge
 reader that the column reader replaced gave them (recorded at commit
@@ -154,10 +155,22 @@ def _assert_fault(text, error, message):
 def test_the_mixed_document_parses_to_columns_and_records():
     instance = parse_instance(_text(_doc()))
     assert isinstance(instance.edges, EdgeTable)
-    groups = [(columns.kind.__name__, columns.nodes.shape[1], len(columns)) for columns in instance.edges.columns]
-    # lossless and linear_gain edges share the LinearGain group.
-    assert groups == [("PowerLossGain", 2, 4), ("LinearGain", 2, 8), ("TwoAssetGeometricPool", 2, 4), ("GeometricMeanPool", 3, 4)]
-    assert [k for k, _ in instance.edge_records()] == [5, 11, 17, 23]
+    groups = [
+        (columns.kind.__name__, columns.nodes.shape[1], len(columns), columns.penalized) for columns in instance.edges.columns
+    ]
+    # lossless and linear_gain edges share the LinearGain group, and a
+    # penalized pool is a row of a flagged group of its kind and size.
+    assert groups == [
+        ("PowerLossGain", 2, 4, False),
+        ("LinearGain", 2, 8, False),
+        ("TwoAssetGeometricPool", 2, 4, False),
+        ("GeometricMeanPool", 3, 4, False),
+        ("TwoAssetGeometricPool", 2, 1, True),
+        ("GeometricMeanPool", 3, 1, True),
+    ]
+    # The piecewise-linear edge and the penalized line stay records.
+    assert [k for k, _ in instance.edge_records()] == [5, 17]
+    assert instance.utility_edges == (11, 17, 23)
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
