@@ -18,16 +18,16 @@ over the concatenated edge nodes, in edge order, and one offsets array
 A solve's per-edge vectors (its flows and edge prices) are laid out the
 same way: one float buffer and the same offsets (:class:`EdgeVectors`).
 
-A parsed instance keeps its bundled edges (every ``opf_line``,
-``lossless``, ``linear_gain``, ``uniswap`` and ``geometric_mean`` edge
-on distinct nodes, a pool with or without the quadratic penalty, any
-other kind without one) as columns, one :class:`EdgeColumns` per oracle
-kind, edge size and penalty (a gain type, the two-asset pool, or the
-multi-asset pool of one ``dim``): an ``m x d`` node array, one array per
-constructor argument and a penalty flag.
-Its ``edges`` are an :class:`EdgeTable`, which reads as a list of
-records does, building a column-stored record on its first access and
-keeping it.  The solver and :func:`check_feasibility` read the columns
+An instance, parsed or built by hand, keeps its bundled edges (every
+``opf_line``, ``lossless``, ``linear_gain``, ``uniswap`` and
+``geometric_mean`` edge: an oracle, or a ``TwoNodeEdge``'s gain, of
+exactly a kind of ``_KERNEL_KINDS``; a pool with or without the
+quadratic penalty, a gain without one) as columns, one
+:class:`EdgeColumns` per kind, edge size and penalty: an ``m x d`` node
+array, one array per constructor argument and a penalty flag.  Its
+``edges`` are an :class:`EdgeTable`, which reads as a list of records
+does, building a column-stored record on its first access and keeping
+it.  The solver and :func:`check_feasibility` read the columns
 themselves and build no record: each kind answers a whole group at once
 (``evaluate_rows`` or ``penalized_rows`` for prices, ``member_rows`` for
 flows).  :func:`primal_objective` scores the penalized edges from their
@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .edges.cfmm import GeometricMeanPool, TwoAssetGeometricPool
+from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
 from .objectives import QuadraticPenalty
 
 __all__ = [
@@ -240,6 +242,17 @@ class Hyperedge:
     utility: "object | None" = None
 
 
+# The bundled kinds, whose edges an instance keeps as column rows: the
+# gain types of a TwoNodeEdge, and oracle types, each with the row
+# protocol (row_params, row_oracle, invalid_rows, evaluate_rows, ...).
+_KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool, GeometricMeanPool)
+
+
+def _bundled(kind: type, penalized: bool) -> bool:
+    """Whether edges of ``kind``, with the penalty if ``penalized``, are column rows."""
+    return kind in _KERNEL_KINDS and (not penalized or hasattr(kind, "penalized_rows"))
+
+
 class EdgeColumns:
     """Edges of one bundled oracle kind and size, one row each, and whether
     every one of them has the quadratic penalty as its utility.
@@ -254,7 +267,7 @@ class EdgeColumns:
     x d`` one for a vector (a pool's reserves and weights).  The kind's
     kernel takes these columns and derives whatever else it needs.  The
     arrays are read-only; the values are checked where the columns are
-    filled (the parser checks them column-wise).  ``penalized`` gives
+    filled (column-wise by the parser, by the oracle for a packed record).  ``penalized`` gives
     every row a :class:`~convexflows.objectives.QuadraticPenalty`, which
     needs no column (its weight is fixed), and a kind with no penalized
     kernel (``penalized_rows``: the pools) cannot take it.
@@ -290,18 +303,18 @@ class EdgeColumns:
 
 
 class EdgeTable(Sequence):
-    """The read-only edge sequence of a parsed instance.
+    """The read-only edge sequence of an instance.
 
     Edge ``k`` is kept in the record list when ``group[k]`` is 0, and in
     ``columns[group[k] - 1]`` otherwise (a byte: at most 255 column
     groups); each holds its edges in edge order, and a group's flag says
-    whether its edges have the quadratic penalty.  It reads as a list of
-    :class:`Hyperedge` does: ``len``, iteration, ``[k]`` (negative ``k``
-    too) and slices (a list).  A column-stored edge is built on its first
-    access (:meth:`EdgeColumns.record`, its penalty included) and kept,
-    so every access gives the same record; the solver,
-    :func:`check_feasibility` and :func:`primal_objective` read the
-    columns and build none.
+    whether its edges have the quadratic penalty; the layout is checked
+    when the table is built.  It reads as a list of :class:`Hyperedge`
+    does: ``len``, iteration, ``[k]`` (negative ``k`` too) and slices (a
+    list).  A column-stored edge is built on its first access
+    (:meth:`EdgeColumns.record`, its penalty included) and kept, so every
+    access gives the same record; the solver, :func:`check_feasibility`
+    and :func:`primal_objective` read the columns and build none.
     """
 
     __slots__ = ("records", "columns", "group", "_row", "_kept")
@@ -311,14 +324,65 @@ class EdgeTable(Sequence):
         self.columns = tuple(columns)
         if len(self.columns) > 255:
             raise ValueError(f"an edge table holds at most 255 column groups, got {len(self.columns)}")
-        self.group = _frozen(np.asarray(group, dtype=np.uint8))
+        given = np.asarray(group)
+        self.group = _frozen(given.astype(np.uint8))
+        # A value that a byte wraps (256, -1) differs from its byte.
+        counts = np.bincount(self.group, minlength=len(self.columns) + 1).tolist() if given.ndim == 1 else []
+        if len(counts) != len(self.columns) + 1 or (self.group != given).any():
+            raise ValueError(f"group indices must run from 0 to the table's {len(self.columns)} column groups")
+        if counts != [len(self.records), *map(len, self.columns)]:
+            raise ValueError(f"group counts {counts} do not match the {len(self.records)} records and the groups' rows")
         # Each edge's row in its group.
         self._row = np.empty(len(self.group), dtype=np.intp)
-        for g in range(len(self.columns) + 1):
-            at = self.group == g
-            self._row[at] = np.arange(np.count_nonzero(at))
+        for g, count in enumerate(counts):
+            self._row[self.group == g] = np.arange(count)
         # The column-stored records built so far, by edge position.
         self._kept: dict[int, Hyperedge] = {}
+
+    @classmethod
+    def pack(cls, records, parts=()) -> "EdgeTable":
+        """The table of edges given as ``(position, edge)`` records and as
+        ``parts``, ``(positions, columns)`` of column-stored edges, each in
+        edge order.  A bundled record (:func:`_bundled`) becomes a column
+        row.  The rows of one kind, size and penalty share a group, in edge
+        order; groups are numbered from 1 in the order of their first
+        edges, and the rows of any group past the 255th (a number is a
+        byte) are kept as records built from them."""
+        kept, rows = [], {}
+        for k, edge in records:
+            # A bundled gain's parameters sit on the gain, a pool's on itself.
+            owner = edge.oracle.gain if type(edge.oracle) is TwoNodeEdge else edge.oracle
+            key = (type(owner), len(edge.incidence.nodes), edge.utility is not None)
+            if _bundled(key[0], key[2]):
+                rows.setdefault(key, []).append((k, edge.incidence.nodes, owner.row_params()))
+            else:
+                kept.append((k, edge))
+        by_key: dict[tuple[type, int, bool], list] = {}
+        for positions, columns in parts:
+            by_key.setdefault((columns.kind, columns.nodes.shape[1], columns.penalized), []).append((positions, columns))
+        for (kind, d, penalized), group_rows in rows.items():
+            positions, nodes, params = zip(*group_rows)
+            columns = EdgeColumns(kind, nodes, zip(*params), penalized)
+            by_key.setdefault((kind, d, penalized), []).append((np.array(positions, dtype=np.intp), columns))
+        columns, group = [], np.zeros(len(kept) + sum(len(c) for same in by_key.values() for _, c in same), dtype=np.uint8)
+        for key in sorted(by_key, key=lambda key: min(positions[0] for positions, _ in by_key[key])):
+            same = by_key[key]
+            positions, part = same[0]
+            if len(same) > 1:
+                # Parts of one kind (lossless and linear_gain edges) share
+                # its group, in edge order.
+                positions = np.concatenate([p for p, _ in same])
+                at = np.argsort(positions)
+                nodes = np.concatenate([c.nodes for _, c in same])[at]
+                params = [np.concatenate(column)[at] for column in zip(*(c.params for _, c in same))]
+                positions, part = positions[at], EdgeColumns(key[0], nodes, params, key[2])
+            if len(columns) < 255:
+                columns.append(part)
+                group[positions] = len(columns)
+            else:
+                kept += [(k, part.record(row)) for row, k in enumerate(positions.tolist())]
+        kept.sort(key=lambda record: record[0])
+        return cls([edge for _, edge in kept], columns, group)
 
     def __len__(self) -> int:
         return len(self.group)
@@ -342,8 +406,11 @@ class ProblemInstance:
 
     Attributes:
         n: Number of nodes.
-        edges: Hyperedges with their oracles: a list, or the
-            :class:`EdgeTable` of a parsed instance.
+        edges: Hyperedges with their oracles, as an :class:`EdgeTable`
+            (kept as given).  Any other sequence of :class:`Hyperedge` is
+            checked in edge order, then packed (:meth:`EdgeTable.pack`):
+            ``edges[k]`` of a bundled edge is a record rebuilt from its
+            row, not the object given.
         net_objective: Conjugate oracle of the net flow utility.
         utility_edges: Positions of the edges with a utility term, in
             increasing order, recorded at construction: the records'
@@ -360,8 +427,9 @@ class ProblemInstance:
             raise ValueError("instance needs at least one node")
         if not len(self.edges):
             raise ValueError("instance needs at least one edge")
-        utility_edges = []
-        for k, edge in self.edge_records():
+        listed = not isinstance(self.edges, EdgeTable)
+        records = list(enumerate(self.edges) if listed else self.edge_records())
+        for k, edge in records:
             incidence = edge.incidence
             incidence.validate(self.n)
             dim = len(incidence.nodes)
@@ -373,7 +441,6 @@ class ProblemInstance:
                 )
             if edge.utility is None:
                 continue
-            utility_edges.append(k)
             if getattr(edge.utility, "dim", None) not in (None, dim):
                 raise DimensionError(f"edge {k}: utility dimension mismatch")
             if not isinstance(edge.utility, QuadraticPenalty) or not hasattr(edge.oracle, "evaluate_penalized"):
@@ -382,6 +449,10 @@ class ProblemInstance:
                     f"{type(edge.oracle).__name__}; only a QuadraticPenalty on an oracle with "
                     "evaluate_penalized is supported"
                 )
+        if listed:
+            self.edges = EdgeTable.pack(records)
+            records = list(self.edge_records())
+        utility_edges = [k for k, edge in records if edge.utility is not None]
         for positions, columns in self.edge_columns():
             if len(columns) and columns.nodes.max() >= self.n:
                 raise DimensionError(f"column-stored incidence out of range for n={self.n}")
@@ -395,37 +466,24 @@ class ProblemInstance:
 
     def edge_records(self) -> Iterator[tuple[int, Hyperedge]]:
         """``(position, edge)`` of every edge kept as a record, in edge
-        order: all of a list's, the record list of an :class:`EdgeTable`."""
-        edges = self.edges
-        if isinstance(edges, EdgeTable):
-            return zip(np.flatnonzero(edges.group == 0).tolist(), edges.records)
-        return enumerate(edges)
+        order."""
+        return zip(np.flatnonzero(self.edges.group == 0).tolist(), self.edges.records)
 
     def edge_columns(self) -> list[tuple[np.ndarray, EdgeColumns]]:
-        """``(positions, columns)`` of every column group of an
-        :class:`EdgeTable`; a list of edges has none."""
-        edges = self.edges
-        if isinstance(edges, EdgeTable):
-            return [(np.flatnonzero(edges.group == g + 1), columns) for g, columns in enumerate(edges.columns)]
-        return []
+        """``(positions, columns)`` of every column group, in group order."""
+        return [(np.flatnonzero(self.edges.group == g + 1), columns) for g, columns in enumerate(self.edges.columns)]
 
     @property
     def incidences(self) -> Incidences:
         """Every edge's incidence, flat; read from the columns, not from
         rebuilt records, for column-stored edges."""
-        if not isinstance(self.edges, EdgeTable):
-            return Incidences.of([edge.incidence for edge in self.edges])
         records = list(self.edge_records())
-        columns = self.edge_columns()
-        sizes = np.empty(len(self.edges), dtype=np.intp)
-        for positions, group in columns:
-            sizes[positions] = group.nodes.shape[1]
-        for k, edge in records:
-            sizes[k] = len(edge.incidence.nodes)
+        sizes = np.array([0, *(columns.nodes.shape[1] for columns in self.edges.columns)], dtype=np.intp)[self.edges.group]
+        sizes[[k for k, _ in records]] = [len(edge.incidence.nodes) for _, edge in records]
         offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         nodes = np.empty(offsets[-1], dtype=np.intp)
-        for positions, group in columns:
+        for positions, group in self.edge_columns():
             nodes[offsets[positions][:, None] + np.arange(group.nodes.shape[1])] = group.nodes
         for k, edge in records:
             nodes[offsets[k] : offsets[k + 1]] = edge.incidence.nodes

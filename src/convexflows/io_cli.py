@@ -20,12 +20,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    _KERNEL_KINDS,
     EdgeColumns,
     EdgeIncidence,
     EdgeTable,
     Hyperedge,
     PrimalPoint,
     ProblemInstance,
+    _bundled,
     check_feasibility,
     primal_objective,
 )
@@ -192,10 +194,10 @@ class _Field(NamedTuple):
     shape: str = "number"
 
 
-# The bundled kinds, whose edges are read and written here and nowhere
-# else: the type whose kernel answers them, and the arguments of its
-# ``row_oracle`` in order, each a JSON field or a float constant.  A
-# kind without a per-node field takes two nodes.
+# The document kinds of ``core._KERNEL_KINDS``, read and written here
+# and nowhere else: the type whose kernel answers them, and the arguments
+# of its ``row_oracle`` in order, each a JSON field or a float constant.
+# A kind without a per-node field takes two nodes.
 _COLUMN_KINDS = {
     "opf_line": (PowerLossGain, (_Field("alpha"), _Field("beta"), _Field("capacity"))),
     "lossless": (LinearGain, (1.0, _Field("capacity"), 0.0)),
@@ -206,8 +208,6 @@ _COLUMN_KINDS = {
         (_Field("reserves", shape="per node"), _Field("weights", shape="per node"), _Field("fee", 1.0)),
     ),
 }
-
-_KERNEL_KINDS = tuple(dict.fromkeys(kind for kind, _ in _COLUMN_KINDS.values()))
 
 
 def _read_oracle(kind: type, fields, params: dict, path: str):
@@ -321,22 +321,19 @@ def _penalties(docs: list) -> bool:
     return set(map(type, utilities)) == {dict} and [u.get("kind") for u in utilities].count("quadratic_penalty") == len(docs)
 
 
-def _read_table(edges_doc: list, n: int):
-    """``(records, columns, group)`` of an edge list (the parts of an
-    :class:`~convexflows.core.EdgeTable`), or None when a test fails.
+def _read_table(edges_doc: list, n: int) -> EdgeTable | None:
+    """The edge table of an edge list, or None when a test fails.
 
     One pass sorts the edges by kind, node count and utility.  The edges
     of a column kind are read per key, field by field
-    (:func:`_read_group`), and go to the column group of their kernel
-    type, size and penalty: a pool's penalty is its group's flag, and a
-    two-node edge with a penalty, which no kernel answers, is read as a
-    record.  Groups are numbered from 1 in the order first met, and a
-    number is one byte, so the edges of any group past the 255th are
-    records built from their rows.  Every other edge is read as a record
-    (:func:`_record`), in edge order, once every edge of a column kind
-    has passed its tests.  None means that an edge of a column kind is
-    faulty, or that its oracle cannot take its nodes; the caller names
-    the fault.
+    (:func:`_read_group`), into the columns of their kernel type, size and
+    penalty, which :meth:`~convexflows.core.EdgeTable.pack` groups and
+    numbers: a pool's penalty is its group's flag, and a two-node edge
+    with a penalty, which no kernel answers, is read as a record.  Every
+    other edge is read as a record (:func:`_record`), in edge order, once
+    every edge of a column kind has passed its tests.  None means that an
+    edge of a column kind is faulty, or that its oracle cannot take its
+    nodes; the caller names the fault.
     """
     if not set(map(type, edges_doc)) <= {dict}:
         return None
@@ -346,11 +343,11 @@ def _read_table(edges_doc: list, n: int):
             by_key[edge_doc.get("kind"), len(edge_doc.get("nodes")), edge_doc.get("edge_utility") is not None].append(k)
     except TypeError:  # a kind that cannot be a key, or nodes without a length
         return None
-    groups: dict[tuple[type, int, bool], list] = {}  # parts by kernel type, size and penalty
+    parts = []  # (positions, columns) of the edges read field by field
     others = []  # positions of the edges read one by one
     for (tag, d, penalized), positions in by_key.items():
         column = _COLUMN_KINDS.get(tag)
-        if column is None or (penalized and not hasattr(column[0], "penalized_rows")):
+        if column is None or not _bundled(column[0], penalized):
             others += positions
             continue
         kind, fields = column
@@ -361,33 +358,15 @@ def _read_table(edges_doc: list, n: int):
         read = _read_group(fields, docs, d, n)
         if read is None:
             return None
-        groups.setdefault((kind, d, penalized), []).append((positions, *read))
-    columns, records = [], []
-    group = np.zeros(len(edges_doc), dtype=np.uint8)
-    for key in sorted(groups, key=lambda key: min(part[0][0] for part in groups[key])):
-        parts = groups[key]
-        positions, nodes, params = parts[0]
-        if len(parts) > 1:
-            # Kinds of one kernel type (lossless and linear_gain edges)
-            # share its group, in edge order.
-            at = np.argsort(np.concatenate([part[0] for part in parts]))
-            positions = np.concatenate([part[0] for part in parts])[at]
-            nodes = np.concatenate([part[1] for part in parts])[at]
-            params = [np.concatenate(column)[at] for column in zip(*(part[2] for part in parts))]
         try:
-            kept = EdgeColumns(key[0], nodes, params, key[2])
+            columns = EdgeColumns(kind, *read, penalized)
         except ValueError:  # a node repeated in an edge
             return None
-        if key[0].invalid_rows(*kept.params).any():
+        if kind.invalid_rows(*columns.params).any():
             return None
-        if len(columns) < 255:
-            columns.append(kept)
-            group[positions] = len(columns)
-        else:
-            records += [(k, kept.record(row)) for row, k in enumerate(positions)]
-    records += [(k, _record(edges_doc[k], n, f"$.edges[{k}]")) for k in sorted(others)]
-    records.sort(key=lambda record: record[0])
-    return [edge for _, edge in records], columns, group
+        parts.append((np.array(positions, dtype=np.intp), columns))
+    records = [(k, _record(edges_doc[k], n, f"$.edges[{k}]")) for k in sorted(others)]
+    return EdgeTable.pack(records, parts)
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -395,12 +374,12 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
 
     An ``opf_line``, ``lossless``, ``linear_gain``, ``uniswap`` or
     ``geometric_mean`` edge on distinct nodes, one per asset of a pool,
-    is stored in the columns of its kind, size and penalty (an
-    :class:`~convexflows.core.EdgeTable`, up to 255 groups), which are
-    read field by field, unless it is a two-node edge with a penalty;
-    every other edge becomes a record.  When a test
-    of that reader fails, every edge is read as a record, in edge order,
-    which names the first fault with the message its record gives.
+    is read field by field into the columns of its kind, size and penalty
+    (an :class:`~convexflows.core.EdgeTable`, up to 255 groups), unless
+    it is a two-node edge with a penalty; every other edge becomes a
+    record.  When a test of that reader fails, every edge is read as a
+    record, in edge order, which names the first fault with the message
+    its record gives, and the instance packs them as any list of edges.
     """
     version = _get(doc, "version", "$", int)
     if version != FORMAT_VERSION:
@@ -415,15 +394,11 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     except ValueError as exc:
         raise InstanceValidationError(f"$.objective: {exc}") from exc
     edges_doc = _get(doc, "edges", "$", list)
-    table = _read_table(edges_doc, n)
-    if table is None:
+    edges = _read_table(edges_doc, n)
+    if edges is None:
         # A fault that no record raises (an oracle that does not fit its
         # nodes) is the instance's, named below.
         edges = [_record(edge_doc, n, f"$.edges[{k}]") for k, edge_doc in enumerate(edges_doc)]
-    else:
-        records, columns, group = table
-        # An instance without a column-stored edge keeps a list of records.
-        edges = EdgeTable(records, columns, group) if columns else records
     try:
         return ProblemInstance(n=n, edges=edges, net_objective=objective)
     except ValueError as exc:
@@ -543,13 +518,10 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     """The document of an instance; a column group is written from its
     columns, with no record built."""
     edges = instance.edges
-    if isinstance(edges, EdgeTable):
-        # Each group's documents in its row order, dealt out in edge order.
-        groups = [iter(list(map(_record_to_dict, edges.records)))]
-        groups += [iter(_columns_to_dicts(columns)) for columns in edges.columns]
-        docs = [next(groups[g]) for g in edges.group.tolist()]
-    else:
-        docs = list(map(_record_to_dict, edges))
+    # Each group's documents in its row order, dealt out in edge order.
+    groups = [iter(list(map(_record_to_dict, edges.records)))]
+    groups += [iter(_columns_to_dicts(columns)) for columns in edges.columns]
+    docs = [next(groups[g]) for g in edges.group.tolist()]
     return {
         "version": FORMAT_VERSION,
         "n": instance.n,

@@ -34,7 +34,7 @@ and the edges into groups, each answered by one call per pass: the
 edges of a bundled kind (transmission lines, linear gains, two-asset
 pools, and multi-asset pools of each size, the pools with a penalty or
 without) by that kind's kernel over arrays, bit for bit as edge by edge,
-read straight from the columns a parsed instance stores them in; every
+read straight from the columns every instance stores them in; every
 other edge by one loop over its record.  One pass gives the dual value, the gradient and every
 edge's maximizer, in one buffer in edge order whichever group answered
 the edge; the driver, its screens, the trace callback and the final
@@ -75,8 +75,7 @@ from .core import (
     primal_objective,
 )
 from .edges.base import UnattainedSupremumError, UnboundedEdgeError
-from .edges.cfmm import GeometricMeanPool, TwoAssetGeometricPool
-from .edges.two_node import LinearGain, PowerLossGain, TwoNodeEdge
+from .edges.two_node import LinearGain, TwoNodeEdge
 from .objectives import ConjugateValue
 from .qn import InfeasibleStartError, QNConfig, QNResult, escape_probes, minimize_bound_lbfgs
 
@@ -103,11 +102,6 @@ _BOUND_ROWS = 32
 # Relative margin of the polish floor over the rounding of its bound and
 # of the values it is compared with (see DualProgram.polish_floor).
 _FLOOR_SLACK = 1e-9
-# The kinds whose edges a kernel answers: the gain types of a
-# TwoNodeEdge, and oracle types.
-_KERNEL_KINDS = (PowerLossGain, LinearGain, TwoAssetGeometricPool, GeometricMeanPool)
-# The kinds whose edges with a penalty a kernel answers (``penalized_rows``).
-_PENALIZED_KINDS = (TwoAssetGeometricPool, GeometricMeanPool)
 
 
 class UnboundedDualError(RuntimeError):
@@ -274,20 +268,16 @@ class DualProgram:
 
     The edges are split once, at build time, into groups (:class:`_Group`),
     and a pass is one call per group: the kernel groups first, in the
-    order :func:`_edge_groups` gives them, and then the one loop group,
+    order of the instance's column groups, and then the one loop group,
     which answers every other edge in edge order through its oracle's
     ``evaluate``, or ``evaluate_penalized`` when the edge has a penalty.
     That order fixes the first error a pass raises: a kernel group's
-    before any loop edge's.  Every ``TwoNodeEdge`` without a penalty
-    whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and
-    every oracle that is exactly a ``TwoAssetGeometricPool`` or a
-    ``GeometricMeanPool``, goes to its kind's kernel (``evaluate_rows``,
-    or ``penalized_rows`` for a pool with a penalty; one group per kind,
-    size and penalty), equal bit for bit to the edge's own method; a
-    column-stored edge (see :class:`~convexflows.core.EdgeTable`), a
-    penalized pool included, is read from its columns, its group's flag
-    picking the kernel, and never built as a record.  The loop's oracle
-    methods are captured here.  Values are added in edge order by one
+    before any loop edge's.  Each column group of the instance (the
+    bundled edges, see :class:`~convexflows.core.EdgeTable`) is a kernel
+    group, answered by its kind's ``evaluate_rows``, or
+    ``penalized_rows`` when the group's flag says it has the penalty,
+    equal bit for bit to the edge's own method, read from its columns and
+    never built as a record.  The loop's oracle methods are captured here.  Values are added in edge order by one
     running sum, and the net flow is one scatter of the buffer in edge
     order, as :func:`eval_dual` and
     :func:`~convexflows.core.assemble_net_flow` add them, so the sums do
@@ -330,7 +320,7 @@ class DualProgram:
         self.incidences = instance.incidences
         self._nodes = self.incidences.nodes
         self.offsets = self.incidences.offsets
-        records, kernels, flat = _edge_groups(instance)
+        records, kernels = list(instance.edge_records()), instance.edge_columns()
 
         def entries(positions):
             """The buffer entries of the edges at ``positions``, in that order."""
@@ -352,8 +342,10 @@ class DualProgram:
         # flow they tender.
         self._tendering = entries(np.array(instance.utility_edges, dtype=np.intp))
         # Rounding can land on a vertex optimum only when some edge's term
-        # has a flat face; smooth instances skip the polish.
-        self.has_flat_faces = bool(flat)
+        # has a flat face (linear gains are the one kernel kind with them);
+        # smooth instances skip the polish.
+        self.has_flat_faces = any(edge.utility is None and not edge.oracle.is_strictly_convex for _, edge in records)
+        self.has_flat_faces |= any(len(columns) and columns.kind is LinearGain for _, columns in kernels)
         self.n_vars = len(self.free_nodes)
         bounds = np.maximum(np.asarray(objective.lower_bounds(), dtype=float), 0.0)
         self.lower = bounds[self.free_nodes]
@@ -806,44 +798,6 @@ class SolveResult:
     recovery_residual: float = math.nan
 
 
-def _edge_groups(instance: ProblemInstance):
-    """The edges of ``instance`` split as a :class:`DualProgram` groups them.
-
-    Returns ``(records, kernels, flat)``: the ``(position, edge)`` records
-    of the edges the loop answers, in edge order; ``(positions, columns)``
-    of every kernel group, the instance's column groups (with their
-    penalty flags) first and then one
-    :class:`~convexflows.core.EdgeColumns` per kernel kind, size and
-    penalty over the records of that kind; and whether some edge without
-    a utility has a flat face.  An edge record without a utility goes to
-    a kernel group when its oracle is exactly one of the kernel kinds, or
-    a ``TwoNodeEdge`` whose gain is exactly one; one with a penalty when
-    its oracle is exactly a pool kind, whose ``penalized_rows`` answers
-    it.  A parsed instance's pools are columns already, so only a
-    hand-built instance's records are regrouped.
-    """
-    records, kernel_rows = [], {}
-    flat = False
-    for pos, edge in instance.edge_records():
-        oracle = edge.oracle
-        penalized = edge.utility is not None
-        flat = flat or not (penalized or oracle.is_strictly_convex)
-        nodes = edge.incidence.nodes
-        # A bundled gain's parameters sit on the gain, a pool's on itself.
-        owner = oracle.gain if type(oracle) is TwoNodeEdge else oracle
-        if type(owner) in (_PENALIZED_KINDS if penalized else _KERNEL_KINDS):
-            kernel_rows.setdefault((type(owner), len(nodes), penalized), []).append((pos, nodes, owner.row_params()))
-        else:
-            records.append((pos, edge))
-    kernels = instance.edge_columns()
-    for (kind, _, penalized), rows in kernel_rows.items():
-        positions, nodes, params = zip(*rows)
-        kernels.append((np.array(positions), EdgeColumns(kind, nodes, zip(*params), penalized)))
-    # Linear gains are the one kernel kind with flat faces.
-    flat = flat or any(len(columns) and columns.kind is LinearGain for _, columns in kernels)
-    return records, kernels, flat
-
-
 def _kernel_calls(columns: EdgeColumns) -> tuple[Callable, Callable | None]:
     """The call of a kernel group, its kind's ``penalized_rows`` (for a
     penalized group) or ``evaluate_rows`` over the block of its edges'
@@ -1047,11 +1001,16 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     substitution, no minimization over the edge prices).  Infinite
     conjugate values (such as negative prices) give ``+inf``, and so does
     an edge without a utility term whose prices differ from
-    ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.  The
-    edges are split as :class:`DualProgram` splits them: each kernel
-    group without a penalty is answered by one call of its kind's kernel,
-    and only the other edges one by one, an edge with a utility in the
-    explicit form (its utility's conjugate and its oracle's ``evaluate``).
+    ``eta_i = A_i^T nu``; such an edge is evaluated at ``A_i^T nu``.  An
+    edge with a utility is taken in the explicit form: its utility's
+    conjugate at ``eta_i - A_i^T nu`` and its support at ``eta_i``.  The
+    edges are split as :class:`DualProgram` splits them, and no record is
+    built: each kernel group is answered by one call of its kind's
+    ``evaluate_rows``, a penalized group's conjugates, ``1/2 |xi_i|^2`` at
+    ``xi_i = eta_i - A_i^T nu`` (``+inf`` on a negative entry), by one
+    ``np.vecdot``, and only the loop's records one by one.  The terms
+    are added in edge order, each conjugate just before its edge's value,
+    as a loop would add them.
 
     Raises:
         DimensionError: The node prices are not ``n`` numbers, the point
@@ -1081,30 +1040,34 @@ def eval_dual(instance: ProblemInstance, point: DualPoint) -> float:
     mismatch[list(instance.utility_edges)] = False
     if mismatch.any():
         return math.inf
-    records, kernels, _ = _edge_groups(instance)
-    values, conj_v = np.empty(instance.m), []
+    records, kernels = instance.edge_records(), instance.edge_columns()
+    values, conj = np.empty(instance.m), np.empty(instance.m)
     try:
-        for pos in instance.utility_edges:
-            edge = instance.edges[pos]
-            span = slice(offsets[pos], offsets[pos + 1])
-            conj = edge.utility.conj(eta[span] - base[span])
-            if not conj.finite:
-                return math.inf
-            conj_v.append(conj.value)
-            values[pos] = edge.oracle.evaluate(eta[span]).value
         for pos, edge in records:
-            if edge.utility is None:
-                values[pos] = edge.oracle.evaluate(base[offsets[pos] : offsets[pos + 1]]).value
+            span = slice(offsets[pos], offsets[pos + 1])
+            if edge.utility is not None:
+                value = edge.utility.conj(eta[span] - base[span])
+                if not value.finite:
+                    return math.inf
+                conj[pos] = value.value
+            values[pos] = edge.oracle.evaluate(base[span] if edge.utility is None else eta[span]).value
         for positions, columns in kernels:
-            if not columns.penalized:
-                values[positions] = columns.kind.evaluate_rows(*columns.params, nu[columns.nodes])[0]
+            prices = nu[columns.nodes]
+            if columns.penalized:
+                local, prices = prices, eta[offsets[positions, None] + np.arange(columns.nodes.shape[1])]
+                xi = prices - local
+                if (xi < 0.0).any():
+                    return math.inf
+                conj[positions] = 0.5 * np.vecdot(xi, xi)
+            values[positions] = columns.kind.evaluate_rows(*columns.params, prices)[0]
     except UnattainedSupremumError:
         return math.inf
     except UnboundedEdgeError as exc:
         raise UnboundedDualError(f"unbounded edge subproblem: {exc}") from exc
     # Edge order, each utility's conjugate just before its edge's value:
     # the running sum adds term by term, as a loop over the edges would.
-    terms = np.insert(values, list(instance.utility_edges), conj_v)
+    utility = list(instance.utility_edges)
+    terms = np.insert(values, utility, conj[utility])
     return float(np.cumsum(np.concatenate(([conj_u.value], terms)))[-1])
 
 

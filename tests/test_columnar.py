@@ -1,13 +1,14 @@
 """Column-stored edges and the dual program's kernels.
 
-A parsed instance keeps its ``opf_line``, ``lossless``,
-``linear_gain``, ``uniswap`` and ``geometric_mean`` edges as columns
+An instance, parsed or built by hand, keeps its ``opf_line``,
+``lossless``, ``linear_gain``, ``uniswap`` and ``geometric_mean``
+edges, every ``TwoNodeEdge`` whose gain is exactly a ``PowerLossGain``
+or a ``LinearGain`` and every oracle that is exactly a
+``TwoAssetGeometricPool`` or a ``GeometricMeanPool``, as columns
 (``core.EdgeTable``; a pool with the quadratic penalty in a flagged
-group, a two-node edge with it as a record), and the dual program answers every ``TwoNodeEdge``
-whose gain is exactly a ``PowerLossGain`` or a ``LinearGain``, and every
-oracle that is exactly a ``TwoAssetGeometricPool`` or a
-``GeometricMeanPool``, with one kernel per kind (``evaluate_rows``, one
-call per kind and ``dim``).  These tests hold the kernels to the
+group, a two-node edge with it as a record), and the dual program
+answers them with one kernel per kind (``evaluate_rows``, one call per
+kind and ``dim``).  These tests hold the kernels to the
 per-edge methods bit for bit (a pool's own method is a one-row call of
 its kernel, a gain's a scalar form of it) and the pool kernels to the
 exact trade within rounding, the reader to the messages and documents
@@ -43,7 +44,7 @@ from convexflows import (
     piecewise_linear_edge,
 )
 from convexflows import io_cli
-from convexflows.core import EdgeColumns, EdgeTable, EdgeVectors, primal_objective
+from convexflows.core import _KERNEL_KINDS, EdgeColumns, EdgeTable, EdgeVectors, primal_objective
 from convexflows.edges import GainFunction, LinearGain, PowerLossGain, TwoNodeEdge, UnboundedEdgeError
 from convexflows.edges.base import UnattainedSupremumError
 from convexflows.io_cli import (
@@ -519,8 +520,8 @@ def test_interleaved_hand_built_instance_solves_as_edge_by_edge(seed):
 
 
 def test_parsed_instances_solve_as_their_records():
-    # The records of a parsed instance, as a hand-built list, take the
-    # same kernels from their gain objects instead of the columns.
+    # The records of a parsed instance, given as a list, are packed into
+    # the same columns again from their gain objects.
     for doc in (gen_opf(40, 2), gen_maxflow(12, 0.5, 1)):
         parsed = parse_instance(json.dumps(doc))
         assert isinstance(parsed.edges, EdgeTable)
@@ -556,7 +557,7 @@ def _per_edge(edge):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_parsed_cfmm_solves_as_its_records(seed):
     # Column-stored pools, the same pools as a list of records (which the
-    # kernels read through row_params) and as subclasses (which the loop
+    # instance packs again through row_params) and as subclasses (which the loop
     # group answers one by one): one solve, bit for bit.
     text = json.dumps(gen_cfmm(200, seed))
     parsed = parse_instance(text)
@@ -611,6 +612,64 @@ def test_edge_table_reads_as_a_list_of_records():
     # A column-stored record is built on its first access and kept.
     assert edges[0] is edges[0]
     assert instance.incidences.nodes.tolist() == [j for e in doc["edges"] for j in e["nodes"]]
+
+
+def test_edge_table_checks_its_layout():
+    pair = EdgeColumns(LinearGain, [[0, 1], [1, 2]], [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    record = Hyperedge(EdgeIncidence((0, 1)), lossless_edge(1.0))
+    assert len(EdgeTable([record], [pair], [1, 0, 1])) == 3
+    for records, group, message in [
+        ([], [1, 1, 1], r"group counts \[0, 3\] do not match the 0 records"),
+        ([record], [0, 0, 1, 1], r"group counts \[2, 2\] do not match the 1 records"),
+        ([], [2, 1], "must run from 0 to the table's 1 column groups"),
+        # 256 and -1 would wrap in a byte, to group 0 and group 255.
+        ([record], [256, 1, 1], "must run from 0"),
+        ([record], [-1, 1, 1], "must run from 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            EdgeTable(records, [pair], group)
+
+
+def _bundled_doc():
+    """Every column kind among records: lossless and linear_gain edges
+    sharing a group, an opf line with a penalty and a piecewise-linear
+    edge as records, plain and penalized pools."""
+    edge = lambda kind, nodes, **params: {"kind": kind, "params": params, "nodes": nodes}
+    doc = copy.deepcopy(gen_cfmm(30, 0, edge_penalties=True))
+    for k in range(0, 30, 3):
+        del doc["edges"][k]["edge_utility"]
+    doc["edges"][4:4] = [
+        edge("linear_gain", [0, 1], gain=0.8, capacity=2.0),
+        edge("opf_line", [1, 2], alpha=16.0, beta=0.25, capacity=3.0),
+        edge("piecewise_linear", [2, 3], points=[[0.0, 0.0], [1.0, 0.9], [2.0, 1.5]]),
+        edge("lossless", [3, 0], capacity=1.0),
+        {**edge("opf_line", [2, 0], alpha=16.0, beta=0.25, capacity=1.0), "edge_utility": {"kind": "quadratic_penalty", "params": {}}},
+    ]
+    return doc
+
+
+def test_a_hand_built_instance_packs_its_bundled_edges_as_the_reader_does():
+    # The same groups, numbered in the order of their first edges, and
+    # the same records; a bundled edge then reads as a record rebuilt
+    # from its row, and every other edge as the object given.
+    text = json.dumps(_bundled_doc())
+    parsed = parse_instance(text)
+    given = [Hyperedge(edge.incidence, edge.oracle, edge.utility) for edge in parse_instance(text).edges]
+    built = ProblemInstance(n=parsed.n, edges=given, net_objective=parsed.net_objective)
+    assert built.edges.group.tobytes() == parsed.edges.group.tobytes()
+    assert [(c.kind, c.penalized, c.nodes.tobytes(), [p.tobytes() for p in c.params]) for c in built.edges.columns] == [
+        (c.kind, c.penalized, c.nodes.tobytes(), [p.tobytes() for p in c.params]) for c in parsed.edges.columns
+    ]
+    assert [(c.kind, c.nodes.shape[1], c.penalized) for c in built.edges.columns] == [
+        (TwoAssetGeometricPool, 2, False), (GeometricMeanPool, 3, True), (TwoAssetGeometricPool, 2, True),
+        (GeometricMeanPool, 3, False), (LinearGain, 2, False), (PowerLossGain, 2, False),
+    ]
+    assert [k for k, _ in built.edge_records()] == [6, 8]
+    assert all(edge is given[k] for k, edge in built.edge_records())
+    assert built.utility_edges == parsed.utility_edges
+    assert built.edges[4] is not given[4] and built.edges[4].oracle.gain == given[4].oracle.gain
+    assert instance_to_dict(built) == json.loads(text)
+    assert _fingerprint(solve(built)) == _fingerprint(solve(parsed))
 
 
 _MISSING = object()
@@ -923,6 +982,10 @@ _PER_EDGE_PATHS = [
 ]
 
 
+def test_the_reader_and_the_packer_share_one_table_of_kernel_kinds():
+    assert {kind for kind, _ in _COLUMN_KINDS.values()} == set(_KERNEL_KINDS)
+
+
 @pytest.mark.parametrize("tag", sorted(_COLUMN_KINDS))
 def test_every_column_kind_is_answered_by_a_kernel_and_round_trips(tag, monkeypatch):
     # The reader, the solver and the writer share one registry of column
@@ -1136,19 +1199,41 @@ def test_check_feasibility_keeps_no_record(doc, monkeypatch):
     assert report.edge_membership.count(False) > 0
 
 
+def _dual_by_edge(instance, point):
+    """The explicit dual as a loop over the edges' records adds it: each
+    penalized edge's conjugate, then its value at its edge prices."""
+    nu = np.asarray(point.node_prices, float)
+    total = instance.net_objective.conj(nu).value
+    for edge, eta in zip(instance.edges, point.edge_prices):
+        local = edge.incidence.gather(nu)
+        if edge.utility is not None:
+            total += edge.utility.conj(eta - local).value
+        total += edge.oracle.evaluate(local if edge.utility is None else eta).value
+    return total
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("make", [lambda seed: gen_cfmm(200, seed), lambda seed: gen_opf(100, seed)], ids=["cfmm", "opf"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda seed: gen_cfmm(200, seed), lambda seed: gen_opf(100, seed), lambda seed: gen_cfmm(100, seed, edge_penalties=True)],
+    ids=["cfmm", "opf", "cfmm_pen"],
+)
 def test_eval_dual_answers_column_groups_with_their_kernels(make, seed, monkeypatch):
     # eval_dual splits the edges as the dual program does: it builds no
-    # record and answers no edge of a kernel kind one by one, and it adds
-    # the terms the solve's pass adds in the same edge order: the same bits.
-    instance = parse_instance(json.dumps(make(seed)))
+    # record and answers no edge of a kernel kind one by one.  Without a
+    # penalty it adds the terms the solve's pass adds in the same edge
+    # order: the same bits.  With one, each penalized row's conjugate and
+    # value are the bits a loop over its record adds, in edge order.
+    text = json.dumps(make(seed))
+    instance = parse_instance(text)
     result = solve(instance)
-    for owner, name in _PER_EDGE_PATHS:
+    want = _dual_by_edge(parse_instance(text), result.dual_point) if instance.utility_edges else result.dual_value
+    for owner, name in [*_PER_EDGE_PATHS, (QuadraticPenalty, "conj")]:
         monkeypatch.setattr(owner, name, _refuse)
     value = eval_dual(instance, result.dual_point)
     assert not instance.edges._kept
-    assert value == result.dual_value
+    assert value == want
+    assert abs(value - result.dual_value) <= 1e-12 * (1.0 + abs(value))
 
 
 # -- penalized pools ----------------------------------------------------------
@@ -1185,7 +1270,7 @@ def test_a_parsed_penalized_market_builds_no_record(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_parsed_penalized_market_solves_as_its_records(seed):
     # The flagged column groups and the same pools as a list of records
-    # with their penalties (which the solver regroups): the same result
+    # with their penalties (which the instance packs again): the same result
     # document.
     text = json.dumps(gen_cfmm(100, seed, edge_penalties=True))
     parsed = parse_instance(text)

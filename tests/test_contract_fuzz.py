@@ -13,12 +13,13 @@ contract of :func:`convexflows.solve` on it:
   (the tolerance covers a penalized edge, whose utility's conjugate the
   explicit form adds as a term of its own);
 - ``check_feasibility`` on the instance, which tests column-stored edges
-  a group at a time, gives the report that it gives on the same edges as
-  a list of records, each tested by its ``is_member``, both at the
-  result's flows and with every third edge's flow moved by 0.5;
+  a group at a time, gives the report that it gives on the same edges
+  given as a list of records (which the instance packs again), and the
+  membership each record's ``is_member`` gives, both at the result's
+  flows and with every third edge's flow moved by 0.5;
 - a second solve returns the same bytes;
-- the instance's document parses to the same kernel groups (and, for a
-  parsed instance, the same group bytes), which solve to the same bytes.
+- the instance's document parses to the same kernel groups and group
+  bytes, which solve to the same bytes.
 
 The seed range is fixed.  A case that breaks the contract is marked as
 a strict xfail that names the fault; it is never dropped from the range.
@@ -32,7 +33,6 @@ import pytest
 
 from conftest import piecewise_dag_instance
 from convexflows import PrimalPoint, ProblemInstance, SolverConfig, check_feasibility, eval_dual, solve
-from convexflows.core import EdgeTable
 from convexflows.io_cli import (
     fisher_instance,
     gen_cfmm,
@@ -43,7 +43,6 @@ from convexflows.io_cli import (
     result_to_dict,
     serialize_instance,
 )
-from convexflows.solver import _edge_groups
 
 SEEDS = range(10)
 
@@ -95,24 +94,25 @@ def test_solve_keeps_its_contract(family, seed):
     if math.isfinite(result.dual_value):
         dual = eval_dual(instance, result.dual_point)
         assert abs(dual - result.dual_value) <= 1e-12 * (1.0 + abs(result.dual_value)), (dual, result.dual_value)
-    records = ProblemInstance(n=instance.n, edges=list(FAMILIES[family](seed).edges), net_objective=instance.net_objective)
+    edges = list(FAMILIES[family](seed).edges)
+    records = ProblemInstance(n=instance.n, edges=edges, net_objective=instance.net_objective)
     moved = [flow + 0.5 if k % 3 == 0 else flow for k, flow in enumerate(result.flows)]
     for flows in (result.flows, moved):
         point = PrimalPoint(flows, result.net_flow)
         got, want = check_feasibility(instance, point, config.feas_tol), check_feasibility(records, point, config.feas_tol)
         assert (got.edge_membership, got.net_flow_residual) == (want.edge_membership, want.net_flow_residual)
+        assert got.edge_membership == [edge.oracle.is_member(flow, config.feas_tol) for edge, flow in zip(edges, flows)]
     assert _answer(solve(FAMILIES[family](seed), config=config)) == _answer(result)
 
 
 def _groups(instance):
     """The kernel groups a dual program forms (positions, kind, penalty,
-    node and parameter bytes), and the group bytes of an edge table (None
-    for a list of edges)."""
+    node and parameter bytes), and the group bytes of the edge table."""
     kernels = [
         (positions.tobytes(), columns.kind, columns.penalized, columns.nodes.tobytes(), [column.tobytes() for column in columns.params])
-        for positions, columns in _edge_groups(instance)[1]
+        for positions, columns in instance.edge_columns()
     ]
-    return kernels, instance.edges.group.tobytes() if isinstance(instance.edges, EdgeTable) else None
+    return kernels, instance.edges.group.tobytes()
 
 
 @pytest.mark.parametrize("family, seed", [(family, seed) for family in FAMILIES for seed in SEEDS])
@@ -121,6 +121,5 @@ def test_a_serialized_instance_parses_to_the_same_groups_and_solve(family, seed)
     again = parse_instance(serialize_instance(instance))
     kernels, group = _groups(instance)
     assert _groups(again)[0] == kernels
-    if group is not None:
-        assert _groups(again)[1] == group
+    assert _groups(again)[1] == group
     assert _answer(solve(again)) == _answer(solve(instance))

@@ -32,9 +32,10 @@ from convexflows import (
     opf_line_edge,
     piecewise_linear_edge,
 )
+from convexflows.core import _KERNEL_KINDS
 from convexflows.edges import LinearGain, PowerLossGain, TwoNodeEdge
 from convexflows.io_cli import gen_cfmm, gen_maxflow, gen_opf, parse_instance
-from convexflows.solver import _KERNEL_KINDS, DualProgram, UnboundedDualError, solve, solve_dual
+from convexflows.solver import DualProgram, UnboundedDualError, solve, solve_dual
 
 
 def _mixed_instance():

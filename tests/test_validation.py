@@ -133,8 +133,9 @@ def test_brute_force_reports_infeasible_as_minus_inf():
 
 
 def test_brute_force_refuses_large_fixtures():
-    instance = two_pool_arbitrage_instance()
-    instance.edges = instance.edges * 2  # dimension 8 > 6
+    pools = two_pool_arbitrage_instance()
+    # dimension 8 > 6
+    instance = ProblemInstance(n=pools.n, edges=list(pools.edges) * 2, net_objective=pools.net_objective)
     with pytest.raises(ValueError):
         brute_force_primal(instance)
 
