@@ -277,11 +277,11 @@ class DualProgram:
     group, answered by its kind's ``evaluate_rows``, or
     ``penalized_rows`` when the group's flag says it has the penalty,
     equal bit for bit to the edge's own method, read from its columns and
-    never built as a record.  The loop's oracle methods are captured here.  Values are added in edge order by one
-    running sum, and the net flow is one scatter of the buffer in edge
-    order, as :func:`eval_dual` and
-    :func:`~convexflows.core.assemble_net_flow` add them, so the sums do
-    not depend on which group answered an edge.
+    never built as a record.  The loop's oracle methods are captured
+    here.  Values are added in edge order by one running sum, and the net
+    flow is one scatter of the buffer in edge order, as :func:`eval_dual`
+    and :func:`~convexflows.core.assemble_net_flow` add them, so the sums
+    do not depend on which group answered an edge.
 
     The piecewise-linear two-node edges without a penalty (the linear
     gains too), the only ones with flat faces to report, also go into a
